@@ -84,33 +84,31 @@ def quat_to_dcm(q):
     """Direction cosine matrix for a unit quaternion.
 
     Args:
-        q: unit quaternion, scalar first. The caller is responsible for
-            normalization; no renormalization happens here.
+        q: unit quaternion, scalar first, or a (..., 4) stack of them. The
+            caller is responsible for normalization; no renormalization
+            happens here.
 
     Returns:
         3x3 passive rotation matrix mapping ECI coordinates to body
-        coordinates.
+        coordinates; (..., 3, 3) for a stack, C-contiguous so that ``@``
+        treats each matrix exactly as it treats a single one.
     """
-    q0, q1, q2, q3 = q
-    return np.array(
+    q = np.asarray(q, dtype=float)
+    q0, q1, q2, q3 = q.T
+    entries = np.array(
         [
-            [
-                1.0 - 2.0 * (q2 * q2 + q3 * q3),
-                2.0 * (q1 * q2 + q0 * q3),
-                2.0 * (q1 * q3 - q0 * q2),
-            ],
-            [
-                2.0 * (q1 * q2 - q0 * q3),
-                1.0 - 2.0 * (q1 * q1 + q3 * q3),
-                2.0 * (q2 * q3 + q0 * q1),
-            ],
-            [
-                2.0 * (q1 * q3 + q0 * q2),
-                2.0 * (q2 * q3 - q0 * q1),
-                1.0 - 2.0 * (q1 * q1 + q2 * q2),
-            ],
+            1.0 - 2.0 * (q2 * q2 + q3 * q3),
+            2.0 * (q1 * q2 + q0 * q3),
+            2.0 * (q1 * q3 - q0 * q2),
+            2.0 * (q1 * q2 - q0 * q3),
+            1.0 - 2.0 * (q1 * q1 + q3 * q3),
+            2.0 * (q2 * q3 + q0 * q1),
+            2.0 * (q1 * q3 + q0 * q2),
+            2.0 * (q2 * q3 - q0 * q1),
+            1.0 - 2.0 * (q1 * q1 + q2 * q2),
         ]
     )
+    return entries.T.reshape(q.shape[:-1] + (3, 3))
 
 
 def dcm_to_quat(R):

@@ -17,13 +17,8 @@ import argparse
 import os
 import sys
 
-from .scenario import (
-    FILTER_KINDS,
-    ScenarioError,
-    bundled_scenarios,
-    resolve_scenario,
-    with_overrides,
-)
+from .filters import FILTER_KINDS
+from .scenario import ScenarioError, bundled_scenarios, resolve_scenario, with_overrides
 from .runner import compare_run, compute_metrics, run_scenario, write_csv
 
 __all__ = ["main", "build_parser"]

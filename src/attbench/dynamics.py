@@ -11,10 +11,15 @@ runs in the principal frame. No actuators are modeled, so the control term in
 the rate equations is identically zero; the only external torque available is
 the gravity-gradient model.
 
-The integrator is classical fixed-step RK4. In quaternion mode the quaternion
-is renormalized once per step, after the four stages are combined; the stages
-themselves are left untouched so the combination stays a consistent
-fourth-order scheme.
+The integrator is classical fixed-step RK4. This module is the one owner of
+rigid-body propagation: ``rigid_body_step`` advances a batch of [q, w, ...]
+rows and serves both the truth (``integrate``) and the filters' process
+model. Torque-free steps run the batched kernel in ``attbench.core``;
+gravity-gradient steps run ``rk4_step`` over the batch-capable right-hand
+side, with the orbit positions at the step start, midpoint and end supplied
+by the caller. Either way the quaternion is renormalized once per step, after
+the four stages are combined; the stages themselves are left untouched so the
+combination stays a consistent fourth-order scheme.
 """
 
 from dataclasses import dataclass
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .attitude import quat_to_dcm
+from .attitude import euler313_to_quat, quat_to_dcm
 
 MU_EARTH = 398600.4418
 """Earth gravitational parameter, km^3/s^2."""
@@ -39,8 +44,11 @@ __all__ = [
     "quaternion_rates",
     "euler313_rates",
     "gravity_gradient_torque",
+    "check_torque_model",
     "derivative",
     "rk4_step",
+    "renormalize_quaternions",
+    "rigid_body_step",
     "integrate",
     "principal_moments",
     "angular_momentum_eci",
@@ -146,23 +154,24 @@ def body_rate_derivative(omega, inertia, torque=None):
     """Euler's rotational equations for a principal-axis rigid body.
 
     Args:
-        omega: body rates (3,), rad/s.
+        omega: body rates (..., 3), rad/s.
         inertia: principal moments (Ixx, Iyy, Izz), kg m^2.
-        torque: external torque in body axes, N m; None means torque-free.
+        torque: external torque in body axes (..., 3), N m; None means
+            torque-free.
 
     Returns:
-        Body-rate derivatives (3,), rad/s^2.
+        Body-rate derivatives (..., 3), rad/s^2.
     """
-    wx, wy, wz = omega
+    wx, wy, wz = np.asarray(omega, dtype=float).T
     ixx, iyy, izz = inertia
-    tx, ty, tz = (0.0, 0.0, 0.0) if torque is None else torque
+    tx, ty, tz = (0.0, 0.0, 0.0) if torque is None else np.asarray(torque, dtype=float).T
     return np.array(
         [
             (tx - (izz - iyy) * wy * wz) / ixx,
             (ty - (ixx - izz) * wz * wx) / iyy,
             (tz - (iyy - ixx) * wx * wy) / izz,
         ]
-    )
+    ).T
 
 
 def quaternion_rates(q, omega):
@@ -170,10 +179,10 @@ def quaternion_rates(q, omega):
 
     Exactly norm-preserving: dot(q, qdot) = 0 for any q and omega, so the
     continuous dynamics stay on the unit sphere and only integration error
-    needs renormalizing.
+    needs renormalizing. Takes (..., 4) and (..., 3), returns (..., 4).
     """
-    q0, q1, q2, q3 = q
-    wx, wy, wz = omega
+    q0, q1, q2, q3 = np.asarray(q, dtype=float).T
+    wx, wy, wz = np.asarray(omega, dtype=float).T
     return np.array(
         [
             0.5 * (-q1 * wx - q2 * wy - q3 * wz),
@@ -181,7 +190,7 @@ def quaternion_rates(q, omega):
             0.5 * (q3 * wx + q0 * wy - q1 * wz),
             0.5 * (-q2 * wx + q1 * wy + q0 * wz),
         ]
-    )
+    ).T
 
 
 def euler313_rates(e, omega):
@@ -217,23 +226,47 @@ def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
     unit-invariant, the conversion just keeps the intermediate values SI).
 
     Args:
-        q: attitude quaternion (ECI to body).
-        r_eci: spacecraft position in ECI, km.
+        q: attitude quaternions (ECI to body), (..., 4).
+        r_eci: spacecraft position in ECI, km, shared by every quaternion.
         inertia: principal moments, kg m^2.
+
+    Returns:
+        Torques (..., 3).
     """
     r = np.asarray(r_eci, dtype=float)
     r_mag = np.linalg.norm(r)
     if r_mag < 1e-9:
         raise ValueError("gravity gradient undefined at zero radius")
-    c = quat_to_dcm(q) @ (r / r_mag)
+    c0, c1, c2 = (quat_to_dcm(q) @ (r / r_mag)).T
     k = 3.0 * (mu * _KM_TO_M**3) / (r_mag * _KM_TO_M) ** 3
     ixx, iyy, izz = inertia
     return k * np.array(
         [
-            (izz - iyy) * c[1] * c[2],
-            (ixx - izz) * c[2] * c[0],
-            (iyy - ixx) * c[0] * c[1],
+            (izz - iyy) * c1 * c2,
+            (ixx - izz) * c2 * c0,
+            (iyy - ixx) * c0 * c1,
         ]
+    ).T
+
+
+def check_torque_model(torque_model, elements):
+    """Reject an unknown torque model, or gravity gradient without an orbit."""
+    if torque_model not in ("none", "gravity_gradient"):
+        raise ValueError("unknown torque model %r" % (torque_model,))
+    if torque_model == "gravity_gradient" and elements is None:
+        raise ValueError("gravity gradient requires orbital elements")
+
+
+def _rigid_body_rates(x, inertia, r_eci=None, mu=MU_EARTH):
+    """Derivative of [q, w, ...] rows, (n,) or (M, n); columns past the body
+    rates are constant. ``r_eci`` None means torque-free, else the orbit
+    position for the gravity-gradient torque."""
+    q, omega = x[..., :4], x[..., 4:7]
+    torque = None if r_eci is None else gravity_gradient_torque(q, r_eci, inertia, mu)
+    return np.concatenate(
+        [quaternion_rates(q, omega), body_rate_derivative(omega, inertia, torque),
+         np.zeros_like(x[..., 7:])],
+        axis=-1,
     )
 
 
@@ -242,7 +275,8 @@ def derivative(state, t, inertia, torque_model="none", elements=None, mu=MU_EART
     """Full state derivative for truth propagation.
 
     Args:
-        state: (7,) quaternion-mode or (6,) euler-mode state.
+        state: quaternion-mode [q, w, ...] rows, (n,) or (M, n), or the
+            (6,) euler-mode state.
         t: time, s (enters only through the orbit when gravity gradient is on).
         inertia: principal moments.
         torque_model: "none" or "gravity_gradient".
@@ -253,33 +287,15 @@ def derivative(state, t, inertia, torque_model="none", elements=None, mu=MU_EART
         State derivative of the same shape.
     """
     state = np.asarray(state, dtype=float)
-    if parameterization == "quaternion":
-        att, omega = state[:4], state[4:7]
-    elif parameterization == "euler":
-        att, omega = state[:3], state[3:6]
-    else:
+    if parameterization not in ("quaternion", "euler"):
         raise ValueError("unknown parameterization %r" % (parameterization,))
-
-    if torque_model == "none":
-        torque = None
-    elif torque_model == "gravity_gradient":
-        if elements is None:
-            raise ValueError("gravity gradient requires orbital elements")
-        r, _ = kepler_state(elements, t, mu)
-        if parameterization == "quaternion":
-            q = att
-        else:
-            from .attitude import euler313_to_quat
-
-            q = euler313_to_quat(att)
-        torque = gravity_gradient_torque(q, r, inertia, mu)
-    else:
-        raise ValueError("unknown torque model %r" % (torque_model,))
-
-    omega_dot = body_rate_derivative(omega, inertia, torque)
+    check_torque_model(torque_model, elements)
+    r = None if torque_model == "none" else kepler_state(elements, t, mu)[0]
     if parameterization == "quaternion":
-        return np.concatenate([quaternion_rates(att, omega), omega_dot])
-    return np.concatenate([euler313_rates(att, omega), omega_dot])
+        return _rigid_body_rates(state, inertia, r, mu)
+    att, omega = state[:3], state[3:6]
+    torque = None if r is None else gravity_gradient_torque(euler313_to_quat(att), r, inertia, mu)
+    return np.concatenate([euler313_rates(att, omega), body_rate_derivative(omega, inertia, torque)])
 
 
 def rk4_step(x, t, dt, rhs):
@@ -291,21 +307,51 @@ def rk4_step(x, t, dt, rhs):
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _renormalize_quat_rows(states):
-    q = states[..., :4]
-    n = np.sqrt(q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
-                + q[..., 2] * q[..., 2] + q[..., 3] * q[..., 3])
-    states[..., :4] = q / n[..., None]
+def renormalize_quaternions(states):
+    """Copy of [q, ...] rows, (n,) or (M, n), with each quaternion scaled to
+    unit norm."""
+    x = np.array(states, dtype=float)
+    q = x.T[:4]
+    # a single state's components are cheaper as Python floats
+    q0, q1, q2, q3 = q.tolist() if x.ndim == 1 else q
+    q /= np.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    return x
+
+
+def rigid_body_step(states, dt, inertia, positions=None, mu=MU_EARTH):
+    """One RK4 step of [q, w, ...] rows; columns past the body rates (gyro
+    bias states) pass through unchanged.
+
+    Args:
+        states: (M, n) rows, n >= 7; (n,) is accepted with ``positions``.
+        dt: step, s.
+        inertia: principal moments (Ixx, Iyy, Izz) as floats, kg m^2.
+        positions: ECI orbit positions (km) at the step start, midpoint and
+            end for the gravity-gradient torque; None means torque-free,
+            which runs the batched kernel.
+
+    Returns:
+        New array of the input shape, quaternions renormalized once.
+    """
+    if positions is None:
+        ixx, iyy, izz = inertia
+        return core.rk4_step_batch(states, dt, ixx, iyy, izz, 0.0, 0.0, 0.0)
+    # rk4_step evaluates the right-hand side at these offsets into the step
+    r_at = dict(zip((0.0, 0.5 * dt, dt), positions))
+
+    def rhs(x, s):
+        return _rigid_body_rates(x, inertia, r_at[s], mu)
+
+    return renormalize_quaternions(rk4_step(states, 0.0, dt, rhs))
 
 
 def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
               parameterization="quaternion", mu=MU_EARTH):
     """Propagate the truth state on a fixed grid t_k = k dt.
 
-    Torque-free quaternion propagation runs through the batched kernel in
-    ``attbench.core``; everything else goes through the generic RK4 with the
-    scalar right-hand side. Both paths renormalize the quaternion once per
-    step.
+    Quaternion mode steps with ``rigid_body_step``, the propagation the
+    filters use; the simulate-only Euler mode runs the generic RK4 over
+    ``derivative``.
 
     Returns:
         Trajectory with n_steps + 1 rows (the initial state included).
@@ -317,28 +363,30 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
             "expected state of shape (%d,) for %s mode, got %r"
             % (dim, parameterization, state0.shape)
         )
-    ixx, iyy, izz = (float(v) for v in inertia)
+    check_torque_model(torque_model, elements)
+    inertia = tuple(float(v) for v in inertia)
     out = np.empty((n_steps + 1, dim))
     out[0] = state0
     t_grid = dt * np.arange(n_steps + 1)
 
-    if parameterization == "quaternion" and torque_model == "none":
-        x = state0[None, :].copy()
+    if parameterization == "quaternion":
+        gg = torque_model == "gravity_gradient"
+        x = state0 if gg else state0[None, :]
+        positions = None
         for k in range(n_steps):
-            x = core.rk4_step_batch(x, dt, ixx, iyy, izz, 0.0, 0.0, 0.0)
-            out[k + 1] = x[0]
+            if gg:
+                t = t_grid[k]
+                positions = [kepler_state(elements, s, mu)[0] for s in (t, t + 0.5 * dt, t + dt)]
+            x = rigid_body_step(x, dt, inertia, positions, mu)
+            out[k + 1] = x
         return Trajectory(t=t_grid, states=out, parameterization=parameterization)
 
     def rhs(x, t):
-        return derivative(x, t, (ixx, iyy, izz), torque_model, elements, mu,
-                          parameterization)
+        return derivative(x, t, inertia, torque_model, elements, mu, parameterization)
 
-    x = state0.copy()
+    x = state0
     for k in range(n_steps):
         x = rk4_step(x, t_grid[k], dt, rhs)
-        if parameterization == "quaternion":
-            x = x.copy()
-            _renormalize_quat_rows(x[None, :])
         out[k + 1] = x
     return Trajectory(t=t_grid, states=out, parameterization=parameterization)
 

@@ -170,12 +170,17 @@ class FaultReport:
 
 
 def innovation_filter_check(record, cfg):
-    """Single-step chi-square test on one innovation record."""
+    """Single-step chi-square test on one innovation record.
+
+    A non-finite statistic (a NaN measurement, say) counts as a detection,
+    so it never reaches the update; every detector here tests
+    ``not stat <= gamma`` for that reason.
+    """
     dof = len(record.nu)
     gamma = _gamma(dof, cfg.alpha)
     return FaultReport(
         t=record.t,
-        detected=record.nis > gamma,
+        detected=not record.nis <= gamma,
         statistic=record.nis,
         threshold=gamma,
         dof=dof,
@@ -216,7 +221,9 @@ def sequence_monitor_update(window, record, cfg):
     mean is compared against the same chi-square quantile as the single-step
     test; the mean of N such variables concentrates, which makes this
     threshold conservative for the mean but keeps one calibration constant
-    across the detectors.
+    across the detectors. A non-finite sample makes the mean non-finite,
+    which detects even during warm-up and for as long as the sample stays in
+    the window.
     """
     window.push(record.nis)
     dof = len(record.nu)
@@ -225,7 +232,7 @@ def sequence_monitor_update(window, record, cfg):
     ready = len(window) >= cfg.min_samples
     return FaultReport(
         t=record.t,
-        detected=bool(ready and mean > gamma),
+        detected=not mean <= gamma and (ready or not math.isfinite(mean)),
         statistic=mean,
         threshold=gamma,
         dof=dof,
@@ -260,7 +267,7 @@ def isolation_check(record, slice_map, cfg):
     threshold = _gamma(len(record.nu), cfg.alpha)
     for name, (nis_i, dof_i) in per.items():
         gamma_i = _gamma(dof_i, cfg.alpha)
-        if nis_i > gamma_i:
+        if not nis_i <= gamma_i:
             isolated.add(name)
         ratio = nis_i / gamma_i
         if ratio > worst_ratio:

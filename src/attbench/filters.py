@@ -2,8 +2,11 @@
 
 All three filters run against the same two abstractions:
 
-  * a process model exposing batched one-step propagation (the rigid-body
-    model below routes through the compiled kernel), and
+  * a process model with ``dim`` (state size), ``dt`` (step, s),
+    ``propagate(states, t)`` (one step of (M, dim) rows starting at t) and
+    ``normalize_rows(states)`` (a normalized copy of a (dim,) state or of
+    (M, dim) rows). The rigid-body model below carries no physics of its
+    own: both calls go to ``attbench.dynamics``, which the truth uses too.
   * a linear stacked measurement y = H x + v with block-diagonal R.
 
 Keeping the interface batched is what makes the finite-difference Jacobian,
@@ -17,14 +20,13 @@ it to a subset of healthy sensors. The record always reflects the full
 measurement row set.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from . import core
-from .attitude import quat_to_dcm
-from .dynamics import MU_EARTH, kepler_state
+from .dynamics import (MU_EARTH, check_torque_model, kepler_state, renormalize_quaternions,
+                       rigid_body_step)
 from .fdir import compute_nis, slice_valid
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "EkfFilter",
     "UkfFilter",
     "PfFilter",
+    "FILTER_KINDS",
     "make_filter",
     "estimate_stats",
 ]
@@ -106,9 +109,9 @@ class RigidBodyProcessModel:
     """One fixed RK4 step of rigid-body attitude dynamics, batched.
 
     State is [q, w] (dim 7) or [q, w, b] (dim 10) where the trailing gyro
-    bias states are constant. Torque-free propagation goes through the
-    compiled kernel; the gravity-gradient variant evaluates the torque at
-    every RK4 stage from the batch attitudes and the shared orbit position.
+    bias states are constant. The step is ``dynamics.rigid_body_step``, the
+    one the truth integrates with; the gravity-gradient variant hands it the
+    orbit positions at the start, middle and end of the step.
     """
 
     def __init__(self, inertia, dt, bias_states=False, torque_model="none",
@@ -119,10 +122,7 @@ class RigidBodyProcessModel:
         self.dt = float(dt)
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if torque_model not in ("none", "gravity_gradient"):
-            raise ValueError("unknown torque model %r" % (torque_model,))
-        if torque_model == "gravity_gradient" and elements is None:
-            raise ValueError("gravity gradient requires orbital elements")
+        check_torque_model(torque_model, elements)
         self.torque_model = torque_model
         self.elements = elements
         self.mu = mu
@@ -131,78 +131,14 @@ class RigidBodyProcessModel:
 
     def propagate(self, states, t):
         x = np.atleast_2d(np.asarray(states, dtype=float))
-        ixx, iyy, izz = self.inertia
-        if self.torque_model == "none":
-            return core.rk4_step_batch(x, self.dt, ixx, iyy, izz, 0.0, 0.0, 0.0)
-        out = _rk4_batch(x, t, self.dt, self._gg_rhs)
-        return self.normalize_rows(out)
-
-    def _gg_rhs(self, x, t):
-        q = x[:, :4]
-        w = x[:, 4:7]
-        r, _ = kepler_state(self.elements, t, self.mu)
-        r_mag = np.linalg.norm(r)
-        r_hat = r / r_mag
-        # radial unit vector in each batch member's body axes
-        c = np.einsum("nij,j->ni", _dcm_batch(q), r_hat)
-        k = 3.0 * (self.mu * 1.0e9) / (r_mag * 1.0e3) ** 3
-        ixx, iyy, izz = self.inertia
-        tau = k * np.stack(
-            [
-                (izz - iyy) * c[:, 1] * c[:, 2],
-                (ixx - izz) * c[:, 2] * c[:, 0],
-                (iyy - ixx) * c[:, 0] * c[:, 1],
-            ],
-            axis=1,
-        )
-        out = np.zeros_like(x)
-        wx, wy, wz = w[:, 0], w[:, 1], w[:, 2]
-        q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        out[:, 0] = 0.5 * (-q1 * wx - q2 * wy - q3 * wz)
-        out[:, 1] = 0.5 * (q0 * wx - q3 * wy + q2 * wz)
-        out[:, 2] = 0.5 * (q3 * wx + q0 * wy - q1 * wz)
-        out[:, 3] = 0.5 * (-q2 * wx + q1 * wy + q0 * wz)
-        out[:, 4] = (tau[:, 0] - (izz - iyy) * wy * wz) / ixx
-        out[:, 5] = (tau[:, 1] - (ixx - izz) * wz * wx) / iyy
-        out[:, 6] = (tau[:, 2] - (iyy - ixx) * wx * wy) / izz
-        return out
-
-    def normalize(self, x):
-        x = np.asarray(x, dtype=float).copy()
-        q = x[:4]
-        x[:4] = q / np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-        return x
+        positions = None
+        if self.torque_model == "gravity_gradient":
+            positions = [kepler_state(self.elements, s, self.mu)[0]
+                         for s in (t, t + 0.5 * self.dt, t + self.dt)]
+        return rigid_body_step(x, self.dt, self.inertia, positions, self.mu)
 
     def normalize_rows(self, states):
-        states = np.asarray(states, dtype=float).copy()
-        q = states[:, :4]
-        n = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1]
-                    + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
-        states[:, :4] = q / n[:, None]
-        return states
-
-
-def _rk4_batch(x, t, dt, rhs):
-    k1 = rhs(x, t)
-    k2 = rhs(x + (0.5 * dt) * k1, t + 0.5 * dt)
-    k3 = rhs(x + (0.5 * dt) * k2, t + 0.5 * dt)
-    k4 = rhs(x + dt * k3, t + dt)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _dcm_batch(q):
-    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    r = np.empty((q.shape[0], 3, 3))
-    r[:, 0, 0] = 1.0 - 2.0 * (q2 * q2 + q3 * q3)
-    r[:, 0, 1] = 2.0 * (q1 * q2 + q0 * q3)
-    r[:, 0, 2] = 2.0 * (q1 * q3 - q0 * q2)
-    r[:, 1, 0] = 2.0 * (q1 * q2 - q0 * q3)
-    r[:, 1, 1] = 1.0 - 2.0 * (q1 * q1 + q3 * q3)
-    r[:, 1, 2] = 2.0 * (q2 * q3 + q0 * q1)
-    r[:, 2, 0] = 2.0 * (q1 * q3 + q0 * q2)
-    r[:, 2, 1] = 2.0 * (q2 * q3 - q0 * q1)
-    r[:, 2, 2] = 1.0 - 2.0 * (q1 * q1 + q2 * q2)
-    return r
+        return renormalize_quaternions(states)
 
 
 class LinearProcessModel:
@@ -218,11 +154,8 @@ class LinearProcessModel:
     def propagate(self, states, t):
         return np.atleast_2d(np.asarray(states, dtype=float)) @ self.F.T
 
-    def normalize(self, x):
-        return np.asarray(x, dtype=float).copy()
-
     def normalize_rows(self, states):
-        return np.asarray(states, dtype=float).copy()
+        return np.array(states, dtype=float)
 
 
 class StackedMeasurement:
@@ -439,11 +372,11 @@ class EkfFilter:
 
         skip, healthy = decide(record) if decide is not None else (False, None)
         if skip:
-            return GaussianBelief(self.model.normalize(pred.mu), pred.sigma), record
+            return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
         if healthy is not None:
             sliced = slice_valid(y_al, h, r, healthy, self.meas.slices)
             if sliced is None:
-                return GaussianBelief(self.model.normalize(pred.mu), pred.sigma), record
+                return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
             y_u, h_u, r_u = sliced
         else:
             y_u, h_u, r_u = y_al, h, r
@@ -452,7 +385,7 @@ class EkfFilter:
         gain = np.linalg.solve(s_u, h_u @ pred.sigma).T
         mu_new = pred.mu + gain @ (y_u - h_u @ pred.mu)
         sigma_new = _symmetrize((np.eye(self.model.dim) - gain @ h_u) @ pred.sigma)
-        return GaussianBelief(self.model.normalize(mu_new), sigma_new), record
+        return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
 
 
 def ukf_sigma_points(mu, sigma, alpha, beta, kappa):
@@ -539,12 +472,12 @@ class UkfFilter:
 
         skip, healthy = decide(record) if decide is not None else (False, None)
         if skip:
-            return GaussianBelief(self.model.normalize(pred.mu), pred.sigma), record
+            return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
         if healthy is not None:
             rows = [i for name, sl in self.meas.slices.items() if name in set(healthy)
                     for i in range(sl.start, sl.stop)]
             if not rows:
-                return GaussianBelief(self.model.normalize(pred.mu), pred.sigma), record
+                return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
             rows = np.asarray(rows, dtype=int)
             s_u = s[np.ix_(rows, rows)]
             cross_u = cross[:, rows]
@@ -555,7 +488,7 @@ class UkfFilter:
         gain = np.linalg.solve(s_u, cross_u.T).T
         mu_new = pred.mu + gain @ nu_u
         sigma_new = _symmetrize(pred.sigma - gain @ s_u @ gain.T)
-        return GaussianBelief(self.model.normalize(mu_new), sigma_new), record
+        return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
 
 
 def systematic_resample(weights, u):
@@ -672,8 +605,11 @@ class PfFilter:
         return ParticleSet(x, new_w, resets), record
 
 
+FILTER_KINDS = ("ekf", "ukf", "pf")
+
+
 def make_filter(kind, cfg, rng=None):
-    """Filter factory: kind in {ekf, ukf, pf}; pf needs its RNG stream."""
+    """Filter factory: kind in FILTER_KINDS; pf needs its RNG stream."""
     if kind == "ekf":
         return EkfFilter(cfg)
     if kind == "ukf":
@@ -689,17 +625,16 @@ def estimate_stats(belief, model):
     """Point estimate and marginal variances of a belief.
 
     Gaussian beliefs return (mu, diag Sigma); particle sets return the
-    weighted mean and weighted marginal variance. Attitude models get the
-    quaternion part of the point estimate renormalized.
+    weighted mean and weighted marginal variance. The point estimate goes
+    through the model's ``normalize_rows`` (attitude models renormalize its
+    quaternion part).
     """
     if isinstance(belief, GaussianBelief):
-        mu = belief.mu.copy()
+        mu = belief.mu
         var = np.diag(belief.sigma).copy()
     else:
         w = belief.weights
         mu = w @ belief.states
         d = belief.states - mu
         var = w @ (d * d)
-    if isinstance(model, RigidBodyProcessModel):
-        mu = model.normalize(mu)
-    return mu, var
+    return model.normalize_rows(mu), var

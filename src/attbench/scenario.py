@@ -61,7 +61,8 @@ import yaml
 
 from .attitude import euler313_to_quat
 from .dynamics import KeplerianElements, principal_moments
-from .fdir import DetectorConfig
+from .fdir import DetectorConfig, FdirSupervisor
+from .filters import FILTER_KINDS
 from .sensors import AttitudeSensorModel, FaultSpec, GyroModel, make_layout
 
 __all__ = [
@@ -74,9 +75,6 @@ __all__ = [
     "with_overrides",
     "strip_faults",
 ]
-
-FILTER_KINDS = ("ekf", "ukf", "pf")
-
 
 class ScenarioError(ValueError):
     """Raised for any parse or validation failure; message names the key."""
@@ -437,8 +435,8 @@ def _parse_detector(mapping, path):
     mapping = _require_mapping(mapping, path) if mapping is not None else {}
     _check_keys(mapping, ("policy", "alpha", "window", "min_samples"), path)
     policy = _str(mapping.get("policy", "none"), path + ".policy")
-    if policy not in ("none", "innovation", "sequence", "isolation"):
-        _fail(path + ".policy", "must be none, innovation, sequence, or isolation")
+    if policy not in FdirSupervisor.POLICIES:
+        _fail(path + ".policy", "must be one of %s" % (FdirSupervisor.POLICIES,))
     try:
         det = DetectorConfig(
             alpha=_num(mapping.get("alpha", 0.95), path + ".alpha"),

@@ -34,7 +34,7 @@ ROLE_KEYS = {
     "pf": 3,
 }
 
-FAULT_KINDS = ("spike", "step", "dropout", "constant_bias", "saturation")
+FAULT_KINDS = ("spike", "dropout", "constant_bias", "saturation")
 
 ATTITUDE_SENSORS = ("star_tracker", "magnetometer")
 
@@ -164,7 +164,7 @@ class FaultSpec:
     """One injected sensor fault.
 
     kinds:
-        spike / step: add ``magnitude`` to the target rows while active.
+        spike: add ``magnitude`` to the target rows while active.
         dropout: zero the target rows (or hold the last clean value when
             ``hold`` is set) while active.
         constant_bias: add ``magnitude`` from t_start onward; ``duration``
@@ -236,7 +236,7 @@ class FaultInjector:
                 if f.kind == "dropout" and f.hold:
                     self._held[idx] = out[rows].copy()
                 continue
-            if f.kind in ("spike", "step", "constant_bias"):
+            if f.kind in ("spike", "constant_bias"):
                 out[rows] = out[rows] + f.magnitude
             elif f.kind == "dropout":
                 if f.hold:

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attbench import filters as flt
+from attbench import dynamics as dyn, filters as flt
 from attbench.sensors import make_layout
 
 from conftest import make_linear_problem
@@ -261,6 +261,31 @@ def test_rigid_body_batch_propagation_matches_rows():
     for i in range(5):
         row = cfg.process.propagate(states[i:i + 1], 0.0)
         npt.assert_array_equal(batch[i], row[0])
+
+
+@pytest.mark.parametrize("rows", [15, 21, 1000])
+def test_gravity_gradient_propagation_is_the_truth_step(rows):
+    """The filter-side gravity-gradient step is the truth's, row for row and
+    bitwise; gyro-bias columns pass through untouched."""
+    elements = dyn.KeplerianElements.from_degrees(6900.0, 0.01, 51.6, 30.0, 40.0, 10.0)
+    inertia, dt = (2.0, 3.0, 4.0), 0.1
+    rng = np.random.default_rng(rows)
+    states = rng.standard_normal((rows, 10))
+    states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
+    states[:, 4:7] *= 0.1
+    truth = np.array([
+        dyn.integrate(row[:7], dt, 1, inertia, torque_model="gravity_gradient",
+                      elements=elements).states[1]
+        for row in states
+    ])
+    free = flt.RigidBodyProcessModel(inertia, dt).propagate(states[:, :7], 0.0)
+    assert not np.array_equal(free, truth)  # the torque is felt
+    for bias in (False, True):
+        proc = flt.RigidBodyProcessModel(inertia, dt, bias_states=bias,
+                                         torque_model="gravity_gradient", elements=elements)
+        out = proc.propagate(states[:, :proc.dim], 0.0)
+        assert np.array_equal(out[:, :7], truth)
+        assert np.array_equal(out[:, 7:], states[:, 7:proc.dim])
 
 
 def test_rigid_body_normalize_rows_unit_quaternions():

@@ -40,6 +40,10 @@ def opted_out(value):
     return value not in (None, "", "0")
 
 
+# the filters' batch shapes: EKF/UKF stencils of the 7- and 10-state models
+# and the PF cloud, on both sides of kernels_py.ROW_LOOP_MAX
+FILTER_BATCH_ROWS = (15, 21, 1000)
+
 BUILD_PROBE = textwrap.dedent("""
     import hashlib
     import numpy as np
@@ -50,7 +54,14 @@ BUILD_PROBE = textwrap.dedent("""
     print(attbench.__file__)
     print(core.BACKEND)
     print(hashlib.sha256(traj.states.tobytes()).hexdigest())
-""")
+    batches = hashlib.sha256()
+    for rows in %r:
+        states = np.random.default_rng(21).standard_normal((rows, 10))
+        states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
+        out = core.rk4_step_batch(states, 0.1, 2.0, 3.0, 4.0, 0.5, -0.2, 0.1)
+        batches.update(out.tobytes())
+    print(batches.hexdigest())
+""" % (FILTER_BATCH_ROWS,))
 
 
 @pytest.mark.skipif(not SETUP_PY.is_file(), reason="no setup.py in the checkout")
@@ -85,11 +96,11 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
         run = subprocess.run([sys.executable, "-c", BUILD_PROBE], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        module, backend, digest = run.stdout.split()
+        module, backend, digest, batches = run.stdout.split()
         assert Path(module).resolve().parent == (lib / "attbench").resolve()
         assert backend == ("python" if opted_out(value) else "compiled")
-        digests.add(digest)
-    assert digests == {trajectory_digest()}
+        digests.add((digest, batches))
+    assert digests == {(trajectory_digest(), filter_batch_digest())}
 
 
 def test_python_kernel_matches_active_backend_bitwise():
@@ -149,6 +160,14 @@ def trajectory_digest():
     cfg_state = np.array([0.5, 0.5, 0.5, 0.5, 0.1, -0.2, 0.05])
     traj = dyn.integrate(cfg_state, 0.1, 500, INERTIA)
     return hashlib.sha256(traj.states.tobytes()).hexdigest()
+
+
+def filter_batch_digest():
+    batches = hashlib.sha256()
+    for rows in FILTER_BATCH_ROWS:
+        out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *INERTIA, 0.5, -0.2, 0.1)
+        batches.update(out.tobytes())
+    return batches.hexdigest()
 
 
 def test_pure_python_env_toggle_is_bit_identical():

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -189,3 +190,26 @@ def test_isolated_bitmask_uses_layout_order(bundled_run):
     k = result.reports.index(flagged[0])
     assert rn._isolated_bits(flagged[0], result.layout) == 4
     assert result.records[k].t == flagged[0].t
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+@pytest.mark.parametrize("policy", ["innovation", "sequence", "isolation"])
+def test_nan_measurement_is_detected_not_absorbed(monkeypatch, policy, kind):
+    """A NaN reading has a NaN NIS; every detecting policy must keep it out
+    of the update instead of letting it turn the rest of the run into NaN."""
+    sample = rn.sample_measurements
+
+    def with_nan(cfg, traj, layout):
+        clean, faulted = sample(cfg, traj, layout)
+        faulted[100, layout.slices["star_tracker"]] = np.nan
+        return clean, faulted
+
+    monkeypatch.setattr(rn, "sample_measurements", with_nan)
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=30.0)
+    result = rn.run_scenario(replace(cfg, policy=policy), mode="fdir", filter_kind=kind)
+    assert np.isnan(result.nis[100])
+    assert result.reports[100].detected
+    if policy == "isolation":
+        assert result.reports[100].isolated == {"star_tracker"}
+    assert np.isfinite(result.estimates).all()
+    assert np.isfinite(result.variances).all()
