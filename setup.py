@@ -1,10 +1,8 @@
 """Build hook for the optional compiled integration kernel.
 
-`attbench.core._kernels_cy` is built from the committed, Cython-generated
-`src/attbench/core/_kernels_cy.c`, so numpy and a C compiler are all a
-build needs. Cython is needed only to regenerate that `.c` after editing
-the `.pyx`; when it is installed the extension is built from the `.pyx`,
-and the regenerated `.c` is committed along with the `.pyx` change.
+`attbench.core._kernels_c` is built from the hand-written C source
+`src/attbench/core/_kernels_c.c`. It uses only the CPython buffer protocol,
+so a C compiler is all a build needs: no Cython, and no numpy headers.
 
 The extension is optional: a missing compiler or a failed build is not an
 error, and `attbench.core` falls back to the numpy kernels at import time.
@@ -19,37 +17,11 @@ import os
 
 from setuptools import Extension, setup
 
-KERNEL = "attbench.core._kernels_cy"
-SOURCE = "src/attbench/core/_kernels_cy"
+kernel = Extension("attbench.core._kernels_c", ["src/attbench/core/_kernels_c.c"])
+# fp-contract off keeps the C arithmetic bit-identical to the numpy
+# fallback (no FMA fusing of a*b+c).
+if os.name == "posix":
+    kernel.extra_compile_args.extend(["-O3", "-ffp-contract=off"])
+kernel.optional = True
 
-
-def kernel_extensions():
-    try:
-        import numpy
-    except ImportError:
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        exts = [Extension(KERNEL, [SOURCE + ".c"])]
-    else:
-        exts = cythonize(
-            SOURCE + ".pyx",
-            compiler_directives={
-                "language_level": 3,
-                "boundscheck": False,
-                "wraparound": False,
-                "cdivision": True,
-            },
-        )
-    for ext in exts:
-        ext.include_dirs.append(numpy.get_include())
-        # fp-contract off keeps the C arithmetic bit-identical to the
-        # numpy fallback (no FMA fusing of a*b+c).
-        if os.name == "posix":
-            ext.extra_compile_args.extend(["-O3", "-ffp-contract=off"])
-        ext.optional = True
-    return exts
-
-
-setup(ext_modules=kernel_extensions())
+setup(ext_modules=[kernel])

@@ -14,15 +14,16 @@ the gravity-gradient model.
 The integrator is classical fixed-step RK4. This module is the one owner of
 rigid-body propagation: ``rigid_body_step`` advances a batch of [q, w, ...]
 rows and serves both the truth (``integrate``) and the filters' process
-model. Torque-free steps run the batched kernel in ``attbench.core``;
-gravity-gradient steps run ``rk4_step`` over the batch-capable right-hand
-side, with the orbit positions at the step start, midpoint and end supplied
-by the caller. Either way the quaternion is renormalized once per step, after
-the four stages are combined; the stages themselves are left untouched so the
+model. Every step runs the batched kernel in ``attbench.core``; a
+gravity-gradient step hands it the orbit frames (``gravity_gradient_frames``)
+at the step start, midpoint and end, and the kernel evaluates the torque at
+each stage. The quaternion is renormalized once per step, after the four
+stages are combined; the stages themselves are left untouched so the
 combination stays a consistent fourth-order scheme.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "body_rate_derivative",
     "quaternion_rates",
     "euler313_rates",
+    "gravity_gradient_frames",
     "gravity_gradient_torque",
     "check_torque_model",
     "derivative",
@@ -82,6 +84,30 @@ class KeplerianElements:
         d = np.pi / 180.0
         return cls(a=a, e=e, i=i * d, raan=raan * d, argp=argp * d, nu0=nu0 * d)
 
+    @cached_property
+    def epoch_mean_anomaly(self):
+        """Mean anomaly at epoch, from the true anomaly ``nu0``, rad."""
+        e = self.e
+        e0 = 2.0 * np.arctan2(
+            np.sqrt(1.0 - e) * np.sin(0.5 * self.nu0),
+            np.sqrt(1.0 + e) * np.cos(0.5 * self.nu0),
+        )
+        return e0 - e * np.sin(e0)
+
+    @cached_property
+    def perifocal_to_eci(self):
+        """Rotation from perifocal to ECI axes, 3x3 and read-only (shared by
+        every ``kepler_state`` call on these elements)."""
+        co, so = np.cos(self.raan), np.sin(self.raan)
+        ci, si = np.cos(self.i), np.sin(self.i)
+        cw, sw = np.cos(self.argp), np.sin(self.argp)
+        r3_raan = np.array([[co, -so, 0.0], [so, co, 0.0], [0.0, 0.0, 1.0]])
+        r1_inc = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
+        r3_argp = np.array([[cw, -sw, 0.0], [sw, cw, 0.0], [0.0, 0.0, 1.0]])
+        rot = r3_raan @ r1_inc @ r3_argp
+        rot.flags.writeable = False
+        return rot
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -95,30 +121,27 @@ class Trajectory:
 def solve_kepler(mean_anomaly, e, tol=1e-12, max_iter=50):
     """Solve Kepler's equation M = E - e sin E for E by Newton iteration.
 
+    ``mean_anomaly`` may be a scalar or an array. Each element stops
+    updating once its own step falls below ``tol``, the rule of a scalar
+    solve, so an array solve repeats the scalar solve of every element.
+
     Raises:
         RuntimeError: no convergence within max_iter (does not happen for
             e < 1 with the M-seeded start, but guarded anyway).
     """
-    m = float(mean_anomaly)
+    m = np.asarray(mean_anomaly, dtype=float)
     ecc = float(e)
-    big_e = m if ecc < 0.8 else np.pi
+    big_e = m.copy() if ecc < 0.8 else np.full(m.shape, np.pi)
+    pending = np.ones(m.shape, dtype=bool)
     for _ in range(max_iter):
         f = big_e - ecc * np.sin(big_e) - m
         step = f / (1.0 - ecc * np.cos(big_e))
-        big_e -= step
-        if abs(step) < tol:
-            return big_e
-    raise RuntimeError("Kepler solver did not converge (M=%r, e=%r)" % (m, ecc))
-
-
-def _perifocal_to_eci(elements):
-    co, so = np.cos(elements.raan), np.sin(elements.raan)
-    ci, si = np.cos(elements.i), np.sin(elements.i)
-    cw, sw = np.cos(elements.argp), np.sin(elements.argp)
-    r3_raan = np.array([[co, -so, 0.0], [so, co, 0.0], [0.0, 0.0, 1.0]])
-    r1_inc = np.array([[1.0, 0.0, 0.0], [0.0, ci, -si], [0.0, si, ci]])
-    r3_argp = np.array([[cw, -sw, 0.0], [sw, cw, 0.0], [0.0, 0.0, 1.0]])
-    return r3_raan @ r1_inc @ r3_argp
+        big_e = np.where(pending, big_e - step, big_e)
+        pending &= ~(np.abs(step) < tol)
+        if not pending.any():
+            return big_e[()]
+    raise RuntimeError("Kepler solver did not converge (M=%r, e=%r)"
+                       % (m[pending].ravel()[0], ecc))
 
 
 def kepler_state(elements, t, mu=MU_EARTH):
@@ -126,28 +149,27 @@ def kepler_state(elements, t, mu=MU_EARTH):
 
     Args:
         elements: KeplerianElements with nu0 defining the epoch anomaly.
-        t: seconds past epoch.
+        t: seconds past epoch, a scalar or an array of times.
         mu: gravitational parameter, km^3/s^2.
 
     Returns:
-        (r, v): ECI position in km and velocity in km/s.
+        (r, v): ECI position in km and velocity in km/s, each of shape
+        ``np.shape(t) + (3,)``.
     """
     a, e = elements.a, elements.e
-    # Epoch true anomaly -> eccentric -> mean, then advance at the mean motion.
-    e0 = 2.0 * np.arctan2(
-        np.sqrt(1.0 - e) * np.sin(0.5 * elements.nu0),
-        np.sqrt(1.0 + e) * np.cos(0.5 * elements.nu0),
-    )
-    m0 = e0 - e * np.sin(e0)
     n = np.sqrt(mu / a**3)
-    big_e = solve_kepler(m0 + n * t, e)
+    big_e = solve_kepler(elements.epoch_mean_anomaly + n * np.asarray(t, dtype=float), e)
     ce, se = np.cos(big_e), np.sin(big_e)
     r_mag = a * (1.0 - e * ce)
-    b = a * np.sqrt(1.0 - e * e)
-    r_pf = np.array([a * (ce - e), b * se, 0.0])
-    v_pf = (np.sqrt(mu * a) / r_mag) * np.array([-se, np.sqrt(1.0 - e * e) * ce, 0.0])
-    rot = _perifocal_to_eci(elements)
-    return rot @ r_pf, rot @ v_pf
+    # perifocal components (the third is zero) rotated into ECI column by
+    # column, so every time gets the same arithmetic as a scalar call
+    x_pf, y_pf = a * (ce - e), (a * np.sqrt(1.0 - e * e)) * se
+    speed = np.sqrt(mu * a) / r_mag
+    vx_pf, vy_pf = speed * -se, speed * (np.sqrt(1.0 - e * e) * ce)
+    p, q = elements.perifocal_to_eci[:, 0], elements.perifocal_to_eci[:, 1]
+    r = np.multiply.outer(x_pf, p) + np.multiply.outer(y_pf, q)
+    v = np.multiply.outer(vx_pf, p) + np.multiply.outer(vy_pf, q)
+    return r, v
 
 
 def body_rate_derivative(omega, inertia, torque=None):
@@ -217,13 +239,33 @@ def euler313_rates(e, omega):
     return np.array([wz - u * ct / st, cp * wx - sp * wy, u / st])
 
 
+def gravity_gradient_frames(r_eci, mu=MU_EARTH):
+    """Orbit frames for the gravity-gradient torque: rows [ux, uy, uz, g].
+
+    u is the ECI radial unit vector and g = 3 mu / R^3, s^-2. Inputs are
+    km-based; g is formed in SI after converting (the ratio itself is
+    unit-invariant, the conversion just keeps the intermediate values SI).
+
+    Args:
+        r_eci: spacecraft positions in ECI, km, (..., 3).
+
+    Returns:
+        Frames (..., 4).
+    """
+    r = np.asarray(r_eci, dtype=float)
+    r_mag = np.linalg.norm(r, axis=-1, keepdims=True)
+    if (r_mag < 1e-9).any():
+        raise ValueError("gravity gradient undefined at zero radius")
+    g = 3.0 * (mu * _KM_TO_M**3) / (r_mag * _KM_TO_M) ** 3
+    return np.concatenate([r / r_mag, g], axis=-1)
+
+
 def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
     """Gravity-gradient torque on a principal-axis body, N m.
 
     The radial unit vector is rotated into body axes and the standard
-    moment-difference products are scaled by 3 mu / R^3. Inputs are km-based;
-    the ratio is formed in SI after converting (the ratio itself is
-    unit-invariant, the conversion just keeps the intermediate values SI).
+    moment-difference products are scaled by g = 3 mu / R^3 (see
+    ``gravity_gradient_frames``).
 
     Args:
         q: attitude quaternions (ECI to body), (..., 4).
@@ -233,14 +275,10 @@ def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
     Returns:
         Torques (..., 3).
     """
-    r = np.asarray(r_eci, dtype=float)
-    r_mag = np.linalg.norm(r)
-    if r_mag < 1e-9:
-        raise ValueError("gravity gradient undefined at zero radius")
-    c0, c1, c2 = (quat_to_dcm(q) @ (r / r_mag)).T
-    k = 3.0 * (mu * _KM_TO_M**3) / (r_mag * _KM_TO_M) ** 3
+    frame = gravity_gradient_frames(r_eci, mu)
+    c0, c1, c2 = (quat_to_dcm(q) @ frame[:3]).T
     ixx, iyy, izz = inertia
-    return k * np.array(
+    return frame[3] * np.array(
         [
             (izz - iyy) * c1 * c2,
             (ixx - izz) * c2 * c0,
@@ -318,31 +356,23 @@ def renormalize_quaternions(states):
     return x
 
 
-def rigid_body_step(states, dt, inertia, positions=None, mu=MU_EARTH):
-    """One RK4 step of [q, w, ...] rows; columns past the body rates (gyro
-    bias states) pass through unchanged.
+def rigid_body_step(states, dt, inertia, frames=None):
+    """One RK4 step of [q, w, ...] rows on the batched kernel; columns past
+    the body rates (gyro bias states) pass through unchanged.
 
     Args:
-        states: (M, n) rows, n >= 7; (n,) is accepted with ``positions``.
+        states: (M, n) rows, n >= 7.
         dt: step, s.
         inertia: principal moments (Ixx, Iyy, Izz) as floats, kg m^2.
-        positions: ECI orbit positions (km) at the step start, midpoint and
-            end for the gravity-gradient torque; None means torque-free,
-            which runs the batched kernel.
+        frames: ``gravity_gradient_frames`` at the step start, midpoint and
+            end, (3, 4), for the gravity-gradient torque; None means
+            torque-free.
 
     Returns:
-        New array of the input shape, quaternions renormalized once.
+        New (M, n) array, quaternions renormalized once.
     """
-    if positions is None:
-        ixx, iyy, izz = inertia
-        return core.rk4_step_batch(states, dt, ixx, iyy, izz, 0.0, 0.0, 0.0)
-    # rk4_step evaluates the right-hand side at these offsets into the step
-    r_at = dict(zip((0.0, 0.5 * dt, dt), positions))
-
-    def rhs(x, s):
-        return _rigid_body_rates(x, inertia, r_at[s], mu)
-
-    return renormalize_quaternions(rk4_step(states, 0.0, dt, rhs))
+    ixx, iyy, izz = inertia
+    return core.rk4_step_batch(states, dt, ixx, iyy, izz, 0.0, 0.0, 0.0, frames)
 
 
 def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
@@ -350,8 +380,9 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
     """Propagate the truth state on a fixed grid t_k = k dt.
 
     Quaternion mode steps with ``rigid_body_step``, the propagation the
-    filters use; the simulate-only Euler mode runs the generic RK4 over
-    ``derivative``.
+    filters use; with gravity gradient the orbit is solved once, for the
+    start, midpoint and end of every step. The simulate-only Euler mode runs
+    the generic RK4 over ``derivative``.
 
     Returns:
         Trajectory with n_steps + 1 rows (the initial state included).
@@ -370,15 +401,14 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
     t_grid = dt * np.arange(n_steps + 1)
 
     if parameterization == "quaternion":
-        gg = torque_model == "gravity_gradient"
-        x = state0 if gg else state0[None, :]
-        positions = None
+        frames = [None] * n_steps
+        if torque_model == "gravity_gradient":
+            stage_t = t_grid[:-1, None] + np.array([0.0, 0.5 * dt, dt])
+            frames = gravity_gradient_frames(kepler_state(elements, stage_t, mu)[0], mu)
+        x = state0[None, :]
         for k in range(n_steps):
-            if gg:
-                t = t_grid[k]
-                positions = [kepler_state(elements, s, mu)[0] for s in (t, t + 0.5 * dt, t + dt)]
-            x = rigid_body_step(x, dt, inertia, positions, mu)
-            out[k + 1] = x
+            x = rigid_body_step(x, dt, inertia, frames[k])
+            out[k + 1] = x[0]
         return Trajectory(t=t_grid, states=out, parameterization=parameterization)
 
     def rhs(x, t):

@@ -221,19 +221,22 @@ def sequence_monitor_update(window, record, cfg):
     mean is compared against the same chi-square quantile as the single-step
     test; the mean of N such variables concentrates, which makes this
     threshold conservative for the mean but keeps one calibration constant
-    across the detectors. A non-finite sample makes the mean non-finite,
-    which detects even during warm-up and for as long as the sample stays in
-    the window.
+    across the detectors. A non-finite sample is detected at its own step,
+    warm-up or not, and is reported as the statistic; it never enters the
+    window, so it cannot hold the mean non-finite for the next steps.
     """
-    window.push(record.nis)
+    if math.isfinite(record.nis):
+        window.push(record.nis)
+        statistic = window.mean()
+    else:
+        statistic = record.nis
     dof = len(record.nu)
     gamma = _gamma(dof, cfg.alpha)
-    mean = window.mean()
     ready = len(window) >= cfg.min_samples
     return FaultReport(
         t=record.t,
-        detected=not mean <= gamma and (ready or not math.isfinite(mean)),
-        statistic=mean,
+        detected=not statistic <= gamma and (ready or not math.isfinite(statistic)),
+        statistic=statistic,
         threshold=gamma,
         dof=dof,
         mode="window",
@@ -269,7 +272,9 @@ def isolation_check(record, slice_map, cfg):
         gamma_i = _gamma(dof_i, cfg.alpha)
         if not nis_i <= gamma_i:
             isolated.add(name)
-        ratio = nis_i / gamma_i
+        # a non-finite sensor is the worst one, so the report's statistic
+        # stays above its threshold whenever a sensor is isolated
+        ratio = nis_i / gamma_i if math.isfinite(nis_i) else math.inf
         if ratio > worst_ratio:
             worst_ratio = ratio
             statistic = nis_i

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dynamics import (MU_EARTH, check_torque_model, kepler_state, renormalize_quaternions,
-                       rigid_body_step)
+from .dynamics import (MU_EARTH, check_torque_model, gravity_gradient_frames, kepler_state,
+                       renormalize_quaternions, rigid_body_step)
 from .fdir import compute_nis, slice_valid
 
 __all__ = [
@@ -111,7 +111,8 @@ class RigidBodyProcessModel:
     State is [q, w] (dim 7) or [q, w, b] (dim 10) where the trailing gyro
     bias states are constant. The step is ``dynamics.rigid_body_step``, the
     one the truth integrates with; the gravity-gradient variant hands it the
-    orbit positions at the start, middle and end of the step.
+    orbit frames at the start, middle and end of the step, from one
+    ``kepler_state`` call.
     """
 
     def __init__(self, inertia, dt, bias_states=False, torque_model="none",
@@ -128,14 +129,15 @@ class RigidBodyProcessModel:
         self.mu = mu
         self.dim = 10 if bias_states else 7
         self.bias_states = bias_states
+        self._stage_offsets = np.array([0.0, 0.5 * self.dt, self.dt])
 
     def propagate(self, states, t):
         x = np.atleast_2d(np.asarray(states, dtype=float))
-        positions = None
+        frames = None
         if self.torque_model == "gravity_gradient":
-            positions = [kepler_state(self.elements, s, self.mu)[0]
-                         for s in (t, t + 0.5 * self.dt, t + self.dt)]
-        return rigid_body_step(x, self.dt, self.inertia, positions, self.mu)
+            r = kepler_state(self.elements, t + self._stage_offsets, self.mu)[0]
+            frames = gravity_gradient_frames(r, self.mu)
+        return rigid_body_step(x, self.dt, self.inertia, frames)
 
     def normalize_rows(self, states):
         return renormalize_quaternions(states)

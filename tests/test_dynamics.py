@@ -48,6 +48,34 @@ def test_kepler_state_elliptic_invariants():
         npt.assert_allclose(energy, energy0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("e", [0.0, 0.15, 0.85])
+def test_kepler_state_vector_matches_scalar(e):
+    """An array of times gives, element by element, the scalar solve's state
+    (e = 0.85 takes the solver's pi-seeded start)."""
+    el = dyn.KeplerianElements.from_degrees(a=8000.0, e=e, i=30.0,
+                                            raan=40.0, argp=60.0, nu0=25.0)
+    times = np.linspace(-3000.0, 9000.0, 240).reshape(3, 80, 1)
+    r, v = dyn.kepler_state(el, times)
+    assert r.shape == v.shape == (3, 80, 1, 3)
+    for t, r_t, v_t in zip(times.ravel(), r.reshape(-1, 3), v.reshape(-1, 3)):
+        r_s, v_s = dyn.kepler_state(el, t)
+        npt.assert_allclose(r_t, r_s, rtol=0.0, atol=1e-9)
+        npt.assert_allclose(v_t, v_s, rtol=0.0, atol=1e-12)
+    big_e = dyn.solve_kepler(np.linspace(-6.0, 6.0, 25), e)
+    npt.assert_allclose(big_e, [dyn.solve_kepler(m, e) for m in np.linspace(-6.0, 6.0, 25)],
+                        rtol=0.0, atol=1e-12)
+
+
+def test_perifocal_rotation_is_shared_and_read_only():
+    el = dyn.KeplerianElements.from_degrees(a=8000.0, e=0.15, i=30.0,
+                                            raan=40.0, argp=60.0, nu0=0.0)
+    rot = el.perifocal_to_eci
+    assert rot is el.perifocal_to_eci
+    npt.assert_allclose(rot @ rot.T, np.eye(3), rtol=0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        rot[0, 0] = 2.0
+
+
 def test_elements_validation():
     with pytest.raises(ValueError):
         dyn.KeplerianElements(a=-1.0, e=0.0, i=0.0, raan=0.0, argp=0.0, nu0=0.0)

@@ -1,8 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from math import lgamma
+from math import isfinite, lgamma
 
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from attbench import fdir
@@ -112,6 +113,21 @@ def test_sequence_monitor_mean_stays_quiet_on_calm_data():
     assert not rep.detected
 
 
+@pytest.mark.parametrize("nan_at", [0, 10])
+def test_sequence_monitor_keeps_a_nan_sample_out_of_the_window(nan_at):
+    """One NaN sample is detected at its own step only; it never enters the
+    window, so the steps after it are judged on finite samples."""
+    cfg = fdir.DetectorConfig(alpha=0.95, window=20, min_samples=5)
+    win = fdir.NisWindow(cfg.window)
+    reports = [fdir.sequence_monitor_update(
+                   win, record_with(np.nan if k == nan_at else 11.0), cfg)
+               for k in range(40)]
+    assert [k for k, rep in enumerate(reports) if rep.detected] == [nan_at]
+    assert np.isnan(reports[nan_at].statistic)
+    assert all(rep.statistic == 11.0 for k, rep in enumerate(reports) if k != nan_at)
+    assert len(win) == cfg.window
+
+
 SLICES = {"star_tracker": slice(0, 4), "magnetometer": slice(4, 8),
           "gyro": slice(8, 11)}
 
@@ -146,6 +162,24 @@ def test_isolation_check_flags_the_offending_sensor():
     npt.assert_allclose(rep.statistic, 27.0, rtol=1e-12)
     npt.assert_allclose(rep.threshold, fdir.chi2_quantile(3, 0.95), rtol=1e-12)
     assert set(rep.per_sensor) == set(SLICES)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(-6.0, 6.0), st.just(np.nan), st.just(np.inf)),
+                min_size=11, max_size=11))
+def test_isolation_report_statistic_exceeds_threshold_when_isolating(nu):
+    """A report that isolates a sensor never reads statistic <= threshold,
+    whether the sensor is over its threshold or non-finite."""
+    nu = np.array(nu)
+    rec = InnovationRecord(t=4.0, nu=nu, S=np.eye(11), nis=float(nu @ nu), source="ekf")
+    rep = fdir.isolation_check(rec, SLICES, fdir.DetectorConfig())
+    assert rep.detected == bool(rep.isolated)
+    if rep.isolated:
+        assert not rep.statistic <= rep.threshold
+        if any(not isfinite(rep.per_sensor[name][0]) for name in rep.isolated):
+            assert not isfinite(rep.statistic)
+    else:
+        assert rep.statistic <= rep.threshold
 
 
 def test_isolation_check_quiet_when_all_below():

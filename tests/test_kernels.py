@@ -43,6 +43,14 @@ def opted_out(value):
 # the filters' batch shapes: EKF/UKF stencils of the 7- and 10-state models
 # and the PF cloud, on both sides of kernels_py.ROW_LOOP_MAX
 FILTER_BATCH_ROWS = (15, 21, 1000)
+# gravity-gradient batches: the single truth row plus the filter shapes
+GG_BATCH_ROWS = (1,) + FILTER_BATCH_ROWS
+# gravity-gradient frames [ux, uy, uz, g] at t, t + dt/2, t + dt; g is far
+# above an orbit's ~1e-6 s^-2 so that the torque moves every output bit, and
+# no component is zero, so the order of every sum in c = DCM(q) u matters
+GG_FRAMES = [[0.36, -0.48, 0.8, 0.5], [0.48, 0.6, -0.64, 0.45], [-0.6, 0.64, 0.48, 0.4]]
+# moments whose differences round, so the order of every product matters
+GG_INERTIA = (2.3, 3.1, 4.7)
 
 BUILD_PROBE = textwrap.dedent("""
     import hashlib
@@ -61,7 +69,14 @@ BUILD_PROBE = textwrap.dedent("""
         out = core.rk4_step_batch(states, 0.1, 2.0, 3.0, 4.0, 0.5, -0.2, 0.1)
         batches.update(out.tobytes())
     print(batches.hexdigest())
-""" % (FILTER_BATCH_ROWS,))
+    gg = hashlib.sha256()
+    for rows in %r:
+        states = np.random.default_rng(21).standard_normal((rows, 10))
+        states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
+        out = core.rk4_step_batch(states, 0.1, *%r, 0.5, -0.2, 0.1, np.array(%r))
+        gg.update(out.tobytes())
+    print(gg.hexdigest())
+""" % (FILTER_BATCH_ROWS, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES))
 
 
 @pytest.mark.skipif(not SETUP_PY.is_file(), reason="no setup.py in the checkout")
@@ -96,11 +111,11 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
         run = subprocess.run([sys.executable, "-c", BUILD_PROBE], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        module, backend, digest, batches = run.stdout.split()
+        module, backend, *digest = run.stdout.split()
         assert Path(module).resolve().parent == (lib / "attbench").resolve()
         assert backend == ("python" if opted_out(value) else "compiled")
-        digests.add((digest, batches))
-    assert digests == {(trajectory_digest(), filter_batch_digest())}
+        digests.add(tuple(digest))
+    assert digests == {(trajectory_digest(), filter_batch_digest(), gg_batch_digest())}
 
 
 def test_python_kernel_matches_active_backend_bitwise():
@@ -112,10 +127,44 @@ def test_python_kernel_matches_active_backend_bitwise():
 
 def test_python_kernel_row_loop_matches_column_path_bitwise():
     states = batch_states(rows=2 * kernels_py.ROW_LOOP_MAX, cols=9)
-    whole = kernels_py.rk4_step_batch(states, 0.1, *INERTIA, 0.5, -0.2, 0.1)
-    rows = np.vstack([kernels_py.rk4_step_batch(states[i:i + 1], 0.1, *INERTIA, 0.5, -0.2, 0.1)
-                      for i in range(len(states))])
-    assert np.array_equal(whole, rows)
+    for inertia, frames in ((INERTIA, None), (GG_INERTIA, GG_FRAMES)):
+        whole = kernels_py.rk4_step_batch(states, 0.1, *inertia, 0.5, -0.2, 0.1, frames)
+        rows = np.vstack([kernels_py.rk4_step_batch(states[i:i + 1], 0.1, *inertia, 0.5, -0.2, 0.1,
+                                                    frames)
+                          for i in range(len(states))])
+        assert np.array_equal(whole, rows)
+
+
+@pytest.mark.parametrize("step", [core.rk4_step_batch, kernels_py.rk4_step_batch],
+                         ids=["active", "python"])
+def test_kernel_rejects_bad_shapes(step):
+    states = batch_states()
+    for frames in (np.zeros((3, 3)), np.zeros((4, 4)), np.zeros(12), np.zeros((1, 3, 4))):
+        with pytest.raises(ValueError, match="frames"):
+            step(states, 0.1, *INERTIA, 0.0, 0.0, 0.0, frames)
+    for bad in (states[0], states[:, :6], states[None]):
+        with pytest.raises(ValueError, match="states"):
+            step(bad, 0.1, *INERTIA, 0.0, 0.0, 0.0)
+
+
+def test_kernel_gravity_gradient_matches_generic_integrator():
+    """3000 gravity-gradient steps two ways: the kernel with the orbit frames
+    vs scalar RK4 over ``derivative`` plus renormalization."""
+    inertia = (23745.0, 17560.0, 36065.0)
+    elements = dyn.KeplerianElements.from_degrees(7080.6, 0.01, 98.2, 95.2, 120.5, 0.0)
+    state = np.array([0.5, 0.5, 0.5, 0.5, -0.12, 0.035, 0.087])
+    traj = dyn.integrate(state, 0.1, 3000, inertia, torque_model="gravity_gradient",
+                         elements=elements)
+
+    def rhs(x, t):
+        return dyn.derivative(x, t, inertia, "gravity_gradient", elements)
+
+    x = state.copy()
+    for k in range(3000):
+        x = dyn.renormalize_quaternions(dyn.rk4_step(x, k * 0.1, 0.1, rhs))
+    npt.assert_allclose(traj.states[-1], x, rtol=0.0, atol=1e-12)
+    free = dyn.integrate(state, 0.1, 3000, inertia).states[-1]
+    assert np.abs(free - x).max() > 1e-6  # the torque is felt
 
 
 def test_kernel_applies_constant_torque():
@@ -166,6 +215,15 @@ def filter_batch_digest():
     batches = hashlib.sha256()
     for rows in FILTER_BATCH_ROWS:
         out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *INERTIA, 0.5, -0.2, 0.1)
+        batches.update(out.tobytes())
+    return batches.hexdigest()
+
+
+def gg_batch_digest():
+    batches = hashlib.sha256()
+    for rows in GG_BATCH_ROWS:
+        out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *GG_INERTIA, 0.5, -0.2, 0.1,
+                                  np.array(GG_FRAMES))
         batches.update(out.tobytes())
     return batches.hexdigest()
 
