@@ -256,7 +256,9 @@ def gravity_gradient_frames(r_eci, mu=MU_EARTH):
     r_mag = np.linalg.norm(r, axis=-1, keepdims=True)
     if (r_mag < 1e-9).any():
         raise ValueError("gravity gradient undefined at zero radius")
-    g = 3.0 * (mu * _KM_TO_M**3) / (r_mag * _KM_TO_M) ** 3
+    # a product, not ``** 3``: numpy's vectorised pow rounds by CPU
+    r_si = r_mag * _KM_TO_M
+    g = 3.0 * (mu * _KM_TO_M**3) / (r_si * r_si * r_si)
     return np.concatenate([r / r_mag, g], axis=-1)
 
 
@@ -276,7 +278,9 @@ def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
         Torques (..., 3).
     """
     frame = gravity_gradient_frames(r_eci, mu)
-    c0, c1, c2 = (quat_to_dcm(q) @ frame[:3]).T
+    dcm = quat_to_dcm(q)
+    # sums, not ``@``: BLAS gemv may fuse multiply-adds for one quaternion
+    c0, c1, c2 = (dcm[..., 0] * frame[0] + dcm[..., 1] * frame[1] + dcm[..., 2] * frame[2]).T
     ixx, iyy, izz = inertia
     return frame[3] * np.array(
         [

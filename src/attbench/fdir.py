@@ -15,7 +15,9 @@ low-dimensional block can hide below the full-dimension threshold while
 standing far above its own block's threshold.
 
 Recovery is the caller's move: skip the update (prediction-only step),
-or drop the flagged rows via ``slice_valid`` and update with the rest.
+or update with the rows ``healthy_rows`` maps the healthy sensors to. Every
+filter takes that one path, so an unknown sensor name raises and an empty
+healthy set means a prediction-only step in each of them.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammaincinv
 
 __all__ = [
     "chi2_quantile",
@@ -35,28 +37,16 @@ __all__ = [
     "sequence_monitor_update",
     "per_sensor_nis",
     "isolation_check",
+    "healthy_rows",
     "slice_valid",
     "FdirSupervisor",
 ]
 
 
-def _chi2_cdf(x, dof):
-    return float(gammainc(0.5 * dof, 0.5 * x)) if x > 0.0 else 0.0
-
-
-def _chi2_pdf(x, dof):
-    if x <= 0.0:
-        return 0.0
-    h = 0.5 * dof
-    return math.exp((h - 1.0) * math.log(x) - 0.5 * x - math.lgamma(h) - h * math.log(2.0))
-
-
-def chi2_quantile(dof, alpha, tol=1e-10):
-    """Chi-square quantile: the x with CDF_dof(x) = alpha, |CDF(x)-alpha| < tol.
-
-    Newton iteration on the regularized incomplete gamma CDF, started from
-    the Wilson-Hilferty cube approximation and safeguarded by bisection so
-    a flat pdf tail can never throw the iterate out of its bracket.
+@lru_cache(maxsize=None)
+def chi2_quantile(dof, alpha):
+    """Chi-square quantile: the x with CDF_dof(x) = P(dof/2, x/2) = alpha,
+    cached because the detectors ask for the same few pairs every step.
 
     Raises:
         ValueError: dof < 1 or alpha outside (0, 1).
@@ -65,63 +55,7 @@ def chi2_quantile(dof, alpha, tol=1e-10):
         raise ValueError("dof must be >= 1, got %r" % (dof,))
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1), got %r" % (alpha,))
-    dof = float(dof)
-
-    # Wilson-Hilferty start; crude but always in the right neighborhood.
-    z = _normal_quantile(alpha)
-    x = dof * (1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))) ** 3
-    x = max(x, 1e-8)
-
-    lo, hi = 0.0, x
-    while _chi2_cdf(hi, dof) < alpha:
-        lo = hi
-        hi *= 2.0
-
-    for _ in range(200):
-        err = _chi2_cdf(x, dof) - alpha
-        if abs(err) < tol:
-            return x
-        if err > 0.0:
-            hi = x
-        else:
-            lo = x
-        p = _chi2_pdf(x, dof)
-        step_ok = p > 0.0
-        if step_ok:
-            x_new = x - err / p
-            step_ok = lo < x_new < hi
-        x = x_new if step_ok else 0.5 * (lo + hi)
-    raise RuntimeError("chi2_quantile did not converge (dof=%r, alpha=%r)" % (dof, alpha))
-
-
-def _normal_quantile(p):
-    # Acklam rational approximation; feeds the Newton start only, so a few
-    # decimal digits are plenty.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - 0.02425:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-@lru_cache(maxsize=None)
-def _gamma(dof, alpha):
-    return chi2_quantile(dof, alpha)
+    return 2.0 * float(gammaincinv(0.5 * dof, alpha))
 
 
 def compute_nis(nu, S):
@@ -177,7 +111,7 @@ def innovation_filter_check(record, cfg):
     ``not stat <= gamma`` for that reason.
     """
     dof = len(record.nu)
-    gamma = _gamma(dof, cfg.alpha)
+    gamma = chi2_quantile(dof, cfg.alpha)
     return FaultReport(
         t=record.t,
         detected=not record.nis <= gamma,
@@ -231,7 +165,7 @@ def sequence_monitor_update(window, record, cfg):
     else:
         statistic = record.nis
     dof = len(record.nu)
-    gamma = _gamma(dof, cfg.alpha)
+    gamma = chi2_quantile(dof, cfg.alpha)
     ready = len(window) >= cfg.min_samples
     return FaultReport(
         t=record.t,
@@ -267,9 +201,9 @@ def isolation_check(record, slice_map, cfg):
     isolated = set()
     worst_ratio = 0.0
     statistic = 0.0
-    threshold = _gamma(len(record.nu), cfg.alpha)
+    threshold = chi2_quantile(len(record.nu), cfg.alpha)
     for name, (nis_i, dof_i) in per.items():
-        gamma_i = _gamma(dof_i, cfg.alpha)
+        gamma_i = chi2_quantile(dof_i, cfg.alpha)
         if not nis_i <= gamma_i:
             isolated.add(name)
         # a non-finite sensor is the worst one, so the report's statistic
@@ -291,29 +225,32 @@ def isolation_check(record, slice_map, cfg):
     )
 
 
-def slice_valid(y, H, R, healthy, slice_map):
-    """Measurement triplet reduced to the healthy sensors' rows.
+def healthy_rows(healthy, slice_map):
+    """Rows of the healthy sensors, the one map every filter's update uses.
 
-    Row order follows the layout order of ``slice_map``, so excluding a
-    sensor gives exactly the matrices a natively smaller measurement model
-    would have built.
+    Returns None (all rows) for ``healthy`` None, else an int index array in
+    the layout order of ``slice_map``, so excluding a sensor gives exactly
+    the rows of a natively smaller model; empty means "skip the update".
 
-    Args:
-        healthy: iterable of sensor names to keep.
-
-    Returns:
-        (y_valid, H_valid, R_valid), or None when no sensor is healthy,
-        which callers treat as "skip the update".
+    Raises:
+        ValueError: ``healthy`` names a sensor not in ``slice_map``.
     """
+    if healthy is None:
+        return None
     keep = set(healthy)
     unknown = keep - set(slice_map)
     if unknown:
         raise ValueError("healthy set names unknown sensors: %s" % sorted(unknown))
-    rows = [i for name, sl in slice_map.items() if name in keep
-            for i in range(sl.start, sl.stop)]
-    if not rows:
+    return np.array([i for name, sl in slice_map.items() if name in keep
+                     for i in range(sl.start, sl.stop)], dtype=int)
+
+
+def slice_valid(y, H, R, healthy, slice_map):
+    """(y, H, R) reduced to the ``healthy_rows`` of the sensor names in
+    ``healthy``, or None when no sensor is healthy ("skip the update")."""
+    rows = healthy_rows(healthy, slice_map)
+    if not rows.size:
         return None
-    rows = np.asarray(rows, dtype=int)
     y = np.asarray(y, dtype=float)
     H = np.asarray(H, dtype=float)
     R = np.asarray(R, dtype=float)

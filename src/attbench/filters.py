@@ -27,7 +27,7 @@ from scipy.linalg import solve_triangular
 
 from .dynamics import (MU_EARTH, check_torque_model, gravity_gradient_frames, kepler_state,
                        renormalize_quaternions, rigid_body_step)
-from .fdir import compute_nis, slice_valid
+from .fdir import compute_nis, healthy_rows
 
 __all__ = [
     "GaussianBelief",
@@ -373,15 +373,12 @@ class EkfFilter:
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
 
         skip, healthy = decide(record) if decide is not None else (False, None)
-        if skip:
+        rows = healthy_rows(healthy, self.meas.slices)
+        if skip or (rows is not None and not rows.size):
             return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-        if healthy is not None:
-            sliced = slice_valid(y_al, h, r, healthy, self.meas.slices)
-            if sliced is None:
-                return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-            y_u, h_u, r_u = sliced
-        else:
-            y_u, h_u, r_u = y_al, h, r
+        y_u, h_u, r_u = y_al, h, r
+        if rows is not None:
+            y_u, h_u, r_u = y_al[rows], h[rows], r[np.ix_(rows, rows)]
 
         s_u = h_u @ pred.sigma @ h_u.T + r_u
         gain = np.linalg.solve(s_u, h_u @ pred.sigma).T
@@ -473,19 +470,12 @@ class UkfFilter:
                                   source=self.source)
 
         skip, healthy = decide(record) if decide is not None else (False, None)
-        if skip:
+        rows = healthy_rows(healthy, self.meas.slices)
+        if skip or (rows is not None and not rows.size):
             return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-        if healthy is not None:
-            rows = [i for name, sl in self.meas.slices.items() if name in set(healthy)
-                    for i in range(sl.start, sl.stop)]
-            if not rows:
-                return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-            rows = np.asarray(rows, dtype=int)
-            s_u = s[np.ix_(rows, rows)]
-            cross_u = cross[:, rows]
-            nu_u = nu[rows]
-        else:
-            s_u, cross_u, nu_u = s, cross, nu
+        s_u, cross_u, nu_u = s, cross, nu
+        if rows is not None:
+            s_u, cross_u, nu_u = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
 
         gain = np.linalg.solve(s_u, cross_u.T).T
         mu_new = pred.mu + gain @ nu_u
@@ -573,31 +563,21 @@ class PfFilter:
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
 
         skip, healthy = decide(record) if decide is not None else (False, None)
+        rows = healthy_rows(healthy, self.meas.slices)
         resets = pset.resets
-        if skip:
+        if skip or (rows is not None and not rows.size):
             new_w = w.copy()
         else:
-            if healthy is not None:
-                rows = [i for name, sl in self.meas.slices.items() if name in set(healthy)
-                        for i in range(sl.start, sl.stop)]
-                if not rows:
-                    rows = None
+            resid = (y_al - z) if rows is None else (y_al[rows] - z[:, rows])
+            loglik = self._loglik(resid, rows)
+            scaled = loglik - loglik.max()
+            new_w = w * np.exp(scaled)
+            total = new_w.sum()
+            if not np.isfinite(total) or total <= 0.0:
+                new_w = np.full(self.n, 1.0 / self.n)
+                resets += 1
             else:
-                rows = None
-            if healthy is not None and rows is None:
-                new_w = w.copy()
-            else:
-                idx = np.asarray(rows, dtype=int) if rows is not None else None
-                resid = (y_al - z) if idx is None else (y_al[idx] - z[:, idx])
-                loglik = self._loglik(resid, idx)
-                scaled = loglik - loglik.max()
-                new_w = w * np.exp(scaled)
-                total = new_w.sum()
-                if not np.isfinite(total) or total <= 0.0:
-                    new_w = np.full(self.n, 1.0 / self.n)
-                    resets += 1
-                else:
-                    new_w = new_w / total
+                new_w = new_w / total
 
         ess = 1.0 / float(new_w @ new_w)
         if ess < self.cfg.pf_ess_threshold * self.n:

@@ -8,7 +8,6 @@ runs with independent configs can execute concurrently (``compare_run``
 does exactly that).
 """
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -112,22 +111,18 @@ def sample_measurements(cfg, traj, layout):
         (clean, faulted): arrays (n, layout.dim) for steps k = 1..n.
     """
     streams = {name: derive_stream(cfg.seed, name) for name in layout.sensors}
-    att = slice(0, layout.attitude_len())
-    rates = slice(layout.attitude_len(), layout.attitude_len() + 3)
-    n = cfg.n_steps
-    clean = np.empty((n, layout.dim))
-    for k in range(1, n + 1):
-        state = traj.states[k]
-        parts = {
-            "star_tracker": cfg.star_tracker.sample(state[att], streams["star_tracker"]),
-            "magnetometer": cfg.magnetometer.sample(state[att], streams["magnetometer"]),
-            "gyro": cfg.gyro.sample(state[rates], streams["gyro"]),
-        }
-        clean[k - 1] = stack_measurements(layout, parts)
+    att, rates = traj.states[1:, :-3], traj.states[1:, -3:]
+    # one draw per sensor for the whole run: a stream's (n, k) draw is the
+    # same sequence as n draws of k
+    clean = stack_measurements(layout, {
+        "star_tracker": cfg.star_tracker.sample(att, streams["star_tracker"]),
+        "magnetometer": cfg.magnetometer.sample(att, streams["magnetometer"]),
+        "gyro": cfg.gyro.sample(rates, streams["gyro"]),
+    })
     injector = FaultInjector(cfg.faults, layout)
     faulted = np.empty_like(clean)
-    for k in range(1, n + 1):
-        faulted[k - 1] = injector.apply(clean[k - 1], traj.t[k])
+    for k, y in enumerate(clean):
+        faulted[k] = injector.apply(y, traj.t[k + 1])
     return clean, faulted
 
 
@@ -337,6 +332,9 @@ def _isolated_bits(report, layout):
     return bits
 
 
+_CSV_CHUNK = 32  # rows formatted per batch; bounds the temporary lists
+
+
 def write_csv(result, path):
     """Export a run, one row per step k = 1..n, 9 significant digits.
 
@@ -347,23 +345,21 @@ def write_csv(result, path):
     layout = result.layout
     header = csv_header(result)
     with_filter = result.estimates is not None
-    reports = result.reports if result.reports else None
+    n = result.measurements.shape[0]
+    reports = result.reports or (None,) * n
+    fmt = ",".join(["%.9g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        n = result.measurements.shape[0]
-        for k in range(n):
-            row = [result.t[k + 1]]
-            row += list(result.truth[k + 1])
-            row += list(result.measurements[k])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n, _CSV_CHUNK):
+            rows = slice(start, start + _CSV_CHUNK)
+            cols = [result.t[1:][rows, None], result.truth[1:][rows], result.measurements[rows]]
             if with_filter:
-                row += list(result.estimates[k])
-                row += list(3.0 * np.sqrt(np.maximum(result.variances[k], 0.0)))
-                rep = reports[k] if reports else None
-                row += [result.nis[k],
-                        1 if (rep is not None and rep.detected) else 0,
-                        _isolated_bits(rep, layout)]
-            writer.writerow(["%.9g" % v for v in row])
+                cols += [result.estimates[rows],
+                         3.0 * np.sqrt(np.maximum(result.variances[rows], 0.0)),
+                         result.nis[rows, None],
+                         [(1 if rep is not None and rep.detected else 0,
+                           _isolated_bits(rep, layout)) for rep in reports[rows]]]
+            fh.writelines(fmt % tuple(row) for row in np.hstack(cols).tolist())
 
 
 def compare_run(cfg, kinds, jobs=1):

@@ -63,7 +63,9 @@ class GyroModel:
             raise ValueError("gyro bias must have shape (3,)")
 
     def sample(self, omega_true, rng):
-        return np.asarray(omega_true, dtype=float) + self.bias + self.sigma * rng.standard_normal(3)
+        """Readings for body rates (..., 3), one per row of a stack."""
+        omega = np.asarray(omega_true, dtype=float)
+        return omega + self.bias + self.sigma * rng.standard_normal(omega.shape)
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,14 @@ class AttitudeSensorModel:
             raise ValueError("%s variances must be nonnegative" % self.name)
 
     def sample(self, attitude_true, rng):
+        """Readings for attitudes (..., k), one per row of a stack."""
         att = np.asarray(attitude_true, dtype=float)
-        if att.shape != self.variances.shape:
+        if att.shape[-1:] != self.variances.shape:
             raise ValueError(
                 "%s: attitude has shape %r but variances %r"
                 % (self.name, att.shape, self.variances.shape)
             )
-        return att + np.sqrt(self.variances) * rng.standard_normal(att.shape[0])
+        return att + np.sqrt(self.variances) * rng.standard_normal(att.shape)
 
 
 @dataclass(frozen=True)
@@ -136,26 +139,29 @@ def stack_measurements(layout, parts):
 
     Args:
         layout: MeasurementLayout.
-        parts: dict mapping every layout sensor to its reading.
+        parts: dict mapping every layout sensor to its reading, (..., k);
+            stacks of readings give a stack of vectors, (..., layout.dim).
 
     Raises:
-        ValueError: missing or extra sensors, or a reading of the wrong length.
+        ValueError: missing or extra sensors, or a reading of the wrong shape.
     """
     extra = set(parts) - set(layout.sensors)
     if extra:
         raise ValueError("readings for sensors not in layout: %s" % sorted(extra))
-    y = np.empty(layout.dim)
+    y = None
     for name in layout.sensors:
         if name not in parts:
             raise ValueError("missing reading for sensor %r" % name)
         sl = layout.slices[name]
         part = np.asarray(parts[name], dtype=float)
-        if part.shape != (sl.stop - sl.start,):
+        if y is None:
+            y = np.empty(part.shape[:-1] + (layout.dim,))
+        if part.shape != y.shape[:-1] + (sl.stop - sl.start,):
             raise ValueError(
-                "reading for %r has shape %r, layout expects (%d,)"
-                % (name, part.shape, sl.stop - sl.start)
+                "reading for %r has shape %r, layout expects %r"
+                % (name, part.shape, y.shape[:-1] + (sl.stop - sl.start,))
             )
-        y[sl] = part
+        y[..., sl] = part
     return y
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -139,6 +141,26 @@ def test_gravity_gradient_torque_vanishes_on_principal_axis():
     tau = dyn.gravity_gradient_torque([1.0, 0.0, 0.0, 0.0],
                                       [7000.0, 0.0, 0.0], (1.0, 2.0, 3.0))
     npt.assert_allclose(tau, np.zeros(3), atol=1e-25)
+
+
+def test_gravity_gradient_arithmetic_matches_scalar_arithmetic_bitwise():
+    """g = 3 mu / R^3 equals the Python-float formula bit for bit, and one
+    quaternion's torque equals its row of a stacked call: neither may go
+    through a vectorised pow or a BLAS product, whose rounding depends on
+    the CPU numpy dispatches to."""
+    rng = np.random.default_rng(4)
+    r = rng.standard_normal((2000, 3))
+    r *= (rng.uniform(6600.0, 8000.0, 2000) / np.linalg.norm(r, axis=1))[:, None]
+    g = dyn.gravity_gradient_frames(r)[:, 3].tolist()
+    for (x, y, z), g_k in zip(r.tolist(), g):
+        r_si = math.sqrt(x * x + y * y + z * z) * 1e3
+        assert g_k == 3.0 * (dyn.MU_EARTH * 1e9) / (r_si * r_si * r_si)
+    q = rng.standard_normal((200, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    inertia = (23745.0, 17560.0, 36065.0)
+    stacked = dyn.gravity_gradient_torque(q, r[0], inertia)
+    for q_k, row in zip(q, stacked):
+        assert dyn.gravity_gradient_torque(q_k, r[0], inertia).tobytes() == row.tobytes()
 
 
 def test_gravity_gradient_rejects_zero_radius():

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -157,6 +159,28 @@ def test_ekf_skip_keeps_prediction_only(linear_problem):
     npt.assert_allclose(skipped.sigma, f @ cfg.P0 @ f.T + cfg.Q, atol=1e-12)
     assert not np.allclose(skipped.mu, updated.mu)
     assert rec.nis > 0.0  # the record still carries the full-row statistic
+
+
+@pytest.mark.parametrize("kind", flt.FILTER_KINDS)
+def test_healthy_names_take_one_path_in_every_filter(kind):
+    """Each filter maps a healthy set to rows the same way: an unknown name
+    raises, and an empty set is a prediction-only step, the same belief as
+    a skipped update."""
+    cfg = rigid_config()
+    y = cfg.measurement.H @ cfg.x0 + 0.01
+
+    def step(decide):
+        filt = flt.make_filter(kind, cfg, rng=np.random.default_rng(5))
+        return filt.step(filt.initial_belief(), y, 0.1, decide=decide)[0]
+
+    with pytest.raises(ValueError):
+        step(lambda record: (False, ("star_tracker", "lidar")))
+    empty = step(lambda record: (False, ()))
+    skipped = step(lambda record: (True, None))
+    for a, b in zip(astuple(empty), astuple(skipped)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    updated = step(None)
+    assert not all(np.array_equal(a, b) for a, b in zip(astuple(updated), astuple(skipped)))
 
 
 def test_systematic_resample_hand_positions():

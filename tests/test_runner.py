@@ -1,4 +1,5 @@
 import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -170,6 +171,28 @@ def test_csv_values_round_trip(tmp_path):
     assert rows[1][8] == "%.9g" % result.measurements[0, 0]
     npt.assert_array_equal(body[:, -2], 0.0)  # no detections without faults
     npt.assert_array_equal(body[:, -1], 0.0)
+
+
+@pytest.mark.parametrize("name,mode", [("spike_isolation", "fdir"),
+                                       ("tumble_baseline", "simulate")])
+def test_write_csv_gives_the_csv_module_bytes(bundled_run, tmp_path, name, mode):
+    """The one-format-string writer reproduces, byte for byte, a row-by-row
+    export through the csv module's default dialect."""
+    result = bundled_run(name, mode=mode)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(rn.csv_header(result))
+    for k in range(result.measurements.shape[0]):
+        row = [result.t[k + 1], *result.truth[k + 1], *result.measurements[k]]
+        if mode == "fdir":
+            rep = result.reports[k]
+            row += [*result.estimates[k],
+                    *(3.0 * np.sqrt(np.maximum(result.variances[k], 0.0))),
+                    result.nis[k], int(rep.detected), rn._isolated_bits(rep, result.layout)]
+        writer.writerow(["%.9g" % v for v in row])
+    path = tmp_path / "run.csv"
+    rn.write_csv(result, str(path))
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_compare_run_keeps_order_and_determinism():

@@ -115,6 +115,32 @@ def test_stack_measurements_validation():
         sen.stack_measurements(layout, bad)
 
 
+def test_stacked_sampling_matches_row_by_row_bitwise():
+    """One call on an (n, k) stack draws what n calls on its rows draw from
+    the same stream, and stacking the stacks equals stacking each row."""
+    rng = np.random.default_rng(0)
+    q, w = rng.standard_normal((50, 4)), rng.standard_normal((50, 3))
+    gyro = sen.GyroModel(0.3, bias=[0.1, -0.2, 0.3])
+    star = sen.AttitudeSensorModel("star_tracker", [1e-3, 2e-3, 3e-3, 4e-3])
+    parts = {}
+    for name, model, truth in (("gyro", gyro, w), ("star_tracker", star, q)):
+        parts[name] = model.sample(truth, np.random.default_rng(1))
+        row_rng = np.random.default_rng(1)
+        rows = np.array([model.sample(row, row_rng) for row in truth])
+        assert parts[name].tobytes() == rows.tobytes()
+    parts["magnetometer"] = 2.0 * q
+    layout = sen.make_layout()
+    stacked = sen.stack_measurements(layout, parts)
+    rows = np.array([sen.stack_measurements(layout, {k: v[i] for k, v in parts.items()})
+                     for i in range(50)])
+    assert stacked.shape == (50, 11)
+    assert stacked.tobytes() == rows.tobytes()
+    with pytest.raises(ValueError):
+        sen.stack_measurements(layout, dict(parts, gyro=w[:10]))
+    with pytest.raises(ValueError):
+        gyro.sample(q, rng)
+
+
 def test_fault_spec_active_windows():
     spike = sen.FaultSpec("spike", "gyro", t_start=10.0, duration=0.5, magnitude=1.0)
     assert not spike.active(9.99)
