@@ -259,11 +259,12 @@ def align_hemisphere(q, reference):
     """Return q or -q, whichever has nonnegative dot product with reference.
 
     Used before differencing or updating with quaternion measurements, since
-    the sensor may report either representative of the rotation.
+    the sensor may report either representative of the rotation. Stacks
+    (..., 4) are aligned row by row.
     """
-    if float(np.dot(q, reference)) < 0.0:
-        return -np.asarray(q, dtype=float)
-    return np.asarray(q, dtype=float).copy()
+    q = np.asarray(q, dtype=float)
+    dot = np.sum(q * np.asarray(reference, dtype=float), axis=-1, keepdims=True)
+    return np.where(dot < 0.0, -q, q)
 
 
 def eci_to_rtn(r, v):

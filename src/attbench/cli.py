@@ -17,7 +17,8 @@ import argparse
 import os
 import sys
 
-from .filters import FILTER_KINDS
+from .errors import FieldError
+from .filters import check_filter_kind
 from .scenario import ScenarioError, bundled_scenarios, resolve_scenario, with_overrides
 from .runner import compare_run, compute_metrics, run_scenario, write_csv
 
@@ -126,10 +127,11 @@ def _run_compare(args):
     kinds = [k.strip() for k in args.filters.split(",") if k.strip()]
     if not kinds:
         raise ScenarioError("--filters must name at least one filter")
-    for k in kinds:
-        if k not in FILTER_KINDS:
-            raise ScenarioError("--filters: unknown filter %r (known: %s)"
-                                % (k, ", ".join(FILTER_KINDS)))
+    try:
+        for k in kinds:
+            check_filter_kind(k)
+    except FieldError as exc:
+        raise ScenarioError("--filters: %s" % exc.reason)
     if args.jobs < 1:
         raise ScenarioError("--jobs must be >= 1")
     cfg = _load(args)

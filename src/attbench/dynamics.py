@@ -29,6 +29,7 @@ import numpy as np
 
 from . import core
 from .attitude import euler313_to_quat, quat_to_dcm
+from .errors import FieldError, check_choice
 
 MU_EARTH = 398600.4418
 """Earth gravitational parameter, km^3/s^2."""
@@ -75,9 +76,9 @@ class KeplerianElements:
 
     def __post_init__(self):
         if not self.a > 0.0:
-            raise ValueError("semi-major axis must be positive, got %r" % (self.a,))
+            raise FieldError("a", "must be positive, got %r" % (self.a,))
         if not 0.0 <= self.e < 1.0:
-            raise ValueError("eccentricity must be in [0, 1), got %r" % (self.e,))
+            raise FieldError("e", "must satisfy 0 <= e < 1, got %r" % (self.e,))
 
     @classmethod
     def from_degrees(cls, a, e, i, raan, argp, nu0):
@@ -293,8 +294,7 @@ def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
 
 def check_torque_model(torque_model, elements):
     """Reject an unknown torque model, or gravity gradient without an orbit."""
-    if torque_model not in ("none", "gravity_gradient"):
-        raise ValueError("unknown torque model %r" % (torque_model,))
+    check_choice("torque_model", torque_model, ("none", "gravity_gradient"))
     if torque_model == "gravity_gradient" and elements is None:
         raise ValueError("gravity gradient requires orbital elements")
 
@@ -329,8 +329,7 @@ def derivative(state, t, inertia, torque_model="none", elements=None, mu=MU_EART
         State derivative of the same shape.
     """
     state = np.asarray(state, dtype=float)
-    if parameterization not in ("quaternion", "euler"):
-        raise ValueError("unknown parameterization %r" % (parameterization,))
+    check_choice("parameterization", parameterization, ("quaternion", "euler"))
     check_torque_model(torque_model, elements)
     r = None if torque_model == "none" else kepler_state(elements, t, mu)[0]
     if parameterization == "quaternion":
@@ -441,9 +440,9 @@ def principal_moments(inertia_matrix):
     """
     full = np.asarray(inertia_matrix, dtype=float)
     if full.shape != (3, 3):
-        raise ValueError("inertia matrix must be 3x3, got %r" % (full.shape,))
-    if not np.allclose(full, full.T, rtol=0.0, atol=1e-6 * max(1.0, abs(full).max())):
-        raise ValueError("inertia matrix must be symmetric")
+        raise FieldError("inertia_matrix", "must be 3x3, got %r" % (full.shape,))
+    if not np.allclose(full, full.T, rtol=0.0, atol=1e-9 * abs(full).max()):
+        raise FieldError("inertia_matrix", "must be symmetric")
     w, vecs = np.linalg.eigh(full)
     order = []
     used = set()
@@ -462,7 +461,7 @@ def principal_moments(inertia_matrix):
     if np.linalg.det(vecs) < 0.0:
         vecs[:, 2] = -vecs[:, 2]
     if w.min() <= 0.0:
-        raise ValueError("inertia matrix is not positive definite")
+        raise FieldError("inertia_matrix", "must be positive definite")
     return w, vecs.T
 
 

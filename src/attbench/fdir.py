@@ -27,6 +27,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincinv
 
+from .errors import FieldError, check_choice
+
 __all__ = [
     "chi2_quantile",
     "compute_nis",
@@ -82,11 +84,11 @@ class DetectorConfig:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise FieldError("alpha", "must be in (0, 1)")
         if self.window < 1:
-            raise ValueError("window must be >= 1")
+            raise FieldError("window", "must be >= 1")
         if not 1 <= self.min_samples <= self.window:
-            raise ValueError("min_samples must be in [1, window]")
+            raise FieldError("min_samples", "must be in [1, window]")
 
 
 @dataclass(frozen=True)
@@ -261,7 +263,8 @@ class FdirSupervisor:
     """Per-step detection policy driving a filter's update decisions.
 
     policies:
-        none:       keep records, never intervene.
+        none:       keep records, never detect (the filters still drop
+                    non-finite innovation rows from the update).
         innovation: single-step test; skip the update on detection.
         sequence:   moving-average test; skip the update on detection.
         isolation:  per-sensor tests; update with the healthy rows only
@@ -273,13 +276,16 @@ class FdirSupervisor:
     POLICIES = ("none", "innovation", "sequence", "isolation")
 
     def __init__(self, policy, cfg, slice_map):
-        if policy not in self.POLICIES:
-            raise ValueError("unknown FDIR policy %r (known: %s)" % (policy, self.POLICIES))
+        self.check_policy(policy)
         self.policy = policy
         self.cfg = cfg
         self.slice_map = slice_map
         self.window = NisWindow(cfg.window)
         self.reports = []
+
+    @classmethod
+    def check_policy(cls, policy):
+        check_choice("policy", policy, cls.POLICIES)
 
     def decide(self, record):
         """Evaluate the policy on one record.

@@ -17,9 +17,12 @@ particle filter owns its RNG); beliefs are passed in and returned.
 The ``decide`` hook on each ``step`` lets a detector inspect the innovation
 record before the measurement update and either skip the update or restrict
 it to a subset of healthy sensors. The record always reflects the full
-measurement row set.
+measurement row set. Whatever the hook decides, rows whose innovation is not
+finite (a NaN reading) stay out of the update; with none left the step is
+prediction-only. A step without a hook is the bare filter and uses every row.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +30,7 @@ from scipy.linalg import solve_triangular
 
 from .dynamics import (MU_EARTH, check_torque_model, gravity_gradient_frames, kepler_state,
                        renormalize_quaternions, rigid_body_step)
+from .errors import FieldError, check_choice
 from .fdir import compute_nis, healthy_rows
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "StackedMeasurement",
     "attitude_measurement",
     "FilterConfig",
+    "check_tunables",
     "augment_gyro_bias",
     "jacobian",
     "ukf_sigma_points",
@@ -46,6 +51,7 @@ __all__ = [
     "UkfFilter",
     "PfFilter",
     "FILTER_KINDS",
+    "check_filter_kind",
     "make_filter",
     "estimate_stats",
 ]
@@ -269,20 +275,39 @@ class FilterConfig:
                 "measurement expects state dim %d, process has %d"
                 % (self.measurement.state_dim, n)
             )
-        if not self.fd_eps > 0.0:
-            raise ValueError("fd_eps must be positive")
-        if not 0.0 < self.ukf_alpha <= 1.0:
-            raise ValueError("ukf_alpha must be in (0, 1]")
-        if self.ukf_kappa < 0.0:
-            raise ValueError("ukf_kappa must be >= 0")
-        if self.ukf_detector_r < 0.0:
-            raise ValueError("ukf_detector_r must be >= 0")
-        if self.pf_particles < 10:
-            raise ValueError("pf_particles must be >= 10")
-        if not 0.0 < self.pf_ess_threshold <= 1.0:
-            raise ValueError("pf_ess_threshold must be in (0, 1]")
+        check_tunables(self)
         if self.pf_jitter is not None:
             self.pf_jitter = _check_psd("pf_jitter", self.pf_jitter, n)
+
+
+def check_tunables(cfg):
+    """Range rules of FilterConfig's tunables, read off any object that has them."""
+    if not cfg.fd_eps > 0.0:
+        raise FieldError("fd_eps", "must be positive")
+    if not 0.0 < cfg.ukf_alpha <= 1.0:
+        raise FieldError("ukf_alpha", "must be in (0, 1]")
+    if cfg.ukf_kappa < 0.0:
+        raise FieldError("ukf_kappa", "must be >= 0")
+    if cfg.ukf_detector_r < 0.0:
+        raise FieldError("ukf_detector_r", "must be >= 0")
+    if cfg.pf_particles < 10:
+        raise FieldError("pf_particles", "must be >= 10")
+    if not 0.0 < cfg.pf_ess_threshold <= 1.0:
+        raise FieldError("pf_ess_threshold", "must be in (0, 1]")
+
+
+def _update_rows(meas, record, decide):
+    """Rows to update with once ``decide`` has seen ``record``: None for all,
+    else an index array (empty: prediction only). Only a non-finite NIS pays
+    for the scan that drops the rows whose innovation is not finite."""
+    if decide is None:
+        return None
+    skip, healthy = decide(record)
+    rows = np.empty(0, dtype=int) if skip else healthy_rows(healthy, meas.slices)
+    if not math.isfinite(record.nis):
+        rows = np.arange(meas.dim) if rows is None else rows
+        rows = rows[np.isfinite(record.nu[rows])]
+    return rows
 
 
 def augment_gyro_bias(cfg, q_bias=1e-12, p0_bias=1e-2, b0=None):
@@ -372,9 +397,8 @@ class EkfFilter:
         s = _symmetrize(h @ pred.sigma @ h.T + r)
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
 
-        skip, healthy = decide(record) if decide is not None else (False, None)
-        rows = healthy_rows(healthy, self.meas.slices)
-        if skip or (rows is not None and not rows.size):
+        rows = _update_rows(self.meas, record, decide)
+        if rows is not None and not rows.size:
             return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
         y_u, h_u, r_u = y_al, h, r
         if rows is not None:
@@ -469,9 +493,8 @@ class UkfFilter:
         record = InnovationRecord(t=t, nu=nu, S=s_det, nis=compute_nis(nu, s_det),
                                   source=self.source)
 
-        skip, healthy = decide(record) if decide is not None else (False, None)
-        rows = healthy_rows(healthy, self.meas.slices)
-        if skip or (rows is not None and not rows.size):
+        rows = _update_rows(self.meas, record, decide)
+        if rows is not None and not rows.size:
             return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
         s_u, cross_u, nu_u = s, cross, nu
         if rows is not None:
@@ -562,10 +585,9 @@ class PfFilter:
         nu = y_al - y_hat
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
 
-        skip, healthy = decide(record) if decide is not None else (False, None)
-        rows = healthy_rows(healthy, self.meas.slices)
+        rows = _update_rows(self.meas, record, decide)
         resets = pset.resets
-        if skip or (rows is not None and not rows.size):
+        if rows is not None and not rows.size:
             new_w = w.copy()
         else:
             resid = (y_al - z) if rows is None else (y_al[rows] - z[:, rows])
@@ -590,17 +612,18 @@ class PfFilter:
 FILTER_KINDS = ("ekf", "ukf", "pf")
 
 
+def check_filter_kind(kind):
+    check_choice("kind", kind, FILTER_KINDS)
+
+
 def make_filter(kind, cfg, rng=None):
     """Filter factory: kind in FILTER_KINDS; pf needs its RNG stream."""
-    if kind == "ekf":
-        return EkfFilter(cfg)
-    if kind == "ukf":
-        return UkfFilter(cfg)
-    if kind == "pf":
-        if rng is None:
-            raise ValueError("particle filter requires an RNG stream")
-        return PfFilter(cfg, rng)
-    raise ValueError("unknown filter kind %r" % (kind,))
+    check_filter_kind(kind)
+    if kind != "pf":
+        return EkfFilter(cfg) if kind == "ekf" else UkfFilter(cfg)
+    if rng is None:
+        raise ValueError("particle filter requires an RNG stream")
+    return PfFilter(cfg, rng)
 
 
 def estimate_stats(belief, model):

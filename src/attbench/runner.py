@@ -15,6 +15,7 @@ import numpy as np
 
 from .attitude import align_hemisphere
 from .dynamics import integrate
+from .errors import check_choice
 from .fdir import FdirSupervisor, chi2_quantile
 from .filters import (
     FilterConfig,
@@ -119,11 +120,7 @@ def sample_measurements(cfg, traj, layout):
         "magnetometer": cfg.magnetometer.sample(att, streams["magnetometer"]),
         "gyro": cfg.gyro.sample(rates, streams["gyro"]),
     })
-    injector = FaultInjector(cfg.faults, layout)
-    faulted = np.empty_like(clean)
-    for k, y in enumerate(clean):
-        faulted[k] = injector.apply(y, traj.t[k + 1])
-    return clean, faulted
+    return clean, FaultInjector(cfg.faults, layout).apply(clean, traj.t[1:])
 
 
 def build_filter_config(cfg, layout):
@@ -160,8 +157,7 @@ def run_scenario(cfg, mode="fdir", filter_kind=None):
     Returns:
         RunResult. Deterministic for fixed inputs.
     """
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s" % (MODES,))
+    check_choice("mode", mode, MODES)
     layout = make_layout(cfg.parameterization)
     traj = simulate_truth(cfg)
     clean, faulted = sample_measurements(cfg, traj, layout)
@@ -222,10 +218,6 @@ def _fault_windows(cfg, extend=0.0):
     return out
 
 
-def _in_windows(t, windows):
-    return any(lo <= t < hi for lo, hi in windows)
-
-
 def compute_metrics(result, settle=20.0):
     """Summarize a run; see Metrics for the conventions.
 
@@ -242,11 +234,7 @@ def compute_metrics(result, settle=20.0):
     truth = result.truth[1:]
     est = result.estimates
 
-    att_err = np.empty((mask.sum(), 4))
-    idx = np.flatnonzero(mask)
-    for row, k in enumerate(idx):
-        q_est = align_hemisphere(est[k, :4], truth[k, :4])
-        att_err[row] = q_est - truth[k, :4]
+    att_err = align_hemisphere(est[mask, :4], truth[mask, :4]) - truth[mask, :4]
     rmse_att = np.sqrt(np.mean(att_err ** 2, axis=0))
     rate_err = est[mask, 4:7] - truth[mask, 4:7]
     rmse_rates = np.sqrt(np.mean(rate_err ** 2, axis=0))
@@ -263,11 +251,11 @@ def compute_metrics(result, settle=20.0):
     for rep in result.reports:
         if not rep.detected:
             continue
-        if windows and _in_windows(rep.t, windows):
+        onsets = [lo for lo, hi in windows if lo <= rep.t < hi]
+        if onsets:
             detected_in_window = True
             if latency is None:
-                onset = min(lo for lo, hi in windows if lo <= rep.t < hi)
-                latency = rep.t - onset
+                latency = rep.t - min(onsets)
         else:
             false_alarms += 1
     missed = bool(windows) and result.mode == "fdir" \

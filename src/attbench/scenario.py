@@ -6,6 +6,13 @@ Validation is strict — unknown keys are rejected and every error names the
 offending key by its dotted path — so a typo fails at load time instead of
 silently running a different experiment.
 
+The parser checks YAML types, shapes, required and unknown keys, and the
+rules only the file format has (one attitude form, a unit quaternion,
+positive assumed noise). Range rules live in the models (``GyroModel``,
+``FaultSpec``, ``ScenarioConfig``, ...), whose ``FieldError`` the parser
+reports at the field's key path, e.g. ``faults[0].duration``;
+``with_overrides`` revalidates through them.
+
 Grammar (all keys optional unless marked required; defaults in parens):
 
     schema_version: 1            # required, literal 1
@@ -61,9 +68,10 @@ import yaml
 
 from .attitude import euler313_to_quat
 from .dynamics import KeplerianElements, principal_moments
+from .errors import FieldError
 from .fdir import DetectorConfig, FdirSupervisor
-from .filters import FILTER_KINDS
-from .sensors import AttitudeSensorModel, FaultSpec, GyroModel, make_layout
+from .filters import check_filter_kind, check_tunables
+from .sensors import AttitudeSensorModel, FaultInjector, FaultSpec, GyroModel, make_layout
 
 __all__ = [
     "ScenarioError",
@@ -90,10 +98,33 @@ def _require_mapping(value, path):
     return value
 
 
+def _model(path, build, *args, keys=None, **kwargs):
+    """``build(*args, **kwargs)``, with a field the model rejects reported at
+    ``path`` plus its key: ``keys[field]``, or the field name itself."""
+    try:
+        return build(*args, **kwargs)
+    except FieldError as exc:
+        key = (keys or {}).get(exc.field, exc.field)
+        _fail("%s.%s" % (path, key) if path else key, exc.reason)
+
+
+def _required(mapping, key, path=""):
+    if key not in mapping:
+        _fail("%s.%s" % (path, key) if path else key, "is required")
+    return mapping[key]
+
+
 def _check_keys(mapping, allowed, path):
     for key in mapping:
         if key not in allowed:
             _fail(path, "unknown key %r (known: %s)" % (key, ", ".join(sorted(allowed))))
+
+
+def _section(value, allowed, path):
+    """An optional mapping, empty when absent, with its keys checked."""
+    value = {} if value is None else _require_mapping(value, path)
+    _check_keys(value, allowed, path)
+    return value
 
 
 def _num(value, path):
@@ -146,6 +177,8 @@ class ScenarioConfig:
     what the integrator consumes. ``r_blocks`` are the measurement noise
     variances the filter assumes, which may deliberately differ from the
     true sensor noise. ``x0`` of None means "start the filter at truth".
+    Construction, ``replace`` included, checks the run grid, filter kind,
+    FDIR policy and filter tunables.
     """
 
     name: str
@@ -181,6 +214,19 @@ class ScenarioConfig:
     pf_ess_threshold: float
     policy: str
     detector: DetectorConfig
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise FieldError("seed", "must be nonnegative")
+        if not self.dt > 0.0:
+            raise FieldError("dt", "must be positive")
+        if not self.t_end > 0.0:
+            raise FieldError("t_end", "must be positive")
+        if self.t_end / self.dt < 1.0:
+            raise FieldError("t_end", "must cover at least one step")
+        check_filter_kind(self.filter_kind)
+        FdirSupervisor.check_policy(self.policy)
+        check_tunables(self)
 
     @property
     def n_steps(self):
@@ -228,12 +274,7 @@ def _parse_inertia(value, path):
                        for i, row in enumerate(value)])
     else:
         m = np.diag(_num_list(value, 3, path))
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * abs(m).max()):
-        _fail(path, "matrix must be symmetric")
-    try:
-        moments, _ = principal_moments(m)
-    except ValueError as exc:
-        _fail(path, str(exc))
+    moments, _ = _model("", principal_moments, m, keys={"inertia_matrix": path})
     return m, moments
 
 
@@ -243,16 +284,12 @@ def _parse_elements(mapping, path):
     _check_keys(mapping, keys, path)
     vals = {}
     for key in keys:
-        if key not in mapping:
-            _fail("%s.%s" % (path, key), "is required")
-        vals[key] = _num(mapping[key], "%s.%s" % (path, key))
-    if vals["a_km"] <= 0.0:
-        _fail(path + ".a_km", "must be positive")
-    if not 0.0 <= vals["e"] < 1.0:
-        _fail(path + ".e", "must satisfy 0 <= e < 1 (got %g)" % vals["e"])
-    return KeplerianElements.from_degrees(
+        vals[key] = _num(_required(mapping, key, path), "%s.%s" % (path, key))
+    return _model(
+        path, KeplerianElements.from_degrees,
         a=vals["a_km"], e=vals["e"], i=vals["i_deg"],
         raan=vals["raan_deg"], argp=vals["argp_deg"], nu0=vals["nu0_deg"],
+        keys={"a": "a_km"},
     )
 
 
@@ -281,24 +318,21 @@ def _parse_sensors(mapping, path, mode):
             merged[name] = _require_mapping(body, "%s.%s" % (path, name))
     gy = merged["gyro"]
     _check_keys(gy, ("sigma", "bias"), path + ".gyro")
-    sigma = _num(gy.get("sigma", 0.005), path + ".gyro.sigma")
-    if sigma < 0.0:
-        _fail(path + ".gyro.sigma", "must be nonnegative")
-    bias = _num_list(gy.get("bias", [0.0, 0.0, 0.0]), 3, path + ".gyro.bias")
-    out = {"gyro": GyroModel(sigma, bias)}
+    out = {"gyro": _model(
+        path + ".gyro", GyroModel,
+        _num(gy.get("sigma", 0.005), path + ".gyro.sigma"),
+        _num_list(gy.get("bias", [0.0, 0.0, 0.0]), 3, path + ".gyro.bias"),
+    )}
     for name in ("star_tracker", "magnetometer"):
+        p = "%s.%s" % (path, name)
         body = merged[name]
-        _check_keys(body, ("variances",), "%s.%s" % (path, name))
-        if "variances" not in body:
-            _fail("%s.%s.variances" % (path, name), "is required")
-        var = _num_list(body["variances"], att_len, "%s.%s.variances" % (path, name))
-        if np.any(var < 0.0):
-            _fail("%s.%s.variances" % (path, name), "must be nonnegative")
-        out[name] = AttitudeSensorModel(name, var)
+        _check_keys(body, ("variances",), p)
+        var = _num_list(_required(body, "variances", p), att_len, p + ".variances")
+        out[name] = _model(p, AttitudeSensorModel, name, var)
     return out
 
 
-def _parse_faults(value, path, layout):
+def _parse_faults(value, path):
     if value is None:
         return ()
     if not isinstance(value, list):
@@ -309,45 +343,24 @@ def _parse_faults(value, path, layout):
         body = _require_mapping(body, p)
         _check_keys(body, ("kind", "target", "t_start", "duration",
                            "magnitude", "axis", "hold"), p)
-        for req in ("kind", "target", "t_start"):
-            if req not in body:
-                _fail("%s.%s" % (p, req), "is required")
-        kind = _str(body["kind"], p + ".kind")
-        target = _str(body["target"], p + ".target")
-        if target not in layout.slices:
-            _fail(p + ".target", "unknown sensor %r" % target)
         axis = body.get("axis")
-        if axis is not None:
-            axis = _int(axis, p + ".axis")
-            width = layout.slices[target].stop - layout.slices[target].start
-            if not 0 <= axis < width:
-                _fail(p + ".axis", "out of range for %s (width %d)" % (target, width))
-        try:
-            spec = FaultSpec(
-                kind=kind,
-                target=target,
-                t_start=_num(body["t_start"], p + ".t_start"),
-                duration=_num(body.get("duration", 0.0), p + ".duration"),
-                magnitude=_num(body.get("magnitude", 0.0), p + ".magnitude"),
-                axis=axis,
-                hold=_bool(body.get("hold", False), p + ".hold"),
-            )
-        except ValueError as exc:
-            _fail(p, str(exc))
-        out.append(spec)
+        out.append(_model(
+            p, FaultSpec,
+            kind=_str(_required(body, "kind", p), p + ".kind"),
+            target=_str(_required(body, "target", p), p + ".target"),
+            t_start=_num(_required(body, "t_start", p), p + ".t_start"),
+            duration=_num(body.get("duration", 0.0), p + ".duration"),
+            magnitude=_num(body.get("magnitude", 0.0), p + ".magnitude"),
+            axis=None if axis is None else _int(axis, p + ".axis"),
+            hold=_bool(body.get("hold", False), p + ".hold"),
+        ))
     return tuple(out)
 
 
 def _parse_filter(mapping, path, mode, sensors, bias_default):
-    mapping = _require_mapping(mapping, path) if mapping is not None else {}
-    _check_keys(mapping, ("kind", "gravity_gradient", "bias_states", "q", "p0",
-                          "r", "x0", "fd_eps", "ukf", "pf"), path)
-    kind = _str(mapping.get("kind", "ekf"), path + ".kind")
-    if kind not in FILTER_KINDS:
-        _fail(path + ".kind", "must be one of %s" % (FILTER_KINDS,))
-    q = mapping.get("q")
-    q = _require_mapping(q, path + ".q") if q is not None else {}
-    _check_keys(q, ("attitude", "rates", "bias"), path + ".q")
+    mapping = _section(mapping, ("kind", "gravity_gradient", "bias_states", "q", "p0",
+                                 "r", "x0", "fd_eps", "ukf", "pf"), path)
+    q = _section(mapping.get("q"), ("attitude", "rates", "bias"), path + ".q")
     q_att = _num(q.get("attitude", 1e-8), path + ".q.attitude")
     q_rat = _num(q.get("rates", 1e-6), path + ".q.rates")
     q_bia = _num(q.get("bias", 1e-12), path + ".q.bias")
@@ -379,9 +392,8 @@ def _parse_filter(mapping, path, mode, sensors, bias_default):
     bias_states = _bool(mapping.get("bias_states", bias_default), path + ".bias_states")
     x0 = None
     if "x0" in mapping:
-        body = _require_mapping(mapping["x0"], path + ".x0")
-        _check_keys(body, ("attitude_euler_deg", "attitude_quat", "rates_deg_s",
-                           "rates_rad_s", "bias"), path + ".x0")
+        body = _section(mapping["x0"], ("attitude_euler_deg", "attitude_quat",
+                                        "rates_deg_s", "rates_rad_s", "bias"), path + ".x0")
         att = _parse_attitude(body, path + ".x0", mode)
         rates = _parse_rates(body, path + ".x0")
         parts = [att, rates]
@@ -392,112 +404,74 @@ def _parse_filter(mapping, path, mode, sensors, bias_default):
             _fail(path + ".x0.bias", "needs filter.bias_states: true")
         x0 = np.concatenate(parts)
 
-    fd_eps = _num(mapping.get("fd_eps", 1e-6), path + ".fd_eps")
-    if fd_eps <= 0.0:
-        _fail(path + ".fd_eps", "must be positive")
-    ukf = mapping.get("ukf")
-    ukf = _require_mapping(ukf, path + ".ukf") if ukf is not None else {}
-    _check_keys(ukf, ("alpha", "beta", "kappa", "detector_r"), path + ".ukf")
-    alpha = _num(ukf.get("alpha", 0.1), path + ".ukf.alpha")
-    beta = _num(ukf.get("beta", 2.0), path + ".ukf.beta")
-    kappa = _num(ukf.get("kappa", 0.0), path + ".ukf.kappa")
-    detector_r = _num(ukf.get("detector_r", 1.0), path + ".ukf.detector_r")
-    if not 0.0 < alpha <= 1.0:
-        _fail(path + ".ukf.alpha", "must be in (0, 1]")
-    if kappa < 0.0:
-        _fail(path + ".ukf.kappa", "must be >= 0")
-    if detector_r < 0.0:
-        _fail(path + ".ukf.detector_r", "must be >= 0")
-    pf = mapping.get("pf")
-    pf = _require_mapping(pf, path + ".pf") if pf is not None else {}
-    _check_keys(pf, ("particles", "ess_threshold"), path + ".pf")
-    particles = _int(pf.get("particles", 1000), path + ".pf.particles")
-    ess = _num(pf.get("ess_threshold", 0.5), path + ".pf.ess_threshold")
-    if particles < 10:
-        _fail(path + ".pf.particles", "must be >= 10")
-    if not 0.0 < ess <= 1.0:
-        _fail(path + ".pf.ess_threshold", "must be in (0, 1]")
-
+    ukf = _section(mapping.get("ukf"), ("alpha", "beta", "kappa", "detector_r"), path + ".ukf")
+    pf = _section(mapping.get("pf"), ("particles", "ess_threshold"), path + ".pf")
     return {
-        "filter_kind": kind,
+        "filter_kind": _str(mapping.get("kind", "ekf"), path + ".kind"),
         "filter_gravity_gradient": _bool(mapping.get("gravity_gradient", False),
                                          path + ".gravity_gradient"),
         "bias_states": bias_states,
         "q_attitude": q_att, "q_rates": q_rat, "q_bias": q_bia,
-        "p0_scale": p0, "r_blocks": r_blocks, "x0": x0, "fd_eps": fd_eps,
-        "ukf_alpha": alpha, "ukf_beta": beta, "ukf_kappa": kappa,
-        "ukf_detector_r": detector_r,
-        "pf_particles": particles, "pf_ess_threshold": ess,
+        "p0_scale": p0, "r_blocks": r_blocks, "x0": x0,
+        "fd_eps": _num(mapping.get("fd_eps", 1e-6), path + ".fd_eps"),
+        "ukf_alpha": _num(ukf.get("alpha", 0.1), path + ".ukf.alpha"),
+        "ukf_beta": _num(ukf.get("beta", 2.0), path + ".ukf.beta"),
+        "ukf_kappa": _num(ukf.get("kappa", 0.0), path + ".ukf.kappa"),
+        "ukf_detector_r": _num(ukf.get("detector_r", 1.0), path + ".ukf.detector_r"),
+        "pf_particles": _int(pf.get("particles", 1000), path + ".pf.particles"),
+        "pf_ess_threshold": _num(pf.get("ess_threshold", 0.5), path + ".pf.ess_threshold"),
     }
 
 
 def _parse_detector(mapping, path):
-    mapping = _require_mapping(mapping, path) if mapping is not None else {}
-    _check_keys(mapping, ("policy", "alpha", "window", "min_samples"), path)
+    mapping = _section(mapping, ("policy", "alpha", "window", "min_samples"), path)
     policy = _str(mapping.get("policy", "none"), path + ".policy")
-    if policy not in FdirSupervisor.POLICIES:
-        _fail(path + ".policy", "must be one of %s" % (FdirSupervisor.POLICIES,))
-    try:
-        det = DetectorConfig(
-            alpha=_num(mapping.get("alpha", 0.95), path + ".alpha"),
-            window=_int(mapping.get("window", 20), path + ".window"),
-            min_samples=_int(mapping.get("min_samples", 5), path + ".min_samples"),
-        )
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return policy, det
+    return policy, _model(
+        path, DetectorConfig,
+        alpha=_num(mapping.get("alpha", 0.95), path + ".alpha"),
+        window=_int(mapping.get("window", 20), path + ".window"),
+        min_samples=_int(mapping.get("min_samples", 5), path + ".min_samples"),
+    )
 
 
 _TOP_KEYS = ("schema_version", "name", "description", "seed", "dt", "t_end",
              "parameterization", "gravity_gradient", "initial", "inertia",
              "elements", "sensors", "faults", "filter", "detector")
 
+# key paths of the fields ScenarioConfig's checks name, where they differ
+_CONFIG_KEYS = dict(
+    kind="filter.kind", policy="detector.policy", fd_eps="filter.fd_eps",
+    ukf_alpha="filter.ukf.alpha", ukf_kappa="filter.ukf.kappa",
+    ukf_detector_r="filter.ukf.detector_r", pf_particles="filter.pf.particles",
+    pf_ess_threshold="filter.pf.ess_threshold")
+
 
 def _from_mapping(doc):
     doc = _require_mapping(doc, "")
     _check_keys(doc, _TOP_KEYS, "")
-    if "schema_version" not in doc:
-        _fail("schema_version", "is required")
-    if _int(doc["schema_version"], "schema_version") != 1:
+    if _int(_required(doc, "schema_version"), "schema_version") != 1:
         _fail("schema_version", "this build reads version 1")
-    if "name" not in doc:
-        _fail("name", "is required")
-    name = _str(doc["name"], "name")
+    name = _str(_required(doc, "name"), "name")
     description = _str(doc.get("description", ""), "description")
     seed = _int(doc.get("seed", 0), "seed")
-    if seed < 0:
-        _fail("seed", "must be nonnegative")
     dt = _num(doc.get("dt", 0.1), "dt")
     t_end = _num(doc.get("t_end", 300.0), "t_end")
-    if dt <= 0.0:
-        _fail("dt", "must be positive")
-    if t_end <= 0.0:
-        _fail("t_end", "must be positive")
-    if t_end / dt < 1.0:
-        _fail("t_end", "must cover at least one step")
     mode = _str(doc.get("parameterization", "quaternion"), "parameterization")
-    if mode not in ("quaternion", "euler"):
-        _fail("parameterization", "must be quaternion or euler")
+    layout = _model("", make_layout, mode, keys={"mode": "parameterization"})
     gg = _bool(doc.get("gravity_gradient", False), "gravity_gradient")
 
-    if "initial" not in doc:
-        _fail("initial", "is required")
-    init = _require_mapping(doc["initial"], "initial")
+    init = _require_mapping(_required(doc, "initial"), "initial")
     _check_keys(init, ("attitude_euler_deg", "attitude_quat", "rates_deg_s",
                        "rates_rad_s"), "initial")
     attitude = _parse_attitude(init, "initial", mode)
     rates = _parse_rates(init, "initial")
     initial_state = np.concatenate([attitude, rates])
 
-    if "inertia" not in doc:
-        _fail("inertia", "is required")
-    inertia, principal = _parse_inertia(doc["inertia"], "inertia")
-    if "elements" not in doc:
-        _fail("elements", "is required")
-    elements = _parse_elements(doc["elements"], "elements")
+    inertia, principal = _parse_inertia(_required(doc, "inertia"), "inertia")
+    elements = _parse_elements(_required(doc, "elements"), "elements")
     sensors = _parse_sensors(doc.get("sensors"), "sensors", mode)
-    layout = make_layout(mode)
-    faults = _parse_faults(doc.get("faults"), "faults", layout)
+    faults = _parse_faults(doc.get("faults"), "faults")
+    _model("", FaultInjector, faults, layout)  # fields "faults[i].target", "faults[i].axis"
     fconf = _parse_filter(doc.get("filter"), "filter", mode, sensors, False)
     policy, detector = _parse_detector(doc.get("detector"), "detector")
 
@@ -506,13 +480,14 @@ def _from_mapping(doc):
         x0 = initial_state.copy()
         if fconf["bias_states"]:
             x0 = np.concatenate([x0, np.zeros(3)])
-    return ScenarioConfig(
+    return _model(
+        "", ScenarioConfig,
         name=name, description=description, seed=seed, dt=dt, t_end=t_end,
         parameterization=mode, gravity_gradient=gg,
         initial_state=initial_state, inertia=inertia, principal=tuple(principal),
         elements=elements, gyro=sensors["gyro"],
         star_tracker=sensors["star_tracker"], magnetometer=sensors["magnetometer"],
-        faults=faults, policy=policy, detector=detector, x0=x0, **fconf,
+        faults=faults, policy=policy, detector=detector, x0=x0, keys=_CONFIG_KEYS, **fconf,
     )
 
 
@@ -579,27 +554,10 @@ def resolve_scenario(ref):
 
 def with_overrides(cfg, seed=None, dt=None, t_end=None, filter_kind=None):
     """Copy a config with command-line overrides applied and revalidated."""
-    changes = {}
-    if seed is not None:
-        if seed < 0:
-            raise ScenarioError("seed: must be nonnegative")
-        changes["seed"] = int(seed)
-    if dt is not None:
-        if dt <= 0.0:
-            raise ScenarioError("dt: must be positive")
-        changes["dt"] = float(dt)
-    if t_end is not None:
-        if t_end <= 0.0:
-            raise ScenarioError("t_end: must be positive")
-        changes["t_end"] = float(t_end)
-    if filter_kind is not None:
-        if filter_kind not in FILTER_KINDS:
-            raise ScenarioError("filter kind must be one of %s" % (FILTER_KINDS,))
-        changes["filter_kind"] = filter_kind
-    cfg = replace(cfg, **changes) if changes else cfg
-    if cfg.t_end / cfg.dt < 1.0:
-        raise ScenarioError("t_end: must cover at least one step")
-    return cfg
+    changes = {key: cast(value) for key, value, cast in (
+        ("seed", seed, int), ("dt", dt, float), ("t_end", t_end, float),
+        ("filter_kind", filter_kind, str)) if value is not None}
+    return _model("", replace, cfg, keys=_CONFIG_KEYS, **changes) if changes else cfg
 
 
 def strip_faults(cfg):

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FieldError, check_choice
+
 __all__ = [
     "ROLE_KEYS",
     "derive_stream",
@@ -41,11 +43,9 @@ ATTITUDE_SENSORS = ("star_tracker", "magnetometer")
 
 def derive_stream(master_seed, role):
     """Independent Generator for one named role, derived from the master seed."""
-    try:
-        key = ROLE_KEYS[role]
-    except KeyError:
-        raise ValueError("unknown RNG role %r (known: %s)" % (role, sorted(ROLE_KEYS)))
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(key,)))
+    check_choice("role", role, ROLE_KEYS)
+    return np.random.default_rng(np.random.SeedSequence(master_seed,
+                                                        spawn_key=(ROLE_KEYS[role],)))
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ class GyroModel:
     def __post_init__(self):
         object.__setattr__(self, "bias", np.asarray(self.bias, dtype=float))
         if self.sigma < 0.0:
-            raise ValueError("gyro sigma must be nonnegative, got %r" % (self.sigma,))
+            raise FieldError("sigma", "must be nonnegative, got %r" % (self.sigma,))
         if self.bias.shape != (3,):
-            raise ValueError("gyro bias must have shape (3,)")
+            raise FieldError("bias", "must have shape (3,)")
 
     def sample(self, omega_true, rng):
         """Readings for body rates (..., 3), one per row of a stack."""
@@ -84,9 +84,9 @@ class AttitudeSensorModel:
         v = np.asarray(self.variances, dtype=float)
         object.__setattr__(self, "variances", v)
         if v.ndim != 1 or v.shape[0] not in (3, 4):
-            raise ValueError("variances must have shape (4,) or (3,), got %r" % (v.shape,))
+            raise FieldError("variances", "must have shape (4,) or (3,), got %r" % (v.shape,))
         if np.any(v < 0.0):
-            raise ValueError("%s variances must be nonnegative" % self.name)
+            raise FieldError("variances", "must be nonnegative")
 
     def sample(self, attitude_true, rng):
         """Readings for attitudes (..., k), one per row of a stack."""
@@ -117,8 +117,7 @@ class MeasurementLayout:
 
 def make_layout(mode="quaternion", sensors=("star_tracker", "magnetometer", "gyro")):
     """Build the stacked layout for the given sensor set, in the given order."""
-    if mode not in ("quaternion", "euler"):
-        raise ValueError("unknown measurement mode %r" % (mode,))
+    check_choice("mode", mode, ("quaternion", "euler"))
     att_len = 4 if mode == "quaternion" else 3
     slices = {}
     start = 0
@@ -191,65 +190,66 @@ class FaultSpec:
     hold: bool = False
 
     def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
-            raise ValueError("unknown fault kind %r (known: %s)" % (self.kind, FAULT_KINDS))
+        check_choice("kind", self.kind, FAULT_KINDS)
         if self.t_start < 0.0:
-            raise ValueError("fault t_start must be nonnegative")
+            raise FieldError("t_start", "must be nonnegative")
         if self.duration < 0.0:
-            raise ValueError("fault duration must be nonnegative")
+            raise FieldError("duration", "must be nonnegative")
         if self.kind == "saturation" and self.magnitude <= 0.0:
-            raise ValueError("saturation magnitude must be positive")
+            raise FieldError("magnitude", "must be positive for a saturation")
 
     def active(self, t):
+        """Whether the fault acts at time t (a scalar or an array of times)."""
         if self.kind == "constant_bias":
             return t >= self.t_start
-        return self.t_start <= t < self.t_start + self.duration
+        return (self.t_start <= t) & (t < self.t_start + self.duration)
 
 
 class FaultInjector:
-    """Applies a fault list to stacked measurements, step by step.
+    """Applies a fault list to stacked measurements, a whole run at a time.
 
-    Stateful only for hold-mode dropouts, which freeze the last value seen
-    while the fault was inactive. Faults compose in list order. Call
-    ``apply`` with nondecreasing times within one run.
+    Stateful only for hold-mode dropouts, which repeat the last row seen
+    while the fault was inactive; that row is kept across calls, so a run
+    may be applied in consecutive chunks. Faults compose in list order.
+    Call ``apply`` with nondecreasing times within one run.
     """
 
     def __init__(self, faults, layout):
         self.faults = tuple(faults)
-        self.layout = layout
-        for f in self.faults:
-            if f.target not in layout.slices:
-                raise ValueError("fault targets unknown sensor %r" % f.target)
-            width = layout.slices[f.target].stop - layout.slices[f.target].start
-            if f.axis is not None and not 0 <= f.axis < width:
-                raise ValueError(
-                    "fault axis %d out of range for %s (width %d)" % (f.axis, f.target, width)
-                )
+        self._cols = []
+        for i, f in enumerate(self.faults):
+            sl = layout.slices.get(f.target)
+            if sl is None:
+                raise FieldError("faults[%d].target" % i, "unknown sensor %r" % (f.target,))
+            if f.axis is not None:
+                if not 0 <= f.axis < sl.stop - sl.start:
+                    raise FieldError("faults[%d].axis" % i, "out of range for %s (width %d)"
+                                     % (f.target, sl.stop - sl.start))
+                sl = slice(sl.start + f.axis, sl.start + f.axis + 1)
+            self._cols.append(sl)
         self._held = {}
 
-    def _rows(self, f):
-        sl = self.layout.slices[f.target]
-        if f.axis is None:
-            return sl
-        return slice(sl.start + f.axis, sl.start + f.axis + 1)
-
     def apply(self, y, t):
-        """Return the faulted copy of y at time t (y itself is untouched)."""
-        out = np.asarray(y, dtype=float).copy()
-        for idx, f in enumerate(self.faults):
-            rows = self._rows(f)
-            if not f.active(t):
-                if f.kind == "dropout" and f.hold:
-                    self._held[idx] = out[rows].copy()
-                continue
-            if f.kind in ("spike", "constant_bias"):
-                out[rows] = out[rows] + f.magnitude
+        """Faulted copy of y, one measurement (dim,) at a scalar time t or a
+        stack (n, dim) at times t (n,); y itself is untouched."""
+        out = np.array(y, dtype=float)
+        stack = out.reshape(-1, out.shape[-1])  # a view: writes land in out
+        t = np.asarray(t, dtype=float).reshape(-1)
+        for idx, (f, cols) in enumerate(zip(self.faults, self._cols)):
+            on = f.active(t)
+            if f.kind == "dropout" and f.hold:
+                # each active row repeats the last inactive row before it,
+                # or the one a previous call left behind
+                last = np.maximum.accumulate(np.where(on, -1, np.arange(t.size)))
+                fill = stack[last, cols]
+                fill[last < 0] = self._held.get(idx, 0.0)
+                if t.size and last[-1] >= 0:
+                    self._held[idx] = stack[last[-1], cols].copy()
+                stack[on, cols] = fill[on]
+            elif f.kind in ("spike", "constant_bias"):
+                stack[on, cols] += f.magnitude
             elif f.kind == "dropout":
-                if f.hold:
-                    held = self._held.get(idx)
-                    out[rows] = held if held is not None else 0.0
-                else:
-                    out[rows] = 0.0
+                stack[on, cols] = 0.0
             elif f.kind == "saturation":
-                out[rows] = np.clip(out[rows], -f.magnitude, f.magnitude)
+                stack[on, cols] = np.clip(stack[on, cols], -f.magnitude, f.magnitude)
         return out

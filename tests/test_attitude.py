@@ -137,6 +137,8 @@ def test_align_hemisphere_flips_only_when_needed():
     q = att.normalize([0.4, 0.3, -0.2, 0.6])
     npt.assert_array_equal(att.align_hemisphere(-q, q), q)
     npt.assert_array_equal(att.align_hemisphere(q, q), q)
+    stack = np.array([-q, q, q, -q])
+    npt.assert_array_equal(att.align_hemisphere(stack, np.tile(q, (4, 1))), np.tile(q, (4, 1)))
 
 
 def test_eci_to_rtn_frame_rows():

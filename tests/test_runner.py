@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from attbench import filters as flt
 from attbench import runner as rn
 from attbench.fdir import chi2_quantile
 from attbench.scenario import ScenarioError, load_bundled, with_overrides
@@ -236,3 +237,33 @@ def test_nan_measurement_is_detected_not_absorbed(monkeypatch, policy, kind):
         assert result.reports[100].isolated == {"star_tracker"}
     assert np.isfinite(result.estimates).all()
     assert np.isfinite(result.variances).all()
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf", "pf"])
+def test_nan_measurement_under_policy_none_is_not_applied(monkeypatch, kind):
+    """Policy none never detects, but the filters still leave a NaN row out
+    of the update: the run stays finite and the PF keeps its weights."""
+    sample = rn.sample_measurements
+
+    def with_nan(cfg, traj, layout):
+        clean, faulted = sample(cfg, traj, layout)
+        faulted[100, layout.slices["star_tracker"]] = np.nan
+        return clean, faulted
+
+    resets = []
+    step = flt.PfFilter.step
+
+    def counted(self, pset, y, t, decide=None):
+        out = step(self, pset, y, t, decide=decide)
+        resets.append(out[0].resets)
+        return out
+
+    monkeypatch.setattr(rn, "sample_measurements", with_nan)
+    monkeypatch.setattr(flt.PfFilter, "step", counted)
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=30.0)
+    result = rn.run_scenario(replace(cfg, policy="none"), mode="fdir", filter_kind=kind)
+    assert np.isnan(result.nis[100])
+    assert not any(rep.detected for rep in result.reports)
+    assert np.isfinite(result.estimates).all()
+    assert np.isfinite(result.variances).all()
+    assert not any(resets)

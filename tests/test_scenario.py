@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -107,6 +109,32 @@ def test_eccentricity_range_error_names_the_path(tmp_path):
     text = edited(MINIMAL, "e: 0.001", "e: 1.5")
     with pytest.raises(ScenarioError, match="elements.e"):
         load_text(tmp_path, text)
+
+
+# one file per model-owned range rule, keyed by the path its error must name
+RULE_BREAKS = {
+    "sensors.gyro.sigma": MINIMAL + "sensors: {gyro: {sigma: -0.1}}\n",
+    "sensors.magnetometer.variances":
+        MINIMAL + "sensors: {magnetometer: {variances: [0.01, -0.02, 0.05, 0.03]}}\n",
+    "elements.a_km": MINIMAL.replace("a_km: 7000.0", "a_km: -7000.0"),
+    "filter.ukf.alpha": MINIMAL + "filter: {ukf: {alpha: 1.5}}\n",
+    "filter.pf.ess_threshold": MINIMAL + "filter: {pf: {ess_threshold: 0.0}}\n",
+    "faults[0].kind": MINIMAL + "faults: [{kind: glitch, target: gyro, t_start: 1.0}]\n",
+    "faults[0].duration":
+        MINIMAL + "faults: [{kind: spike, target: gyro, t_start: 1.0, duration: -1.0}]\n",
+    "faults[0].axis":
+        MINIMAL + "faults: [{kind: spike, target: gyro, t_start: 1.0, axis: 3}]\n",
+    "detector.window": MINIMAL + "detector: {window: 0}\n",
+    "detector.policy": MINIMAL + "detector: {policy: voting}\n",
+}
+
+
+@pytest.mark.parametrize("key", list(RULE_BREAKS))
+def test_model_rule_errors_name_the_key(tmp_path, key):
+    """Each range rule lives in its model; the parser reports a rejected
+    field at its exact dotted key."""
+    with pytest.raises(ScenarioError, match=re.escape(": %s: " % key)):
+        load_text(tmp_path, RULE_BREAKS[key])
 
 
 def test_exactly_one_attitude_form(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attbench import sensors as sen
 
@@ -247,3 +248,62 @@ def test_injector_validation():
     with pytest.raises(ValueError):
         sen.FaultInjector(
             [sen.FaultSpec("spike", "gyro", t_start=0.0, axis=3)], layout)
+
+
+def step_loop_reference(faults, layout, ys, ts):
+    """The per-step fault injection the stacked ``apply`` must reproduce:
+    faults in list order, a hold-mode dropout repeating the last row seen
+    while it was inactive (zeros before any)."""
+    held = {}
+    out = np.array(ys, dtype=float)
+    for y, t in zip(out, ts):
+        for idx, f in enumerate(faults):
+            sl = layout.slices[f.target]
+            rows = sl if f.axis is None else slice(sl.start + f.axis, sl.start + f.axis + 1)
+            if f.kind == "constant_bias":
+                on = t >= f.t_start
+            else:
+                on = f.t_start <= t < f.t_start + f.duration
+            if not on:
+                if f.kind == "dropout" and f.hold:
+                    held[idx] = y[rows].copy()
+            elif f.kind in ("spike", "constant_bias"):
+                y[rows] = y[rows] + f.magnitude
+            elif f.kind == "dropout":
+                y[rows] = held.get(idx, 0.0) if f.hold else 0.0
+            else:
+                y[rows] = np.clip(y[rows], -f.magnitude, f.magnitude)
+    return out
+
+
+@st.composite
+def fault_specs(draw):
+    target = draw(st.sampled_from(["star_tracker", "magnetometer", "gyro"]))
+    width = 3 if target == "gyro" else 4
+    return sen.FaultSpec(
+        kind=draw(st.sampled_from(sen.FAULT_KINDS)),
+        target=target,
+        t_start=draw(st.sampled_from([0.0, 0.1, 0.55, 1.0, 1.7, 3.0])),
+        duration=draw(st.sampled_from([0.0, 0.1, 0.3, 0.85, 2.0])),
+        magnitude=draw(st.floats(0.1, 3.0)),
+        axis=draw(st.one_of(st.none(), st.integers(0, width - 1))),
+        hold=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(fault_specs(), max_size=5), st.integers(1, 40),
+       st.lists(st.integers(0, 40), max_size=4), st.integers(0, 2 ** 32 - 1))
+def test_stacked_apply_matches_the_step_loop(faults, n, cuts, seed):
+    """A whole-run ``apply``, and the same run cut into chunks, equal the
+    step loop bit for bit; the hold state carries across the cuts."""
+    layout = sen.make_layout()
+    ys = np.random.default_rng(seed).standard_normal((n, layout.dim))
+    ts = 0.1 * np.arange(1, n + 1)
+    expected = step_loop_reference(faults, layout, ys, ts)
+    whole = sen.FaultInjector(faults, layout).apply(ys, ts)
+    assert whole.tobytes() == expected.tobytes()
+    chunked = sen.FaultInjector(faults, layout)
+    bounds = [0] + sorted(min(c, n) for c in cuts) + [n]
+    parts = [chunked.apply(ys[a:b], ts[a:b]) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == expected.tobytes()
