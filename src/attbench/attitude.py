@@ -15,6 +15,7 @@ __all__ = [
     "dcm_to_quat",
     "euler313_to_dcm",
     "euler313_to_quat",
+    "euler313_sin_theta",
     "dcm_to_euler313",
     "quat_to_euler313",
     "rotation_angle_between",
@@ -220,18 +221,29 @@ def euler313_to_quat(e):
     return canonicalize(quat_multiply(quat_multiply(qz_psi, qx_theta), qz_phi))
 
 
-def dcm_to_euler313(R):
-    """Extract (phi, theta, psi) from a DCM, with theta in (0, pi).
+def euler313_sin_theta(theta):
+    """sin(theta) of a 3-1-3 middle angle theta (rad), checked regular.
 
     Raises:
         ValueError: within 1e-9 of the sequence singularity (sin(theta) = 0),
             where phi and psi are not separable.
     """
+    st = np.sin(theta)
+    if abs(st) < 1e-9:
+        raise ValueError("3-1-3 sequence is singular at sin(theta)=0 (theta=%r)" % float(theta))
+    return st
+
+
+def dcm_to_euler313(R):
+    """Extract (phi, theta, psi) from a DCM, with theta in (0, pi).
+
+    Raises:
+        ValueError: at the sequence singularity (``euler313_sin_theta``).
+    """
     R = np.asarray(R, dtype=float)
     c = min(1.0, max(-1.0, R[2, 2]))
     theta = np.arccos(c)
-    if abs(np.sin(theta)) < 1e-9:
-        raise ValueError("3-1-3 sequence is singular at sin(theta)=0")
+    euler313_sin_theta(theta)
     phi = np.arctan2(R[0, 2], R[1, 2])
     psi = np.arctan2(R[2, 0], -R[2, 1])
     return np.array([phi, theta, psi])

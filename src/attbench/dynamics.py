@@ -17,9 +17,12 @@ rows and serves both the truth (``integrate``) and the filters' process
 model. Every step runs the batched kernel in ``attbench.core``; a
 gravity-gradient step hands it the orbit frames (``gravity_gradient_frames``)
 at the step start, midpoint and end, and the kernel evaluates the torque at
-each stage. The quaternion is renormalized once per step, after the four
-stages are combined; the stages themselves are left untouched so the
-combination stays a consistent fourth-order scheme.
+each stage. Truth and filter each solve the orbit once per run, in one
+``kepler_state`` call: ``integrate`` on its time grid, the filters' process
+model on the start times its steps will ask for. The quaternion is
+renormalized once per step, after the four stages are combined; the stages
+themselves are left untouched so the combination stays a consistent
+fourth-order scheme.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .attitude import euler313_to_quat, quat_to_dcm
+from .attitude import euler313_sin_theta, euler313_to_quat, quat_to_dcm
 from .errors import FieldError, check_choice
 
 MU_EARTH = 398600.4418
@@ -227,13 +230,11 @@ def euler313_rates(e, omega):
         psi_dot   = (sin(phi) wx + cos(phi) wy)/sin(theta)
 
     Raises:
-        ValueError: within 1e-9 of the sin(theta) = 0 singularity.
+        ValueError: at the sin(theta) = 0 singularity (``euler313_sin_theta``).
     """
     phi, theta, _ = e
     wx, wy, wz = omega
-    st = np.sin(theta)
-    if abs(st) < 1e-9:
-        raise ValueError("3-1-3 rates are singular at sin(theta)=0 (theta=%r)" % (theta,))
+    st = euler313_sin_theta(theta)
     ct = np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     u = sp * wx + cp * wy

@@ -117,8 +117,11 @@ class RigidBodyProcessModel:
     State is [q, w] (dim 7) or [q, w, b] (dim 10) where the trailing gyro
     bias states are constant. The step is ``dynamics.rigid_body_step``, the
     one the truth integrates with; the gravity-gradient variant hands it the
-    orbit frames at the start, middle and end of the step, from one
-    ``kepler_state`` call.
+    orbit frames at the start, middle and end of the step. ``plan_orbit``
+    solves the orbit once for a whole run's step start times; a step that
+    starts at a time outside that plan solves its own three stage times.
+    Both go through ``_stage_frames``, so a planned step gets the bits of an
+    unplanned one.
     """
 
     def __init__(self, inertia, dt, bias_states=False, torque_model="none",
@@ -136,13 +139,36 @@ class RigidBodyProcessModel:
         self.dim = 10 if bias_states else 7
         self.bias_states = bias_states
         self._stage_offsets = np.array([0.0, 0.5 * self.dt, self.dt])
+        self._plan_rows = {}
+        self._plan_frames = None
+
+    def _stage_frames(self, start_times):
+        """Frames (..., 3, 4) at the start, midpoint and end of the steps
+        starting at ``start_times``, from one ``kepler_state`` call; every
+        time gets the arithmetic of a scalar call."""
+        stage_t = np.asarray(start_times, dtype=float)[..., None] + self._stage_offsets
+        return gravity_gradient_frames(kepler_state(self.elements, stage_t, self.mu)[0], self.mu)
+
+    def plan_orbit(self, start_times):
+        """Solve the orbit once for steps starting at ``start_times`` (s).
+
+        ``propagate(states, t)`` then looks its frames up by the exact value
+        of t; any other t still solves its own. The plan is one (n, 3, 4)
+        frame array and a map from each start time to its row. A torque-free
+        model keeps no plan. A new call replaces the previous plan.
+        """
+        if self.torque_model != "gravity_gradient":
+            return
+        start_times = np.asarray(start_times, dtype=float).ravel()
+        self._plan_frames = self._stage_frames(start_times)
+        self._plan_rows = {t: i for i, t in enumerate(start_times.tolist())}
 
     def propagate(self, states, t):
         x = np.atleast_2d(np.asarray(states, dtype=float))
         frames = None
         if self.torque_model == "gravity_gradient":
-            r = kepler_state(self.elements, t + self._stage_offsets, self.mu)[0]
-            frames = gravity_gradient_frames(r, self.mu)
+            row = self._plan_rows.get(float(t))
+            frames = self._stage_frames(t) if row is None else self._plan_frames[row]
         return rigid_body_step(x, self.dt, self.inertia, frames)
 
     def normalize_rows(self, states):

@@ -176,6 +176,8 @@ def run_scenario(cfg, mode="fdir", filter_kind=None):
         )
 
     fcfg = build_filter_config(cfg, layout)
+    # the start time of step k is the t_k - dt each filter's step computes
+    fcfg.process.plan_orbit(traj.t[1:] - fcfg.process.dt)
     rng = derive_stream(cfg.seed, "pf") if kind == "pf" else None
     filt = make_filter(kind, fcfg, rng=rng)
     policy = cfg.policy if mode == "fdir" else "none"

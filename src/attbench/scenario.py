@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .attitude import euler313_to_quat
+from .attitude import euler313_sin_theta, euler313_to_quat
 from .dynamics import KeplerianElements, principal_moments
 from .errors import FieldError
 from .fdir import DetectorConfig, FdirSupervisor
@@ -244,9 +244,10 @@ def _parse_attitude(mapping, path, mode):
         ang = np.radians(_num_list(mapping["attitude_euler_deg"], 3,
                                    path + ".attitude_euler_deg"))
         if mode == "euler":
-            if abs(math.sin(ang[1])) < 1e-9:
-                _fail(path + ".attitude_euler_deg",
-                      "second angle too close to the coordinate singularity")
+            try:
+                euler313_sin_theta(ang[1])
+            except ValueError as exc:
+                _fail(path + ".attitude_euler_deg", str(exc))
             return ang
         return euler313_to_quat(ang)
     q = _num_list(mapping["attitude_quat"], 4, path + ".attitude_quat")

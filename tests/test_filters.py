@@ -1,10 +1,12 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from attbench import dynamics as dyn, filters as flt
+from attbench.runner import run_scenario
+from attbench.scenario import load_bundled
 from attbench.sensors import make_layout
 
 from conftest import make_linear_problem
@@ -310,6 +312,60 @@ def test_gravity_gradient_propagation_is_the_truth_step(rows):
         out = proc.propagate(states[:, :proc.dim], 0.0)
         assert np.array_equal(out[:, :7], truth)
         assert np.array_equal(out[:, 7:], states[:, 7:proc.dim])
+
+
+def counted_kepler_state(monkeypatch):
+    """Route the filters' ``kepler_state`` through a counter; returns the
+    list of the time shapes it was called with."""
+    calls = []
+    solve = flt.kepler_state
+
+    def counting(elements, t, *args, **kwargs):
+        calls.append(np.shape(t))
+        return solve(elements, t, *args, **kwargs)
+
+    monkeypatch.setattr(flt, "kepler_state", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", flt.FILTER_KINDS)
+def test_a_run_solves_the_filter_orbit_once(kind, monkeypatch):
+    """The filter-side gravity-gradient model solves its orbit in one call
+    per run, for the start, midpoint and end of every step."""
+    calls = counted_kepler_state(monkeypatch)
+    cfg = replace(load_bundled("gravity_gradient_mismatch"),
+                  filter_gravity_gradient=True, t_end=2.0)
+    result = run_scenario(cfg, filter_kind=kind)
+    assert calls == [(cfg.n_steps, 3)]
+    assert np.isfinite(result.estimates).all()
+
+
+def test_planned_orbit_frames_are_the_per_step_solve(monkeypatch):
+    """A model with a planned orbit propagates bit for bit like one without,
+    at every planned start time and at an off-grid time, which still
+    solves its own orbit."""
+    elements = dyn.KeplerianElements.from_degrees(6900.0, 0.01, 51.6, 30.0, 40.0, 10.0)
+    inertia, dt = (2.0, 3.0, 4.0), 0.1
+    starts = dt * np.arange(1, 301) - dt  # the runner's t_k - dt
+    rng = np.random.default_rng(7)
+    states = rng.standard_normal((15, 10))
+    states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
+    states[:, 4:7] *= 0.1
+    solo, planned = (flt.RigidBodyProcessModel(inertia, dt, bias_states=True,
+                                               torque_model="gravity_gradient",
+                                               elements=elements) for _ in range(2))
+    calls = counted_kepler_state(monkeypatch)
+    planned.plan_orbit(starts)
+    for t in starts:
+        assert np.array_equal(planned.propagate(states, t), solo.propagate(states, t))
+    assert len(calls) == 1 + len(starts)  # the plan, then solo's per-step solves
+    off_grid = 0.5 * (starts[10] + starts[11])
+    assert np.array_equal(planned.propagate(states, off_grid), solo.propagate(states, off_grid))
+    assert len(calls) == 3 + len(starts)
+    free = flt.RigidBodyProcessModel(inertia, dt)
+    free.plan_orbit(starts)
+    free.propagate(states[:, :7], starts[0])
+    assert len(calls) == 3 + len(starts)  # a torque-free model never solves
 
 
 def test_rigid_body_normalize_rows_unit_quaternions():

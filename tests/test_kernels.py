@@ -5,11 +5,13 @@ import subprocess
 import sys
 import sysconfig
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attbench import core, dynamics as dyn
 from attbench.attitude import normalize
@@ -133,6 +135,52 @@ def test_python_kernel_row_loop_matches_column_path_bitwise():
                                                     frames)
                           for i in range(len(states))])
         assert np.array_equal(whole, rows)
+
+
+# g = 3 mu / R^3 from a 6500 km to a geostationary orbit radius, s^-2
+PHYSICAL_G = (3.0 * 398600.4418e9 / 42164.0e3 ** 3, 3.0 * 398600.4418e9 / 6500.0e3 ** 3)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Finite random arguments of ``rk4_step_batch``: row counts on both
+    sides of ROW_LOOP_MAX, 0-3 extra columns, frames None or unit radial
+    vectors with a physical g."""
+    rows = draw(st.integers(1, 3 * kernels_py.ROW_LOOP_MAX))
+    cols = 7 + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    states = rng.standard_normal((rows, cols))
+    states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
+    states[:, 4:7] *= draw(st.floats(1e-3, 1.0))
+    frames = None
+    if draw(st.booleans()):
+        u = rng.standard_normal((3, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        frames = np.column_stack([u, rng.uniform(*PHYSICAL_G, size=3)])
+    dt = draw(st.floats(1e-3, 1.0))
+    inertia = [draw(st.floats(0.1, 1e5)) for _ in range(3)]
+    torque = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    return states, dt, inertia, torque, frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def check_backend_parity(args):
+    states, dt, inertia, torque, frames = args
+    active = core.rk4_step_batch(states, dt, *inertia, *torque, frames)
+    fallback = kernels_py.rk4_step_batch(states, dt, *inertia, *torque, frames)
+    assert np.array_equal(active, fallback)
+    assert np.array_equal(active[:, 7:], states[:, 7:])
+
+
+def test_kernel_backends_agree_bitwise_on_random_inputs():
+    """Property: the active backend and the numpy fallback give the same
+    bits on random finite inputs. Without the compiled backend both sides
+    are the fallback, which the warning states."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: backend parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    check_backend_parity()
 
 
 @pytest.mark.parametrize("step", [core.rk4_step_batch, kernels_py.rk4_step_batch],

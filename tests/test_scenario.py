@@ -151,6 +151,17 @@ def test_attitude_quat_rejected_in_euler_mode(tmp_path):
         load_text(tmp_path, text)
 
 
+@pytest.mark.parametrize("theta", ["0.0", "180.0"])
+def test_euler_mode_rejects_the_singular_attitude(tmp_path, theta):
+    text = edited(MINIMAL, "name: round_trip", "name: round_trip\nparameterization: euler")
+    text = edited(text, "attitude_quat: [1.0, 0.0, 0.0, 0.0]",
+                  "attitude_euler_deg: [10.0, %s, 20.0]" % theta)
+    with pytest.raises(ScenarioError, match=re.escape("initial.attitude_euler_deg: ")):
+        load_text(tmp_path, text)
+    cfg = load_text(tmp_path, edited(text, "[10.0, %s, 20.0]" % theta, "[10.0, 30.0, 20.0]"))
+    assert cfg.parameterization == "euler"
+
+
 def test_attitude_quat_must_be_normalized(tmp_path):
     text = edited(MINIMAL, "[1.0, 0.0, 0.0, 0.0]", "[0.9, 0.0, 0.0, 0.0]")
     with pytest.raises(ScenarioError):
