@@ -18,7 +18,7 @@ import os
 import sys
 
 from .errors import FieldError
-from .filters import check_filter_kind
+from .filters import FILTER_KINDS, check_filter_kind
 from .scenario import ScenarioError, bundled_scenarios, resolve_scenario, with_overrides
 from .runner import compare_run, compute_metrics, run_scenario, write_csv
 
@@ -56,8 +56,8 @@ def build_parser():
     comp = sub.add_parser("compare", help="run several filters on one scenario")
     comp.add_argument("scenario", help="scenario file path or bundled name")
     comp.add_argument("-o", "--output", required=True, help="directory for per-filter CSVs")
-    comp.add_argument("--filters", default="ekf,ukf,pf",
-                      help="comma-separated subset of ekf,ukf,pf")
+    kinds = ",".join(FILTER_KINDS)
+    comp.add_argument("--filters", default=kinds, help="comma-separated subset of " + kinds)
     comp.add_argument("--jobs", type=int, default=1, help="parallel filter runs")
     comp.add_argument("--seed", type=int, default=None)
     comp.add_argument("--dt", type=float, default=None)

@@ -14,6 +14,11 @@ the sigma-point cloud, and the particle population all cheap: each is a
 single kernel call per step. A filter object is a stateless stepper (the
 particle filter owns its RNG); beliefs are passed in and returned.
 
+The EKF and UKF are one Gaussian filter: they share ``step`` and its one
+Kalman update, K = C S^-1, and differ only in how they propagate the belief
+and form the measurement moments (predicted reading, S and the state/reading
+cross-covariance C). The particle filter reweights particles instead.
+
 The ``decide`` hook on each ``step`` lets a detector inspect the innovation
 record before the measurement update and either skip the update or restrict
 it to a subset of healthy sensors. The record always reflects the full
@@ -28,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .dynamics import (MU_EARTH, check_torque_model, gravity_gradient_frames, kepler_state,
+from .dynamics import (check_torque_model, gravity_gradient_frames, kepler_state,
                        renormalize_quaternions, rigid_body_step)
 from .errors import FieldError, check_choice
 from .fdir import compute_nis, healthy_rows
@@ -124,8 +129,7 @@ class RigidBodyProcessModel:
     unplanned one.
     """
 
-    def __init__(self, inertia, dt, bias_states=False, torque_model="none",
-                 elements=None, mu=MU_EARTH):
+    def __init__(self, inertia, dt, bias_states=False, torque_model="none", elements=None):
         self.inertia = tuple(float(v) for v in inertia)
         if any(v <= 0.0 for v in self.inertia):
             raise ValueError("principal moments must be positive")
@@ -135,7 +139,6 @@ class RigidBodyProcessModel:
         check_torque_model(torque_model, elements)
         self.torque_model = torque_model
         self.elements = elements
-        self.mu = mu
         self.dim = 10 if bias_states else 7
         self.bias_states = bias_states
         self._stage_offsets = np.array([0.0, 0.5 * self.dt, self.dt])
@@ -147,7 +150,7 @@ class RigidBodyProcessModel:
         starting at ``start_times``, from one ``kepler_state`` call; every
         time gets the arithmetic of a scalar call."""
         stage_t = np.asarray(start_times, dtype=float)[..., None] + self._stage_offsets
-        return gravity_gradient_frames(kepler_state(self.elements, stage_t, self.mu)[0], self.mu)
+        return gravity_gradient_frames(kepler_state(self.elements, stage_t)[0])
 
     def plan_orbit(self, start_times):
         """Solve the orbit once for steps starting at ``start_times`` (s).
@@ -249,7 +252,7 @@ def attitude_measurement(layout, r_blocks, state_dim):
     hemis = []
     for name in layout.sensors:
         sl = layout.slices[name]
-        width = sl.stop - sl.start
+        width = layout.width(name)
         if name == "gyro":
             h[sl, 4:7] = np.eye(3)
             if state_dim == 10:
@@ -287,7 +290,6 @@ class FilterConfig:
     ukf_detector_r: float = 1.0
     pf_particles: int = 1000
     pf_ess_threshold: float = 0.5
-    pf_jitter: np.ndarray = None
 
     def __post_init__(self):
         n = self.process.dim
@@ -302,8 +304,6 @@ class FilterConfig:
                 % (self.measurement.state_dim, n)
             )
         check_tunables(self)
-        if self.pf_jitter is not None:
-            self.pf_jitter = _check_psd("pf_jitter", self.pf_jitter, n)
 
 
 def check_tunables(cfg):
@@ -348,7 +348,7 @@ def augment_gyro_bias(cfg, q_bias=1e-12, p0_bias=1e-2, b0=None):
         raise ValueError("augmentation applies to a 7-state rigid-body config")
     new_proc = RigidBodyProcessModel(
         proc.inertia, proc.dt, bias_states=True,
-        torque_model=proc.torque_model, elements=proc.elements, mu=proc.mu,
+        torque_model=proc.torque_model, elements=proc.elements,
     )
     meas = cfg.measurement
     h = np.zeros((meas.dim, 10))
@@ -379,10 +379,12 @@ def jacobian(f, x, eps=1e-6):
     return out
 
 
-class EkfFilter:
-    """Extended Kalman filter with a finite-difference state Jacobian."""
+class _GaussianFilter:
+    """Predict, assess and update: the Kalman cycle of the EKF and UKF.
 
-    source = "ekf"
+    A subclass supplies ``predict(belief, t)`` and ``_moments(pred)``; the
+    innovation record, the ``decide`` hook and the update live here once.
+    """
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -391,6 +393,37 @@ class EkfFilter:
 
     def initial_belief(self):
         return GaussianBelief(self.cfg.x0.copy(), self.cfg.P0.copy())
+
+    def step(self, belief, y, t, decide=None):
+        """One predict/assess/update cycle.
+
+        ``t`` is the measurement time; the prediction covers [t - dt, t].
+
+        Returns:
+            (belief', record): the record always covers the full row set;
+            the update may be skipped or row-restricted by ``decide``.
+        """
+        pred = self.predict(belief, t - self.model.dt)
+        y_hat, s, cross, s_record = self._moments(pred)
+        nu = self.meas.align(y, pred.mu) - y_hat
+        record = InnovationRecord(t=t, nu=nu, S=s_record, nis=compute_nis(nu, s_record),
+                                  source=self.source)
+
+        rows = _update_rows(self.meas, record, decide)
+        if rows is not None:
+            if not rows.size:
+                return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
+            s, cross, nu = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
+        gain = np.linalg.solve(s, cross.T).T
+        mu_new = pred.mu + gain @ nu
+        sigma_new = _symmetrize(pred.sigma - gain @ s @ gain.T)
+        return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
+
+
+class EkfFilter(_GaussianFilter):
+    """Extended Kalman filter with a finite-difference state Jacobian."""
+
+    source = "ekf"
 
     def predict(self, belief, t):
         """Propagate mean and covariance across [t, t + dt]. The Jacobian
@@ -407,34 +440,12 @@ class EkfFilter:
         sigma_pred = _symmetrize(a @ belief.sigma @ a.T + self.cfg.Q)
         return GaussianBelief(mu_pred, sigma_pred)
 
-    def step(self, belief, y, t, decide=None):
-        """One predict/assess/update cycle.
-
-        ``t`` is the measurement time; the prediction covers [t - dt, t].
-
-        Returns:
-            (belief', record): the record always covers the full row set;
-            the update may be skipped or row-restricted by ``decide``.
-        """
-        pred = self.predict(belief, t - self.model.dt)
-        h, r = self.meas.H, self.meas.R
-        y_al = self.meas.align(y, pred.mu)
-        nu = y_al - h @ pred.mu
-        s = _symmetrize(h @ pred.sigma @ h.T + r)
-        record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
-
-        rows = _update_rows(self.meas, record, decide)
-        if rows is not None and not rows.size:
-            return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-        y_u, h_u, r_u = y_al, h, r
-        if rows is not None:
-            y_u, h_u, r_u = y_al[rows], h[rows], r[np.ix_(rows, rows)]
-
-        s_u = h_u @ pred.sigma @ h_u.T + r_u
-        gain = np.linalg.solve(s_u, h_u @ pred.sigma).T
-        mu_new = pred.mu + gain @ (y_u - h_u @ pred.mu)
-        sigma_new = _symmetrize((np.eye(self.model.dim) - gain @ h_u) @ pred.sigma)
-        return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
+    def _moments(self, pred):
+        """Linear moments: y_hat = H mu, S = H Sigma H' + R, C = Sigma H'."""
+        h = self.meas.H
+        cross = pred.sigma @ h.T
+        s = _symmetrize(h @ cross + self.meas.R)
+        return h @ pred.mu, s, cross, s
 
 
 def ukf_sigma_points(mu, sigma, alpha, beta, kappa):
@@ -463,10 +474,11 @@ def ukf_sigma_points(mu, sigma, alpha, beta, kappa):
     return points, wm, wc
 
 
-class UkfFilter:
+class UkfFilter(_GaussianFilter):
     """Unscented Kalman filter, sigma points regenerated after prediction.
 
-    The state update is the standard unscented update and matches the
+    Only the moments are unscented: the update is the one ``step`` the
+    extended filter runs too, fed the sigma-point S and C, so it matches the
     extended filter exactly on linear systems. The consistency statistic
     reported for fault monitoring is built the way the measurement-space
     cloud is usually assembled in practice, with each point carrying the
@@ -484,14 +496,6 @@ class UkfFilter:
 
     source = "ukf"
 
-    def __init__(self, cfg):
-        self.cfg = cfg
-        self.model = cfg.process
-        self.meas = cfg.measurement
-
-    def initial_belief(self):
-        return GaussianBelief(self.cfg.x0.copy(), self.cfg.P0.copy())
-
     def _sigma(self, mu, sigma):
         return ukf_sigma_points(mu, sigma, self.cfg.ukf_alpha, self.cfg.ukf_beta,
                                 self.cfg.ukf_kappa)
@@ -504,8 +508,8 @@ class UkfFilter:
         sigma_pred = _symmetrize((wc[:, None] * d).T @ d + self.cfg.Q)
         return GaussianBelief(mu_pred, sigma_pred)
 
-    def step(self, belief, y, t, decide=None):
-        pred = self.predict(belief, t - self.model.dt)
+    def _moments(self, pred):
+        """Sigma-point moments; the record's S carries R once more (S_det)."""
         pts, wm, wc = self._sigma(pred.mu, pred.sigma)
         z = self.meas.predict(pts)
         y_hat = wm @ z
@@ -513,23 +517,8 @@ class UkfFilter:
         dx = pts - pred.mu
         s = _symmetrize((wc[:, None] * dz).T @ dz + self.meas.R)
         cross = (wc[:, None] * dx).T @ dz
-        y_al = self.meas.align(y, pred.mu)
-        nu = y_al - y_hat
         s_det = _symmetrize(s + self.cfg.ukf_detector_r * self.meas.R)
-        record = InnovationRecord(t=t, nu=nu, S=s_det, nis=compute_nis(nu, s_det),
-                                  source=self.source)
-
-        rows = _update_rows(self.meas, record, decide)
-        if rows is not None and not rows.size:
-            return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-        s_u, cross_u, nu_u = s, cross, nu
-        if rows is not None:
-            s_u, cross_u, nu_u = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
-
-        gain = np.linalg.solve(s_u, cross_u.T).T
-        mu_new = pred.mu + gain @ nu_u
-        sigma_new = _symmetrize(pred.sigma - gain @ s_u @ gain.T)
-        return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
+        return y_hat, s, cross, s_det
 
 
 def systematic_resample(weights, u):
@@ -569,8 +558,7 @@ class PfFilter:
         self.meas = cfg.measurement
         self.rng = rng
         self.n = cfg.pf_particles
-        jitter = cfg.pf_jitter if cfg.pf_jitter is not None else cfg.Q
-        self._jitter_root = _psd_sqrt(jitter)
+        self._jitter_root = _psd_sqrt(cfg.Q)
         try:
             self._r_chol = np.linalg.cholesky(self.meas.R)
         except np.linalg.LinAlgError:

@@ -309,9 +309,8 @@ _DEFAULT_SENSORS = {
 }
 
 
-def _parse_sensors(mapping, path, mode):
-    att_len = 4 if mode == "quaternion" else 3
-    merged = {k: dict(v) for k, v in _DEFAULT_SENSORS[mode].items()}
+def _parse_sensors(mapping, path, layout):
+    merged = {k: dict(v) for k, v in _DEFAULT_SENSORS[layout.mode].items()}
     if mapping is not None:
         mapping = _require_mapping(mapping, path)
         _check_keys(mapping, ("gyro", "star_tracker", "magnetometer"), path)
@@ -328,7 +327,7 @@ def _parse_sensors(mapping, path, mode):
         p = "%s.%s" % (path, name)
         body = merged[name]
         _check_keys(body, ("variances",), p)
-        var = _num_list(_required(body, "variances", p), att_len, p + ".variances")
+        var = _num_list(_required(body, "variances", p), layout.width(name), p + ".variances")
         out[name] = _model(p, AttitudeSensorModel, name, var)
     return out
 
@@ -358,7 +357,7 @@ def _parse_faults(value, path):
     return tuple(out)
 
 
-def _parse_filter(mapping, path, mode, sensors, bias_default):
+def _parse_filter(mapping, path, layout, sensors, bias_default):
     mapping = _section(mapping, ("kind", "gravity_gradient", "bias_states", "q", "p0",
                                  "r", "x0", "fd_eps", "ukf", "pf"), path)
     q = _section(mapping.get("q"), ("attitude", "rates", "bias"), path + ".q")
@@ -372,8 +371,6 @@ def _parse_filter(mapping, path, mode, sensors, bias_default):
     if p0 <= 0.0:
         _fail(path + ".p0", "must be positive")
 
-    att_len = 4 if mode == "quaternion" else 3
-    widths = {"gyro": 3, "star_tracker": att_len, "magnetometer": att_len}
     r_blocks = {
         "gyro": np.full(3, sensors["gyro"].sigma ** 2),
         "star_tracker": sensors["star_tracker"].variances.copy(),
@@ -382,9 +379,9 @@ def _parse_filter(mapping, path, mode, sensors, bias_default):
     r = mapping.get("r")
     if r is not None:
         r = _require_mapping(r, path + ".r")
-        _check_keys(r, tuple(widths), path + ".r")
+        _check_keys(r, layout.sensors, path + ".r")
         for name, vec in r.items():
-            r_blocks[name] = _num_list(vec, widths[name], "%s.r.%s" % (path, name))
+            r_blocks[name] = _num_list(vec, layout.width(name), "%s.r.%s" % (path, name))
     for name, vec in r_blocks.items():
         if np.any(vec <= 0.0):
             _fail("%s.r.%s" % (path, name),
@@ -395,7 +392,7 @@ def _parse_filter(mapping, path, mode, sensors, bias_default):
     if "x0" in mapping:
         body = _section(mapping["x0"], ("attitude_euler_deg", "attitude_quat",
                                         "rates_deg_s", "rates_rad_s", "bias"), path + ".x0")
-        att = _parse_attitude(body, path + ".x0", mode)
+        att = _parse_attitude(body, path + ".x0", layout.mode)
         rates = _parse_rates(body, path + ".x0")
         parts = [att, rates]
         if bias_states:
@@ -470,10 +467,10 @@ def _from_mapping(doc):
 
     inertia, principal = _parse_inertia(_required(doc, "inertia"), "inertia")
     elements = _parse_elements(_required(doc, "elements"), "elements")
-    sensors = _parse_sensors(doc.get("sensors"), "sensors", mode)
+    sensors = _parse_sensors(doc.get("sensors"), "sensors", layout)
     faults = _parse_faults(doc.get("faults"), "faults")
     _model("", FaultInjector, faults, layout)  # fields "faults[i].target", "faults[i].axis"
-    fconf = _parse_filter(doc.get("filter"), "filter", mode, sensors, False)
+    fconf = _parse_filter(doc.get("filter"), "filter", layout, sensors, False)
     policy, detector = _parse_detector(doc.get("detector"), "detector")
 
     x0 = fconf.pop("x0")

@@ -39,6 +39,8 @@ ROLE_KEYS = {
 FAULT_KINDS = ("spike", "dropout", "constant_bias", "saturation")
 
 ATTITUDE_SENSORS = ("star_tracker", "magnetometer")
+# rows of an attitude reading, per parameterization
+ATTITUDE_WIDTH = {"quaternion": 4, "euler": 3}
 
 
 def derive_stream(master_seed, role):
@@ -112,20 +114,24 @@ class MeasurementLayout:
     dim: int
 
     def attitude_len(self):
-        return 4 if self.mode == "quaternion" else 3
+        return ATTITUDE_WIDTH[self.mode]
+
+    def width(self, name):
+        """Rows of sensor ``name``'s block."""
+        sl = self.slices[name]
+        return sl.stop - sl.start
 
 
 def make_layout(mode="quaternion", sensors=("star_tracker", "magnetometer", "gyro")):
     """Build the stacked layout for the given sensor set, in the given order."""
-    check_choice("mode", mode, ("quaternion", "euler"))
-    att_len = 4 if mode == "quaternion" else 3
+    check_choice("mode", mode, tuple(ATTITUDE_WIDTH))
     slices = {}
     start = 0
     for name in sensors:
         if name == "gyro":
             k = 3
         elif name in ATTITUDE_SENSORS:
-            k = att_len
+            k = ATTITUDE_WIDTH[mode]
         else:
             raise ValueError("unknown sensor %r" % (name,))
         slices[name] = slice(start, start + k)

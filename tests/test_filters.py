@@ -1,8 +1,10 @@
 from dataclasses import astuple, replace
+from itertools import combinations
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attbench import dynamics as dyn, filters as flt
 from attbench.runner import run_scenario
@@ -183,6 +185,33 @@ def test_healthy_names_take_one_path_in_every_filter(kind):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     updated = step(None)
     assert not all(np.array_equal(a, b) for a, b in zip(astuple(updated), astuple(skipped)))
+
+
+INVARIANT_STEPS = 60
+# every answer a decide hook can give: all rows, skip, or a healthy subset
+DECISIONS = [(False, None), (True, None)] + [
+    (False, frozenset(names)) for k in range(len(R_BLOCKS) + 1)
+    for names in combinations(R_BLOCKS, k)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("ekf", "ukf")), st.booleans(), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(DECISIONS), min_size=INVARIANT_STEPS, max_size=INVARIANT_STEPS))
+def test_gaussian_step_keeps_a_unit_quaternion_and_a_psd_covariance(kind, bias, seed, plan):
+    """On finite readings, under any decision, every step of the shared
+    Kalman update keeps q unit, Sigma exactly symmetric and PSD, and the
+    record's NIS finite and nonnegative."""
+    cfg = rigid_config(bias)
+    filt = flt.make_filter(kind, cfg)
+    readings = np.random.default_rng(seed).uniform(-1.0, 1.0, (INVARIANT_STEPS, cfg.measurement.dim))
+    belief = filt.initial_belief()
+    for k, (y, decision) in enumerate(zip(readings, plan)):
+        belief, rec = filt.step(belief, y, 0.1 * (k + 1), decide=lambda record: decision)
+        sigma = belief.sigma
+        assert abs(np.linalg.norm(belief.mu[:4]) - 1.0) <= 1e-12
+        assert np.array_equal(sigma, sigma.T)
+        assert np.linalg.eigvalsh(sigma).min() >= -1e-12 * np.abs(sigma).max()
+        assert np.isfinite(rec.nis) and rec.nis >= 0.0
 
 
 def test_systematic_resample_hand_positions():
