@@ -4,7 +4,7 @@ Drives the checkout's own benchmark, ``perfbench/run.py``, as a
 subprocess: every workload of BENCHMARK.json with each of ``--seeds``
 benchmark seeds, counting up from FIRST_SEED, under ``--trace 0``
 (BENCHMARK.json's ``run_seconds`` each), then one ``--trace 1`` run per
-workload on seed 1. It reads the
+workload on each of TRACE_SEEDS. It reads the
 result files perfbench leaves in ``.perfbench/results/`` and appends one
 entry, keyed by the checkout's git SHA, to ``BENCH_e2e.json`` at this
 repository's root. An entry holds:
@@ -14,7 +14,9 @@ repository's root. An entry holds:
   versions, and the CPU model;
 - per workload, each end-to-end metric's median, quartiles and n over the
   seeds, with the correctness counts;
-- per workload, the per-layer self times and counts of the traced run.
+- per workload, the per-layer self times and counts: each figure is the
+  median over the traced runs, since one traced run drifts with the machine
+  more than a small change moves it.
 
 Run it from any directory; ``--checkout`` picks the tree to measure, so a
 clone of another commit can be measured into this repository's file:
@@ -42,7 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = ROOT / "BENCH_e2e.json"
 FIRST_SEED = 201  # every entry uses seeds FIRST_SEED, FIRST_SEED + 1, ...
-TRACE_SEED = 1
+TRACE_SEEDS = (1, 2, 3)  # per-layer figures are medians over these traced runs
 RUN_TIMEOUT = 900
 
 
@@ -105,15 +107,16 @@ def measure(checkout, workloads, seeds, seconds):
     out, prov = {}, None
     for workload in workloads:
         timed = [run_perfbench(checkout, workload, s, seconds, 0) for s in seeds]
-        trace = run_perfbench(checkout, workload, TRACE_SEED, seconds, 1)
+        traces = [run_perfbench(checkout, workload, s, seconds, 1) for s in TRACE_SEEDS]
         prov = prov or timed[0]["provenance"]
         units = {k: m["unit"] for k, m in timed[0]["metrics"].items()}
         out[workload] = {
             "end_to_end": {k: dict(spread([r["metrics"][k]["value"] for r in timed]), unit=u)
                            for k, u in units.items()},
             "timed": correctness(timed),
-            "per_layer": {k: m["value"] for k, m in trace["metrics"].items()},
-            "traced": correctness([trace]),
+            "per_layer": {k: statistics.median(t["metrics"][k]["value"] for t in traces)
+                          for k in traces[0]["metrics"]},
+            "traced": correctness(traces),
         }
     return out, prov
 
@@ -155,7 +158,7 @@ def main(argv):
             "nproc": prov["nproc"],
             "machine": prov["machine"],
         },
-        "settings": {"seconds": seconds, "seeds": seeds, "trace_seed": TRACE_SEED},
+        "settings": {"seconds": seconds, "seeds": seeds, "trace_seeds": list(TRACE_SEEDS)},
         "workloads": results,
     }
     doc = {"entries": []}

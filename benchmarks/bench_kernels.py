@@ -1,10 +1,13 @@
-"""Compare the compiled rigid-body kernel against the pure-Python fallback.
+"""Compare the compiled kernels against the pure-Python fallback.
 
-The two backends must produce bit-identical trajectories; this script
-checks that first, torque-free and with the gravity-gradient frames, then
-times both on the batch shapes the filters actually use (EKF
+The two backends must produce bit-identical results; this script checks
+that first for the rigid-body RK4 step, torque-free and with the
+gravity-gradient frames, and for the particle filter's two cloud passes,
+then times both on the batch shapes the filters actually use (EKF
 finite-difference stencils, UKF sigma sets, PF clouds), on a long
-single-trajectory propagation and on gravity-gradient truth steps.
+single-trajectory propagation, on gravity-gradient truth steps and on the
+cloud passes of a 1000-particle, 10-state filter with the attitude suite's
+11 measurement rows.
 
 Run from the repository root, after building the extension in place:
 
@@ -16,8 +19,10 @@ import time
 
 import numpy as np
 
-from attbench import dynamics
+from attbench import core, dynamics
 from attbench.core import BACKEND, kernels_py, rk4_step_batch
+from attbench.filters import attitude_measurement
+from attbench.sensors import make_layout
 
 if BACKEND != "compiled":
     raise SystemExit(
@@ -60,6 +65,40 @@ def bench(step, states, n_steps, frames=None, repeats=5):
     return best
 
 
+def cloud_case(rows=1000, seed=0):
+    """A PF step's arguments of both cloud passes: jittered, renormalized
+    10-state particles and the attitude suite's H, R and L = chol(R)."""
+    rng = np.random.default_rng(seed)
+    meas = attitude_measurement(make_layout(), {"star_tracker": (1e-3,) * 4,
+                                                "magnetometer": (1e-2,) * 4,
+                                                "gyro": (2.5e-5,) * 3}, 10)
+    states = np.hstack([make_states(rows, seed), np.zeros((rows, 3))])
+    normals = rng.standard_normal((rows, 10))
+    weights = np.full(rows, 1.0 / rows)
+    reading = meas.H @ states[0]
+    return (states, weights, normals, 1e-4 * np.eye(10), meas.H, meas.R,
+            np.linalg.cholesky(meas.R), reading)
+
+
+def cloud_passes(kernels, states, weights, normals, root, h, r, l, reading):
+    """One PF step's cloud passes plus the estimate's moments."""
+    x = states.copy()
+    moments = kernels.cloud_moments(x, weights, normals, root, h, r, True)
+    loglik = kernels.cloud_loglik(x, h, l, reading)
+    stats = kernels.cloud_moments(x, weights, diagonal=True)
+    return (x, *moments, loglik, *stats)
+
+
+def bench_cloud(kernels, case, n_steps, repeats=5):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(n_steps):
+            cloud_passes(kernels, *case)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
 def main():
     print("backend check: BACKEND=%s" % BACKEND)
     for m in (1, 15, 21, 1000):
@@ -71,6 +110,12 @@ def main():
                   % (m, "torque-free" if frames is None else "gravity gradient", same))
             if not same:
                 raise SystemExit("backend mismatch; parity is a hard requirement")
+    for m in (1, 21, 1000):
+        same = all(np.array_equal(a, b) for a, b in zip(cloud_passes(core, *cloud_case(m)),
+                                                         cloud_passes(kernels_py, *cloud_case(m))))
+        print("  cloud %5d rows, both passes      : bit-identical=%s" % (m, same))
+        if not same:
+            raise SystemExit("backend mismatch; parity is a hard requirement")
 
     print()
     print("%-38s %12s %12s %8s" % ("case", "compiled", "python", "speedup"))
@@ -87,6 +132,10 @@ def main():
         tc = bench(rk4_step_batch, states, n, frames)
         tp = bench(kernels_py.rk4_step_batch, states, n, frames, repeats=3)
         print("%-38s %10.4f s %10.4f s %7.1fx" % (label, tc, tp, tp / tc))
+    case = cloud_case()
+    tc = bench_cloud(core, case, 300)
+    tp = bench_cloud(kernels_py, case, 300, repeats=3)
+    print("%-38s %10.4f s %10.4f s %7.1fx" % ("PF cloud passes   (1000 x  300)", tc, tp, tp / tc))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,9 @@ The compiled extension ``_kernels_c`` is built from the hand-written C
 source next to this file. It is optional: if the build was skipped or the
 import fails, the numpy implementation takes over with identical numerics.
 Set ``ATTBENCH_PURE_PYTHON=1`` to force the fallback regardless.
+
+Three kernels live here: the batched rigid-body RK4 step, and the particle
+filter's two cloud passes (jitter plus moments, and the log-likelihood).
 """
 
 import os
@@ -11,15 +14,15 @@ import os
 from . import kernels_py
 
 if os.environ.get("ATTBENCH_PURE_PYTHON", "") not in ("", "0"):
-    _step_rows = kernels_py.step_rows
+    _kernels = kernels_py
     BACKEND = "python"
 else:
     try:
-        from ._kernels_c import step_rows as _step_rows
+        from . import _kernels_c as _kernels
 
         BACKEND = "compiled"
     except ImportError:
-        _step_rows = kernels_py.step_rows
+        _kernels = kernels_py
         BACKEND = "python"
 
 
@@ -28,8 +31,30 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
     backend; the contract is ``kernels_py.rk4_step_batch``'s. Both backends
     get their arrays validated and copied here, before any reaches C."""
     out, frames = kernels_py.checked_batch(states, frames)
-    _step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)
+    _kernels.step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)
     return out
 
 
-__all__ = ["rk4_step_batch", "BACKEND"]
+def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
+                  quaternion=False, diagonal=False):
+    """Jitter a particle cloud in place and return (mean, y_hat, S) on the
+    active backend; the contract is ``kernels_py.cloud_moments``'s."""
+    args = kernels_py.checked_moments(cloud, weights, normals, root, h, r, quaternion,
+                                      diagonal)
+    _kernels.moments_rows(*args)
+    mean, y_hat, s = args[-3:]
+    # an array lent to C through the buffer protocol keeps numpy's ~90 B of
+    # buffer info until it is freed; S lives on in the innovation record of
+    # every step, so the caller gets a copy that was never lent
+    return mean, y_hat, s.copy()
+
+
+def cloud_loglik(cloud, h, l, y):
+    """Per-particle log-likelihood of y on the active backend; the contract
+    is ``kernels_py.cloud_loglik``'s."""
+    args = kernels_py.checked_loglik(cloud, h, l, y)
+    _kernels.loglik_rows(*args)
+    return args[-1]
+
+
+__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "BACKEND"]

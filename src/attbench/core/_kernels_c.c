@@ -1,12 +1,29 @@
-/* Compiled batched rigid-body RK4 kernel; see kernels_py for the contract.
+/* Compiled batched kernels; see kernels_py for the contracts.
  *
  * Every arithmetic expression matches the numpy fallback, in the same order,
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The module exports one function, step_rows(out, dt, ixx, iyy, izz, tx, ty,
- * tz, frames), which advances a C-contiguous float64 (M, n) buffer in place.
- * attbench.core validates and copies the caller's arrays before calling it.
+ * The module exports three functions. attbench.core validates the caller's
+ * arrays, and allocates the outputs, before calling any of them; each
+ * function still checks that its buffers fit each other.
+ *
+ * step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames) advances a
+ *     C-contiguous float64 (M, n) buffer by one rigid-body RK4 step, in place.
+ * moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s) is the
+ *     particle filter's cloud pass. It adds the jitter root normals[i] to
+ *     each row of x in place, then renormalizes columns 0..3 when asked, and
+ *     writes the weighted mean of the rows, the weighted mean y_hat of
+ *     z = h x and S = sum w (z - y_hat)(z - y_hat)' + r, exactly symmetric;
+ *     a 1-D s gets S's diagonal alone. normals/root, h and r may each be
+ *     None: no jitter, z = x, no r.
+ * loglik_rows(x, h, l, y, out) writes -0.5 |l^-1 (y - h x)|^2 for each row
+ *     of x, by forward substitution with the lower triangle of l.
+ *
+ * Every sum has a fixed order and starts from -0.0, which leaves its first
+ * term unchanged: a sum over the particles runs from row 0, and a product
+ * with h, root or l from column 0, skipping the terms whose coefficient is
+ * zero (so a 0/1 selection h costs one term per row).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -96,14 +113,266 @@ step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
     }
 }
 
-/* A C-contiguous float64 buffer of the given rank; raises ValueError and
- * releases it otherwise. */
+/* The cloud passes work on blocks of BLOCK particles held column-wise,
+ * t[c * BLOCK + b] for column c of the block's particle b, so that their
+ * inner loops run over independent particles. Each particle's arithmetic,
+ * and the particle order of every sum, is the same as row by row. A sum
+ * starts from -0.0, which leaves its first term unchanged. */
+#define BLOCK 64
+
+static inline void
+to_columns(const double *restrict a, Py_ssize_t nb, Py_ssize_t n, double *restrict t)
+{
+    Py_ssize_t b, c;
+
+    /* two particles at a time: their stores to a column are adjacent */
+    for (b = 0; b + 1 < nb; b += 2)
+        for (c = 0; c < n; c++) {
+            t[c * BLOCK + b] = a[b * n + c];
+            t[c * BLOCK + b + 1] = a[b * n + n + c];
+        }
+    for (; b < nb; b++)
+        for (c = 0; c < n; c++)
+            t[c * BLOCK + b] = a[b * n + c];
+}
+
+static inline void
+to_rows(const double *restrict t, Py_ssize_t nb, Py_ssize_t n, double *restrict a)
+{
+    Py_ssize_t b, c;
+
+    for (b = 0; b < nb; b++)
+        for (c = 0; c < n; c++)
+            a[b * n + c] = t[c * BLOCK + b];
+}
+
+/* z = h x for each particle of the block: z[r] is the sum over c of
+ * x[c] h[r, c] in column order, skipping the columns where h[r, c] == 0, for
+ * the m rows of the (m, n) h. */
+static inline void
+measure(const double *restrict xt, Py_ssize_t nb, const double *restrict h,
+        Py_ssize_t m, Py_ssize_t n, double *restrict zt)
+{
+    Py_ssize_t r, c, b;
+
+    for (r = 0; r < m; r++) {
+        double *restrict zr = zt + r * BLOCK;
+
+        for (b = 0; b < nb; b++)
+            zr[b] = -0.0;
+        for (c = 0; c < n; c++) {
+            const double *restrict xc = xt + c * BLOCK;
+            double hrc = h[r * n + c];
+
+            if (hrc != 0.0)
+                for (b = 0; b < nb; b++)
+                    zr[b] = zr[b] + xc[b] * hrc;
+        }
+    }
+}
+
+/* One sum over the particles: *acc + u[0] v[0] + u[1] v[1] + ... */
+typedef struct {
+    const double *u, *v;
+    double *acc;
+} Sum;
+
+/* Add a block's nb terms to each of count sums, in particle order. LANES
+ * sums run side by side, enough to hide the latency of an add, so count
+ * must be a multiple of LANES. */
+#define LANES 4
+
+static void
+run_sums(const Sum *sums, Py_ssize_t count, Py_ssize_t nb)
+{
+    Py_ssize_t e, b;
+    int k;
+
+    for (e = 0; e < count; e += LANES) {
+        const double *u[LANES], *v[LANES];
+        double a[LANES];
+
+        for (k = 0; k < LANES; k++) {
+            u[k] = sums[e + k].u;
+            v[k] = sums[e + k].v;
+            a[k] = *sums[e + k].acc;
+        }
+        for (b = 0; b < nb; b++)
+            for (k = 0; k < LANES; k++)
+                a[k] = a[k] + u[k][b] * v[k][b];
+        for (k = 0; k < LANES; k++)
+            *sums[e + k].acc = a[k];
+    }
+}
+
+/* Append the sum of u v into acc; pad_sums then fills up to a multiple of
+ * LANES with sums of zeros into a dummy accumulator. */
+static inline Py_ssize_t
+add_sum(Sum *sums, Py_ssize_t count, const double *u, const double *v, double *acc)
+{
+    sums[count].u = u;
+    sums[count].v = v;
+    sums[count].acc = acc;
+    *acc = -0.0;
+    return count + 1;
+}
+
+static Py_ssize_t
+pad_sums(Sum *sums, Py_ssize_t count, const double *zeros, double *dummy)
+{
+    while (count % LANES)
+        count = add_sum(sums, count, zeros, zeros, dummy);
+    return count;
+}
+
+/* The cloud pass of moments_rows. scratch holds MOMENTS_SCRATCH(rows, n, m)
+ * doubles and sums MOMENTS_SUMS(n, m) entries. The first pass keeps every
+ * particle's z for the second, column by column. */
+#define MOMENTS_SCRATCH(rows, n, m) ((2 * (n) + 3 * ((m) > (n) ? (m) : (n)) + 2) * BLOCK \
+                                     + (m) * ((m) + 1) / 2 + (m) * (rows))
+#define MOMENTS_SUMS(n, m) ((n) + (m) + (m) * ((m) + 1) / 2 + 2 * (LANES - 1))
+
+static void
+moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
+        const double *root, const double *h, Py_ssize_t m, const double *w,
+        const double *r, int quaternion, double *mean, double *y_hat, double *s,
+        int diagonal, double *scratch, Sum *sums)
+{
+    Py_ssize_t width = m > n ? m : n;
+    double *restrict xt = scratch;
+    double *restrict et = xt + n * BLOCK;
+    double *restrict zt = et + n * BLOCK;
+    double *restrict dzt = zt + width * BLOCK;
+    double *restrict wdzt = dzt + width * BLOCK;
+    double *restrict wt = wdzt + width * BLOCK;
+    double *restrict zeros = wt + BLOCK;
+    double *restrict upper = zeros + BLOCK;
+    double *restrict zc = upper + m * (m + 1) / 2;
+    const double *z = h ? zt : xt;
+    Sum *prior = sums, *spread;
+    Py_ssize_t n_prior = 0, n_spread = 0, i0, nb, b, j, c, p;
+    double dummy;
+
+    memset(zeros, 0, BLOCK * sizeof(double));
+    for (j = 0; j < n; j++)
+        n_prior = add_sum(prior, n_prior, wt, xt + j * BLOCK, mean + j);
+    for (j = 0; h && j < m; j++)
+        n_prior = add_sum(prior, n_prior, wt, zt + j * BLOCK, y_hat + j);
+    n_prior = pad_sums(prior, n_prior, zeros, &dummy);
+    /* S: the upper triangle, packed row by row (the lower mirrors it), or
+     * the diagonal alone */
+    spread = prior + n_prior;
+    for (j = 0, p = 0; j < m; j++)
+        for (c = j; c < (diagonal ? j + 1 : m); c++, p++)
+            n_spread = add_sum(spread, n_spread, wdzt + j * BLOCK, dzt + c * BLOCK, upper + p);
+    n_spread = pad_sums(spread, n_spread, zeros, &dummy);
+
+    for (i0 = 0; i0 < rows; i0 += BLOCK) {
+        nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
+        to_columns(x + i0 * n, nb, n, xt);
+        if (normals) {
+            to_columns(normals + i0 * n, nb, n, et);
+            measure(et, nb, root, n, n, zt);
+            for (j = 0; j < n; j++)
+                for (b = 0; b < nb; b++)
+                    xt[j * BLOCK + b] = xt[j * BLOCK + b] + zt[j * BLOCK + b];
+        }
+        if (quaternion) {
+            for (b = 0; b < nb; b++)
+                dzt[b] = sqrt(xt[b] * xt[b] + xt[BLOCK + b] * xt[BLOCK + b]
+                              + xt[2 * BLOCK + b] * xt[2 * BLOCK + b]
+                              + xt[3 * BLOCK + b] * xt[3 * BLOCK + b]);
+            for (j = 0; j < 4; j++)
+                for (b = 0; b < nb; b++)
+                    xt[j * BLOCK + b] = xt[j * BLOCK + b] / dzt[b];
+        }
+        if (normals || quaternion)
+            to_rows(xt, nb, n, x + i0 * n);
+        if (h)
+            measure(xt, nb, h, m, n, zt);
+        for (j = 0; j < m; j++)
+            memcpy(zc + j * rows + i0, z + j * BLOCK, nb * sizeof(double));
+        memcpy(wt, w + i0, nb * sizeof(double));
+        run_sums(prior, n_prior, nb);
+    }
+    if (!h)
+        memcpy(y_hat, mean, n * sizeof(double));
+    for (i0 = 0; i0 < rows; i0 += BLOCK) {
+        nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
+        for (j = 0; j < m; j++) {
+            const double *restrict zj = zc + j * rows + i0;
+
+            for (b = 0; b < nb; b++) {
+                dzt[j * BLOCK + b] = zj[b] - y_hat[j];
+                wdzt[j * BLOCK + b] = w[i0 + b] * dzt[j * BLOCK + b];
+            }
+        }
+        run_sums(spread, n_spread, nb);
+    }
+    if (diagonal) {
+        for (j = 0; j < m; j++)
+            s[j] = r ? upper[j] + r[j * m + j] : upper[j];
+        return;
+    }
+    for (j = 0, p = 0; j < m; j++)
+        for (c = j; c < m; c++, p++) {
+            s[j * m + c] = r ? upper[p] + r[j * m + c] : upper[p];
+            s[c * m + j] = s[j * m + c];
+        }
+}
+
+/* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as
+ * measure skips the zeros of h. scratch holds (n + k + 1) BLOCK doubles. */
+static void
+loglik(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *h,
+       Py_ssize_t k, const double *l, const double *y, double *out, double *scratch)
+{
+    double *restrict xt = scratch;
+    double *restrict vt = xt + n * BLOCK;
+    double *restrict ss = vt + k * BLOCK;
+    Py_ssize_t i0, nb, b, j, c;
+
+    for (i0 = 0; i0 < rows; i0 += BLOCK) {
+        nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
+        to_columns(x + i0 * n, nb, n, xt);
+        measure(xt, nb, h, k, n, vt);
+        /* forward substitution, row j after rows 0 .. j-1 */
+        for (j = 0; j < k; j++) {
+            double *restrict vj = vt + j * BLOCK;
+            double ljj = l[j * k + j];
+
+            for (b = 0; b < nb; b++)
+                vj[b] = y[j] - vj[b];
+            for (c = 0; c < j; c++) {
+                const double *restrict vc = vt + c * BLOCK;
+                double ljc = l[j * k + c];
+
+                if (ljc != 0.0)
+                    for (b = 0; b < nb; b++)
+                        vj[b] = vj[b] - ljc * vc[b];
+            }
+            for (b = 0; b < nb; b++)
+                vj[b] = vj[b] / ljj;
+        }
+        for (b = 0; b < nb; b++)
+            ss[b] = -0.0;
+        for (j = 0; j < k; j++)
+            for (b = 0; b < nb; b++)
+                ss[b] = ss[b] + vt[j * BLOCK + b] * vt[j * BLOCK + b];
+        for (b = 0; b < nb; b++)
+            out[i0 + b] = -0.5 * ss[b];
+    }
+}
+
+/* A C-contiguous float64 buffer of the given rank (0: rank 1 or 2); raises
+ * ValueError and releases it otherwise. */
 static int
 get_doubles(PyObject *obj, Py_buffer *view, int flags, int ndim)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
-    if (view->ndim != ndim || view->itemsize != sizeof(double)
+    if ((ndim ? view->ndim != ndim : view->ndim != 1 && view->ndim != 2)
+        || view->itemsize != sizeof(double)
         || strcmp(view->format, "d") != 0) {
         PyBuffer_Release(view);
         PyErr_SetString(PyExc_ValueError, "expected a C-contiguous float64 array");
@@ -152,17 +421,165 @@ step_rows(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* The buffers of one call: every view starts empty, so release_all may run
+ * after any failure. */
+#define MAX_VIEWS 9
+
+static void
+release_all(Py_buffer *views)
+{
+    int i;
+
+    for (i = 0; i < MAX_VIEWS; i++)
+        PyBuffer_Release(&views[i]);
+}
+
+/* get_doubles for an argument that may be None (data stays NULL), with the
+ * expected shape; a dimension of -1 takes any size. */
+static int
+get_shaped(PyObject *obj, Py_buffer *view, int flags, int ndim,
+           Py_ssize_t d0, Py_ssize_t d1, const char *name, double **data)
+{
+    *data = NULL;
+    if (obj == Py_None)
+        return 0;
+    if (get_doubles(obj, view, flags, ndim) < 0)
+        return -1;
+    if ((d0 >= 0 && view->shape[0] != d0) || (ndim == 2 && d1 >= 0 && view->shape[1] != d1)) {
+        PyErr_Format(PyExc_ValueError, "%s has the wrong shape", name);
+        return -1;
+    }
+    *data = view->buf;
+    return 0;
+}
+
+static PyObject *
+moments_rows(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *eo, *lo, *ho, *wo, *ro, *meano, *yo, *so;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *x, *e, *l, *h, *w, *r, *mean, *y_hat, *s, *scratch;
+    Sum *sums;
+    Py_ssize_t rows, n, m;
+    int quaternion, diagonal;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOpOOO:moments_rows", &xo, &eo, &lo, &ho, &wo, &ro,
+                          &quaternion, &meano, &yo, &so))
+        return NULL;
+
+    if (get_shaped(xo, &v[0], eo != Py_None || quaternion ? PyBUF_WRITABLE : PyBUF_SIMPLE,
+                   2, -1, -1, "x", &x) < 0)
+        goto fail;
+    rows = x ? v[0].shape[0] : 0;
+    n = x ? v[0].shape[1] : 0;
+    if (rows < 1 || n < (quaternion ? 4 : 1)) {
+        PyErr_SetString(PyExc_ValueError, "x has the wrong shape");
+        goto fail;
+    }
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+        goto fail;
+    m = h ? v[1].shape[0] : n;
+    if (get_shaped(eo, &v[2], PyBUF_SIMPLE, 2, rows, n, "normals", &e) < 0
+        || get_shaped(e ? lo : Py_None, &v[3], PyBUF_SIMPLE, 2, n, n, "root", &l) < 0
+        || get_shaped(wo, &v[4], PyBUF_SIMPLE, 1, rows, -1, "w", &w) < 0
+        || get_shaped(ro, &v[5], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_shaped(meano, &v[6], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
+        || get_shaped(yo, &v[7], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
+        || get_doubles(so, &v[8], PyBUF_WRITABLE, 0) < 0)
+        goto fail;
+    /* a 1-D s asks for the diagonal of S alone */
+    s = v[8].buf;
+    diagonal = v[8].ndim == 1;
+    if (v[8].shape[0] != m || (!diagonal && v[8].shape[1] != m)) {
+        PyErr_SetString(PyExc_ValueError, "s has the wrong shape");
+        goto fail;
+    }
+    if (!w || !mean || !y_hat || (e && !l) || m < 1) {
+        PyErr_SetString(PyExc_ValueError, "w, mean, y_hat and a root for normals are required");
+        goto fail;
+    }
+    scratch = PyMem_RawMalloc(MOMENTS_SCRATCH(rows, n, m) * sizeof(double));
+    sums = PyMem_RawMalloc(MOMENTS_SUMS(n, m) * sizeof(Sum));
+    if (!scratch || !sums) {
+        PyMem_RawFree(scratch);
+        PyMem_RawFree(sums);
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    moments(x, rows, n, e, l, h, m, w, r, quaternion, mean, y_hat, s, diagonal, scratch, sums);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(sums);
+    PyMem_RawFree(scratch);
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+loglik_rows(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *ho, *lo, *yo, *outo;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *x, *h, *l, *y, *out, *scratch;
+    Py_ssize_t rows, n, k;
+
+    if (!PyArg_ParseTuple(args, "OOOOO:loglik_rows", &xo, &ho, &lo, &yo, &outo))
+        return NULL;
+    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0
+        || get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, x ? v[0].shape[1] : -1, "h", &h) < 0)
+        goto fail;
+    if (!x || !h || v[0].shape[1] < 1 || v[1].shape[0] < 1) {
+        PyErr_SetString(PyExc_ValueError, "x and h must be non-empty (M, n) and (k, n)");
+        goto fail;
+    }
+    rows = v[0].shape[0];
+    n = v[0].shape[1];
+    k = v[1].shape[0];
+    if (get_shaped(lo, &v[2], PyBUF_SIMPLE, 2, k, k, "l", &l) < 0
+        || get_shaped(yo, &v[3], PyBUF_SIMPLE, 1, k, -1, "y", &y) < 0
+        || get_shaped(outo, &v[4], PyBUF_WRITABLE, 1, rows, -1, "out", &out) < 0)
+        goto fail;
+    if (!l || !y || !out) {
+        PyErr_SetString(PyExc_ValueError, "l, y and out are required");
+        goto fail;
+    }
+    scratch = PyMem_RawMalloc((n + k + 1) * BLOCK * sizeof(double));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    loglik(x, rows, n, h, k, l, y, out, scratch);
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(scratch);
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
      "step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)\n--\n\n"
      "Advance the (M, n) float64 rows of out by one RK4 step, in place."},
+    {"moments_rows", moments_rows, METH_VARARGS,
+     "moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s)\n--\n\n"
+     "Jitter and renormalize the particle rows of x in place; write their\n"
+     "weighted mean, measurement mean and measurement covariance."},
+    {"loglik_rows", loglik_rows, METH_VARARGS,
+     "loglik_rows(x, h, l, y, out)\n--\n\n"
+     "Write each particle's Gaussian log-likelihood of y, up to a constant."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernels_c",
-    .m_doc = "Compiled batched rigid-body RK4 kernel.",
+    .m_doc = "Compiled batched rigid-body RK4 and particle-cloud kernels.",
     .m_size = -1,
     .m_methods = methods,
 };

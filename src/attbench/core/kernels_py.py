@@ -1,8 +1,17 @@
-"""Numpy fallback for the batched rigid-body RK4 kernel.
+"""Numpy fallback for the compiled kernels: the batched rigid-body RK4 step
+and the particle filter's two cloud passes.
 
 Operation order mirrors the compiled kernel expression for expression so
-both backends produce bit-identical trajectories (the extension is built
-with FP contraction disabled for the same reason).
+both backends produce bit-identical results (the extension is built with FP
+contraction disabled for the same reason).
+
+In the particle-filter passes every sum has a fixed order. A sum over the
+particles runs from row 0 through ``fixed_sum``, ``np.add.accumulate``
+along the particle axis, which is sequential by definition. A product with
+a small matrix (the jitter root, H, L) sums over its columns from column 0,
+starting from -0.0 (which leaves the first term unchanged) and skipping the
+terms whose coefficient is exactly zero, so a 0/1 selection row costs one
+term. Nothing here uses ``@``, ``np.sum`` (pairwise) or ``einsum``.
 """
 
 import numpy as np
@@ -118,3 +127,200 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
     out, frames = checked_batch(states, frames)
     step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)
     return out
+
+
+def fixed_sum(terms):
+    """Sum of ``terms`` over the last axis, the particles, in order:
+    ((t0 + t1) + t2) + ..."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _product(x, h):
+    """h x_i for every row x_i of the (M, n) ``x``, as an (m, M) array z:
+    z[r] sums x[:, c] h[r, c] over the columns in order, from -0.0,
+    skipping the columns where h[r, c] == 0 (a selection row costs one
+    term)."""
+    cols = np.ascontiguousarray(x.T)
+    z = np.empty((len(h), len(x)))
+    for r, row in enumerate(h.tolist()):
+        acc = np.full(len(x), -0.0)
+        for c, coef in enumerate(row):
+            if coef != 0.0:
+                acc = acc + cols[c] * coef
+        z[r] = acc
+    return z
+
+
+def _doubles(name, a, ndim, shape=None):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != ndim or (shape is not None and a.shape != shape):
+        raise ValueError("%s must have shape %r, got %r"
+                         % (name, shape or ("?",) * ndim, a.shape))
+    return a
+
+
+def checked_moments(cloud, weights, normals=None, root=None, h=None, r=None,
+                    quaternion=False, diagonal=False):
+    """The arguments of ``moments_rows``, validated, and its outputs.
+
+    A ``cloud`` the pass writes to (with ``normals`` or ``quaternion``) is
+    used as given, never copied; every other array is a float64 C-contiguous
+    view or copy.
+
+    Raises:
+        ValueError: ``cloud`` is not a non-empty (M, n) array, or is written
+            to and is not a writable float64 C-contiguous ndarray; n < 4 with
+            ``quaternion``; or another argument's shape does not fit it.
+    """
+    quaternion = bool(quaternion)
+    if normals is None and not quaternion:
+        cloud = _doubles("cloud", cloud, 2)
+    elif (not isinstance(cloud, np.ndarray) or cloud.dtype != np.float64 or cloud.ndim != 2
+            or not cloud.flags.c_contiguous or not cloud.flags.writeable):
+        raise ValueError("a jittered cloud must be a writable C-contiguous float64 (M, n) array")
+    rows, n = cloud.shape
+    if rows < 1 or n < (4 if quaternion else 1):
+        raise ValueError("cloud has shape %r" % (cloud.shape,))
+    if normals is not None:
+        normals = _doubles("normals", normals, 2, (rows, n))
+        root = _doubles("root", root, 2, (n, n))
+    else:
+        root = None
+    m = n
+    if h is not None:
+        h = _doubles("H", h, 2)
+        m = h.shape[0]
+        if m < 1 or h.shape[1] != n:
+            raise ValueError("H must be (m, %d) with m >= 1, got %r" % (n, h.shape))
+    w = _doubles("weights", weights, 1, (rows,))
+    if r is not None:
+        r = _doubles("R", r, 2, (m, m))
+    return (cloud, normals, root, h, w, r, quaternion,
+            np.empty(n), np.empty(m), np.empty(m if diagonal else (m, m)))
+
+
+def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
+    """The particle filter's cloud pass over ``checked_moments`` arguments.
+
+    Row i of x gets the jitter sum over k of normals[i, k] root[j, k] added
+    to each column j, then, with ``quaternion``, columns 0..3 divided by
+    their norm; both in place. Then ``mean`` = sum w_i x_i,
+    ``y_hat`` = sum w_i z_i with z_i = h x_i (x_i itself when h is None) and
+    ``s`` = sum w_i dz_i dz_i' + r with dz_i = z_i - y_hat: the upper
+    triangle is summed, with its r entries (r None adds nothing), and the
+    lower triangle mirrors it, so ``s`` is exactly symmetric. A 1-D ``s``
+    gets the diagonal alone.
+    """
+    with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
+        if normals is not None:
+            x += _product(normals, root).T
+        if quaternion:
+            norm = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2]
+                           + x[:, 3] * x[:, 3])
+            x[:, :4] /= norm[:, None]
+        mean[:] = fixed_sum(w * x.T)
+        z = x.T if h is None else _product(x, h)
+        y_hat[:] = mean if h is None else fixed_sum(w * z)
+        dz = z - y_hat[:, None]
+        # the diagonal, or the upper triangle that the lower then mirrors
+        upper, cols = (np.arange(len(dz)),) * 2 if s.ndim == 1 else np.triu_indices(len(dz))
+        terms = fixed_sum((w * dz)[upper] * dz[cols])
+        if r is not None:
+            terms = terms + r[upper, cols]
+    if s.ndim == 1:
+        s[:] = terms
+    else:
+        s[upper, cols] = terms
+        s[cols, upper] = terms
+
+
+def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
+                  quaternion=False, diagonal=False):
+    """Jitter a particle cloud in place and return its weighted moments.
+
+    Args:
+        cloud: (M, n) particles, M >= 1; jittered and renormalized in
+            place, so then a writable float64 C-contiguous array.
+        weights: (M,) particle weights, used as given (zeros allowed).
+        normals: None, or the (M, n) standard normals of the jitter.
+        root: (n, n) jitter root L; row i gets L @ normals[i] added. Read
+            only with ``normals``.
+        h: None (the moments of the states themselves) or a dense (m, n)
+            measurement matrix.
+        r: None or the (m, m) symmetric noise covariance added to S; only
+            its upper triangle is read.
+        quaternion: whether columns 0..3 are a quaternion to renormalize
+            after the jitter.
+        diagonal: return S's diagonal (m,) alone, which sums m, not
+            m (m + 1) / 2, products per particle.
+
+    Returns:
+        (mean (n,), y_hat (m,), S (m, m)): sum w_i x_i, sum w_i h x_i and
+        sum w_i dz_i dz_i' + r, each summed over the particles from row 0;
+        S is exactly symmetric. ``moments_rows`` gives the exact arithmetic.
+
+    Raises:
+        ValueError: see ``checked_moments``.
+    """
+    args = checked_moments(cloud, weights, normals, root, h, r, quaternion, diagonal)
+    moments_rows(*args)
+    return args[-3:]
+
+
+def checked_loglik(cloud, h, l, y):
+    """The arguments of ``loglik_rows``, validated, and its output.
+
+    Raises:
+        ValueError: ``cloud`` is not (M, n) with n >= 1, ``h`` is not (k, n)
+            with k >= 1, or ``l`` / ``y`` are not (k, k) / (k,).
+    """
+    cloud = _doubles("cloud", cloud, 2)
+    h = _doubles("H", h, 2)
+    if cloud.shape[1] < 1 or h.shape[0] < 1 or h.shape[1] != cloud.shape[1]:
+        raise ValueError("cloud and H must be (M, n) and (k, n), got %r and %r"
+                         % (cloud.shape, h.shape))
+    k = h.shape[0]
+    return (cloud, h, _doubles("L", l, 2, (k, k)), _doubles("y", y, 1, (k,)),
+            np.empty(len(cloud)))
+
+
+def loglik_rows(x, h, l, y, out):
+    """``out[i]`` = -0.5 |v|^2, v the forward substitution of l v = y - h x_i:
+    v_j = (y_j - z_j - l[j, 0] v_0 - ... - l[j, j-1] v_{j-1}) / l[j, j],
+    subtracted in that order, skipping the terms where l[j, c] == 0, and
+    |v|^2 summed from -0.0. z = h x_i is ``_product``'s."""
+    with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
+        z = _product(x, h)
+        v = []
+        for j, row in enumerate(l.tolist()):
+            acc = y[j] - z[j]
+            for c in range(j):
+                if row[c] != 0.0:
+                    acc = acc - row[c] * v[c]
+            v.append(acc / row[j])
+        ss = np.full(len(x), -0.0)
+        for vj in v:
+            ss = ss + vj * vj
+        out[:] = -0.5 * ss
+
+
+def cloud_loglik(cloud, h, l, y):
+    """Gaussian log-likelihood of a reading for each particle, up to a constant.
+
+    Args:
+        cloud: (M, n) particles.
+        h: (k, n) measurement rows.
+        l: (k, k) lower-triangular Cholesky factor of those rows' noise
+            covariance; only its lower triangle is read.
+        y: (k,) reading; non-finite entries give non-finite results.
+
+    Returns:
+        (M,) array of -0.5 |l^-1 (y - h x_i)|^2; ``loglik_rows`` gives the
+        exact arithmetic.
+
+    Raises:
+        ValueError: see ``checked_loglik``.
+    """
+    args = checked_loglik(cloud, h, l, y)
+    loglik_rows(*args)
+    return args[-1]

@@ -3,10 +3,13 @@
 All three filters run against the same two abstractions:
 
   * a process model with ``dim`` (state size), ``dt`` (step, s),
-    ``propagate(states, t)`` (one step of (M, dim) rows starting at t) and
+    ``propagate(states, t)`` (one step of (M, dim) rows starting at t, as
+    a new C-ordered float array, which the particle filter jitters in place),
     ``normalize_rows(states)`` (a normalized copy of a (dim,) state or of
-    (M, dim) rows). The rigid-body model below carries no physics of its
-    own: both calls go to ``attbench.dynamics``, which the truth uses too.
+    (M, dim) rows) and ``quaternion_rows`` (whether columns 0..3 are a unit
+    quaternion, which the particle filter renormalizes after its jitter).
+    The rigid-body model below carries no physics of its own: both calls go
+    to ``attbench.dynamics``, which the truth uses too.
   * a linear stacked measurement y = H x + v with block-diagonal R.
 
 Keeping the interface batched is what makes the finite-difference Jacobian,
@@ -17,7 +20,12 @@ particle filter owns its RNG); beliefs are passed in and returned.
 The EKF and UKF are one Gaussian filter: they share ``step`` and its one
 Kalman update, K = C S^-1, and differ only in how they propagate the belief
 and form the measurement moments (predicted reading, S and the state/reading
-cross-covariance C). The particle filter reweights particles instead.
+cross-covariance C). The particle filter reweights particles instead. Its
+per-particle arithmetic (jitter, renormalization, the predicted reading,
+the moments and the log-likelihood) runs in two compiled passes of
+``attbench.core``, whose every sum over the particles has a fixed order,
+so no BLAS kernel choice reaches its estimates; the numpy fallback gives the
+same bits.
 
 The ``decide`` hook on each ``step`` lets a detector inspect the innovation
 record before the measurement update and either skip the update or restrict
@@ -31,8 +39,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
+from . import core
 from .dynamics import (check_torque_model, gravity_gradient_frames, kepler_state,
                        renormalize_quaternions, rigid_body_step)
 from .errors import FieldError, check_choice
@@ -129,6 +137,8 @@ class RigidBodyProcessModel:
     unplanned one.
     """
 
+    quaternion_rows = True
+
     def __init__(self, inertia, dt, bias_states=False, torque_model="none", elements=None):
         self.inertia = tuple(float(v) for v in inertia)
         if any(v <= 0.0 for v in self.inertia):
@@ -180,6 +190,8 @@ class RigidBodyProcessModel:
 
 class LinearProcessModel:
     """x_{k+1} = F x_k. Used by the cross-filter equivalence checks."""
+
+    quaternion_rows = False
 
     def __init__(self, transition):
         self.F = np.asarray(transition, dtype=float)
@@ -548,6 +560,20 @@ class PfFilter:
     The innovation record is built from the propagated cloud under the
     pre-update weights: predicted measurement mean and covariance (plus R),
     so the same chi-square machinery monitors all three filters.
+
+    A step is the model's ``propagate`` and two compiled cloud passes
+    (``core.cloud_moments`` and ``core.cloud_loglik``, with numpy fallbacks
+    of the same bits). The first adds the jitter L e (L L' = Q), then
+    renormalizes the quaternion when the model's rows carry one
+    (``quaternion_rows``), and sums the prior mean, the predicted reading
+    and S over the cloud; the second gives each particle's log-likelihood
+    on the healthy rows, through L = chol(R) of those rows. Every sum over
+    the particles runs in row order from row 0, and every product over the
+    state in column order, so the cloud and its weights do not depend on
+    which BLAS kernels the CPU selects (the record's NIS still comes from a
+    LAPACK solve, and both L from LAPACK's Cholesky). The random draws, the
+    weight update (max shift, exp, normalization), ESS and systematic
+    resampling stay in numpy.
     """
 
     source = "pf"
@@ -559,11 +585,13 @@ class PfFilter:
         self.rng = rng
         self.n = cfg.pf_particles
         self._jitter_root = _psd_sqrt(cfg.Q)
+        self._r = _symmetrize(self.meas.R)
+        self._row_models = {}
+        self._all_rows = np.arange(self.meas.dim)
         try:
-            self._r_chol = np.linalg.cholesky(self.meas.R)
+            self._likelihood_rows(self._all_rows)
         except np.linalg.LinAlgError:
             raise ValueError("particle filter requires positive-definite R")
-        self._r_chol_cache = {}
 
     def initial_belief(self):
         root = _psd_sqrt(self.cfg.P0)
@@ -572,30 +600,23 @@ class PfFilter:
         weights = np.full(self.n, 1.0 / self.n)
         return ParticleSet(states, weights)
 
-    def _loglik(self, resid, rows=None):
-        if rows is None:
-            chol = self._r_chol
-        else:
-            key = tuple(rows.tolist())
-            chol = self._r_chol_cache.get(key)
-            if chol is None:
-                chol = np.linalg.cholesky(self.meas.R[np.ix_(rows, rows)])
-                self._r_chol_cache[key] = chol
-        # non-finite residuals must reach the degenerate-weight reset, not raise
-        z = solve_triangular(chol, resid.T, lower=True, check_finite=False)
-        return -0.5 * np.sum(z * z, axis=0)
+    def _likelihood_rows(self, rows):
+        """H's rows and L = chol(R) on a row set, cached per set."""
+        key = tuple(rows.tolist())
+        found = self._row_models.get(key)
+        if found is None:
+            found = (np.ascontiguousarray(self.meas.H[rows]),
+                     np.linalg.cholesky(self.meas.R[np.ix_(rows, rows)]))
+            self._row_models[key] = found
+        return found
 
     def step(self, pset, y, t, decide=None):
         x = self.model.propagate(pset.states, t - self.model.dt)
-        x = x + self.rng.standard_normal((self.n, self.model.dim)) @ self._jitter_root.T
-        x = self.model.normalize_rows(x)
+        normals = self.rng.standard_normal((self.n, self.model.dim))
         w = pset.weights
-        z = self.meas.predict(x)
-        mu_prior = w @ x
+        mu_prior, y_hat, s = core.cloud_moments(x, w, normals, self._jitter_root, self.meas.H,
+                                                self._r, self.model.quaternion_rows)
         y_al = self.meas.align(y, mu_prior)
-        y_hat = w @ z
-        dz = z - y_hat
-        s = _symmetrize((w[:, None] * dz).T @ dz + self.meas.R)
         nu = y_al - y_hat
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
 
@@ -604,8 +625,9 @@ class PfFilter:
         if rows is not None and not rows.size:
             new_w = w.copy()
         else:
-            resid = (y_al - z) if rows is None else (y_al[rows] - z[:, rows])
-            loglik = self._loglik(resid, rows)
+            rows = self._all_rows if rows is None else rows
+            # non-finite residuals reach the degenerate-weight reset below
+            loglik = core.cloud_loglik(x, *self._likelihood_rows(rows), y_al[rows])
             scaled = loglik - loglik.max()
             new_w = w * np.exp(scaled)
             total = new_w.sum()
@@ -644,16 +666,13 @@ def estimate_stats(belief, model):
     """Point estimate and marginal variances of a belief.
 
     Gaussian beliefs return (mu, diag Sigma); particle sets return the
-    weighted mean and weighted marginal variance. The point estimate goes
-    through the model's ``normalize_rows`` (attitude models renormalize its
-    quaternion part).
+    weighted mean and weighted marginal variance, from the fixed-order sums
+    of ``core.cloud_moments``. The point estimate goes through the model's
+    ``normalize_rows`` (attitude models renormalize its quaternion part).
     """
     if isinstance(belief, GaussianBelief):
         mu = belief.mu
         var = np.diag(belief.sigma).copy()
     else:
-        w = belief.weights
-        mu = w @ belief.states
-        d = belief.states - mu
-        var = w @ (d * d)
+        mu, _, var = core.cloud_moments(belief.states, belief.weights, diagonal=True)
     return model.normalize_rows(mu), var

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -13,9 +14,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attbench import core, dynamics as dyn
+from attbench import core, dynamics as dyn, filters as flt
 from attbench.attitude import normalize
 from attbench.core import kernels_py
+from attbench.sensors import make_layout
 
 INERTIA = (2.0, 3.0, 4.0)
 
@@ -54,6 +56,50 @@ GG_FRAMES = [[0.36, -0.48, 0.8, 0.5], [0.48, 0.6, -0.64, 0.45], [-0.6, 0.64, 0.4
 # moments whose differences round, so the order of every product matters
 GG_INERTIA = (2.3, 3.1, 4.7)
 
+
+def pf_pass_digest(kernels):
+    """Digest of both particle-filter cloud passes of ``kernels`` (the
+    ``attbench.core`` module) on 1000-, 21- and 15-row clouds of 10, 7 and 2
+    states: dense H and root with zero entries, zero weights, the S diagonal
+    alone, and a reading with a non-finite entry on a used row."""
+    digest = hashlib.sha256()
+    for rows, n in ((1000, 10), (21, 7), (15, 2)):
+        rng = np.random.default_rng(rows)
+        m = n + 1
+        cloud = rng.standard_normal((rows, n))
+        w = rng.random(rows)
+        w[::7] = 0.0
+        h = rng.standard_normal((m, n))
+        h[rng.random((m, n)) < 0.4] = 0.0
+        a = rng.standard_normal((m, m))
+        r = a @ a.T + m * np.eye(m)
+        root = np.tril(rng.standard_normal((n, n)))
+        moments = kernels.cloud_moments(cloud, w, rng.standard_normal((rows, n)), root, h, r,
+                                        n >= 4)
+        diagonal = kernels.cloud_moments(cloud, w, h=h, diagonal=True)
+        used = np.flatnonzero(np.arange(m) % 3 != 1)
+        l = np.linalg.cholesky(r[np.ix_(used, used)])
+        y = rng.standard_normal(len(used))
+        finite = kernels.cloud_loglik(cloud, h[used], l, y)
+        y[-1] = np.inf
+        for out in (cloud, *moments, *diagonal, finite, kernels.cloud_loglik(cloud, h[used], l, y)):
+            digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+def pf_run_digest():
+    """Digest of a 30-step particle-filter run of spike_isolation under its
+    isolation policy: estimates, variances and NIS."""
+    from attbench.runner import run_scenario
+    from attbench.scenario import load_bundled, with_overrides
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=3.0)
+    result = run_scenario(cfg, mode="fdir", filter_kind="pf")
+    digest = hashlib.sha256()
+    for out in (result.estimates, result.variances, result.nis):
+        digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
 BUILD_PROBE = textwrap.dedent("""
     import hashlib
     import numpy as np
@@ -78,7 +124,10 @@ BUILD_PROBE = textwrap.dedent("""
         out = core.rk4_step_batch(states, 0.1, *%r, 0.5, -0.2, 0.1, np.array(%r))
         gg.update(out.tobytes())
     print(gg.hexdigest())
-""" % (FILTER_BATCH_ROWS, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES))
+""" % (FILTER_BATCH_ROWS, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES)) + "\n".join([
+    # the probe runs the suite's own digest functions, so both compute the same
+    inspect.getsource(pf_pass_digest), inspect.getsource(pf_run_digest),
+    "print(pf_pass_digest(core))", "print(pf_run_digest())"])
 
 
 @pytest.mark.skipif(not SETUP_PY.is_file(), reason="no setup.py in the checkout")
@@ -89,6 +138,9 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
     The suite's own process may run on a source tree with no extension built
     in place, so the claim is checked on a fresh build made with the
     checkout's setup.py, imported in subprocesses from that build alone.
+    Both backends of that build must give the suite's own bits for a long
+    trajectory, the 15-, 21- and 1000-row RK4 batches, both particle-filter
+    cloud passes and a short particle-filter run.
     """
     if opted_out(os.environ.get("ATTBENCH_PURE_PYTHON")):
         assert core.BACKEND == "python"
@@ -117,7 +169,8 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
         assert Path(module).resolve().parent == (lib / "attbench").resolve()
         assert backend == ("python" if opted_out(value) else "compiled")
         digests.add(tuple(digest))
-    assert digests == {(trajectory_digest(), filter_batch_digest(), gg_batch_digest())}
+    assert digests == {(trajectory_digest(), filter_batch_digest(), gg_batch_digest(),
+                        pf_pass_digest(core), pf_run_digest())}
 
 
 def test_python_kernel_matches_active_backend_bitwise():
@@ -183,6 +236,114 @@ def test_kernel_backends_agree_bitwise_on_random_inputs():
     check_backend_parity()
 
 
+# per-sensor noise variances of the attitude suite, for R in the cloud inputs
+SENSOR_VARIANCES = {"star_tracker": 1e-3, "magnetometer": 1e-2, "gyro": 2.5e-5}
+
+
+@st.composite
+def cloud_inputs(draw):
+    """Arguments of both particle-filter passes: clouds of 1-1200 rows and
+    2, 7 or 10 states, weights with exact zeros, a jitter root that is
+    diagonal or dense, the attitude suite's H (its gyro rows carry the bias
+    columns at 10 states) or a dense random one at 2 states, a random
+    healthy row subset, and a reading that may hold +-inf or NaN."""
+    n = draw(st.sampled_from((2, 7, 10)))
+    rows = draw(st.integers(1, 1200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cloud = rng.standard_normal((rows, n))
+    weights = rng.random(rows) / rows
+    weights[rng.random(rows) < draw(st.floats(0.0, 1.0))] = 0.0
+    root = np.diag(rng.uniform(1e-5, 1e-2, n))
+    if draw(st.booleans()):
+        root = np.tril(rng.uniform(-1e-2, 1e-2, (n, n)))
+    if n == 2:
+        h = rng.standard_normal((3, 2))
+        a = rng.standard_normal((3, 3))
+        r = a @ a.T + np.eye(3)
+    else:
+        cloud[:, :4] /= np.linalg.norm(cloud[:, :4], axis=1, keepdims=True)
+        scale = {k: v * rng.uniform(0.5, 2.0) for k, v in SENSOR_VARIANCES.items()}
+        meas = flt.attitude_measurement(make_layout(), {k: (v,) * (3 if k == "gyro" else 4)
+                                                        for k, v in scale.items()}, n)
+        h, r = meas.H, meas.R
+    m = len(h)
+    used = np.array(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
+    y = rng.standard_normal(m)
+    bad = draw(st.lists(st.sampled_from((np.inf, -np.inf, np.nan)), max_size=2))
+    y[rng.choice(m, size=len(bad), replace=False)] = bad
+    return cloud, weights, rng.standard_normal((rows, n)), root, h, r, n != 2, used, y
+
+
+def numpy_reference(cloud, weights, normals, root, h, r, quaternion, used, y):
+    """The particle filter's cloud arithmetic as numpy wrote it before the
+    passes: BLAS products and a LAPACK triangular solve."""
+    x = cloud + normals @ root.T
+    if quaternion:
+        x[:, :4] /= np.linalg.norm(x[:, :4], axis=1, keepdims=True)
+    z = x @ h.T
+    y_hat = weights @ z
+    dz = z - y_hat
+    s = (weights[:, None] * dz).T @ dz + r
+    l = np.linalg.cholesky(r[np.ix_(used, used)])
+    with np.errstate(all="ignore"):
+        v = np.linalg.solve(l, (y[used] - z[:, used]).T)
+    return x, weights @ x, y_hat, 0.5 * (s + s.T), l, -0.5 * np.sum(v * v, axis=0)
+
+
+def assert_within(got, want, scale):
+    """|got - want| <= 1e-12 scale elementwise, where ``scale`` bounds the
+    absolute terms of the sum, so that it also bounds its rounding error."""
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), np.max(np.abs(got - want) / scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cloud_inputs())
+def check_cloud_passes(args):
+    cloud, weights, normals, root, h, r, quaternion, used, y = args
+    x_ref, mean_ref, y_hat_ref, s_ref, l, loglik_ref = numpy_reference(*args)
+    outs = []
+    for kernels in (core, kernels_py):
+        x = cloud.copy()
+        moments = kernels.cloud_moments(x, weights, normals, root, h, r, quaternion)
+        spread = kernels.cloud_moments(x, weights, h=h, r=r, diagonal=True)[2]
+        loglik = kernels.cloud_loglik(x, h[used], l, y[used])
+        outs.append((x, *moments, spread, loglik))
+    for a, b in zip(*outs):
+        assert np.array_equal(a, b, equal_nan=True)
+    x, mean, y_hat, s, spread, loglik = outs[0]
+    assert np.array_equal(s, s.T)
+    assert np.array_equal(spread, np.diag(s))
+
+    w, ax, ah = np.abs(weights), np.abs(x), np.abs(h)
+    jitter = np.abs(cloud) + np.abs(normals) @ np.abs(root).T
+    if quaternion:
+        jitter[:, :4] = 1.0  # unit quaternion components
+    assert_within(x, x_ref, jitter)
+    assert_within(mean, mean_ref, w @ ax)
+    az = ax @ ah.T
+    assert_within(y_hat, y_hat_ref, w @ az)
+    reach = np.abs(x @ h.T - y_hat) + az + np.abs(y_hat)
+    assert_within(s, s_ref, (w[:, None] * reach).T @ reach + np.abs(r))
+    finite = np.isfinite(loglik_ref)
+    assert np.array_equal(np.isfinite(loglik), finite)
+    # a residual's rounding, magnified by L^-1, then squared
+    reading = (np.abs(y[used]) + az[:, used]) ** 2
+    scale = reading.sum(axis=1) / np.linalg.eigvalsh(r[np.ix_(used, used)])[0]
+    assert_within(loglik[finite], loglik_ref[finite], scale[finite])
+
+
+def test_cloud_passes_agree_bitwise_and_match_numpy():
+    """Property: both particle-filter passes give the same bits on the
+    active backend and the fallback, S is exactly symmetric, and every
+    output agrees with the numpy formulas they replaced within 1e-12 of the
+    size of its sum. Without the compiled backend both sides are the
+    fallback, which the warning states."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: cloud-pass parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    check_cloud_passes()
+
+
 @pytest.mark.parametrize("step", [core.rk4_step_batch, kernels_py.rk4_step_batch],
                          ids=["active", "python"])
 def test_kernel_rejects_bad_shapes(step):
@@ -193,6 +354,52 @@ def test_kernel_rejects_bad_shapes(step):
     for bad in (states[0], states[:, :6], states[None]):
         with pytest.raises(ValueError, match="states"):
             step(bad, 0.1, *INERTIA, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
+def test_cloud_passes_reject_bad_arguments(kernels):
+    cloud, w, h = np.ones((5, 7)), np.full(5, 0.2), np.eye(7)
+    normals, root = np.zeros((5, 7)), np.eye(7)
+    for bad in (cloud[:, ::2], cloud.T, cloud.astype(np.float32), cloud.tolist()):
+        with pytest.raises(ValueError, match="cloud"):
+            kernels.cloud_moments(bad, w, normals, root)  # a jittered cloud is written in place
+    frozen = cloud.copy()
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="cloud"):
+        kernels.cloud_moments(frozen, w, quaternion=True)
+    kernels.cloud_moments(frozen, w, h=h)  # read-only moments are fine
+    for kwargs, name in (({"normals": normals[1:], "root": root}, "normals"),
+                         ({"normals": normals, "root": root[1:]}, "root"),
+                         ({"h": h[:, 1:]}, "H"), ({"h": h, "r": np.eye(6)}, "R")):
+        with pytest.raises(ValueError, match=name):
+            kernels.cloud_moments(cloud.copy(), w, **kwargs)
+    with pytest.raises(ValueError, match="weights"):
+        kernels.cloud_moments(cloud.copy(), w[1:])
+    with pytest.raises(ValueError, match="cloud"):
+        kernels.cloud_moments(np.ones((5, 3)), w, quaternion=True)
+    with pytest.raises(ValueError, match="cloud"):
+        kernels.cloud_moments(np.ones((0, 7)), w[:0])
+    for args, name in (((h[:, 1:], np.eye(7), np.zeros(7)), "H"),
+                       ((h, np.eye(6), np.zeros(7)), "L"), ((h, np.eye(7), np.zeros(6)), "y")):
+        with pytest.raises(ValueError, match=name):
+            kernels.cloud_loglik(cloud, *args)
+
+
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_compiled_passes_check_shapes_themselves():
+    """Called directly, past attbench.core's checks, the C entries still
+    refuse buffers that do not fit each other instead of reading past them."""
+    from attbench.core import _kernels_c
+    x, w = np.ones((5, 7)), np.full(5, 0.2)
+    good = kernels_py.checked_moments(x, w, np.zeros((5, 7)), np.eye(7), np.eye(7), np.eye(7), True)
+    for i, bad in ((1, np.zeros((4, 7))), (2, np.eye(6)), (3, np.eye(7)[:, 1:]), (4, w[1:]),
+                   (5, np.eye(6)), (7, np.empty(6)), (8, np.empty(6)), (9, np.empty((7, 6)))):
+        with pytest.raises(ValueError):
+            _kernels_c.moments_rows(*good[:i], bad, *good[i + 1:])
+    good = kernels_py.checked_loglik(x, np.eye(7), np.eye(7), np.zeros(7))
+    for i, bad in ((1, np.eye(7)[:, 1:]), (2, np.eye(6)), (3, np.zeros(6)), (4, np.empty(4))):
+        with pytest.raises(ValueError):
+            _kernels_c.loglik_rows(*good[:i], bad, *good[i + 1:])
 
 
 def test_kernel_gravity_gradient_matches_generic_integrator():
