@@ -2,12 +2,15 @@
 
 The two backends must produce bit-identical results; this script checks
 that first for the rigid-body RK4 step, torque-free and with the
-gravity-gradient frames, and for the particle filter's two cloud passes,
-then times both on the batch shapes the filters actually use (EKF
-finite-difference stencils, UKF sigma sets, PF clouds), on a long
-single-trajectory propagation, on gravity-gradient truth steps and on the
-cloud passes of a 1000-particle, 10-state filter with the attitude suite's
-11 measurement rows.
+gravity-gradient frames, for the particle filter's two cloud passes and
+for the Cholesky layer, then times both on the batch shapes the filters
+actually use (EKF finite-difference stencils, UKF sigma sets, PF clouds),
+on a long single-trajectory propagation, on gravity-gradient truth steps
+and on the cloud passes of a 1000-particle, 10-state filter with the
+attitude suite's 11 measurement rows. The Cholesky layer is also timed
+against the np.linalg code it replaced, on the three shapes of a Kalman
+step: the record's NIS over 11 rows, the per-sensor NIS over the 4/4/3-row
+blocks of the isolation test, and a 10-state update from 11 rows.
 
 Run from the repository root, after building the extension in place:
 
@@ -99,6 +102,72 @@ def bench_cloud(kernels, case, n_steps, repeats=5):
     return best
 
 
+ISOLATION_BLOCKS = (0, 4, 4, 8, 8, 11)  # star tracker, magnetometer, gyro rows
+
+
+def kalman_case(n=10, seed=0):
+    """An S of the attitude suite's shape (H Sigma H' + R), a reading and a
+    belief of n states with its cross-covariance C = Sigma H'."""
+    rng = np.random.default_rng(seed)
+    meas = attitude_measurement(make_layout(), {"star_tracker": (1e-3,) * 4,
+                                                "magnetometer": (1e-2,) * 4,
+                                                "gyro": (2.5e-5,) * 3}, n)
+    a = rng.standard_normal((n, n))
+    sigma = 1e-3 * (a @ a.T) + 1e-4 * np.eye(n)
+    sigma = 0.5 * (sigma + sigma.T)
+    cross = sigma @ meas.H.T
+    s = meas.H @ cross + meas.R
+    return s, 0.1 * rng.standard_normal(len(s)), rng.standard_normal(n), sigma, cross
+
+
+def cholesky_layer(kernels, s, nu, mu, sigma, cross):
+    """Every entry of the Cholesky layer on one Kalman step's arrays."""
+    nis, l = kernels.nis(s, nu)
+    return (l, nis, kernels.block_nis(s, nu, ISOLATION_BLOCKS), kernels.cholesky(s),
+            *kernels.kalman_update(mu, sigma, cross, l, nu))
+
+
+def numpy_update(mu, sigma, cross, s, nu):
+    """The update the Cholesky layer replaced: a LAPACK solve for the gain,
+    then Sigma - K S K', symmetrized."""
+    gain = np.linalg.solve(s, cross.T).T
+    new = sigma - gain @ s @ gain.T
+    return mu + gain @ nu, 0.5 * (new + new.T)
+
+
+def per_call(fn, calls=20000, repeats=5):
+    """Best time of one call of ``fn()`` over ``repeats`` loops, in us."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / calls * 1e6
+
+
+def bench_cholesky():
+    s, nu, mu, sigma, cross = kalman_case()
+    l = core.cholesky(s)
+    blocks = list(zip(ISOLATION_BLOCKS[::2], ISOLATION_BLOCKS[1::2]))
+    cases = [
+        ("record NIS (11 rows)", lambda k: lambda: k.nis(s, nu),
+         lambda: float(nu @ np.linalg.solve(s, nu))),
+        ("isolation NIS (4/4/3 blocks)", lambda k: lambda: k.block_nis(s, nu, ISOLATION_BLOCKS),
+         lambda: [float(nu[a:b] @ np.linalg.solve(s[a:b, a:b], nu[a:b])) for a, b in blocks]),
+        ("10-state update from L (11 rows)",
+         lambda k: lambda: k.kalman_update(mu, sigma, cross, l, nu),
+         lambda: numpy_update(mu, sigma, cross, s, nu)),
+    ]
+    print("%-38s %10s %10s %10s %8s" % ("Cholesky layer, per call", "compiled", "np.linalg",
+                                         "python", "vs np"))
+    for label, ours, theirs in cases:
+        tc = per_call(ours(core))
+        tn = per_call(theirs)
+        tp = per_call(ours(kernels_py), calls=2000, repeats=3)
+        print("%-38s %7.2f us %7.2f us %7.1f us %7.1fx" % (label, tc, tn, tp, tn / tc))
+
+
 def main():
     print("backend check: BACKEND=%s" % BACKEND)
     for m in (1, 15, 21, 1000):
@@ -114,6 +183,13 @@ def main():
         same = all(np.array_equal(a, b) for a, b in zip(cloud_passes(core, *cloud_case(m)),
                                                          cloud_passes(kernels_py, *cloud_case(m))))
         print("  cloud %5d rows, both passes      : bit-identical=%s" % (m, same))
+        if not same:
+            raise SystemExit("backend mismatch; parity is a hard requirement")
+    for n in (7, 10):
+        case = kalman_case(n)
+        same = all(np.array_equal(a, b) for a, b in zip(cholesky_layer(core, *case),
+                                                         cholesky_layer(kernels_py, *case)))
+        print("  Cholesky layer, %2d states, 11 rows : bit-identical=%s" % (n, same))
         if not same:
             raise SystemExit("backend mismatch; parity is a hard requirement")
 
@@ -136,6 +212,8 @@ def main():
     tc = bench_cloud(core, case, 300)
     tp = bench_cloud(kernels_py, case, 300, repeats=3)
     print("%-38s %10.4f s %10.4f s %7.1fx" % ("PF cloud passes   (1000 x  300)", tc, tp, tp / tc))
+    print()
+    bench_cholesky()
 
 
 if __name__ == "__main__":

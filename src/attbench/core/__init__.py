@@ -5,8 +5,11 @@ source next to this file. It is optional: if the build was skipped or the
 import fails, the numpy implementation takes over with identical numerics.
 Set ``ATTBENCH_PURE_PYTHON=1`` to force the fallback regardless.
 
-Three kernels live here: the batched rigid-body RK4 step, and the particle
-filter's two cloud passes (jitter plus moments, and the log-likelihood).
+Three groups of kernels live here: the batched rigid-body RK4 step; the
+particle filter's two cloud passes (jitter plus moments, and the
+log-likelihood); and the fixed-order Cholesky layer of the Kalman step
+(the factor, the NIS, the NIS of several diagonal blocks in one call, and
+the Kalman update from the factor).
 """
 
 import os
@@ -57,4 +60,34 @@ def cloud_loglik(cloud, h, l, y):
     return args[-1]
 
 
-__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "BACKEND"]
+def cholesky(a):
+    """Lower-triangular L with L L' = a on the active backend; the contract
+    is ``kernels_py.cholesky``'s."""
+    a, bounds, _, l = kernels_py.checked_factor(a)
+    _kernels.factor_rows(a, bounds, None, l)
+    return l
+
+
+def nis(a, nu):
+    """(NIS, L): nu' a^-1 nu and the Cholesky factor of ``a`` on the active
+    backend; the contract is ``kernels_py.nis``'s."""
+    a, bounds, nu, l = kernels_py.checked_factor(a, nu)
+    return _kernels.factor_rows(a, bounds, nu, l)[0], l
+
+
+def block_nis(a, nu, bounds):
+    """The NIS of each listed diagonal block of ``a`` on the active backend;
+    the contract is ``kernels_py.block_nis``'s."""
+    return _kernels.factor_rows(*kernels_py.checked_factor(a, nu, bounds))
+
+
+def kalman_update(mu, sigma, cross, l, nu):
+    """(mu', Sigma') of the Kalman update from the Cholesky factor ``l`` of S
+    on the active backend; the contract is ``kernels_py.kalman_update``'s."""
+    args = kernels_py.checked_update(mu, sigma, cross, l, nu)
+    _kernels.update_rows(*args)
+    return args[-2:]
+
+
+__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "cholesky", "nis", "block_nis",
+           "kalman_update", "BACKEND"]

@@ -4,7 +4,7 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The module exports three functions. attbench.core validates the caller's
+ * The module exports five functions. attbench.core validates the caller's
  * arrays, and allocates the outputs, before calling any of them; each
  * function still checks that its buffers fit each other.
  *
@@ -19,11 +19,21 @@
  *     None: no jitter, z = x, no r.
  * loglik_rows(x, h, l, y, out) writes -0.5 |l^-1 (y - h x)|^2 for each row
  *     of x, by forward substitution with the lower triangle of l.
+ * factor_rows(a, bounds, nu, l) Cholesky-factors each diagonal block
+ *     [start, stop) that the flat tuple bounds lists into the same block of
+ *     l, and returns a tuple of each block's NIS |L^-1 nu|^2 (empty when nu
+ *     is None); ValueError when a pivot is not a finite number > 0.
+ * update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out) writes the Kalman
+ *     update from the Cholesky factor l of S: W = C L^-T, mu + W (L^-1 nu)
+ *     and sigma - W W', exactly symmetric.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles runs from row 0, and a product
  * with h, root or l from column 0, skipping the terms whose coefficient is
- * zero (so a 0/1 selection h costs one term per row).
+ * zero (so a 0/1 selection h costs one term per row). The Cholesky kernels
+ * skip no terms: each difference subtracts its terms in column order, each
+ * sum of products runs from -0.0 in column order, and each division is by
+ * the pivot itself, never a multiplication by its reciprocal.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -364,6 +374,87 @@ loglik(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *h,
     }
 }
 
+/* Cholesky factor of the diagonal block [lo, hi) of the (m, m) a into the
+ * same block of l, row by row: l[i, j] = (a[i, j] - l[i, lo] l[j, lo] - ...
+ * - l[i, j-1] l[j, j-1]) / l[j, j] for lo <= j < i, subtracted in that
+ * order, and l[i, i] = sqrt(a[i, i] - l[i, lo]^2 - ... - l[i, i-1]^2). Only
+ * the block's lower triangle of a is read. Returns the first row whose
+ * pivot is not a finite number > 0, or -1. */
+static Py_ssize_t
+factor(const double *a, Py_ssize_t m, Py_ssize_t lo, Py_ssize_t hi, double *l)
+{
+    Py_ssize_t i, j, k;
+
+    for (i = lo; i < hi; i++) {
+        const double *ai = a + i * m;
+        double *li = l + i * m;
+
+        for (j = lo; j <= i; j++) {
+            const double *lj = l + j * m;
+            double acc = ai[j];
+
+            for (k = lo; k < j; k++)
+                acc = acc - li[k] * lj[k];
+            if (j < i)
+                li[j] = acc / lj[j];
+            else if (acc > 0.0 && acc < INFINITY)
+                li[i] = sqrt(acc);
+            else
+                return i;
+        }
+    }
+    return -1;
+}
+
+/* v = l^-1 b on the rows [lo, hi) of the lower-triangular l, by forward
+ * substitution: v[i] = (b[i] - l[i, lo] v[lo] - ... - l[i, i-1] v[i-1]) /
+ * l[i, i], subtracted in that order. */
+static inline void
+forward(const double *l, Py_ssize_t m, Py_ssize_t lo, Py_ssize_t hi, const double *b, double *v)
+{
+    Py_ssize_t i, k;
+
+    for (i = lo; i < hi; i++) {
+        double acc = b[i];
+
+        for (k = lo; k < i; k++)
+            acc = acc - l[i * m + k] * v[k];
+        v[i] = acc / l[i * m + i];
+    }
+}
+
+/* The Kalman update of update_rows: W = C l^-T row by row (row r of W is
+ * l^-1 applied to row r of the (n, m) C), v = l^-1 nu, mu_out = mu + W v and
+ * sigma_out = sigma - W W', whose upper triangle is summed, from -0.0 in
+ * column order, and mirrored. scratch holds n m + m doubles. */
+static void
+update(const double *mu, const double *sigma, Py_ssize_t n, const double *cross,
+       const double *l, Py_ssize_t m, const double *nu, double *mu_out, double *sigma_out,
+       double *scratch)
+{
+    double *w = scratch, *v = scratch + n * m;
+    Py_ssize_t r, c, j;
+
+    forward(l, m, 0, m, nu, v);
+    for (r = 0; r < n; r++) {
+        double acc = -0.0;
+
+        forward(l, m, 0, m, cross + r * m, w + r * m);
+        for (j = 0; j < m; j++)
+            acc = acc + w[r * m + j] * v[j];
+        mu_out[r] = mu[r] + acc;
+    }
+    for (r = 0; r < n; r++)
+        for (c = r; c < n; c++) {
+            double acc = -0.0;
+
+            for (j = 0; j < m; j++)
+                acc = acc + w[r * m + j] * w[c * m + j];
+            sigma_out[r * n + c] = sigma[r * n + c] - acc;
+            sigma_out[c * n + r] = sigma_out[r * n + c];
+        }
+}
+
 /* A C-contiguous float64 buffer of the given rank (0: rank 1 or 2); raises
  * ValueError and releases it otherwise. */
 static int
@@ -562,6 +653,129 @@ fail:
     return NULL;
 }
 
+static PyObject *
+factor_rows(PyObject *self, PyObject *args)
+{
+    PyObject *ao, *bounds, *nuo, *lo_, *nis = NULL;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *a, *nu, *l, *scratch = NULL;
+    Py_ssize_t m, count, b, i, bad = -1;
+
+    if (!PyArg_ParseTuple(args, "OO!OO:factor_rows", &ao, &PyTuple_Type, &bounds, &nuo, &lo_))
+        return NULL;
+    if (get_shaped(ao, &v[0], PyBUF_SIMPLE, 2, -1, -1, "a", &a) < 0)
+        goto fail;
+    m = a ? v[0].shape[0] : 0;
+    if (m < 1 || v[0].shape[1] != m) {
+        PyErr_SetString(PyExc_ValueError, "a must be a non-empty square matrix");
+        goto fail;
+    }
+    if (get_shaped(nuo, &v[1], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
+        || get_shaped(lo_, &v[2], PyBUF_WRITABLE, 2, m, m, "l", &l) < 0)
+        goto fail;
+    if (!l) {
+        PyErr_SetString(PyExc_ValueError, "l is required");
+        goto fail;
+    }
+    count = PyTuple_GET_SIZE(bounds);
+    if (count < 2 || count % 2) {
+        PyErr_SetString(PyExc_ValueError, "bounds must hold (start, stop) pairs");
+        goto fail;
+    }
+    for (i = 0; i < count; i++) {
+        Py_ssize_t edge = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, i));
+
+        if (edge == -1 && PyErr_Occurred())
+            goto fail;
+        if (edge < 0 || edge > m || (i % 2 && edge <= PyLong_AsSsize_t(
+                PyTuple_GET_ITEM(bounds, i - 1)))) {
+            PyErr_SetString(PyExc_ValueError, "bounds must be 0 <= start < stop <= m");
+            goto fail;
+        }
+    }
+    if (nu && !(scratch = PyMem_RawMalloc(m * sizeof(double)))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    nis = PyTuple_New(nu ? count / 2 : 0);
+    if (!nis)
+        goto fail;
+    for (b = 0; b < count / 2; b++) {
+        Py_ssize_t lo = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, 2 * b));
+        Py_ssize_t hi = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, 2 * b + 1));
+        double ss = -0.0;
+        PyObject *f;
+
+        bad = factor(a, m, lo, hi, l);
+        if (bad >= 0)
+            break;
+        if (!nu)
+            continue;
+        forward(l, m, lo, hi, nu, scratch);
+        for (i = lo; i < hi; i++)
+            ss = ss + scratch[i] * scratch[i];
+        if (!(f = PyFloat_FromDouble(ss)))
+            goto fail;
+        PyTuple_SET_ITEM(nis, b, f);
+    }
+    if (bad >= 0) {
+        PyErr_Format(PyExc_ValueError, "matrix is not positive definite (pivot of row %zd)", bad);
+        goto fail;
+    }
+    PyMem_RawFree(scratch);
+    release_all(v);
+    return nis;
+fail:
+    Py_XDECREF(nis);
+    PyMem_RawFree(scratch);
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+update_rows(PyObject *self, PyObject *args)
+{
+    PyObject *muo, *sigmao, *crosso, *lo, *nuo, *muouto, *sigmaouto;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *mu, *sigma, *cross, *l, *nu, *mu_out, *sigma_out, *scratch;
+    Py_ssize_t n, m;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOO:update_rows", &muo, &sigmao, &crosso, &lo, &nuo,
+                          &muouto, &sigmaouto))
+        return NULL;
+    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, -1, -1, "mu", &mu) < 0
+        || get_shaped(lo, &v[1], PyBUF_SIMPLE, 2, -1, -1, "l", &l) < 0)
+        goto fail;
+    if (!mu || !l || v[0].shape[0] < 1 || v[1].shape[0] < 1 || v[1].shape[1] != v[1].shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "mu and l must be non-empty (n,) and (m, m)");
+        goto fail;
+    }
+    n = v[0].shape[0];
+    m = v[1].shape[0];
+    if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
+        || get_shaped(crosso, &v[3], PyBUF_SIMPLE, 2, n, m, "cross", &cross) < 0
+        || get_shaped(nuo, &v[4], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
+        || get_shaped(muouto, &v[5], PyBUF_WRITABLE, 1, n, -1, "mu_out", &mu_out) < 0
+        || get_shaped(sigmaouto, &v[6], PyBUF_WRITABLE, 2, n, n, "sigma_out", &sigma_out) < 0)
+        goto fail;
+    if (!sigma || !cross || !nu || !mu_out || !sigma_out) {
+        PyErr_SetString(PyExc_ValueError, "sigma, cross, nu, mu_out and sigma_out are required");
+        goto fail;
+    }
+    scratch = PyMem_RawMalloc((n * m + m) * sizeof(double));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    update(mu, sigma, n, cross, l, m, nu, mu_out, sigma_out, scratch);
+    PyMem_RawFree(scratch);
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
      "step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)\n--\n\n"
@@ -573,13 +787,19 @@ static PyMethodDef methods[] = {
     {"loglik_rows", loglik_rows, METH_VARARGS,
      "loglik_rows(x, h, l, y, out)\n--\n\n"
      "Write each particle's Gaussian log-likelihood of y, up to a constant."},
+    {"factor_rows", factor_rows, METH_VARARGS,
+     "factor_rows(a, bounds, nu, l)\n--\n\n"
+     "Cholesky-factor each diagonal block of a into l; return each block's NIS."},
+    {"update_rows", update_rows, METH_VARARGS,
+     "update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)\n--\n\n"
+     "Write the Kalman update of (mu, sigma) from the Cholesky factor l of S."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernels_c",
-    .m_doc = "Compiled batched rigid-body RK4 and particle-cloud kernels.",
+    .m_doc = "Compiled rigid-body RK4, particle-cloud and Cholesky kernels.",
     .m_size = -1,
     .m_methods = methods,
 };

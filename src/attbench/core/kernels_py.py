@@ -1,5 +1,5 @@
-"""Numpy fallback for the compiled kernels: the batched rigid-body RK4 step
-and the particle filter's two cloud passes.
+"""Numpy fallback for the compiled kernels: the batched rigid-body RK4 step,
+the particle filter's two cloud passes and the Kalman step's Cholesky layer.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
@@ -12,7 +12,15 @@ a small matrix (the jitter root, H, L) sums over its columns from column 0,
 starting from -0.0 (which leaves the first term unchanged) and skipping the
 terms whose coefficient is exactly zero, so a 0/1 selection row costs one
 term. Nothing here uses ``@``, ``np.sum`` (pairwise) or ``einsum``.
+
+The Cholesky layer (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, ch. 10) works on Python floats, whose +, -, *, / and
+``math.sqrt`` are the correctly rounded IEEE operations C uses. Its sums
+run over the columns in order and skip no terms, and it divides by each
+pivot rather than multiplying by a reciprocal.
 """
+
+import math
 
 import numpy as np
 
@@ -152,7 +160,11 @@ def _product(x, h):
 
 
 def _doubles(name, a, ndim, shape=None):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A float64 C-contiguous view of ``a``, never ``a`` itself: an array
+    lent to C through the buffer protocol keeps numpy's ~100 B of buffer
+    info until it is freed, and the filters keep S and nu in every step's
+    innovation record."""
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     if a.ndim != ndim or (shape is not None and a.shape != shape):
         raise ValueError("%s must have shape %r, got %r"
                          % (name, shape or ("?",) * ndim, a.shape))
@@ -324,3 +336,184 @@ def cloud_loglik(cloud, h, l, y):
     args = checked_loglik(cloud, h, l, y)
     loglik_rows(*args)
     return args[-1]
+
+
+def checked_factor(a, nu=None, bounds=None):
+    """The arguments of ``factor_rows``, validated: ``a`` as a float64
+    C-contiguous (m, m) array, ``nu`` None or (m,), ``bounds`` a flat tuple
+    of (start, stop) pairs (None: the whole matrix, ``(0, m)``) and a
+    zeroed (m, m) ``l``.
+
+    Raises:
+        ValueError: ``a`` is not a non-empty square matrix, ``nu`` does not
+            fit it, or a block is not 0 <= start < stop <= m.
+    """
+    a = _doubles("S", a, 2)
+    m = len(a)
+    if m < 1 or a.shape != (m, m):
+        raise ValueError("S must be a non-empty square matrix, got shape %r" % (a.shape,))
+    if nu is not None:
+        nu = _doubles("nu", nu, 1, (m,))
+    if bounds is None:
+        bounds = (0, m)
+    else:
+        bounds = tuple(map(int, bounds))
+        if (not bounds or len(bounds) % 2
+                or not all(0 <= lo < hi <= m for lo, hi in zip(bounds[::2], bounds[1::2]))):
+            raise ValueError("bounds must hold (start, stop) pairs with 0 <= start < stop <= "
+                             "%d, got %r" % (m, bounds))
+    return a, bounds, nu, np.zeros((m, m))
+
+
+def _forward(l, lo, hi, b, v):
+    """v[i] = (b[i] - l[i][lo] v[lo] - ... - l[i][i-1] v[i-1]) / l[i][i] for
+    the rows [lo, hi) of the nested lists ``l``, subtracted in that order;
+    ``b`` and ``v`` are lists of Python floats."""
+    for i in range(lo, hi):
+        li = l[i]
+        acc = b[i]
+        for k in range(lo, i):
+            acc = acc - li[k] * v[k]
+        v[i] = acc / li[i]
+
+
+def factor_rows(a, bounds, nu, l):
+    """Cholesky-factor each diagonal block [start, stop) of ``a`` listed in
+    ``bounds`` into the same block of ``l``, in place, and return the tuple
+    of each block's NIS |L^-1 nu|^2 (empty when ``nu`` is None).
+
+    A block's row i after rows start .. i-1: l[i, j] = (a[i, j] - l[i, start]
+    l[j, start] - ... - l[i, j-1] l[j, j-1]) / l[j, j] for j < i, subtracted
+    in that order, then l[i, i] = sqrt of the same difference at j = i. Only
+    the lower triangle of ``a`` is read. The NIS sums the squares of
+    ``_forward``'s v from -0.0, in row order.
+
+    Raises:
+        ValueError: a pivot is not a finite number > 0 (``a`` is not
+            positive definite, or not finite).
+    """
+    rows, lrows = a.tolist(), l.tolist()
+    b = None if nu is None else nu.tolist()
+    v = [0.0] * len(rows)
+    nis = []
+    for lo, hi in zip(bounds[::2], bounds[1::2]):
+        for i in range(lo, hi):
+            ai, li = rows[i], lrows[i]
+            for j in range(lo, i + 1):
+                lj = lrows[j]
+                acc = ai[j]
+                for k in range(lo, j):
+                    acc = acc - li[k] * lj[k]
+                if j < i:
+                    li[j] = acc / lj[j]
+                elif 0.0 < acc < math.inf:
+                    li[i] = math.sqrt(acc)
+                else:
+                    raise ValueError("matrix is not positive definite (pivot of row %d)" % i)
+        if b is not None:
+            _forward(lrows, lo, hi, b, v)
+            ss = -0.0
+            for i in range(lo, hi):
+                ss = ss + v[i] * v[i]
+            nis.append(ss)
+    l[:] = lrows
+    return tuple(nis)
+
+
+def checked_update(mu, sigma, cross, l, nu):
+    """The arguments of ``update_rows``, validated, and its two outputs.
+
+    Raises:
+        ValueError: ``mu`` is not a non-empty (n,), ``l`` not a non-empty
+            (m, m), or ``sigma``, ``cross`` and ``nu`` are not (n, n),
+            (n, m) and (m,).
+    """
+    mu = _doubles("mu", mu, 1)
+    l = _doubles("L", l, 2)
+    n, m = mu.shape[0], l.shape[0]
+    if n < 1 or m < 1 or l.shape != (m, m):
+        raise ValueError("mu and L must be non-empty (n,) and (m, m), got %r and %r"
+                         % (mu.shape, l.shape))
+    return (mu, _doubles("Sigma", sigma, 2, (n, n)), _doubles("C", cross, 2, (n, m)), l,
+            _doubles("nu", nu, 1, (m,)), np.empty(n), np.empty((n, n)))
+
+
+def _ordered_dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., summed from -0.0 in order."""
+    acc = -0.0
+    for x, y in zip(a, b):
+        acc = acc + x * y
+    return acc
+
+
+def update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out):
+    """The Kalman update from the lower-triangular Cholesky factor ``l`` of S.
+
+    W = C L^-T: row r of W is ``_forward`` on row r of C; v = L^-1 nu
+    likewise. ``mu_out`` = mu + W v and ``sigma_out`` = sigma - W W', whose
+    entry (r, c), c >= r, is sigma[r, c] minus ``_ordered_dot`` of rows r
+    and c of W, mirrored to (c, r), so ``sigma_out`` is exactly symmetric.
+    Only the upper triangle of ``sigma`` is read.
+    """
+    lrows = l.tolist()
+    m = len(lrows)
+    v = [0.0] * m
+    _forward(lrows, 0, m, nu.tolist(), v)
+    w = []
+    for row in cross.tolist():
+        w.append([0.0] * m)
+        _forward(lrows, 0, m, row, w[-1])
+    mu_out[:] = [x + _ordered_dot(wr, v) for x, wr in zip(mu.tolist(), w)]
+    out = sigma.tolist()
+    for r, wr in enumerate(w):
+        for c in range(r, len(w)):
+            out[r][c] = out[c][r] = out[r][c] - _ordered_dot(wr, w[c])
+    sigma_out[:] = out
+
+
+def cholesky(a):
+    """Lower-triangular L with L L' = a, by ``factor_rows``'s arithmetic.
+
+    Raises:
+        ValueError: see ``checked_factor`` and ``factor_rows``.
+    """
+    a, bounds, _, l = checked_factor(a)
+    factor_rows(a, bounds, None, l)
+    return l
+
+
+def nis(a, nu):
+    """(NIS, L): the normalized innovation squared nu' a^-1 nu = |L^-1 nu|^2
+    and the Cholesky factor L of ``a`` it came from (``factor_rows``).
+
+    Raises:
+        ValueError: see ``checked_factor`` and ``factor_rows``.
+    """
+    a, bounds, nu, l = checked_factor(a, nu)
+    return factor_rows(a, bounds, nu, l)[0], l
+
+
+def block_nis(a, nu, bounds):
+    """The NIS of each diagonal block [start, stop) of ``a`` that the flat
+    ``bounds`` lists, over the same rows of ``nu``, as a tuple of floats;
+    the blocks may overlap, and need not cover every row.
+
+    Raises:
+        ValueError: see ``checked_factor`` and ``factor_rows``.
+    """
+    return factor_rows(*checked_factor(a, nu, bounds))
+
+
+def kalman_update(mu, sigma, cross, l, nu):
+    """(mu', Sigma') of the Kalman update with innovation ``nu``,
+    state/reading cross-covariance ``cross`` (C, (n, m)) and the
+    lower-triangular Cholesky factor ``l`` of the innovation covariance S:
+    mu + C S^-1 nu and Sigma - C S^-1 C', with Sigma' exactly symmetric.
+    ``update_rows`` gives the exact arithmetic.
+
+    Raises:
+        ValueError: see ``checked_update``.
+    """
+    args = checked_update(mu, sigma, cross, l, nu)
+    update_rows(*args)
+    return args[-2:]

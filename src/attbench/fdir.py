@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaincinv
 
+from . import core
 from .errors import FieldError, check_choice
 
 __all__ = [
@@ -61,17 +62,15 @@ def chi2_quantile(dof, alpha):
 
 
 def compute_nis(nu, S):
-    """Normalized innovation squared nu' S^-1 nu.
+    """Normalized innovation squared nu' S^-1 nu, as |L^-1 nu|^2 from the
+    fixed-order Cholesky factor L of S (``attbench.core.nis``), so it has
+    the same bits on every CPU and backend.
 
     Raises:
-        ValueError: S is singular (the innovation covariance collapsed).
+        ValueError: S is not positive definite (collapsed, indefinite or
+            not finite).
     """
-    nu = np.asarray(nu, dtype=float)
-    try:
-        sol = np.linalg.solve(np.asarray(S, dtype=float), nu)
-    except np.linalg.LinAlgError:
-        raise ValueError("innovation covariance is singular")
-    return float(nu @ sol)
+    return core.nis(S, nu)[0]
 
 
 @dataclass(frozen=True)
@@ -184,17 +183,16 @@ def per_sensor_nis(record, slice_map):
 
     Because the stacked S carries H Sigma H' + R, the sub-block for a
     sensor's rows is exactly that sensor's innovation covariance; slicing
-    the record is equivalent to rebuilding H_i Sigma H_i' + R_i.
+    the record is equivalent to rebuilding H_i Sigma H_i' + R_i. One
+    ``attbench.core.block_nis`` call factors every sensor's diagonal block.
 
     Returns:
         dict: sensor name -> (nis, dof), in layout order.
     """
-    out = {}
-    for name, sl in slice_map.items():
-        nu_i = record.nu[sl]
-        s_i = record.S[sl, sl]
-        out[name] = (compute_nis(nu_i, s_i), sl.stop - sl.start)
-    return out
+    bounds = tuple(edge for sl in slice_map.values() for edge in (sl.start, sl.stop))
+    nis = core.block_nis(record.S, record.nu, bounds)
+    return {name: (nis_i, sl.stop - sl.start)
+            for (name, sl), nis_i in zip(slice_map.items(), nis)}
 
 
 def isolation_check(record, slice_map, cfg):

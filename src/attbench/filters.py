@@ -18,9 +18,13 @@ single kernel call per step. A filter object is a stateless stepper (the
 particle filter owns its RNG); beliefs are passed in and returned.
 
 The EKF and UKF are one Gaussian filter: they share ``step`` and its one
-Kalman update, K = C S^-1, and differ only in how they propagate the belief
-and form the measurement moments (predicted reading, S and the state/reading
-cross-covariance C). The particle filter reweights particles instead. Its
+Kalman update, and differ only in how they propagate the belief and form
+the measurement moments (predicted reading, S and the state/reading
+cross-covariance C). The step factors S once per update with the
+fixed-order Cholesky of ``attbench.core``: NIS = |L^-1 nu|^2, W = C L^-T,
+mu + W L^-1 nu and Sigma - W W', exactly symmetric; the EKF's record shares
+that one factor. No LAPACK or BLAS kernel choice reaches the NIS or the
+update. The particle filter reweights particles instead. Its
 per-particle arithmetic (jitter, renormalization, the predicted reading,
 the moments and the log-likelihood) runs in two compiled passes of
 ``attbench.core``, whose every sum over the particles has a fixed order,
@@ -114,12 +118,13 @@ def _check_psd(name, m, dim):
 
 
 def _psd_sqrt(m):
-    """Lower-triangular-ish L with L L' = m; eigendecomposition fallback
-    clamps small negative eigenvalues so a barely indefinite covariance
-    still yields usable sigma points."""
+    """Lower-triangular-ish L with L L' = m: the fixed-order Cholesky factor
+    (``core.cholesky``), else an eigendecomposition that clamps small
+    negative eigenvalues, so a barely indefinite covariance still yields
+    usable sigma points."""
     try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
+        return core.cholesky(m)
+    except ValueError:
         w, v = np.linalg.eigh(_symmetrize(m))
         return v * np.sqrt(np.clip(w, 0.0, None))
 
@@ -418,17 +423,18 @@ class _GaussianFilter:
         pred = self.predict(belief, t - self.model.dt)
         y_hat, s, cross, s_record = self._moments(pred)
         nu = self.meas.align(y, pred.mu) - y_hat
-        record = InnovationRecord(t=t, nu=nu, S=s_record, nis=compute_nis(nu, s_record),
-                                  source=self.source)
+        nis, l = core.nis(s_record, nu)
+        record = InnovationRecord(t=t, nu=nu, S=s_record, nis=nis, source=self.source)
 
         rows = _update_rows(self.meas, record, decide)
         if rows is not None:
             if not rows.size:
                 return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
             s, cross, nu = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
-        gain = np.linalg.solve(s, cross.T).T
-        mu_new = pred.mu + gain @ nu
-        sigma_new = _symmetrize(pred.sigma - gain @ s @ gain.T)
+        if rows is not None or s is not s_record:
+            # a row subset, or the UKF's record S, which carries R once more
+            l = core.cholesky(s)
+        mu_new, sigma_new = core.kalman_update(pred.mu, pred.sigma, cross, l, nu)
         return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
 
 
@@ -443,9 +449,9 @@ class EkfFilter(_GaussianFilter):
         n = self.model.dim
         eps = self.cfg.fd_eps
         batch = np.tile(belief.mu, (2 * n + 1, 1))
-        for j in range(n):
-            batch[1 + j, j] += eps
-            batch[1 + n + j, j] -= eps
+        diag = np.arange(n)
+        batch[1 + diag, diag] += eps
+        batch[1 + n + diag, diag] -= eps
         prop = self.model.propagate(batch, t)
         mu_pred = prop[0]
         a = (prop[1:1 + n] - prop[1 + n:]).T / (2.0 * eps)
@@ -570,10 +576,11 @@ class PfFilter:
     on the healthy rows, through L = chol(R) of those rows. Every sum over
     the particles runs in row order from row 0, and every product over the
     state in column order, so the cloud and its weights do not depend on
-    which BLAS kernels the CPU selects (the record's NIS still comes from a
-    LAPACK solve, and both L from LAPACK's Cholesky). The random draws, the
-    weight update (max shift, exp, normalization), ESS and systematic
-    resampling stay in numpy.
+    which BLAS kernels the CPU selects. The record's NIS (``compute_nis``)
+    and both L come from the fixed-order Cholesky of ``attbench.core`` too
+    (the jitter root falls back to LAPACK's ``eigh`` only for a Q that is
+    not positive definite). The random draws, the weight update (max shift,
+    exp, normalization), ESS and systematic resampling stay in numpy.
     """
 
     source = "pf"
@@ -590,7 +597,7 @@ class PfFilter:
         self._all_rows = np.arange(self.meas.dim)
         try:
             self._likelihood_rows(self._all_rows)
-        except np.linalg.LinAlgError:
+        except ValueError:
             raise ValueError("particle filter requires positive-definite R")
 
     def initial_belief(self):
@@ -606,7 +613,7 @@ class PfFilter:
         found = self._row_models.get(key)
         if found is None:
             found = (np.ascontiguousarray(self.meas.H[rows]),
-                     np.linalg.cholesky(self.meas.R[np.ix_(rows, rows)]))
+                     core.cholesky(self.meas.R[np.ix_(rows, rows)]))
             self._row_models[key] = found
         return found
 

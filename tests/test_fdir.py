@@ -49,6 +49,16 @@ def test_compute_nis_singular_covariance():
         fdir.compute_nis(np.ones(2), np.zeros((2, 2)))
 
 
+def test_compute_nis_rejects_an_indefinite_covariance():
+    # a Cholesky pivot of S that is not > 0 is an error, not a negative NIS
+    with pytest.raises(ValueError, match="positive definite"):
+        fdir.compute_nis(np.array([1.0, 2.0]), np.diag([1.0, -1.0]))
+    rec = InnovationRecord(t=0.0, nu=np.ones(11), S=np.diag(np.r_[np.ones(8), 1.0, -1.0, 1.0]),
+                           nis=0.0, source="ekf")
+    with pytest.raises(ValueError, match="positive definite"):
+        fdir.per_sensor_nis(rec, SLICES)
+
+
 def test_detector_config_validation():
     fdir.DetectorConfig()  # defaults are valid
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attbench import dynamics as dyn, filters as flt
+from attbench.fdir import DetectorConfig, FdirSupervisor
 from attbench.runner import run_scenario
 from attbench.scenario import load_bundled
 from attbench.sensors import make_layout
@@ -185,6 +186,29 @@ def test_healthy_names_take_one_path_in_every_filter(kind):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     updated = step(None)
     assert not all(np.array_equal(a, b) for a, b in zip(astuple(updated), astuple(skipped)))
+
+
+@pytest.mark.parametrize("kind", flt.FILTER_KINDS)
+def test_a_filter_step_calls_no_lapack_routine(kind, monkeypatch):
+    """The record's NIS, the per-sensor NIS, every factor of S and the
+    update run in attbench.core, so no step reaches numpy's LAPACK wrappers,
+    whose kernels (and bits) depend on the CPU: not on a full-row update,
+    not on one that isolates the star tracker."""
+    cfg = rigid_config()
+    filt = flt.make_filter(kind, cfg, rng=np.random.default_rng(5))
+    belief = filt.initial_belief()
+    supervisor = FdirSupervisor("isolation", DetectorConfig(), cfg.measurement.slices)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a filter step called LAPACK")
+
+    for name in ("solve", "cholesky", "eigh", "eigvalsh", "inv", "lstsq", "svd", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    y = cfg.measurement.H @ cfg.x0
+    spike = y + np.r_[np.full(4, 0.5), np.zeros(7)]
+    for k, reading in enumerate((y, spike, y)):
+        belief, _ = filt.step(belief, reading, 0.1 * (k + 1), decide=supervisor.decide)
+    assert supervisor.reports[1].isolated == {"star_tracker"}
 
 
 INVARIANT_STEPS = 60

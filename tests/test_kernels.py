@@ -87,16 +87,55 @@ def pf_pass_digest(kernels):
     return digest.hexdigest()
 
 
-def pf_run_digest():
-    """Digest of a 30-step particle-filter run of spike_isolation under its
-    isolation policy: estimates, variances and NIS."""
+def filter_run_digest():
+    """Digest of a 30-step run of spike_isolation under its isolation policy
+    with each filter: estimates, variances and NIS."""
     from attbench.runner import run_scenario
     from attbench.scenario import load_bundled, with_overrides
     cfg = with_overrides(load_bundled("spike_isolation"), t_end=3.0)
-    result = run_scenario(cfg, mode="fdir", filter_kind="pf")
     digest = hashlib.sha256()
-    for out in (result.estimates, result.variances, result.nis):
-        digest.update(out.tobytes())
+    for kind in ("ekf", "ukf", "pf"):
+        result = run_scenario(cfg, mode="fdir", filter_kind=kind)
+        for out in (result.estimates, result.variances, result.nis):
+            digest.update(out.tobytes())
+    return digest.hexdigest()
+
+
+def cholesky_outputs(kernels, s, nu, bounds, rows, mu, sigma, cross):
+    """Every output of the Cholesky layer of ``kernels`` (``attbench.core``
+    or the fallback) on one draw: the factor and NIS of S, the block NIS,
+    and the Kalman update on all rows and on the row subset, each from
+    its own factor."""
+    nis, l = kernels.nis(s, nu)
+    sub = kernels.cholesky(s[np.ix_(rows, rows)])
+    return (l, nis, kernels.block_nis(s, nu, bounds), kernels.cholesky(s), sub,
+            *kernels.kalman_update(mu, sigma, cross, l, nu),
+            *kernels.kalman_update(mu, sigma, cross[:, rows], sub, nu[rows]))
+
+
+def cholesky_inputs_fixed(m, n, seed):
+    """A fixed draw of ``cholesky_inputs``' kind: an SPD S of m rows split
+    into blocks of at most 4 rows, a reading, every third row left out of
+    the subset, and an n-state belief."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    s = a @ a.T / m + 0.5 * np.eye(m)
+    s = 0.5 * (s + s.T)
+    edges = [*range(0, m, 4), m]
+    bounds = tuple(e for lo, hi in zip(edges, edges[1:]) for e in (lo, hi))
+    b = rng.standard_normal((n, n))
+    sigma = b @ b.T + np.eye(n)
+    return (s, rng.standard_normal(m), bounds, np.flatnonzero(np.arange(m) % 3 != 1),
+            rng.standard_normal(n), 0.5 * (sigma + sigma.T), rng.standard_normal((n, m)))
+
+
+def cholesky_digest(kernels):
+    """Digest of the Cholesky layer of ``kernels`` on the attitude suite's
+    11 rows with 10 and 7 states, and on a 1-row reading of 1 state."""
+    digest = hashlib.sha256()
+    for m, n in ((11, 10), (11, 7), (1, 1)):
+        for out in cholesky_outputs(kernels, *cholesky_inputs_fixed(m, n, m + n)):
+            digest.update(np.asarray(out).tobytes())
     return digest.hexdigest()
 
 
@@ -126,8 +165,10 @@ BUILD_PROBE = textwrap.dedent("""
     print(gg.hexdigest())
 """ % (FILTER_BATCH_ROWS, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES)) + "\n".join([
     # the probe runs the suite's own digest functions, so both compute the same
-    inspect.getsource(pf_pass_digest), inspect.getsource(pf_run_digest),
-    "print(pf_pass_digest(core))", "print(pf_run_digest())"])
+    inspect.getsource(pf_pass_digest), inspect.getsource(filter_run_digest),
+    inspect.getsource(cholesky_outputs), inspect.getsource(cholesky_inputs_fixed),
+    inspect.getsource(cholesky_digest),
+    "print(pf_pass_digest(core))", "print(filter_run_digest())", "print(cholesky_digest(core))"])
 
 
 @pytest.mark.skipif(not SETUP_PY.is_file(), reason="no setup.py in the checkout")
@@ -140,7 +181,7 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
     checkout's setup.py, imported in subprocesses from that build alone.
     Both backends of that build must give the suite's own bits for a long
     trajectory, the 15-, 21- and 1000-row RK4 batches, both particle-filter
-    cloud passes and a short particle-filter run.
+    cloud passes, the Cholesky layer and a short run of each filter.
     """
     if opted_out(os.environ.get("ATTBENCH_PURE_PYTHON")):
         assert core.BACKEND == "python"
@@ -170,7 +211,7 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
         assert backend == ("python" if opted_out(value) else "compiled")
         digests.add(tuple(digest))
     assert digests == {(trajectory_digest(), filter_batch_digest(), gg_batch_digest(),
-                        pf_pass_digest(core), pf_run_digest())}
+                        pf_pass_digest(core), filter_run_digest(), cholesky_digest(core))}
 
 
 def test_python_kernel_matches_active_backend_bitwise():
@@ -216,20 +257,49 @@ def kernel_inputs(draw):
     return states, dt, inertia, torque, frames
 
 
+@st.composite
+def cholesky_inputs(draw):
+    """Arguments of the Cholesky kernels: an SPD S of 1-11 rows with a
+    condition number below ~100, scaled by 1e-6 to 1e6, a reading nu, a
+    random split of the rows into diagonal blocks, a random row subset, and
+    a belief of 1-10 states with its cross-covariance to the reading."""
+    m = draw(st.integers(1, 11))
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    a = rng.standard_normal((m, m))
+    s = scale * (a @ a.T / m + draw(st.floats(0.1, 2.0)) * np.eye(m))
+    s = 0.5 * (s + s.T)
+    edges = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1)) if m > 1 else ())
+    edges = [0, *edges, m]
+    bounds = tuple(e for lo, hi in zip(edges, edges[1:]) for e in (lo, hi))
+    rows = np.array(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
+    b = rng.standard_normal((n, n))
+    sigma = b @ b.T + np.eye(n)
+    sigma = 0.5 * (sigma + sigma.T)
+    cross = np.sqrt(scale) * 0.3 * rng.standard_normal((n, m))
+    nu = np.sqrt(scale) * rng.standard_normal(m)
+    return s, nu, bounds, rows, rng.standard_normal(n), sigma, cross
+
+
 @settings(max_examples=200, deadline=None)
-@given(kernel_inputs())
-def check_backend_parity(args):
+@given(kernel_inputs(), cholesky_inputs())
+def check_backend_parity(args, cholesky_args):
     states, dt, inertia, torque, frames = args
     active = core.rk4_step_batch(states, dt, *inertia, *torque, frames)
     fallback = kernels_py.rk4_step_batch(states, dt, *inertia, *torque, frames)
     assert np.array_equal(active, fallback)
     assert np.array_equal(active[:, 7:], states[:, 7:])
+    for a, b in zip(cholesky_outputs(core, *cholesky_args),
+                    cholesky_outputs(kernels_py, *cholesky_args)):
+        assert np.array_equal(a, b)
 
 
 def test_kernel_backends_agree_bitwise_on_random_inputs():
     """Property: the active backend and the numpy fallback give the same
-    bits on random finite inputs. Without the compiled backend both sides
-    are the fallback, which the warning states."""
+    bits on random finite inputs, for the RK4 step and the Cholesky layer.
+    Without the compiled backend both sides are the fallback, which the
+    warning states."""
     if core.BACKEND != "compiled":
         warnings.warn("compiled kernel absent: backend parity compares the numpy "
                       "fallback with itself", stacklevel=1)
@@ -342,6 +412,101 @@ def test_cloud_passes_agree_bitwise_and_match_numpy():
         warnings.warn("compiled kernel absent: cloud-pass parity compares the numpy "
                       "fallback with itself", stacklevel=1)
     check_cloud_passes()
+
+
+def assert_relative(got, want, scale):
+    """|got - want| <= 1e-12 scale elementwise, with ``scale`` the size of
+    what was summed (or ``want`` itself for a sum of squares)."""
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.asarray(scale)), \
+        np.max(np.abs(np.asarray(got) - want) / scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cholesky_inputs())
+def check_cholesky_kernels(args):
+    s, nu, bounds, rows, mu, sigma, cross = args
+    outs = cholesky_outputs(core, *args)
+    for a, b in zip(outs, cholesky_outputs(kernels_py, *args)):
+        assert np.array_equal(a, b)
+    l, nis, block, l_again, sub, mu_all, sigma_all, mu_rows, sigma_rows = outs
+
+    assert np.array_equal(l, l_again)
+    assert np.array_equal(l, np.tril(l))
+    root = np.sqrt(np.diag(s))
+    assert_relative(l, np.linalg.cholesky(s), root[:, None])
+    want = nu @ np.linalg.solve(s, nu)
+    assert_relative(nis, want, want)
+    for (lo, hi), nis_i in zip(zip(bounds[::2], bounds[1::2]), block, strict=True):
+        want = nu[lo:hi] @ np.linalg.solve(s[lo:hi, lo:hi], nu[lo:hi])
+        assert_relative(nis_i, want, want)
+    for got_mu, got_sigma, used in ((mu_all, sigma_all, np.arange(len(s))),
+                                    (mu_rows, sigma_rows, rows)):
+        s_u = s[np.ix_(used, used)]
+        gain = np.linalg.solve(s_u, cross[:, used].T).T
+        assert np.array_equal(got_sigma, got_sigma.T)
+        # the sizes of the terms: |C| |S^-1| |C'| bounds |W W'|
+        spread = np.abs(gain) @ np.abs(s_u) @ np.abs(gain).T
+        assert_relative(got_sigma, sigma - gain @ s_u @ gain.T, np.abs(sigma) + spread)
+        shift = np.abs(gain) @ np.abs(nu[used])
+        assert_relative(got_mu, mu + gain @ nu[used], np.abs(mu) + shift)
+
+
+def test_cholesky_kernels_agree_bitwise_and_match_numpy():
+    """Property: the Cholesky factor, NIS, block NIS and Kalman update give
+    the same bits on the active backend and the fallback, Sigma' is exactly
+    symmetric, and each agrees with the np.linalg formula it replaced
+    within 1e-12 of the size of its terms. Without the compiled backend
+    both sides are the fallback, which the warning states."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: Cholesky-layer parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    check_cholesky_kernels()
+
+
+@pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
+def test_cholesky_kernels_reject_indefinite_and_bad_arguments(kernels):
+    for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([1.0, np.nan]),
+                np.diag([np.inf, 1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(ValueError, match="positive definite"):
+            kernels.nis(bad, np.ones(2))
+        with pytest.raises(ValueError, match="positive definite"):
+            kernels.cholesky(bad)
+    with pytest.raises(ValueError, match="positive definite"):
+        kernels.block_nis(np.diag([1.0, 2.0, -1.0]), np.ones(3), (0, 2, 2, 3))
+    for bad in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
+        with pytest.raises(ValueError, match="S"):
+            kernels.cholesky(bad)
+    with pytest.raises(ValueError, match="nu"):
+        kernels.nis(np.eye(3), np.ones(2))
+    for bounds in ((0, 4), (1, 1), (0,), (), (2, 1)):
+        with pytest.raises(ValueError, match="bounds"):
+            kernels.block_nis(np.eye(3), np.ones(3), bounds)
+    good = (np.zeros(2), np.eye(2), np.ones((2, 3)), np.eye(3), np.ones(3))
+    for i, bad, name in ((1, np.zeros(3), "Sigma"), (1, np.eye(3), "Sigma"),
+                         (2, np.ones((2, 2)), "C"), (3, np.eye(2), "C"), (4, np.ones(2), "nu")):
+        with pytest.raises(ValueError, match=name):
+            kernels.kalman_update(*good[:i], bad, *good[i + 1:])
+
+
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_compiled_cholesky_kernels_check_shapes_themselves():
+    """Called directly, past attbench.core's checks, the C entries refuse
+    buffers that do not fit each other, and block bounds outside S."""
+    from attbench.core import _kernels_c
+    for args in ((np.eye(3), (0, 4), None, np.zeros((3, 3))),
+                 (np.eye(3), (2, 2), None, np.zeros((3, 3))),
+                 (np.eye(3), (0, 3, 1), None, np.zeros((3, 3))),
+                 (np.eye(3), (0, 3), np.ones(2), np.zeros((3, 3))),
+                 (np.eye(3), (0, 3), None, np.zeros((2, 2))),
+                 (np.ones((2, 3)), (0, 2), None, np.zeros((2, 2)))):
+        with pytest.raises(ValueError):
+            _kernels_c.factor_rows(*args)
+    good = kernels_py.checked_update(np.zeros(2), np.eye(2), np.ones((2, 3)), np.eye(3),
+                                     np.ones(3))
+    for i, bad in ((1, np.eye(3)), (2, np.ones((2, 2))), (3, np.eye(2)), (4, np.ones(2)),
+                   (5, np.empty(3)), (6, np.empty((3, 3)))):
+        with pytest.raises(ValueError):
+            _kernels_c.update_rows(*good[:i], bad, *good[i + 1:])
 
 
 @pytest.mark.parametrize("step", [core.rk4_step_batch, kernels_py.rk4_step_batch],
