@@ -2,12 +2,17 @@
 
 The two backends must produce bit-identical results; this script checks
 that first for the rigid-body RK4 step, torque-free and with the
-gravity-gradient frames, for the particle filter's two cloud passes and
-for the Cholesky layer, then times both on the batch shapes the filters
-actually use (EKF finite-difference stencils, UKF sigma sets, PF clouds),
-on a long single-trajectory propagation, on gravity-gradient truth steps
-and on the cloud passes of a 1000-particle, 10-state filter with the
-attitude suite's 11 measurement rows. The Cholesky layer is also timed
+gravity-gradient frames, for the particle filter's two cloud passes, for
+the Gaussian filters' moment passes (7 and 10 states, so 15- and 21-point
+stencils and sigma sets, with the attitude suite's 11 rows) and for the
+Cholesky layer, then times both on the batch shapes the filters actually
+use (EKF finite-difference stencils, UKF sigma sets, PF clouds), on a long
+single-trajectory propagation, on gravity-gradient truth steps and on the
+cloud passes of a 1000-particle, 10-state filter with the attitude suite's
+11 measurement rows. The moment passes are also timed against the numpy
+and BLAS code they replaced: the EKF's stencil, its Jacobian with
+a Sigma a' + Q and its measurement moments, and the UKF's predicted and
+measurement moments, for a 10-state filter. The Cholesky layer is timed
 against the np.linalg code it replaced, on the three shapes of a Kalman
 step: the record's NIS over 11 rows, the per-sensor NIS over the 4/4/3-row
 blocks of the isolation test, and a 10-state update from 11 rows.
@@ -24,7 +29,7 @@ import numpy as np
 
 from attbench import core, dynamics
 from attbench.core import BACKEND, kernels_py, rk4_step_batch
-from attbench.filters import attitude_measurement
+from attbench.filters import attitude_measurement, ukf_sigma_points
 from attbench.sensors import make_layout
 
 if BACKEND != "compiled":
@@ -135,6 +140,83 @@ def numpy_update(mu, sigma, cross, s, nu):
     return mu + gain @ nu, 0.5 * (new + new.T)
 
 
+def moments_case(n=10, seed=0):
+    """A Gaussian step's arguments of both moment passes: an n-state belief,
+    its UKF sigma set (alpha 0.1, beta 2, kappa 0) and an EKF stencil after
+    one rigid-body step, with the attitude suite's H and R and a diagonal Q."""
+    rng = np.random.default_rng(seed)
+    meas = attitude_measurement(make_layout(), {"star_tracker": (1e-3,) * 4,
+                                                "magnetometer": (1e-2,) * 4,
+                                                "gyro": (2.5e-5,) * 3}, n)
+    mu = np.hstack([make_states(1, seed)[0], np.zeros(n - 7)])
+    a = rng.standard_normal((n, n))
+    sigma = 1e-4 * (a @ a.T) + 1e-6 * np.eye(n)
+    sigma = 0.5 * (sigma + sigma.T)
+    points, wm, wc = ukf_sigma_points(mu, sigma, 0.1, 2.0, 0.0)
+    eps = 1e-6
+    stencil = np.vstack([mu, mu + eps * np.eye(n), mu - eps * np.eye(n)])
+    prop = rk4_step_batch(stencil, DT, IXX, IYY, IZZ, 0.0, 0.0, 0.0)
+    return mu, sigma, points, wm, wc, prop, eps, 1e-8 * np.eye(n), meas.H, meas.R
+
+
+def moment_passes(kernels, mu, sigma, points, wm, wc, prop, eps, q, h, r):
+    """Every output of both moment passes on one Gaussian step's arrays."""
+    return (*kernels.sigma_moments(points, wm, wc, q)[:2],
+            *kernels.sigma_moments(points, wm, wc, h=h, r=r),
+            *kernels.ekf_moments(prop, eps, sigma, q, h, r))
+
+
+def symmetrized(m):
+    return 0.5 * (m + m.T)
+
+
+def numpy_ekf_stencil(mu, eps):
+    """The EKF's stencil as numpy built it before: a tiled mean and two
+    diagonal fancy-index updates."""
+    n = len(mu)
+    batch = np.tile(mu, (2 * n + 1, 1))
+    diag = np.arange(n)
+    batch[1 + diag, diag] += eps
+    batch[1 + n + diag, diag] -= eps
+    return batch
+
+
+def ekf_stencil(mu, eps, plus, minus):
+    """The EKF's stencil as ``EkfFilter`` builds it: a filled array and the
+    +-eps entries written through flat indices."""
+    n = len(mu)
+    batch = np.empty((2 * n + 1, n))
+    batch[:] = mu
+    flat = batch.reshape(-1)
+    flat[plus] = mu + eps
+    flat[minus] = mu - eps
+    return batch
+
+
+def numpy_ekf_moments(prop, eps, sigma, q, h, r):
+    """The EKF's Jacobian, a Sigma a' + Q and measurement moments as BLAS
+    products, symmetrized, as the filter formed them before."""
+    n = len(sigma)
+    a = (prop[1:1 + n] - prop[1 + n:]).T / (2.0 * eps)
+    p = symmetrized(a @ sigma @ a.T + q)
+    cross = p @ h.T
+    return p, h @ prop[0], symmetrized(h @ cross + r), cross
+
+
+def numpy_ukf_predict(prop, wm, wc, q):
+    mean = wm @ prop
+    d = prop - mean
+    return mean, symmetrized((wc[:, None] * d).T @ d + q)
+
+
+def numpy_ukf_moments(points, wm, wc, mu, h, r):
+    z = points @ h.T
+    y_hat = wm @ z
+    dz = z - y_hat
+    dx = points - mu
+    return y_hat, symmetrized((wc[:, None] * dz).T @ dz + r), (wc[:, None] * dx).T @ dz
+
+
 def per_call(fn, calls=20000, repeats=5):
     """Best time of one call of ``fn()`` over ``repeats`` loops, in us."""
     best = float("inf")
@@ -168,6 +250,34 @@ def bench_cholesky():
         print("%-38s %7.2f us %7.2f us %7.1f us %7.1fx" % (label, tc, tn, tp, tn / tc))
 
 
+def bench_moments():
+    mu, sigma, points, wm, wc, prop, eps, q, h, r = moments_case()
+    n = len(mu)
+    plus = np.arange(n) * (n + 1) + n
+    # the stencil is numpy glue on either backend, so it has no fallback time
+    stencil = ("EKF stencil (21 x 10)", lambda: ekf_stencil(mu, eps, plus, plus + n * n),
+               lambda: numpy_ekf_stencil(mu, eps))
+    cases = [
+        ("EKF Jacobian, P and moments", lambda k: lambda: k.ekf_moments(prop, eps, sigma, q, h, r),
+         lambda: numpy_ekf_moments(prop, eps, sigma, q, h, r)),
+        ("UKF predicted moments (21 pts)", lambda k: lambda: k.sigma_moments(prop[:21], wm, wc, q),
+         lambda: numpy_ukf_predict(prop[:21], wm, wc, q)),
+        ("UKF measurement moments (21 pts)",
+         lambda k: lambda: k.sigma_moments(points, wm, wc, h=h, r=r),
+         lambda: numpy_ukf_moments(points, wm, wc, mu, h, r)),
+    ]
+    print("%-38s %10s %10s %10s %8s" % ("Gaussian step, per call", "compiled", "numpy",
+                                         "python", "vs np"))
+    label, ours, theirs = stencil
+    tc, tn = per_call(ours), per_call(theirs)
+    print("%-38s %7.2f us %7.2f us %10s %7.1fx" % (label, tc, tn, "-", tn / tc))
+    for label, ours, theirs in cases:
+        tc = per_call(ours(core))
+        tn = per_call(theirs)
+        tp = per_call(ours(kernels_py), calls=2000, repeats=3)
+        print("%-38s %7.2f us %7.2f us %7.1f us %7.1fx" % (label, tc, tn, tp, tn / tc))
+
+
 def main():
     print("backend check: BACKEND=%s" % BACKEND)
     for m in (1, 15, 21, 1000):
@@ -183,6 +293,13 @@ def main():
         same = all(np.array_equal(a, b) for a, b in zip(cloud_passes(core, *cloud_case(m)),
                                                          cloud_passes(kernels_py, *cloud_case(m))))
         print("  cloud %5d rows, both passes      : bit-identical=%s" % (m, same))
+        if not same:
+            raise SystemExit("backend mismatch; parity is a hard requirement")
+    for n in (7, 10):
+        case = moments_case(n)
+        same = all(np.array_equal(a, b) for a, b in zip(moment_passes(core, *case),
+                                                         moment_passes(kernels_py, *case)))
+        print("  moment passes, %2d states, %2d points : bit-identical=%s" % (n, 2 * n + 1, same))
         if not same:
             raise SystemExit("backend mismatch; parity is a hard requirement")
     for n in (7, 10):
@@ -212,6 +329,8 @@ def main():
     tc = bench_cloud(core, case, 300)
     tp = bench_cloud(kernels_py, case, 300, repeats=3)
     print("%-38s %10.4f s %10.4f s %7.1fx" % ("PF cloud passes   (1000 x  300)", tc, tp, tp / tc))
+    print()
+    bench_moments()
     print()
     bench_cholesky()
 

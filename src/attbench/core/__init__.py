@@ -5,11 +5,13 @@ source next to this file. It is optional: if the build was skipped or the
 import fails, the numpy implementation takes over with identical numerics.
 Set ``ATTBENCH_PURE_PYTHON=1`` to force the fallback regardless.
 
-Three groups of kernels live here: the batched rigid-body RK4 step; the
+Four groups of kernels live here: the batched rigid-body RK4 step; the
 particle filter's two cloud passes (jitter plus moments, and the
-log-likelihood); and the fixed-order Cholesky layer of the Kalman step
-(the factor, the NIS, the NIS of several diagonal blocks in one call, and
-the Kalman update from the factor).
+log-likelihood); the Gaussian filters' moments (the weighted moments of a
+sigma-point cloud, and the EKF's predicted covariance and measurement
+moments from its propagated stencil); and the fixed-order Cholesky layer
+of the Kalman step (the factor, the NIS, the NIS of several diagonal
+blocks in one call, and the Kalman update from the factor).
 """
 
 import os
@@ -60,6 +62,23 @@ def cloud_loglik(cloud, h, l, y):
     return args[-1]
 
 
+def sigma_moments(points, wm, wc, q=None, h=None, r=None):
+    """(mean, P, y_hat, S, C): the weighted moments of a point cloud on the
+    active backend; the contract is ``kernels_py.sigma_moments``'s."""
+    args, outs = kernels_py.checked_sigma(points, wm, wc, q, h, r)
+    _kernels.sigma_rows(*args)
+    return outs
+
+
+def ekf_moments(prop, eps, sigma, q, h, r):
+    """(P, y_hat, S, C): the EKF's predicted covariance and measurement
+    moments from its propagated stencil on the active backend; the contract
+    is ``kernels_py.ekf_moments``'s."""
+    args, outs = kernels_py.checked_ekf(prop, eps, sigma, q, h, r)
+    _kernels.ekf_rows(*args)
+    return outs
+
+
 def cholesky(a):
     """Lower-triangular L with L L' = a on the active backend; the contract
     is ``kernels_py.cholesky``'s."""
@@ -89,5 +108,5 @@ def kalman_update(mu, sigma, cross, l, nu):
     return args[-2:]
 
 
-__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "cholesky", "nis", "block_nis",
-           "kalman_update", "BACKEND"]
+__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "sigma_moments", "ekf_moments",
+           "cholesky", "nis", "block_nis", "kalman_update", "BACKEND"]

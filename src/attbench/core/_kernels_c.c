@@ -4,7 +4,7 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The module exports five functions. attbench.core validates the caller's
+ * The module exports seven functions. attbench.core validates the caller's
  * arrays, and allocates the outputs, before calling any of them; each
  * function still checks that its buffers fit each other.
  *
@@ -26,14 +26,23 @@
  * update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out) writes the Kalman
  *     update from the Cholesky factor l of S: W = C L^-T, mu + W (L^-1 nu)
  *     and sigma - W W', exactly symmetric.
+ * sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross) writes the
+ *     weighted moments of the point rows of x, with mean weights wm and
+ *     covariance weights wc: the mean, the covariance plus q and, when h is
+ *     not None, the mean y_hat of z = h x, S = sum wc (z - y_hat)(z - y_hat)'
+ *     + r and the cross-covariance C; q and r may be None.
+ * ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross) forms the
+ *     central-difference Jacobian a from the propagated (2n + 1, n) stencil
+ *     and writes a sigma a' + q, h prop[0], S = h cov h' + r and C = cov h'.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
- * term unchanged: a sum over the particles runs from row 0, and a product
- * with h, root or l from column 0, skipping the terms whose coefficient is
- * zero (so a 0/1 selection h costs one term per row). The Cholesky kernels
- * skip no terms: each difference subtracts its terms in column order, each
- * sum of products runs from -0.0 in column order, and each division is by
- * the pivot itself, never a multiplication by its reciprocal.
+ * term unchanged: a sum over the particles or points runs from row 0, and a
+ * product with h, root, l or the Jacobian from column 0, skipping the terms
+ * whose coefficient is zero (so a 0/1 selection h costs one term per row).
+ * Every covariance sums its upper triangle and mirrors it. The Cholesky
+ * kernels skip no terms: each difference subtracts its terms in column
+ * order, each sum of products runs from -0.0 in column order, and each
+ * division is by the pivot itself, never a multiplication by its reciprocal.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -455,6 +464,168 @@ update(const double *mu, const double *sigma, Py_ssize_t n, const double *cross,
         }
 }
 
+/* The moment passes keep each sum's order (row by row, or column by column,
+ * from -0.0) but advance many independent sums in each inner loop, so that
+ * one sum's adds need not wait for each other. Where the coefficient to
+ * test varies along the inner loop, a skipped term adds -0.0 instead of
+ * branching: -0.0 changes no sum. */
+
+/* z_i = h x_i for the rows of n doubles of x, into the rows of m doubles of
+ * z: z[i, r] = x[i, 0] h[r, 0] + x[i, 1] h[r, 1] + ... from -0.0, skipping
+ * the columns where h[r, c] == 0. */
+static void
+product(const double *restrict h, Py_ssize_t m, Py_ssize_t n, const double *restrict x,
+        Py_ssize_t rows, double *restrict z)
+{
+    Py_ssize_t i, r, c;
+
+    for (i = 0; i < rows * m; i++)
+        z[i] = -0.0;
+    for (r = 0; r < m; r++)
+        for (c = 0; c < n; c++) {
+            double hrc = h[r * n + c];
+
+            if (hrc != 0.0)
+                for (i = 0; i < rows; i++)
+                    z[i * m + r] = z[i * m + r] + x[i * n + c] * hrc;
+        }
+}
+
+/* out = sum over the rows i of wu_i' v_i, for the rows of k doubles of wu
+ * and of kv doubles of v, in row order from -0.0. With sym (k == kv) only
+ * the upper triangle is summed; add (NULL adds nothing) is added to it and
+ * it is mirrored, so out is exactly symmetric. */
+static void
+spread(const double *restrict wu, Py_ssize_t k, const double *restrict v, Py_ssize_t kv,
+       Py_ssize_t rows, int sym, const double *restrict add, double *restrict out)
+{
+    Py_ssize_t i, j, c;
+
+    for (j = 0; j < k * kv; j++)
+        out[j] = -0.0;
+    for (i = 0; i < rows; i++)
+        for (j = 0; j < k; j++) {
+            const double *restrict vi = v + i * kv;
+            double *restrict oj = out + j * kv;
+            double wij = wu[i * k + j];
+
+            for (c = sym ? j : 0; c < kv; c++)
+                oj[c] = oj[c] + wij * vi[c];
+        }
+    if (!sym)
+        return;
+    for (j = 0; j < k; j++)
+        for (c = j; c < k; c++) {
+            if (add)
+                out[j * k + c] = out[j * k + c] + add[j * k + c];
+            out[c * k + j] = out[j * k + c];
+        }
+}
+
+/* mean = sum over the rows i of w_i x_i, in row order from -0.0, for the
+ * rows of k doubles of x; then d = x - mean and wd = wd_w d, row by row. */
+static void
+center(const double *x, Py_ssize_t rows, Py_ssize_t k, const double *restrict w,
+       const double *restrict wd_w, double *restrict mean, double *restrict d, double *wd)
+{
+    Py_ssize_t i, j;
+
+    for (j = 0; j < k; j++)
+        mean[j] = -0.0;
+    for (i = 0; i < rows; i++)
+        for (j = 0; j < k; j++)
+            mean[j] = mean[j] + w[i] * x[i * k + j];
+    for (i = 0; i < rows; i++)
+        for (j = 0; j < k; j++) {
+            d[i * k + j] = x[i * k + j] - mean[j];
+            wd[i * k + j] = wd_w[i] * d[i * k + j];
+        }
+}
+
+/* The pass of sigma_rows over the rows x of points of n states. scratch
+ * holds 2 rows (n + m) doubles. */
+static void
+sigma_pass(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *wm, const double *wc,
+           const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
+           double *cov, double *y_hat, double *s, double *cross, double *scratch)
+{
+    double *dx = scratch, *wdx = dx + rows * n, *z = wdx + rows * n, *dz = z + rows * m;
+    center(x, rows, n, wm, wc, mean, dx, wdx);
+    spread(wdx, n, dx, n, rows, 1, q, cov);
+    if (!h)
+        return;
+    product(h, m, n, x, rows, z);
+    /* the weighted dz overwrites z, each entry after center has read it */
+    center(z, rows, m, wm, wc, y_hat, dz, z);
+    spread(z, m, dz, m, rows, 1, r, s);
+    spread(wdx, n, dz, m, rows, 0, NULL, cross);
+}
+
+/* The pass of ekf_rows on the (2n + 1, n) stencil prop. scratch holds 2 n n
+ * doubles. */
+static void
+ekf_pass(const double *restrict prop, Py_ssize_t n, double eps, const double *restrict sigma,
+         const double *restrict q, const double *restrict h, Py_ssize_t m,
+         const double *restrict r, double *restrict cov, double *restrict y_hat,
+         double *restrict s, double *restrict cross, double *restrict scratch)
+{
+    double *restrict a = scratch, *restrict t = scratch + n * n;
+    double two_eps = 2.0 * eps;
+    Py_ssize_t i, j, k, c;
+
+    for (i = 0; i < n; i++)
+        for (j = 0; j < n; j++)
+            a[i * n + j] = (prop[(1 + j) * n + i] - prop[(1 + n + j) * n + i]) / two_eps;
+    /* t = a sigma: t[i, c] sums a[i, j] sigma[j, c] over j */
+    for (i = 0; i < n; i++) {
+        for (c = 0; c < n; c++)
+            t[i * n + c] = -0.0;
+        for (j = 0; j < n; j++) {
+            double aij = a[i * n + j];
+
+            if (aij != 0.0)
+                for (c = 0; c < n; c++)
+                    t[i * n + c] = t[i * n + c] + aij * sigma[j * n + c];
+        }
+    }
+    /* cov = t a' + q: cov[i, k], k >= i, sums t[i, c] a[k, c] over c */
+    for (i = 0; i < n; i++) {
+        for (k = i; k < n; k++)
+            cov[i * n + k] = -0.0;
+        for (c = 0; c < n; c++) {
+            double tic = t[i * n + c];
+
+            for (k = i; k < n; k++) {
+                double akc = a[k * n + c];
+
+                cov[i * n + k] = cov[i * n + k] + (akc != 0.0 ? tic * akc : -0.0);
+            }
+        }
+        for (k = i; k < n; k++) {
+            cov[i * n + k] = cov[i * n + k] + q[i * n + k];
+            cov[k * n + i] = cov[i * n + k];
+        }
+    }
+    product(h, m, n, prop, 1, y_hat);
+    product(h, m, n, cov, n, cross);
+    /* s = h cross + r: s[i, k], k >= i, sums h[i, j] cross[j, k] over j */
+    for (i = 0; i < m; i++) {
+        for (k = i; k < m; k++)
+            s[i * m + k] = -0.0;
+        for (j = 0; j < n; j++) {
+            double hij = h[i * n + j];
+
+            if (hij != 0.0)
+                for (k = i; k < m; k++)
+                    s[i * m + k] = s[i * m + k] + hij * cross[j * m + k];
+        }
+        for (k = i; k < m; k++) {
+            s[i * m + k] = s[i * m + k] + r[i * m + k];
+            s[k * m + i] = s[i * m + k];
+        }
+    }
+}
+
 /* A C-contiguous float64 buffer of the given rank (0: rank 1 or 2); raises
  * ValueError and releases it otherwise. */
 static int
@@ -514,7 +685,7 @@ step_rows(PyObject *self, PyObject *args)
 
 /* The buffers of one call: every view starts empty, so release_all may run
  * after any failure. */
-#define MAX_VIEWS 9
+#define MAX_VIEWS 11
 
 static void
 release_all(Py_buffer *views)
@@ -776,6 +947,106 @@ fail:
     return NULL;
 }
 
+static PyObject *
+sigma_rows(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *wmo, *wco, *qo, *ho, *ro, *meano, *covo, *yo, *so, *crosso;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *x, *wm, *wc, *q, *h, *r, *mean, *cov, *y_hat, *s, *cross, *scratch;
+    Py_ssize_t rows, n, m;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO:sigma_rows", &xo, &wmo, &wco, &qo, &ho, &ro,
+                          &meano, &covo, &yo, &so, &crosso))
+        return NULL;
+    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0)
+        goto fail;
+    if (!x || v[0].shape[0] < 1 || v[0].shape[1] < 1) {
+        PyErr_SetString(PyExc_ValueError, "x must be a non-empty (M, n) array");
+        goto fail;
+    }
+    rows = v[0].shape[0];
+    n = v[0].shape[1];
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+        goto fail;
+    m = h ? v[1].shape[0] : 0;
+    /* without h, r, y_hat, s and cross are not read */
+    if (get_shaped(wmo, &v[2], PyBUF_SIMPLE, 1, rows, -1, "wm", &wm) < 0
+        || get_shaped(wco, &v[3], PyBUF_SIMPLE, 1, rows, -1, "wc", &wc) < 0
+        || get_shaped(qo, &v[4], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
+        || get_shaped(h ? ro : Py_None, &v[5], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_shaped(meano, &v[6], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
+        || get_shaped(covo, &v[7], PyBUF_WRITABLE, 2, n, n, "cov", &cov) < 0
+        || get_shaped(h ? yo : Py_None, &v[8], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
+        || get_shaped(h ? so : Py_None, &v[9], PyBUF_WRITABLE, 2, m, m, "s", &s) < 0
+        || get_shaped(h ? crosso : Py_None, &v[10], PyBUF_WRITABLE, 2, n, m, "cross", &cross) < 0)
+        goto fail;
+    if (!wm || !wc || !mean || !cov || (h && (m < 1 || !y_hat || !s || !cross))) {
+        PyErr_SetString(PyExc_ValueError, "wm, wc, mean, cov, and with h y_hat, s and cross, "
+                        "are required");
+        goto fail;
+    }
+    scratch = PyMem_RawMalloc((2 * rows * (n + m) + 1) * sizeof(double));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    sigma_pass(x, rows, n, wm, wc, q, h, m, r, mean, cov, y_hat, s, cross, scratch);
+    PyMem_RawFree(scratch);
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+ekf_rows(PyObject *self, PyObject *args)
+{
+    PyObject *propo, *sigmao, *qo, *ho, *ro, *covo, *yo, *so, *crosso;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *prop, *sigma, *q, *h, *r, *cov, *y_hat, *s, *cross, *scratch, eps;
+    Py_ssize_t n, m;
+
+    if (!PyArg_ParseTuple(args, "OdOOOOOOOO:ekf_rows", &propo, &eps, &sigmao, &qo, &ho, &ro,
+                          &covo, &yo, &so, &crosso))
+        return NULL;
+    if (get_shaped(propo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "prop", &prop) < 0)
+        goto fail;
+    n = prop ? v[0].shape[1] : 0;
+    if (n < 1 || v[0].shape[0] != 2 * n + 1) {
+        PyErr_SetString(PyExc_ValueError, "prop must be (2n + 1, n) with n >= 1");
+        goto fail;
+    }
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+        goto fail;
+    m = h ? v[1].shape[0] : 0;
+    if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
+        || get_shaped(qo, &v[3], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
+        || get_shaped(ro, &v[4], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_shaped(covo, &v[5], PyBUF_WRITABLE, 2, n, n, "cov", &cov) < 0
+        || get_shaped(yo, &v[6], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
+        || get_shaped(so, &v[7], PyBUF_WRITABLE, 2, m, m, "s", &s) < 0
+        || get_shaped(crosso, &v[8], PyBUF_WRITABLE, 2, n, m, "cross", &cross) < 0)
+        goto fail;
+    if (m < 1 || !sigma || !q || !r || !cov || !y_hat || !s || !cross) {
+        PyErr_SetString(PyExc_ValueError, "h with m >= 1 rows, sigma, q, r, cov, y_hat, s and "
+                        "cross are required");
+        goto fail;
+    }
+    scratch = PyMem_RawMalloc(2 * n * n * sizeof(double));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    ekf_pass(prop, n, eps, sigma, q, h, m, r, cov, y_hat, s, cross, scratch);
+    PyMem_RawFree(scratch);
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
      "step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)\n--\n\n"
@@ -793,13 +1064,21 @@ static PyMethodDef methods[] = {
     {"update_rows", update_rows, METH_VARARGS,
      "update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)\n--\n\n"
      "Write the Kalman update of (mu, sigma) from the Cholesky factor l of S."},
+    {"sigma_rows", sigma_rows, METH_VARARGS,
+     "sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross)\n--\n\n"
+     "Write the weighted mean and covariance of the point rows of x and, with h,\n"
+     "their measurement mean, measurement covariance and cross-covariance."},
+    {"ekf_rows", ekf_rows, METH_VARARGS,
+     "ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)\n--\n\n"
+     "Write the EKF's predicted covariance and measurement moments from its\n"
+     "propagated finite-difference stencil."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernels_c",
-    .m_doc = "Compiled rigid-body RK4, particle-cloud and Cholesky kernels.",
+    .m_doc = "Compiled rigid-body RK4, particle-cloud, moment and Cholesky kernels.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,17 +1,21 @@
 """Numpy fallback for the compiled kernels: the batched rigid-body RK4 step,
-the particle filter's two cloud passes and the Kalman step's Cholesky layer.
+the particle filter's two cloud passes, the Gaussian filters' moment passes
+(``sigma_moments`` for a sigma set, ``ekf_moments`` for the EKF's stencil)
+and the Kalman step's Cholesky layer.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
 contraction disabled for the same reason).
 
-In the particle-filter passes every sum has a fixed order. A sum over the
-particles runs from row 0 through ``fixed_sum``, ``np.add.accumulate``
-along the particle axis, which is sequential by definition. A product with
-a small matrix (the jitter root, H, L) sums over its columns from column 0,
-starting from -0.0 (which leaves the first term unchanged) and skipping the
-terms whose coefficient is exactly zero, so a 0/1 selection row costs one
-term. Nothing here uses ``@``, ``np.sum`` (pairwise) or ``einsum``.
+In the particle-filter and moment passes every sum has a fixed order. A sum
+over the particles or points runs from row 0 through ``fixed_sum``,
+``np.add.accumulate`` along the summed axis, which is sequential by
+definition. A product with a small matrix (the jitter root, H, L, the EKF's
+Jacobian) sums over its columns from column 0, starting from -0.0 (which
+leaves the first term unchanged) and skipping the terms whose coefficient
+is exactly zero, so a 0/1 selection row costs one term; where the fallback
+sums whole arrays of terms, a skipped term becomes -0.0, which no sum
+notices. Nothing here uses ``@``, ``np.sum`` (pairwise) or ``einsum``.
 
 The Cholesky layer (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2002, ch. 10) works on Python floats, whose +, -, *, / and
@@ -137,10 +141,10 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
     return out
 
 
-def fixed_sum(terms):
-    """Sum of ``terms`` over the last axis, the particles, in order:
+def fixed_sum(terms, axis=-1):
+    """Sum of ``terms`` over ``axis`` (the particles or points), in order:
     ((t0 + t1) + t2) + ..."""
-    return np.add.accumulate(terms, axis=-1)[..., -1]
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis)
 
 
 def _product(x, h):
@@ -469,6 +473,196 @@ def update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out):
         for c in range(r, len(w)):
             out[r][c] = out[c][r] = out[r][c] - _ordered_dot(wr, w[c])
     sigma_out[:] = out
+
+
+def _lent(outs):
+    """Views of the fresh outputs ``outs`` (None stays None), to hand to a
+    kernel in their place: the filters keep some outputs (the EKF's S) in
+    every step's innovation record, and an array lent to C keeps numpy's
+    ~100 B of buffer info until it is freed."""
+    return tuple([None if out is None else out.view() for out in outs])
+
+
+def _skip_zero(coef, terms):
+    """``terms`` with -0.0 where ``coef`` is exactly zero. Adding -0.0 leaves
+    every sum unchanged, so a sum of the result is the sum that skips those
+    terms, as the C skips them."""
+    return np.where(coef != 0.0, terms, -0.0)
+
+
+def _mirror(full, out):
+    """``out`` = the upper triangle of the square ``full``, mirrored onto the
+    lower, so ``out`` is exactly symmetric."""
+    out[:] = np.where(np.tri(len(full), dtype=bool).T, full, full.T)
+
+
+def checked_sigma(points, wm, wc, q=None, h=None, r=None):
+    """The arguments of ``sigma_rows``, validated, and its outputs.
+
+    Returns:
+        (args, outs): ``args`` ends with views of ``outs``, which are
+        (mean, P, y_hat, S, C); the last three are None without ``h``.
+
+    Raises:
+        ValueError: ``points`` is not a non-empty (M, n) array, ``wm`` and
+            ``wc`` are not (M,), or ``q``, ``h`` or ``r`` do not fit it.
+    """
+    x = _doubles("points", points, 2)
+    rows, n = x.shape
+    if rows < 1 or n < 1:
+        raise ValueError("points must be a non-empty (M, n) array, got shape %r" % (x.shape,))
+    wm = _doubles("wm", wm, 1, (rows,))
+    wc = _doubles("wc", wc, 1, (rows,))
+    if q is not None:
+        q = _doubles("Q", q, 2, (n, n))
+    if h is not None:
+        h = _doubles("H", h, 2)
+        m = h.shape[0]
+        if m < 1 or h.shape[1] != n:
+            raise ValueError("H must be (m, %d) with m >= 1, got %r" % (n, h.shape))
+        if r is not None:
+            r = _doubles("R", r, 2, (m, m))
+        outs = (np.empty(n), np.empty((n, n)), np.empty(m), np.empty((m, m)), np.empty((n, m)))
+    else:
+        r = None
+        outs = (np.empty(n), np.empty((n, n)), None, None, None)
+    return (x, wm, wc, q, h, r) + _lent(outs), outs
+
+
+def sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
+    """The weighted moments of the point rows of x, over ``checked_sigma``
+    arguments: ``mean`` = sum wm_i x_i, then ``cov`` = sum wc_i dx_i dx_i' + q
+    with dx_i = x_i - mean. With h: z_i = h x_i (``_product``'s), ``y_hat`` =
+    sum wm_i z_i, ``s`` = sum wc_i dz_i dz_i' + r with dz_i = z_i - y_hat,
+    and ``cross`` = sum wc_i dx_i dz_i'. Each sum runs over the points in row
+    order from -0.0, each term is (wc_i du) dv; ``cov`` and ``s`` sum their
+    upper triangle, with its q or r entries (None adds nothing), and mirror
+    it, so both are exactly symmetric.
+    """
+    with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
+        mean[:] = fixed_sum(wm[:, None] * x, axis=0)
+        dx = x - mean
+        wdx = wc[:, None] * dx
+        full = fixed_sum(wdx[:, :, None] * dx[:, None, :], axis=0)
+        _mirror(full if q is None else full + q, cov)
+        if h is None:
+            return
+        z = _product(x, h).T
+        y_hat[:] = fixed_sum(wm[:, None] * z, axis=0)
+        dz = z - y_hat
+        full = fixed_sum((wc[:, None] * dz)[:, :, None] * dz[:, None, :], axis=0)
+        _mirror(full if r is None else full + r, s)
+        cross[:] = fixed_sum(wdx[:, :, None] * dz[:, None, :], axis=0)
+
+
+def sigma_moments(points, wm, wc, q=None, h=None, r=None):
+    """Weighted moments of a point cloud, such as a UKF sigma set, whose
+    mean and covariance weights may differ.
+
+    Args:
+        points: (M, n) points, M >= 1.
+        wm, wc: (M,) mean and covariance weights, used as given (negative
+            and zero weights allowed).
+        q: None or the (n, n) symmetric matrix added to the covariance;
+            only its upper triangle is read.
+        h: None or a dense (m, n) measurement matrix.
+        r: None or the (m, m) symmetric noise covariance added to S; only
+            its upper triangle is read, and only with ``h``.
+
+    Returns:
+        (mean (n,), P (n, n), y_hat (m,), S (m, m), C (n, m)): sum wm_i x_i,
+        sum wc_i dx_i dx_i' + q about that mean, sum wm_i h x_i, sum wc_i
+        dz_i dz_i' + r and sum wc_i dx_i dz_i'; P and S are exactly
+        symmetric, and the last three are None without ``h``.
+        ``sigma_rows`` gives the exact arithmetic.
+
+    Raises:
+        ValueError: see ``checked_sigma``.
+    """
+    args, outs = checked_sigma(points, wm, wc, q, h, r)
+    sigma_rows(*args)
+    return outs
+
+
+def checked_ekf(prop, eps, sigma, q, h, r):
+    """The arguments of ``ekf_rows``, validated, and its outputs.
+
+    Returns:
+        (args, outs): ``args`` ends with views of ``outs``, which are
+        (P, y_hat, S, C).
+
+    Raises:
+        ValueError: ``prop`` is not (2n + 1, n) with n >= 1, ``h`` not
+            (m, n) with m >= 1, or ``sigma``, ``q`` and ``r`` are not (n, n),
+            (n, n) and (m, m).
+    """
+    prop = _doubles("prop", prop, 2)
+    n = prop.shape[1]
+    if n < 1 or len(prop) != 2 * n + 1:
+        raise ValueError("prop must be (2n + 1, n) with n >= 1, got %r" % (prop.shape,))
+    h = _doubles("H", h, 2)
+    m = h.shape[0]
+    if m < 1 or h.shape[1] != n:
+        raise ValueError("H must be (m, %d) with m >= 1, got %r" % (n, h.shape))
+    outs = (np.empty((n, n)), np.empty(m), np.empty((m, m)), np.empty((n, m)))
+    return (prop, float(eps), _doubles("Sigma", sigma, 2, (n, n)), _doubles("Q", q, 2, (n, n)),
+            h, _doubles("R", r, 2, (m, m))) + _lent(outs), outs
+
+
+def ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
+    """The EKF's predicted covariance and measurement moments over
+    ``checked_ekf`` arguments.
+
+    The Jacobian is a[i, j] = (prop[1 + j, i] - prop[1 + n + j, i]) / (2 eps).
+    ``cov`` = a sigma a' + q: t = a sigma sums a[i, j] sigma[j, c] over j,
+    then entry (i, k), k >= i, sums t[i, c] a[k, c] over c, adds q[i, k] and
+    is mirrored to (k, i). With mu = prop[0]: ``y_hat`` = h mu
+    (``_product``'s), ``cross`` = cov h', whose entry (i, r) sums cov[i, c]
+    h[r, c] over c, and ``s`` = h cross + r, whose entry (r, c), c >= r, sums
+    h[r, j] cross[j, c] over j, adds r[r, c] and is mirrored. Every sum runs
+    in order from -0.0 and skips the terms whose a or h coefficient is zero.
+    """
+    n = len(sigma)
+    ht = h.T
+    with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
+        # at, the Jacobian's transpose, puts the summed index first
+        at = (prop[1:n + 1] - prop[n + 1:]) / (2.0 * eps)
+        coef = at[:, :, None]
+        t = fixed_sum(_skip_zero(coef, coef * sigma[:, None, :]), axis=0)
+        coef = at[:, None, :]
+        _mirror(fixed_sum(_skip_zero(coef, t.T[:, :, None] * coef), axis=0) + q, cov)
+        y_hat[:] = fixed_sum(_skip_zero(ht, ht * prop[0][:, None]), axis=0)
+        coef = ht[:, None, :]
+        cross[:] = fixed_sum(_skip_zero(coef, cov.T[:, :, None] * coef), axis=0)
+        coef = ht[:, :, None]
+        _mirror(fixed_sum(_skip_zero(coef, coef * cross[:, None, :]), axis=0) + r, s)
+
+
+def ekf_moments(prop, eps, sigma, q, h, r):
+    """The EKF's predicted covariance and measurement moments from its
+    propagated finite-difference stencil.
+
+    Args:
+        prop: (2n + 1, n) stencil after one propagation step: the mean, then
+            the mean with +eps on each state in turn, then with -eps.
+        eps: the stencil's step.
+        sigma: (n, n) covariance before the step.
+        q: (n, n) symmetric process noise; only its upper triangle is read.
+        h: dense (m, n) measurement matrix.
+        r: (m, m) symmetric measurement noise; only its upper triangle is
+            read.
+
+    Returns:
+        (P (n, n), y_hat (m,), S (m, m), C (n, m)): a sigma a' + q with the
+        central-difference Jacobian a, h prop[0], h P h' + r and P h'; P and S
+        are exactly symmetric. ``ekf_rows`` gives the exact arithmetic.
+
+    Raises:
+        ValueError: see ``checked_ekf``.
+    """
+    args, outs = checked_ekf(prop, eps, sigma, q, h, r)
+    ekf_rows(*args)
+    return outs
 
 
 def cholesky(a):

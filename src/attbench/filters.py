@@ -20,11 +20,17 @@ particle filter owns its RNG); beliefs are passed in and returned.
 The EKF and UKF are one Gaussian filter: they share ``step`` and its one
 Kalman update, and differ only in how they propagate the belief and form
 the measurement moments (predicted reading, S and the state/reading
-cross-covariance C). The step factors S once per update with the
+cross-covariance C). Those moments come from fixed-order passes of
+``attbench.core``: the EKF's ``ekf_moments`` forms the Jacobian from the
+propagated stencil, a Sigma a' + Q and the products with H, and the UKF's
+``sigma_moments`` gives the weighted moments of a sigma set, before and
+after its regeneration. Every sum runs in a fixed order, skips the terms
+whose H (or Jacobian) coefficient is zero, and each covariance sums its
+upper triangle and mirrors it. The step factors S once per update with the
 fixed-order Cholesky of ``attbench.core``: NIS = |L^-1 nu|^2, W = C L^-T,
 mu + W L^-1 nu and Sigma - W W', exactly symmetric; the EKF's record shares
-that one factor. No LAPACK or BLAS kernel choice reaches the NIS or the
-update. The particle filter reweights particles instead. Its
+that one factor. No LAPACK or BLAS kernel choice reaches any part of the
+Gaussian step. The particle filter reweights particles instead. Its
 per-particle arithmetic (jitter, renormalization, the predicted reading,
 the moments and the log-likelihood) runs in two compiled passes of
 ``attbench.core``, whose every sum over the particles has a fixed order,
@@ -36,7 +42,9 @@ record before the measurement update and either skip the update or restrict
 it to a subset of healthy sensors. The record always reflects the full
 measurement row set. Whatever the hook decides, rows whose innovation is not
 finite (a NaN reading) stay out of the update; with none left the step is
-prediction-only. A step without a hook is the bare filter and uses every row.
+prediction-only. A Gaussian step without a hook treats every sensor as
+healthy and still leaves those rows out; the bare particle filter weighs
+every row, so a non-finite reading resets its weights.
 """
 
 import math
@@ -102,11 +110,10 @@ class InnovationRecord:
     source: str
 
 
-def _symmetrize(m):
-    return 0.5 * (m + m.T)
-
-
 def _check_psd(name, m, dim):
+    """``m`` as a float (dim, dim) array, validated as symmetric and PSD up
+    to rounding and returned exactly symmetric (the identity on a symmetric
+    ``m``): the kernels read only its upper triangle."""
     m = np.asarray(m, dtype=float)
     if m.shape != (dim, dim):
         raise ValueError("%s must be (%d, %d), got %r" % (name, dim, dim, m.shape))
@@ -114,7 +121,7 @@ def _check_psd(name, m, dim):
         raise ValueError("%s must be symmetric" % name)
     if np.linalg.eigvalsh(m).min() < -1e-10 * max(1.0, abs(m).max()):
         raise ValueError("%s must be positive semi-definite" % name)
-    return m
+    return 0.5 * (m + m.T)
 
 
 def _psd_sqrt(m):
@@ -125,7 +132,7 @@ def _psd_sqrt(m):
     try:
         return core.cholesky(m)
     except ValueError:
-        w, v = np.linalg.eigh(_symmetrize(m))
+        w, v = np.linalg.eigh(m)
         return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -232,14 +239,17 @@ class StackedMeasurement:
         self.dim = self.H.shape[0]
         self.state_dim = self.H.shape[1]
 
-    def predict(self, states):
-        return np.atleast_2d(np.asarray(states, dtype=float)) @ self.H.T
-
     def align(self, y, mu_pred):
+        """Copy of ``y`` with each quaternion block negated where its dot
+        product with the predicted quaternion, summed over the four
+        components in order as Python floats, is negative."""
         y = np.asarray(y, dtype=float).copy()
-        q_pred = np.asarray(mu_pred, dtype=float)[:4]
+        if not self.hemisphere_blocks:
+            return y
+        q0, q1, q2, q3 = np.asarray(mu_pred, dtype=float)[:4].tolist()
         for sl in self.hemisphere_blocks:
-            if float(np.dot(y[sl], q_pred)) < 0.0:
+            y0, y1, y2, y3 = y[sl].tolist()
+            if y0 * q0 + y1 * q1 + y2 * q2 + y3 * q3 < 0.0:
                 y[sl] = -y[sl]
         return y
 
@@ -340,12 +350,11 @@ def check_tunables(cfg):
 
 
 def _update_rows(meas, record, decide):
-    """Rows to update with once ``decide`` has seen ``record``: None for all,
-    else an index array (empty: prediction only). Only a non-finite NIS pays
-    for the scan that drops the rows whose innovation is not finite."""
-    if decide is None:
-        return None
-    skip, healthy = decide(record)
+    """Rows to update with once ``decide`` has seen ``record`` (without a
+    hook, every row): None for all, else an index array (empty: prediction
+    only). Only a non-finite NIS pays for the scan that drops the rows whose
+    innovation is not finite."""
+    skip, healthy = (False, None) if decide is None else decide(record)
     rows = np.empty(0, dtype=int) if skip else healthy_rows(healthy, meas.slices)
     if not math.isfinite(record.nis):
         rows = np.arange(meas.dim) if rows is None else rows
@@ -399,8 +408,9 @@ def jacobian(f, x, eps=1e-6):
 class _GaussianFilter:
     """Predict, assess and update: the Kalman cycle of the EKF and UKF.
 
-    A subclass supplies ``predict(belief, t)`` and ``_moments(pred)``; the
-    innovation record, the ``decide`` hook and the update live here once.
+    A subclass supplies ``_predict(belief, t)``: the predicted belief and its
+    measurement moments (y_hat, S, C and the record's S). The innovation
+    record, the ``decide`` hook and the update live here once.
     """
 
     def __init__(self, cfg):
@@ -420,8 +430,7 @@ class _GaussianFilter:
             (belief', record): the record always covers the full row set;
             the update may be skipped or row-restricted by ``decide``.
         """
-        pred = self.predict(belief, t - self.model.dt)
-        y_hat, s, cross, s_record = self._moments(pred)
+        pred, y_hat, s, cross, s_record = self._predict(belief, t - self.model.dt)
         nu = self.meas.align(y, pred.mu) - y_hat
         nis, l = core.nis(s_record, nu)
         record = InnovationRecord(t=t, nu=nu, S=s_record, nis=nis, source=self.source)
@@ -443,27 +452,30 @@ class EkfFilter(_GaussianFilter):
 
     source = "ekf"
 
-    def predict(self, belief, t):
-        """Propagate mean and covariance across [t, t + dt]. The Jacobian
-        columns come from one batched kernel call over 2n+1 perturbed states."""
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        n = self.model.dim
+        # flat indices of the stencil's +eps and -eps entries: row 1 + j and
+        # row 1 + n + j, column j
+        self._plus = np.arange(n) * (n + 1) + n
+        self._minus = self._plus + n * n
+
+    def _predict(self, belief, t):
+        """Propagate mean and covariance across [t, t + dt] and form the
+        linear measurement moments: y_hat = H mu, S = H Sigma H' + R and
+        C = Sigma H'. The Jacobian columns come from one batched kernel call
+        over 2n+1 perturbed states, the moments from ``core.ekf_moments``."""
         n = self.model.dim
         eps = self.cfg.fd_eps
-        batch = np.tile(belief.mu, (2 * n + 1, 1))
-        diag = np.arange(n)
-        batch[1 + diag, diag] += eps
-        batch[1 + n + diag, diag] -= eps
+        batch = np.empty((2 * n + 1, n))
+        batch[:] = belief.mu
+        flat = batch.reshape(-1)
+        flat[self._plus] = belief.mu + eps
+        flat[self._minus] = belief.mu - eps
         prop = self.model.propagate(batch, t)
-        mu_pred = prop[0]
-        a = (prop[1:1 + n] - prop[1 + n:]).T / (2.0 * eps)
-        sigma_pred = _symmetrize(a @ belief.sigma @ a.T + self.cfg.Q)
-        return GaussianBelief(mu_pred, sigma_pred)
-
-    def _moments(self, pred):
-        """Linear moments: y_hat = H mu, S = H Sigma H' + R, C = Sigma H'."""
-        h = self.meas.H
-        cross = pred.sigma @ h.T
-        s = _symmetrize(h @ cross + self.meas.R)
-        return h @ pred.mu, s, cross, s
+        sigma, y_hat, s, cross = core.ekf_moments(prop, eps, belief.sigma, self.cfg.Q,
+                                                  self.meas.H, self.meas.R)
+        return GaussianBelief(prop[0], sigma), y_hat, s, cross, s
 
 
 def ukf_sigma_points(mu, sigma, alpha, beta, kappa):
@@ -518,25 +530,18 @@ class UkfFilter(_GaussianFilter):
         return ukf_sigma_points(mu, sigma, self.cfg.ukf_alpha, self.cfg.ukf_beta,
                                 self.cfg.ukf_kappa)
 
-    def predict(self, belief, t):
+    def _predict(self, belief, t):
+        """The propagated sigma set's weighted moments, plus Q, then the
+        measurement moments of a sigma set regenerated about them, both by
+        ``core.sigma_moments`` (C takes the state deviations about the
+        regenerated set's own weighted mean); the record's S carries R once
+        more (S_det)."""
         pts, wm, wc = self._sigma(belief.mu, belief.sigma)
-        prop = self.model.propagate(pts, t)
-        mu_pred = wm @ prop
-        d = prop - mu_pred
-        sigma_pred = _symmetrize((wc[:, None] * d).T @ d + self.cfg.Q)
-        return GaussianBelief(mu_pred, sigma_pred)
-
-    def _moments(self, pred):
-        """Sigma-point moments; the record's S carries R once more (S_det)."""
-        pts, wm, wc = self._sigma(pred.mu, pred.sigma)
-        z = self.meas.predict(pts)
-        y_hat = wm @ z
-        dz = z - y_hat
-        dx = pts - pred.mu
-        s = _symmetrize((wc[:, None] * dz).T @ dz + self.meas.R)
-        cross = (wc[:, None] * dx).T @ dz
-        s_det = _symmetrize(s + self.cfg.ukf_detector_r * self.meas.R)
-        return y_hat, s, cross, s_det
+        mu, sigma = core.sigma_moments(self.model.propagate(pts, t), wm, wc, self.cfg.Q)[:2]
+        pts, wm, wc = self._sigma(mu, sigma)
+        y_hat, s, cross = core.sigma_moments(pts, wm, wc, h=self.meas.H, r=self.meas.R)[2:]
+        s_det = s + self.cfg.ukf_detector_r * self.meas.R
+        return GaussianBelief(mu, sigma), y_hat, s, cross, s_det
 
 
 def systematic_resample(weights, u):
@@ -592,7 +597,6 @@ class PfFilter:
         self.rng = rng
         self.n = cfg.pf_particles
         self._jitter_root = _psd_sqrt(cfg.Q)
-        self._r = _symmetrize(self.meas.R)
         self._row_models = {}
         self._all_rows = np.arange(self.meas.dim)
         try:
@@ -622,12 +626,14 @@ class PfFilter:
         normals = self.rng.standard_normal((self.n, self.model.dim))
         w = pset.weights
         mu_prior, y_hat, s = core.cloud_moments(x, w, normals, self._jitter_root, self.meas.H,
-                                                self._r, self.model.quaternion_rows)
+                                                self.meas.R, self.model.quaternion_rows)
         y_al = self.meas.align(y, mu_prior)
         nu = y_al - y_hat
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
 
-        rows = _update_rows(self.meas, record, decide)
+        # the bare particle filter weighs every row: a non-finite reading
+        # reaches the degenerate-weight reset below
+        rows = None if decide is None else _update_rows(self.meas, record, decide)
         resets = pset.resets
         if rows is not None and not rows.size:
             new_w = w.copy()

@@ -1,5 +1,10 @@
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import astuple, replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -437,3 +442,148 @@ def test_stacked_measurement_align_flips_quaternion_blocks():
     npt.assert_array_equal(aligned[0:4], -y[0:4])   # flipped into agreement
     npt.assert_array_equal(aligned[4:8], y[4:8])    # already aligned
     npt.assert_array_equal(aligned[8:11], y[8:11])  # rates never flip
+
+
+def test_align_sums_the_hemisphere_dot_product_in_order():
+    """The dot product that picks a block's hemisphere is summed from the
+    first component on, as Python floats. With the products 2^53, 1, -2^53
+    and -0.5 the 1 is lost to rounding and the sum is -0.5, so the block
+    flips; the exact sum (0.5) or a pairwise one (0.0) would not flip it."""
+    meas = flt.StackedMeasurement(np.eye(4), np.eye(4), {"q": slice(0, 4)}, [slice(0, 4)])
+    y = np.array([2.0 ** 53, 1.0, -2.0 ** 53, -0.5])
+    npt.assert_array_equal(meas.align(y, np.ones(4)), -y)
+    npt.assert_array_equal(meas.align(y[::-1], np.ones(4)), y[::-1])  # the sum is 1.0
+
+
+def test_ekf_stencil_is_the_per_column_loop():
+    """The EKF propagates its mean and the mean with +-eps on each state in
+    turn, with the bits of a loop over the columns: untouched entries keep
+    the sign of a zero."""
+    seen = []
+
+    class Recording(flt.LinearProcessModel):
+        def propagate(self, states, t):
+            seen.append(np.array(states))
+            return super().propagate(states, t)
+
+    cfg, _ = make_linear_problem()
+    cfg = replace(cfg, process=Recording(cfg.process.F), fd_eps=1e-3)
+    mu = np.array([0.5, -0.0, 0.0, -1.25])
+    ekf = flt.EkfFilter(cfg)
+    ekf.step(flt.GaussianBelief(mu, cfg.P0), np.zeros(3), 1.0)
+    n = len(mu)
+    want = np.array([mu] * (2 * n + 1))
+    for j in range(n):
+        want[1 + j, j] = mu[j] + 1e-3
+        want[1 + n + j, j] = mu[j] - 1e-3
+    assert seen[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_bare_gaussian_step_leaves_a_nan_reading_out(kind):
+    """Without a hook, a reading with a NaN row updates on its finite rows,
+    exactly as a hook that passes every sensor does, so the next step is
+    finite again."""
+    cfg, ys = make_linear_problem()
+    filt = flt.make_filter(kind, cfg)
+    y = ys[0].copy()
+    y[0] = np.nan
+    bare, rec = filt.step(filt.initial_belief(), y, 1.0)
+    hooked, _ = filt.step(filt.initial_belief(), y, 1.0, decide=lambda record: (False, None))
+    assert np.isnan(rec.nis)
+    for a, b in zip(astuple(bare), astuple(hooked)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    after, rec = filt.step(bare, ys[1], 2.0)
+    assert np.isfinite(after.mu).all() and np.isfinite(after.sigma).all()
+    assert np.isfinite(rec.nis)
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+# OpenBLAS core types and the CPU features each needs, in numpy's names
+OPENBLAS_CORES = {"SkylakeX": ("AVX512_SKX",), "Haswell": ("AVX2", "FMA3"), "Prescott": ("SSE3",)}
+# numpy's AVX-512 dispatch targets on this host (X86_V4 is the AVX-512 level)
+AVX512_TARGETS = [f for f in __cpu_dispatch__
+                  if (f.startswith("AVX512") or f == "X86_V4") and __cpu_features__.get(f)]
+
+
+def blas_has_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        return False
+    return "DYNAMIC_ARCH" in str(blas)
+
+
+DISPATCH_PROBE = """
+import hashlib, pickle, sys
+import numpy as np
+from attbench.fdir import FdirSupervisor
+from attbench.filters import make_filter
+with open(sys.argv[1], "rb") as fh:
+    fcfg, readings, times, policy, detector, slices = pickle.load(fh)
+for kind in ("ekf", "ukf", "pf"):
+    filt = make_filter(kind, fcfg, rng=np.random.default_rng(3))
+    supervisor = FdirSupervisor(policy, detector, slices)
+    belief = filt.initial_belief()
+    digest = hashlib.sha256()
+    for y, t in zip(readings, times):
+        belief, record = filt.step(belief, y, t, decide=supervisor.decide)
+        for out in (belief.weights, belief.states) if kind == "pf" else (belief.mu, belief.sigma):
+            digest.update(out.tobytes())
+        digest.update(np.float64(record.nis).tobytes())
+    print(kind, digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not blas_has_dynamic_arch(),
+                    reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build, so its "
+                           "kernel choice cannot be forced from the environment")
+def test_filter_steps_have_one_set_of_bits_on_every_dispatch_path(tmp_path):
+    """300 hooked steps of each filter give the same estimates, covariances
+    or weights, and NIS, under every OpenBLAS core type the host can run and
+    with numpy's AVX-512 loops masked. The readings, the principal moments
+    and the whole filter config are made once here and handed over by file,
+    so only the filter steps run under each dispatch path.
+
+    The particle filter is left out of the masked-AVX-512 run: its weight
+    update calls ``np.exp``, whose AVX-512 and AVX2 loops differ in the
+    last bit.
+    """
+    from attbench.runner import build_filter_config, sample_measurements, simulate_truth
+    from attbench.scenario import load_bundled, with_overrides
+
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=30.0)
+    layout = make_layout()
+    traj = simulate_truth(cfg)
+    readings = sample_measurements(cfg, traj, layout)[1]
+    readings[100:103, 0:4] += 0.5  # a star-tracker spike for the isolator
+    readings[200, 9] = np.nan
+    fcfg = flt.augment_gyro_bias(build_filter_config(cfg, layout))
+    fcfg.pf_particles = 200
+    job = tmp_path / "job.pkl"
+    with open(job, "wb") as fh:
+        pickle.dump((fcfg, readings, traj.t[1:], "isolation", cfg.detector, layout.slices), fh)
+
+    def hashes(**env):
+        env = dict(os.environ, PYTHONPATH=str(Path(flt.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", **env)
+        run = subprocess.run([sys.executable, "-c", DISPATCH_PROBE, str(job)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        return dict(line.split() for line in run.stdout.splitlines())
+
+    default = hashes()
+    assert sorted(default) == ["ekf", "pf", "ukf"]
+    paths = 0
+    for core_type, needs in OPENBLAS_CORES.items():
+        if all(__cpu_features__.get(f) for f in needs):
+            assert hashes(OPENBLAS_CORETYPE=core_type) == default, core_type
+            paths += 1
+    assert paths, "the host runs none of the OpenBLAS core types"
+    if AVX512_TARGETS:
+        masked = hashes(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+        assert {k: masked[k] for k in ("ekf", "ukf")} == {k: default[k] for k in ("ekf", "ukf")}

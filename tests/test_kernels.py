@@ -463,6 +463,152 @@ def test_cholesky_kernels_agree_bitwise_and_match_numpy():
     check_cholesky_kernels()
 
 
+@st.composite
+def gaussian_inputs(draw):
+    """Arguments of the Gaussian filters' moment passes: n of 1-10 states,
+    a scaled-UT sigma set about an SPD Sigma (a random alpha, beta and
+    kappa, so wc != wm at point 0 and some weights are negative), an EKF
+    stencil propagated by a random map whose Jacobian has exact zeros, a
+    diagonal Q, and either the attitude suite's selection H and R (7 or 10
+    states) or a dense H with zero entries and a dense R, scaled by 1e-6 to
+    1e6."""
+    n = draw(st.sampled_from((1, 2, 4, 7, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    b = rng.standard_normal((n, n))
+    sigma = scale * (b @ b.T / n + draw(st.floats(0.1, 2.0)) * np.eye(n))
+    sigma = 0.5 * (sigma + sigma.T)
+    mu = rng.standard_normal(n)
+    points, wm, wc = flt.ukf_sigma_points(mu, sigma, draw(st.floats(1e-3, 1.0)),
+                                          draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)))
+    eps = 10.0 ** draw(st.integers(-8, -3))
+    jac = rng.standard_normal((n, n))
+    jac[rng.random((n, n)) < 0.3] = 0.0
+    stencil = np.vstack([mu, mu + eps * np.eye(n), mu - eps * np.eye(n)])
+    prop = stencil @ jac.T + rng.standard_normal(n)
+    # a zero Jacobian entry: the +eps and -eps rows agree on that state
+    prop[n + 1:][jac.T == 0.0] = prop[1:n + 1][jac.T == 0.0]
+    q = np.diag(scale * rng.uniform(1e-3, 1e-1, n))
+    if n in (7, 10) and draw(st.booleans()):
+        meas = flt.attitude_measurement(make_layout(), {k: (v,) * (3 if k == "gyro" else 4)
+                                                        for k, v in SENSOR_VARIANCES.items()}, n)
+        h, r = meas.H, scale * meas.R
+    else:
+        m = draw(st.integers(1, 11))
+        h = rng.standard_normal((m, n))
+        h[rng.random((m, n)) < 0.4] = 0.0
+        a = rng.standard_normal((m, m))
+        r = scale * (a @ a.T + np.eye(m))
+        r = 0.5 * (r + r.T)
+    return points, wm, wc, prop, eps, sigma, q, h, r
+
+
+def gaussian_outputs(kernels, points, wm, wc, prop, eps, sigma, q, h, r):
+    """Every output of the moment passes of ``kernels`` on one draw: the
+    sigma set's moments with Q and no H, with H and R and no Q, and the
+    EKF's moments from its stencil."""
+    return (*kernels.sigma_moments(points, wm, wc, q)[:2],
+            *kernels.sigma_moments(points, wm, wc, h=h, r=r),
+            *kernels.ekf_moments(prop, eps, sigma, q, h, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_inputs())
+def check_gaussian_moments(args):
+    points, wm, wc, prop, eps, sigma, q, h, r = args
+    outs = gaussian_outputs(core, *args)
+    for a, b in zip(outs, gaussian_outputs(kernels_py, *args), strict=True):
+        assert a.tobytes() == b.tobytes()  # signs of zeros included
+    mean_q, p_q, mean, p, y_hat, s, cross, p_ekf, y_ekf, s_ekf, cross_ekf = outs
+    for sym in (p_q, p, s, p_ekf, s_ekf):
+        assert np.array_equal(sym, sym.T)
+    assert np.array_equal(mean_q, mean)
+    assert np.array_equal(p_q, p + q)
+
+    # the sigma set, against the BLAS formulas; |wm| |x| bounds the terms of
+    # the mean and so its rounding, which every deviation inherits
+    aw, ax = np.abs(wm), np.abs(points)
+    assert_within(mean, wm @ points, aw @ ax)
+    d = points - wm @ points
+    reach = np.abs(d) + aw @ ax
+    assert_within(p, (wc[:, None] * d).T @ d, (np.abs(wc)[:, None] * reach).T @ reach)
+    z = points @ h.T
+    az = ax @ np.abs(h).T
+    assert_within(y_hat, wm @ z, aw @ az)
+    dz = z - wm @ z
+    reach_z = np.abs(dz) + aw @ az
+    assert_within(s, (wc[:, None] * dz).T @ dz + r,
+                  (np.abs(wc)[:, None] * reach_z).T @ reach_z + np.abs(r))
+    assert_within(cross, (wc[:, None] * d).T @ dz, (np.abs(wc)[:, None] * reach).T @ reach_z)
+
+    # the EKF, against a Sigma a' + Q and the products with H
+    n = len(sigma)
+    a = (prop[1:n + 1] - prop[n + 1:]).T / (2.0 * eps)
+    aa, ah = np.abs(a), np.abs(h)
+    want = a @ sigma @ a.T + q
+    assert_within(p_ekf, want, aa @ np.abs(sigma) @ aa.T + np.abs(q))
+    assert_within(y_ekf, h @ prop[0], ah @ np.abs(prop[0]))
+    bound = aa @ np.abs(sigma) @ aa.T + np.abs(q)
+    assert_within(cross_ekf, p_ekf @ h.T, bound @ ah.T)
+    assert_within(s_ekf, h @ p_ekf @ h.T + r, ah @ bound @ ah.T + np.abs(r))
+
+
+def test_gaussian_moment_passes_agree_bitwise_and_match_numpy():
+    """Property: the sigma-set and EKF moment passes give the same bits on
+    the active backend and the fallback, every covariance they return is
+    exactly symmetric, Q adds to P alone, and each output agrees with the
+    BLAS formula it replaced within 1e-12 of the size of its terms. Without
+    the compiled backend both sides are the fallback, which the warning
+    states."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: moment-pass parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    check_gaussian_moments()
+
+
+@pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
+def test_gaussian_moment_passes_reject_bad_arguments(kernels):
+    points, w, q, h, r = np.ones((5, 2)), np.full(5, 0.2), np.eye(2), np.ones((3, 2)), np.eye(3)
+    for bad in (np.ones(5), np.ones((0, 2)), np.ones((5, 0))):
+        with pytest.raises(ValueError, match="points"):
+            kernels.sigma_moments(bad, w, w)
+    for args, name in (((points, w[1:], w), "wm"), ((points, w, w[1:]), "wc"),
+                       ((points, w, w, np.eye(3)), "Q"), ((points, w, w, q, h[:, :1]), "H"),
+                       ((points, w, w, q, h[:0]), "H"), ((points, w, w, q, h, np.eye(2)), "R")):
+        with pytest.raises(ValueError, match=name):
+            kernels.sigma_moments(*args)
+    prop, sigma = np.ones((5, 2)), np.eye(2)
+    for args, name in (((np.ones((4, 2)), 1e-6, sigma, q, h, r), "prop"),
+                       ((np.ones((1, 0)), 1e-6, np.ones((0, 0)), q, h, r), "prop"),
+                       ((prop, 1e-6, np.eye(3), q, h, r), "Sigma"),
+                       ((prop, 1e-6, sigma, np.ones(2), h, r), "Q"),
+                       ((prop, 1e-6, sigma, q, h.T, r), "H"),
+                       ((prop, 1e-6, sigma, q, h, np.eye(2)), "R")):
+        with pytest.raises(ValueError, match=name):
+            kernels.ekf_moments(*args)
+
+
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_compiled_gaussian_passes_check_shapes_themselves():
+    """Called directly, past attbench.core's checks, the C entries of the
+    moment passes refuse buffers that do not fit each other."""
+    from attbench.core import _kernels_c
+    points, w = np.ones((5, 2)), np.full(5, 0.2)
+    good = kernels_py.checked_sigma(points, w, w, np.eye(2), np.ones((3, 2)), np.eye(3))[0]
+    for i, bad in ((1, w[1:]), (2, w[1:]), (3, np.eye(3)), (4, np.ones((3, 3))), (5, np.eye(2)),
+                   (6, np.empty(3)), (7, np.empty((3, 3))), (8, np.empty(2)),
+                   (9, np.empty((2, 2))), (10, np.empty((3, 2)))):
+        with pytest.raises(ValueError):
+            _kernels_c.sigma_rows(*good[:i], bad, *good[i + 1:])
+    good = kernels_py.checked_ekf(np.ones((5, 2)), 1e-6, np.eye(2), np.eye(2), np.ones((3, 2)),
+                                  np.eye(3))[0]
+    for i, bad in ((0, np.ones((4, 2))), (2, np.eye(3)), (3, np.eye(3)), (4, np.ones((3, 3))),
+                   (5, np.eye(2)), (6, np.empty((3, 3))), (7, np.empty(2)), (8, np.empty((2, 2))),
+                   (9, np.empty((3, 2)))):
+        with pytest.raises(ValueError):
+            _kernels_c.ekf_rows(*good[:i], bad, *good[i + 1:])
+
+
 @pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
 def test_cholesky_kernels_reject_indefinite_and_bad_arguments(kernels):
     for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([1.0, np.nan]),
