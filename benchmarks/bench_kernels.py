@@ -15,7 +15,11 @@ a Sigma a' + Q and its measurement moments, and the UKF's predicted and
 measurement moments, for a 10-state filter. The Cholesky layer is timed
 against the np.linalg code it replaced, on the three shapes of a Kalman
 step: the record's NIS over 11 rows, the per-sensor NIS over the 4/4/3-row
-blocks of the isolation test, and a 10-state update from 11 rows.
+blocks of the isolation test, and a 10-state update from 11 rows. The
+four fused entries of the Gaussian step (the UKF's sigma set, the EKF's and
+UKF's assess passes and the update pass) are checked for bit-identity too,
+and a whole bare EKF and UKF step (7 and 10 states, 11 rows) is timed
+against the chain of public kernels those entries replaced.
 
 Run from the repository root, after building the extension in place:
 
@@ -29,7 +33,8 @@ import numpy as np
 
 from attbench import core, dynamics
 from attbench.core import BACKEND, kernels_py, rk4_step_batch
-from attbench.filters import attitude_measurement, ukf_sigma_points
+from attbench.filters import (EkfFilter, FilterConfig, GaussianBelief, RigidBodyProcessModel,
+                               UkfFilter, attitude_measurement, ukf_sigma_points)
 from attbench.sensors import make_layout
 
 if BACKEND != "compiled":
@@ -217,6 +222,93 @@ def numpy_ukf_moments(points, wm, wc, mu, h, r):
     return y_hat, symmetrized((wc[:, None] * dz).T @ dz + r), (wc[:, None] * dx).T @ dz
 
 
+def step_case(n=10, seed=0):
+    """A Gaussian filter config of n rigid-body states on the attitude
+    suite's 11 rows, a belief of that filter and a reading near it."""
+    rng = np.random.default_rng(seed)
+    meas = attitude_measurement(make_layout(), {"star_tracker": (1e-3,) * 4,
+                                                "magnetometer": (1e-2,) * 4,
+                                                "gyro": (2.5e-5,) * 3}, n)
+    mu = np.hstack([make_states(1, seed)[0], np.zeros(n - 7)])
+    a = rng.standard_normal((n, n))
+    sigma = 1e-4 * (a @ a.T) + 1e-6 * np.eye(n)
+    sigma = 0.5 * (sigma + sigma.T)
+    cfg = FilterConfig(process=RigidBodyProcessModel((IXX, IYY, IZZ), DT, bias_states=n == 10),
+                       measurement=meas, Q=1e-8 * np.eye(n), x0=mu, P0=sigma)
+    return cfg, GaussianBelief(mu, cfg.P0), meas.H @ mu + 1e-3 * rng.standard_normal(meas.dim)
+
+
+def fused_passes(kernels, cfg, belief, y):
+    """Every output of the four fused entries of ``kernels`` on one step's
+    arrays: the UKF's sigma set; the EKF's assess pass on its propagated
+    stencil; the UKF's from the propagated set and from a given set; and
+    the update pass on every row through the EKF's factor, on every row,
+    on the star tracker and gyro rows, and on none."""
+    n, m = cfg.process.dim, cfg.measurement.dim
+    q, h, r = kernels_py.checked_gaussian(cfg.Q, cfg.measurement.H, cfg.measurement.R)
+    blocks = cfg.measurement.hemisphere_bounds
+    mu, sigma = belief.mu, belief.sigma
+    _, wm, wc = ukf_sigma_points(mu, sigma, 0.1, 2.0, 0.0)
+    scale = 0.01 * n  # n + lambda with alpha 0.1 and kappa 0
+    points = np.empty((2 * n + 1, n))
+    outs = [points, kernels.points_rows(mu, sigma, scale, points)]
+    plus = np.arange(n) * (n + 1) + n
+    prop = rk4_step_batch(ekf_stencil(mu, 1e-6, plus, plus + n * n), DT, IXX, IYY, IZZ,
+                          0.0, 0.0, 0.0)
+    # L's upper triangle and the cov a given set leaves are not written: zeros
+    ekf = [np.empty((n, n)), np.empty((m, m)), np.empty((n, m)), np.empty(m), np.zeros((m, m))]
+    outs += ekf + [kernels.ekf_assess_rows(prop, 1e-6, sigma, q, h, r, blocks, y, *ekf)]
+    for given in (None, points):
+        ukf = [np.empty(n), np.zeros((n, n)), np.empty((m, m)), np.empty((m, m)),
+               np.empty((n, m)), np.empty(m)]
+        prop_u = None if given is not None else rk4_step_batch(points, DT, IXX, IYY, IZZ,
+                                                               0.0, 0.0, 0.0)
+        if given is not None:
+            ukf[0][:] = mu
+        outs += ukf + [kernels.ukf_assess_rows(prop_u, wm, wc, q, scale, h, r, 1.0, blocks, y,
+                                               *ukf[:2], given, *ukf[2:])]
+    cov, s, cross, nu, l = ekf
+    for rows, factor in ((None, l), (None, None), ((0, 1, 2, 3, 8, 9, 10), None), ((), None)):
+        new = [np.empty(n), np.empty((n, n))]
+        kernels.gauss_update_rows(prop[0], cov, cross, s, factor, nu, rows, True, *new)
+        outs += new
+    return [np.asarray(out).tobytes() for out in outs]
+
+
+def chain_step(filt, belief, y, t):
+    """A bare Gaussian step as the chain of public kernels that the fused
+    passes replaced: the EKF's stencil and ``ekf_moments``, or
+    ``ukf_sigma_points`` and ``sigma_moments`` before and after the sigma
+    set's regeneration; then ``align``, ``nis``, ``cholesky`` (of the
+    finite rows, or of the UKF's S), ``kalman_update`` and
+    ``normalize_rows``."""
+    cfg, model, meas = filt.cfg, filt.model, filt.meas
+    if isinstance(filt, EkfFilter):
+        n = model.dim
+        plus = np.arange(n) * (n + 1) + n
+        prop = model.propagate(ekf_stencil(belief.mu, cfg.fd_eps, plus, plus + n * n),
+                               t - model.dt)
+        sigma, y_hat, s, cross = core.ekf_moments(prop, cfg.fd_eps, belief.sigma, cfg.Q,
+                                                  meas.H, meas.R)
+        mu, s_record = prop[0], s
+    else:
+        ut = (cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
+        pts, wm, wc = ukf_sigma_points(belief.mu, belief.sigma, *ut)
+        mu, sigma = core.sigma_moments(model.propagate(pts, t - model.dt), wm, wc, cfg.Q)[:2]
+        pts, wm, wc = ukf_sigma_points(mu, sigma, *ut)
+        y_hat, s, cross = core.sigma_moments(pts, wm, wc, h=meas.H, r=meas.R)[2:]
+        s_record = s + cfg.ukf_detector_r * meas.R
+    nu = meas.align(y, mu) - y_hat
+    nis, l = core.nis(s_record, nu)
+    rows = np.flatnonzero(np.isfinite(nu))
+    if rows.size < len(nu):
+        s, cross, nu = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
+    if rows.size < len(nu) or s is not s_record:
+        l = core.cholesky(s)
+    mu, sigma = core.kalman_update(mu, sigma, cross, l, nu)
+    return GaussianBelief(model.normalize_rows(mu), sigma), nis
+
+
 def per_call(fn, calls=20000, repeats=5):
     """Best time of one call of ``fn()`` over ``repeats`` loops, in us."""
     best = float("inf")
@@ -278,6 +370,27 @@ def bench_moments():
         print("%-38s %7.2f us %7.2f us %7.1f us %7.1fx" % (label, tc, tn, tp, tn / tc))
 
 
+def bench_steps():
+    print("%-38s %10s %10s %10s %8s" % ("bare Gaussian step, per call", "fused", "chain",
+                                         "python", "vs chain"))
+    for n in (7, 10):
+        cfg, belief, y = step_case(n)
+        for kind, make in (("EKF", EkfFilter), ("UKF", UkfFilter)):
+            filt = make(cfg)
+            tf = per_call(lambda: filt.step(belief, y, 1.0))
+            tc = per_call(lambda: chain_step(filt, belief, y, 1.0))
+            core._kernels = kernels_py
+            try:
+                tp = per_call(lambda: filt.step(belief, y, 1.0), calls=2000, repeats=3)
+            finally:
+                core._kernels = FUSED_BACKEND
+            print("%-38s %7.2f us %7.2f us %7.1f us %7.1fx"
+                  % ("%s step, %2d states, 11 rows" % (kind, n), tf, tc, tp, tc / tf))
+
+
+FUSED_BACKEND = core._kernels
+
+
 def main():
     print("backend check: BACKEND=%s" % BACKEND)
     for m in (1, 15, 21, 1000):
@@ -300,6 +413,12 @@ def main():
         same = all(np.array_equal(a, b) for a, b in zip(moment_passes(core, *case),
                                                          moment_passes(kernels_py, *case)))
         print("  moment passes, %2d states, %2d points : bit-identical=%s" % (n, 2 * n + 1, same))
+        if not same:
+            raise SystemExit("backend mismatch; parity is a hard requirement")
+    for n in (7, 10):
+        case = step_case(n)
+        same = fused_passes(FUSED_BACKEND, *case) == fused_passes(kernels_py, *case)
+        print("  fused step passes, %2d states, 11 rows : bit-identical=%s" % (n, same))
         if not same:
             raise SystemExit("backend mismatch; parity is a hard requirement")
     for n in (7, 10):
@@ -333,6 +452,8 @@ def main():
     bench_moments()
     print()
     bench_cholesky()
+    print()
+    bench_steps()
 
 
 if __name__ == "__main__":

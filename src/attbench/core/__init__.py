@@ -11,7 +11,16 @@ log-likelihood); the Gaussian filters' moments (the weighted moments of a
 sigma-point cloud, and the EKF's predicted covariance and measurement
 moments from its propagated stencil); and the fixed-order Cholesky layer
 of the Kalman step (the factor, the NIS, the NIS of several diagonal
-blocks in one call, and the Kalman update from the factor).
+blocks in one call, and the Kalman update from the factor). Each function
+below validates its arguments before the backend sees them.
+
+A fifth group has no wrapper here: the Gaussian step's fused passes
+(``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
+``gauss_update_rows``), which chain the arithmetic of the groups above.
+The EKF and UKF check their constant operands once, when built
+(``kernels_py.checked_gaussian``), and call these entries on ``_kernels``,
+the active backend, directly; each compiled entry still checks that its
+buffers fit each other.
 """
 
 import os

@@ -4,9 +4,11 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The module exports seven functions. attbench.core validates the caller's
- * arrays, and allocates the outputs, before calling any of them; each
- * function still checks that its buffers fit each other.
+ * The module exports eleven functions. attbench.core validates the caller's
+ * arrays, and allocates the outputs, before calling any of the first seven;
+ * the Gaussian filters check their constant operands once, when built, and
+ * call the last four directly. Each function still checks that its buffers
+ * fit each other.
  *
  * step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames) advances a
  *     C-contiguous float64 (M, n) buffer by one rigid-body RK4 step, in place.
@@ -34,6 +36,27 @@
  * ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross) forms the
  *     central-difference Jacobian a from the propagated (2n + 1, n) stencil
  *     and writes a sigma a' + q, h prop[0], S = h cov h' + r and C = cov h'.
+ * points_rows(mu, sigma, scale, points) writes the (2n + 1, n) sigma set
+ *     mu, mu + the columns of L, mu - the columns of L, with L the Cholesky
+ *     factor of scale sigma; returns False, writing nothing, when scale
+ *     sigma is not positive definite.
+ * ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l)
+ *     is ekf_rows, then the innovation nu = y - y_hat with each hemisphere
+ *     block of y aligned to prop[0], then the Cholesky factor l of S; it
+ *     returns the NIS |l^-1 nu|^2.
+ * ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov,
+ *     points, s, s_det, cross, nu) is sigma_rows of the propagated set prop
+ *     with q into mean and cov, the sigma set of (mean, scale cov) as
+ *     points_rows forms it, sigma_rows of that set with h and r into s and
+ *     cross, S_det = s + r_det r, and the innovation aligned to mean; it
+ *     returns the NIS of S_det. It returns None, having written mean and cov
+ *     alone, when scale cov is not positive definite; called again with prop
+ *     None and that set's points given, it starts at the set's moments.
+ * gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out,
+ *     sigma_out) writes the Kalman update on the rows that the tuple rows
+ *     lists (None: every row, through the factor l when it is not None),
+ *     factoring that block of s, then renormalizes mu_out's columns 0..3 when
+ *     asked; no rows copies mu and sigma.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles or points runs from row 0, and a
@@ -432,6 +455,21 @@ forward(const double *l, Py_ssize_t m, Py_ssize_t lo, Py_ssize_t hi, const doubl
     }
 }
 
+/* The NIS |l^-1 nu|^2 on the rows [lo, hi): forward into v, then the
+ * squares summed from -0.0 in row order. */
+static double
+block_nis(const double *l, Py_ssize_t m, Py_ssize_t lo, Py_ssize_t hi, const double *nu,
+          double *v)
+{
+    double ss = -0.0;
+    Py_ssize_t i;
+
+    forward(l, m, lo, hi, nu, v);
+    for (i = lo; i < hi; i++)
+        ss = ss + v[i] * v[i];
+    return ss;
+}
+
 /* The Kalman update of update_rows: W = C l^-T row by row (row r of W is
  * l^-1 applied to row r of the (n, m) C), v = l^-1 nu, mu_out = mu + W v and
  * sigma_out = sigma - W W', whose upper triangle is summed, from -0.0 in
@@ -542,8 +580,8 @@ center(const double *x, Py_ssize_t rows, Py_ssize_t k, const double *restrict w,
         }
 }
 
-/* The pass of sigma_rows over the rows x of points of n states. scratch
- * holds 2 rows (n + m) doubles. */
+/* The pass of sigma_rows over the rows x of points of n states; a NULL cov
+ * skips the covariance. scratch holds 2 rows (n + m) doubles. */
 static void
 sigma_pass(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *wm, const double *wc,
            const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
@@ -551,7 +589,8 @@ sigma_pass(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *wm, con
 {
     double *dx = scratch, *wdx = dx + rows * n, *z = wdx + rows * n, *dz = z + rows * m;
     center(x, rows, n, wm, wc, mean, dx, wdx);
-    spread(wdx, n, dx, n, rows, 1, q, cov);
+    if (cov)
+        spread(wdx, n, dx, n, rows, 1, q, cov);
     if (!h)
         return;
     product(h, m, n, x, rows, z);
@@ -626,6 +665,54 @@ ekf_pass(const double *restrict prop, Py_ssize_t n, double eps, const double *re
     }
 }
 
+/* The sigma set about mu: l = the Cholesky factor of a = scale sigma (its
+ * lower triangle; the upper is zeroed), then row 0 of points is mu, row
+ * 1 + j is mu + column j of l and row 1 + n + j is mu - column j. a and l
+ * hold n n doubles each. Returns -1, writing no point, when scale sigma is
+ * not positive definite, else 0. */
+static int
+sigma_points(const double *restrict mu, const double *restrict sigma, Py_ssize_t n, double scale,
+             double *restrict a, double *restrict l, double *restrict points)
+{
+    Py_ssize_t i, j;
+
+    for (i = 0; i < n; i++)
+        for (j = 0; j <= i; j++)
+            a[i * n + j] = scale * sigma[i * n + j];
+    memset(l, 0, n * n * sizeof(double));
+    if (factor(a, n, 0, n, l) >= 0)
+        return -1;
+    memcpy(points, mu, n * sizeof(double));
+    for (j = 0; j < n; j++)
+        for (i = 0; i < n; i++) {
+            points[(1 + j) * n + i] = mu[i] + l[i * n + j];
+            points[(1 + n + j) * n + i] = mu[i] - l[i * n + j];
+        }
+    return 0;
+}
+
+/* nu = y_al - y_hat for the m rows of y. y_al, m doubles of scratch, is y
+ * with each hemisphere block [lo, lo + 4) that the count edges list, in
+ * list order, negated where its dot product with q[0..3], y_al[lo] q[0] +
+ * ... + y_al[lo + 3] q[3] summed in that order, is negative. */
+static void
+innovation(const double *y, const double *y_hat, Py_ssize_t m, const double *q,
+           const Py_ssize_t *edges, Py_ssize_t count, double *y_al, double *nu)
+{
+    Py_ssize_t i, b;
+
+    memcpy(y_al, y, m * sizeof(double));
+    for (b = 0; b < count; b += 2) {
+        double *yb = y_al + edges[b];
+
+        if (yb[0] * q[0] + yb[1] * q[1] + yb[2] * q[2] + yb[3] * q[3] < 0.0)
+            for (i = 0; i < 4; i++)
+                yb[i] = -yb[i];
+    }
+    for (i = 0; i < m; i++)
+        nu[i] = y_al[i] - y_hat[i];
+}
+
 /* A C-contiguous float64 buffer of the given rank (0: rank 1 or 2); raises
  * ValueError and releases it otherwise. */
 static int
@@ -685,7 +772,7 @@ step_rows(PyObject *self, PyObject *args)
 
 /* The buffers of one call: every view starts empty, so release_all may run
  * after any failure. */
-#define MAX_VIEWS 11
+#define MAX_VIEWS 16
 
 static void
 release_all(Py_buffer *views)
@@ -713,6 +800,57 @@ get_shaped(PyObject *obj, Py_buffer *view, int flags, int ndim,
     }
     *data = view->buf;
     return 0;
+}
+
+/* The *count edges of the flat tuple bounds of (start, stop) pairs, each
+ * 0 <= start < stop <= m and, when width > 0, stop = start + width, in a new
+ * array to PyMem_RawFree (NULL for an empty tuple). Returns -1 with
+ * ValueError (or the error of an edge that is not an int) otherwise. */
+static int
+get_bounds(PyObject *bounds, Py_ssize_t m, Py_ssize_t width, const char *name,
+           Py_ssize_t **edges, Py_ssize_t *count)
+{
+    Py_ssize_t i, *e;
+
+    *edges = NULL;
+    *count = PyTuple_GET_SIZE(bounds);
+    if (*count % 2) {
+        PyErr_Format(PyExc_ValueError, "%s must hold (start, stop) pairs", name);
+        return -1;
+    }
+    if (!*count)
+        return 0;
+    if (!(e = PyMem_RawMalloc(*count * sizeof(Py_ssize_t)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (i = 0; i < *count; i++) {
+        e[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, i));
+        if (e[i] == -1 && PyErr_Occurred())
+            goto fail;
+        if (e[i] < 0 || e[i] > m || (i % 2 && (e[i] <= e[i - 1]
+                                                || (width > 0 && e[i] - e[i - 1] != width)))) {
+            if (width > 0)
+                PyErr_Format(PyExc_ValueError, "%s must be blocks of %zd rows inside the %zd",
+                             name, width, m);
+            else
+                PyErr_Format(PyExc_ValueError, "%s must be 0 <= start < stop <= m", name);
+            goto fail;
+        }
+    }
+    *edges = e;
+    return 0;
+fail:
+    PyMem_RawFree(e);
+    return -1;
+}
+
+/* The error of a factor that failed at row bad. */
+static PyObject *
+not_positive_definite(Py_ssize_t bad)
+{
+    return PyErr_Format(PyExc_ValueError, "matrix is not positive definite (pivot of row %zd)",
+                        bad);
 }
 
 static PyObject *
@@ -830,7 +968,7 @@ factor_rows(PyObject *self, PyObject *args)
     PyObject *ao, *bounds, *nuo, *lo_, *nis = NULL;
     Py_buffer v[MAX_VIEWS] = {{0}};
     double *a, *nu, *l, *scratch = NULL;
-    Py_ssize_t m, count, b, i, bad = -1;
+    Py_ssize_t m, count, b, bad = -1, *edges = NULL;
 
     if (!PyArg_ParseTuple(args, "OO!OO:factor_rows", &ao, &PyTuple_Type, &bounds, &nuo, &lo_))
         return NULL;
@@ -848,21 +986,11 @@ factor_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "l is required");
         goto fail;
     }
-    count = PyTuple_GET_SIZE(bounds);
-    if (count < 2 || count % 2) {
+    if (get_bounds(bounds, m, 0, "bounds", &edges, &count) < 0)
+        goto fail;
+    if (!count) {
         PyErr_SetString(PyExc_ValueError, "bounds must hold (start, stop) pairs");
         goto fail;
-    }
-    for (i = 0; i < count; i++) {
-        Py_ssize_t edge = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, i));
-
-        if (edge == -1 && PyErr_Occurred())
-            goto fail;
-        if (edge < 0 || edge > m || (i % 2 && edge <= PyLong_AsSsize_t(
-                PyTuple_GET_ITEM(bounds, i - 1)))) {
-            PyErr_SetString(PyExc_ValueError, "bounds must be 0 <= start < stop <= m");
-            goto fail;
-        }
     }
     if (nu && !(scratch = PyMem_RawMalloc(m * sizeof(double)))) {
         PyErr_NoMemory();
@@ -872,32 +1000,29 @@ factor_rows(PyObject *self, PyObject *args)
     if (!nis)
         goto fail;
     for (b = 0; b < count / 2; b++) {
-        Py_ssize_t lo = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, 2 * b));
-        Py_ssize_t hi = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, 2 * b + 1));
-        double ss = -0.0;
         PyObject *f;
 
-        bad = factor(a, m, lo, hi, l);
+        bad = factor(a, m, edges[2 * b], edges[2 * b + 1], l);
         if (bad >= 0)
             break;
         if (!nu)
             continue;
-        forward(l, m, lo, hi, nu, scratch);
-        for (i = lo; i < hi; i++)
-            ss = ss + scratch[i] * scratch[i];
-        if (!(f = PyFloat_FromDouble(ss)))
+        if (!(f = PyFloat_FromDouble(block_nis(l, m, edges[2 * b], edges[2 * b + 1], nu,
+                                               scratch))))
             goto fail;
         PyTuple_SET_ITEM(nis, b, f);
     }
     if (bad >= 0) {
-        PyErr_Format(PyExc_ValueError, "matrix is not positive definite (pivot of row %zd)", bad);
+        not_positive_definite(bad);
         goto fail;
     }
+    PyMem_RawFree(edges);
     PyMem_RawFree(scratch);
     release_all(v);
     return nis;
 fail:
     Py_XDECREF(nis);
+    PyMem_RawFree(edges);
     PyMem_RawFree(scratch);
     release_all(v);
     return NULL;
@@ -1047,6 +1172,312 @@ fail:
     return NULL;
 }
 
+static PyObject *
+points_rows(PyObject *self, PyObject *args)
+{
+    PyObject *muo, *sigmao, *pointso;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *mu, *sigma, *points, *scratch, scale;
+    Py_ssize_t n;
+    int bad;
+
+    if (!PyArg_ParseTuple(args, "OOdO:points_rows", &muo, &sigmao, &scale, &pointso))
+        return NULL;
+    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, -1, -1, "mu", &mu) < 0)
+        goto fail;
+    n = mu ? v[0].shape[0] : 0;
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError, "mu must be a non-empty (n,) array");
+        goto fail;
+    }
+    if (get_shaped(sigmao, &v[1], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
+        || get_shaped(pointso, &v[2], PyBUF_WRITABLE, 2, 2 * n + 1, n, "points", &points) < 0)
+        goto fail;
+    if (!sigma || !points) {
+        PyErr_SetString(PyExc_ValueError, "sigma and points are required");
+        goto fail;
+    }
+    if (!(scratch = PyMem_RawMalloc(2 * n * n * sizeof(double)))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    bad = sigma_points(mu, sigma, n, scale, scratch, scratch + n * n, points);
+    PyMem_RawFree(scratch);
+    release_all(v);
+    return PyBool_FromLong(!bad);
+fail:
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+ekf_assess_rows(PyObject *self, PyObject *args)
+{
+    PyObject *propo, *sigmao, *qo, *ho, *ro, *blocks, *yo, *covo, *so, *crosso, *nuo, *lo;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *prop, *sigma, *q, *h, *r, *y, *cov, *s, *cross, *nu, *l, *scratch, eps, nis;
+    Py_ssize_t n, m, count, bad, *edges = NULL;
+
+    if (!PyArg_ParseTuple(args, "OdOOOOO!OOOOOO:ekf_assess_rows", &propo, &eps, &sigmao, &qo,
+                          &ho, &ro, &PyTuple_Type, &blocks, &yo, &covo, &so, &crosso, &nuo, &lo))
+        return NULL;
+    if (get_shaped(propo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "prop", &prop) < 0)
+        goto fail;
+    n = prop ? v[0].shape[1] : 0;
+    if (n < 1 || v[0].shape[0] != 2 * n + 1) {
+        PyErr_SetString(PyExc_ValueError, "prop must be (2n + 1, n) with n >= 1");
+        goto fail;
+    }
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+        goto fail;
+    m = h ? v[1].shape[0] : 0;
+    if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
+        || get_shaped(qo, &v[3], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
+        || get_shaped(ro, &v[4], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_shaped(yo, &v[5], PyBUF_SIMPLE, 1, m, -1, "y", &y) < 0
+        || get_shaped(covo, &v[6], PyBUF_WRITABLE, 2, n, n, "cov", &cov) < 0
+        || get_shaped(so, &v[7], PyBUF_WRITABLE, 2, m, m, "s", &s) < 0
+        || get_shaped(crosso, &v[8], PyBUF_WRITABLE, 2, n, m, "cross", &cross) < 0
+        || get_shaped(nuo, &v[9], PyBUF_WRITABLE, 1, m, -1, "nu", &nu) < 0
+        || get_shaped(lo, &v[10], PyBUF_WRITABLE, 2, m, m, "l", &l) < 0)
+        goto fail;
+    if (m < 1 || !sigma || !q || !r || !y || !cov || !s || !cross || !nu || !l) {
+        PyErr_SetString(PyExc_ValueError, "h with m >= 1 rows, sigma, q, r, y, cov, s, cross, nu "
+                        "and l are required");
+        goto fail;
+    }
+    if (get_bounds(blocks, m, 4, "blocks", &edges, &count) < 0)
+        goto fail;
+    if (count && n < 4) {
+        PyErr_SetString(PyExc_ValueError, "hemisphere blocks need n >= 4 states");
+        goto fail;
+    }
+    /* ekf_pass, then y_hat, the aligned reading and L^-1 nu */
+    if (!(scratch = PyMem_RawMalloc((2 * n * n + 3 * m) * sizeof(double)))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    ekf_pass(prop, n, eps, sigma, q, h, m, r, cov, scratch + 2 * n * n, s, cross, scratch);
+    innovation(y, scratch + 2 * n * n, m, prop, edges, count, scratch + 2 * n * n + m, nu);
+    bad = factor(s, m, 0, m, l);
+    nis = bad < 0 ? block_nis(l, m, 0, m, nu, scratch + 2 * n * n + 2 * m) : 0.0;
+    PyMem_RawFree(scratch);
+    PyMem_RawFree(edges);
+    release_all(v);
+    return bad < 0 ? PyFloat_FromDouble(nis) : not_positive_definite(bad);
+fail:
+    PyMem_RawFree(edges);
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+ukf_assess_rows(PyObject *self, PyObject *args)
+{
+    PyObject *propo, *wmo, *wco, *qo, *ho, *ro, *blocks, *yo, *meano, *covo, *pointso, *so;
+    PyObject *sdeto, *crosso, *nuo;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *prop, *wm, *wc, *q, *h, *r, *y, *mean, *cov, *points, *s, *s_det, *cross, *nu;
+    double *scratch, *pass, *a, *l, *set, *mean_set, *y_hat, *y_al, *l_det, *vv;
+    double scale, r_det, nis;
+    Py_ssize_t n, m, rows, count, bad, i, *edges = NULL;
+
+    if (!PyArg_ParseTuple(args, "OOOOdOOdO!OOOOOOOO:ukf_assess_rows", &propo, &wmo, &wco, &qo,
+                          &scale, &ho, &ro, &r_det, &PyTuple_Type, &blocks, &yo, &meano, &covo,
+                          &pointso, &so, &sdeto, &crosso, &nuo))
+        return NULL;
+    if (get_shaped(meano, &v[0], PyBUF_WRITABLE, 1, -1, -1, "mean", &mean) < 0)
+        goto fail;
+    n = mean ? v[0].shape[0] : 0;
+    rows = 2 * n + 1;
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError, "mean must be a non-empty (n,) array");
+        goto fail;
+    }
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+        goto fail;
+    m = h ? v[1].shape[0] : 0;
+    if (get_shaped(propo, &v[2], PyBUF_SIMPLE, 2, rows, n, "prop", &prop) < 0
+        || get_shaped(pointso, &v[3], PyBUF_SIMPLE, 2, rows, n, "points", &points) < 0
+        || get_shaped(wmo, &v[4], PyBUF_SIMPLE, 1, rows, -1, "wm", &wm) < 0
+        || get_shaped(wco, &v[5], PyBUF_SIMPLE, 1, rows, -1, "wc", &wc) < 0
+        || get_shaped(qo, &v[6], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
+        || get_shaped(ro, &v[7], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_shaped(yo, &v[8], PyBUF_SIMPLE, 1, m, -1, "y", &y) < 0
+        || get_shaped(covo, &v[9], PyBUF_WRITABLE, 2, n, n, "cov", &cov) < 0
+        || get_shaped(so, &v[10], PyBUF_WRITABLE, 2, m, m, "s", &s) < 0
+        || get_shaped(sdeto, &v[11], PyBUF_WRITABLE, 2, m, m, "s_det", &s_det) < 0
+        || get_shaped(crosso, &v[12], PyBUF_WRITABLE, 2, n, m, "cross", &cross) < 0
+        || get_shaped(nuo, &v[13], PyBUF_WRITABLE, 1, m, -1, "nu", &nu) < 0)
+        goto fail;
+    if (!prop == !points) {
+        PyErr_SetString(PyExc_ValueError, "exactly one of prop and points is required");
+        goto fail;
+    }
+    if (m < 1 || !wm || !wc || !q || !r || !y || !cov || !s || !s_det || !cross || !nu) {
+        PyErr_SetString(PyExc_ValueError, "h with m >= 1 rows, wm, wc, q, r, y, cov, s, s_det, "
+                        "cross and nu are required");
+        goto fail;
+    }
+    if (get_bounds(blocks, m, 4, "blocks", &edges, &count) < 0)
+        goto fail;
+    if (count && n < 4) {
+        PyErr_SetString(PyExc_ValueError, "hemisphere blocks need n >= 4 states");
+        goto fail;
+    }
+    /* sigma_pass's scratch, then a and l of the sigma set, the set, its
+     * mean, y_hat, the aligned reading, L^-1 nu and the factor of S_det */
+    scratch = PyMem_RawMalloc((2 * rows * (n + m) + 2 * n * n + rows * n + n + 3 * m + m * m)
+                              * sizeof(double));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    pass = scratch;
+    a = pass + 2 * rows * (n + m);
+    l = a + n * n;
+    set = l + n * n;
+    mean_set = set + rows * n;
+    y_hat = mean_set + n;
+    y_al = y_hat + m;
+    vv = y_al + m;
+    l_det = vv + m;
+    if (prop) {
+        sigma_pass(prop, rows, n, wm, wc, q, NULL, 0, NULL, mean, cov, NULL, NULL, NULL, pass);
+        if (sigma_points(mean, cov, n, scale, a, l, set) < 0) {
+            PyMem_RawFree(scratch);
+            PyMem_RawFree(edges);
+            release_all(v);
+            Py_RETURN_NONE;
+        }
+        points = set;
+    }
+    /* C takes the deviations about the set's own mean; its covariance is
+     * not needed */
+    sigma_pass(points, rows, n, wm, wc, NULL, h, m, r, mean_set, NULL, y_hat, s, cross, pass);
+    for (i = 0; i < m * m; i++)
+        s_det[i] = s[i] + r_det * r[i];
+    innovation(y, y_hat, m, mean, edges, count, y_al, nu);
+    bad = factor(s_det, m, 0, m, l_det);
+    nis = bad < 0 ? block_nis(l_det, m, 0, m, nu, vv) : 0.0;
+    PyMem_RawFree(scratch);
+    PyMem_RawFree(edges);
+    release_all(v);
+    return bad < 0 ? PyFloat_FromDouble(nis) : not_positive_definite(bad);
+fail:
+    PyMem_RawFree(edges);
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+gauss_update_rows(PyObject *self, PyObject *args)
+{
+    PyObject *muo, *sigmao, *crosso, *so, *lo, *nuo, *rowso, *muouto, *sigmaouto;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *mu, *sigma, *cross, *s, *l, *nu, *mu_out, *sigma_out, *scratch = NULL;
+    double *s_k, *cross_k, *nu_k, *l_k, *work;
+    Py_ssize_t n, m, k, i, j, bad = -1, *idx = NULL;
+    int quaternion;
+
+    if (!PyArg_ParseTuple(args, "OOOOOOOpOO:gauss_update_rows", &muo, &sigmao, &crosso, &so, &lo,
+                          &nuo, &rowso, &quaternion, &muouto, &sigmaouto))
+        return NULL;
+    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, -1, -1, "mu", &mu) < 0
+        || get_shaped(so, &v[1], PyBUF_SIMPLE, 2, -1, -1, "s", &s) < 0)
+        goto fail;
+    if (!mu || !s || v[0].shape[0] < 1 || v[1].shape[0] < 1 || v[1].shape[1] != v[1].shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "mu and s must be non-empty (n,) and (m, m)");
+        goto fail;
+    }
+    n = v[0].shape[0];
+    m = v[1].shape[0];
+    if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
+        || get_shaped(crosso, &v[3], PyBUF_SIMPLE, 2, n, m, "cross", &cross) < 0
+        || get_shaped(lo, &v[4], PyBUF_SIMPLE, 2, m, m, "l", &l) < 0
+        || get_shaped(nuo, &v[5], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
+        || get_shaped(muouto, &v[6], PyBUF_WRITABLE, 1, n, -1, "mu_out", &mu_out) < 0
+        || get_shaped(sigmaouto, &v[7], PyBUF_WRITABLE, 2, n, n, "sigma_out", &sigma_out) < 0)
+        goto fail;
+    if (!sigma || !cross || !nu || !mu_out || !sigma_out) {
+        PyErr_SetString(PyExc_ValueError, "sigma, cross, nu, mu_out and sigma_out are required");
+        goto fail;
+    }
+    if (quaternion && n < 4) {
+        PyErr_SetString(PyExc_ValueError, "a quaternion needs n >= 4 states");
+        goto fail;
+    }
+    if (rowso != Py_None && !PyTuple_Check(rowso)) {
+        PyErr_SetString(PyExc_TypeError, "rows must be None or a tuple of row indices");
+        goto fail;
+    }
+    k = rowso == Py_None ? m : PyTuple_GET_SIZE(rowso);
+    /* S, L, C and nu on the rows, update's W and v, then the rows (one
+     * double more, so that no rows still allocates) */
+    scratch = PyMem_RawMalloc((2 * k * k + 2 * n * k + 2 * k + 1) * sizeof(double)
+                              + k * sizeof(Py_ssize_t));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    s_k = scratch;
+    l_k = s_k + k * k;
+    cross_k = l_k + k * k;
+    nu_k = cross_k + n * k;
+    work = nu_k + k;
+    idx = (Py_ssize_t *)(work + n * k + k + 1);
+    if (rowso != Py_None) {
+        for (i = 0; i < k; i++) {
+            idx[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(rowso, i));
+            if (idx[i] == -1 && PyErr_Occurred())
+                goto fail;
+            if (idx[i] < 0 || idx[i] >= m) {
+                PyErr_SetString(PyExc_ValueError, "rows must be indices in [0, m)");
+                goto fail;
+            }
+        }
+        for (i = 0; i < k; i++) {
+            for (j = 0; j < k; j++)
+                s_k[i * k + j] = s[idx[i] * m + idx[j]];
+            nu_k[i] = nu[idx[i]];
+        }
+        for (i = 0; i < n; i++)
+            for (j = 0; j < k; j++)
+                cross_k[i * k + j] = cross[i * m + idx[j]];
+        s = s_k;
+        cross = cross_k;
+        nu = nu_k;
+        l = NULL;
+    }
+    if (!k) {
+        memcpy(mu_out, mu, n * sizeof(double));
+        memcpy(sigma_out, sigma, n * n * sizeof(double));
+    } else {
+        if (!l) {
+            l = l_k;
+            bad = factor(s, k, 0, k, l);
+        }
+        if (bad < 0)
+            update(mu, sigma, n, cross, l, k, nu, mu_out, sigma_out, work);
+    }
+    if (bad < 0 && quaternion) {
+        double norm = sqrt(mu_out[0] * mu_out[0] + mu_out[1] * mu_out[1]
+                           + mu_out[2] * mu_out[2] + mu_out[3] * mu_out[3]);
+
+        for (j = 0; j < 4; j++)
+            mu_out[j] = mu_out[j] / norm;
+    }
+    PyMem_RawFree(scratch);
+    release_all(v);
+    if (bad >= 0)
+        return not_positive_definite(bad);
+    Py_RETURN_NONE;
+fail:
+    PyMem_RawFree(scratch);
+    release_all(v);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
      "step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)\n--\n\n"
@@ -1072,13 +1503,32 @@ static PyMethodDef methods[] = {
      "ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)\n--\n\n"
      "Write the EKF's predicted covariance and measurement moments from its\n"
      "propagated finite-difference stencil."},
+    {"points_rows", points_rows, METH_VARARGS,
+     "points_rows(mu, sigma, scale, points)\n--\n\n"
+     "Write the sigma set mu, mu +- the columns of chol(scale sigma); False when\n"
+     "scale sigma is not positive definite."},
+    {"ekf_assess_rows", ekf_assess_rows, METH_VARARGS,
+     "ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l)\n--\n\n"
+     "Write the EKF's predicted covariance, measurement moments, innovation and\n"
+     "the Cholesky factor of S; return the NIS."},
+    {"ukf_assess_rows", ukf_assess_rows, METH_VARARGS,
+     "ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov, points, s,\n"
+     "                s_det, cross, nu)\n--\n\n"
+     "Write the UKF's predicted moments, measurement moments about the regenerated\n"
+     "sigma set and innovation; return the NIS of S_det, or None when the set\n"
+     "cannot be regenerated by Cholesky."},
+    {"gauss_update_rows", gauss_update_rows, METH_VARARGS,
+     "gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigma_out)\n"
+     "--\n\n"
+     "Write the Kalman update on the listed rows, renormalizing the quaternion."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernels_c",
-    .m_doc = "Compiled rigid-body RK4, particle-cloud, moment and Cholesky kernels.",
+    .m_doc = "Compiled rigid-body RK4, particle-cloud, moment, Cholesky and Gaussian-step "
+              "kernels.",
     .m_size = -1,
     .m_methods = methods,
 };

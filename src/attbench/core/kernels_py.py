@@ -1,7 +1,10 @@
 """Numpy fallback for the compiled kernels: the batched rigid-body RK4 step,
 the particle filter's two cloud passes, the Gaussian filters' moment passes
-(``sigma_moments`` for a sigma set, ``ekf_moments`` for the EKF's stencil)
-and the Kalman step's Cholesky layer.
+(``sigma_moments`` for a sigma set, ``ekf_moments`` for the EKF's stencil),
+the Kalman step's Cholesky layer, and the Gaussian step's fused passes
+(``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
+``gauss_update_rows``), which call the entries above in the order the
+compiled passes run them.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
@@ -215,6 +218,13 @@ def checked_moments(cloud, weights, normals=None, root=None, h=None, r=None,
             np.empty(n), np.empty(m), np.empty(m if diagonal else (m, m)))
 
 
+def _unit_quaternions(x):
+    """Columns 0..3 of each row of the 2-D ``x`` divided by their norm, in
+    place; the squares are summed in column order."""
+    norm = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2] + x[:, 3] * x[:, 3])
+    x[:, :4] /= norm[:, None]
+
+
 def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
     """The particle filter's cloud pass over ``checked_moments`` arguments.
 
@@ -231,9 +241,7 @@ def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
         if normals is not None:
             x += _product(normals, root).T
         if quaternion:
-            norm = np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] + x[:, 2] * x[:, 2]
-                           + x[:, 3] * x[:, 3])
-            x[:, :4] /= norm[:, None]
+            _unit_quaternions(x)
         mean[:] = fixed_sum(w * x.T)
         z = x.T if h is None else _product(x, h)
         y_hat[:] = mean if h is None else fixed_sum(w * z)
@@ -532,19 +540,20 @@ def checked_sigma(points, wm, wc, q=None, h=None, r=None):
 def sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
     """The weighted moments of the point rows of x, over ``checked_sigma``
     arguments: ``mean`` = sum wm_i x_i, then ``cov`` = sum wc_i dx_i dx_i' + q
-    with dx_i = x_i - mean. With h: z_i = h x_i (``_product``'s), ``y_hat`` =
-    sum wm_i z_i, ``s`` = sum wc_i dz_i dz_i' + r with dz_i = z_i - y_hat,
-    and ``cross`` = sum wc_i dx_i dz_i'. Each sum runs over the points in row
-    order from -0.0, each term is (wc_i du) dv; ``cov`` and ``s`` sum their
-    upper triangle, with its q or r entries (None adds nothing), and mirror
-    it, so both are exactly symmetric.
+    with dx_i = x_i - mean (a None ``cov`` is skipped). With h: z_i = h x_i
+    (``_product``'s), ``y_hat`` = sum wm_i z_i, ``s`` = sum wc_i dz_i dz_i' + r
+    with dz_i = z_i - y_hat, and ``cross`` = sum wc_i dx_i dz_i'. Each sum
+    runs over the points in row order from -0.0, each term is (wc_i du) dv;
+    ``cov`` and ``s`` sum their upper triangle, with its q or r entries (None
+    adds nothing), and mirror it, so both are exactly symmetric.
     """
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         mean[:] = fixed_sum(wm[:, None] * x, axis=0)
         dx = x - mean
         wdx = wc[:, None] * dx
-        full = fixed_sum(wdx[:, :, None] * dx[:, None, :], axis=0)
-        _mirror(full if q is None else full + q, cov)
+        if cov is not None:
+            full = fixed_sum(wdx[:, :, None] * dx[:, None, :], axis=0)
+            _mirror(full if q is None else full + q, cov)
         if h is None:
             return
         z = _product(x, h).T
@@ -711,3 +720,127 @@ def kalman_update(mu, sigma, cross, l, nu):
     args = checked_update(mu, sigma, cross, l, nu)
     update_rows(*args)
     return args[-2:]
+
+
+def checked_gaussian(q, h, r):
+    """The constant operands of the Gaussian step's passes, checked once, when
+    a filter is built: float64 C-contiguous views of Q (n, n), H (m, n) and
+    R (m, m), which share the memory of arrays that already are.
+
+    Raises:
+        ValueError: H is not an (m, n) matrix with m, n >= 1, or Q and R are
+            not (n, n) and (m, m).
+    """
+    h = _doubles("H", h, 2)
+    m, n = h.shape
+    if m < 1 or n < 1:
+        raise ValueError("H must be a non-empty (m, n) matrix, got shape %r" % (h.shape,))
+    return _doubles("Q", q, 2, (n, n)), h, _doubles("R", r, 2, (m, m))
+
+
+def aligned(y, mu, blocks):
+    """Copy of the reading ``y`` with each hemisphere block [start, stop) of
+    the flat tuple ``blocks`` negated, block after block, where its dot
+    product with the quaternion mu[0..3], summed over the four components in
+    order as Python floats, is negative."""
+    y = np.array(y, dtype=float)
+    if not blocks:
+        return y
+    q0, q1, q2, q3 = np.asarray(mu, dtype=float)[:4].tolist()
+    for lo, hi in zip(blocks[::2], blocks[1::2]):
+        y0, y1, y2, y3 = y[lo:hi].tolist()
+        if y0 * q0 + y1 * q1 + y2 * q2 + y3 * q3 < 0.0:
+            y[lo:hi] = -y[lo:hi]
+    return y
+
+
+def sigma_set(mu, root, points):
+    """Write the sigma set about the (n,) ``mu`` with the (n, n) ``root`` into
+    the (2n + 1, n) ``points``: mu, then mu + column j of root for each j,
+    then mu - column j; returns ``points``."""
+    n = len(mu)
+    points[0] = mu
+    points[1:n + 1] = mu + root.T
+    points[n + 1:] = mu - root.T
+    return points
+
+
+def points_rows(mu, sigma, scale, points):
+    """``sigma_set`` with the ``factor_rows`` factor of scale sigma (zero
+    above its diagonal) as the root. Returns False, writing nothing, when
+    scale sigma is not positive definite, else True."""
+    n = len(mu)
+    l = np.zeros((n, n))
+    try:
+        factor_rows(scale * sigma, (0, n), None, l)
+    except ValueError:
+        return False
+    sigma_set(mu, l, points)
+    return True
+
+
+def ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l):
+    """The EKF's assess pass: ``ekf_rows`` into cov, s and cross, then
+    ``nu`` = ``aligned``(y, prop[0], blocks) - y_hat, then the factor of S
+    into the lower triangle of ``l``; returns the NIS |l^-1 nu|^2
+    (``factor_rows``).
+
+    Raises:
+        ValueError: S is not positive definite.
+    """
+    y_hat = np.empty(len(h))
+    ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)
+    nu[:] = aligned(y, prop[0], blocks) - y_hat
+    return factor_rows(s, (0, len(s)), nu, l)[0]
+
+
+def ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov, points, s, s_det,
+                    cross, nu):
+    """The UKF's assess pass. With the propagated set ``prop`` (and
+    ``points`` None): ``sigma_rows`` with q into ``mean`` and ``cov``, then
+    the set ``points_rows`` regenerates about them with ``scale``; None
+    when it cannot (scale cov is not positive definite), with mean and cov
+    written. With ``prop`` None, ``points`` is that set and mean holds the
+    predicted mean. Then ``sigma_rows`` of the set with h and r into s and
+    cross (C about the set's own mean), ``s_det`` = s + r_det r, ``nu`` =
+    ``aligned``(y, mean, blocks) - y_hat, and the NIS of S_det, which it
+    returns (``factor_rows``).
+
+    Raises:
+        ValueError: S_det is not positive definite.
+    """
+    if prop is not None:
+        sigma_rows(prop, wm, wc, q, None, None, mean, cov, None, None, None)
+        points = np.empty(prop.shape)
+        if not points_rows(mean, cov, scale, points):
+            return None
+    y_hat = np.empty(len(h))
+    sigma_rows(points, wm, wc, None, h, r, np.empty(len(mean)), None, y_hat, s, cross)
+    s_det[:] = s + r_det * r
+    nu[:] = aligned(y, mean, blocks) - y_hat
+    return factor_rows(s_det, (0, len(s_det)), nu, np.zeros(s_det.shape))[0]
+
+
+def gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigma_out):
+    """The Gaussian step's update pass: on the rows the tuple ``rows`` lists
+    (None: every row), gather S, C and nu, factor that S by ``factor_rows``
+    (unless every row is used and ``l``, its factor, is given) and write
+    ``update_rows`` into mu_out and sigma_out; with no rows, copy mu and
+    sigma. Then, with ``quaternion``, renormalize mu_out's columns 0..3.
+
+    Raises:
+        ValueError: the S on those rows is not positive definite.
+    """
+    if rows is not None and not rows:
+        mu_out[:] = mu
+        sigma_out[:] = sigma
+    else:
+        if rows is not None:
+            rows = list(rows)
+            s, cross, nu, l = s[np.ix_(rows, rows)], cross[:, rows], nu[rows], None
+        if l is None:
+            l = np.zeros(s.shape)
+            factor_rows(s, (0, len(s)), None, l)
+        update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)
+    if quaternion:
+        _unit_quaternions(mu_out[None])

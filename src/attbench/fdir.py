@@ -178,6 +178,20 @@ def sequence_monitor_update(window, record, cfg):
     )
 
 
+def _sensor_blocks(slice_map):
+    """(names, bounds, dofs) of the sensors in ``slice_map``, in layout
+    order; bounds is the flat tuple of (start, stop) rows that
+    ``attbench.core.block_nis`` takes."""
+    return (tuple(slice_map),
+            tuple(edge for sl in slice_map.values() for edge in (sl.start, sl.stop)),
+            tuple(sl.stop - sl.start for sl in slice_map.values()))
+
+
+def _per_sensor(record, names, bounds, dofs):
+    nis = core.block_nis(record.S, record.nu, bounds)
+    return {name: (nis_i, dof) for name, nis_i, dof in zip(names, nis, dofs)}
+
+
 def per_sensor_nis(record, slice_map):
     """Per-sensor NIS over each sensor's rows of one record.
 
@@ -189,40 +203,50 @@ def per_sensor_nis(record, slice_map):
     Returns:
         dict: sensor name -> (nis, dof), in layout order.
     """
-    bounds = tuple(edge for sl in slice_map.values() for edge in (sl.start, sl.stop))
-    nis = core.block_nis(record.S, record.nu, bounds)
-    return {name: (nis_i, sl.stop - sl.start)
-            for (name, sl), nis_i in zip(slice_map.items(), nis)}
+    return _per_sensor(record, *_sensor_blocks(slice_map))
+
+
+class _IsolationTest:
+    """The per-sensor chi-square test on one layout at one significance
+    level; each sensor's block bounds and threshold are worked out once,
+    when it is built, and a call reports on one record."""
+
+    def __init__(self, slice_map, alpha):
+        self.alpha = alpha
+        self.blocks = _sensor_blocks(slice_map)
+        self.gammas = tuple(chi2_quantile(dof, alpha) for dof in self.blocks[2])
+
+    def __call__(self, record):
+        per = _per_sensor(record, *self.blocks)
+        isolated = set()
+        worst_ratio = 0.0
+        statistic = 0.0
+        threshold = chi2_quantile(len(record.nu), self.alpha)
+        for (name, (nis_i, _)), gamma_i in zip(per.items(), self.gammas):
+            if not nis_i <= gamma_i:
+                isolated.add(name)
+            # a non-finite sensor is the worst one, so the report's statistic
+            # stays above its threshold whenever a sensor is isolated
+            ratio = nis_i / gamma_i if math.isfinite(nis_i) else math.inf
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                statistic = nis_i
+                threshold = gamma_i
+        return FaultReport(
+            t=record.t,
+            detected=bool(isolated),
+            statistic=statistic,
+            threshold=threshold,
+            dof=len(record.nu),
+            mode="isolation",
+            isolated=frozenset(isolated),
+            per_sensor=per,
+        )
 
 
 def isolation_check(record, slice_map, cfg):
     """Per-sensor chi-square tests; flags every sensor over its threshold."""
-    per = per_sensor_nis(record, slice_map)
-    isolated = set()
-    worst_ratio = 0.0
-    statistic = 0.0
-    threshold = chi2_quantile(len(record.nu), cfg.alpha)
-    for name, (nis_i, dof_i) in per.items():
-        gamma_i = chi2_quantile(dof_i, cfg.alpha)
-        if not nis_i <= gamma_i:
-            isolated.add(name)
-        # a non-finite sensor is the worst one, so the report's statistic
-        # stays above its threshold whenever a sensor is isolated
-        ratio = nis_i / gamma_i if math.isfinite(nis_i) else math.inf
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            statistic = nis_i
-            threshold = gamma_i
-    return FaultReport(
-        t=record.t,
-        detected=bool(isolated),
-        statistic=statistic,
-        threshold=threshold,
-        dof=len(record.nu),
-        mode="isolation",
-        isolated=frozenset(isolated),
-        per_sensor=per,
-    )
+    return _IsolationTest(slice_map, cfg.alpha)(record)
 
 
 def healthy_rows(healthy, slice_map):
@@ -269,6 +293,8 @@ class FdirSupervisor:
                     (skip entirely if every sensor is flagged).
 
     One supervisor owns one run's window state; create a fresh one per run.
+    The isolation policy works out each sensor's block bounds and threshold
+    once, when the supervisor is built.
     """
 
     POLICIES = ("none", "innovation", "sequence", "isolation")
@@ -280,6 +306,7 @@ class FdirSupervisor:
         self.slice_map = slice_map
         self.window = NisWindow(cfg.window)
         self.reports = []
+        self._isolation = _IsolationTest(slice_map, cfg.alpha) if policy == "isolation" else None
 
     @classmethod
     def check_policy(cls, policy):
@@ -305,7 +332,7 @@ class FdirSupervisor:
             report = sequence_monitor_update(self.window, record, self.cfg)
             skip, healthy = report.detected, None
         else:
-            report = isolation_check(record, self.slice_map, self.cfg)
+            report = self._isolation(record)
             if report.isolated:
                 healthy = tuple(n for n in self.slice_map if n not in report.isolated)
                 skip = not healthy

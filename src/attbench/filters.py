@@ -7,7 +7,8 @@ All three filters run against the same two abstractions:
     a new C-ordered float array, which the particle filter jitters in place),
     ``normalize_rows(states)`` (a normalized copy of a (dim,) state or of
     (M, dim) rows) and ``quaternion_rows`` (whether columns 0..3 are a unit
-    quaternion, which the particle filter renormalizes after its jitter).
+    quaternion, which the particle filter renormalizes after its jitter and
+    the Gaussian filters after their update, with ``normalize_rows``'s bits).
     The rigid-body model below carries no physics of its own: both calls go
     to ``attbench.dynamics``, which the truth uses too.
   * a linear stacked measurement y = H x + v with block-diagonal R.
@@ -20,17 +21,24 @@ particle filter owns its RNG); beliefs are passed in and returned.
 The EKF and UKF are one Gaussian filter: they share ``step`` and its one
 Kalman update, and differ only in how they propagate the belief and form
 the measurement moments (predicted reading, S and the state/reading
-cross-covariance C). Those moments come from fixed-order passes of
-``attbench.core``: the EKF's ``ekf_moments`` forms the Jacobian from the
-propagated stencil, a Sigma a' + Q and the products with H, and the UKF's
-``sigma_moments`` gives the weighted moments of a sigma set, before and
-after its regeneration. Every sum runs in a fixed order, skips the terms
-whose H (or Jacobian) coefficient is zero, and each covariance sums its
-upper triangle and mirrors it. The step factors S once per update with the
-fixed-order Cholesky of ``attbench.core``: NIS = |L^-1 nu|^2, W = C L^-T,
-mu + W L^-1 nu and Sigma - W W', exactly symmetric; the EKF's record shares
-that one factor. No LAPACK or BLAS kernel choice reaches any part of the
-Gaussian step. The particle filter reweights particles instead. Its
+cross-covariance C). A step is the model's ``propagate`` plus two fused
+passes of the active ``attbench.core`` backend (three for the UKF, whose
+first writes the sigma set), called with operands each filter checked once,
+when it was built. Before the ``decide`` hook, the assess pass forms the
+moments (the EKF's as ``ekf_moments`` forms them from the propagated
+stencil, the UKF's as ``sigma_moments`` does before and after the sigma
+set's regeneration), the aligned innovation and the record's NIS; after
+it, the update pass takes the row subset, factors S on it and runs the
+Kalman update. Every sum runs in a fixed order, skips the terms whose H (or
+Jacobian) coefficient is zero, and each covariance sums its upper triangle
+and mirrors it. S is factored by the fixed-order Cholesky of
+``attbench.core``: NIS = |L^-1 nu|^2, W = C L^-T, mu + W L^-1 nu and
+Sigma - W W', exactly symmetric; the EKF's record and a full-row update
+share that one factor. No LAPACK or BLAS kernel choice reaches any part of
+the Gaussian step, and each fused pass has the bits of the chain of public
+kernels it replaced (``ekf_moments`` or ``sigma_moments``, ``align``,
+``nis``, ``cholesky``, ``kalman_update`` and ``normalize_rows``). The
+particle filter reweights particles instead. Its
 per-particle arithmetic (jitter, renormalization, the predicted reading,
 the moments and the log-likelihood) runs in two compiled passes of
 ``attbench.core``, whose every sum over the particles has a fixed order,
@@ -53,6 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
+from .core import kernels_py
 from .dynamics import (check_torque_model, gravity_gradient_frames, kepler_state,
                        renormalize_quaternions, rigid_body_step)
 from .errors import FieldError, check_choice
@@ -126,14 +135,19 @@ def _check_psd(name, m, dim):
 
 def _psd_sqrt(m):
     """Lower-triangular-ish L with L L' = m: the fixed-order Cholesky factor
-    (``core.cholesky``), else an eigendecomposition that clamps small
-    negative eigenvalues, so a barely indefinite covariance still yields
-    usable sigma points."""
+    (``core.cholesky``), else ``_clamped_root``."""
     try:
         return core.cholesky(m)
     except ValueError:
-        w, v = np.linalg.eigh(m)
-        return v * np.sqrt(np.clip(w, 0.0, None))
+        return _clamped_root(m)
+
+
+def _clamped_root(m):
+    """A root V sqrt(w) of m = V diag(w) V' (LAPACK's ``eigh``) with its
+    small negative eigenvalues clamped to zero, so a barely indefinite
+    covariance still yields usable sigma points."""
+    w, v = np.linalg.eigh(m)
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 class RigidBodyProcessModel:
@@ -224,9 +238,10 @@ class StackedMeasurement:
 
     ``slices`` maps sensor names to row slices (insertion order is stacking
     order). ``hemisphere_blocks`` lists the row slices holding quaternion
-    readings; ``align`` flips each of those blocks to the hemisphere of the
-    predicted quaternion, resolving the q/-q sign ambiguity before the
-    innovation is formed.
+    readings, four rows each (``hemisphere_bounds`` holds them as a flat
+    tuple of (start, stop) pairs); ``align`` flips each of those blocks to
+    the hemisphere of the predicted quaternion, resolving the q/-q sign
+    ambiguity before the innovation is formed.
     """
 
     def __init__(self, H, R, slices, hemisphere_blocks=()):
@@ -238,20 +253,22 @@ class StackedMeasurement:
         self.hemisphere_blocks = tuple(hemisphere_blocks)
         self.dim = self.H.shape[0]
         self.state_dim = self.H.shape[1]
+        bounds = []
+        for sl in self.hemisphere_blocks:
+            start, stop, step = sl.indices(self.dim)
+            if step != 1 or stop - start != 4 or self.state_dim < 4:
+                raise ValueError("a hemisphere block must be 4 consecutive rows of the %d, "
+                                 "read against a quaternion state; got %r" % (self.dim, sl))
+            bounds += (start, stop)
+        self.hemisphere_bounds = tuple(bounds)
 
     def align(self, y, mu_pred):
         """Copy of ``y`` with each quaternion block negated where its dot
         product with the predicted quaternion, summed over the four
-        components in order as Python floats, is negative."""
-        y = np.asarray(y, dtype=float).copy()
-        if not self.hemisphere_blocks:
-            return y
-        q0, q1, q2, q3 = np.asarray(mu_pred, dtype=float)[:4].tolist()
-        for sl in self.hemisphere_blocks:
-            y0, y1, y2, y3 = y[sl].tolist()
-            if y0 * q0 + y1 * q1 + y2 * q2 + y3 * q3 < 0.0:
-                y[sl] = -y[sl]
-        return y
+        components in order as Python floats, is negative
+        (``kernels_py.aligned``, whose arithmetic the compiled assess passes
+        repeat)."""
+        return kernels_py.aligned(y, mu_pred, self.hemisphere_bounds)
 
 
 def attitude_measurement(layout, r_blocks, state_dim):
@@ -408,15 +425,24 @@ def jacobian(f, x, eps=1e-6):
 class _GaussianFilter:
     """Predict, assess and update: the Kalman cycle of the EKF and UKF.
 
-    A subclass supplies ``_predict(belief, t)``: the predicted belief and its
-    measurement moments (y_hat, S, C and the record's S). The innovation
-    record, the ``decide`` hook and the update live here once.
+    The operands that stay fixed from step to step (Q, H, R and the
+    hemisphere blocks, plus each subclass's own constants) are checked once,
+    here, and kept as views of the config's arrays; each step hands them to
+    the passes of the active ``attbench.core`` backend directly. A subclass
+    supplies ``_assess(belief, y, t)``: it propagates the belief, runs its
+    assess pass and returns the predicted mean and covariance, S and C for
+    the update, the innovation, the EKF's factor of S (else None) and the
+    innovation record. The ``decide`` hook and the update pass live here
+    once.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.model = cfg.process
         self.meas = cfg.measurement
+        self._q, self._h, self._r = kernels_py.checked_gaussian(cfg.Q, self.meas.H, self.meas.R)
+        self._blocks = self.meas.hemisphere_bounds
+        self._quaternion = bool(self.model.quaternion_rows)
 
     def initial_belief(self):
         return GaussianBelief(self.cfg.x0.copy(), self.cfg.P0.copy())
@@ -425,26 +451,21 @@ class _GaussianFilter:
         """One predict/assess/update cycle.
 
         ``t`` is the measurement time; the prediction covers [t - dt, t].
+        The belief's arrays must be float64 and C-contiguous, as
+        ``initial_belief`` and ``step`` make them.
 
         Returns:
             (belief', record): the record always covers the full row set;
             the update may be skipped or row-restricted by ``decide``.
         """
-        pred, y_hat, s, cross, s_record = self._predict(belief, t - self.model.dt)
-        nu = self.meas.align(y, pred.mu) - y_hat
-        nis, l = core.nis(s_record, nu)
-        record = InnovationRecord(t=t, nu=nu, S=s_record, nis=nis, source=self.source)
-
+        mu, sigma, s, cross, nu, l, record = self._assess(
+            belief, np.ascontiguousarray(y, dtype=np.float64), t)
         rows = _update_rows(self.meas, record, decide)
-        if rows is not None:
-            if not rows.size:
-                return GaussianBelief(self.model.normalize_rows(pred.mu), pred.sigma), record
-            s, cross, nu = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
-        if rows is not None or s is not s_record:
-            # a row subset, or the UKF's record S, which carries R once more
-            l = core.cholesky(s)
-        mu_new, sigma_new = core.kalman_update(pred.mu, pred.sigma, cross, l, nu)
-        return GaussianBelief(self.model.normalize_rows(mu_new), sigma_new), record
+        mu_new, sigma_new = np.empty(len(mu)), np.empty(sigma.shape)
+        core._kernels.gauss_update_rows(mu, sigma, cross, s, l, nu,
+                                        None if rows is None else tuple(rows.tolist()),
+                                        self._quaternion, mu_new, sigma_new)
+        return GaussianBelief(mu_new, sigma_new), record
 
 
 class EkfFilter(_GaussianFilter):
@@ -455,27 +476,48 @@ class EkfFilter(_GaussianFilter):
     def __init__(self, cfg):
         super().__init__(cfg)
         n = self.model.dim
+        self._eps = float(cfg.fd_eps)
         # flat indices of the stencil's +eps and -eps entries: row 1 + j and
         # row 1 + n + j, column j
         self._plus = np.arange(n) * (n + 1) + n
         self._minus = self._plus + n * n
 
-    def _predict(self, belief, t):
-        """Propagate mean and covariance across [t, t + dt] and form the
-        linear measurement moments: y_hat = H mu, S = H Sigma H' + R and
-        C = Sigma H'. The Jacobian columns come from one batched kernel call
-        over 2n+1 perturbed states, the moments from ``core.ekf_moments``."""
-        n = self.model.dim
-        eps = self.cfg.fd_eps
+    def _assess(self, belief, y, t):
+        """Propagate the mean and the mean with +-eps on each state in turn
+        across [t - dt, t], in one batched call, then run ``ekf_assess_rows``:
+        the central-difference Jacobian a, a Sigma a' + Q, y_hat = H mu,
+        S = H Sigma H' + R, C = Sigma H', the aligned innovation and the
+        factor of S that the record's NIS and a full-row update share. The
+        record keeps nu and S; the passes get views of them, so neither
+        carries numpy's buffer info."""
+        n, m = self.model.dim, self.meas.dim
+        eps = self._eps
         batch = np.empty((2 * n + 1, n))
         batch[:] = belief.mu
         flat = batch.reshape(-1)
         flat[self._plus] = belief.mu + eps
         flat[self._minus] = belief.mu - eps
-        prop = self.model.propagate(batch, t)
-        sigma, y_hat, s, cross = core.ekf_moments(prop, eps, belief.sigma, self.cfg.Q,
-                                                  self.meas.H, self.meas.R)
-        return GaussianBelief(prop[0], sigma), y_hat, s, cross, s
+        prop = self.model.propagate(batch, t - self.model.dt)
+        sigma, cross, l = np.empty((n, n)), np.empty((n, m)), np.empty((m, m))
+        s, nu = np.empty((m, m)), np.empty(m)
+        s_lent, nu_lent = s.view(), nu.view()
+        nis = core._kernels.ekf_assess_rows(prop, eps, belief.sigma, self._q, self._h, self._r,
+                                            self._blocks, y, sigma, s_lent, cross, nu_lent, l)
+        record = InnovationRecord(t=t, nu=nu, S=s, nis=nis, source=self.source)
+        return prop[0], sigma, s_lent, cross, nu_lent, l, record
+
+
+def _ukf_weights(n, alpha, beta, kappa):
+    """(scale, wm, wc) of the scaled unscented transform of n states:
+    lambda = alpha^2 (n + kappa) - n, scale = n + lambda, and the (2n + 1,)
+    mean and covariance weights."""
+    lam = alpha * alpha * (n + kappa) - n
+    scale = n + lam
+    wm = np.full(2 * n + 1, 0.5 / scale)
+    wc = np.full(2 * n + 1, 0.5 / scale)
+    wm[0] = lam / scale
+    wc[0] = lam / scale + (1.0 - alpha * alpha + beta)
+    return scale, wm, wc
 
 
 def ukf_sigma_points(mu, sigma, alpha, beta, kappa):
@@ -490,18 +532,9 @@ def ukf_sigma_points(mu, sigma, alpha, beta, kappa):
     """
     mu = np.asarray(mu, dtype=float)
     n = mu.size
-    lam = alpha * alpha * (n + kappa) - n
-    scale = n + lam
+    scale, wm, wc = _ukf_weights(n, alpha, beta, kappa)
     root = _psd_sqrt(scale * np.asarray(sigma, dtype=float))
-    points = np.empty((2 * n + 1, n))
-    points[0] = mu
-    points[1:n + 1] = mu + root.T
-    points[n + 1:] = mu - root.T
-    wm = np.full(2 * n + 1, 0.5 / scale)
-    wc = np.full(2 * n + 1, 0.5 / scale)
-    wm[0] = lam / scale
-    wc[0] = lam / scale + (1.0 - alpha * alpha + beta)
-    return points, wm, wc
+    return kernels_py.sigma_set(mu, root, np.empty((2 * n + 1, n))), wm, wc
 
 
 class UkfFilter(_GaussianFilter):
@@ -522,26 +555,46 @@ class UkfFilter(_GaussianFilter):
     extended filter's detector pass quietly here, while large ones still
     fire. Setting ukf_detector_r = 0.0 removes the extra share and
     restores parity with the extended filter's statistic.
+
+    The scale n + lambda, the weights and ukf_detector_r are fixed when the
+    filter is built.
     """
 
     source = "ukf"
 
-    def _sigma(self, mu, sigma):
-        return ukf_sigma_points(mu, sigma, self.cfg.ukf_alpha, self.cfg.ukf_beta,
-                                self.cfg.ukf_kappa)
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self._scale, self._wm, self._wc = _ukf_weights(self.model.dim, cfg.ukf_alpha,
+                                                       cfg.ukf_beta, cfg.ukf_kappa)
+        self._r_det = float(cfg.ukf_detector_r)
 
-    def _predict(self, belief, t):
-        """The propagated sigma set's weighted moments, plus Q, then the
-        measurement moments of a sigma set regenerated about them, both by
-        ``core.sigma_moments`` (C takes the state deviations about the
-        regenerated set's own weighted mean); the record's S carries R once
-        more (S_det)."""
-        pts, wm, wc = self._sigma(belief.mu, belief.sigma)
-        mu, sigma = core.sigma_moments(self.model.propagate(pts, t), wm, wc, self.cfg.Q)[:2]
-        pts, wm, wc = self._sigma(mu, sigma)
-        y_hat, s, cross = core.sigma_moments(pts, wm, wc, h=self.meas.H, r=self.meas.R)[2:]
-        s_det = s + self.cfg.ukf_detector_r * self.meas.R
-        return GaussianBelief(mu, sigma), y_hat, s, cross, s_det
+    def _assess(self, belief, y, t):
+        """Write the sigma set of the belief (``points_rows``, else the
+        clamped-eigh root), propagate it across [t - dt, t] and run
+        ``ukf_assess_rows``: the set's weighted moments plus Q, the
+        measurement moments of a set regenerated about them (C takes the
+        state deviations about the regenerated set's own weighted mean), the
+        record's S, which carries R once more (S_det), the aligned
+        innovation and the NIS. When scale Sigma is not positive definite at
+        the regeneration, the pass stops after the predicted moments and
+        runs again from the clamped-eigh set."""
+        n, m = self.model.dim, self.meas.dim
+        points = np.empty((2 * n + 1, n))
+        if not core._kernels.points_rows(belief.mu, belief.sigma, self._scale, points):
+            kernels_py.sigma_set(belief.mu, _clamped_root(self._scale * belief.sigma), points)
+        prop = self.model.propagate(points, t - self.model.dt)
+        mu, sigma = np.empty(n), np.empty((n, n))
+        s, cross, s_det, nu = np.empty((m, m)), np.empty((n, m)), np.empty((m, m)), np.empty(m)
+        nu_lent = nu.view()
+        args = (self._wm, self._wc, self._q, self._scale, self._h, self._r, self._r_det,
+                self._blocks, y, mu, sigma)
+        outs = (s, s_det.view(), cross, nu_lent)
+        nis = core._kernels.ukf_assess_rows(prop, *args, None, *outs)
+        if nis is None:
+            kernels_py.sigma_set(mu, _clamped_root(self._scale * sigma), points)
+            nis = core._kernels.ukf_assess_rows(None, *args, points, *outs)
+        record = InnovationRecord(t=t, nu=nu, S=s_det, nis=nis, source=self.source)
+        return mu, sigma, s, cross, nu_lent, None, record
 
 
 def systematic_resample(weights, u):

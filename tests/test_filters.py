@@ -11,7 +11,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attbench import dynamics as dyn, filters as flt
+from attbench import core, dynamics as dyn, filters as flt
+from attbench.core import kernels_py
 from attbench.fdir import DetectorConfig, FdirSupervisor
 from attbench.runner import run_scenario
 from attbench.scenario import load_bundled
@@ -243,6 +244,205 @@ def test_gaussian_step_keeps_a_unit_quaternion_and_a_psd_covariance(kind, bias, 
         assert np.isfinite(rec.nis) and rec.nis >= 0.0
 
 
+def chain_step(filt, belief, y, t, decide):
+    """The Gaussian step as the chain of public kernels that the fused
+    passes replaced: the EKF's per-column stencil and ``ekf_moments``, or
+    ``ukf_sigma_points`` and ``sigma_moments`` before and after the sigma
+    set's regeneration; then ``align``, ``nis``, the hook, ``cholesky`` of
+    the rows kept, ``kalman_update`` and ``normalize_rows``."""
+    cfg, model, meas = filt.cfg, filt.model, filt.meas
+    start = t - model.dt
+    if filt.source == "ekf":
+        n, eps = model.dim, cfg.fd_eps
+        batch = np.array([belief.mu] * (2 * n + 1))
+        for j in range(n):
+            batch[1 + j, j] = belief.mu[j] + eps
+            batch[1 + n + j, j] = belief.mu[j] - eps
+        prop = model.propagate(batch, start)
+        sigma, y_hat, s, cross = core.ekf_moments(prop, eps, belief.sigma, cfg.Q, meas.H, meas.R)
+        mu, s_record = prop[0], s
+    else:
+        ut = (cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
+        pts, wm, wc = flt.ukf_sigma_points(belief.mu, belief.sigma, *ut)
+        mu, sigma = core.sigma_moments(model.propagate(pts, start), wm, wc, cfg.Q)[:2]
+        pts, wm, wc = flt.ukf_sigma_points(mu, sigma, *ut)
+        y_hat, s, cross = core.sigma_moments(pts, wm, wc, h=meas.H, r=meas.R)[2:]
+        s_record = s + cfg.ukf_detector_r * meas.R
+    nu = meas.align(y, mu) - y_hat
+    nis, l = core.nis(s_record, nu)
+    record = flt.InnovationRecord(t=t, nu=nu, S=s_record, nis=nis, source=filt.source)
+    skip, healthy = decide(record)
+    rows = np.arange(meas.dim) if healthy is None else np.array(
+        [i for name, sl in meas.slices.items() if name in healthy
+         for i in range(sl.start, sl.stop)], dtype=int)
+    rows = rows[np.isfinite(nu[rows])][:0 if skip else None]
+    if not rows.size:
+        return flt.GaussianBelief(model.normalize_rows(mu), sigma), record
+    if rows.size < meas.dim or s is not s_record:
+        s, cross, nu = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
+        l = core.cholesky(s)
+    mu, sigma = core.kalman_update(mu, sigma, cross, l, nu)
+    return flt.GaussianBelief(model.normalize_rows(mu), sigma), record
+
+
+def step_bytes(step, *args):
+    """The bytes of a step's belief and record (NIS included), or the
+    exception it raised."""
+    try:
+        belief, rec = step(*args)
+    except ValueError as exc:
+        return repr(exc)
+    return [np.asarray(a).tobytes() for a in (belief.mu, belief.sigma, rec.nu, rec.S, rec.nis)]
+
+
+def singular_linear_config():
+    """A linear system whose map zeroes one state and whose Q is zero, so
+    the UKF's predicted Sigma is singular and its sigma set is regenerated
+    from the clamped-eigh root."""
+    cfg, _ = make_linear_problem()
+    f = cfg.process.F.copy()
+    f[1] = 0.0
+    return replace(cfg, process=flt.LinearProcessModel(f), Q=np.zeros((4, 4)))
+
+
+def short_of_psd(rng, n, indefinite):
+    """A 1e-3-scaled SPD matrix L L' with L unit lower-triangular plus small
+    entries; with ``indefinite``, its last diagonal entry lowered so that
+    the last Cholesky pivot squared is -1e-9 L[-1, -1]^2, a relative 1e-9
+    short of PSD."""
+    low = np.tril(0.1 * rng.standard_normal((n, n)), -1) + np.eye(n)
+    sigma = low @ low.T
+    if indefinite:
+        sigma[-1, -1] -= (1.0 + 1e-9) * low[-1, -1] ** 2
+    return 1e-3 * (0.5 * (sigma + sigma.T))
+
+
+@st.composite
+def gaussian_steps(draw):
+    """One Gaussian step's filter, belief, reading and decision: the EKF or
+    UKF on the 7- or 10-state attitude model, the linear test system, or
+    that system with a singular map and no process noise; ukf_detector_r 0
+    or 1; an SPD belief or one ``short_of_psd``; NaN reading rows; and any
+    answer of the hook."""
+    system = draw(st.sampled_from(("rigid7", "rigid10", "linear", "singular")))
+    cfg = {"rigid7": lambda: rigid_config(False), "rigid10": lambda: rigid_config(True),
+           "linear": lambda: make_linear_problem()[0], "singular": singular_linear_config}[system]()
+    cfg.ukf_detector_r = draw(st.sampled_from((0.0, 1.0)))
+    kind = draw(st.sampled_from(("ekf", "ukf")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n, m = cfg.process.dim, cfg.measurement.dim
+    mu = cfg.x0 + 0.05 * rng.standard_normal(n)
+    if cfg.process.quaternion_rows:
+        mu = cfg.process.normalize_rows(mu)
+    sigma = short_of_psd(rng, n, draw(st.booleans()))
+    y = cfg.measurement.H @ mu + 0.05 * rng.standard_normal(m)
+    y[rng.random(m) < draw(st.sampled_from((0.0, 0.2)))] = np.nan
+    names = list(cfg.measurement.slices)
+    decision = draw(st.sampled_from([(False, None), (True, None)] + [
+        (False, frozenset(c)) for k in range(len(names) + 1) for c in combinations(names, k)]))
+    return kind, cfg, flt.GaussianBelief(mu, sigma), y, decision
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(gaussian_steps())
+def test_fused_gaussian_step_is_the_chain_of_public_kernels(case):
+    """A step through the fused passes has the bytes of the chain of public
+    kernels it replaced (estimate, covariance, nu, S and NIS), or raises the
+    same error, on the active backend and on the fallback, under every
+    answer of the hook, with NaN reading rows, ukf_detector_r 0 or 1, 7 and
+    10 states, the linear test model, and a belief or predicted Sigma that
+    takes the UKF's clamped-eigh sigma set."""
+    kind, cfg, belief, y, decision = case
+    filt = flt.make_filter(kind, cfg)
+    decide = lambda record: decision  # noqa: E731
+    want = step_bytes(chain_step, filt, belief, y, 1.0, decide)
+    assert step_bytes(filt.step, belief, y, 1.0, decide) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_kernels", kernels_py)
+        assert step_bytes(flt.make_filter(kind, cfg).step, belief, y, 1.0, decide) == want
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_fused_steps_align_the_reading_in_order(kind, monkeypatch):
+    """The assess passes pick a quaternion block's hemisphere as ``align``
+    does, on the hand case of ``test_align_sums_the_hemisphere_dot_product_in_order``:
+    a step's nu is that of the chain on both backends. The EKF predicts
+    exactly the ones the hand case needs, so its block is flipped; the
+    UKF's predicted mean is a weighted sum that rounds."""
+    meas = flt.StackedMeasurement(np.eye(4), 1e-2 * np.eye(4), {"q": slice(0, 4)},
+                                  [slice(0, 4)])
+    cfg = flt.FilterConfig(process=flt.LinearProcessModel(np.eye(4)), measurement=meas,
+                           Q=1e-4 * np.eye(4), x0=np.ones(4), P0=1e-2 * np.eye(4))
+    y = np.array([2.0 ** 53, 1.0, -2.0 ** 53, -0.5])
+    belief = flt.GaussianBelief(np.ones(4), 1e-2 * np.eye(4))
+    decide = lambda record: (True, None)  # noqa: E731
+    filt = flt.make_filter(kind, cfg)
+    want = step_bytes(chain_step, filt, belief, y, 1.0, decide)
+    assert (np.frombuffer(want[2])[0] < 0.0) == (kind == "ekf")  # the block was flipped
+    assert step_bytes(filt.step, belief, y, 1.0, decide) == want
+    monkeypatch.setattr(core, "_kernels", kernels_py)
+    assert step_bytes(flt.make_filter(kind, cfg).step, belief, y, 1.0, decide) == want
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["active", "python"])
+def test_the_fused_step_cases_reach_the_clamped_eigh_sets(fallback, monkeypatch):
+    """The cases above take the UKF's clamped-eigh sigma sets: a belief
+    ``short_of_psd`` before the step, and the singular linear system at the
+    regeneration."""
+    if fallback:
+        monkeypatch.setattr(core, "_kernels", kernels_py)
+    clamped = []
+    root = flt._clamped_root
+    monkeypatch.setattr(flt, "_clamped_root", lambda m: clamped.append(len(m)) or root(m))
+    rng = np.random.default_rng(0)
+    for bias in (False, True):
+        cfg = rigid_config(bias)
+        ukf = flt.UkfFilter(cfg)
+        ukf.step(flt.GaussianBelief(cfg.x0, short_of_psd(rng, cfg.process.dim, True)),
+                 cfg.measurement.H @ cfg.x0, 0.1)
+    ukf = flt.UkfFilter(singular_linear_config())
+    ukf.step(ukf.initial_belief(), np.zeros(3), 1.0)
+    assert clamped == [7, 10, 4]
+
+
+class CountingKernels:
+    """Stands in for ``attbench.core._kernels`` and records the name of
+    every entry called through it."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+        self.calls = []
+
+    def __getattr__(self, name):
+        entry = getattr(self.kernels, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return entry(*args)
+        return counted
+
+
+@pytest.mark.parametrize("kind, entries", [
+    ("ekf", ["ekf_assess_rows", "gauss_update_rows"]),
+    ("ukf", ["points_rows", "ukf_assess_rows", "gauss_update_rows"]),
+])
+def test_a_gaussian_step_is_at_most_three_compiled_calls(kind, entries, monkeypatch):
+    """Besides the model's propagate (one ``step_rows``), a Gaussian step
+    makes at most three calls into the backend, whatever the hook answers:
+    the UKF's sigma set, the assess pass and the update pass."""
+    cfg = rigid_config(True)
+    filt = flt.make_filter(kind, cfg)
+    belief = filt.initial_belief()
+    counting = CountingKernels(core._kernels)
+    monkeypatch.setattr(core, "_kernels", counting)
+    y = cfg.measurement.H @ cfg.x0 + 0.01
+    for k, decision in enumerate(DECISIONS):
+        del counting.calls[:]
+        belief, _ = filt.step(belief, y, 0.1 * (k + 1), decide=lambda record: decision)
+        assert sorted(counting.calls) == sorted(entries + ["step_rows"])
+        assert counting.calls.index("step_rows") == (kind == "ukf")  # propagate, before assessing
+
+
 def test_systematic_resample_hand_positions():
     idx = flt.systematic_resample(np.array([0.5, 0.5]), 0.1)
     npt.assert_array_equal(idx, [0, 1])
@@ -453,6 +653,20 @@ def test_align_sums_the_hemisphere_dot_product_in_order():
     y = np.array([2.0 ** 53, 1.0, -2.0 ** 53, -0.5])
     npt.assert_array_equal(meas.align(y, np.ones(4)), -y)
     npt.assert_array_equal(meas.align(y[::-1], np.ones(4)), y[::-1])  # the sum is 1.0
+
+
+def test_hemisphere_blocks_are_checked_when_the_measurement_is_built():
+    """A hemisphere block is four consecutive rows of the reading, read
+    against a state with a quaternion; anything else is refused up front,
+    not at the first step."""
+    for block in (slice(0, 3), slice(2, 6), slice(0, 4, 2)):
+        with pytest.raises(ValueError, match="hemisphere"):
+            flt.StackedMeasurement(np.eye(5, 4), np.eye(5), {"q": slice(0, 5)}, [block])
+    with pytest.raises(ValueError, match="hemisphere"):
+        flt.StackedMeasurement(np.eye(4, 3), np.eye(4), {"q": slice(0, 4)}, [slice(0, 4)])
+    meas = flt.StackedMeasurement(np.eye(8, 4), np.eye(8), {"q": slice(0, 8)},
+                                  [slice(0, 4), slice(-4, None)])
+    assert meas.hemisphere_bounds == (0, 4, 4, 8)
 
 
 def test_ekf_stencil_is_the_per_column_loop():

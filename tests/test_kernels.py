@@ -609,6 +609,56 @@ def test_compiled_gaussian_passes_check_shapes_themselves():
             _kernels_c.ekf_rows(*good[:i], bad, *good[i + 1:])
 
 
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_compiled_gaussian_step_passes_check_shapes_themselves():
+    """Called directly, with no check in Python before them, the C entries
+    of the fused Gaussian step refuse buffers that do not fit each other,
+    hemisphere blocks that are not four rows inside the reading (or that
+    meet fewer than four states), and update rows outside S."""
+    from attbench.core import _kernels_c
+    e = np.empty
+    w = np.full(9, 1.0 / 9.0)
+    cases = [
+        (_kernels_c.points_rows, (np.zeros(4), np.eye(4), 1.0, e((9, 4))),
+         [(0, np.zeros(0)), (1, np.eye(3)), (1, np.ones(4)), (3, e((8, 4))), (3, e((9, 3)))]),
+        (_kernels_c.ekf_assess_rows,
+         (np.ones((9, 4)), 1e-6, np.eye(4), np.eye(4), np.ones((5, 4)), np.eye(5), (0, 4),
+          np.zeros(5), e((4, 4)), e((5, 5)), e((4, 5)), e(5), e((5, 5))),
+         [(0, np.ones((8, 4))), (2, np.eye(3)), (3, np.eye(3)), (4, np.ones((5, 3))),
+          (5, np.eye(4)), (6, (0, 3)), (6, (2, 6)), (6, (0,)), (7, np.zeros(4)), (8, e((3, 3))),
+          (9, e((4, 4))), (10, e((5, 4))), (11, e(4)), (12, e((4, 4)))]),
+        (_kernels_c.ukf_assess_rows,
+         (np.ones((9, 4)), w, w, np.eye(4), 1.0, np.ones((5, 4)), np.eye(5), 1.0, (0, 4),
+          np.zeros(5), e(4), e((4, 4)), None, e((5, 5)), e((5, 5)), e((4, 5)), e(5)),
+         [(0, np.ones((8, 4))), (0, None), (1, w[1:]), (2, w[1:]), (3, np.eye(3)),
+          (5, np.ones((5, 3))), (6, np.eye(4)), (8, (1, 4)), (8, (4, 8)), (9, np.zeros(4)),
+          (10, e(3)), (11, e((3, 3))), (12, e((9, 4))), (13, e((4, 4))), (14, e((4, 4))),
+          (15, e((5, 4))), (16, e(4))]),
+        (_kernels_c.gauss_update_rows,
+         (np.zeros(4), np.eye(4), np.ones((4, 5)), np.eye(5), None, np.ones(5), None, True,
+          e(4), e((4, 4))),
+         [(0, np.zeros(0)), (1, np.eye(3)), (2, np.ones((4, 4))), (3, np.ones((5, 4))),
+          (4, np.eye(4)), (5, np.ones(4)), (6, (0, 5)), (6, (-1,)), (8, e(3)),
+          (9, e((3, 3)))]),
+    ]
+    for entry, good, bads in cases:
+        entry(*good)
+        for i, bad in bads:
+            with pytest.raises(ValueError):
+                entry(*good[:i], bad, *good[i + 1:])
+    # hemisphere blocks and a quaternion need four states
+    with pytest.raises(ValueError):
+        _kernels_c.ekf_assess_rows(np.ones((7, 3)), 1e-6, np.eye(3), np.eye(3), np.ones((5, 3)),
+                                   np.eye(5), (0, 4), np.zeros(5), e((3, 3)), e((5, 5)),
+                                   e((3, 5)), e(5), e((5, 5)))
+    with pytest.raises(ValueError):
+        _kernels_c.gauss_update_rows(np.zeros(3), np.eye(3), np.ones((3, 5)), np.eye(5), None,
+                                     np.ones(5), None, True, e(3), e((3, 3)))
+    with pytest.raises(TypeError):
+        _kernels_c.gauss_update_rows(np.zeros(4), np.eye(4), np.ones((4, 5)), np.eye(5), None,
+                                     np.ones(5), [0, 1], True, e(4), e((4, 4)))
+
+
 @pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
 def test_cholesky_kernels_reject_indefinite_and_bad_arguments(kernels):
     for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([1.0, np.nan]),
