@@ -40,10 +40,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_output=True):
+    def add_common(p, output_help="output CSV path"):
         p.add_argument("scenario", help="scenario file path or bundled name")
-        p.add_argument("-o", "--output", required=needs_output,
-                       help="output CSV path" if needs_output else "output directory")
+        p.add_argument("-o", "--output", required=True, help=output_help)
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--dt", type=float, default=None, help="override the step size [s]")
         p.add_argument("--t-end", type=float, default=None, help="override the horizon [s]")
@@ -54,15 +53,10 @@ def build_parser():
     add_common(sub.add_parser("fdir", help="run filter plus the scenario's FDIR policy"))
 
     comp = sub.add_parser("compare", help="run several filters on one scenario")
-    comp.add_argument("scenario", help="scenario file path or bundled name")
-    comp.add_argument("-o", "--output", required=True, help="directory for per-filter CSVs")
+    add_common(comp, output_help="directory for per-filter CSVs")
     kinds = ",".join(FILTER_KINDS)
     comp.add_argument("--filters", default=kinds, help="comma-separated subset of " + kinds)
     comp.add_argument("--jobs", type=int, default=1, help="parallel filter runs")
-    comp.add_argument("--seed", type=int, default=None)
-    comp.add_argument("--dt", type=float, default=None)
-    comp.add_argument("--t-end", type=float, default=None)
-    comp.add_argument("--quiet", action="store_true")
 
     sub.add_parser("scenarios", help="list bundled scenarios")
     return parser

@@ -13,16 +13,16 @@ the gravity-gradient model.
 
 The integrator is classical fixed-step RK4. This module is the one owner of
 rigid-body propagation: ``rigid_body_step`` advances a batch of [q, w, ...]
-rows and serves both the truth (``integrate``) and the filters' process
-model. Every step runs the batched kernel in ``attbench.core``; a
-gravity-gradient step hands it the orbit frames (``gravity_gradient_frames``)
-at the step start, midpoint and end, and the kernel evaluates the torque at
-each stage. Truth and filter each solve the orbit once per run, in one
-``kepler_state`` call: ``integrate`` on its time grid, the filters' process
-model on the start times its steps will ask for. The quaternion is
-renormalized once per step, after the four stages are combined; the stages
-themselves are left untouched so the combination stays a consistent
-fourth-order scheme.
+rows and serves both the truth (``integrate``) and the filters' process model,
+each of which checks dt and the moments once (``rigid_body_params``). Every
+step runs the batched kernel in ``attbench.core``; a gravity-gradient step
+hands it the orbit frames (``gravity_gradient_frames``) at the step start,
+midpoint and end, and the kernel evaluates the torque at each stage. Truth and
+filter each solve the Earth orbit once per run, in one ``kepler_state`` call:
+``integrate`` on its time grid, the filters' process model on the start times
+its steps will ask for. The quaternion is renormalized once per step, after the
+four stages are combined; the stages themselves are left untouched so the
+combination stays a consistent fourth-order scheme.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,8 @@ from .attitude import euler313_sin_theta, euler313_to_quat, quat_to_dcm
 from .errors import FieldError, check_choice
 
 MU_EARTH = 398600.4418
-"""Earth gravitational parameter, km^3/s^2."""
+"""Earth gravitational parameter, km^3/s^2; every orbit here is an Earth orbit."""
+KEPLER_TOL, KEPLER_MAX_ITER = 1e-12, 50  # solve_kepler's Newton step bound (rad), iteration cap
 
 _KM_TO_M = 1.0e3
 
@@ -51,6 +52,7 @@ __all__ = [
     "gravity_gradient_frames",
     "gravity_gradient_torque",
     "check_torque_model",
+    "rigid_body_params",
     "derivative",
     "rk4_step",
     "renormalize_quaternions",
@@ -122,53 +124,52 @@ class Trajectory:
     parameterization: str
 
 
-def solve_kepler(mean_anomaly, e, tol=1e-12, max_iter=50):
+def solve_kepler(mean_anomaly, e):
     """Solve Kepler's equation M = E - e sin E for E by Newton iteration.
 
     ``mean_anomaly`` may be a scalar or an array. Each element stops
-    updating once its own step falls below ``tol``, the rule of a scalar
-    solve, so an array solve repeats the scalar solve of every element.
+    updating once its own step is below ``KEPLER_TOL``, the scalar rule,
+    so an array solve repeats the scalar solve of every element.
 
     Raises:
-        RuntimeError: no convergence within max_iter (does not happen for
+        RuntimeError: no convergence in ``KEPLER_MAX_ITER`` steps (never for
             e < 1 with the M-seeded start, but guarded anyway).
     """
     m = np.asarray(mean_anomaly, dtype=float)
     ecc = float(e)
     big_e = m.copy() if ecc < 0.8 else np.full(m.shape, np.pi)
     pending = np.ones(m.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(KEPLER_MAX_ITER):
         f = big_e - ecc * np.sin(big_e) - m
         step = f / (1.0 - ecc * np.cos(big_e))
         big_e = np.where(pending, big_e - step, big_e)
-        pending &= ~(np.abs(step) < tol)
+        pending &= ~(np.abs(step) < KEPLER_TOL)
         if not pending.any():
             return big_e[()]
     raise RuntimeError("Kepler solver did not converge (M=%r, e=%r)"
                        % (m[pending].ravel()[0], ecc))
 
 
-def kepler_state(elements, t, mu=MU_EARTH):
-    """Two-body position and velocity at time t since epoch.
+def kepler_state(elements, t):
+    """Two-body Earth-orbit (``MU_EARTH``) position and velocity at time t.
 
     Args:
         elements: KeplerianElements with nu0 defining the epoch anomaly.
         t: seconds past epoch, a scalar or an array of times.
-        mu: gravitational parameter, km^3/s^2.
 
     Returns:
         (r, v): ECI position in km and velocity in km/s, each of shape
         ``np.shape(t) + (3,)``.
     """
     a, e = elements.a, elements.e
-    n = np.sqrt(mu / a**3)
+    n = np.sqrt(MU_EARTH / a**3)
     big_e = solve_kepler(elements.epoch_mean_anomaly + n * np.asarray(t, dtype=float), e)
     ce, se = np.cos(big_e), np.sin(big_e)
     r_mag = a * (1.0 - e * ce)
     # perifocal components (the third is zero) rotated into ECI column by
     # column, so every time gets the same arithmetic as a scalar call
     x_pf, y_pf = a * (ce - e), (a * np.sqrt(1.0 - e * e)) * se
-    speed = np.sqrt(mu * a) / r_mag
+    speed = np.sqrt(MU_EARTH * a) / r_mag
     vx_pf, vy_pf = speed * -se, speed * (np.sqrt(1.0 - e * e) * ce)
     p, q = elements.perifocal_to_eci[:, 0], elements.perifocal_to_eci[:, 1]
     r = np.multiply.outer(x_pf, p) + np.multiply.outer(y_pf, q)
@@ -241,11 +242,11 @@ def euler313_rates(e, omega):
     return np.array([wz - u * ct / st, cp * wx - sp * wy, u / st])
 
 
-def gravity_gradient_frames(r_eci, mu=MU_EARTH):
+def gravity_gradient_frames(r_eci):
     """Orbit frames for the gravity-gradient torque: rows [ux, uy, uz, g].
 
-    u is the ECI radial unit vector and g = 3 mu / R^3, s^-2. Inputs are
-    km-based; g is formed in SI after converting (the ratio itself is
+    u is the ECI radial unit vector and g = 3 MU_EARTH / R^3, s^-2. Inputs
+    are km-based; g is formed in SI after converting (the ratio itself is
     unit-invariant, the conversion just keeps the intermediate values SI).
 
     Args:
@@ -260,11 +261,11 @@ def gravity_gradient_frames(r_eci, mu=MU_EARTH):
         raise ValueError("gravity gradient undefined at zero radius")
     # a product, not ``** 3``: numpy's vectorised pow rounds by CPU
     r_si = r_mag * _KM_TO_M
-    g = 3.0 * (mu * _KM_TO_M**3) / (r_si * r_si * r_si)
+    g = 3.0 * (MU_EARTH * _KM_TO_M**3) / (r_si * r_si * r_si)
     return np.concatenate([r / r_mag, g], axis=-1)
 
 
-def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
+def gravity_gradient_torque(q, r_eci, inertia):
     """Gravity-gradient torque on a principal-axis body, N m.
 
     The radial unit vector is rotated into body axes and the standard
@@ -279,7 +280,7 @@ def gravity_gradient_torque(q, r_eci, inertia, mu=MU_EARTH):
     Returns:
         Torques (..., 3).
     """
-    frame = gravity_gradient_frames(r_eci, mu)
+    frame = gravity_gradient_frames(r_eci)
     dcm = quat_to_dcm(q)
     # sums, not ``@``: BLAS gemv may fuse multiply-adds for one quaternion
     c0, c1, c2 = (dcm[..., 0] * frame[0] + dcm[..., 1] * frame[1] + dcm[..., 2] * frame[2]).T
@@ -300,12 +301,24 @@ def check_torque_model(torque_model, elements):
         raise ValueError("gravity gradient requires orbital elements")
 
 
-def _rigid_body_rates(x, inertia, r_eci=None, mu=MU_EARTH):
+def rigid_body_params(dt, principal):
+    """``(dt, principal)`` as floats, each finite and > 0 or a FieldError: the
+    one rule of ``integrate``, the filters' process model and ``ScenarioConfig``
+    (per-step functions such as ``rigid_body_step`` do not check)."""
+    dt, moments = float(dt), tuple(float(v) for v in principal)
+    if not 0.0 < dt < np.inf:
+        raise FieldError("dt", "must be finite and positive, got %r" % (dt,))
+    if len(moments) != 3 or not all(0.0 < v < np.inf for v in moments):
+        raise FieldError("principal", "must be 3 finite positive moments, got %r" % (moments,))
+    return dt, moments
+
+
+def _rigid_body_rates(x, inertia, r_eci=None):
     """Derivative of [q, w, ...] rows, (n,) or (M, n); columns past the body
     rates are constant. ``r_eci`` None means torque-free, else the orbit
     position for the gravity-gradient torque."""
     q, omega = x[..., :4], x[..., 4:7]
-    torque = None if r_eci is None else gravity_gradient_torque(q, r_eci, inertia, mu)
+    torque = None if r_eci is None else gravity_gradient_torque(q, r_eci, inertia)
     return np.concatenate(
         [quaternion_rates(q, omega), body_rate_derivative(omega, inertia, torque),
          np.zeros_like(x[..., 7:])],
@@ -313,7 +326,7 @@ def _rigid_body_rates(x, inertia, r_eci=None, mu=MU_EARTH):
     )
 
 
-def derivative(state, t, inertia, torque_model="none", elements=None, mu=MU_EARTH,
+def derivative(state, t, inertia, torque_model="none", elements=None,
                parameterization="quaternion"):
     """Full state derivative for truth propagation.
 
@@ -332,11 +345,11 @@ def derivative(state, t, inertia, torque_model="none", elements=None, mu=MU_EART
     state = np.asarray(state, dtype=float)
     check_choice("parameterization", parameterization, ("quaternion", "euler"))
     check_torque_model(torque_model, elements)
-    r = None if torque_model == "none" else kepler_state(elements, t, mu)[0]
+    r = None if torque_model == "none" else kepler_state(elements, t)[0]
     if parameterization == "quaternion":
-        return _rigid_body_rates(state, inertia, r, mu)
+        return _rigid_body_rates(state, inertia, r)
     att, omega = state[:3], state[3:6]
-    torque = None if r is None else gravity_gradient_torque(euler313_to_quat(att), r, inertia, mu)
+    torque = None if r is None else gravity_gradient_torque(euler313_to_quat(att), r, inertia)
     return np.concatenate([euler313_rates(att, omega), body_rate_derivative(omega, inertia, torque)])
 
 
@@ -380,13 +393,13 @@ def rigid_body_step(states, dt, inertia, frames=None):
 
 
 def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
-              parameterization="quaternion", mu=MU_EARTH):
+              parameterization="quaternion"):
     """Propagate the truth state on a fixed grid t_k = k dt.
 
     Quaternion mode steps with ``rigid_body_step``, the propagation the
-    filters use; with gravity gradient the orbit is solved once, for the
-    start, midpoint and end of every step. The simulate-only Euler mode runs
-    the generic RK4 over ``derivative``.
+    filters use; with gravity gradient the Earth orbit is solved once, for
+    the start, midpoint and end of every step. Euler mode (simulate only)
+    runs the generic RK4 over ``derivative``. Both first apply ``rigid_body_params``.
 
     Returns:
         Trajectory with n_steps + 1 rows (the initial state included).
@@ -399,7 +412,7 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
             % (dim, parameterization, state0.shape)
         )
     check_torque_model(torque_model, elements)
-    inertia = tuple(float(v) for v in inertia)
+    dt, inertia = rigid_body_params(dt, inertia)
     out = np.empty((n_steps + 1, dim))
     out[0] = state0
     t_grid = dt * np.arange(n_steps + 1)
@@ -408,7 +421,7 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
         frames = [None] * n_steps
         if torque_model == "gravity_gradient":
             stage_t = t_grid[:-1, None] + np.array([0.0, 0.5 * dt, dt])
-            frames = gravity_gradient_frames(kepler_state(elements, stage_t, mu)[0], mu)
+            frames = gravity_gradient_frames(kepler_state(elements, stage_t)[0])
         x = state0[None, :]
         for k in range(n_steps):
             x = rigid_body_step(x, dt, inertia, frames[k])
@@ -416,7 +429,7 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
         return Trajectory(t=t_grid, states=out, parameterization=parameterization)
 
     def rhs(x, t):
-        return derivative(x, t, inertia, torque_model, elements, mu, parameterization)
+        return derivative(x, t, inertia, torque_model, elements, parameterization)
 
     x = state0
     for k in range(n_steps):

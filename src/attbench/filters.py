@@ -63,7 +63,7 @@ import numpy as np
 from . import core
 from .core import kernels_py
 from .dynamics import (check_torque_model, gravity_gradient_frames, kepler_state,
-                       renormalize_quaternions, rigid_body_step)
+                       renormalize_quaternions, rigid_body_params, rigid_body_step)
 from .errors import FieldError, check_choice
 from .fdir import compute_nis, healthy_rows
 
@@ -166,12 +166,7 @@ class RigidBodyProcessModel:
     quaternion_rows = True
 
     def __init__(self, inertia, dt, bias_states=False, torque_model="none", elements=None):
-        self.inertia = tuple(float(v) for v in inertia)
-        if any(v <= 0.0 for v in self.inertia):
-            raise ValueError("principal moments must be positive")
-        self.dt = float(dt)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        self.dt, self.inertia = rigid_body_params(dt, inertia)
         check_torque_model(torque_model, elements)
         self.torque_model = torque_model
         self.elements = elements
@@ -356,9 +351,9 @@ def check_tunables(cfg):
         raise FieldError("fd_eps", "must be positive")
     if not 0.0 < cfg.ukf_alpha <= 1.0:
         raise FieldError("ukf_alpha", "must be in (0, 1]")
-    if cfg.ukf_kappa < 0.0:
+    if not cfg.ukf_kappa >= 0.0:
         raise FieldError("ukf_kappa", "must be >= 0")
-    if cfg.ukf_detector_r < 0.0:
+    if not cfg.ukf_detector_r >= 0.0:
         raise FieldError("ukf_detector_r", "must be >= 0")
     if cfg.pf_particles < 10:
         raise FieldError("pf_particles", "must be >= 10")

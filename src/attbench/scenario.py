@@ -7,10 +7,10 @@ offending key by its dotted path — so a typo fails at load time instead of
 silently running a different experiment.
 
 The parser checks YAML types, shapes, required and unknown keys, and the
-rules only the file format has (one attitude form, a unit quaternion,
-positive assumed noise). Range rules live in the models (``GyroModel``,
-``FaultSpec``, ``ScenarioConfig``, ...), whose ``FieldError`` the parser
-reports at the field's key path, e.g. ``faults[0].duration``;
+rules only the file format has (one attitude form, a unit quaternion).
+Range rules live in the models (``GyroModel``, ``FaultSpec``,
+``ScenarioConfig``, ...), whose ``FieldError`` the parser reports at the
+field's key path, e.g. ``faults[0].duration`` or ``filter.q.rates``;
 ``with_overrides`` revalidates through them.
 
 Grammar (all keys optional unless marked required; defaults in parens):
@@ -67,7 +67,7 @@ import numpy as np
 import yaml
 
 from .attitude import euler313_sin_theta, euler313_to_quat
-from .dynamics import KeplerianElements, principal_moments
+from .dynamics import KeplerianElements, principal_moments, rigid_body_params
 from .errors import FieldError
 from .fdir import DetectorConfig, FdirSupervisor
 from .filters import check_filter_kind, check_tunables
@@ -176,9 +176,9 @@ class ScenarioConfig:
     matrix; ``principal`` holds its body-frame principal moments, which is
     what the integrator consumes. ``r_blocks`` are the measurement noise
     variances the filter assumes, which may deliberately differ from the
-    true sensor noise. ``x0`` of None means "start the filter at truth".
-    Construction, ``replace`` included, checks the run grid, filter kind,
-    FDIR policy and filter tunables.
+    true sensor noise. Construction and ``replace`` check the seed, dt and
+    ``principal`` (``dynamics.rigid_body_params``), horizon, filter kind,
+    FDIR policy, tunables and assumed noise (q >= 0, p0_scale and r > 0).
     """
 
     name: str
@@ -218,8 +218,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise FieldError("seed", "must be nonnegative")
-        if not self.dt > 0.0:
-            raise FieldError("dt", "must be positive")
+        rigid_body_params(self.dt, self.principal)
         if not self.t_end > 0.0:
             raise FieldError("t_end", "must be positive")
         if self.t_end / self.dt < 1.0:
@@ -227,6 +226,15 @@ class ScenarioConfig:
         check_filter_kind(self.filter_kind)
         FdirSupervisor.check_policy(self.policy)
         check_tunables(self)
+        for name in ("q_attitude", "q_rates", "q_bias"):
+            if not getattr(self, name) >= 0.0:
+                raise FieldError(name, "must be nonnegative")
+        if not self.p0_scale > 0.0:
+            raise FieldError("p0_scale", "must be positive")
+        for name, vec in self.r_blocks.items():
+            if not np.all(np.asarray(vec, dtype=float) > 0.0):
+                raise FieldError("r_blocks." + name, "assumed variances must be positive "
+                                 "(override r for noiseless sensors)")
 
     @property
     def n_steps(self):
@@ -361,16 +369,6 @@ def _parse_filter(mapping, path, layout, sensors, bias_default):
     mapping = _section(mapping, ("kind", "gravity_gradient", "bias_states", "q", "p0",
                                  "r", "x0", "fd_eps", "ukf", "pf"), path)
     q = _section(mapping.get("q"), ("attitude", "rates", "bias"), path + ".q")
-    q_att = _num(q.get("attitude", 1e-8), path + ".q.attitude")
-    q_rat = _num(q.get("rates", 1e-6), path + ".q.rates")
-    q_bia = _num(q.get("bias", 1e-12), path + ".q.bias")
-    for label, v in (("attitude", q_att), ("rates", q_rat), ("bias", q_bia)):
-        if v < 0.0:
-            _fail("%s.q.%s" % (path, label), "must be nonnegative")
-    p0 = _num(mapping.get("p0", 1e-2), path + ".p0")
-    if p0 <= 0.0:
-        _fail(path + ".p0", "must be positive")
-
     r_blocks = {
         "gyro": np.full(3, sensors["gyro"].sigma ** 2),
         "star_tracker": sensors["star_tracker"].variances.copy(),
@@ -382,10 +380,6 @@ def _parse_filter(mapping, path, layout, sensors, bias_default):
         _check_keys(r, layout.sensors, path + ".r")
         for name, vec in r.items():
             r_blocks[name] = _num_list(vec, layout.width(name), "%s.r.%s" % (path, name))
-    for name, vec in r_blocks.items():
-        if np.any(vec <= 0.0):
-            _fail("%s.r.%s" % (path, name),
-                  "assumed variances must be positive (override r for noiseless sensors)")
 
     bias_states = _bool(mapping.get("bias_states", bias_default), path + ".bias_states")
     x0 = None
@@ -408,9 +402,11 @@ def _parse_filter(mapping, path, layout, sensors, bias_default):
         "filter_kind": _str(mapping.get("kind", "ekf"), path + ".kind"),
         "filter_gravity_gradient": _bool(mapping.get("gravity_gradient", False),
                                          path + ".gravity_gradient"),
-        "bias_states": bias_states,
-        "q_attitude": q_att, "q_rates": q_rat, "q_bias": q_bia,
-        "p0_scale": p0, "r_blocks": r_blocks, "x0": x0,
+        "bias_states": bias_states, "r_blocks": r_blocks, "x0": x0,
+        "q_attitude": _num(q.get("attitude", 1e-8), path + ".q.attitude"),
+        "q_rates": _num(q.get("rates", 1e-6), path + ".q.rates"),
+        "q_bias": _num(q.get("bias", 1e-12), path + ".q.bias"),
+        "p0_scale": _num(mapping.get("p0", 1e-2), path + ".p0"),
         "fd_eps": _num(mapping.get("fd_eps", 1e-6), path + ".fd_eps"),
         "ukf_alpha": _num(ukf.get("alpha", 0.1), path + ".ukf.alpha"),
         "ukf_beta": _num(ukf.get("beta", 2.0), path + ".ukf.beta"),
@@ -438,10 +434,12 @@ _TOP_KEYS = ("schema_version", "name", "description", "seed", "dt", "t_end",
 
 # key paths of the fields ScenarioConfig's checks name, where they differ
 _CONFIG_KEYS = dict(
-    kind="filter.kind", policy="detector.policy", fd_eps="filter.fd_eps",
-    ukf_alpha="filter.ukf.alpha", ukf_kappa="filter.ukf.kappa",
-    ukf_detector_r="filter.ukf.detector_r", pf_particles="filter.pf.particles",
-    pf_ess_threshold="filter.pf.ess_threshold")
+    principal="inertia", kind="filter.kind", policy="detector.policy",
+    fd_eps="filter.fd_eps", q_attitude="filter.q.attitude", q_rates="filter.q.rates",
+    q_bias="filter.q.bias", p0_scale="filter.p0", ukf_alpha="filter.ukf.alpha",
+    ukf_kappa="filter.ukf.kappa", ukf_detector_r="filter.ukf.detector_r",
+    pf_particles="filter.pf.particles", pf_ess_threshold="filter.pf.ess_threshold",
+    **{"r_blocks." + name: "filter.r." + name for name in _DEFAULT_SENSORS["quaternion"]})
 
 
 def _from_mapping(doc):

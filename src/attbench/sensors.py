@@ -59,7 +59,7 @@ class GyroModel:
 
     def __post_init__(self):
         object.__setattr__(self, "bias", np.asarray(self.bias, dtype=float))
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise FieldError("sigma", "must be nonnegative, got %r" % (self.sigma,))
         if self.bias.shape != (3,):
             raise FieldError("bias", "must have shape (3,)")
@@ -87,7 +87,7 @@ class AttitudeSensorModel:
         object.__setattr__(self, "variances", v)
         if v.ndim != 1 or v.shape[0] not in (3, 4):
             raise FieldError("variances", "must have shape (4,) or (3,), got %r" % (v.shape,))
-        if np.any(v < 0.0):
+        if not np.all(v >= 0.0):
             raise FieldError("variances", "must be nonnegative")
 
     def sample(self, attitude_true, rng):
@@ -197,11 +197,11 @@ class FaultSpec:
 
     def __post_init__(self):
         check_choice("kind", self.kind, FAULT_KINDS)
-        if self.t_start < 0.0:
+        if not self.t_start >= 0.0:
             raise FieldError("t_start", "must be nonnegative")
-        if self.duration < 0.0:
+        if not self.duration >= 0.0:
             raise FieldError("duration", "must be nonnegative")
-        if self.kind == "saturation" and self.magnitude <= 0.0:
+        if self.kind == "saturation" and not self.magnitude > 0.0:
             raise FieldError("magnitude", "must be positive for a saturation")
 
     def active(self, t):

@@ -1,8 +1,9 @@
+import argparse
 import csv
 
 import pytest
 
-from attbench.cli import main
+from attbench.cli import build_parser, main
 from attbench.scenario import bundled_scenarios
 
 
@@ -15,6 +16,22 @@ def test_scenarios_subcommand_lists_bundled(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == list(bundled_scenarios())
+
+
+def test_run_commands_share_the_override_flags():
+    """simulate, estimate, fdir and compare declare --seed, --dt, --t-end
+    and --quiet once, with the same type, default and help."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def flags(name):
+        return {a.dest: (a.option_strings, a.type, a.default, a.help)
+                for a in sub.choices[name]._actions
+                if a.dest in ("seed", "dt", "t_end", "quiet")}
+
+    want = flags("simulate")
+    assert len(want) == 4 and all(help_text for *_, help_text in want.values())
+    for name in ("estimate", "fdir", "compare"):
+        assert flags(name) == want, name
 
 
 def test_simulate_writes_csv(tmp_path, capsys):

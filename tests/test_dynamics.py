@@ -6,6 +6,7 @@ import pytest
 
 from attbench import dynamics as dyn
 from attbench.attitude import euler313_to_dcm, euler313_to_quat, quat_multiply, quat_to_dcm
+from attbench.errors import FieldError
 from attbench.scenario import load_bundled
 
 
@@ -207,6 +208,35 @@ def test_integrate_shapes_and_unit_norms():
 def test_integrate_rejects_bad_state_length():
     with pytest.raises(ValueError):
         dyn.integrate(np.zeros(5), 0.1, 10, (1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("mode", ["quaternion", "euler"])
+@pytest.mark.parametrize("dt,inertia,field", [
+    (math.nan, (1.0, 2.0, 3.0), "dt"),
+    (0.0, (1.0, 2.0, 3.0), "dt"),
+    (0.1, (1.0, -2.0, 3.0), "principal"),
+    (0.1, (1.0, 0.0, 3.0), "principal"),
+    (0.1, (1.0, math.nan, 3.0), "principal"),
+])
+def test_integrate_checks_dt_and_moments_in_both_modes(mode, dt, inertia, field):
+    """Truth propagation applies the shared rigid-body rule, so a NaN dt or
+    a non-positive moment fails up front instead of returning NaN truth."""
+    state0 = {"quaternion": np.r_[1.0, 0.0, 0.0, 0.0, 0.1, -0.2, 0.05],
+              "euler": np.array([0.1, 0.5, 0.2, 0.1, -0.2, 0.05])}[mode]
+    with pytest.raises(FieldError) as err:
+        dyn.integrate(state0, dt, 10, inertia, parameterization=mode)
+    assert err.value.field == field
+
+
+def test_rigid_body_params_returns_floats():
+    dt, moments = dyn.rigid_body_params(np.float64(0.1), np.array([1.0, 2.0, 3.0]))
+    assert (dt, moments) == (0.1, (1.0, 2.0, 3.0))
+    assert all(type(v) is float for v in (dt, *moments))
+    for bad in (math.inf, -0.1):
+        with pytest.raises(FieldError):
+            dyn.rigid_body_params(bad, (1.0, 2.0, 3.0))
+    with pytest.raises(FieldError):
+        dyn.rigid_body_params(0.1, (1.0, 2.0))
 
 
 def test_dual_parameterization_trajectories_agree():

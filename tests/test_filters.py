@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from attbench import core, dynamics as dyn, filters as flt
 from attbench.core import kernels_py
+from attbench.errors import FieldError
 from attbench.fdir import DetectorConfig, FdirSupervisor
 from attbench.runner import run_scenario
 from attbench.scenario import load_bundled
@@ -570,6 +571,21 @@ def test_gravity_gradient_propagation_is_the_truth_step(rows):
         out = proc.propagate(states[:, :proc.dim], 0.0)
         assert np.array_equal(out[:, :7], truth)
         assert np.array_equal(out[:, 7:], states[:, 7:proc.dim])
+
+
+@pytest.mark.parametrize("inertia,dt,field", [
+    ((2.0, 3.0, 4.0), np.nan, "dt"),
+    ((2.0, 3.0, 4.0), 0.0, "dt"),
+    ((2.0, 3.0, 4.0), -0.1, "dt"),
+    ((2.0, np.nan, 4.0), 0.1, "principal"),
+    ((2.0, 0.0, 4.0), 0.1, "principal"),
+    ((2.0, -3.0, 4.0), 0.1, "principal"),
+])
+def test_rigid_body_model_checks_dt_and_moments(inertia, dt, field):
+    """The process model applies the rule the truth and the config share."""
+    with pytest.raises(FieldError) as err:
+        flt.RigidBodyProcessModel(inertia, dt)
+    assert err.value.field == field
 
 
 def counted_kepler_state(monkeypatch):

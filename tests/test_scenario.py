@@ -1,10 +1,12 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from attbench import scenario as scn
+from attbench.errors import FieldError
 from attbench.scenario import ScenarioError
 
 MINIMAL = """\
@@ -225,6 +227,37 @@ def test_with_overrides_replaces_and_validates():
         scn.with_overrides(cfg, filter_kind="enkf")
     with pytest.raises(ScenarioError):
         scn.with_overrides(cfg, t_end=0.01)
+
+
+@pytest.mark.parametrize("changes,key", [
+    (dict(principal=(1.0, -2.0, 3.0)), "inertia"),
+    (dict(principal=(1.0, np.nan, 3.0)), "inertia"),
+    (dict(dt=np.nan), "dt"),
+    (dict(p0_scale=-1.0), "filter.p0"),
+    (dict(q_rates=-1e-6), "filter.q.rates"),
+    (dict(q_bias=np.nan), "filter.q.bias"),
+    (dict(ukf_kappa=np.nan), "filter.ukf.kappa"),
+    (dict(ukf_detector_r=np.nan), "filter.ukf.detector_r"),
+    (dict(r_blocks={"gyro": (0.0,) * 3, "star_tracker": (1e-3,) * 4,
+                    "magnetometer": (1e-2,) * 4}), "filter.r.gyro"),
+])
+def test_replace_checks_the_rigid_body_and_noise_rules(changes, key):
+    """``replace`` (and so ``with_overrides``) runs every rule a scenario
+    file does; the rejected field maps to its YAML key path."""
+    with pytest.raises(FieldError) as err:
+        replace(scn.load_bundled("tumble_baseline"), **changes)
+    assert scn._CONFIG_KEYS.get(err.value.field, err.value.field) == key
+
+
+@pytest.mark.parametrize("block,key,reason", [
+    ("filter: {q: {rates: -1.0e-6}}", "filter.q.rates", "must be nonnegative"),
+    ("filter: {p0: 0.0}", "filter.p0", "must be positive"),
+    ("sensors: {gyro: {sigma: 0.0}}", "filter.r.gyro",
+     "assumed variances must be positive (override r for noiseless sensors)"),
+])
+def test_filter_noise_errors_keep_their_key_paths(tmp_path, block, key, reason):
+    with pytest.raises(ScenarioError, match=re.escape(": %s: %s" % (key, reason)) + "$"):
+        load_text(tmp_path, MINIMAL + block + "\n")
 
 
 def test_strip_faults_empties_the_fault_list():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from attbench import sensors as sen
+from attbench.errors import FieldError
 
 
 def test_role_keys_are_frozen():
@@ -162,6 +163,20 @@ def test_fault_spec_validation():
         sen.FaultSpec("spike", "gyro", t_start=0.0, duration=-1.0)
     with pytest.raises(ValueError):
         sen.FaultSpec("saturation", "gyro", t_start=0.0, duration=1.0, magnitude=0.0)
+
+
+@pytest.mark.parametrize("build,field", [
+    (lambda: sen.GyroModel(np.nan), "sigma"),
+    (lambda: sen.AttitudeSensorModel("st", [np.nan, 1.0, 1.0, 1.0]), "variances"),
+    (lambda: sen.FaultSpec("spike", "gyro", t_start=np.nan), "t_start"),
+    (lambda: sen.FaultSpec("spike", "gyro", t_start=0.0, duration=np.nan), "duration"),
+    (lambda: sen.FaultSpec("saturation", "gyro", t_start=0.0, duration=1.0,
+                           magnitude=np.nan), "magnitude"),
+])
+def test_range_rules_reject_nan(build, field):
+    with pytest.raises(FieldError) as err:
+        build()
+    assert err.value.field == field
 
 
 def _layout_and_y():
