@@ -2,25 +2,24 @@
 
 The compiled extension ``_kernels_c`` is built from the hand-written C
 source next to this file. It is optional: if the build was skipped or the
-import fails, the numpy implementation takes over with identical numerics.
-Set ``ATTBENCH_PURE_PYTHON=1`` to force the fallback regardless.
+import fails, the numpy implementation ``kernels_py`` takes over with
+identical numerics. Set ``ATTBENCH_PURE_PYTHON=1`` to force the fallback
+regardless. ``_kernels`` is the active backend; both export the same
+``*_rows`` entries.
 
-Four groups of kernels live here: the batched rigid-body RK4 step; the
+This module is the kernel API. Three groups of kernels have a wrapper here,
+which validates its arguments (``kernels_py.checked_*``) and allocates the
+outputs before the backend sees them: the batched rigid-body RK4 step; the
 particle filter's two cloud passes (jitter plus moments, and the
-log-likelihood); the Gaussian filters' moments (the weighted moments of a
-sigma-point cloud, and the EKF's predicted covariance and measurement
-moments from its propagated stencil); and the fixed-order Cholesky layer
-of the Kalman step (the factor, the NIS, the NIS of several diagonal
-blocks in one call, and the Kalman update from the factor). Each function
-below validates its arguments before the backend sees them.
+log-likelihood); and the Cholesky factor and NIS (of the whole matrix, or
+of several diagonal blocks in one call).
 
-A fifth group has no wrapper here: the Gaussian step's fused passes
+A fourth group has no wrapper: the Gaussian step's fused passes
 (``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
-``gauss_update_rows``), which chain the arithmetic of the groups above.
-The EKF and UKF check their constant operands once, when built
-(``kernels_py.checked_gaussian``), and call these entries on ``_kernels``,
-the active backend, directly; each compiled entry still checks that its
-buffers fit each other.
+``gauss_update_rows``). The EKF and UKF check their constant operands once,
+when built (``kernels_py.checked_gaussian``), and call these entries on
+``_kernels`` directly; each compiled entry still checks that its buffers fit
+each other.
 """
 
 import os
@@ -41,9 +40,29 @@ else:
 
 
 def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
-    """Advance a batch of [q, w, ...] states by one RK4 step on the active
-    backend; the contract is ``kernels_py.rk4_step_batch``'s. Both backends
-    get their arrays validated and copied here, before any reaches C."""
+    """Advance a batch of [q, w, ...] states by one RK4 step.
+
+    Args:
+        states: (M, n) array, n >= 7. Columns 0..3 quaternion, 4..6 body
+            rates; any further columns (gyro bias states) pass through
+            unchanged.
+        dt: step, s.
+        ixx, iyy, izz: principal moments, kg m^2.
+        tx, ty, tz: constant body-frame torque over the step, N m.
+        frames: None (torque-free apart from the constant torque) or a
+            (3, 4) array of rows [ux, uy, uz, g] at t, t + dt/2 and t + dt:
+            the ECI radial unit vector and g = 3 mu / R^3, s^-2. Each RK4
+            stage then adds the gravity-gradient torque
+            g [(Izz-Iyy) c1 c2, (Ixx-Izz) c2 c0, (Iyy-Ixx) c0 c1], with
+            c = DCM(q_stage) u, to the constant torque.
+
+    Returns:
+        New (M, n) array; quaternions renormalized once, after the step.
+        ``kernels_py.step_rows`` gives the exact arithmetic.
+
+    Raises:
+        ValueError: see ``kernels_py.checked_batch``.
+    """
     out, frames = kernels_py.checked_batch(states, frames)
     _kernels.step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)
     return out
@@ -51,8 +70,33 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
 
 def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
                   quaternion=False, diagonal=False):
-    """Jitter a particle cloud in place and return (mean, y_hat, S) on the
-    active backend; the contract is ``kernels_py.cloud_moments``'s."""
+    """Jitter a particle cloud in place and return its weighted moments.
+
+    Args:
+        cloud: (M, n) particles, M >= 1; jittered and renormalized in
+            place, so then a writable float64 C-contiguous array.
+        weights: (M,) particle weights, used as given (zeros allowed).
+        normals: None, or the (M, n) standard normals of the jitter.
+        root: (n, n) jitter root L; row i gets L @ normals[i] added. Read
+            only with ``normals``.
+        h: None (the moments of the states themselves) or a dense (m, n)
+            measurement matrix.
+        r: None or the (m, m) symmetric noise covariance added to S; only
+            its upper triangle is read.
+        quaternion: whether columns 0..3 are a quaternion to renormalize
+            after the jitter.
+        diagonal: return S's diagonal (m,) alone, which sums m, not
+            m (m + 1) / 2, products per particle.
+
+    Returns:
+        (mean (n,), y_hat (m,), S (m, m)): sum w_i x_i, sum w_i h x_i and
+        sum w_i dz_i dz_i' + r, each summed over the particles from row 0;
+        S is exactly symmetric. ``kernels_py.moments_rows`` gives the exact
+        arithmetic.
+
+    Raises:
+        ValueError: see ``kernels_py.checked_moments``.
+    """
     args = kernels_py.checked_moments(cloud, weights, normals, root, h, r, quaternion,
                                       diagonal)
     _kernels.moments_rows(*args)
@@ -64,58 +108,61 @@ def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
 
 
 def cloud_loglik(cloud, h, l, y):
-    """Per-particle log-likelihood of y on the active backend; the contract
-    is ``kernels_py.cloud_loglik``'s."""
+    """Gaussian log-likelihood of a reading for each particle, up to a constant.
+
+    Args:
+        cloud: (M, n) particles.
+        h: (k, n) measurement rows.
+        l: (k, k) lower-triangular Cholesky factor of those rows' noise
+            covariance; only its lower triangle is read.
+        y: (k,) reading; non-finite entries give non-finite results.
+
+    Returns:
+        (M,) array of -0.5 |l^-1 (y - h x_i)|^2; ``kernels_py.loglik_rows``
+        gives the exact arithmetic.
+
+    Raises:
+        ValueError: see ``kernels_py.checked_loglik``.
+    """
     args = kernels_py.checked_loglik(cloud, h, l, y)
     _kernels.loglik_rows(*args)
     return args[-1]
 
 
-def sigma_moments(points, wm, wc, q=None, h=None, r=None):
-    """(mean, P, y_hat, S, C): the weighted moments of a point cloud on the
-    active backend; the contract is ``kernels_py.sigma_moments``'s."""
-    args, outs = kernels_py.checked_sigma(points, wm, wc, q, h, r)
-    _kernels.sigma_rows(*args)
-    return outs
-
-
-def ekf_moments(prop, eps, sigma, q, h, r):
-    """(P, y_hat, S, C): the EKF's predicted covariance and measurement
-    moments from its propagated stencil on the active backend; the contract
-    is ``kernels_py.ekf_moments``'s."""
-    args, outs = kernels_py.checked_ekf(prop, eps, sigma, q, h, r)
-    _kernels.ekf_rows(*args)
-    return outs
-
-
 def cholesky(a):
-    """Lower-triangular L with L L' = a on the active backend; the contract
-    is ``kernels_py.cholesky``'s."""
+    """Lower-triangular L with L L' = a, by ``kernels_py.factor_rows``'s
+    arithmetic.
+
+    Raises:
+        ValueError: see ``kernels_py.checked_factor`` and ``factor_rows``.
+    """
     a, bounds, _, l = kernels_py.checked_factor(a)
     _kernels.factor_rows(a, bounds, None, l)
     return l
 
 
 def nis(a, nu):
-    """(NIS, L): nu' a^-1 nu and the Cholesky factor of ``a`` on the active
-    backend; the contract is ``kernels_py.nis``'s."""
+    """(NIS, L): the normalized innovation squared nu' a^-1 nu = |L^-1 nu|^2
+    and the Cholesky factor L of ``a`` it came from
+    (``kernels_py.factor_rows``).
+
+    Raises:
+        ValueError: see ``kernels_py.checked_factor`` and ``factor_rows``.
+    """
     a, bounds, nu, l = kernels_py.checked_factor(a, nu)
     return _kernels.factor_rows(a, bounds, nu, l)[0], l
 
 
 def block_nis(a, nu, bounds):
-    """The NIS of each listed diagonal block of ``a`` on the active backend;
-    the contract is ``kernels_py.block_nis``'s."""
+    """The NIS of each diagonal block [start, stop) of ``a`` that the flat
+    ``bounds`` lists, over the same rows of ``nu``, as a tuple of floats;
+    the blocks may overlap, and need not cover every row.
+
+    Raises:
+        ValueError: see ``kernels_py.checked_factor`` and ``factor_rows``.
+    """
     return _kernels.factor_rows(*kernels_py.checked_factor(a, nu, bounds))
 
 
-def kalman_update(mu, sigma, cross, l, nu):
-    """(mu', Sigma') of the Kalman update from the Cholesky factor ``l`` of S
-    on the active backend; the contract is ``kernels_py.kalman_update``'s."""
-    args = kernels_py.checked_update(mu, sigma, cross, l, nu)
-    _kernels.update_rows(*args)
-    return args[-2:]
-
-
-__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "sigma_moments", "ekf_moments",
-           "cholesky", "nis", "block_nis", "kalman_update", "BACKEND"]
+__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "cholesky", "nis", "block_nis",
+           "BACKEND"]

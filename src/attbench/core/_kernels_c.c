@@ -4,8 +4,8 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The module exports eleven functions. attbench.core validates the caller's
- * arrays, and allocates the outputs, before calling any of the first seven;
+ * The module exports eight functions. attbench.core validates the caller's
+ * arrays, and allocates the outputs, before calling any of the first four;
  * the Gaussian filters check their constant operands once, when built, and
  * call the last four directly. Each function still checks that its buffers
  * fit each other.
@@ -25,29 +25,21 @@
  *     [start, stop) that the flat tuple bounds lists into the same block of
  *     l, and returns a tuple of each block's NIS |L^-1 nu|^2 (empty when nu
  *     is None); ValueError when a pivot is not a finite number > 0.
- * update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out) writes the Kalman
- *     update from the Cholesky factor l of S: W = C L^-T, mu + W (L^-1 nu)
- *     and sigma - W W', exactly symmetric.
- * sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross) writes the
- *     weighted moments of the point rows of x, with mean weights wm and
- *     covariance weights wc: the mean, the covariance plus q and, when h is
- *     not None, the mean y_hat of z = h x, S = sum wc (z - y_hat)(z - y_hat)'
- *     + r and the cross-covariance C; q and r may be None.
- * ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross) forms the
- *     central-difference Jacobian a from the propagated (2n + 1, n) stencil
- *     and writes a sigma a' + q, h prop[0], S = h cov h' + r and C = cov h'.
  * points_rows(mu, sigma, scale, points) writes the (2n + 1, n) sigma set
  *     mu, mu + the columns of L, mu - the columns of L, with L the Cholesky
  *     factor of scale sigma; returns False, writing nothing, when scale
  *     sigma is not positive definite.
  * ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l)
- *     is ekf_rows, then the innovation nu = y - y_hat with each hemisphere
- *     block of y aligned to prop[0], then the Cholesky factor l of S; it
- *     returns the NIS |l^-1 nu|^2.
+ *     forms the central-difference Jacobian a from the propagated
+ *     (2n + 1, n) stencil and writes cov = a sigma a' + q, S = h cov h' + r
+ *     and C = cov h' (ekf_pass), then the innovation nu = y - h prop[0] with
+ *     each hemisphere block of y aligned to prop[0], then the Cholesky
+ *     factor l of S; it returns the NIS |l^-1 nu|^2.
  * ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov,
- *     points, s, s_det, cross, nu) is sigma_rows of the propagated set prop
- *     with q into mean and cov, the sigma set of (mean, scale cov) as
- *     points_rows forms it, sigma_rows of that set with h and r into s and
+ *     points, s, s_det, cross, nu) writes the weighted mean (weights wm) and
+ *     covariance (weights wc) plus q of the propagated set prop into mean and
+ *     cov (sigma_pass), the sigma set of (mean, scale cov) as points_rows
+ *     forms it, the measurement moments of that set with h and r into s and
  *     cross, S_det = s + r_det r, and the innovation aligned to mean; it
  *     returns the NIS of S_det. It returns None, having written mean and cov
  *     alone, when scale cov is not positive definite; called again with prop
@@ -55,8 +47,9 @@
  * gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out,
  *     sigma_out) writes the Kalman update on the rows that the tuple rows
  *     lists (None: every row, through the factor l when it is not None),
- *     factoring that block of s, then renormalizes mu_out's columns 0..3 when
- *     asked; no rows copies mu and sigma.
+ *     factoring that block of s: W = C L^-T, mu + W (L^-1 nu) and
+ *     sigma - W W', exactly symmetric (update). It then renormalizes
+ *     mu_out's columns 0..3 when asked; no rows copies mu and sigma.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles or points runs from row 0, and a
@@ -470,7 +463,7 @@ block_nis(const double *l, Py_ssize_t m, Py_ssize_t lo, Py_ssize_t hi, const dou
     return ss;
 }
 
-/* The Kalman update of update_rows: W = C l^-T row by row (row r of W is
+/* The Kalman update of gauss_update_rows: W = C l^-T row by row (row r of W is
  * l^-1 applied to row r of the (n, m) C), v = l^-1 nu, mu_out = mu + W v and
  * sigma_out = sigma - W W', whose upper triangle is summed, from -0.0 in
  * column order, and mirrored. scratch holds n m + m doubles. */
@@ -580,8 +573,11 @@ center(const double *x, Py_ssize_t rows, Py_ssize_t k, const double *restrict w,
         }
 }
 
-/* The pass of sigma_rows over the rows x of points of n states; a NULL cov
- * skips the covariance. scratch holds 2 rows (n + m) doubles. */
+/* The weighted moments of the rows x of points of n states: mean = sum wm_i
+ * x_i, cov = sum wc_i dx_i dx_i' + q (a NULL cov is skipped) and, with h,
+ * y_hat = sum wm_i z_i with z_i = h x_i, s = sum wc_i dz_i dz_i' + r and
+ * cross = sum wc_i dx_i dz_i'; q and r may be NULL. scratch holds
+ * 2 rows (n + m) doubles. */
 static void
 sigma_pass(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *wm, const double *wc,
            const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
@@ -600,8 +596,10 @@ sigma_pass(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *wm, con
     spread(wdx, n, dz, m, rows, 0, NULL, cross);
 }
 
-/* The pass of ekf_rows on the (2n + 1, n) stencil prop. scratch holds 2 n n
- * doubles. */
+/* The EKF's predicted covariance and measurement moments from the
+ * (2n + 1, n) stencil prop: cov = a sigma a' + q with the central-difference
+ * Jacobian a, y_hat = h prop[0], cross = cov h' and s = h cross + r.
+ * scratch holds 2 n n doubles. */
 static void
 ekf_pass(const double *restrict prop, Py_ssize_t n, double eps, const double *restrict sigma,
          const double *restrict q, const double *restrict h, Py_ssize_t m,
@@ -1029,150 +1027,6 @@ fail:
 }
 
 static PyObject *
-update_rows(PyObject *self, PyObject *args)
-{
-    PyObject *muo, *sigmao, *crosso, *lo, *nuo, *muouto, *sigmaouto;
-    Py_buffer v[MAX_VIEWS] = {{0}};
-    double *mu, *sigma, *cross, *l, *nu, *mu_out, *sigma_out, *scratch;
-    Py_ssize_t n, m;
-
-    if (!PyArg_ParseTuple(args, "OOOOOOO:update_rows", &muo, &sigmao, &crosso, &lo, &nuo,
-                          &muouto, &sigmaouto))
-        return NULL;
-    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, -1, -1, "mu", &mu) < 0
-        || get_shaped(lo, &v[1], PyBUF_SIMPLE, 2, -1, -1, "l", &l) < 0)
-        goto fail;
-    if (!mu || !l || v[0].shape[0] < 1 || v[1].shape[0] < 1 || v[1].shape[1] != v[1].shape[0]) {
-        PyErr_SetString(PyExc_ValueError, "mu and l must be non-empty (n,) and (m, m)");
-        goto fail;
-    }
-    n = v[0].shape[0];
-    m = v[1].shape[0];
-    if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
-        || get_shaped(crosso, &v[3], PyBUF_SIMPLE, 2, n, m, "cross", &cross) < 0
-        || get_shaped(nuo, &v[4], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
-        || get_shaped(muouto, &v[5], PyBUF_WRITABLE, 1, n, -1, "mu_out", &mu_out) < 0
-        || get_shaped(sigmaouto, &v[6], PyBUF_WRITABLE, 2, n, n, "sigma_out", &sigma_out) < 0)
-        goto fail;
-    if (!sigma || !cross || !nu || !mu_out || !sigma_out) {
-        PyErr_SetString(PyExc_ValueError, "sigma, cross, nu, mu_out and sigma_out are required");
-        goto fail;
-    }
-    scratch = PyMem_RawMalloc((n * m + m) * sizeof(double));
-    if (!scratch) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    update(mu, sigma, n, cross, l, m, nu, mu_out, sigma_out, scratch);
-    PyMem_RawFree(scratch);
-    release_all(v);
-    Py_RETURN_NONE;
-fail:
-    release_all(v);
-    return NULL;
-}
-
-static PyObject *
-sigma_rows(PyObject *self, PyObject *args)
-{
-    PyObject *xo, *wmo, *wco, *qo, *ho, *ro, *meano, *covo, *yo, *so, *crosso;
-    Py_buffer v[MAX_VIEWS] = {{0}};
-    double *x, *wm, *wc, *q, *h, *r, *mean, *cov, *y_hat, *s, *cross, *scratch;
-    Py_ssize_t rows, n, m;
-
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO:sigma_rows", &xo, &wmo, &wco, &qo, &ho, &ro,
-                          &meano, &covo, &yo, &so, &crosso))
-        return NULL;
-    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0)
-        goto fail;
-    if (!x || v[0].shape[0] < 1 || v[0].shape[1] < 1) {
-        PyErr_SetString(PyExc_ValueError, "x must be a non-empty (M, n) array");
-        goto fail;
-    }
-    rows = v[0].shape[0];
-    n = v[0].shape[1];
-    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
-        goto fail;
-    m = h ? v[1].shape[0] : 0;
-    /* without h, r, y_hat, s and cross are not read */
-    if (get_shaped(wmo, &v[2], PyBUF_SIMPLE, 1, rows, -1, "wm", &wm) < 0
-        || get_shaped(wco, &v[3], PyBUF_SIMPLE, 1, rows, -1, "wc", &wc) < 0
-        || get_shaped(qo, &v[4], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
-        || get_shaped(h ? ro : Py_None, &v[5], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
-        || get_shaped(meano, &v[6], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
-        || get_shaped(covo, &v[7], PyBUF_WRITABLE, 2, n, n, "cov", &cov) < 0
-        || get_shaped(h ? yo : Py_None, &v[8], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
-        || get_shaped(h ? so : Py_None, &v[9], PyBUF_WRITABLE, 2, m, m, "s", &s) < 0
-        || get_shaped(h ? crosso : Py_None, &v[10], PyBUF_WRITABLE, 2, n, m, "cross", &cross) < 0)
-        goto fail;
-    if (!wm || !wc || !mean || !cov || (h && (m < 1 || !y_hat || !s || !cross))) {
-        PyErr_SetString(PyExc_ValueError, "wm, wc, mean, cov, and with h y_hat, s and cross, "
-                        "are required");
-        goto fail;
-    }
-    scratch = PyMem_RawMalloc((2 * rows * (n + m) + 1) * sizeof(double));
-    if (!scratch) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    sigma_pass(x, rows, n, wm, wc, q, h, m, r, mean, cov, y_hat, s, cross, scratch);
-    PyMem_RawFree(scratch);
-    release_all(v);
-    Py_RETURN_NONE;
-fail:
-    release_all(v);
-    return NULL;
-}
-
-static PyObject *
-ekf_rows(PyObject *self, PyObject *args)
-{
-    PyObject *propo, *sigmao, *qo, *ho, *ro, *covo, *yo, *so, *crosso;
-    Py_buffer v[MAX_VIEWS] = {{0}};
-    double *prop, *sigma, *q, *h, *r, *cov, *y_hat, *s, *cross, *scratch, eps;
-    Py_ssize_t n, m;
-
-    if (!PyArg_ParseTuple(args, "OdOOOOOOOO:ekf_rows", &propo, &eps, &sigmao, &qo, &ho, &ro,
-                          &covo, &yo, &so, &crosso))
-        return NULL;
-    if (get_shaped(propo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "prop", &prop) < 0)
-        goto fail;
-    n = prop ? v[0].shape[1] : 0;
-    if (n < 1 || v[0].shape[0] != 2 * n + 1) {
-        PyErr_SetString(PyExc_ValueError, "prop must be (2n + 1, n) with n >= 1");
-        goto fail;
-    }
-    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
-        goto fail;
-    m = h ? v[1].shape[0] : 0;
-    if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
-        || get_shaped(qo, &v[3], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
-        || get_shaped(ro, &v[4], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
-        || get_shaped(covo, &v[5], PyBUF_WRITABLE, 2, n, n, "cov", &cov) < 0
-        || get_shaped(yo, &v[6], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
-        || get_shaped(so, &v[7], PyBUF_WRITABLE, 2, m, m, "s", &s) < 0
-        || get_shaped(crosso, &v[8], PyBUF_WRITABLE, 2, n, m, "cross", &cross) < 0)
-        goto fail;
-    if (m < 1 || !sigma || !q || !r || !cov || !y_hat || !s || !cross) {
-        PyErr_SetString(PyExc_ValueError, "h with m >= 1 rows, sigma, q, r, cov, y_hat, s and "
-                        "cross are required");
-        goto fail;
-    }
-    scratch = PyMem_RawMalloc(2 * n * n * sizeof(double));
-    if (!scratch) {
-        PyErr_NoMemory();
-        goto fail;
-    }
-    ekf_pass(prop, n, eps, sigma, q, h, m, r, cov, y_hat, s, cross, scratch);
-    PyMem_RawFree(scratch);
-    release_all(v);
-    Py_RETURN_NONE;
-fail:
-    release_all(v);
-    return NULL;
-}
-
-static PyObject *
 points_rows(PyObject *self, PyObject *args)
 {
     PyObject *muo, *sigmao, *pointso;
@@ -1492,17 +1346,6 @@ static PyMethodDef methods[] = {
     {"factor_rows", factor_rows, METH_VARARGS,
      "factor_rows(a, bounds, nu, l)\n--\n\n"
      "Cholesky-factor each diagonal block of a into l; return each block's NIS."},
-    {"update_rows", update_rows, METH_VARARGS,
-     "update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)\n--\n\n"
-     "Write the Kalman update of (mu, sigma) from the Cholesky factor l of S."},
-    {"sigma_rows", sigma_rows, METH_VARARGS,
-     "sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross)\n--\n\n"
-     "Write the weighted mean and covariance of the point rows of x and, with h,\n"
-     "their measurement mean, measurement covariance and cross-covariance."},
-    {"ekf_rows", ekf_rows, METH_VARARGS,
-     "ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)\n--\n\n"
-     "Write the EKF's predicted covariance and measurement moments from its\n"
-     "propagated finite-difference stencil."},
     {"points_rows", points_rows, METH_VARARGS,
      "points_rows(mu, sigma, scale, points)\n--\n\n"
      "Write the sigma set mu, mu +- the columns of chol(scale sigma); False when\n"

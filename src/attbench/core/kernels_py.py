@@ -1,10 +1,14 @@
-"""Numpy fallback for the compiled kernels: the batched rigid-body RK4 step,
-the particle filter's two cloud passes, the Gaussian filters' moment passes
-(``sigma_moments`` for a sigma set, ``ekf_moments`` for the EKF's stencil),
-the Kalman step's Cholesky layer, and the Gaussian step's fused passes
-(``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
-``gauss_update_rows``), which call the entries above in the order the
-compiled passes run them.
+"""Numpy fallback for the compiled kernels, entry for entry: each public
+``*_rows`` function here is the ``_kernels_c`` entry of the same name and
+parameters. ``step_rows`` is the batched rigid-body RK4 step,
+``moments_rows`` and ``loglik_rows`` the particle filter's two cloud
+passes, ``factor_rows`` the Kalman step's Cholesky factor and NIS, and
+``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
+``gauss_update_rows`` the Gaussian step's fused passes, built from the
+private ``_sigma_rows``, ``_ekf_rows`` and ``_update_rows`` in the order the
+compiled passes run them. The ``checked_*`` functions validate arguments
+for ``attbench.core``'s wrappers and the Gaussian filters; the wrappers,
+not this module, are the kernel API.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
@@ -114,34 +118,6 @@ def step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames):
         step = _rk4_renormalized(tuple(out[:, j] for j in range(7)), *args)
         for j in range(7):
             out[:, j] = step[j]
-
-
-def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
-    """Advance a batch of [q, w, ...] states by one RK4 step.
-
-    Args:
-        states: (M, n) array, n >= 7. Columns 0..3 quaternion, 4..6 body
-            rates; any further columns (gyro bias states) pass through
-            unchanged.
-        dt: step, s.
-        ixx, iyy, izz: principal moments, kg m^2.
-        tx, ty, tz: constant body-frame torque over the step, N m.
-        frames: None (torque-free apart from the constant torque) or a
-            (3, 4) array of rows [ux, uy, uz, g] at t, t + dt/2 and t + dt:
-            the ECI radial unit vector and g = 3 mu / R^3, s^-2. Each RK4
-            stage then adds the gravity-gradient torque
-            g [(Izz-Iyy) c1 c2, (Ixx-Izz) c2 c0, (Iyy-Ixx) c0 c1], with
-            c = DCM(q_stage) u, to the constant torque.
-
-    Returns:
-        New (M, n) array; quaternions renormalized once, after the step.
-
-    Raises:
-        ValueError: on a states or frames shape other than the above.
-    """
-    out, frames = checked_batch(states, frames)
-    step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)
-    return out
 
 
 def fixed_sum(terms, axis=-1):
@@ -258,39 +234,6 @@ def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
         s[cols, upper] = terms
 
 
-def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
-                  quaternion=False, diagonal=False):
-    """Jitter a particle cloud in place and return its weighted moments.
-
-    Args:
-        cloud: (M, n) particles, M >= 1; jittered and renormalized in
-            place, so then a writable float64 C-contiguous array.
-        weights: (M,) particle weights, used as given (zeros allowed).
-        normals: None, or the (M, n) standard normals of the jitter.
-        root: (n, n) jitter root L; row i gets L @ normals[i] added. Read
-            only with ``normals``.
-        h: None (the moments of the states themselves) or a dense (m, n)
-            measurement matrix.
-        r: None or the (m, m) symmetric noise covariance added to S; only
-            its upper triangle is read.
-        quaternion: whether columns 0..3 are a quaternion to renormalize
-            after the jitter.
-        diagonal: return S's diagonal (m,) alone, which sums m, not
-            m (m + 1) / 2, products per particle.
-
-    Returns:
-        (mean (n,), y_hat (m,), S (m, m)): sum w_i x_i, sum w_i h x_i and
-        sum w_i dz_i dz_i' + r, each summed over the particles from row 0;
-        S is exactly symmetric. ``moments_rows`` gives the exact arithmetic.
-
-    Raises:
-        ValueError: see ``checked_moments``.
-    """
-    args = checked_moments(cloud, weights, normals, root, h, r, quaternion, diagonal)
-    moments_rows(*args)
-    return args[-3:]
-
-
 def checked_loglik(cloud, h, l, y):
     """The arguments of ``loglik_rows``, validated, and its output.
 
@@ -326,28 +269,6 @@ def loglik_rows(x, h, l, y, out):
         for vj in v:
             ss = ss + vj * vj
         out[:] = -0.5 * ss
-
-
-def cloud_loglik(cloud, h, l, y):
-    """Gaussian log-likelihood of a reading for each particle, up to a constant.
-
-    Args:
-        cloud: (M, n) particles.
-        h: (k, n) measurement rows.
-        l: (k, k) lower-triangular Cholesky factor of those rows' noise
-            covariance; only its lower triangle is read.
-        y: (k,) reading; non-finite entries give non-finite results.
-
-    Returns:
-        (M,) array of -0.5 |l^-1 (y - h x_i)|^2; ``loglik_rows`` gives the
-        exact arithmetic.
-
-    Raises:
-        ValueError: see ``checked_loglik``.
-    """
-    args = checked_loglik(cloud, h, l, y)
-    loglik_rows(*args)
-    return args[-1]
 
 
 def checked_factor(a, nu=None, bounds=None):
@@ -432,24 +353,6 @@ def factor_rows(a, bounds, nu, l):
     return tuple(nis)
 
 
-def checked_update(mu, sigma, cross, l, nu):
-    """The arguments of ``update_rows``, validated, and its two outputs.
-
-    Raises:
-        ValueError: ``mu`` is not a non-empty (n,), ``l`` not a non-empty
-            (m, m), or ``sigma``, ``cross`` and ``nu`` are not (n, n),
-            (n, m) and (m,).
-    """
-    mu = _doubles("mu", mu, 1)
-    l = _doubles("L", l, 2)
-    n, m = mu.shape[0], l.shape[0]
-    if n < 1 or m < 1 or l.shape != (m, m):
-        raise ValueError("mu and L must be non-empty (n,) and (m, m), got %r and %r"
-                         % (mu.shape, l.shape))
-    return (mu, _doubles("Sigma", sigma, 2, (n, n)), _doubles("C", cross, 2, (n, m)), l,
-            _doubles("nu", nu, 1, (m,)), np.empty(n), np.empty((n, n)))
-
-
 def _ordered_dot(a, b):
     """a[0] b[0] + a[1] b[1] + ..., summed from -0.0 in order."""
     acc = -0.0
@@ -458,7 +361,7 @@ def _ordered_dot(a, b):
     return acc
 
 
-def update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out):
+def _update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out):
     """The Kalman update from the lower-triangular Cholesky factor ``l`` of S.
 
     W = C L^-T: row r of W is ``_forward`` on row r of C; v = L^-1 nu
@@ -483,14 +386,6 @@ def update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out):
     sigma_out[:] = out
 
 
-def _lent(outs):
-    """Views of the fresh outputs ``outs`` (None stays None), to hand to a
-    kernel in their place: the filters keep some outputs (the EKF's S) in
-    every step's innovation record, and an array lent to C keeps numpy's
-    ~100 B of buffer info until it is freed."""
-    return tuple([None if out is None else out.view() for out in outs])
-
-
 def _skip_zero(coef, terms):
     """``terms`` with -0.0 where ``coef`` is exactly zero. Adding -0.0 leaves
     every sum unchanged, so a sum of the result is the sum that skips those
@@ -504,45 +399,13 @@ def _mirror(full, out):
     out[:] = np.where(np.tri(len(full), dtype=bool).T, full, full.T)
 
 
-def checked_sigma(points, wm, wc, q=None, h=None, r=None):
-    """The arguments of ``sigma_rows``, validated, and its outputs.
-
-    Returns:
-        (args, outs): ``args`` ends with views of ``outs``, which are
-        (mean, P, y_hat, S, C); the last three are None without ``h``.
-
-    Raises:
-        ValueError: ``points`` is not a non-empty (M, n) array, ``wm`` and
-            ``wc`` are not (M,), or ``q``, ``h`` or ``r`` do not fit it.
-    """
-    x = _doubles("points", points, 2)
-    rows, n = x.shape
-    if rows < 1 or n < 1:
-        raise ValueError("points must be a non-empty (M, n) array, got shape %r" % (x.shape,))
-    wm = _doubles("wm", wm, 1, (rows,))
-    wc = _doubles("wc", wc, 1, (rows,))
-    if q is not None:
-        q = _doubles("Q", q, 2, (n, n))
-    if h is not None:
-        h = _doubles("H", h, 2)
-        m = h.shape[0]
-        if m < 1 or h.shape[1] != n:
-            raise ValueError("H must be (m, %d) with m >= 1, got %r" % (n, h.shape))
-        if r is not None:
-            r = _doubles("R", r, 2, (m, m))
-        outs = (np.empty(n), np.empty((n, n)), np.empty(m), np.empty((m, m)), np.empty((n, m)))
-    else:
-        r = None
-        outs = (np.empty(n), np.empty((n, n)), None, None, None)
-    return (x, wm, wc, q, h, r) + _lent(outs), outs
-
-
-def sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
-    """The weighted moments of the point rows of x, over ``checked_sigma``
-    arguments: ``mean`` = sum wm_i x_i, then ``cov`` = sum wc_i dx_i dx_i' + q
-    with dx_i = x_i - mean (a None ``cov`` is skipped). With h: z_i = h x_i
-    (``_product``'s), ``y_hat`` = sum wm_i z_i, ``s`` = sum wc_i dz_i dz_i' + r
-    with dz_i = z_i - y_hat, and ``cross`` = sum wc_i dx_i dz_i'. Each sum
+def _sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
+    """The weighted moments of the (M, n) point rows of x, with the (M,) mean
+    weights wm and covariance weights wc: ``mean`` = sum wm_i x_i, then
+    ``cov`` = sum wc_i dx_i dx_i' + q with dx_i = x_i - mean (a None ``cov``
+    is skipped). With h: z_i = h x_i (``_product``'s), ``y_hat`` = sum wm_i
+    z_i, ``s`` = sum wc_i dz_i dz_i' + r with dz_i = z_i - y_hat, and
+    ``cross`` = sum wc_i dx_i dz_i'. Each sum
     runs over the points in row order from -0.0, each term is (wc_i du) dv;
     ``cov`` and ``s`` sum their upper triangle, with its q or r entries (None
     adds nothing), and mirror it, so both are exactly symmetric.
@@ -564,63 +427,10 @@ def sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
         cross[:] = fixed_sum(wdx[:, :, None] * dz[:, None, :], axis=0)
 
 
-def sigma_moments(points, wm, wc, q=None, h=None, r=None):
-    """Weighted moments of a point cloud, such as a UKF sigma set, whose
-    mean and covariance weights may differ.
-
-    Args:
-        points: (M, n) points, M >= 1.
-        wm, wc: (M,) mean and covariance weights, used as given (negative
-            and zero weights allowed).
-        q: None or the (n, n) symmetric matrix added to the covariance;
-            only its upper triangle is read.
-        h: None or a dense (m, n) measurement matrix.
-        r: None or the (m, m) symmetric noise covariance added to S; only
-            its upper triangle is read, and only with ``h``.
-
-    Returns:
-        (mean (n,), P (n, n), y_hat (m,), S (m, m), C (n, m)): sum wm_i x_i,
-        sum wc_i dx_i dx_i' + q about that mean, sum wm_i h x_i, sum wc_i
-        dz_i dz_i' + r and sum wc_i dx_i dz_i'; P and S are exactly
-        symmetric, and the last three are None without ``h``.
-        ``sigma_rows`` gives the exact arithmetic.
-
-    Raises:
-        ValueError: see ``checked_sigma``.
-    """
-    args, outs = checked_sigma(points, wm, wc, q, h, r)
-    sigma_rows(*args)
-    return outs
-
-
-def checked_ekf(prop, eps, sigma, q, h, r):
-    """The arguments of ``ekf_rows``, validated, and its outputs.
-
-    Returns:
-        (args, outs): ``args`` ends with views of ``outs``, which are
-        (P, y_hat, S, C).
-
-    Raises:
-        ValueError: ``prop`` is not (2n + 1, n) with n >= 1, ``h`` not
-            (m, n) with m >= 1, or ``sigma``, ``q`` and ``r`` are not (n, n),
-            (n, n) and (m, m).
-    """
-    prop = _doubles("prop", prop, 2)
-    n = prop.shape[1]
-    if n < 1 or len(prop) != 2 * n + 1:
-        raise ValueError("prop must be (2n + 1, n) with n >= 1, got %r" % (prop.shape,))
-    h = _doubles("H", h, 2)
-    m = h.shape[0]
-    if m < 1 or h.shape[1] != n:
-        raise ValueError("H must be (m, %d) with m >= 1, got %r" % (n, h.shape))
-    outs = (np.empty((n, n)), np.empty(m), np.empty((m, m)), np.empty((n, m)))
-    return (prop, float(eps), _doubles("Sigma", sigma, 2, (n, n)), _doubles("Q", q, 2, (n, n)),
-            h, _doubles("R", r, 2, (m, m))) + _lent(outs), outs
-
-
-def ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
-    """The EKF's predicted covariance and measurement moments over
-    ``checked_ekf`` arguments.
+def _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
+    """The EKF's predicted covariance and measurement moments from its
+    (2n + 1, n) stencil ``prop`` after one propagation step: the mean, then
+    the mean with +eps on each state in turn, then with -eps.
 
     The Jacobian is a[i, j] = (prop[1 + j, i] - prop[1 + n + j, i]) / (2 eps).
     ``cov`` = a sigma a' + q: t = a sigma sums a[i, j] sigma[j, c] over j,
@@ -645,81 +455,6 @@ def ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
         cross[:] = fixed_sum(_skip_zero(coef, cov.T[:, :, None] * coef), axis=0)
         coef = ht[:, :, None]
         _mirror(fixed_sum(_skip_zero(coef, coef * cross[:, None, :]), axis=0) + r, s)
-
-
-def ekf_moments(prop, eps, sigma, q, h, r):
-    """The EKF's predicted covariance and measurement moments from its
-    propagated finite-difference stencil.
-
-    Args:
-        prop: (2n + 1, n) stencil after one propagation step: the mean, then
-            the mean with +eps on each state in turn, then with -eps.
-        eps: the stencil's step.
-        sigma: (n, n) covariance before the step.
-        q: (n, n) symmetric process noise; only its upper triangle is read.
-        h: dense (m, n) measurement matrix.
-        r: (m, m) symmetric measurement noise; only its upper triangle is
-            read.
-
-    Returns:
-        (P (n, n), y_hat (m,), S (m, m), C (n, m)): a sigma a' + q with the
-        central-difference Jacobian a, h prop[0], h P h' + r and P h'; P and S
-        are exactly symmetric. ``ekf_rows`` gives the exact arithmetic.
-
-    Raises:
-        ValueError: see ``checked_ekf``.
-    """
-    args, outs = checked_ekf(prop, eps, sigma, q, h, r)
-    ekf_rows(*args)
-    return outs
-
-
-def cholesky(a):
-    """Lower-triangular L with L L' = a, by ``factor_rows``'s arithmetic.
-
-    Raises:
-        ValueError: see ``checked_factor`` and ``factor_rows``.
-    """
-    a, bounds, _, l = checked_factor(a)
-    factor_rows(a, bounds, None, l)
-    return l
-
-
-def nis(a, nu):
-    """(NIS, L): the normalized innovation squared nu' a^-1 nu = |L^-1 nu|^2
-    and the Cholesky factor L of ``a`` it came from (``factor_rows``).
-
-    Raises:
-        ValueError: see ``checked_factor`` and ``factor_rows``.
-    """
-    a, bounds, nu, l = checked_factor(a, nu)
-    return factor_rows(a, bounds, nu, l)[0], l
-
-
-def block_nis(a, nu, bounds):
-    """The NIS of each diagonal block [start, stop) of ``a`` that the flat
-    ``bounds`` lists, over the same rows of ``nu``, as a tuple of floats;
-    the blocks may overlap, and need not cover every row.
-
-    Raises:
-        ValueError: see ``checked_factor`` and ``factor_rows``.
-    """
-    return factor_rows(*checked_factor(a, nu, bounds))
-
-
-def kalman_update(mu, sigma, cross, l, nu):
-    """(mu', Sigma') of the Kalman update with innovation ``nu``,
-    state/reading cross-covariance ``cross`` (C, (n, m)) and the
-    lower-triangular Cholesky factor ``l`` of the innovation covariance S:
-    mu + C S^-1 nu and Sigma - C S^-1 C', with Sigma' exactly symmetric.
-    ``update_rows`` gives the exact arithmetic.
-
-    Raises:
-        ValueError: see ``checked_update``.
-    """
-    args = checked_update(mu, sigma, cross, l, nu)
-    update_rows(*args)
-    return args[-2:]
 
 
 def checked_gaussian(q, h, r):
@@ -780,7 +515,7 @@ def points_rows(mu, sigma, scale, points):
 
 
 def ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l):
-    """The EKF's assess pass: ``ekf_rows`` into cov, s and cross, then
+    """The EKF's assess pass: ``_ekf_rows`` into cov, s and cross, then
     ``nu`` = ``aligned``(y, prop[0], blocks) - y_hat, then the factor of S
     into the lower triangle of ``l``; returns the NIS |l^-1 nu|^2
     (``factor_rows``).
@@ -789,7 +524,7 @@ def ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l):
         ValueError: S is not positive definite.
     """
     y_hat = np.empty(len(h))
-    ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)
+    _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)
     nu[:] = aligned(y, prop[0], blocks) - y_hat
     return factor_rows(s, (0, len(s)), nu, l)[0]
 
@@ -797,11 +532,11 @@ def ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l):
 def ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov, points, s, s_det,
                     cross, nu):
     """The UKF's assess pass. With the propagated set ``prop`` (and
-    ``points`` None): ``sigma_rows`` with q into ``mean`` and ``cov``, then
+    ``points`` None): ``_sigma_rows`` with q into ``mean`` and ``cov``, then
     the set ``points_rows`` regenerates about them with ``scale``; None
     when it cannot (scale cov is not positive definite), with mean and cov
     written. With ``prop`` None, ``points`` is that set and mean holds the
-    predicted mean. Then ``sigma_rows`` of the set with h and r into s and
+    predicted mean. Then ``_sigma_rows`` of the set with h and r into s and
     cross (C about the set's own mean), ``s_det`` = s + r_det r, ``nu`` =
     ``aligned``(y, mean, blocks) - y_hat, and the NIS of S_det, which it
     returns (``factor_rows``).
@@ -810,12 +545,12 @@ def ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov, p
         ValueError: S_det is not positive definite.
     """
     if prop is not None:
-        sigma_rows(prop, wm, wc, q, None, None, mean, cov, None, None, None)
+        _sigma_rows(prop, wm, wc, q, None, None, mean, cov, None, None, None)
         points = np.empty(prop.shape)
         if not points_rows(mean, cov, scale, points):
             return None
     y_hat = np.empty(len(h))
-    sigma_rows(points, wm, wc, None, h, r, np.empty(len(mean)), None, y_hat, s, cross)
+    _sigma_rows(points, wm, wc, None, h, r, np.empty(len(mean)), None, y_hat, s, cross)
     s_det[:] = s + r_det * r
     nu[:] = aligned(y, mean, blocks) - y_hat
     return factor_rows(s_det, (0, len(s_det)), nu, np.zeros(s_det.shape))[0]
@@ -825,7 +560,7 @@ def gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigm
     """The Gaussian step's update pass: on the rows the tuple ``rows`` lists
     (None: every row), gather S, C and nu, factor that S by ``factor_rows``
     (unless every row is used and ``l``, its factor, is given) and write
-    ``update_rows`` into mu_out and sigma_out; with no rows, copy mu and
+    ``_update_rows`` into mu_out and sigma_out; with no rows, copy mu and
     sigma. Then, with ``quaternion``, renormalize mu_out's columns 0..3.
 
     Raises:
@@ -841,6 +576,6 @@ def gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigm
         if l is None:
             l = np.zeros(s.shape)
             factor_rows(s, (0, len(s)), None, l)
-        update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)
+        _update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)
     if quaternion:
         _unit_quaternions(mu_out[None])

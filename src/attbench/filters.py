@@ -25,9 +25,10 @@ cross-covariance C). A step is the model's ``propagate`` plus two fused
 passes of the active ``attbench.core`` backend (three for the UKF, whose
 first writes the sigma set), called with operands each filter checked once,
 when it was built. Before the ``decide`` hook, the assess pass forms the
-moments (the EKF's as ``ekf_moments`` forms them from the propagated
-stencil, the UKF's as ``sigma_moments`` does before and after the sigma
-set's regeneration), the aligned innovation and the record's NIS; after
+moments (the EKF's from the propagated stencil through its
+central-difference Jacobian, the UKF's as weighted sums over the sigma set
+before and after its regeneration), the aligned innovation and the
+record's NIS; after
 it, the update pass takes the row subset, factors S on it and runs the
 Kalman update. Every sum runs in a fixed order, skips the terms whose H (or
 Jacobian) coefficient is zero, and each covariance sums its upper triangle
@@ -35,10 +36,10 @@ and mirrors it. S is factored by the fixed-order Cholesky of
 ``attbench.core``: NIS = |L^-1 nu|^2, W = C L^-T, mu + W L^-1 nu and
 Sigma - W W', exactly symmetric; the EKF's record and a full-row update
 share that one factor. No LAPACK or BLAS kernel choice reaches any part of
-the Gaussian step, and each fused pass has the bits of the chain of public
-kernels it replaced (``ekf_moments`` or ``sigma_moments``, ``align``,
-``nis``, ``cholesky``, ``kalman_update`` and ``normalize_rows``). The
-particle filter reweights particles instead. Its
+the Gaussian step, and each fused pass has the bits of the same chain run
+one kernel at a time (the moments, ``align``, ``nis``, ``cholesky``, the
+Kalman update and ``normalize_rows``). The particle filter reweights
+particles instead. Its
 per-particle arithmetic (jitter, renormalization, the predicted reading,
 the moments and the log-likelihood) runs in two compiled passes of
 ``attbench.core``, whose every sum over the particles has a fixed order,

@@ -219,8 +219,8 @@ class ScenarioConfig:
         if self.seed < 0:
             raise FieldError("seed", "must be nonnegative")
         rigid_body_params(self.dt, self.principal)
-        if not self.t_end > 0.0:
-            raise FieldError("t_end", "must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise FieldError("t_end", "must be finite and positive, got %r" % (self.t_end,))
         if self.t_end / self.dt < 1.0:
             raise FieldError("t_end", "must cover at least one step")
         check_filter_kind(self.filter_kind)

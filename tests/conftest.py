@@ -1,10 +1,14 @@
-"""Shared fixtures: memoized scenario runs and a small linear test system."""
+"""Shared fixtures: memoized scenario runs, a small linear test system, and
+the kernel backends."""
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from attbench import core
+from attbench.core import kernels_py
 from attbench.filters import FilterConfig, LinearProcessModel, StackedMeasurement
 from attbench.runner import run_scenario
 from attbench.scenario import load_bundled
@@ -68,3 +72,26 @@ def noisy_calibration_scenario():
     gy = replace(cal.gyro, sigma=cal.gyro.sigma * np.sqrt(10.0))
     rb = {k: tuple(np.asarray(v) * 10.0) for k, v in cal.r_blocks.items()}
     return replace(cal, star_tracker=st, magnetometer=mm, gyro=gy, r_blocks=rb)
+
+
+@contextmanager
+def fallback_backend():
+    """``attbench.core`` and every filter built or stepped inside the block
+    run on the numpy fallback: ``core._kernels`` is ``kernels_py``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_kernels", kernels_py)
+        yield
+
+
+def on_each_backend(fn, *args):
+    """(fn(*args) on the active backend, fn(*args) on the fallback)."""
+    active = fn(*args)
+    with fallback_backend():
+        return active, fn(*args)
+
+
+@pytest.fixture(params=["active", "python"])
+def backend(request):
+    """Runs a test on the active backend, then again on the fallback."""
+    with fallback_backend() if request.param == "python" else nullcontext():
+        yield

@@ -56,6 +56,12 @@ def test_estimate_on_euler_scenario_is_a_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_infinite_horizon_is_a_config_error(tmp_path, capsys):
+    code = main(["estimate", "zero_noise", "-o", str(tmp_path / "x.csv"), "--t-end", "inf"])
+    assert code == 1
+    assert "configuration error: t_end:" in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
     code = main(["estimate", "warp_drive", "-o", str(tmp_path / "x.csv")])
     assert code == 1

@@ -19,7 +19,7 @@ from attbench.runner import run_scenario
 from attbench.scenario import load_bundled
 from attbench.sensors import make_layout
 
-from conftest import make_linear_problem
+from conftest import fallback_backend, make_linear_problem
 
 R_BLOCKS = {"star_tracker": (0.001,) * 4, "magnetometer": (0.01,) * 4,
             "gyro": (2.5e-5,) * 3}
@@ -246,28 +246,34 @@ def test_gaussian_step_keeps_a_unit_quaternion_and_a_psd_covariance(kind, bias, 
 
 
 def chain_step(filt, belief, y, t, decide):
-    """The Gaussian step as the chain of public kernels that the fused
-    passes replaced: the EKF's per-column stencil and ``ekf_moments``, or
-    ``ukf_sigma_points`` and ``sigma_moments`` before and after the sigma
-    set's regeneration; then ``align``, ``nis``, the hook, ``cholesky`` of
-    the rows kept, ``kalman_update`` and ``normalize_rows``."""
+    """The Gaussian step as the chain of kernels that the fused passes run,
+    one call at a time: the EKF's per-column stencil and the fallback's
+    ``_ekf_rows``, or ``ukf_sigma_points`` and ``_sigma_rows`` before and
+    after the sigma set's regeneration; then ``align``, ``nis``, the hook,
+    ``cholesky`` of the rows kept, ``_update_rows`` and ``normalize_rows``."""
     cfg, model, meas = filt.cfg, filt.model, filt.meas
     start = t - model.dt
+    n, m = model.dim, meas.dim
+    sigma, y_hat, s, cross = np.empty((n, n)), np.empty(m), np.empty((m, m)), np.empty((n, m))
     if filt.source == "ekf":
-        n, eps = model.dim, cfg.fd_eps
+        eps = cfg.fd_eps
         batch = np.array([belief.mu] * (2 * n + 1))
         for j in range(n):
             batch[1 + j, j] = belief.mu[j] + eps
             batch[1 + n + j, j] = belief.mu[j] - eps
         prop = model.propagate(batch, start)
-        sigma, y_hat, s, cross = core.ekf_moments(prop, eps, belief.sigma, cfg.Q, meas.H, meas.R)
+        kernels_py._ekf_rows(prop, eps, belief.sigma, cfg.Q, meas.H, meas.R, sigma, y_hat, s,
+                             cross)
         mu, s_record = prop[0], s
     else:
         ut = (cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
         pts, wm, wc = flt.ukf_sigma_points(belief.mu, belief.sigma, *ut)
-        mu, sigma = core.sigma_moments(model.propagate(pts, start), wm, wc, cfg.Q)[:2]
+        mu = np.empty(n)
+        kernels_py._sigma_rows(model.propagate(pts, start), wm, wc, cfg.Q, None, None, mu, sigma,
+                               None, None, None)
         pts, wm, wc = flt.ukf_sigma_points(mu, sigma, *ut)
-        y_hat, s, cross = core.sigma_moments(pts, wm, wc, h=meas.H, r=meas.R)[2:]
+        kernels_py._sigma_rows(pts, wm, wc, None, meas.H, meas.R, np.empty(n), None, y_hat, s,
+                               cross)
         s_record = s + cfg.ukf_detector_r * meas.R
     nu = meas.align(y, mu) - y_hat
     nis, l = core.nis(s_record, nu)
@@ -282,8 +288,9 @@ def chain_step(filt, belief, y, t, decide):
     if rows.size < meas.dim or s is not s_record:
         s, cross, nu = s[np.ix_(rows, rows)], cross[:, rows], nu[rows]
         l = core.cholesky(s)
-    mu, sigma = core.kalman_update(mu, sigma, cross, l, nu)
-    return flt.GaussianBelief(model.normalize_rows(mu), sigma), record
+    mu_new, sigma_new = np.empty(n), np.empty((n, n))
+    kernels_py._update_rows(mu, sigma, cross, l, nu, mu_new, sigma_new)
+    return flt.GaussianBelief(model.normalize_rows(mu_new), sigma_new), record
 
 
 def step_bytes(step, *args):
@@ -347,8 +354,9 @@ def gaussian_steps(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(gaussian_steps())
 def test_fused_gaussian_step_is_the_chain_of_public_kernels(case):
-    """A step through the fused passes has the bytes of the chain of public
-    kernels it replaced (estimate, covariance, nu, S and NIS), or raises the
+    """A step through the fused passes has the bytes of ``chain_step``, the
+    same kernels called one at a time (estimate, covariance, nu, S and
+    NIS), or raises the
     same error, on the active backend and on the fallback, under every
     answer of the hook, with NaN reading rows, ukf_detector_r 0 or 1, 7 and
     10 states, the linear test model, and a belief or predicted Sigma that
@@ -358,13 +366,12 @@ def test_fused_gaussian_step_is_the_chain_of_public_kernels(case):
     decide = lambda record: decision  # noqa: E731
     want = step_bytes(chain_step, filt, belief, y, 1.0, decide)
     assert step_bytes(filt.step, belief, y, 1.0, decide) == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_kernels", kernels_py)
+    with fallback_backend():
         assert step_bytes(flt.make_filter(kind, cfg).step, belief, y, 1.0, decide) == want
 
 
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
-def test_fused_steps_align_the_reading_in_order(kind, monkeypatch):
+def test_fused_steps_align_the_reading_in_order(kind):
     """The assess passes pick a quaternion block's hemisphere as ``align``
     does, on the hand case of ``test_align_sums_the_hemisphere_dot_product_in_order``:
     a step's nu is that of the chain on both backends. The EKF predicts
@@ -381,17 +388,14 @@ def test_fused_steps_align_the_reading_in_order(kind, monkeypatch):
     want = step_bytes(chain_step, filt, belief, y, 1.0, decide)
     assert (np.frombuffer(want[2])[0] < 0.0) == (kind == "ekf")  # the block was flipped
     assert step_bytes(filt.step, belief, y, 1.0, decide) == want
-    monkeypatch.setattr(core, "_kernels", kernels_py)
-    assert step_bytes(flt.make_filter(kind, cfg).step, belief, y, 1.0, decide) == want
+    with fallback_backend():
+        assert step_bytes(flt.make_filter(kind, cfg).step, belief, y, 1.0, decide) == want
 
 
-@pytest.mark.parametrize("fallback", [False, True], ids=["active", "python"])
-def test_the_fused_step_cases_reach_the_clamped_eigh_sets(fallback, monkeypatch):
+def test_the_fused_step_cases_reach_the_clamped_eigh_sets(backend, monkeypatch):
     """The cases above take the UKF's clamped-eigh sigma sets: a belief
     ``short_of_psd`` before the step, and the singular linear system at the
     regeneration."""
-    if fallback:
-        monkeypatch.setattr(core, "_kernels", kernels_py)
     clamped = []
     root = flt._clamped_root
     monkeypatch.setattr(flt, "_clamped_root", lambda m: clamped.append(len(m)) or root(m))

@@ -19,6 +19,8 @@ from attbench.attitude import normalize
 from attbench.core import kernels_py
 from attbench.sensors import make_layout
 
+from conftest import fallback_backend, on_each_backend
+
 INERTIA = (2.0, 3.0, 4.0)
 
 
@@ -57,11 +59,11 @@ GG_FRAMES = [[0.36, -0.48, 0.8, 0.5], [0.48, 0.6, -0.64, 0.45], [-0.6, 0.64, 0.4
 GG_INERTIA = (2.3, 3.1, 4.7)
 
 
-def pf_pass_digest(kernels):
-    """Digest of both particle-filter cloud passes of ``kernels`` (the
-    ``attbench.core`` module) on 1000-, 21- and 15-row clouds of 10, 7 and 2
-    states: dense H and root with zero entries, zero weights, the S diagonal
-    alone, and a reading with a non-finite entry on a used row."""
+def pf_pass_digest():
+    """Digest of both particle-filter cloud passes of the active backend on
+    1000-, 21- and 15-row clouds of 10, 7 and 2 states: dense H and root
+    with zero entries, zero weights, the S diagonal alone, and a reading with
+    a non-finite entry on a used row."""
     digest = hashlib.sha256()
     for rows, n in ((1000, 10), (21, 7), (15, 2)):
         rng = np.random.default_rng(rows)
@@ -74,15 +76,15 @@ def pf_pass_digest(kernels):
         a = rng.standard_normal((m, m))
         r = a @ a.T + m * np.eye(m)
         root = np.tril(rng.standard_normal((n, n)))
-        moments = kernels.cloud_moments(cloud, w, rng.standard_normal((rows, n)), root, h, r,
-                                        n >= 4)
-        diagonal = kernels.cloud_moments(cloud, w, h=h, diagonal=True)
+        moments = core.cloud_moments(cloud, w, rng.standard_normal((rows, n)), root, h, r,
+                                     n >= 4)
+        diagonal = core.cloud_moments(cloud, w, h=h, diagonal=True)
         used = np.flatnonzero(np.arange(m) % 3 != 1)
         l = np.linalg.cholesky(r[np.ix_(used, used)])
         y = rng.standard_normal(len(used))
-        finite = kernels.cloud_loglik(cloud, h[used], l, y)
+        finite = core.cloud_loglik(cloud, h[used], l, y)
         y[-1] = np.inf
-        for out in (cloud, *moments, *diagonal, finite, kernels.cloud_loglik(cloud, h[used], l, y)):
+        for out in (cloud, *moments, *diagonal, finite, core.cloud_loglik(cloud, h[used], l, y)):
             digest.update(out.tobytes())
     return digest.hexdigest()
 
@@ -101,16 +103,20 @@ def filter_run_digest():
     return digest.hexdigest()
 
 
-def cholesky_outputs(kernels, s, nu, bounds, rows, mu, sigma, cross):
-    """Every output of the Cholesky layer of ``kernels`` (``attbench.core``
-    or the fallback) on one draw: the factor and NIS of S, the block NIS,
-    and the Kalman update on all rows and on the row subset, each from
-    its own factor."""
-    nis, l = kernels.nis(s, nu)
-    sub = kernels.cholesky(s[np.ix_(rows, rows)])
-    return (l, nis, kernels.block_nis(s, nu, bounds), kernels.cholesky(s), sub,
-            *kernels.kalman_update(mu, sigma, cross, l, nu),
-            *kernels.kalman_update(mu, sigma, cross[:, rows], sub, nu[rows]))
+def cholesky_outputs(s, nu, bounds, rows, mu, sigma, cross):
+    """Every output of the Cholesky layer of the active backend on one draw:
+    the factor and NIS of S, the block NIS, the factor of the row subset,
+    and the update pass (``gauss_update_rows``, as the filters call it) on
+    all rows with the record's factor, and on the row subset, which it
+    factors itself."""
+    nis, l = core.nis(s, nu)
+    outs = [l, nis, core.block_nis(s, nu, bounds), core.cholesky(s),
+            core.cholesky(s[np.ix_(rows, rows)])]
+    for factor, used in ((l, None), (None, tuple(rows.tolist()))):
+        new = [np.empty(len(mu)), np.empty((len(mu), len(mu)))]
+        core._kernels.gauss_update_rows(mu, sigma, cross, s, factor, nu, used, False, *new)
+        outs += new
+    return tuple(outs)
 
 
 def cholesky_inputs_fixed(m, n, seed):
@@ -129,12 +135,12 @@ def cholesky_inputs_fixed(m, n, seed):
             rng.standard_normal(n), 0.5 * (sigma + sigma.T), rng.standard_normal((n, m)))
 
 
-def cholesky_digest(kernels):
-    """Digest of the Cholesky layer of ``kernels`` on the attitude suite's
-    11 rows with 10 and 7 states, and on a 1-row reading of 1 state."""
+def cholesky_digest():
+    """Digest of the Cholesky layer of the active backend on the attitude
+    suite's 11 rows with 10 and 7 states, and on a 1-row reading of 1 state."""
     digest = hashlib.sha256()
     for m, n in ((11, 10), (11, 7), (1, 1)):
-        for out in cholesky_outputs(kernels, *cholesky_inputs_fixed(m, n, m + n)):
+        for out in cholesky_outputs(*cholesky_inputs_fixed(m, n, m + n)):
             digest.update(np.asarray(out).tobytes())
     return digest.hexdigest()
 
@@ -168,7 +174,7 @@ BUILD_PROBE = textwrap.dedent("""
     inspect.getsource(pf_pass_digest), inspect.getsource(filter_run_digest),
     inspect.getsource(cholesky_outputs), inspect.getsource(cholesky_inputs_fixed),
     inspect.getsource(cholesky_digest),
-    "print(pf_pass_digest(core))", "print(filter_run_digest())", "print(cholesky_digest(core))"])
+    "print(pf_pass_digest())", "print(filter_run_digest())", "print(cholesky_digest())"])
 
 
 @pytest.mark.skipif(not SETUP_PY.is_file(), reason="no setup.py in the checkout")
@@ -211,24 +217,23 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
         assert backend == ("python" if opted_out(value) else "compiled")
         digests.add(tuple(digest))
     assert digests == {(trajectory_digest(), filter_batch_digest(), gg_batch_digest(),
-                        pf_pass_digest(core), filter_run_digest(), cholesky_digest(core))}
+                        pf_pass_digest(), filter_run_digest(), cholesky_digest())}
 
 
 def test_python_kernel_matches_active_backend_bitwise():
-    states = batch_states()
-    a = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
-    b = kernels_py.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
+    a, b = on_each_backend(core.rk4_step_batch, batch_states(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
     assert np.array_equal(a, b)
 
 
 def test_python_kernel_row_loop_matches_column_path_bitwise():
     states = batch_states(rows=2 * kernels_py.ROW_LOOP_MAX, cols=9)
-    for inertia, frames in ((INERTIA, None), (GG_INERTIA, GG_FRAMES)):
-        whole = kernels_py.rk4_step_batch(states, 0.1, *inertia, 0.5, -0.2, 0.1, frames)
-        rows = np.vstack([kernels_py.rk4_step_batch(states[i:i + 1], 0.1, *inertia, 0.5, -0.2, 0.1,
-                                                    frames)
-                          for i in range(len(states))])
-        assert np.array_equal(whole, rows)
+    with fallback_backend():
+        for inertia, frames in ((INERTIA, None), (GG_INERTIA, GG_FRAMES)):
+            whole = core.rk4_step_batch(states, 0.1, *inertia, 0.5, -0.2, 0.1, frames)
+            rows = np.vstack([core.rk4_step_batch(states[i:i + 1], 0.1, *inertia, 0.5, -0.2, 0.1,
+                                                  frames)
+                              for i in range(len(states))])
+            assert np.array_equal(whole, rows)
 
 
 # g = 3 mu / R^3 from a 6500 km to a geostationary orbit radius, s^-2
@@ -286,12 +291,10 @@ def cholesky_inputs(draw):
 @given(kernel_inputs(), cholesky_inputs())
 def check_backend_parity(args, cholesky_args):
     states, dt, inertia, torque, frames = args
-    active = core.rk4_step_batch(states, dt, *inertia, *torque, frames)
-    fallback = kernels_py.rk4_step_batch(states, dt, *inertia, *torque, frames)
+    active, fallback = on_each_backend(core.rk4_step_batch, states, dt, *inertia, *torque, frames)
     assert np.array_equal(active, fallback)
     assert np.array_equal(active[:, 7:], states[:, 7:])
-    for a, b in zip(cholesky_outputs(core, *cholesky_args),
-                    cholesky_outputs(kernels_py, *cholesky_args)):
+    for a, b in zip(*on_each_backend(cholesky_outputs, *cholesky_args), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -371,14 +374,15 @@ def assert_within(got, want, scale):
 def check_cloud_passes(args):
     cloud, weights, normals, root, h, r, quaternion, used, y = args
     x_ref, mean_ref, y_hat_ref, s_ref, l, loglik_ref = numpy_reference(*args)
-    outs = []
-    for kernels in (core, kernels_py):
+
+    def passes():
         x = cloud.copy()
-        moments = kernels.cloud_moments(x, weights, normals, root, h, r, quaternion)
-        spread = kernels.cloud_moments(x, weights, h=h, r=r, diagonal=True)[2]
-        loglik = kernels.cloud_loglik(x, h[used], l, y[used])
-        outs.append((x, *moments, spread, loglik))
-    for a, b in zip(*outs):
+        moments = core.cloud_moments(x, weights, normals, root, h, r, quaternion)
+        spread = core.cloud_moments(x, weights, h=h, r=r, diagonal=True)[2]
+        loglik = core.cloud_loglik(x, h[used], l, y[used])
+        return (x, *moments, spread, loglik)
+    outs = on_each_backend(passes)
+    for a, b in zip(*outs, strict=True):
         assert np.array_equal(a, b, equal_nan=True)
     x, mean, y_hat, s, spread, loglik = outs[0]
     assert np.array_equal(s, s.T)
@@ -425,8 +429,8 @@ def assert_relative(got, want, scale):
 @given(cholesky_inputs())
 def check_cholesky_kernels(args):
     s, nu, bounds, rows, mu, sigma, cross = args
-    outs = cholesky_outputs(core, *args)
-    for a, b in zip(outs, cholesky_outputs(kernels_py, *args)):
+    outs, fallback = on_each_backend(cholesky_outputs, *args)
+    for a, b in zip(outs, fallback, strict=True):
         assert np.array_equal(a, b)
     l, nis, block, l_again, sub, mu_all, sigma_all, mu_rows, sigma_rows = outs
 
@@ -452,7 +456,7 @@ def check_cholesky_kernels(args):
 
 
 def test_cholesky_kernels_agree_bitwise_and_match_numpy():
-    """Property: the Cholesky factor, NIS, block NIS and Kalman update give
+    """Property: the Cholesky factor, NIS, block NIS and the update pass give
     the same bits on the active backend and the fallback, Sigma' is exactly
     symmetric, and each agrees with the np.linalg formula it replaced
     within 1e-12 of the size of its terms. Without the compiled backend
@@ -503,21 +507,37 @@ def gaussian_inputs(draw):
     return points, wm, wc, prop, eps, sigma, q, h, r
 
 
-def gaussian_outputs(kernels, points, wm, wc, prop, eps, sigma, q, h, r):
-    """Every output of the moment passes of ``kernels`` on one draw: the
-    sigma set's moments with Q and no H, with H and R and no Q, and the
-    EKF's moments from its stencil."""
-    return (*kernels.sigma_moments(points, wm, wc, q)[:2],
-            *kernels.sigma_moments(points, wm, wc, h=h, r=r),
-            *kernels.ekf_moments(prop, eps, sigma, q, h, r))
+def gaussian_outputs(points, wm, wc, prop, eps, sigma, q, h, r):
+    """Every moment of one draw as the assess passes of the active backend
+    write it: the UKF pass with ``points`` as the propagated set, with Q and
+    with a zero Q (the mean and P), then with ``points`` as the given set
+    (y_hat, and S and C about the set's own mean), and the EKF pass on its
+    stencil (P, y_hat, S and C). The reading is zero with no hemisphere
+    blocks, so each y_hat is -nu."""
+    n, m = len(sigma), len(h)
+    e = np.empty
+    outs = []
+    for q_used in (q, np.zeros((n, n))):
+        mean, cov = e(n), e((n, n))
+        core._kernels.ukf_assess_rows(points, wm, wc, q_used, 1.0, h, r, 1.0, (), np.zeros(m),
+                                      mean, cov, None, e((m, m)), e((m, m)), e((n, m)), e(m))
+        outs += [mean, cov]
+    s, cross, nu = e((m, m)), e((n, m)), e(m)
+    core._kernels.ukf_assess_rows(None, wm, wc, q, 1.0, h, r, 1.0, (), np.zeros(m), np.zeros(n),
+                                  np.zeros((n, n)), points, s, e((m, m)), cross, nu)
+    outs += [-nu, s, cross]
+    cov, s, cross, nu = e((n, n)), e((m, m)), e((n, m)), e(m)
+    core._kernels.ekf_assess_rows(prop, eps, sigma, q, h, r, (), np.zeros(m), cov, s, cross, nu,
+                                  np.zeros((m, m)))
+    return (*outs, cov, -nu, s, cross)
 
 
 @settings(max_examples=150, deadline=None)
 @given(gaussian_inputs())
 def check_gaussian_moments(args):
     points, wm, wc, prop, eps, sigma, q, h, r = args
-    outs = gaussian_outputs(core, *args)
-    for a, b in zip(outs, gaussian_outputs(kernels_py, *args), strict=True):
+    outs, fallback = on_each_backend(gaussian_outputs, *args)
+    for a, b in zip(outs, fallback, strict=True):
         assert a.tobytes() == b.tobytes()  # signs of zeros included
     mean_q, p_q, mean, p, y_hat, s, cross, p_ekf, y_ekf, s_ekf, cross_ekf = outs
     for sym in (p_q, p, s, p_ekf, s_ekf):
@@ -554,59 +574,16 @@ def check_gaussian_moments(args):
 
 
 def test_gaussian_moment_passes_agree_bitwise_and_match_numpy():
-    """Property: the sigma-set and EKF moment passes give the same bits on
-    the active backend and the fallback, every covariance they return is
-    exactly symmetric, Q adds to P alone, and each output agrees with the
-    BLAS formula it replaced within 1e-12 of the size of its terms. Without
-    the compiled backend both sides are the fallback, which the warning
-    states."""
+    """Property: the moments of the UKF's and EKF's assess passes have the
+    same bits on the active backend and the fallback, every covariance they
+    write is exactly symmetric, Q adds to P alone, and each output agrees
+    with the BLAS formula it replaced within 1e-12 of the size of its terms.
+    Without the compiled backend both sides are the fallback, which the
+    warning states."""
     if core.BACKEND != "compiled":
         warnings.warn("compiled kernel absent: moment-pass parity compares the numpy "
                       "fallback with itself", stacklevel=1)
     check_gaussian_moments()
-
-
-@pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
-def test_gaussian_moment_passes_reject_bad_arguments(kernels):
-    points, w, q, h, r = np.ones((5, 2)), np.full(5, 0.2), np.eye(2), np.ones((3, 2)), np.eye(3)
-    for bad in (np.ones(5), np.ones((0, 2)), np.ones((5, 0))):
-        with pytest.raises(ValueError, match="points"):
-            kernels.sigma_moments(bad, w, w)
-    for args, name in (((points, w[1:], w), "wm"), ((points, w, w[1:]), "wc"),
-                       ((points, w, w, np.eye(3)), "Q"), ((points, w, w, q, h[:, :1]), "H"),
-                       ((points, w, w, q, h[:0]), "H"), ((points, w, w, q, h, np.eye(2)), "R")):
-        with pytest.raises(ValueError, match=name):
-            kernels.sigma_moments(*args)
-    prop, sigma = np.ones((5, 2)), np.eye(2)
-    for args, name in (((np.ones((4, 2)), 1e-6, sigma, q, h, r), "prop"),
-                       ((np.ones((1, 0)), 1e-6, np.ones((0, 0)), q, h, r), "prop"),
-                       ((prop, 1e-6, np.eye(3), q, h, r), "Sigma"),
-                       ((prop, 1e-6, sigma, np.ones(2), h, r), "Q"),
-                       ((prop, 1e-6, sigma, q, h.T, r), "H"),
-                       ((prop, 1e-6, sigma, q, h, np.eye(2)), "R")):
-        with pytest.raises(ValueError, match=name):
-            kernels.ekf_moments(*args)
-
-
-@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
-def test_compiled_gaussian_passes_check_shapes_themselves():
-    """Called directly, past attbench.core's checks, the C entries of the
-    moment passes refuse buffers that do not fit each other."""
-    from attbench.core import _kernels_c
-    points, w = np.ones((5, 2)), np.full(5, 0.2)
-    good = kernels_py.checked_sigma(points, w, w, np.eye(2), np.ones((3, 2)), np.eye(3))[0]
-    for i, bad in ((1, w[1:]), (2, w[1:]), (3, np.eye(3)), (4, np.ones((3, 3))), (5, np.eye(2)),
-                   (6, np.empty(3)), (7, np.empty((3, 3))), (8, np.empty(2)),
-                   (9, np.empty((2, 2))), (10, np.empty((3, 2)))):
-        with pytest.raises(ValueError):
-            _kernels_c.sigma_rows(*good[:i], bad, *good[i + 1:])
-    good = kernels_py.checked_ekf(np.ones((5, 2)), 1e-6, np.eye(2), np.eye(2), np.ones((3, 2)),
-                                  np.eye(3))[0]
-    for i, bad in ((0, np.ones((4, 2))), (2, np.eye(3)), (3, np.eye(3)), (4, np.ones((3, 3))),
-                   (5, np.eye(2)), (6, np.empty((3, 3))), (7, np.empty(2)), (8, np.empty((2, 2))),
-                   (9, np.empty((3, 2)))):
-        with pytest.raises(ValueError):
-            _kernels_c.ekf_rows(*good[:i], bad, *good[i + 1:])
 
 
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
@@ -659,29 +636,23 @@ def test_compiled_gaussian_step_passes_check_shapes_themselves():
                                      np.ones(5), [0, 1], True, e(4), e((4, 4)))
 
 
-@pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
-def test_cholesky_kernels_reject_indefinite_and_bad_arguments(kernels):
+def test_cholesky_kernels_reject_indefinite_and_bad_arguments(backend):
     for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.zeros((2, 2)), np.diag([1.0, np.nan]),
                 np.diag([np.inf, 1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
         with pytest.raises(ValueError, match="positive definite"):
-            kernels.nis(bad, np.ones(2))
+            core.nis(bad, np.ones(2))
         with pytest.raises(ValueError, match="positive definite"):
-            kernels.cholesky(bad)
+            core.cholesky(bad)
     with pytest.raises(ValueError, match="positive definite"):
-        kernels.block_nis(np.diag([1.0, 2.0, -1.0]), np.ones(3), (0, 2, 2, 3))
+        core.block_nis(np.diag([1.0, 2.0, -1.0]), np.ones(3), (0, 2, 2, 3))
     for bad in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
         with pytest.raises(ValueError, match="S"):
-            kernels.cholesky(bad)
+            core.cholesky(bad)
     with pytest.raises(ValueError, match="nu"):
-        kernels.nis(np.eye(3), np.ones(2))
+        core.nis(np.eye(3), np.ones(2))
     for bounds in ((0, 4), (1, 1), (0,), (), (2, 1)):
         with pytest.raises(ValueError, match="bounds"):
-            kernels.block_nis(np.eye(3), np.ones(3), bounds)
-    good = (np.zeros(2), np.eye(2), np.ones((2, 3)), np.eye(3), np.ones(3))
-    for i, bad, name in ((1, np.zeros(3), "Sigma"), (1, np.eye(3), "Sigma"),
-                         (2, np.ones((2, 2)), "C"), (3, np.eye(2), "C"), (4, np.ones(2), "nu")):
-        with pytest.raises(ValueError, match=name):
-            kernels.kalman_update(*good[:i], bad, *good[i + 1:])
+            core.block_nis(np.eye(3), np.ones(3), bounds)
 
 
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
@@ -697,53 +668,44 @@ def test_compiled_cholesky_kernels_check_shapes_themselves():
                  (np.ones((2, 3)), (0, 2), None, np.zeros((2, 2)))):
         with pytest.raises(ValueError):
             _kernels_c.factor_rows(*args)
-    good = kernels_py.checked_update(np.zeros(2), np.eye(2), np.ones((2, 3)), np.eye(3),
-                                     np.ones(3))
-    for i, bad in ((1, np.eye(3)), (2, np.ones((2, 2))), (3, np.eye(2)), (4, np.ones(2)),
-                   (5, np.empty(3)), (6, np.empty((3, 3)))):
-        with pytest.raises(ValueError):
-            _kernels_c.update_rows(*good[:i], bad, *good[i + 1:])
 
 
-@pytest.mark.parametrize("step", [core.rk4_step_batch, kernels_py.rk4_step_batch],
-                         ids=["active", "python"])
-def test_kernel_rejects_bad_shapes(step):
+def test_kernel_rejects_bad_shapes(backend):
     states = batch_states()
     for frames in (np.zeros((3, 3)), np.zeros((4, 4)), np.zeros(12), np.zeros((1, 3, 4))):
         with pytest.raises(ValueError, match="frames"):
-            step(states, 0.1, *INERTIA, 0.0, 0.0, 0.0, frames)
+            core.rk4_step_batch(states, 0.1, *INERTIA, 0.0, 0.0, 0.0, frames)
     for bad in (states[0], states[:, :6], states[None]):
         with pytest.raises(ValueError, match="states"):
-            step(bad, 0.1, *INERTIA, 0.0, 0.0, 0.0)
+            core.rk4_step_batch(bad, 0.1, *INERTIA, 0.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("kernels", [core, kernels_py], ids=["active", "python"])
-def test_cloud_passes_reject_bad_arguments(kernels):
+def test_cloud_passes_reject_bad_arguments(backend):
     cloud, w, h = np.ones((5, 7)), np.full(5, 0.2), np.eye(7)
     normals, root = np.zeros((5, 7)), np.eye(7)
     for bad in (cloud[:, ::2], cloud.T, cloud.astype(np.float32), cloud.tolist()):
         with pytest.raises(ValueError, match="cloud"):
-            kernels.cloud_moments(bad, w, normals, root)  # a jittered cloud is written in place
+            core.cloud_moments(bad, w, normals, root)  # a jittered cloud is written in place
     frozen = cloud.copy()
     frozen.flags.writeable = False
     with pytest.raises(ValueError, match="cloud"):
-        kernels.cloud_moments(frozen, w, quaternion=True)
-    kernels.cloud_moments(frozen, w, h=h)  # read-only moments are fine
+        core.cloud_moments(frozen, w, quaternion=True)
+    core.cloud_moments(frozen, w, h=h)  # read-only moments are fine
     for kwargs, name in (({"normals": normals[1:], "root": root}, "normals"),
                          ({"normals": normals, "root": root[1:]}, "root"),
                          ({"h": h[:, 1:]}, "H"), ({"h": h, "r": np.eye(6)}, "R")):
         with pytest.raises(ValueError, match=name):
-            kernels.cloud_moments(cloud.copy(), w, **kwargs)
+            core.cloud_moments(cloud.copy(), w, **kwargs)
     with pytest.raises(ValueError, match="weights"):
-        kernels.cloud_moments(cloud.copy(), w[1:])
+        core.cloud_moments(cloud.copy(), w[1:])
     with pytest.raises(ValueError, match="cloud"):
-        kernels.cloud_moments(np.ones((5, 3)), w, quaternion=True)
+        core.cloud_moments(np.ones((5, 3)), w, quaternion=True)
     with pytest.raises(ValueError, match="cloud"):
-        kernels.cloud_moments(np.ones((0, 7)), w[:0])
+        core.cloud_moments(np.ones((0, 7)), w[:0])
     for args, name in (((h[:, 1:], np.eye(7), np.zeros(7)), "H"),
                        ((h, np.eye(6), np.zeros(7)), "L"), ((h, np.eye(7), np.zeros(6)), "y")):
         with pytest.raises(ValueError, match=name):
-            kernels.cloud_loglik(cloud, *args)
+            core.cloud_loglik(cloud, *args)
 
 
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
@@ -761,6 +723,21 @@ def test_compiled_passes_check_shapes_themselves():
     for i, bad in ((1, np.eye(7)[:, 1:]), (2, np.eye(6)), (3, np.zeros(6)), (4, np.empty(4))):
         with pytest.raises(ValueError):
             _kernels_c.loglik_rows(*good[:i], bad, *good[i + 1:])
+
+
+def test_backends_export_the_same_entries():
+    """The compiled backend exports exactly the fallback's public ``*_rows``
+    entries, each with the fallback's parameter names (read from the text
+    signature of its C docstring), so either can stand in for the other as
+    ``attbench.core._kernels``."""
+    compiled = pytest.importorskip("attbench.core._kernels_c",
+                                   reason="compiled kernel absent: no backend interface to compare")
+
+    def entries(module):
+        return {name: list(inspect.signature(getattr(module, name)).parameters)
+                for name in dir(module) if name.endswith("_rows") and not name.startswith("_")}
+    assert [name for name in dir(compiled) if not name.startswith("_")] == sorted(entries(compiled))
+    assert entries(compiled) == entries(kernels_py)
 
 
 def test_kernel_gravity_gradient_matches_generic_integrator():
@@ -788,7 +765,8 @@ def test_kernel_applies_constant_torque():
     free = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
     pushed = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.5, -0.2, 0.1)
     assert not np.allclose(free[:, 4:7], pushed[:, 4:7])
-    py = kernels_py.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.5, -0.2, 0.1)
+    with fallback_backend():
+        py = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.5, -0.2, 0.1)
     assert np.array_equal(pushed, py)
 
 

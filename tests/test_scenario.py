@@ -240,6 +240,7 @@ def test_with_overrides_replaces_and_validates():
     (dict(ukf_detector_r=np.nan), "filter.ukf.detector_r"),
     (dict(r_blocks={"gyro": (0.0,) * 3, "star_tracker": (1e-3,) * 4,
                     "magnetometer": (1e-2,) * 4}), "filter.r.gyro"),
+    (dict(t_end=np.inf), "t_end"),
 ])
 def test_replace_checks_the_rigid_body_and_noise_rules(changes, key):
     """``replace`` (and so ``with_overrides``) runs every rule a scenario
