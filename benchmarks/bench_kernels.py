@@ -5,8 +5,11 @@ that first for the rigid-body RK4 step, torque-free and with the
 gravity-gradient frames, for the particle filter's two cloud passes, for
 the four fused entries of the Gaussian step (the UKF's sigma set, the EKF's
 and UKF's assess passes and the update pass; 7 and 10 states, so 15- and
-21-point stencils and sigma sets, with the attitude suite's 11 rows) and
-for the Cholesky factor and NIS. It then times both on the batch shapes the
+21-point stencils and sigma sets, with the attitude suite's 11 rows), for
+the weighted-moments pass that the cloud and the sigma sets share (the
+cloud pass and the UKF's assess pass on the same 15-, 21- and 81-point
+sets, so one set spans two of the compiled pass's blocks) and for the
+Cholesky factor and NIS. It then times both on the batch shapes the
 filters actually use (EKF finite-difference stencils, UKF sigma sets, PF
 clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
@@ -228,6 +231,37 @@ def fused_passes(cfg, belief, y):
     return outs
 
 
+def moment_set_case(n, m=11, seed=0):
+    """A sigma set of n states (2n + 1 points) with positive weights, an
+    (m, n) H with zero, unit and other coefficients, and diagonal Q and R."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    points, _, _ = ukf_sigma_points(rng.standard_normal(n), a @ a.T / n + np.eye(n), 1.0, 2.0,
+                                    0.0)
+    h = rng.standard_normal((m, n))
+    h[rng.random((m, n)) < 0.4] = 0.0
+    h[rng.random((m, n)) < 0.2] = 1.0
+    return (points, rng.random(2 * n + 1), np.diag(rng.uniform(1e-3, 1e-1, n)), h,
+            np.diag(rng.uniform(1e-3, 1e-1, m)))
+
+
+def moment_sets(x, w, q, h, r):
+    """The same moments of the rows x, weights w, by the cloud pass and by
+    the UKF's assess pass of the active backend: (mean, cov + Q, y_hat,
+    S + R) of each."""
+    n, m = x.shape[1], len(h)
+    e = np.empty
+    mean, _, cov = core.cloud_moments(x, w, r=q)
+    _, y_hat, s = core.cloud_moments(x, w, h=h, r=r)
+    ukf = [e(n), e((n, n))]
+    core._kernels.ukf_assess_rows(x, w, w, q, 1.0, h, r, 1.0, (), np.zeros(m), *ukf, None,
+                                  e((m, m)), e((m, m)), e((n, m)), e(m))
+    s_ukf, nu = e((m, m)), e(m)
+    core._kernels.ukf_assess_rows(None, w, w, q, 1.0, h, r, 1.0, (), np.zeros(m), np.zeros(n),
+                                  np.zeros((n, n)), x, s_ukf, e((m, m)), e((n, m)), nu)
+    return [mean, cov, y_hat, s], [*ukf, -nu, s_ukf]
+
+
 def per_call(fn, calls=20000, repeats=5):
     """Best time of one call of ``fn()`` over ``repeats`` loops, in us."""
     best = float("inf")
@@ -307,6 +341,12 @@ def main():
     for n in (7, 10):
         check("fused step passes, %2d states, 11 rows" % n,
               on_each_backend(fused_passes, *step_case(n)))
+    for n in (7, 10, 40):
+        (cloud, sigma), (py_cloud, py_sigma) = on_each_backend(moment_sets, *moment_set_case(n))
+        # the compiled cloud pass against the compiled sigma-set pass and
+        # against both passes of the fallback
+        check("cloud pass = sigma-set pass, %2d points" % (2 * n + 1),
+              (cloud * 3, sigma + py_cloud + py_sigma))
     for n in (7, 10):
         check("Cholesky factor and NIS, %2d states" % n,
               on_each_backend(cholesky_layer, *kalman_case(n)))

@@ -18,7 +18,9 @@
  *     writes the weighted mean of the rows, the weighted mean y_hat of
  *     z = h x and S = sum w (z - y_hat)(z - y_hat)' + r, exactly symmetric;
  *     a 1-D s gets S's diagonal alone. normals/root, h and r may each be
- *     None: no jitter, z = x, no r.
+ *     None: no jitter, z = x, no r. It and ukf_assess_rows share one
+ *     weighted-moments pass (moments), so a cloud and a sigma set of the
+ *     same rows and weights have the same moments, bit for bit.
  * loglik_rows(x, h, l, y, out) writes -0.5 |l^-1 (y - h x)|^2 for each row
  *     of x, by forward substitution with the lower triangle of l.
  * factor_rows(a, bounds, nu, l) Cholesky-factors each diagonal block
@@ -38,12 +40,13 @@
  * ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov,
  *     points, s, s_det, cross, nu) writes the weighted mean (weights wm) and
  *     covariance (weights wc) plus q of the propagated set prop into mean and
- *     cov (sigma_pass), the sigma set of (mean, scale cov) as points_rows
- *     forms it, the measurement moments of that set with h and r into s and
- *     cross, S_det = s + r_det r, and the innovation aligned to mean; it
- *     returns the NIS of S_det. It returns None, having written mean and cov
- *     alone, when scale cov is not positive definite; called again with prop
- *     None and that set's points given, it starts at the set's moments.
+ *     cov, the sigma set of (mean, scale cov) as points_rows forms it, the
+ *     measurement moments of that set with h and r into s and cross (both
+ *     moment steps by moments_rows's pass), S_det = s + r_det r, and the
+ *     innovation aligned to mean; it returns the NIS of S_det. It returns
+ *     None, having written mean and cov alone, when scale cov is not
+ *     positive definite; called again with prop None and that set's points
+ *     given, it starts at the set's moments.
  * gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out,
  *     sigma_out) writes the Kalman update on the rows that the tuple rows
  *     lists (None: every row, through the factor l when it is not None),
@@ -260,20 +263,56 @@ pad_sums(Sum *sums, Py_ssize_t count, const double *zeros, double *dummy)
     return count;
 }
 
-/* The cloud pass of moments_rows. scratch holds MOMENTS_SCRATCH(rows, n, m)
- * doubles and sums MOMENTS_SUMS(n, m) entries. The first pass keeps every
- * particle's z for the second, column by column. */
-#define MOMENTS_SCRATCH(rows, n, m) ((2 * (n) + 3 * ((m) > (n) ? (m) : (n)) + 2) * BLOCK \
-                                     + (m) * ((m) + 1) / 2 + (m) * (rows))
-#define MOMENTS_SUMS(n, m) ((n) + (m) + (m) * ((m) + 1) / 2 + 2 * (LANES - 1))
+/* The weighted-moments pass of moments_rows and ukf_assess_rows over the
+ * rows of x, with the mean weights wm and the covariance weights wc (the
+ * particle filter passes its w as both). It adds the jitter root normals[i]
+ * to each row in place and then renormalizes columns 0..3 when asked, and
+ * writes mean = sum wm_i x_i and, when cov is not NULL, cov = sum wc_i dx_i
+ * dx_i' + q with dx_i = x_i - mean. With m >= 1 readings it also writes
+ * y_hat = sum wm_i z_i with z_i = h x_i (x_i itself when h is NULL),
+ * s = sum wc_i dz_i dz_i' + r with dz_i = z_i - y_hat (its diagonal alone
+ * with diagonal) and, when cross is not NULL, cross = sum wc_i dx_i dz_i'.
+ * normals/root, q and r may each be NULL: no jitter, no q, no r. Each
+ * covariance sums its upper triangle and mirrors it.
+ *
+ * scratch holds MOMENTS_SCRATCH(rows, n, m, states) doubles and sums
+ * MOMENTS_SUMS(n, m, states) entries, states being whether cov or cross is
+ * asked for. The first pass keeps every particle's z for the second, column
+ * by column, unless all rows fit one block: then the second pass reuses the
+ * block's columns of x and z as the first left them. */
+#define MOMENTS_SCRATCH(rows, n, m, states) \
+    ((2 * (n) + 3 * ((m) > (n) ? (m) : (n)) + 2 + ((states) ? 2 * (n) : 0)) * BLOCK \
+     + ((rows) > BLOCK ? (m) * (rows) : 0))
+#define MOMENTS_SUMS(n, m, states) \
+    ((n) + (m) + (m) * ((m) + 1) / 2 + ((states) ? (n) * ((n) + 1) / 2 + (n) * (m) : 0) \
+     + 2 * (LANES - 1))
+
+/* Add add (NULL adds nothing) to the upper triangle of the (k, k) out and
+ * mirror it, or, with diagonal, add add's diagonal to the k entries of out. */
+static void
+symmetric(double *out, Py_ssize_t k, const double *add, int diagonal)
+{
+    Py_ssize_t j, c;
+
+    for (j = 0; j < k; j++)
+        for (c = j; c < (diagonal ? j + 1 : k); c++) {
+            double *o = diagonal ? out + j : out + j * k + c;
+
+            if (add)
+                *o = *o + add[j * k + c];
+            if (!diagonal)
+                out[c * k + j] = *o;
+        }
+}
 
 static void
-moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
-        const double *root, const double *h, Py_ssize_t m, const double *w,
-        const double *r, int quaternion, double *mean, double *y_hat, double *s,
-        int diagonal, double *scratch, Sum *sums)
+moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
+        int quaternion, const double *wm, const double *wc, const double *q, const double *h,
+        Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
+        int diagonal, double *cross, double *scratch, Sum *sums)
 {
     Py_ssize_t width = m > n ? m : n;
+    int states = cov || cross, single = rows <= BLOCK;
     double *restrict xt = scratch;
     double *restrict et = xt + n * BLOCK;
     double *restrict zt = et + n * BLOCK;
@@ -281,11 +320,12 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
     double *restrict wdzt = dzt + width * BLOCK;
     double *restrict wt = wdzt + width * BLOCK;
     double *restrict zeros = wt + BLOCK;
-    double *restrict upper = zeros + BLOCK;
-    double *restrict zc = upper + m * (m + 1) / 2;
+    double *restrict dxt = zeros + BLOCK;
+    double *restrict wdxt = dxt + (states ? n * BLOCK : 0);
+    double *restrict zc = wdxt + (states ? n * BLOCK : 0);
     const double *z = h ? zt : xt;
     Sum *prior = sums, *spread;
-    Py_ssize_t n_prior = 0, n_spread = 0, i0, nb, b, j, c, p;
+    Py_ssize_t n_prior = 0, n_spread = 0, i0, nb, b, j, c;
     double dummy;
 
     memset(zeros, 0, BLOCK * sizeof(double));
@@ -294,12 +334,21 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
     for (j = 0; h && j < m; j++)
         n_prior = add_sum(prior, n_prior, wt, zt + j * BLOCK, y_hat + j);
     n_prior = pad_sums(prior, n_prior, zeros, &dummy);
-    /* S: the upper triangle, packed row by row (the lower mirrors it), or
-     * the diagonal alone */
+    /* the upper triangles, row by row (the lower mirrors them), or S's
+     * diagonal alone, then C */
     spread = prior + n_prior;
-    for (j = 0, p = 0; j < m; j++)
-        for (c = j; c < (diagonal ? j + 1 : m); c++, p++)
-            n_spread = add_sum(spread, n_spread, wdzt + j * BLOCK, dzt + c * BLOCK, upper + p);
+    for (j = 0; cov && j < n; j++)
+        for (c = j; c < n; c++)
+            n_spread = add_sum(spread, n_spread, wdxt + j * BLOCK, dxt + c * BLOCK,
+                               cov + j * n + c);
+    for (j = 0; j < m; j++)
+        for (c = j; c < (diagonal ? j + 1 : m); c++)
+            n_spread = add_sum(spread, n_spread, wdzt + j * BLOCK, dzt + c * BLOCK,
+                               diagonal ? s + j : s + j * m + c);
+    for (j = 0; cross && j < n; j++)
+        for (c = 0; c < m; c++)
+            n_spread = add_sum(spread, n_spread, wdxt + j * BLOCK, dzt + c * BLOCK,
+                               cross + j * m + c);
     n_spread = pad_sums(spread, n_spread, zeros, &dummy);
 
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
@@ -325,35 +374,36 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
             to_rows(xt, nb, n, x + i0 * n);
         if (h)
             measure(xt, nb, h, m, n, zt);
-        for (j = 0; j < m; j++)
+        for (j = 0; !single && j < m; j++)
             memcpy(zc + j * rows + i0, z + j * BLOCK, nb * sizeof(double));
-        memcpy(wt, w + i0, nb * sizeof(double));
+        memcpy(wt, wm + i0, nb * sizeof(double));
         run_sums(prior, n_prior, nb);
     }
-    if (!h)
+    if (!h && m)
         memcpy(y_hat, mean, n * sizeof(double));
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
+        if (states && !single)
+            to_columns(x + i0 * n, nb, n, xt);
+        for (j = 0; states && j < n; j++)
+            for (b = 0; b < nb; b++) {
+                dxt[j * BLOCK + b] = xt[j * BLOCK + b] - mean[j];
+                wdxt[j * BLOCK + b] = wc[i0 + b] * dxt[j * BLOCK + b];
+            }
         for (j = 0; j < m; j++) {
-            const double *restrict zj = zc + j * rows + i0;
+            const double *restrict zj = single ? z + j * BLOCK : zc + j * rows + i0;
 
             for (b = 0; b < nb; b++) {
                 dzt[j * BLOCK + b] = zj[b] - y_hat[j];
-                wdzt[j * BLOCK + b] = w[i0 + b] * dzt[j * BLOCK + b];
+                wdzt[j * BLOCK + b] = wc[i0 + b] * dzt[j * BLOCK + b];
             }
         }
         run_sums(spread, n_spread, nb);
     }
-    if (diagonal) {
-        for (j = 0; j < m; j++)
-            s[j] = r ? upper[j] + r[j * m + j] : upper[j];
-        return;
-    }
-    for (j = 0, p = 0; j < m; j++)
-        for (c = j; c < m; c++, p++) {
-            s[j * m + c] = r ? upper[p] + r[j * m + c] : upper[p];
-            s[c * m + j] = s[j * m + c];
-        }
+    if (cov)
+        symmetric(cov, n, q, 0);
+    if (m)
+        symmetric(s, m, r, diagonal);
 }
 
 /* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as
@@ -495,11 +545,11 @@ update(const double *mu, const double *sigma, Py_ssize_t n, const double *cross,
         }
 }
 
-/* The moment passes keep each sum's order (row by row, or column by column,
- * from -0.0) but advance many independent sums in each inner loop, so that
- * one sum's adds need not wait for each other. Where the coefficient to
- * test varies along the inner loop, a skipped term adds -0.0 instead of
- * branching: -0.0 changes no sum. */
+/* The EKF's products keep each sum's order (column by column, from -0.0)
+ * but advance many independent sums in each inner loop, so that one sum's
+ * adds need not wait for each other. Where the coefficient to test varies
+ * along the inner loop, a skipped term adds -0.0 instead of branching: -0.0
+ * changes no sum. */
 
 /* z_i = h x_i for the rows of n doubles of x, into the rows of m doubles of
  * z: z[i, r] = x[i, 0] h[r, 0] + x[i, 1] h[r, 1] + ... from -0.0, skipping
@@ -520,80 +570,6 @@ product(const double *restrict h, Py_ssize_t m, Py_ssize_t n, const double *rest
                 for (i = 0; i < rows; i++)
                     z[i * m + r] = z[i * m + r] + x[i * n + c] * hrc;
         }
-}
-
-/* out = sum over the rows i of wu_i' v_i, for the rows of k doubles of wu
- * and of kv doubles of v, in row order from -0.0. With sym (k == kv) only
- * the upper triangle is summed; add (NULL adds nothing) is added to it and
- * it is mirrored, so out is exactly symmetric. */
-static void
-spread(const double *restrict wu, Py_ssize_t k, const double *restrict v, Py_ssize_t kv,
-       Py_ssize_t rows, int sym, const double *restrict add, double *restrict out)
-{
-    Py_ssize_t i, j, c;
-
-    for (j = 0; j < k * kv; j++)
-        out[j] = -0.0;
-    for (i = 0; i < rows; i++)
-        for (j = 0; j < k; j++) {
-            const double *restrict vi = v + i * kv;
-            double *restrict oj = out + j * kv;
-            double wij = wu[i * k + j];
-
-            for (c = sym ? j : 0; c < kv; c++)
-                oj[c] = oj[c] + wij * vi[c];
-        }
-    if (!sym)
-        return;
-    for (j = 0; j < k; j++)
-        for (c = j; c < k; c++) {
-            if (add)
-                out[j * k + c] = out[j * k + c] + add[j * k + c];
-            out[c * k + j] = out[j * k + c];
-        }
-}
-
-/* mean = sum over the rows i of w_i x_i, in row order from -0.0, for the
- * rows of k doubles of x; then d = x - mean and wd = wd_w d, row by row. */
-static void
-center(const double *x, Py_ssize_t rows, Py_ssize_t k, const double *restrict w,
-       const double *restrict wd_w, double *restrict mean, double *restrict d, double *wd)
-{
-    Py_ssize_t i, j;
-
-    for (j = 0; j < k; j++)
-        mean[j] = -0.0;
-    for (i = 0; i < rows; i++)
-        for (j = 0; j < k; j++)
-            mean[j] = mean[j] + w[i] * x[i * k + j];
-    for (i = 0; i < rows; i++)
-        for (j = 0; j < k; j++) {
-            d[i * k + j] = x[i * k + j] - mean[j];
-            wd[i * k + j] = wd_w[i] * d[i * k + j];
-        }
-}
-
-/* The weighted moments of the rows x of points of n states: mean = sum wm_i
- * x_i, cov = sum wc_i dx_i dx_i' + q (a NULL cov is skipped) and, with h,
- * y_hat = sum wm_i z_i with z_i = h x_i, s = sum wc_i dz_i dz_i' + r and
- * cross = sum wc_i dx_i dz_i'; q and r may be NULL. scratch holds
- * 2 rows (n + m) doubles. */
-static void
-sigma_pass(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *wm, const double *wc,
-           const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
-           double *cov, double *y_hat, double *s, double *cross, double *scratch)
-{
-    double *dx = scratch, *wdx = dx + rows * n, *z = wdx + rows * n, *dz = z + rows * m;
-    center(x, rows, n, wm, wc, mean, dx, wdx);
-    if (cov)
-        spread(wdx, n, dx, n, rows, 1, q, cov);
-    if (!h)
-        return;
-    product(h, m, n, x, rows, z);
-    /* the weighted dz overwrites z, each entry after center has read it */
-    center(z, rows, m, wm, wc, y_hat, dz, z);
-    spread(z, m, dz, m, rows, 1, r, s);
-    spread(wdx, n, dz, m, rows, 0, NULL, cross);
 }
 
 /* The EKF's predicted covariance and measurement moments from the
@@ -638,11 +614,8 @@ ekf_pass(const double *restrict prop, Py_ssize_t n, double eps, const double *re
                 cov[i * n + k] = cov[i * n + k] + (akc != 0.0 ? tic * akc : -0.0);
             }
         }
-        for (k = i; k < n; k++) {
-            cov[i * n + k] = cov[i * n + k] + q[i * n + k];
-            cov[k * n + i] = cov[i * n + k];
-        }
     }
+    symmetric(cov, n, q, 0);
     product(h, m, n, prop, 1, y_hat);
     product(h, m, n, cov, n, cross);
     /* s = h cross + r: s[i, k], k >= i, sums h[i, j] cross[j, k] over j */
@@ -656,11 +629,8 @@ ekf_pass(const double *restrict prop, Py_ssize_t n, double eps, const double *re
                 for (k = i; k < m; k++)
                     s[i * m + k] = s[i * m + k] + hij * cross[j * m + k];
         }
-        for (k = i; k < m; k++) {
-            s[i * m + k] = s[i * m + k] + r[i * m + k];
-            s[k * m + i] = s[i * m + k];
-        }
     }
+    symmetric(s, m, r, 0);
 }
 
 /* The sigma set about mu: l = the Cholesky factor of a = scale sigma (its
@@ -726,46 +696,6 @@ get_doubles(PyObject *obj, Py_buffer *view, int flags, int ndim)
         return -1;
     }
     return 0;
-}
-
-static PyObject *
-step_rows(PyObject *self, PyObject *args)
-{
-    PyObject *states, *frames;
-    Py_buffer xv, fv;
-    double dt, ixx, iyy, izz, tx, ty, tz;
-    const double *f = NULL;
-
-    if (!PyArg_ParseTuple(args, "OdddddddO:step_rows", &states, &dt,
-                          &ixx, &iyy, &izz, &tx, &ty, &tz, &frames))
-        return NULL;
-    if (get_doubles(states, &xv, PyBUF_WRITABLE, 2) < 0)
-        return NULL;
-    if (xv.shape[1] < 7) {
-        PyBuffer_Release(&xv);
-        PyErr_SetString(PyExc_ValueError, "states must be (M, n) with n >= 7");
-        return NULL;
-    }
-    if (frames != Py_None) {
-        if (get_doubles(frames, &fv, PyBUF_SIMPLE, 2) < 0) {
-            PyBuffer_Release(&xv);
-            return NULL;
-        }
-        if (fv.shape[0] != 3 || fv.shape[1] != 4) {
-            PyBuffer_Release(&fv);
-            PyBuffer_Release(&xv);
-            PyErr_SetString(PyExc_ValueError, "frames must be (3, 4)");
-            return NULL;
-        }
-        f = fv.buf;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    step(xv.buf, xv.shape[0], xv.shape[1], dt, ixx, iyy, izz, tx, ty, tz, f);
-    Py_END_ALLOW_THREADS
-    if (f)
-        PyBuffer_Release(&fv);
-    PyBuffer_Release(&xv);
-    Py_RETURN_NONE;
 }
 
 /* The buffers of one call: every view starts empty, so release_all may run
@@ -852,6 +782,33 @@ not_positive_definite(Py_ssize_t bad)
 }
 
 static PyObject *
+step_rows(PyObject *self, PyObject *args)
+{
+    PyObject *states, *frames;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *x, *f, dt, ixx, iyy, izz, tx, ty, tz;
+
+    if (!PyArg_ParseTuple(args, "OdddddddO:step_rows", &states, &dt,
+                          &ixx, &iyy, &izz, &tx, &ty, &tz, &frames))
+        return NULL;
+    if (get_shaped(states, &v[0], PyBUF_WRITABLE, 2, -1, -1, "states", &x) < 0
+        || get_shaped(frames, &v[1], PyBUF_SIMPLE, 2, 3, 4, "frames", &f) < 0)
+        goto fail;
+    if (!x || v[0].shape[1] < 7) {
+        PyErr_SetString(PyExc_ValueError, "states must be (M, n) with n >= 7");
+        goto fail;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    step(x, v[0].shape[0], v[0].shape[1], dt, ixx, iyy, izz, tx, ty, tz, f);
+    Py_END_ALLOW_THREADS
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
 moments_rows(PyObject *self, PyObject *args)
 {
     PyObject *xo, *eo, *lo, *ho, *wo, *ro, *meano, *yo, *so;
@@ -896,18 +853,17 @@ moments_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "w, mean, y_hat and a root for normals are required");
         goto fail;
     }
-    scratch = PyMem_RawMalloc(MOMENTS_SCRATCH(rows, n, m) * sizeof(double));
-    sums = PyMem_RawMalloc(MOMENTS_SUMS(n, m) * sizeof(Sum));
-    if (!scratch || !sums) {
-        PyMem_RawFree(scratch);
-        PyMem_RawFree(sums);
+    scratch = PyMem_RawMalloc(MOMENTS_SCRATCH(rows, n, m, 0) * sizeof(double)
+                              + MOMENTS_SUMS(n, m, 0) * sizeof(Sum));
+    if (!scratch) {
         PyErr_NoMemory();
         goto fail;
     }
+    sums = (Sum *)(scratch + MOMENTS_SCRATCH(rows, n, m, 0));
     Py_BEGIN_ALLOW_THREADS
-    moments(x, rows, n, e, l, h, m, w, r, quaternion, mean, y_hat, s, diagonal, scratch, sums);
+    moments(x, rows, n, e, l, quaternion, w, w, NULL, h, m, r, mean, NULL, y_hat, s, diagonal,
+            NULL, scratch, sums);
     Py_END_ALLOW_THREADS
-    PyMem_RawFree(sums);
     PyMem_RawFree(scratch);
     release_all(v);
     Py_RETURN_NONE;
@@ -1132,9 +1088,10 @@ ukf_assess_rows(PyObject *self, PyObject *args)
     PyObject *sdeto, *crosso, *nuo;
     Py_buffer v[MAX_VIEWS] = {{0}};
     double *prop, *wm, *wc, *q, *h, *r, *y, *mean, *cov, *points, *s, *s_det, *cross, *nu;
-    double *scratch, *pass, *a, *l, *set, *mean_set, *y_hat, *y_al, *l_det, *vv;
+    double *scratch, *a, *l, *set, *mean_set, *y_hat, *y_al, *l_det, *vv;
     double scale, r_det, nis;
-    Py_ssize_t n, m, rows, count, bad, i, *edges = NULL;
+    Sum *sums;
+    Py_ssize_t n, m, rows, count, bad, i, size, *edges = NULL;
 
     if (!PyArg_ParseTuple(args, "OOOOdOOdO!OOOOOOOO:ukf_assess_rows", &propo, &wmo, &wco, &qo,
                           &scale, &ho, &ro, &r_det, &PyTuple_Type, &blocks, &yo, &meano, &covo,
@@ -1179,16 +1136,17 @@ ukf_assess_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "hemisphere blocks need n >= 4 states");
         goto fail;
     }
-    /* sigma_pass's scratch, then a and l of the sigma set, the set, its
-     * mean, y_hat, the aligned reading, L^-1 nu and the factor of S_det */
-    scratch = PyMem_RawMalloc((2 * rows * (n + m) + 2 * n * n + rows * n + n + 3 * m + m * m)
-                              * sizeof(double));
+    /* moments's scratch, then a and l of the sigma set, the set, its mean,
+     * y_hat, the aligned reading, L^-1 nu, the factor of S_det and the sums
+     * of moments */
+    size = MOMENTS_SCRATCH(rows, n, m, 1);
+    scratch = PyMem_RawMalloc((size + 2 * n * n + rows * n + n + 3 * m + m * m) * sizeof(double)
+                              + MOMENTS_SUMS(n, m, 1) * sizeof(Sum));
     if (!scratch) {
         PyErr_NoMemory();
         goto fail;
     }
-    pass = scratch;
-    a = pass + 2 * rows * (n + m);
+    a = scratch + size;
     l = a + n * n;
     set = l + n * n;
     mean_set = set + rows * n;
@@ -1196,8 +1154,10 @@ ukf_assess_rows(PyObject *self, PyObject *args)
     y_al = y_hat + m;
     vv = y_al + m;
     l_det = vv + m;
+    sums = (Sum *)(l_det + m * m);
     if (prop) {
-        sigma_pass(prop, rows, n, wm, wc, q, NULL, 0, NULL, mean, cov, NULL, NULL, NULL, pass);
+        moments(prop, rows, n, NULL, NULL, 0, wm, wc, q, NULL, 0, NULL, mean, cov, NULL, NULL, 0,
+                NULL, scratch, sums);
         if (sigma_points(mean, cov, n, scale, a, l, set) < 0) {
             PyMem_RawFree(scratch);
             PyMem_RawFree(edges);
@@ -1208,7 +1168,8 @@ ukf_assess_rows(PyObject *self, PyObject *args)
     }
     /* C takes the deviations about the set's own mean; its covariance is
      * not needed */
-    sigma_pass(points, rows, n, wm, wc, NULL, h, m, r, mean_set, NULL, y_hat, s, cross, pass);
+    moments(points, rows, n, NULL, NULL, 0, wm, wc, NULL, h, m, r, mean_set, NULL, y_hat, s, 0,
+            cross, scratch, sums);
     for (i = 0; i < m * m; i++)
         s_det[i] = s[i] + r_det * r[i];
     innovation(y, y_hat, m, mean, edges, count, y_al, nu);

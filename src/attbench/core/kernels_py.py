@@ -6,7 +6,9 @@ passes, ``factor_rows`` the Kalman step's Cholesky factor and NIS, and
 ``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
 ``gauss_update_rows`` the Gaussian step's fused passes, built from the
 private ``_sigma_rows``, ``_ekf_rows`` and ``_update_rows`` in the order the
-compiled passes run them. The ``checked_*`` functions validate arguments
+compiled passes run them. ``_sigma_rows`` is the one weighted-moments body:
+``moments_rows`` calls it after the jitter, and ``ukf_assess_rows`` for
+both of its moment steps. The ``checked_*`` functions validate arguments
 for ``attbench.core``'s wrappers and the Gaussian filters; the wrappers,
 not this module, are the kernel API.
 
@@ -31,6 +33,7 @@ run over the columns in order and skip no terms, and it divides by each
 pivot rather than multiplying by a reciprocal.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -206,32 +209,15 @@ def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
 
     Row i of x gets the jitter sum over k of normals[i, k] root[j, k] added
     to each column j, then, with ``quaternion``, columns 0..3 divided by
-    their norm; both in place. Then ``mean`` = sum w_i x_i,
-    ``y_hat`` = sum w_i z_i with z_i = h x_i (x_i itself when h is None) and
-    ``s`` = sum w_i dz_i dz_i' + r with dz_i = z_i - y_hat: the upper
-    triangle is summed, with its r entries (r None adds nothing), and the
-    lower triangle mirrors it, so ``s`` is exactly symmetric. A 1-D ``s``
-    gets the diagonal alone.
+    their norm; both in place. Then ``_sigma_rows`` with w as both weights,
+    and no Q, state covariance or C, writes ``mean``, ``y_hat`` and ``s``.
     """
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         if normals is not None:
             x += _product(normals, root).T
         if quaternion:
             _unit_quaternions(x)
-        mean[:] = fixed_sum(w * x.T)
-        z = x.T if h is None else _product(x, h)
-        y_hat[:] = mean if h is None else fixed_sum(w * z)
-        dz = z - y_hat[:, None]
-        # the diagonal, or the upper triangle that the lower then mirrors
-        upper, cols = (np.arange(len(dz)),) * 2 if s.ndim == 1 else np.triu_indices(len(dz))
-        terms = fixed_sum((w * dz)[upper] * dz[cols])
-        if r is not None:
-            terms = terms + r[upper, cols]
-    if s.ndim == 1:
-        s[:] = terms
-    else:
-        s[upper, cols] = terms
-        s[cols, upper] = terms
+    _sigma_rows(x, w, w, None, h, r, mean, None, y_hat, s, None)
 
 
 def checked_loglik(cloud, h, l, y):
@@ -399,32 +385,56 @@ def _mirror(full, out):
     out[:] = np.where(np.tri(len(full), dtype=bool).T, full, full.T)
 
 
+@functools.lru_cache
+def _upper(k):
+    """The (rows, columns) indices of the upper triangle of a (k, k) array,
+    row by row."""
+    return np.triu_indices(k)
+
+
+def _spread(wu, v, add, out):
+    """``out`` = sum over the columns i of wu[:, i] v[:, i]', plus ``add``
+    (None adds nothing), in column order: a square ``out`` sums its upper
+    triangle and mirrors it, so it is exactly symmetric; a 1-D ``out`` gets
+    the diagonal alone."""
+    if out.ndim == 1:
+        terms = fixed_sum(wu * v)
+        out[:] = terms if add is None else terms + add.diagonal()
+        return
+    upper, cols = _upper(len(out))
+    terms = fixed_sum(wu[upper] * v[cols])
+    if add is not None:
+        terms = terms + add[upper, cols]
+    out[upper, cols] = terms
+    out[cols, upper] = terms
+
+
 def _sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
-    """The weighted moments of the (M, n) point rows of x, with the (M,) mean
-    weights wm and covariance weights wc: ``mean`` = sum wm_i x_i, then
-    ``cov`` = sum wc_i dx_i dx_i' + q with dx_i = x_i - mean (a None ``cov``
-    is skipped). With h: z_i = h x_i (``_product``'s), ``y_hat`` = sum wm_i
-    z_i, ``s`` = sum wc_i dz_i dz_i' + r with dz_i = z_i - y_hat, and
-    ``cross`` = sum wc_i dx_i dz_i'. Each sum
-    runs over the points in row order from -0.0, each term is (wc_i du) dv;
-    ``cov`` and ``s`` sum their upper triangle, with its q or r entries (None
-    adds nothing), and mirror it, so both are exactly symmetric.
+    """The one weighted-moments body, of the UKF's sigma sets and the
+    particle filter's cloud: the moments of the (M, n) rows of x, with the
+    (M,) mean weights wm and covariance weights wc. ``mean`` = sum wm_i x_i,
+    then ``cov`` = sum wc_i dx_i dx_i' + q with dx_i = x_i - mean (a None
+    ``cov`` is skipped). With an ``s``: z_i = h x_i (``_product``'s; x_i
+    itself when h is None), ``y_hat`` = sum wm_i z_i, ``s`` = sum wc_i dz_i
+    dz_i' + r with dz_i = z_i - y_hat, and ``cross`` = sum wc_i dx_i dz_i'
+    (a None ``cross`` is skipped). Each sum runs over the rows in order from
+    -0.0, each term is (wc_i du) dv; ``cov`` and ``s`` are ``_spread``'s, so
+    a 1-D ``s`` gets the diagonal alone. The work runs on the columns of x.
     """
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
-        mean[:] = fixed_sum(wm[:, None] * x, axis=0)
-        dx = x - mean
-        wdx = wc[:, None] * dx
+        xt = x.T
+        mean[:] = fixed_sum(wm * xt)
+        dx = xt - mean[:, None]
         if cov is not None:
-            full = fixed_sum(wdx[:, :, None] * dx[:, None, :], axis=0)
-            _mirror(full if q is None else full + q, cov)
-        if h is None:
+            _spread(wc * dx, dx, q, cov)
+        if s is None:
             return
-        z = _product(x, h).T
-        y_hat[:] = fixed_sum(wm[:, None] * z, axis=0)
-        dz = z - y_hat
-        full = fixed_sum((wc[:, None] * dz)[:, :, None] * dz[:, None, :], axis=0)
-        _mirror(full if r is None else full + r, s)
-        cross[:] = fixed_sum(wdx[:, :, None] * dz[:, None, :], axis=0)
+        z = xt if h is None else _product(x, h)
+        y_hat[:] = mean if h is None else fixed_sum(wm * z)
+        dz = z - y_hat[:, None]
+        _spread(wc * dz, dz, r, s)
+        if cross is not None:
+            cross[:] = fixed_sum((wc * dx)[:, None, :] * dz[None, :, :])
 
 
 def _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
@@ -542,8 +552,11 @@ def ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov, p
     returns (``factor_rows``).
 
     Raises:
-        ValueError: S_det is not positive definite.
+        ValueError: not exactly one of ``prop`` and ``points`` is given, or
+            S_det is not positive definite.
     """
+    if (prop is None) == (points is None):
+        raise ValueError("exactly one of prop and points is required")
     if prop is not None:
         _sigma_rows(prop, wm, wc, q, None, None, mean, cov, None, None, None)
         points = np.empty(prop.shape)

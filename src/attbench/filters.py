@@ -27,12 +27,12 @@ first writes the sigma set), called with operands each filter checked once,
 when it was built. Before the ``decide`` hook, the assess pass forms the
 moments (the EKF's from the propagated stencil through its
 central-difference Jacobian, the UKF's as weighted sums over the sigma set
-before and after its regeneration), the aligned innovation and the
-record's NIS; after
-it, the update pass takes the row subset, factors S on it and runs the
-Kalman update. Every sum runs in a fixed order, skips the terms whose H (or
-Jacobian) coefficient is zero, and each covariance sums its upper triangle
-and mirrors it. S is factored by the fixed-order Cholesky of
+before and after its regeneration, in the weighted-moments pass that also
+sums the particle filter's cloud), the aligned innovation and the record's
+NIS; after it, the update pass takes the row subset, factors S on it and
+runs the Kalman update. Every sum runs in a fixed order, skips the terms
+whose H (or Jacobian) coefficient is zero, and each covariance sums its
+upper triangle and mirrors it. S is factored by the fixed-order Cholesky of
 ``attbench.core``: NIS = |L^-1 nu|^2, W = C L^-T, mu + W L^-1 nu and
 Sigma - W W', exactly symmetric; the EKF's record and a full-row update
 share that one factor. No LAPACK or BLAS kernel choice reaches any part of
@@ -538,10 +538,13 @@ class UkfFilter(_GaussianFilter):
 
     Only the moments are unscented: the update is the one ``step`` the
     extended filter runs too, fed the sigma-point S and C, so it matches the
-    extended filter exactly on linear systems. The consistency statistic
-    reported for fault monitoring is built the way the measurement-space
-    cloud is usually assembled in practice, with each point carrying the
-    assumed sensor noise, and the noise covariance then added on top:
+    extended filter exactly on linear systems. The sigma set's weighted sums
+    are the particle filter's: one pass forms both, so a cloud and a sigma
+    set of the same rows and weights have the same moments, bit for bit.
+    The consistency statistic reported for fault monitoring is built the way
+    the measurement-space cloud is usually assembled in practice, with each
+    point carrying the assumed sensor noise, and the noise covariance then
+    added on top:
 
         S_det = S_update + ukf_detector_r * R
 
@@ -569,11 +572,12 @@ class UkfFilter(_GaussianFilter):
         clamped-eigh root), propagate it across [t - dt, t] and run
         ``ukf_assess_rows``: the set's weighted moments plus Q, the
         measurement moments of a set regenerated about them (C takes the
-        state deviations about the regenerated set's own weighted mean), the
-        record's S, which carries R once more (S_det), the aligned
-        innovation and the NIS. When scale Sigma is not positive definite at
-        the regeneration, the pass stops after the predicted moments and
-        runs again from the clamped-eigh set."""
+        state deviations about the regenerated set's own weighted mean),
+        both by that shared pass, with wm as the mean and wc as the
+        covariance weights, the record's S, which carries R once more
+        (S_det), the aligned innovation and the NIS. When scale Sigma is not
+        positive definite at the regeneration, the pass stops after the
+        predicted moments and runs again from the clamped-eigh set."""
         n, m = self.model.dim, self.meas.dim
         points = np.empty((2 * n + 1, n))
         if not core._kernels.points_rows(belief.mu, belief.sigma, self._scale, points):

@@ -48,8 +48,11 @@ class RunResult:
     ``truth`` has n+1 rows (includes t0); every per-measurement series has
     n rows for steps k = 1..n at times t_k. ``measurements`` is the faulted
     stream the filter consumed; ``measurements_clean`` is the same stream
-    before fault injection. Filter fields are None in simulate mode;
-    ``reports`` is empty when no detection policy ran.
+    before fault injection. Filter fields are None in simulate mode.
+    ``reports`` holds one report per step whenever a filter ran: with no
+    detection policy (estimate mode, or the "none" policy) each is a
+    ``mode="none"`` report that detects nothing. Only simulate mode has
+    ``()``.
     """
 
     cfg: object

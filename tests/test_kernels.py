@@ -586,6 +586,97 @@ def test_gaussian_moment_passes_agree_bitwise_and_match_numpy():
     check_gaussian_moments()
 
 
+def one_arithmetic_outputs(x, w, q, h, r):
+    """The moments of one set of rows as the cloud pass and the UKF's assess
+    pass of the active backend write them: y_hat, S and S's diagonal by
+    ``cloud_moments`` with H and R, then -nu, S and C of the assess pass
+    with the rows as the regenerated set (a zero reading, no blocks), then
+    the mean and S by ``cloud_moments`` of the states with Q, then the mean
+    and covariance of the assess pass with the rows as the propagated set."""
+    n, m = x.shape[1], len(h)
+    e = np.empty
+    _, y_hat, s = core.cloud_moments(x, w, h=h, r=r)
+    diagonal = core.cloud_moments(x, w, h=h, r=r, diagonal=True)[2]
+    s_ukf, cross, nu = e((m, m)), e((n, m)), e(m)
+    core._kernels.ukf_assess_rows(None, w, w, q, 1.0, h, r, 1.0, (), np.zeros(m), np.zeros(n),
+                                  np.zeros((n, n)), x, s_ukf, e((m, m)), cross, nu)
+    mean, _, cov = core.cloud_moments(x, w, r=q)
+    mean_ukf, cov_ukf = e(n), e((n, n))
+    core._kernels.ukf_assess_rows(x, w, w, q, 1.0, h, r, 1.0, (), np.zeros(m), mean_ukf, cov_ukf,
+                                  None, e((m, m)), e((m, m)), e((n, m)), e(m))
+    return y_hat, s, diagonal, -nu, s_ukf, cross, mean, cov, mean_ukf, cov_ukf
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((7, 10, 32, 40)), st.integers(1, 12), st.integers(-6, 6),
+       st.integers(0, 2 ** 32 - 1))
+def check_one_moments_arithmetic(n, m, exponent, seed):
+    rng = np.random.default_rng(seed)
+    rows, scale = 2 * n + 1, 10.0 ** exponent
+    x = scale * rng.standard_normal((rows, n))
+    w = rng.random(rows)
+    w[rng.random(rows) < 0.2] = 0.0
+    h = rng.standard_normal((m, n))
+    h[rng.random((m, n)) < 0.4] = 0.0
+    h[rng.random((m, n)) < 0.2] = 1.0
+    q = np.diag(scale ** 2 * rng.uniform(1e-3, 1e-1, n))
+    r = np.diag(scale ** 2 * rng.uniform(1e-3, 1e-1, m))
+    outs = one_arithmetic_outputs(x, w, q, h, r)
+    y_hat, s, diagonal, y_hat_ukf, s_ukf, _, mean, cov, mean_ukf, cov_ukf = outs
+    assert y_hat.tobytes() == y_hat_ukf.tobytes()
+    assert s.tobytes() == s_ukf.tobytes()
+    assert diagonal.tobytes() == np.diag(s).tobytes()
+    assert mean.tobytes() == mean_ukf.tobytes()
+    assert cov.tobytes() == cov_ukf.tobytes()
+    # one shared pass could still be wrong in both places: the fallback's
+    # bytes pin it, two-block sets and C included
+    with fallback_backend():
+        fallback = one_arithmetic_outputs(x, w, q, h, r)
+    for a, b in zip(outs, fallback, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cloud_pass_and_sigma_set_pass_are_one_arithmetic(backend):
+    """Property: on sets of 15, 21, 65 and 81 rows (one and two blocks of
+    the compiled pass), the particle filter's cloud pass and the UKF's
+    assess pass give the same bytes for the same rows and weights: y_hat and
+    S of the sigma set as ``cloud_moments`` with H and R gives them, the
+    predicted mean and covariance as ``cloud_moments`` of the states with Q
+    does, and S's diagonal alone as the full S's diagonal; every output,
+    C included, has the fallback's bytes."""
+    check_one_moments_arithmetic()
+
+
+def test_ukf_assess_pass_takes_exactly_one_set(backend):
+    """The UKF's assess pass starts from the propagated set or from the
+    regenerated one, never from both or neither."""
+    e, w = np.empty, np.full(9, 1.0 / 9.0)
+    for prop, points in ((np.ones((9, 4)), np.ones((9, 4))), (None, None)):
+        with pytest.raises(ValueError, match="exactly one of prop and points"):
+            core._kernels.ukf_assess_rows(prop, w, w, np.eye(4), 1.0, np.ones((5, 4)), np.eye(5),
+                                          1.0, (), np.zeros(5), e(4), e((4, 4)), points,
+                                          e((5, 5)), e((5, 5)), e((4, 5)), e(5))
+
+
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_compiled_rk4_step_checks_shapes_itself():
+    """Called directly, past ``checked_batch``, the C RK4 entry refuses
+    states it cannot step in place and frames that are not (3, 4)."""
+    from attbench.core import _kernels_c
+    args = (0.1, *GG_INERTIA, 0.0, 0.0, 0.0)
+    states = batch_states()
+    frozen = states.copy()
+    frozen.flags.writeable = False
+    for bad, frames in ((states[:, :6].copy(), None), (frozen, None),
+                        (states.copy(), np.zeros((3, 3))), (states.copy(), np.zeros((4, 4)))):
+        with pytest.raises(ValueError):
+            _kernels_c.step_rows(bad, *args, frames)
+    assert np.array_equal(frozen, states)
+    out = states.copy()
+    _kernels_c.step_rows(out, *args, np.array(GG_FRAMES))
+    assert np.array_equal(out, core.rk4_step_batch(states, *args, GG_FRAMES))
+
+
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
 def test_compiled_gaussian_step_passes_check_shapes_themselves():
     """Called directly, with no check in Python before them, the C entries
