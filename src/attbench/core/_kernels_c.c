@@ -278,11 +278,10 @@ pad_sums(Sum *sums, Py_ssize_t count, const double *zeros, double *dummy)
  * scratch holds MOMENTS_SCRATCH(rows, n, m, states) doubles and sums
  * MOMENTS_SUMS(n, m, states) entries, states being whether cov or cross is
  * asked for. The first pass keeps every particle's z for the second, column
- * by column, unless all rows fit one block: then the second pass reuses the
- * block's columns of x and z as the first left them. */
+ * by column. */
 #define MOMENTS_SCRATCH(rows, n, m, states) \
     ((2 * (n) + 3 * ((m) > (n) ? (m) : (n)) + 2 + ((states) ? 2 * (n) : 0)) * BLOCK \
-     + ((rows) > BLOCK ? (m) * (rows) : 0))
+     + (m) * (rows))
 #define MOMENTS_SUMS(n, m, states) \
     ((n) + (m) + (m) * ((m) + 1) / 2 + ((states) ? (n) * ((n) + 1) / 2 + (n) * (m) : 0) \
      + 2 * (LANES - 1))
@@ -312,7 +311,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
         int diagonal, double *cross, double *scratch, Sum *sums)
 {
     Py_ssize_t width = m > n ? m : n;
-    int states = cov || cross, single = rows <= BLOCK;
+    int states = cov || cross;
     double *restrict xt = scratch;
     double *restrict et = xt + n * BLOCK;
     double *restrict zt = et + n * BLOCK;
@@ -374,7 +373,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
             to_rows(xt, nb, n, x + i0 * n);
         if (h)
             measure(xt, nb, h, m, n, zt);
-        for (j = 0; !single && j < m; j++)
+        for (j = 0; j < m; j++)
             memcpy(zc + j * rows + i0, z + j * BLOCK, nb * sizeof(double));
         memcpy(wt, wm + i0, nb * sizeof(double));
         run_sums(prior, n_prior, nb);
@@ -383,7 +382,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
         memcpy(y_hat, mean, n * sizeof(double));
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
-        if (states && !single)
+        if (states)
             to_columns(x + i0 * n, nb, n, xt);
         for (j = 0; states && j < n; j++)
             for (b = 0; b < nb; b++) {
@@ -391,7 +390,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
                 wdxt[j * BLOCK + b] = wc[i0 + b] * dxt[j * BLOCK + b];
             }
         for (j = 0; j < m; j++) {
-            const double *restrict zj = single ? z + j * BLOCK : zc + j * rows + i0;
+            const double *restrict zj = zc + j * rows + i0;
 
             for (b = 0; b < nb; b++) {
                 dzt[j * BLOCK + b] = zj[b] - y_hat[j];

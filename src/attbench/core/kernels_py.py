@@ -33,7 +33,6 @@ run over the columns in order and skip no terms, and it divides by each
 pivot rather than multiplying by a reciprocal.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -385,13 +384,6 @@ def _mirror(full, out):
     out[:] = np.where(np.tri(len(full), dtype=bool).T, full, full.T)
 
 
-@functools.lru_cache
-def _upper(k):
-    """The (rows, columns) indices of the upper triangle of a (k, k) array,
-    row by row."""
-    return np.triu_indices(k)
-
-
 def _spread(wu, v, add, out):
     """``out`` = sum over the columns i of wu[:, i] v[:, i]', plus ``add``
     (None adds nothing), in column order: a square ``out`` sums its upper
@@ -401,7 +393,7 @@ def _spread(wu, v, add, out):
         terms = fixed_sum(wu * v)
         out[:] = terms if add is None else terms + add.diagonal()
         return
-    upper, cols = _upper(len(out))
+    upper, cols = np.triu_indices(len(out))
     terms = fixed_sum(wu[upper] * v[cols])
     if add is not None:
         terms = terms + add[upper, cols]
@@ -424,9 +416,11 @@ def _sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         xt = x.T
         mean[:] = fixed_sum(wm * xt)
-        dx = xt - mean[:, None]
+        if cov is not None or cross is not None:
+            dx = xt - mean[:, None]
+            wdx = wc * dx
         if cov is not None:
-            _spread(wc * dx, dx, q, cov)
+            _spread(wdx, dx, q, cov)
         if s is None:
             return
         z = xt if h is None else _product(x, h)
@@ -434,7 +428,7 @@ def _sigma_rows(x, wm, wc, q, h, r, mean, cov, y_hat, s, cross):
         dz = z - y_hat[:, None]
         _spread(wc * dz, dz, r, s)
         if cross is not None:
-            cross[:] = fixed_sum((wc * dx)[:, None, :] * dz[None, :, :])
+            cross[:] = fixed_sum(wdx[:, None, :] * dz[None, :, :])
 
 
 def _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
