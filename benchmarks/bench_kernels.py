@@ -8,17 +8,19 @@ and UKF's assess passes and the update pass; 7 and 10 states, so 15- and
 21-point stencils and sigma sets, with the attitude suite's 11 rows), for
 the weighted-moments pass that the cloud and the sigma sets share (the
 cloud pass and the UKF's assess pass on the same 15-, 21- and 81-point
-sets, so one set spans two of the compiled pass's blocks) and for the
-Cholesky factor and NIS. It then times both on the batch shapes the
+sets, so one set spans two of the compiled pass's blocks), for the
+Cholesky factor and NIS and for the CSV pass (``csv_rows``, a 32-row chunk
+of an EKF run's 36 columns). It then times both on the batch shapes the
 filters actually use (EKF finite-difference stencils, UKF sigma sets, PF
 clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
 attitude suite's 11 measurement rows. The EKF's stencil is timed against
 the numpy code it replaced, the NIS against np.linalg on the record's 11
 rows and on the 4/4/3-row blocks of the isolation test, and a whole bare
-EKF and UKF step (7 and 10 states, 11 rows) on both backends. The fallback
-runs through ``attbench.core`` with ``core._kernels`` set to it, as the
-test suite runs it.
+EKF and UKF step (7 and 10 states, 11 rows) on both backends, and the CSV
+pass per 32-row chunk, whose fallback is the ``'%.9g'`` format string the
+export used before it. The fallback runs through ``attbench.core`` with
+``core._kernels`` set to it, as the test suite runs it.
 
 Run from the repository root, after building the extension in place:
 
@@ -318,6 +320,27 @@ def bench_steps():
                   % ("%s step, %2d states, 11 rows" % (kind, n), tc, tp, tp / tc))
 
 
+def csv_case(rows=32, seed=0):
+    """A chunk as ``runner.write_csv`` hands it over for a 7-state EKF run:
+    t, 7 truth, 11 measurement, 7 estimate and 7 3-sigma columns, the NIS,
+    the detected flag and the isolated bitmask."""
+    rng = np.random.default_rng(seed)
+    block = np.hstack([0.1 * np.arange(1, rows + 1)[:, None], rng.normal(size=(rows, 25)),
+                       rng.uniform(1e-6, 1e-3, (rows, 7)), rng.chisquare(11, (rows, 1)),
+                       rng.integers(0, 2, (rows, 1)), rng.integers(0, 8, (rows, 1))])
+    block[3, 8:12] = np.nan  # a dropped star-tracker reading
+    return np.ascontiguousarray(block)
+
+
+def bench_csv():
+    block = csv_case()
+    tc = per_call(lambda: COMPILED.csv_rows(block), calls=2000)
+    tp = per_call(lambda: kernels_py.csv_rows(block), calls=2000)
+    print("%-38s %10s %10s %8s" % ("CSV pass, per 32-row chunk", "compiled", "python", "speedup"))
+    print("%-38s %7.1f us %7.1f us %7.1fx" % ("36 columns (%.2f / %.2f us a row)"
+                                              % (tc / 32, tp / 32), tc, tp, tp / tc))
+
+
 def check(label, outs):
     """Print whether the compiled and fallback outputs ``outs`` agree bit for
     bit; stop when they do not."""
@@ -350,6 +373,9 @@ def main():
     for n in (7, 10):
         check("Cholesky factor and NIS, %2d states" % n,
               on_each_backend(cholesky_layer, *kalman_case(n)))
+    block = csv_case()
+    check("CSV pass, 32 x 36", ([COMPILED.csv_rows(block).encode()],
+                                [kernels_py.csv_rows(block).encode()]))
 
     print()
     print("%-38s %12s %12s %8s" % ("case", "compiled", "python", "speedup"))
@@ -378,6 +404,8 @@ def main():
     bench_cholesky()
     print()
     bench_steps()
+    print()
+    bench_csv()
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .errors import FieldError
 from .filters import FILTER_KINDS, check_filter_kind
 from .scenario import ScenarioError, bundled_scenarios, resolve_scenario, with_overrides
@@ -81,23 +83,25 @@ def _fmt_vec(vec):
 
 
 def _print_reports(args, result):
-    """One line per detection edge (and per change of the isolated set)."""
-    previous = False
-    prev_isolated = frozenset()
-    for rep in result.reports:
-        if rep.detected and not previous:
+    """One line per detection edge (and per change of the isolated set),
+    found on the ``reports`` columns; a report is built only at an edge."""
+    reports = result.reports
+    detected, isolated = reports.detected, reports.isolated_bits
+    was_detected = np.r_[False, detected[:-1]]
+    changed = np.r_[isolated[:1] != 0, isolated[1:] != isolated[:-1]]
+    for k in np.flatnonzero((detected != was_detected) | (detected & changed)):
+        rep = reports[k]
+        if rep.detected and not was_detected[k]:
             line = ("fault detected   t=%8.1f  statistic=%10.3f  threshold=%.3f  mode=%s"
                     % (rep.t, rep.statistic, rep.threshold, rep.mode))
             if rep.isolated:
                 line += "  sensors=%s" % ",".join(sorted(rep.isolated))
             _say(args, line)
-        elif not rep.detected and previous:
+        elif not rep.detected:
             _say(args, "flag cleared     t=%8.1f" % rep.t)
-        elif rep.detected and rep.isolated != prev_isolated:
+        else:
             _say(args, "isolation change t=%8.1f  sensors=%s"
                  % (rep.t, ",".join(sorted(rep.isolated)) or "-"))
-        previous = rep.detected
-        prev_isolated = rep.isolated
 
 
 def _run_single(args, mode):

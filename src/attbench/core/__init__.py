@@ -14,12 +14,17 @@ particle filter's two cloud passes (jitter plus moments, and the
 log-likelihood); and the Cholesky factor and NIS (of the whole matrix, or
 of several diagonal blocks in one call).
 
-A fourth group has no wrapper: the Gaussian step's fused passes
-(``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
-``gauss_update_rows``). The EKF and UKF check their constant operands once,
-when built (``kernels_py.checked_gaussian``), and call these entries on
-``_kernels`` directly; each compiled entry still checks that its buffers fit
-each other.
+Three more groups have no wrapper, and their callers call the entries on
+``_kernels`` directly; each compiled entry still checks that its buffers
+fit each other:
+
+- the Gaussian step's fused passes (``points_rows``, ``ekf_assess_rows``,
+  ``ukf_assess_rows`` and ``gauss_update_rows``), whose constant operands
+  the EKF and UKF check once, when built (``kernels_py.checked_gaussian``);
+- ``factor_rows`` under the isolation policy, with the per-sensor bounds
+  and the scratch factor ``fdir.FdirSupervisor`` binds when built;
+- the CSV pass ``csv_rows``, which formats a float block as
+  ``runner.write_csv`` builds it, each value as ``'%.9g' %`` does.
 """
 
 import os
@@ -100,11 +105,7 @@ def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
     args = kernels_py.checked_moments(cloud, weights, normals, root, h, r, quaternion,
                                       diagonal)
     _kernels.moments_rows(*args)
-    mean, y_hat, s = args[-3:]
-    # an array lent to C through the buffer protocol keeps numpy's ~90 B of
-    # buffer info until it is freed; S lives on in the innovation record of
-    # every step, so the caller gets a copy that was never lent
-    return mean, y_hat, s.copy()
+    return args[-3:]
 
 
 def cloud_loglik(cloud, h, l, y):

@@ -4,11 +4,13 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The module exports eight functions. attbench.core validates the caller's
+ * The module exports nine functions. attbench.core validates the caller's
  * arrays, and allocates the outputs, before calling any of the first four;
  * the Gaussian filters check their constant operands once, when built, and
- * call the last four directly. Each function still checks that its buffers
- * fit each other.
+ * call the next four directly, FdirSupervisor calls factor_rows directly
+ * with the bounds and scratch it bound when built, and runner.write_csv
+ * calls csv_rows. Each function still checks that its buffers fit each
+ * other.
  *
  * step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames) advances a
  *     C-contiguous float64 (M, n) buffer by one rigid-body RK4 step, in place.
@@ -53,6 +55,10 @@
  *     factoring that block of s: W = C L^-T, mu + W (L^-1 nu) and
  *     sigma - W W', exactly symmetric (update). It then renormalizes
  *     mu_out's columns 0..3 when asked; no rows copies mu and sigma.
+ * csv_rows(block) returns the rows of a C-contiguous float64 (rows, cols)
+ *     block as CSV text: each value as PyOS_double_to_string(v, 'g', 9, 0)
+ *     gives it, the routine Python's '%.9g' % v calls (glibc's printf
+ *     would differ, printing -nan), comma-separated, each row ended by CRLF.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles or points runs from row 0, and a
@@ -1292,6 +1298,69 @@ fail:
     return NULL;
 }
 
+/* The widest '%.9g' text: a sign, nine digits, the point and "e-308". */
+#define CSV_FIELD 24
+
+static PyObject *
+csv_rows(PyObject *self, PyObject *args)
+{
+    PyObject *blocko, *text = NULL;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *x;
+    char *buf, *p;
+    Py_ssize_t rows, cols, i, len;
+
+    if (!PyArg_ParseTuple(args, "O:csv_rows", &blocko))
+        return NULL;
+    if (!PyObject_CheckBuffer(blocko)) {
+        PyErr_SetString(PyExc_ValueError, "block must be a C-contiguous float64 array");
+        return NULL;
+    }
+    if (get_shaped(blocko, &v[0], PyBUF_SIMPLE, 2, -1, -1, "block", &x) < 0)
+        goto fail;
+    rows = v[0].shape[0];
+    cols = v[0].shape[1];
+    if (cols < 1) {
+        PyErr_SetString(PyExc_ValueError, "block must have at least one column");
+        goto fail;
+    }
+    if (!(buf = PyMem_Malloc(rows * cols * (CSV_FIELD + 1) + rows + 1))) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    p = buf;
+    for (i = 0; i < rows * cols; i++) {
+        /* the routine Python's own '%.9g' % value calls */
+        char *s = PyOS_double_to_string(x[i], 'g', 9, 0, NULL);
+
+        if (!s) {
+            PyMem_Free(buf);
+            goto fail;
+        }
+        len = (Py_ssize_t)strlen(s);
+        if (len > CSV_FIELD) {
+            PyMem_Free(s);
+            PyMem_Free(buf);
+            PyErr_SetString(PyExc_SystemError, "a formatted value overflows its field");
+            goto fail;
+        }
+        memcpy(p, s, len);
+        PyMem_Free(s);
+        p += len;
+        if ((i + 1) % cols)
+            *p++ = ',';
+        else {
+            *p++ = '\r';
+            *p++ = '\n';
+        }
+    }
+    text = PyUnicode_DecodeASCII(buf, p - buf, NULL);
+    PyMem_Free(buf);
+fail:
+    release_all(v);
+    return text;
+}
+
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
      "step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)\n--\n\n"
@@ -1324,14 +1393,17 @@ static PyMethodDef methods[] = {
      "gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigma_out)\n"
      "--\n\n"
      "Write the Kalman update on the listed rows, renormalizing the quaternion."},
+    {"csv_rows", csv_rows, METH_VARARGS,
+     "csv_rows(block)\n--\n\n"
+     "Format the rows of a float64 block as CSV text, each value as '%.9g' % value."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernels_c",
-    .m_doc = "Compiled rigid-body RK4, particle-cloud, moment, Cholesky and Gaussian-step "
-              "kernels.",
+    .m_doc = "Compiled rigid-body RK4, particle-cloud, moment, Cholesky, Gaussian-step "
+              "and CSV kernels.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -6,7 +6,7 @@ passes, ``factor_rows`` the Kalman step's Cholesky factor and NIS, and
 ``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
 ``gauss_update_rows`` the Gaussian step's fused passes, built from the
 private ``_sigma_rows``, ``_ekf_rows`` and ``_update_rows`` in the order the
-compiled passes run them. ``_sigma_rows`` is the one weighted-moments body:
+compiled passes run them, and ``csv_rows`` the CSV export's formatting. ``_sigma_rows`` is the one weighted-moments body:
 ``moments_rows`` calls it after the jitter, and ``ukf_assess_rows`` for
 both of its moment steps. The ``checked_*`` functions validate arguments
 for ``attbench.core``'s wrappers and the Gaussian filters; the wrappers,
@@ -145,11 +145,9 @@ def _product(x, h):
 
 
 def _doubles(name, a, ndim, shape=None):
-    """A float64 C-contiguous view of ``a``, never ``a`` itself: an array
-    lent to C through the buffer protocol keeps numpy's ~100 B of buffer
-    info until it is freed, and the filters keep S and nu in every step's
-    innovation record."""
-    a = np.ascontiguousarray(a, dtype=np.float64).view()
+    """``a`` as a float64 C-contiguous array of rank ``ndim`` (and
+    ``shape``), without a copy when it already is one."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != ndim or (shape is not None and a.shape != shape):
         raise ValueError("%s must have shape %r, got %r"
                          % (name, shape or ("?",) * ndim, a.shape))
@@ -586,3 +584,19 @@ def gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigm
         _update_rows(mu, sigma, cross, l, nu, mu_out, sigma_out)
     if quaternion:
         _unit_quaternions(mu_out[None])
+
+
+def csv_rows(block):
+    """The rows of the 2-D float64 C-contiguous ``block`` as CSV text: each
+    value as ``'%.9g' % value`` formats it, joined by commas, each row ended
+    by CRLF.
+
+    Raises:
+        ValueError: ``block`` is not such an array with at least one column.
+    """
+    if (not isinstance(block, np.ndarray) or block.dtype != np.float64 or block.ndim != 2
+            or not block.flags.c_contiguous or block.shape[1] < 1):
+        raise ValueError("block must be a C-contiguous float64 (rows, columns) array "
+                         "with columns >= 1")
+    fmt = ",".join(["%.9g"] * block.shape[1]) + "\r\n"
+    return "".join([fmt % tuple(row) for row in block.tolist()])

@@ -14,6 +14,11 @@ The per-sensor test is the sensitive one: a fault concentrated in a
 low-dimensional block can hide below the full-dimension threshold while
 standing far above its own block's threshold.
 
+``FdirSupervisor`` runs one detector per step and writes each decision
+into preallocated columns, which ``FaultReports`` views as a sequence of
+``FaultReport``; ``innovation_filter_check``, ``sequence_monitor_update``
+and ``isolation_check`` are the same rules on one record.
+
 Recovery is the caller's move: skip the update (prediction-only step),
 or update with the rows ``healthy_rows`` maps the healthy sensors to. Every
 filter takes that one path, so an unknown sensor name raises and an empty
@@ -21,6 +26,8 @@ healthy set means a prediction-only step in each of them.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,6 +42,8 @@ __all__ = [
     "compute_nis",
     "DetectorConfig",
     "FaultReport",
+    "RowView",
+    "FaultReports",
     "innovation_filter_check",
     "NisWindow",
     "sequence_monitor_update",
@@ -104,22 +113,72 @@ class FaultReport:
     per_sensor: dict = field(default_factory=dict)
 
 
+class RowView(Sequence):
+    """A read-only sequence of ``n`` rows kept as columns; a subclass's
+    ``_row(k)`` builds row k when it is read."""
+
+    def __init__(self, n):
+        self._n = n
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._row, range(*k.indices(self._n))))
+        k = operator.index(k)
+        if not -self._n <= k < self._n:
+            raise IndexError("row index out of range")
+        return self._row(k % self._n)
+
+    def __iter__(self):
+        return map(self._row, range(self._n))
+
+
+class FaultReports(RowView):
+    """A run's FDIR decisions, a column per report field and a row per step;
+    as a sequence, each step's ``FaultReport``, built when it is read.
+
+    Columns: ``t``, ``detected`` (bool), ``isolated_bits`` (bit i set when
+    ``sensors[i]`` is isolated), ``statistic``, ``threshold``, ``dof`` and,
+    under isolation, ``per_sensor_nis`` with one column per sensor (else
+    None). ``mode`` is every report's mode and ``dofs`` each sensor's rows.
+    """
+
+    def __init__(self, mode, sensors, dofs, t, detected, isolated_bits, statistic, threshold,
+                 dof, per_sensor_nis):
+        super().__init__(len(t))
+        self.mode, self.sensors, self.dofs = mode, sensors, dofs
+        self.t, self.detected, self.isolated_bits = t, detected, isolated_bits
+        self.statistic, self.threshold, self.dof = statistic, threshold, dof
+        self.per_sensor_nis = per_sensor_nis
+
+    def _row(self, k):
+        bits = int(self.isolated_bits[k])
+        per = self.per_sensor_nis
+        return FaultReport(
+            t=self.t[k],
+            detected=bool(self.detected[k]),
+            statistic=float(self.statistic[k]),
+            threshold=float(self.threshold[k]),
+            dof=int(self.dof[k]),
+            mode=self.mode,
+            isolated=frozenset(name for i, name in enumerate(self.sensors) if bits >> i & 1),
+            per_sensor={} if per is None else {
+                name: (nis_i, dof) for name, nis_i, dof in zip(self.sensors, per[k].tolist(),
+                                                                self.dofs)},
+        )
+
+
 def innovation_filter_check(record, cfg):
-    """Single-step chi-square test on one innovation record.
+    """Single-step chi-square test on one innovation record: the
+    "innovation" policy of ``FdirSupervisor`` on one step.
 
     A non-finite statistic (a NaN measurement, say) counts as a detection,
     so it never reaches the update; every detector here tests
     ``not stat <= gamma`` for that reason.
     """
-    dof = len(record.nu)
-    gamma = chi2_quantile(dof, cfg.alpha)
-    return FaultReport(
-        t=record.t,
-        detected=not record.nis <= gamma,
-        statistic=record.nis,
-        threshold=gamma,
-        dof=dof,
-    )
+    return FdirSupervisor("innovation", cfg, {})._report_on(record)
 
 
 class NisWindow:
@@ -149,7 +208,9 @@ class NisWindow:
 
 
 def sequence_monitor_update(window, record, cfg):
-    """Push one NIS sample and test the window mean against the threshold.
+    """Push one NIS sample and test the window mean against the threshold:
+    the "sequence" policy of ``FdirSupervisor`` on one step, with
+    ``window`` as its window.
 
     Stays quiet (detected False) until the window holds ``cfg.min_samples``
     values, so a run never alarms off a single warm-up sample. The window
@@ -160,36 +221,9 @@ def sequence_monitor_update(window, record, cfg):
     warm-up or not, and is reported as the statistic; it never enters the
     window, so it cannot hold the mean non-finite for the next steps.
     """
-    if math.isfinite(record.nis):
-        window.push(record.nis)
-        statistic = window.mean()
-    else:
-        statistic = record.nis
-    dof = len(record.nu)
-    gamma = chi2_quantile(dof, cfg.alpha)
-    ready = len(window) >= cfg.min_samples
-    return FaultReport(
-        t=record.t,
-        detected=not statistic <= gamma and (ready or not math.isfinite(statistic)),
-        statistic=statistic,
-        threshold=gamma,
-        dof=dof,
-        mode="window",
-    )
-
-
-def _sensor_blocks(slice_map):
-    """(names, bounds, dofs) of the sensors in ``slice_map``, in layout
-    order; bounds is the flat tuple of (start, stop) rows that
-    ``attbench.core.block_nis`` takes."""
-    return (tuple(slice_map),
-            tuple(edge for sl in slice_map.values() for edge in (sl.start, sl.stop)),
-            tuple(sl.stop - sl.start for sl in slice_map.values()))
-
-
-def _per_sensor(record, names, bounds, dofs):
-    nis = core.block_nis(record.S, record.nu, bounds)
-    return {name: (nis_i, dof) for name, nis_i, dof in zip(names, nis, dofs)}
+    supervisor = FdirSupervisor("sequence", cfg, {})
+    supervisor.window = window
+    return supervisor._report_on(record)
 
 
 def per_sensor_nis(record, slice_map):
@@ -203,50 +237,16 @@ def per_sensor_nis(record, slice_map):
     Returns:
         dict: sensor name -> (nis, dof), in layout order.
     """
-    return _per_sensor(record, *_sensor_blocks(slice_map))
-
-
-class _IsolationTest:
-    """The per-sensor chi-square test on one layout at one significance
-    level; each sensor's block bounds and threshold are worked out once,
-    when it is built, and a call reports on one record."""
-
-    def __init__(self, slice_map, alpha):
-        self.alpha = alpha
-        self.blocks = _sensor_blocks(slice_map)
-        self.gammas = tuple(chi2_quantile(dof, alpha) for dof in self.blocks[2])
-
-    def __call__(self, record):
-        per = _per_sensor(record, *self.blocks)
-        isolated = set()
-        worst_ratio = 0.0
-        statistic = 0.0
-        threshold = chi2_quantile(len(record.nu), self.alpha)
-        for (name, (nis_i, _)), gamma_i in zip(per.items(), self.gammas):
-            if not nis_i <= gamma_i:
-                isolated.add(name)
-            # a non-finite sensor is the worst one, so the report's statistic
-            # stays above its threshold whenever a sensor is isolated
-            ratio = nis_i / gamma_i if math.isfinite(nis_i) else math.inf
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                statistic = nis_i
-                threshold = gamma_i
-        return FaultReport(
-            t=record.t,
-            detected=bool(isolated),
-            statistic=statistic,
-            threshold=threshold,
-            dof=len(record.nu),
-            mode="isolation",
-            isolated=frozenset(isolated),
-            per_sensor=per,
-        )
+    bounds = tuple(edge for sl in slice_map.values() for edge in (sl.start, sl.stop))
+    nis = core.block_nis(record.S, record.nu, bounds)
+    return {name: (nis_i, sl.stop - sl.start)
+            for (name, sl), nis_i in zip(slice_map.items(), nis)}
 
 
 def isolation_check(record, slice_map, cfg):
-    """Per-sensor chi-square tests; flags every sensor over its threshold."""
-    return _IsolationTest(slice_map, cfg.alpha)(record)
+    """Per-sensor chi-square tests; flags every sensor over its threshold:
+    the "isolation" policy of ``FdirSupervisor`` on one step."""
+    return FdirSupervisor("isolation", cfg, slice_map)._report_on(record)
 
 
 def healthy_rows(healthy, slice_map):
@@ -292,51 +292,148 @@ class FdirSupervisor:
         isolation:  per-sensor tests; update with the healthy rows only
                     (skip entirely if every sensor is flagged).
 
-    One supervisor owns one run's window state; create a fresh one per run.
-    The isolation policy works out each sensor's block bounds and threshold
-    once, when the supervisor is built.
+    One supervisor owns one run's window state and decision columns; create
+    a fresh one per run. Each ``decide`` fills one row of the columns that
+    ``reports`` views (see ``FaultReports``). They start with ``capacity``
+    rows, a run's step count, and double when full.
+
+    The isolation policy works out each sensor's block bounds and threshold,
+    the healthy sensor names of every isolated bitmask and a scratch factor
+    once, when the supervisor is built, and hands each record's S and nu to
+    the active backend's ``factor_rows`` as they are: float64 and
+    C-contiguous, as the filters make them, with the slice map's rows.
     """
 
     POLICIES = ("none", "innovation", "sequence", "isolation")
+    _MODES = {"none": "none", "innovation": "single", "sequence": "window",
+              "isolation": "isolation"}
 
-    def __init__(self, policy, cfg, slice_map):
+    def __init__(self, policy, cfg, slice_map, capacity=1):
         self.check_policy(policy)
         self.policy = policy
         self.cfg = cfg
         self.slice_map = slice_map
         self.window = NisWindow(cfg.window)
-        self.reports = []
-        self._isolation = _IsolationTest(slice_map, cfg.alpha) if policy == "isolation" else None
+        self._rule = getattr(self, "_" + policy)
+        self._sensors = tuple(slice_map)
+        self._dofs = tuple(sl.stop - sl.start for sl in slice_map.values())
+        if policy == "isolation":
+            self._bounds = tuple(edge for sl in slice_map.values()
+                                 for edge in (sl.start, sl.stop))
+            self._gammas = tuple(chi2_quantile(dof, cfg.alpha) for dof in self._dofs)
+            self._bits = tuple(1 << i for i in range(len(self._sensors)))
+            self._healthy = tuple(
+                tuple(name for bit, name in zip(self._bits, self._sensors) if not mask & bit)
+                for mask in range(1 << len(self._sensors)))
+            m = max(sl.stop for sl in slice_map.values())
+            self._l = np.zeros((m, m))
+        self._k = 0
+        self._columns = self._fresh(max(int(capacity), 1))
+        self._bind()
+
+    def _fresh(self, rows):
+        """Columns of ``rows`` undecided rows: nothing detected or isolated,
+        an infinite threshold (the "none" policy's)."""
+        return (np.zeros(rows), np.zeros(rows, dtype=bool), np.zeros(rows, dtype=np.int64),
+                np.zeros(rows), np.full(rows, math.inf), np.zeros(rows, dtype=np.int64),
+                np.zeros((rows, len(self._sensors))) if self.policy == "isolation" else None)
+
+    def _bind(self):
+        (self._t, self._detected, self._isolated, self._statistic, self._threshold,
+         self._dof, self._per_sensor) = self._columns
+
+    def _grow(self):
+        """Double the columns, keeping the rows decided so far."""
+        k = self._k
+        grown = self._fresh(2 * k)
+        for new, old in zip(grown, self._columns):
+            if new is not None:
+                new[:k] = old
+        self._columns = grown
+        self._bind()
 
     @classmethod
     def check_policy(cls, policy):
         check_choice("policy", policy, cls.POLICIES)
 
+    @property
+    def reports(self):
+        """``FaultReports`` over the rows decided so far."""
+        k = self._k
+        return FaultReports(self._MODES[self.policy], self._sensors, self._dofs,
+                            *(None if col is None else col[:k] for col in self._columns))
+
     def decide(self, record):
-        """Evaluate the policy on one record.
+        """Evaluate the policy on one record and fill its row.
 
         Returns:
             (skip, healthy): skip means prediction-only step; healthy is
             None for all-rows updates or a tuple of sensor names to keep.
         """
-        if self.policy == "none":
-            report = FaultReport(
-                t=record.t, detected=False, statistic=record.nis,
-                threshold=float("inf"), dof=len(record.nu), mode="none",
-            )
-            skip, healthy = False, None
-        elif self.policy == "innovation":
-            report = innovation_filter_check(record, self.cfg)
-            skip, healthy = report.detected, None
-        elif self.policy == "sequence":
-            report = sequence_monitor_update(self.window, record, self.cfg)
-            skip, healthy = report.detected, None
+        k = self._k
+        if k == len(self._t):
+            self._grow()
+        self._t[k] = record.t
+        self._dof[k] = dof = len(record.nu)
+        decision = self._rule(record, k, dof)
+        self._k = k + 1
+        return decision
+
+    def _report_on(self, record):
+        """The FaultReport of ``decide`` on one record."""
+        self.decide(record)
+        return self.reports[-1]
+
+    def _none(self, record, k, dof):
+        self._statistic[k] = record.nis
+        return _KEEP
+
+    def _flag(self, k, statistic, gamma, detected):
+        self._statistic[k] = statistic
+        self._threshold[k] = gamma
+        if not detected:
+            return _KEEP
+        self._detected[k] = True
+        return _SKIP
+
+    def _innovation(self, record, k, dof):
+        gamma = chi2_quantile(dof, self.cfg.alpha)
+        return self._flag(k, record.nis, gamma, not record.nis <= gamma)
+
+    def _sequence(self, record, k, dof):
+        if math.isfinite(record.nis):
+            self.window.push(record.nis)
+            statistic = self.window.mean()
         else:
-            report = self._isolation(record)
-            if report.isolated:
-                healthy = tuple(n for n in self.slice_map if n not in report.isolated)
-                skip = not healthy
-            else:
-                skip, healthy = False, None
-        self.reports.append(report)
-        return skip, healthy
+            statistic = record.nis
+        gamma = chi2_quantile(dof, self.cfg.alpha)
+        ready = len(self.window) >= self.cfg.min_samples
+        return self._flag(k, statistic, gamma,
+                          not statistic <= gamma and (ready or not math.isfinite(statistic)))
+
+    def _isolation(self, record, k, dof):
+        nis = core._kernels.factor_rows(record.S, self._bounds, record.nu, self._l)
+        self._per_sensor[k] = nis
+        isolated = 0
+        worst_ratio = 0.0
+        statistic, threshold = 0.0, None
+        for bit, nis_i, gamma_i in zip(self._bits, nis, self._gammas):
+            if not nis_i <= gamma_i:
+                isolated |= bit
+            # a non-finite sensor is the worst one, so the report's statistic
+            # stays above its threshold whenever a sensor is isolated
+            ratio = nis_i / gamma_i if math.isfinite(nis_i) else math.inf
+            if ratio > worst_ratio:
+                worst_ratio, statistic, threshold = ratio, nis_i, gamma_i
+        self._statistic[k] = statistic
+        self._threshold[k] = chi2_quantile(dof, self.cfg.alpha) if threshold is None else threshold
+        if not isolated:
+            return _KEEP
+        self._detected[k] = True
+        self._isolated[k] = isolated
+        healthy = self._healthy[isolated]
+        return not healthy, healthy
+
+
+_KEEP = (False, None)
+_SKIP = (True, None)

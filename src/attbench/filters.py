@@ -483,9 +483,7 @@ class EkfFilter(_GaussianFilter):
         across [t - dt, t], in one batched call, then run ``ekf_assess_rows``:
         the central-difference Jacobian a, a Sigma a' + Q, y_hat = H mu,
         S = H Sigma H' + R, C = Sigma H', the aligned innovation and the
-        factor of S that the record's NIS and a full-row update share. The
-        record keeps nu and S; the passes get views of them, so neither
-        carries numpy's buffer info."""
+        factor of S that the record's NIS and a full-row update share."""
         n, m = self.model.dim, self.meas.dim
         eps = self._eps
         batch = np.empty((2 * n + 1, n))
@@ -496,11 +494,10 @@ class EkfFilter(_GaussianFilter):
         prop = self.model.propagate(batch, t - self.model.dt)
         sigma, cross, l = np.empty((n, n)), np.empty((n, m)), np.empty((m, m))
         s, nu = np.empty((m, m)), np.empty(m)
-        s_lent, nu_lent = s.view(), nu.view()
         nis = core._kernels.ekf_assess_rows(prop, eps, belief.sigma, self._q, self._h, self._r,
-                                            self._blocks, y, sigma, s_lent, cross, nu_lent, l)
+                                            self._blocks, y, sigma, s, cross, nu, l)
         record = InnovationRecord(t=t, nu=nu, S=s, nis=nis, source=self.source)
-        return prop[0], sigma, s_lent, cross, nu_lent, l, record
+        return prop[0], sigma, s, cross, nu, l, record
 
 
 def _ukf_weights(n, alpha, beta, kappa):
@@ -585,16 +582,15 @@ class UkfFilter(_GaussianFilter):
         prop = self.model.propagate(points, t - self.model.dt)
         mu, sigma = np.empty(n), np.empty((n, n))
         s, cross, s_det, nu = np.empty((m, m)), np.empty((n, m)), np.empty((m, m)), np.empty(m)
-        nu_lent = nu.view()
         args = (self._wm, self._wc, self._q, self._scale, self._h, self._r, self._r_det,
                 self._blocks, y, mu, sigma)
-        outs = (s, s_det.view(), cross, nu_lent)
+        outs = (s, s_det, cross, nu)
         nis = core._kernels.ukf_assess_rows(prop, *args, None, *outs)
         if nis is None:
             kernels_py.sigma_set(mu, _clamped_root(self._scale * sigma), points)
             nis = core._kernels.ukf_assess_rows(None, *args, points, *outs)
         record = InnovationRecord(t=t, nu=nu, S=s_det, nis=nis, source=self.source)
-        return mu, sigma, s, cross, nu_lent, None, record
+        return mu, sigma, s, cross, nu, None, record
 
 
 def systematic_resample(weights, u):

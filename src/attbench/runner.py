@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .attitude import align_hemisphere
 from .dynamics import integrate
 from .errors import check_choice
-from .fdir import FdirSupervisor, chi2_quantile
+from .fdir import FdirSupervisor, RowView, chi2_quantile
 from .filters import (
     FilterConfig,
+    InnovationRecord,
     RigidBodyProcessModel,
     attitude_measurement,
     estimate_stats,
@@ -49,10 +51,14 @@ class RunResult:
     n rows for steps k = 1..n at times t_k. ``measurements`` is the faulted
     stream the filter consumed; ``measurements_clean`` is the same stream
     before fault injection. Filter fields are None in simulate mode.
-    ``reports`` holds one report per step whenever a filter ran: with no
-    detection policy (estimate mode, or the "none" policy) each is a
-    ``mode="none"`` report that detects nothing. Only simulate mode has
-    ``()``.
+
+    A run keeps columns, not per-step objects. ``reports`` is the
+    supervisor's ``fdir.FaultReports``: one row per step whenever a filter
+    ran (with no detection policy, in estimate mode or under the "none"
+    policy, each is a ``mode="none"`` report that detects nothing), read as
+    columns or as a sequence of ``FaultReport``; only simulate mode has
+    ``()``. ``records`` is a ``RunRecords`` view of the step times and
+    ``nis``.
     """
 
     cfg: object
@@ -71,6 +77,20 @@ class RunResult:
     @property
     def layout(self):
         return make_layout(self.cfg.parameterization)
+
+
+class RunRecords(RowView):
+    """A run's innovation records, kept as two columns: the step times ``t``
+    and the NIS ``nis``. Row k is an ``InnovationRecord`` whose nu and S are
+    None; a run does not keep them."""
+
+    def __init__(self, t, nis, source):
+        super().__init__(len(nis))
+        self.t, self.nis, self.source = t, nis, source
+
+    def _row(self, k):
+        return InnovationRecord(t=self.t[k], nu=None, S=None, nis=float(self.nis[k]),
+                                source=self.source)
 
 
 @dataclass(frozen=True)
@@ -184,14 +204,13 @@ def run_scenario(cfg, mode="fdir", filter_kind=None):
     rng = derive_stream(cfg.seed, "pf") if kind == "pf" else None
     filt = make_filter(kind, fcfg, rng=rng)
     policy = cfg.policy if mode == "fdir" else "none"
-    supervisor = FdirSupervisor(policy, cfg.detector, layout.slices)
-
     n = cfg.n_steps
+    supervisor = FdirSupervisor(policy, cfg.detector, layout.slices, capacity=n)
+
     state_dim = fcfg.process.dim
     estimates = np.empty((n, state_dim))
     variances = np.empty((n, state_dim))
     nis = np.empty(n)
-    records = []
     belief = filt.initial_belief()
     for k in range(1, n + 1):
         try:
@@ -203,13 +222,12 @@ def run_scenario(cfg, mode="fdir", filter_kind=None):
         estimates[k - 1] = mu
         variances[k - 1] = var
         nis[k - 1] = rec.nis
-        records.append(rec)
 
     return RunResult(
         cfg=cfg, mode=mode, filter_kind=kind, t=traj.t, truth=traj.states,
         measurements_clean=clean, measurements=faulted,
         estimates=estimates, variances=variances, nis=nis,
-        records=tuple(records), reports=tuple(supervisor.reports),
+        records=RunRecords(traj.t[1:], nis, filt.source), reports=supervisor.reports,
     )
 
 
@@ -253,14 +271,13 @@ def compute_metrics(result, settle=20.0):
     latency = None
     false_alarms = 0
     detected_in_window = False
-    for rep in result.reports:
-        if not rep.detected:
-            continue
-        onsets = [lo for lo, hi in windows if lo <= rep.t < hi]
+    reports = result.reports
+    for t_k in reports.t[reports.detected]:
+        onsets = [lo for lo, hi in windows if lo <= t_k < hi]
         if onsets:
             detected_in_window = True
             if latency is None:
-                latency = rep.t - min(onsets)
+                latency = t_k - min(onsets)
         else:
             false_alarms += 1
     missed = bool(windows) and result.mode == "fdir" \
@@ -325,7 +342,7 @@ def _isolated_bits(report, layout):
     return bits
 
 
-_CSV_CHUNK = 32  # rows formatted per batch; bounds the temporary lists
+_CSV_CHUNK = 32  # rows formatted per batch; bounds the temporary arrays
 
 
 def write_csv(result, path):
@@ -333,14 +350,15 @@ def write_csv(result, path):
 
     Fixed column order: t, truth, measurements (as the filter saw them),
     then for estimation runs: estimate, 3-sigma bounds, nis, detected flag,
-    isolated-sensor bitmask (bit i = layout.sensors[i]).
+    isolated-sensor bitmask (bit i = layout.sensors[i]), the last two from
+    the ``reports`` columns. Each chunk of rows goes to the active backend's
+    ``csv_rows`` as one float block, which formats every value as ``'%.9g'
+    %`` does.
     """
-    layout = result.layout
     header = csv_header(result)
     with_filter = result.estimates is not None
     n = result.measurements.shape[0]
-    reports = result.reports or (None,) * n
-    fmt = ",".join(["%.9g"] * len(header)) + "\r\n"
+    reports = result.reports
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, _CSV_CHUNK):
@@ -349,10 +367,9 @@ def write_csv(result, path):
             if with_filter:
                 cols += [result.estimates[rows],
                          3.0 * np.sqrt(np.maximum(result.variances[rows], 0.0)),
-                         result.nis[rows, None],
-                         [(1 if rep is not None and rep.detected else 0,
-                           _isolated_bits(rep, layout)) for rep in reports[rows]]]
-            fh.writelines(fmt % tuple(row) for row in np.hstack(cols).tolist())
+                         result.nis[rows, None], reports.detected[rows, None],
+                         reports.isolated_bits[rows, None]]
+            fh.write(core._kernels.csv_rows(np.hstack(cols, dtype=np.float64)))
 
 
 def compare_run(cfg, kinds, jobs=1):

@@ -1,8 +1,10 @@
 import argparse
 import csv
 
+import numpy as np
 import pytest
 
+from attbench import runner
 from attbench.cli import build_parser, main
 from attbench.scenario import bundled_scenarios
 
@@ -104,6 +106,44 @@ def test_fdir_reports_detection_edges(tmp_path, capsys):
     assert "fault detected" in out
     assert "flag cleared" in out
     assert "mode=single" in out
+
+
+PINNED_REPORT_LINES = {
+    ("spike_isolation", None): [
+        "rmse: attitude 0.005448  rates 0.002194  nis mean 1.97",
+        "fault detected   t=   125.0  statistic=    13.557  threshold=7.815  mode=isolation"
+        "  sensors=gyro",
+        "flag cleared     t=   125.3",
+    ],
+    ("fusion_recovery", 1400): [
+        "rmse: attitude 0.005436  rates 0.002224  nis mean nan",
+        "fault detected   t=   125.0  statistic=   600.103  threshold=7.815  mode=isolation"
+        "  sensors=gyro",
+        "isolation change t=   140.1  sensors=gyro,star_tracker",
+        "isolation change t=   140.2  sensors=gyro",
+    ],
+}
+
+
+@pytest.mark.parametrize("name,nan_at", sorted(PINNED_REPORT_LINES, key=str))
+def test_fdir_report_lines_are_pinned(tmp_path, capsys, monkeypatch, name, nan_at):
+    """The detection, isolation-change and cleared lines, exactly; the
+    fusion_recovery variant reads NaN from the star tracker at one step of
+    the gyro fault, so the isolated set grows and shrinks back."""
+    if nan_at is not None:
+        sample = runner.sample_measurements
+
+        def with_nan(cfg, traj, layout):
+            clean, faulted = sample(cfg, traj, layout)
+            faulted[nan_at, layout.slices["star_tracker"]] = np.nan
+            return clean, faulted
+
+        monkeypatch.setattr(runner, "sample_measurements", with_nan)
+    target = tmp_path / "run.csv"
+    assert main(["fdir", name, "-o", str(target)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fdir: %s -> %s (1600 steps, filter=ekf)" % (name, target)
+    assert lines[1:] == PINNED_REPORT_LINES[name, nan_at]
 
 
 def test_compare_writes_one_csv_per_filter(tmp_path, capsys):

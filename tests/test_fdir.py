@@ -255,3 +255,21 @@ def test_supervisor_isolation_returns_healthy_subset():
 def test_supervisor_unknown_policy():
     with pytest.raises(ValueError):
         fdir.FdirSupervisor("voting", fdir.DetectorConfig(), SLICES)
+
+
+@pytest.mark.parametrize("policy", fdir.FdirSupervisor.POLICIES)
+def test_supervisor_columns_grow_past_their_capacity(policy):
+    """A supervisor that starts with one row decides as one sized for the
+    whole run."""
+    cfg = fdir.DetectorConfig(window=5, min_samples=2)
+    rng = np.random.default_rng(3)
+    records = []
+    for k in range(13):
+        nu = rng.standard_normal(11) * (4.0 if k in (4, 9) else 1.0)
+        records.append(InnovationRecord(t=0.1 * k, nu=nu, S=np.eye(11),
+                                        nis=fdir.compute_nis(nu, np.eye(11)), source="ekf"))
+    grown = fdir.FdirSupervisor(policy, cfg, SLICES)
+    sized = fdir.FdirSupervisor(policy, cfg, SLICES, capacity=13)
+    assert [grown.decide(r) for r in records] == [sized.decide(r) for r in records]
+    assert list(grown.reports) == list(sized.reports)
+    npt.assert_array_equal(grown.reports.threshold, sized.reports.threshold)

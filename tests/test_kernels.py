@@ -931,3 +931,47 @@ def test_pure_python_env_toggle_is_bit_identical():
     backend, digest = proc.stdout.split()
     assert backend == "python"
     assert digest == trajectory_digest()
+
+
+def _csv_backends():
+    """The fallback and, when it is built, the compiled backend: both are
+    checked whichever one ``attbench.core`` uses."""
+    try:
+        from attbench.core import _kernels_c
+    except ImportError:
+        return (kernels_py,)
+    return (kernels_py, _kernels_c)
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308, 2.0 ** 53, -2.0 ** 53]),
+    st.integers(-2 ** 53, 2 ** 53).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 6).flatmap(lambda rows: st.integers(1, 9).flatmap(
+    lambda cols: st.lists(_CSV_VALUES, min_size=rows * cols, max_size=rows * cols).map(
+        lambda vals: np.array(vals, dtype=np.float64).reshape(rows, cols)))))
+def test_csv_rows_gives_the_per_value_format_bytes(block):
+    """Each backend's ``csv_rows`` formats a block exactly as ``'%.9g' %``
+    does value by value, NaN of either sign, infinities, signed zeros,
+    subnormals and integers up to 2^53 included."""
+    expected = "".join(",".join("%.9g" % v for v in row) + "\r\n" for row in block.tolist())
+    for backend in _csv_backends():
+        assert backend.csv_rows(block) == expected, backend.__name__
+
+
+def test_csv_rows_rejects_a_block_of_the_wrong_shape_or_type():
+    good = np.ones((3, 4))
+    bad_blocks = [good[0], good[None], good.astype(np.float32), good.astype(np.int64),
+                  good.tolist(), np.ones((3, 8))[:, ::2], np.ones((3, 0)), b"\x00" * 96,
+                  good.astype(">f8")]
+    for backend in _csv_backends():
+        assert backend.csv_rows(good) == "1,1,1,1\r\n" * 3
+        assert backend.csv_rows(np.ones((0, 4))) == ""
+        for bad in bad_blocks:
+            with pytest.raises(ValueError):
+                backend.csv_rows(bad)

@@ -6,8 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from attbench import fdir
 from attbench import filters as flt
 from attbench import runner as rn
+from attbench.core import kernels_py
 from attbench.fdir import chi2_quantile
 from attbench.scenario import ScenarioError, load_bundled, with_overrides
 
@@ -267,3 +269,94 @@ def test_nan_measurement_under_policy_none_is_not_applied(monkeypatch, kind):
     assert np.isfinite(result.estimates).all()
     assert np.isfinite(result.variances).all()
     assert not any(resets)
+
+
+def _one_record_reports(records, cfg, slices):
+    """Each record's report by the one-record form of the scenario's policy."""
+    det = cfg.detector
+    if cfg.policy == "isolation":
+        return [fdir.isolation_check(rec, slices, det) for rec in records]
+    if cfg.policy == "sequence":
+        window = fdir.NisWindow(det.window)
+        return [fdir.sequence_monitor_update(window, rec, det) for rec in records]
+    return [fdir.innovation_filter_check(rec, det) for rec in records]
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)  # NaN matches NaN here
+
+
+@pytest.mark.parametrize("name,nan_at", [("spike_detect", None), ("spike_isolation", None),
+                                         ("fusion_recovery", None), ("dropout_sequence", None),
+                                         ("fusion_recovery", 1400)])
+def test_report_columns_match_the_one_record_checks(monkeypatch, backend, name, nan_at):
+    """Step for step, the run's report columns read back as the report that
+    ``innovation_filter_check``, ``sequence_monitor_update`` or
+    ``isolation_check`` gives for that step's innovation record; the
+    NaN-row variant puts one non-finite star-tracker reading inside the
+    gyro fault, so it is isolated with the gyro for one step."""
+    records = []
+    decide = fdir.FdirSupervisor.decide
+
+    def recording(self, record):
+        records.append(record)
+        return decide(self, record)
+
+    if nan_at is not None:
+        sample = rn.sample_measurements
+
+        def with_nan(cfg, traj, layout):
+            clean, faulted = sample(cfg, traj, layout)
+            faulted[nan_at, layout.slices["star_tracker"]] = np.nan
+            return clean, faulted
+
+        monkeypatch.setattr(rn, "sample_measurements", with_nan)
+    monkeypatch.setattr(fdir.FdirSupervisor, "decide", recording)
+    cfg = load_bundled(name)
+    result = rn.run_scenario(cfg, mode="fdir")
+    monkeypatch.setattr(fdir.FdirSupervisor, "decide", decide)
+
+    reports = result.reports
+    assert len(records) == len(reports) == cfg.n_steps
+    assert reports.detected.any()
+    if nan_at is not None:
+        assert reports[nan_at].isolated == {"gyro", "star_tracker"}
+    for k, expected in enumerate(_one_record_reports(records, cfg, result.layout.slices)):
+        got = reports[k]
+        for field in ("t", "detected", "isolated", "statistic", "threshold", "dof", "mode"):
+            assert _same(getattr(got, field), getattr(expected, field)), (k, field)
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf"])
+def test_an_isolation_run_never_validates_a_factor(monkeypatch, kind):
+    """The isolation test hands each record to the factor entry with the
+    bounds and scratch it bound when built: ``checked_factor`` stays off
+    the run's steps."""
+    calls = []
+    checked = kernels_py.checked_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(kernels_py, "checked_factor", counted)
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=5.0)
+    result = rn.run_scenario(cfg, mode="fdir", filter_kind=kind)
+    assert result.reports.mode == "isolation"
+    assert len(calls) == 0
+
+
+def test_run_views_index_like_tuples(bundled_run):
+    result = bundled_run("spike_isolation", mode="fdir")
+    for view in (result.records, result.reports):
+        n = len(view)
+        assert n == result.cfg.n_steps
+        items = list(view)
+        assert view[-1] == items[n - 1] == view[n - 1]
+        assert view[3:6] == tuple(items[3:6])
+        with pytest.raises(IndexError):
+            view[n]
+    k = int(np.flatnonzero(result.reports.detected)[0])
+    assert result.reports.index(result.reports[k]) == k
+    assert result.records[k].t == result.reports.t[k] == result.t[k + 1]
+    assert result.records[k].nis == result.nis[k]
