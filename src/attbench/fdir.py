@@ -281,6 +281,10 @@ def slice_valid(y, H, R, healthy, slice_map):
     return y[rows], H[rows, :], R[np.ix_(rows, rows)]
 
 
+_KEEP = (False, None)  # decide's (skip, healthy) for an all-rows update
+_SKIP = (True, None)   # ... and for a prediction-only step
+
+
 class FdirSupervisor:
     """Per-step detection policy driving a filter's update decisions.
 
@@ -433,7 +437,3 @@ class FdirSupervisor:
         self._isolated[k] = isolated
         healthy = self._healthy[isolated]
         return not healthy, healthy
-
-
-_KEEP = (False, None)
-_SKIP = (True, None)
