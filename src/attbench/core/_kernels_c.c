@@ -1298,7 +1298,8 @@ fail:
     return NULL;
 }
 
-/* The widest '%.9g' text: a sign, nine digits, the point and "e-308". */
+/* Room for one '%.9g' text, whose widest is 16 characters: a sign, nine
+ * digits, the point and "e-308". */
 #define CSV_FIELD 24
 
 static PyObject *

@@ -6,11 +6,12 @@ passes, ``factor_rows`` the Kalman step's Cholesky factor and NIS, and
 ``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
 ``gauss_update_rows`` the Gaussian step's fused passes, built from the
 private ``_sigma_rows``, ``_ekf_rows`` and ``_update_rows`` in the order the
-compiled passes run them, and ``csv_rows`` the CSV export's formatting. ``_sigma_rows`` is the one weighted-moments body:
-``moments_rows`` calls it after the jitter, and ``ukf_assess_rows`` for
-both of its moment steps. The ``checked_*`` functions validate arguments
-for ``attbench.core``'s wrappers and the Gaussian filters; the wrappers,
-not this module, are the kernel API.
+compiled passes run them, and ``csv_rows`` the CSV export's formatting.
+``_sigma_rows`` is the one weighted-moments body: ``moments_rows`` calls it
+after the jitter, and ``ukf_assess_rows`` for both of its moment steps.
+The ``checked_*`` functions validate arguments for ``attbench.core``'s
+wrappers and the Gaussian filters; the wrappers, not this module, are the
+kernel API.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
