@@ -14,7 +14,10 @@ of an EKF run's 36 columns). It then times both on the batch shapes the
 filters actually use (EKF finite-difference stencils, UKF sigma sets, PF
 clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
-attitude suite's 11 measurement rows. The EKF's stencil is timed against
+attitude suite's 11 measurement rows, and per call each per-particle pass
+(the RK4 step on 1, 15, 21 and 1000 rows with and without the
+gravity-gradient frames, and each cloud pass on 1000 particles of 7 and 10
+states). The EKF's stencil is timed against
 the numpy code it replaced, the NIS against np.linalg on the record's 11
 rows and on the 4/4/3-row blocks of the isolation test, and a whole bare
 EKF and UKF step (7 and 10 states, 11 rows) on both backends, and the CSV
@@ -99,18 +102,19 @@ def bench(states, n_steps, frames=None, repeats=5):
     return best
 
 
-def cloud_case(rows=1000, seed=0):
+def cloud_case(rows=1000, seed=0, n=10):
     """A PF step's arguments of both cloud passes: jittered, renormalized
-    10-state particles and the attitude suite's H, R and L = chol(R)."""
+    particles of n states (7 or 10) and the attitude suite's H, R and
+    L = chol(R)."""
     rng = np.random.default_rng(seed)
     meas = attitude_measurement(make_layout(), {"star_tracker": (1e-3,) * 4,
                                                 "magnetometer": (1e-2,) * 4,
-                                                "gyro": (2.5e-5,) * 3}, 10)
-    states = np.hstack([make_states(rows, seed), np.zeros((rows, 3))])
-    normals = rng.standard_normal((rows, 10))
+                                                "gyro": (2.5e-5,) * 3}, n)
+    states = np.hstack([make_states(rows, seed), np.zeros((rows, n - 7))])
+    normals = rng.standard_normal((rows, n))
     weights = np.full(rows, 1.0 / rows)
     reading = meas.H @ states[0]
-    return (states, weights, normals, 1e-4 * np.eye(10), meas.H, meas.R,
+    return (states, weights, normals, 1e-4 * np.eye(n), meas.H, meas.R,
             np.linalg.cholesky(meas.R), reading)
 
 
@@ -275,6 +279,42 @@ def per_call(fn, calls=20000, repeats=5):
     return best / calls * 1e6
 
 
+def bench_passes():
+    """Each per-particle pass per call, on the shapes the runs give it: the
+    RK4 step of the truth's single row, of the EKF's and UKF's 15- and
+    21-row stencils and sets and of a 1000-particle cloud, torque-free and
+    with the gravity-gradient frames; and each cloud pass on 1000 particles
+    of 7 and 10 states with the attitude suite's 11 rows (the moments pass
+    with the jitter, H and R of a PF step, jittering its cloud in place)."""
+    print("%-38s %10s %10s %8s" % ("per-particle passes, per call", "compiled", "python",
+                                   "speedup"))
+    for m in (1, 15, 21, 1000):
+        calls = 20000 if m < 1000 else 2000
+        for frames in (None, FRAMES):
+            states = make_states(m)
+
+            def rk4():
+                rk4_step_batch(states, DT, IXX, IYY, IZZ, 0.0, 0.0, 0.0, frames)
+            tc = per_call(rk4, calls=calls)
+            with fallback():
+                tp = per_call(rk4, calls=calls // 10, repeats=3)
+            print("%-38s %7.2f us %7.1f us %7.1fx"
+                  % ("RK4 %4d rows, %s" % (m, "torque-free" if frames is None
+                                           else "gravity gradient"), tc, tp, tp / tc))
+    for n in (7, 10):
+        states, weights, normals, root, h, r, l, reading = cloud_case(n=n)
+        passes = [
+            ("moments", lambda: core.cloud_moments(states, weights, normals, root, h, r, True)),
+            ("log-likelihood", lambda: core.cloud_loglik(states, h, l, reading)),
+        ]
+        for label, fn in passes:
+            tc = per_call(fn, calls=2000)
+            with fallback():
+                tp = per_call(fn, calls=200, repeats=3)
+            print("%-38s %7.2f us %7.1f us %7.1fx"
+                  % ("%s pass, 1000 x %2d" % (label, n), tc, tp, tp / tc))
+
+
 def bench_cholesky():
     s, nu = kalman_case()
     blocks = list(zip(ISOLATION_BLOCKS[::2], ISOLATION_BLOCKS[1::2]))
@@ -398,6 +438,8 @@ def main():
     with fallback():
         tp = bench_cloud(case, 300, repeats=3)
     print("%-38s %10.4f s %10.4f s %7.1fx" % ("PF cloud passes   (1000 x  300)", tc, tp, tp / tc))
+    print()
+    bench_passes()
     print()
     bench_stencil()
     print()

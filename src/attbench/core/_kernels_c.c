@@ -4,6 +4,14 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
+ * The three per-particle passes (the RK4 step of 8 rows or more, the
+ * weighted-moments pass and the log-likelihood) run on column blocks of
+ * particles and are built for AVX-512F and AVX2 beside the baseline (WIDE,
+ * below); the loader picks one build when the module loads. A vector lane
+ * runs the correctly rounded IEEE +, -, *, / and sqrt of the scalar code on
+ * one particle, no sum changes its order and nothing is contracted, so every
+ * build gives the same bits.
+ *
  * The module exports nine functions. attbench.core validates the caller's
  * arrays, and allocates the outputs, before calling any of the first four;
  * the Gaussian filters check their constant operands once, when built, and
@@ -75,16 +83,37 @@
 #include <math.h>
 #include <string.h>
 
-/* Derivative of one [q, w] row under the constant torque (tx, ty, tz) plus,
- * when frame is not NULL, the gravity-gradient torque of the frame
- * [ux, uy, uz, g]: g [(Izz-Iyy) c1 c2, (Ixx-Izz) c2 c0, (Iyy-Ixx) c0 c1] with
- * c = DCM(q) u, the radial unit vector in body axes. */
-static inline void
-rates(const double *s, double ixx, double iyy, double izz,
-      double tx, double ty, double tz, const double *frame, double *k)
+/* The three per-particle passes, step's column blocks, moments and loglik,
+ * are WIDE: the compiler builds each of them three times, for AVX-512F, for
+ * AVX2 and for the baseline x86-64, and the loader's ifunc resolver binds
+ * one of the three for this CPU when the module loads. Only where GCC >= 6
+ * or clang >= 14 targets x86-64 with glibc's ifunc; elsewhere WIDE is empty
+ * and each pass is built once, for the baseline. The helpers they call are
+ * INLINE, so that each clone carries its own copy. */
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__ELF__) \
+    && ((defined(__clang__) && __clang_major__ >= 14) \
+        || (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 6))
+#define WIDE __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define WIDE
+#endif
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
+
+/* Derivative of one [q, w] state, component j at s[j * ds], into k[j * dk],
+ * under the constant torque (tx, ty, tz) plus, when frame is not NULL, the
+ * gravity-gradient torque of the frame [ux, uy, uz, g]: g [(Izz-Iyy) c1 c2,
+ * (Ixx-Izz) c2 c0, (Iyy-Ixx) c0 c1] with c = DCM(q) u, the radial unit
+ * vector in body axes. */
+INLINE void
+rates(const double *s, Py_ssize_t ds, double ixx, double iyy, double izz,
+      double tx, double ty, double tz, const double *frame, double *k, Py_ssize_t dk)
 {
-    double q0 = s[0], q1 = s[1], q2 = s[2], q3 = s[3];
-    double wx = s[4], wy = s[5], wz = s[6];
+    double q0 = s[0], q1 = s[ds], q2 = s[2 * ds], q3 = s[3 * ds];
+    double wx = s[4 * ds], wy = s[5 * ds], wz = s[6 * ds];
 
     if (frame) {
         double ux = frame[0], uy = frame[1], uz = frame[2], g = frame[3];
@@ -102,51 +131,40 @@ rates(const double *s, double ixx, double iyy, double izz,
         tz = tz + g * ((iyy - ixx) * c0 * c1);
     }
     k[0] = 0.5 * (-q1 * wx - q2 * wy - q3 * wz);
-    k[1] = 0.5 * (q0 * wx - q3 * wy + q2 * wz);
-    k[2] = 0.5 * (q3 * wx + q0 * wy - q1 * wz);
-    k[3] = 0.5 * (-q2 * wx + q1 * wy + q0 * wz);
-    k[4] = (tx - (izz - iyy) * wy * wz) / ixx;
-    k[5] = (ty - (ixx - izz) * wz * wx) / iyy;
-    k[6] = (tz - (iyy - ixx) * wx * wy) / izz;
+    k[dk] = 0.5 * (q0 * wx - q3 * wy + q2 * wz);
+    k[2 * dk] = 0.5 * (q3 * wx + q0 * wy - q1 * wz);
+    k[3 * dk] = 0.5 * (-q2 * wx + q1 * wy + q0 * wz);
+    k[4 * dk] = (tx - (izz - iyy) * wy * wz) / ixx;
+    k[5 * dk] = (ty - (ixx - izz) * wz * wx) / iyy;
+    k[6 * dk] = (tz - (iyy - ixx) * wx * wy) / izz;
 }
 
-/* One RK4 step of m rows of n doubles, quaternion renormalized once after
- * the step; columns 7.. pass through. The inertia, torque and frames arrive
- * as values and a local copy, so the compiler need not reload them after
- * every store into the rows. */
+/* One RK4 step of the rows [0, m) of n doubles, one row at a time. */
 static void
-step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
-     double ixx, double iyy, double izz, double tx, double ty, double tz,
-     const double *frames_in)
+step_rows_one_by_one(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
+                     double ixx, double iyy, double izz, double tx, double ty, double tz,
+                     const double *f0, const double *f1, const double *f2)
 {
-    double frames[3][4];
-    const double *f0 = NULL, *f1 = NULL, *f2 = NULL;
     double c[7], s[7], k1[7], k2[7], k3[7], k4[7];
     Py_ssize_t i;
     int j;
 
-    if (frames_in) {
-        memcpy(frames, frames_in, sizeof frames);
-        f0 = frames[0];
-        f1 = frames[1];
-        f2 = frames[2];
-    }
     for (i = 0; i < m; i++) {
         double *row = x + i * n;
         double norm;
 
         for (j = 0; j < 7; j++)
             c[j] = row[j];
-        rates(c, ixx, iyy, izz, tx, ty, tz, f0, k1);
+        rates(c, 1, ixx, iyy, izz, tx, ty, tz, f0, k1, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + (0.5 * dt) * k1[j];
-        rates(s, ixx, iyy, izz, tx, ty, tz, f1, k2);
+        rates(s, 1, ixx, iyy, izz, tx, ty, tz, f1, k2, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + (0.5 * dt) * k2[j];
-        rates(s, ixx, iyy, izz, tx, ty, tz, f1, k3);
+        rates(s, 1, ixx, iyy, izz, tx, ty, tz, f1, k3, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + dt * k3[j];
-        rates(s, ixx, iyy, izz, tx, ty, tz, f2, k4);
+        rates(s, 1, ixx, iyy, izz, tx, ty, tz, f2, k4, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         norm = sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3]);
@@ -157,43 +175,145 @@ step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
     }
 }
 
-/* The cloud passes work on blocks of BLOCK particles held column-wise,
- * t[c * BLOCK + b] for column c of the block's particle b, so that their
- * inner loops run over independent particles. Each particle's arithmetic,
- * and the particle order of every sum, is the same as row by row. A sum
- * starts from -0.0, which leaves its first term unchanged. */
+/* The per-particle passes work on blocks of BLOCK particles held
+ * column-wise, t[c * BLOCK + b] for column c of the block's particle b, so
+ * that their inner loops run over independent particles, which a vector
+ * instruction takes several at a time. Each particle's arithmetic, and the
+ * particle order of every sum, is the same as row by row, and every vector
+ * lane runs the same correctly rounded IEEE +, -, *, / and sqrt as scalar
+ * code does, so no clone moves a bit. A sum starts from -0.0, which leaves
+ * its first term unchanged. */
 #define BLOCK 64
 
-static inline void
-to_columns(const double *restrict a, Py_ssize_t nb, Py_ssize_t n, double *restrict t)
+/* Columns 0 .. cols-1 of the block's nb rows of n doubles at a into t. */
+INLINE void
+to_columns(const double *restrict a, Py_ssize_t nb, Py_ssize_t n, Py_ssize_t cols,
+           double *restrict t)
 {
     Py_ssize_t b, c;
 
     /* two particles at a time: their stores to a column are adjacent */
     for (b = 0; b + 1 < nb; b += 2)
-        for (c = 0; c < n; c++) {
+        for (c = 0; c < cols; c++) {
             t[c * BLOCK + b] = a[b * n + c];
             t[c * BLOCK + b + 1] = a[b * n + n + c];
         }
     for (; b < nb; b++)
-        for (c = 0; c < n; c++)
+        for (c = 0; c < cols; c++)
             t[c * BLOCK + b] = a[b * n + c];
 }
 
-static inline void
-to_rows(const double *restrict t, Py_ssize_t nb, Py_ssize_t n, double *restrict a)
+INLINE void
+to_rows(const double *restrict t, Py_ssize_t nb, Py_ssize_t n, Py_ssize_t cols,
+        double *restrict a)
 {
     Py_ssize_t b, c;
 
     for (b = 0; b < nb; b++)
-        for (c = 0; c < n; c++)
+        for (c = 0; c < cols; c++)
             a[b * n + c] = t[c * BLOCK + b];
+}
+
+/* The rates of the nb states of a block, k = rates(st), column-wise; the
+ * test for a frame stays outside the loops, which branch nowhere. */
+INLINE void
+block_rates(const double *restrict st, Py_ssize_t nb, double ixx, double iyy, double izz,
+            double tx, double ty, double tz, const double *frame, double *restrict k)
+{
+    Py_ssize_t b;
+
+    if (frame)
+        for (b = 0; b < nb; b++)
+            rates(st + b, BLOCK, ixx, iyy, izz, tx, ty, tz, frame, k + b, BLOCK);
+    else
+        for (b = 0; b < nb; b++)
+            rates(st + b, BLOCK, ixx, iyy, izz, tx, ty, tz, NULL, k + b, BLOCK);
+}
+
+/* The RK4 step of step_rows_one_by_one on column blocks of the rows. The
+ * weighted sum k1 + 2 k2 + 2 k3 + k4 builds up in acc stage after stage, in
+ * the order the row code adds it, and the quaternion's sum of squares in
+ * the norm's own loop before its square roots, which stay scalar: a sqrt
+ * that may set errno does not vectorize. */
+static void WIDE
+step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
+             double ixx, double iyy, double izz, double tx, double ty, double tz,
+             const double *f0, const double *f1, const double *f2)
+{
+    double ct[7 * BLOCK], st[7 * BLOCK], kt[7 * BLOCK], acc[7 * BLOCK], norm[BLOCK];
+    double half = 0.5 * dt, sixth = dt / 6.0;
+    Py_ssize_t i0, nb, b, e;
+
+    for (i0 = 0; i0 < m; i0 += BLOCK) {
+        nb = m - i0 < BLOCK ? m - i0 : BLOCK;
+        to_columns(x + i0 * n, nb, n, 7, ct);
+        block_rates(ct, nb, ixx, iyy, izz, tx, ty, tz, f0, kt);
+        for (e = 0; e < 7 * BLOCK; e += BLOCK)
+            for (b = 0; b < nb; b++) {
+                acc[e + b] = kt[e + b];
+                st[e + b] = ct[e + b] + half * kt[e + b];
+            }
+        block_rates(st, nb, ixx, iyy, izz, tx, ty, tz, f1, kt);
+        for (e = 0; e < 7 * BLOCK; e += BLOCK)
+            for (b = 0; b < nb; b++) {
+                acc[e + b] = acc[e + b] + 2.0 * kt[e + b];
+                st[e + b] = ct[e + b] + half * kt[e + b];
+            }
+        block_rates(st, nb, ixx, iyy, izz, tx, ty, tz, f1, kt);
+        for (e = 0; e < 7 * BLOCK; e += BLOCK)
+            for (b = 0; b < nb; b++) {
+                acc[e + b] = acc[e + b] + 2.0 * kt[e + b];
+                st[e + b] = ct[e + b] + dt * kt[e + b];
+            }
+        block_rates(st, nb, ixx, iyy, izz, tx, ty, tz, f2, kt);
+        for (e = 0; e < 7 * BLOCK; e += BLOCK)
+            for (b = 0; b < nb; b++)
+                st[e + b] = ct[e + b] + sixth * (acc[e + b] + kt[e + b]);
+        for (b = 0; b < nb; b++)
+            norm[b] = st[b] * st[b] + st[BLOCK + b] * st[BLOCK + b]
+                      + st[2 * BLOCK + b] * st[2 * BLOCK + b]
+                      + st[3 * BLOCK + b] * st[3 * BLOCK + b];
+        for (b = 0; b < nb; b++)
+            norm[b] = sqrt(norm[b]);
+        for (e = 0; e < 4 * BLOCK; e += BLOCK)
+            for (b = 0; b < nb; b++)
+                st[e + b] = st[e + b] / norm[b];
+        to_rows(st, nb, n, 7, x + i0 * n);
+    }
+}
+
+/* Below this many rows, one AVX-512 vector of them, the step runs row by
+ * row: the transposes into and out of the column block then cost more than
+ * the vector lanes save (the truth's single row, above all). */
+#define STEP_COLUMNS_MIN 8
+
+/* One RK4 step of m rows of n doubles, quaternion renormalized once after
+ * the step; columns 7.. pass through. The frames arrive as a local copy, so
+ * the compiler need not reload them after every store into the rows. */
+static void
+step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
+     double ixx, double iyy, double izz, double tx, double ty, double tz,
+     const double *frames_in)
+{
+    double frames[3][4];
+    const double *f0 = NULL, *f1 = NULL, *f2 = NULL;
+
+    if (frames_in) {
+        memcpy(frames, frames_in, sizeof frames);
+        f0 = frames[0];
+        f1 = frames[1];
+        f2 = frames[2];
+    }
+    if (m < STEP_COLUMNS_MIN)
+        step_rows_one_by_one(x, m, n, dt, ixx, iyy, izz, tx, ty, tz, f0, f1, f2);
+    else
+        step_columns(x, m, n, dt, ixx, iyy, izz, tx, ty, tz, f0, f1, f2);
 }
 
 /* z = h x for each particle of the block: z[r] is the sum over c of
  * x[c] h[r, c] in column order, skipping the columns where h[r, c] == 0, for
  * the m rows of the (m, n) h. */
-static inline void
+INLINE void
 measure(const double *restrict xt, Py_ssize_t nb, const double *restrict h,
         Py_ssize_t m, Py_ssize_t n, double *restrict zt)
 {
@@ -226,7 +346,7 @@ typedef struct {
  * must be a multiple of LANES. */
 #define LANES 4
 
-static void
+INLINE void
 run_sums(const Sum *sums, Py_ssize_t count, Py_ssize_t nb)
 {
     Py_ssize_t e, b;
@@ -310,7 +430,7 @@ symmetric(double *out, Py_ssize_t k, const double *add, int diagonal)
         }
 }
 
-static void
+static void WIDE
 moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
         int quaternion, const double *wm, const double *wc, const double *q, const double *h,
         Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
@@ -358,25 +478,28 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
 
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
-        to_columns(x + i0 * n, nb, n, xt);
+        to_columns(x + i0 * n, nb, n, n, xt);
         if (normals) {
-            to_columns(normals + i0 * n, nb, n, et);
+            to_columns(normals + i0 * n, nb, n, n, et);
             measure(et, nb, root, n, n, zt);
             for (j = 0; j < n; j++)
                 for (b = 0; b < nb; b++)
                     xt[j * BLOCK + b] = xt[j * BLOCK + b] + zt[j * BLOCK + b];
         }
         if (quaternion) {
+            /* the squares summed, then their square roots, as in step_columns */
             for (b = 0; b < nb; b++)
-                dzt[b] = sqrt(xt[b] * xt[b] + xt[BLOCK + b] * xt[BLOCK + b]
-                              + xt[2 * BLOCK + b] * xt[2 * BLOCK + b]
-                              + xt[3 * BLOCK + b] * xt[3 * BLOCK + b]);
+                dzt[b] = xt[b] * xt[b] + xt[BLOCK + b] * xt[BLOCK + b]
+                         + xt[2 * BLOCK + b] * xt[2 * BLOCK + b]
+                         + xt[3 * BLOCK + b] * xt[3 * BLOCK + b];
+            for (b = 0; b < nb; b++)
+                dzt[b] = sqrt(dzt[b]);
             for (j = 0; j < 4; j++)
                 for (b = 0; b < nb; b++)
                     xt[j * BLOCK + b] = xt[j * BLOCK + b] / dzt[b];
         }
         if (normals || quaternion)
-            to_rows(xt, nb, n, x + i0 * n);
+            to_rows(xt, nb, n, n, x + i0 * n);
         if (h)
             measure(xt, nb, h, m, n, zt);
         for (j = 0; j < m; j++)
@@ -389,7 +512,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
         if (states)
-            to_columns(x + i0 * n, nb, n, xt);
+            to_columns(x + i0 * n, nb, n, n, xt);
         for (j = 0; states && j < n; j++)
             for (b = 0; b < nb; b++) {
                 dxt[j * BLOCK + b] = xt[j * BLOCK + b] - mean[j];
@@ -413,7 +536,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
 
 /* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as
  * measure skips the zeros of h. scratch holds (n + k + 1) BLOCK doubles. */
-static void
+static void WIDE
 loglik(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *h,
        Py_ssize_t k, const double *l, const double *y, double *out, double *scratch)
 {
@@ -424,7 +547,7 @@ loglik(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *h,
 
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
-        to_columns(x + i0 * n, nb, n, xt);
+        to_columns(x + i0 * n, nb, n, n, xt);
         measure(xt, nb, h, k, n, vt);
         /* forward substitution, row j after rows 0 .. j-1 */
         for (j = 0; j < k; j++) {

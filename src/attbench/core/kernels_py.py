@@ -461,9 +461,10 @@ def _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
 
 
 def checked_gaussian(q, h, r):
-    """The constant operands of the Gaussian step's passes, checked once, when
-    a filter is built: float64 C-contiguous views of Q (n, n), H (m, n) and
-    R (m, m), which share the memory of arrays that already are.
+    """The constant operands of a filter's passes, checked once, when a
+    filter is built: float64 C-contiguous views of Q (n, n), H (m, n) and
+    R (m, m), which share the memory of arrays that already are. The
+    particle filter passes its jitter root as Q, and a row set's L as R.
 
     Raises:
         ValueError: H is not an (m, n) matrix with m, n >= 1, or Q and R are

@@ -25,6 +25,7 @@ four stages are combined; the stages themselves are left untouched so the
 combination stays a consistent fourth-order scheme.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -365,10 +366,20 @@ def rk4_step(x, t, dt, rhs):
 def renormalize_quaternions(states):
     """Copy of [q, ...] rows, (n,) or (M, n), with each quaternion scaled to
     unit norm."""
-    x = np.array(states, dtype=float)
+    x = np.asarray(states, dtype=float)
+    if x.ndim == 1:
+        # a single state is cheaper as Python floats, whose sqrt and
+        # division are numpy's IEEE ones; a zero norm, which Python will
+        # not divide by, takes numpy's path below
+        v = x.tolist()
+        q0, q1, q2, q3 = v[:4]
+        norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+        if norm:
+            v[:4] = q0 / norm, q1 / norm, q2 / norm, q3 / norm
+            return np.array(v)
+    x = x.copy()
     q = x.T[:4]
-    # a single state's components are cheaper as Python floats
-    q0, q1, q2, q3 = q.tolist() if x.ndim == 1 else q
+    q0, q1, q2, q3 = q
     q /= np.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     return x
 

@@ -622,8 +622,11 @@ class PfFilter:
     so the same chi-square machinery monitors all three filters.
 
     A step is the model's ``propagate`` and two compiled cloud passes
-    (``core.cloud_moments`` and ``core.cloud_loglik``, with numpy fallbacks
-    of the same bits). The first adds the jitter L e (L L' = Q), then
+    (``moments_rows`` and ``loglik_rows`` of the active ``attbench.core``
+    backend, whose numpy fallbacks give the same bits), called directly with
+    the jitter root, H and R checked once, when the filter is built, and
+    each row set's H and L once, when it is first cached
+    (``kernels_py.checked_gaussian``). The first adds the jitter L e (L L' = Q), then
     renormalizes the quaternion when the model's rows carry one
     (``quaternion_rows``), and sums the prior mean, the predicted reading
     and S over the cloud; the second gives each particle's log-likelihood
@@ -645,7 +648,9 @@ class PfFilter:
         self.meas = cfg.measurement
         self.rng = rng
         self.n = cfg.pf_particles
-        self._jitter_root = _psd_sqrt(cfg.Q)
+        self._root, self._h, self._r = kernels_py.checked_gaussian(
+            _psd_sqrt(cfg.Q), self.meas.H, self.meas.R)
+        self._quaternion = bool(self.model.quaternion_rows)
         self._row_models = {}
         self._all_rows = np.arange(self.meas.dim)
         try:
@@ -661,21 +666,27 @@ class PfFilter:
         return ParticleSet(states, weights)
 
     def _likelihood_rows(self, rows):
-        """H's rows and L = chol(R) on a row set, cached per set."""
+        """H's rows and L = chol(R) on a row set, checked and cached per set."""
         key = tuple(rows.tolist())
         found = self._row_models.get(key)
         if found is None:
-            found = (np.ascontiguousarray(self.meas.H[rows]),
-                     core.cholesky(self.meas.R[np.ix_(rows, rows)]))
+            # the (n, n) root stands in for Q: H's rows must fit the state
+            # and L those rows
+            found = kernels_py.checked_gaussian(self._root, self._h[rows],
+                                                core.cholesky(self._r[np.ix_(rows, rows)]))[1:]
             self._row_models[key] = found
         return found
 
     def step(self, pset, y, t, decide=None):
+        """One propagate/weigh/resample cycle. ``pset``'s weights must be a
+        float64 (N,) array, as ``initial_belief`` and ``step`` make them."""
         x = self.model.propagate(pset.states, t - self.model.dt)
         normals = self.rng.standard_normal((self.n, self.model.dim))
         w = pset.weights
-        mu_prior, y_hat, s = core.cloud_moments(x, w, normals, self._jitter_root, self.meas.H,
-                                                self.meas.R, self.model.quaternion_rows)
+        m = self.meas.dim
+        mu_prior, y_hat, s = np.empty(self.model.dim), np.empty(m), np.empty((m, m))
+        core._kernels.moments_rows(x, normals, self._root, self._h, w, self._r,
+                                   self._quaternion, mu_prior, y_hat, s)
         y_al = self.meas.align(y, mu_prior)
         nu = y_al - y_hat
         record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
@@ -689,7 +700,8 @@ class PfFilter:
         else:
             rows = self._all_rows if rows is None else rows
             # non-finite residuals reach the degenerate-weight reset below
-            loglik = core.cloud_loglik(x, *self._likelihood_rows(rows), y_al[rows])
+            loglik = np.empty(self.n)
+            core._kernels.loglik_rows(x, *self._likelihood_rows(rows), y_al[rows], loglik)
             scaled = loglik - loglik.max()
             new_w = w * np.exp(scaled)
             total = new_w.sum()
@@ -727,14 +739,15 @@ def make_filter(kind, cfg, rng=None):
 def estimate_stats(belief, model):
     """Point estimate and marginal variances of a belief.
 
-    Gaussian beliefs return (mu, diag Sigma); particle sets return the
-    weighted mean and weighted marginal variance, from the fixed-order sums
-    of ``core.cloud_moments``. The point estimate goes through the model's
-    ``normalize_rows`` (attitude models renormalize its quaternion part).
+    Gaussian beliefs return (mu, diag Sigma), the diagonal as a read-only
+    view of Sigma; particle sets return the weighted mean and weighted
+    marginal variance, from the fixed-order sums of ``core.cloud_moments``.
+    The point estimate goes through the model's ``normalize_rows`` (attitude
+    models renormalize its quaternion part).
     """
     if isinstance(belief, GaussianBelief):
         mu = belief.mu
-        var = np.diag(belief.sigma).copy()
+        var = belief.sigma.diagonal()
     else:
         mu, _, var = core.cloud_moments(belief.states, belief.weights, diagonal=True)
     return model.normalize_rows(mu), var

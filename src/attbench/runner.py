@@ -104,7 +104,9 @@ class Metrics:
     no fault was injected); ``false_alarms`` counts detections outside
     fault windows. A sequence monitor's window keeps it flagged for up to
     ``window`` steps after a fault clears, so fault windows are extended
-    by that much before counting false alarms.
+    by that much before counting false alarms. ``nis_mean`` averages the
+    finite NIS values alone (NaN when there are none), and
+    ``nis_exceedance`` counts a non-finite NIS as exceeding the threshold.
     """
 
     settle: float
@@ -284,6 +286,10 @@ def compute_metrics(result, settle=20.0):
         and cfg.policy != "none" and not detected_in_window
 
     gamma = chi2_quantile(result.measurements.shape[1], cfg.detector.alpha)
+    # a non-finite NIS stays out of the mean and counts as an exceedance, as
+    # every detector counts it as a detection
+    finite = np.isfinite(result.nis)
+    nis = result.nis if finite.all() else result.nis[finite]
     return Metrics(
         settle=settle,
         rmse_attitude=rmse_att,
@@ -292,8 +298,8 @@ def compute_metrics(result, settle=20.0):
         detection_latency=latency,
         false_alarms=false_alarms,
         missed_detection=missed,
-        nis_mean=float(np.mean(result.nis)),
-        nis_exceedance=float(np.mean(result.nis > gamma)),
+        nis_mean=float(np.mean(nis)) if nis.size else float("nan"),
+        nis_exceedance=float(np.mean(~finite | (result.nis > gamma))),
     )
 
 

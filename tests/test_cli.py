@@ -116,7 +116,7 @@ PINNED_REPORT_LINES = {
         "flag cleared     t=   125.3",
     ],
     ("fusion_recovery", 1400): [
-        "rmse: attitude 0.005436  rates 0.002224  nis mean nan",
+        "rmse: attitude 0.005436  rates 0.002224  nis mean 133.46",
         "fault detected   t=   125.0  statistic=   600.103  threshold=7.815  mode=isolation"
         "  sensors=gyro",
         "isolation change t=   140.1  sensors=gyro,star_tracker",

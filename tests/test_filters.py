@@ -448,6 +448,36 @@ def test_a_gaussian_step_is_at_most_three_compiled_calls(kind, entries, monkeypa
         assert counting.calls.index("step_rows") == (kind == "ukf")  # propagate, before assessing
 
 
+def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
+    """The particle filter checks its jitter root, H and R when built, and
+    each row set's H and L when it first caches the set: whatever the hook
+    answers, a step runs neither cloud validator and calls the backend's
+    cloud passes directly, the moments once and the log-likelihood once
+    unless the update is skipped."""
+    cfg = rigid_config(True)
+    cfg.pf_particles = 100
+    pf = flt.PfFilter(cfg, np.random.default_rng(6))
+    pset = pf.initial_belief()
+    checked = []
+    for name in ("checked_moments", "checked_loglik"):
+        def counted(*args, _name=name, _check=getattr(kernels_py, name), **kwargs):
+            checked.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(kernels_py, name, counted)
+    counting = CountingKernels(core._kernels)
+    monkeypatch.setattr(core, "_kernels", counting)
+    y = cfg.measurement.H @ cfg.x0 + 0.01
+    for k, decision in enumerate([None, *DECISIONS]):
+        del counting.calls[:]
+        hook = None if decision is None else lambda record, d=decision: d
+        pset, _ = pf.step(pset, y, 0.1 * (k + 1), decide=hook)
+        skipped = decision is not None and (decision[0] or decision[1] == frozenset())
+        # factor_rows is the record's NIS and a newly cached set's L
+        passes = [name for name in counting.calls if name != "factor_rows"]
+        assert passes == ["step_rows", "moments_rows"] + ([] if skipped else ["loglik_rows"])
+    assert checked == []
+
+
 def test_systematic_resample_hand_positions():
     idx = flt.systematic_resample(np.array([0.5, 0.5]), 0.1)
     npt.assert_array_equal(idx, [0, 1])

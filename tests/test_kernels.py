@@ -418,6 +418,107 @@ def test_cloud_passes_agree_bitwise_and_match_numpy():
     check_cloud_passes()
 
 
+# row counts on both sides of the compiled passes' vector widths (2, 4 and 8
+# lanes), of their 64-row blocks and of the RK4's row-by-row cut-off
+PASS_ROWS = (1, 2, 3, 7, 8, 15, 21, 63, 64, 65, 129, 1000)
+
+
+def same_bits(a, b):
+    """NaN in the same places, and every other value with the same bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@st.composite
+def pass_inputs(draw):
+    """One input of each per-particle pass: M rows of 7-12 columns, a unit
+    quaternion first and perhaps a NaN row; the RK4's dt, moments, constant
+    torque (zero or not) and frames (None or random radial vectors); the
+    moments pass's weights with zeros, its jitter (none, diagonal or dense
+    lower root), dense H with zero and unit entries or none, R or none, the
+    quaternion flag and S's diagonal alone or not; the log-likelihood's H,
+    a lower L with zeros below the diagonal and a reading that may hold a
+    non-finite entry."""
+    rows = draw(st.sampled_from(PASS_ROWS))
+    n = draw(st.integers(7, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((rows, n))
+    x[:, :4] /= np.linalg.norm(x[:, :4], axis=1, keepdims=True)
+    x[:, 4:7] *= draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()):
+        x[rng.integers(rows), rng.integers(n)] = np.nan
+    torque = (0.0, 0.0, 0.0) if draw(st.booleans()) else tuple(rng.uniform(-1.0, 1.0, 3))
+    frames = None
+    if draw(st.booleans()):
+        u = rng.standard_normal((3, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        frames = np.column_stack([u, rng.uniform(0.1, 0.5, 3)])
+    rk4 = (draw(st.floats(1e-3, 1.0)), *rng.uniform(0.5, 5.0, 3), *torque, frames)
+
+    w = rng.random(rows) / rows
+    w[rng.random(rows) < 0.2] = 0.0
+    normals = root = h = r = None
+    jitter = draw(st.sampled_from(("none", "diagonal", "dense")))
+    if jitter != "none":
+        normals = rng.standard_normal((rows, n))
+        root = np.tril(rng.uniform(-1e-2, 1e-2, (n, n)))
+        if jitter == "diagonal":
+            root = np.diag(np.diag(root))
+    m = n
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 12))
+        h = rng.standard_normal((m, n))
+        h[rng.random((m, n)) < 0.4] = 0.0
+        h[rng.random((m, n)) < 0.2] = 1.0
+    if draw(st.booleans()):
+        a = rng.standard_normal((m, m))
+        r = a @ a.T + np.eye(m)
+    moments = (w, normals, root, h, r, draw(st.booleans()), draw(st.booleans()))
+
+    k = draw(st.integers(1, 12))
+    lh = rng.standard_normal((k, n))
+    lh[rng.random((k, n)) < 0.4] = 0.0
+    l = np.tril(rng.standard_normal((k, k)))
+    l[rng.random((k, k)) < 0.3] = 0.0
+    l[np.diag_indices(k)] = rng.uniform(0.5, 2.0, k)
+    y = rng.standard_normal(k)
+    if draw(st.booleans()):
+        y[rng.integers(k)] = draw(st.sampled_from((np.inf, -np.inf, np.nan)))
+    return x, rk4, moments, (lh, l, y)
+
+
+def every_pass(x, rk4, moments, loglik):
+    """The outputs of the RK4 step, of the moments pass (its jittered cloud
+    too) and of the log-likelihood on the active backend."""
+    w, normals, root, h, r, quaternion, diagonal = moments
+    cloud = x.copy()
+    return (core.rk4_step_batch(x, *rk4),
+            *core.cloud_moments(cloud, w, normals, root, h, r, quaternion, diagonal), cloud,
+            core.cloud_loglik(x, *loglik))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pass_inputs())
+def check_every_pass(args):
+    for compiled, fallback in zip(*on_each_backend(every_pass, *args), strict=True):
+        assert same_bits(compiled, fallback)
+
+
+def test_per_particle_passes_give_the_fallback_bits():
+    """Property: the RK4 step (torque-free, with a constant torque and with
+    gravity-gradient frames), the moments pass (with and without jitter, H
+    and R, S whole or its diagonal) and the log-likelihood give the numpy
+    fallback's bits on every row count around the compiled passes' vector
+    widths and blocks: NaN in the same places and every other value
+    byte for byte. Without the compiled backend both sides are the
+    fallback, which the warning states."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: pass parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    check_every_pass()
+
+
 def assert_relative(got, want, scale):
     """|got - want| <= 1e-12 scale elementwise, with ``scale`` the size of
     what was summed (or ``want`` itself for a sum of squares)."""

@@ -112,6 +112,22 @@ def test_metrics_on_a_detected_spike(bundled_run):
     npt.assert_allclose(metrics.nis_mean, result.nis.mean(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_nis_is_an_exceedance_outside_the_mean(bundled_run, bad):
+    """A step whose NIS is not finite, which every detector counts as a
+    detection, counts as an exceedance and stays out of the NIS mean."""
+    result = bundled_run("spike_detect", mode="fdir")
+    nis = result.nis.copy()
+    nis[[3, 40]] = bad
+    metrics = rn.compute_metrics(replace(result, nis=nis))
+    kept = np.delete(result.nis, [3, 40])
+    gamma = chi2_quantile(result.measurements.shape[1], result.cfg.detector.alpha)
+    assert metrics.nis_mean == float(np.mean(kept))
+    assert metrics.nis_exceedance == (np.count_nonzero(kept > gamma) + 2) / len(nis)
+    nis[:] = bad
+    assert np.isnan(rn.compute_metrics(replace(result, nis=nis)).nis_mean)
+
+
 def test_metrics_track_the_bias_estimate(bundled_run):
     result = bundled_run("bias_estimation", mode="estimate")
     metrics = rn.compute_metrics(result)
