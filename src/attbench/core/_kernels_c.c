@@ -179,10 +179,8 @@ step_rows_one_by_one(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
  * column-wise, t[c * BLOCK + b] for column c of the block's particle b, so
  * that their inner loops run over independent particles, which a vector
  * instruction takes several at a time. Each particle's arithmetic, and the
- * particle order of every sum, is the same as row by row, and every vector
- * lane runs the same correctly rounded IEEE +, -, *, / and sqrt as scalar
- * code does, so no clone moves a bit. A sum starts from -0.0, which leaves
- * its first term unchanged. */
+ * particle order of every sum, is the same as row by row. A sum starts from
+ * -0.0, which leaves its first term unchanged. */
 #define BLOCK 64
 
 /* Columns 0 .. cols-1 of the block's nb rows of n doubles at a into t. */

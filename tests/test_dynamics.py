@@ -183,6 +183,23 @@ def test_rk4_step_matches_exponential_series():
     npt.assert_allclose(out, [2.0 * series], rtol=1e-15)
 
 
+def test_one_state_renormalizes_with_the_batch_arithmetic():
+    """A single state, renormalized on Python floats, gets the bits of the
+    same row renormalized in a batch; a zero or NaN quaternion gives NaN in
+    both, and the input is not written."""
+    rng = np.random.default_rng(17)
+    states = rng.standard_normal((200, 10)) * rng.uniform(0.5, 2.0, (200, 1))
+    states[7, :4] = 0.0
+    states[9, 2] = np.nan
+    before = states.copy()
+    with np.errstate(invalid="ignore"):
+        batch = dyn.renormalize_quaternions(states)
+        single = np.array([dyn.renormalize_quaternions(row) for row in states])
+    npt.assert_array_equal(single, batch)
+    assert np.isnan(batch[[7, 9], :4]).all() and np.isfinite(np.delete(batch, [7, 9], 0)).all()
+    npt.assert_array_equal(states, before)
+
+
 def test_integrate_spherical_spin_matches_analytic():
     """Constant body rate about z: closed-form quaternion solution."""
     w = np.array([0.0, 0.0, 0.3])
