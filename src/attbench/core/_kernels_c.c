@@ -5,9 +5,9 @@
  * contraction off, so no a*b+c is fused into one rounding.
  *
  * The three per-particle passes (the RK4 step of 8 rows or more, the
- * weighted-moments pass and the log-likelihood) run on column blocks of
- * particles and are built for AVX-512F and AVX2 beside the baseline (WIDE,
- * below); the loader picks one build when the module loads. A vector lane
+ * weighted-moments pass of 64 rows or more and the log-likelihood) run on
+ * column blocks of particles and are built for AVX-512F and AVX2 beside the
+ * baseline (WIDE, below); the loader picks one build when the module loads. A vector lane
  * runs the correctly rounded IEEE +, -, *, / and sqrt of the scalar code on
  * one particle, no sum changes its order and nothing is contracted, so every
  * build gives the same bits.
@@ -83,7 +83,7 @@
 #include <math.h>
 #include <string.h>
 
-/* The three per-particle passes, step's column blocks, moments and loglik,
+/* The three per-particle passes, step_columns, moments_wide and loglik,
  * are WIDE: the compiler builds each of them three times, for AVX-512F, for
  * AVX2 and for the baseline x86-64, and the loader's ifunc resolver binds
  * one of the three for this CPU when the module loads. Only where GCC >= 6
@@ -428,11 +428,12 @@ symmetric(double *out, Py_ssize_t k, const double *add, int diagonal)
         }
 }
 
-static void WIDE
-moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
-        int quaternion, const double *wm, const double *wc, const double *q, const double *h,
-        Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
-        int diagonal, double *cross, double *scratch, Sum *sums)
+INLINE void
+moments_pass(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
+             const double *root, int quaternion, const double *wm, const double *wc,
+             const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
+             double *cov, double *y_hat, double *s, int diagonal, double *cross,
+             double *scratch, Sum *sums)
 {
     Py_ssize_t width = m > n ? m : n;
     int states = cov || cross;
@@ -530,6 +531,33 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
         symmetric(cov, n, q, 0);
     if (m)
         symmetric(s, m, r, diagonal);
+}
+
+static void WIDE
+moments_wide(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
+             const double *root, int quaternion, const double *wm, const double *wc,
+             const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
+             double *cov, double *y_hat, double *s, int diagonal, double *cross,
+             double *scratch, Sum *sums)
+{
+    moments_pass(x, rows, n, normals, root, quaternion, wm, wc, q, h, m, r, mean, cov, y_hat, s,
+                 diagonal, cross, scratch, sums);
+}
+
+/* moments_pass; below one block of rows, a UKF's sigma set, in its baseline
+ * build, which runs such short loops faster than the wide builds do. */
+static void
+moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
+        int quaternion, const double *wm, const double *wc, const double *q, const double *h,
+        Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
+        int diagonal, double *cross, double *scratch, Sum *sums)
+{
+    if (rows < BLOCK)
+        moments_pass(x, rows, n, normals, root, quaternion, wm, wc, q, h, m, r, mean, cov,
+                     y_hat, s, diagonal, cross, scratch, sums);
+    else
+        moments_wide(x, rows, n, normals, root, quaternion, wm, wc, q, h, m, r, mean, cov,
+                     y_hat, s, diagonal, cross, scratch, sums);
 }
 
 /* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as
