@@ -20,10 +20,10 @@ from setuptools import Extension, setup
 kernel = Extension("attbench.core._kernels_c", ["src/attbench/core/_kernels_c.c"])
 # fp-contract off keeps the C arithmetic bit-identical to the numpy
 # fallback (no FMA fusing of a*b+c). The per-particle passes are also built
-# for AVX-512F and AVX2 (target_clones in the source, where the compiler and
-# libc support it): each vector lane runs the same correctly rounded IEEE
-# operations as the scalar code, in the same order, so every build keeps the
-# fallback's bits, and contraction stays off in each of them.
+# for AVX2 (target_clones in the source, where the compiler and libc support
+# it): each vector lane runs the same correctly rounded IEEE operations as
+# the scalar code, in the same order, so both builds keep the fallback's
+# bits, and contraction stays off in each of them.
 if os.name == "posix":
     kernel.extra_compile_args.extend(["-O3", "-ffp-contract=off"])
 kernel.optional = True

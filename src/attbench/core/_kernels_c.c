@@ -5,12 +5,12 @@
  * contraction off, so no a*b+c is fused into one rounding.
  *
  * The three per-particle passes (the RK4 step of 8 rows or more, the
- * weighted-moments pass of 64 rows or more and the log-likelihood) run on
- * column blocks of particles and are built for AVX-512F and AVX2 beside the
- * baseline (WIDE, below); the loader picks one build when the module loads. A vector lane
- * runs the correctly rounded IEEE +, -, *, / and sqrt of the scalar code on
- * one particle, no sum changes its order and nothing is contracted, so every
- * build gives the same bits.
+ * weighted-moments pass and the log-likelihood) run on column blocks of
+ * particles and are built for AVX2 beside the baseline (WIDE, below); the
+ * loader picks one build when the module loads. A vector lane runs the
+ * correctly rounded IEEE +, -, *, / and sqrt of the scalar code on one
+ * particle, no sum changes its order and nothing is contracted, so both
+ * builds give the same bits.
  *
  * The module exports nine functions. attbench.core validates the caller's
  * arrays, and allocates the outputs, before calling any of the first four;
@@ -83,17 +83,19 @@
 #include <math.h>
 #include <string.h>
 
-/* The three per-particle passes, step_columns, moments_wide and loglik,
- * are WIDE: the compiler builds each of them three times, for AVX-512F, for
- * AVX2 and for the baseline x86-64, and the loader's ifunc resolver binds
- * one of the three for this CPU when the module loads. Only where GCC >= 6
- * or clang >= 14 targets x86-64 with glibc's ifunc; elsewhere WIDE is empty
- * and each pass is built once, for the baseline. The helpers they call are
- * INLINE, so that each clone carries its own copy. */
+/* The three per-particle passes, step_columns, moments and loglik, are
+ * WIDE: the compiler builds each of them twice, for AVX2 and for the
+ * baseline x86-64, and the loader's ifunc resolver binds one of the two for
+ * this CPU when the module loads. Only where GCC >= 6 or clang >= 14
+ * targets x86-64 with glibc's ifunc; elsewhere WIDE is empty and each pass
+ * is built once, for the baseline. The helpers they call are INLINE, so
+ * that each clone carries its own copy. An AVX-512F build sped the 1000-row
+ * passes up per call but no workload end to end, and slowed the Gaussian
+ * filters' short passes and the code around them. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__ELF__) \
     && ((defined(__clang__) && __clang_major__ >= 14) \
         || (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 6))
-#define WIDE __attribute__((target_clones("avx512f", "avx2", "default")))
+#define WIDE __attribute__((target_clones("avx2", "default")))
 #else
 #define WIDE
 #endif
@@ -280,9 +282,9 @@ step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
     }
 }
 
-/* Below this many rows, one AVX-512 vector of them, the step runs row by
- * row: the transposes into and out of the column block then cost more than
- * the vector lanes save (the truth's single row, above all). */
+/* Below this many rows the step runs row by row: the transposes into and
+ * out of the column block then cost more than the vector lanes save (the
+ * truth's single row, above all). */
 #define STEP_COLUMNS_MIN 8
 
 /* One RK4 step of m rows of n doubles, quaternion renormalized once after
@@ -428,12 +430,11 @@ symmetric(double *out, Py_ssize_t k, const double *add, int diagonal)
         }
 }
 
-INLINE void
-moments_pass(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
-             const double *root, int quaternion, const double *wm, const double *wc,
-             const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
-             double *cov, double *y_hat, double *s, int diagonal, double *cross,
-             double *scratch, Sum *sums)
+static void WIDE
+moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
+        int quaternion, const double *wm, const double *wc, const double *q, const double *h,
+        Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
+        int diagonal, double *cross, double *scratch, Sum *sums)
 {
     Py_ssize_t width = m > n ? m : n;
     int states = cov || cross;
@@ -531,33 +532,6 @@ moments_pass(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
         symmetric(cov, n, q, 0);
     if (m)
         symmetric(s, m, r, diagonal);
-}
-
-static void WIDE
-moments_wide(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
-             const double *root, int quaternion, const double *wm, const double *wc,
-             const double *q, const double *h, Py_ssize_t m, const double *r, double *mean,
-             double *cov, double *y_hat, double *s, int diagonal, double *cross,
-             double *scratch, Sum *sums)
-{
-    moments_pass(x, rows, n, normals, root, quaternion, wm, wc, q, h, m, r, mean, cov, y_hat, s,
-                 diagonal, cross, scratch, sums);
-}
-
-/* moments_pass; below one block of rows, a UKF's sigma set, in its baseline
- * build, which runs such short loops faster than the wide builds do. */
-static void
-moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
-        int quaternion, const double *wm, const double *wc, const double *q, const double *h,
-        Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
-        int diagonal, double *cross, double *scratch, Sum *sums)
-{
-    if (rows < BLOCK)
-        moments_pass(x, rows, n, normals, root, quaternion, wm, wc, q, h, m, r, mean, cov,
-                     y_hat, s, diagonal, cross, scratch, sums);
-    else
-        moments_wide(x, rows, n, normals, root, quaternion, wm, wc, q, h, m, r, mean, cov,
-                     y_hat, s, diagonal, cross, scratch, sums);
 }
 
 /* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as

@@ -418,9 +418,8 @@ def test_cloud_passes_agree_bitwise_and_match_numpy():
     check_cloud_passes()
 
 
-# row counts on both sides of the compiled passes' vector widths (2, 4 and 8
-# lanes), of their 64-row blocks (where the moments pass turns wide) and of
-# the RK4's row-by-row cut-off
+# row counts on both sides of the compiled passes' vector widths (2 and 4
+# lanes), of their 64-row blocks and of the RK4's row-by-row cut-off
 PASS_ROWS = (1, 2, 3, 7, 8, 15, 21, 63, 64, 65, 129, 1000)
 
 
