@@ -626,9 +626,9 @@ class PfFilter:
     backend, whose numpy fallbacks give the same bits), called directly with
     the jitter root, H and R checked once, when the filter is built, and
     each row set's H and L once, when it is first cached
-    (``kernels_py.checked_gaussian``). The first adds the jitter L e (L L' = Q), then
-    renormalizes the quaternion when the model's rows carry one
-    (``quaternion_rows``), and sums the prior mean, the predicted reading
+    (``kernels_py.checked_gaussian``). The first adds the jitter L e
+    (L L' = Q), then renormalizes the quaternion when the model's rows carry
+    one (``quaternion_rows``), and sums the prior mean, the predicted reading
     and S over the cloud; the second gives each particle's log-likelihood
     on the healthy rows, through L = chol(R) of those rows. Every sum over
     the particles runs in row order from row 0, and every product over the

@@ -289,7 +289,7 @@ def compute_metrics(result, settle=20.0):
     # a non-finite NIS stays out of the mean and counts as an exceedance, as
     # every detector counts it as a detection
     finite = np.isfinite(result.nis)
-    nis = result.nis if finite.all() else result.nis[finite]
+    nis = result.nis[finite]
     return Metrics(
         settle=settle,
         rmse_attitude=rmse_att,
