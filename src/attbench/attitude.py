@@ -1,49 +1,22 @@
-"""Attitude representations: quaternions, 3-1-3 Euler angles, and frame rotations.
+"""Attitude representations: quaternions, 3-1-3 Euler angles and their DCMs.
 
 Quaternions are scalar-first numpy arrays ``[q0, q1, q2, q3]``. Direction
 cosine matrices are passive: ``R @ v_eci`` gives the vector in body axes.
+Quaternions are renormalized by ``dynamics.renormalize_quaternions`` (and,
+with its bits, by the kernels), not here.
 """
 
 import numpy as np
 
 __all__ = [
-    "normalize",
     "canonicalize",
     "quat_multiply",
-    "quat_conjugate",
     "quat_to_dcm",
-    "dcm_to_quat",
     "euler313_to_dcm",
     "euler313_to_quat",
     "euler313_sin_theta",
-    "dcm_to_euler313",
-    "quat_to_euler313",
-    "rotation_angle_between",
     "align_hemisphere",
-    "eci_to_rtn",
 ]
-
-_NORM_FLOOR = 1e-12
-# one division leaves the recomputed norm within ~2.5 eps of 1, so anything
-# inside this band is already unit and must pass through untouched, making
-# normalize(normalize(q)) bitwise equal to normalize(q)
-_UNIT_BAND = 8.0 * np.finfo(float).eps
-
-
-def normalize(q):
-    """Return q scaled to unit norm, preserving its sign.
-
-    Raises:
-        ValueError: if the norm is below 1e-12, which has no meaningful
-            direction to preserve.
-    """
-    q = np.asarray(q, dtype=float)
-    n = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if n < _NORM_FLOOR:
-        raise ValueError("quaternion norm %.3e is not normalizable" % n)
-    if abs(n - 1.0) <= _UNIT_BAND:
-        return q.copy()
-    return q / n
 
 
 def canonicalize(q):
@@ -76,11 +49,6 @@ def quat_multiply(a, b):
     )
 
 
-def quat_conjugate(q):
-    """Conjugate [q0, -q1, -q2, -q3], the inverse for unit quaternions."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
 def quat_to_dcm(q):
     """Direction cosine matrix for a unit quaternion.
 
@@ -110,65 +78,6 @@ def quat_to_dcm(q):
         ]
     )
     return entries.T.reshape(q.shape[:-1] + (3, 3))
-
-
-def dcm_to_quat(R):
-    """Extract the quaternion from a rotation matrix (Shepperd's method).
-
-    The branch is chosen by the largest of the four squared components so
-    the division is always well conditioned. The result is canonicalized.
-
-    Args:
-        R: 3x3 orthonormal passive rotation matrix.
-
-    Returns:
-        Unit quaternion with nonnegative scalar part.
-    """
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    # Four times the squared components, each >= 0 for a proper rotation.
-    cand = np.array(
-        [1.0 + tr, 1.0 + 2.0 * R[0, 0] - tr, 1.0 + 2.0 * R[1, 1] - tr, 1.0 + 2.0 * R[2, 2] - tr]
-    )
-    k = int(np.argmax(cand))
-    s = 2.0 * np.sqrt(max(cand[k], 0.0))
-    if k == 0:
-        q = np.array(
-            [
-                0.25 * s,
-                (R[1, 2] - R[2, 1]) / s,
-                (R[2, 0] - R[0, 2]) / s,
-                (R[0, 1] - R[1, 0]) / s,
-            ]
-        )
-    elif k == 1:
-        q = np.array(
-            [
-                (R[1, 2] - R[2, 1]) / s,
-                0.25 * s,
-                (R[0, 1] + R[1, 0]) / s,
-                (R[2, 0] + R[0, 2]) / s,
-            ]
-        )
-    elif k == 2:
-        q = np.array(
-            [
-                (R[2, 0] - R[0, 2]) / s,
-                (R[0, 1] + R[1, 0]) / s,
-                0.25 * s,
-                (R[1, 2] + R[2, 1]) / s,
-            ]
-        )
-    else:
-        q = np.array(
-            [
-                (R[0, 1] - R[1, 0]) / s,
-                (R[2, 0] + R[0, 2]) / s,
-                (R[1, 2] + R[2, 1]) / s,
-                0.25 * s,
-            ]
-        )
-    return canonicalize(normalize(q))
 
 
 def _rot_x(a):
@@ -234,39 +143,6 @@ def euler313_sin_theta(theta):
     return st
 
 
-def dcm_to_euler313(R):
-    """Extract (phi, theta, psi) from a DCM, with theta in (0, pi).
-
-    Raises:
-        ValueError: at the sequence singularity (``euler313_sin_theta``).
-    """
-    R = np.asarray(R, dtype=float)
-    c = min(1.0, max(-1.0, R[2, 2]))
-    theta = np.arccos(c)
-    euler313_sin_theta(theta)
-    phi = np.arctan2(R[0, 2], R[1, 2])
-    psi = np.arctan2(R[2, 0], -R[2, 1])
-    return np.array([phi, theta, psi])
-
-
-def quat_to_euler313(q):
-    """3-1-3 Euler angles of a unit quaternion (see ``dcm_to_euler313``)."""
-    return dcm_to_euler313(quat_to_dcm(q))
-
-
-def rotation_angle_between(qa, qb):
-    """Rotation angle in radians between two unit-quaternion attitudes.
-
-    Uses the chord length of the nearer hemisphere representative, which
-    stays well conditioned near zero where an arccos of the dot product
-    loses half the significant digits.
-    """
-    qa = np.asarray(qa, dtype=float)
-    qb = np.asarray(qb, dtype=float)
-    chord = min(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb))
-    return 4.0 * np.arcsin(min(1.0, 0.5 * chord))
-
-
 def align_hemisphere(q, reference):
     """Return q or -q, whichever has nonnegative dot product with reference.
 
@@ -277,34 +153,3 @@ def align_hemisphere(q, reference):
     q = np.asarray(q, dtype=float)
     dot = np.sum(q * np.asarray(reference, dtype=float), axis=-1, keepdims=True)
     return np.where(dot < 0.0, -q, q)
-
-
-def eci_to_rtn(r, v):
-    """Rotation from ECI to the orbital radial/transverse/normal frame.
-
-    Rows are the RTN basis vectors in ECI coordinates: radial (along r),
-    normal (along the orbital momentum r x v), and transverse completing
-    the right-handed triad, in R, T, N row order.
-
-    Args:
-        r: position in ECI, km.
-        v: velocity in ECI, km/s.
-
-    Returns:
-        3x3 matrix whose rows are [R_hat, T_hat, N_hat].
-
-    Raises:
-        ValueError: if r and v are parallel or zero, leaving the frame
-            undefined.
-    """
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    h = np.cross(r, v)
-    rn = np.linalg.norm(r)
-    hn = np.linalg.norm(h)
-    if rn < 1e-12 or hn < 1e-12:
-        raise ValueError("RTN frame undefined: position and velocity are parallel or zero")
-    r_hat = r / rn
-    n_hat = h / hn
-    t_hat = np.cross(n_hat, r_hat)
-    return np.array([r_hat, t_hat, n_hat])

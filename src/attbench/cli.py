@@ -130,6 +130,9 @@ def _run_compare(args):
             check_filter_kind(k)
     except FieldError as exc:
         raise ScenarioError("--filters: %s" % exc.reason)
+    repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        raise ScenarioError("--filters names %s more than once" % ", ".join(repeated))
     if args.jobs < 1:
         raise ScenarioError("--jobs must be >= 1")
     cfg = _load(args)

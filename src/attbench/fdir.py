@@ -17,7 +17,8 @@ standing far above its own block's threshold.
 ``FdirSupervisor`` runs one detector per step and writes each decision
 into preallocated columns, which ``FaultReports`` views as a sequence of
 ``FaultReport``; ``innovation_filter_check``, ``sequence_monitor_update``
-and ``isolation_check`` are the same rules on one record.
+and ``isolation_check`` are the same rules on one record. An isolation
+report's ``per_sensor`` holds each sensor's NIS and dof.
 
 Recovery is the caller's move: skip the update (prediction-only step),
 or update with the rows ``healthy_rows`` maps the healthy sensors to. Every
@@ -47,10 +48,8 @@ __all__ = [
     "innovation_filter_check",
     "NisWindow",
     "sequence_monitor_update",
-    "per_sensor_nis",
     "isolation_check",
     "healthy_rows",
-    "slice_valid",
     "FdirSupervisor",
 ]
 
@@ -226,26 +225,18 @@ def sequence_monitor_update(window, record, cfg):
     return supervisor._report_on(record)
 
 
-def per_sensor_nis(record, slice_map):
-    """Per-sensor NIS over each sensor's rows of one record.
-
-    Because the stacked S carries H Sigma H' + R, the sub-block for a
-    sensor's rows is exactly that sensor's innovation covariance; slicing
-    the record is equivalent to rebuilding H_i Sigma H_i' + R_i. One
-    ``attbench.core.block_nis`` call factors every sensor's diagonal block.
-
-    Returns:
-        dict: sensor name -> (nis, dof), in layout order.
-    """
-    bounds = tuple(edge for sl in slice_map.values() for edge in (sl.start, sl.stop))
-    nis = core.block_nis(record.S, record.nu, bounds)
-    return {name: (nis_i, sl.stop - sl.start)
-            for (name, sl), nis_i in zip(slice_map.items(), nis)}
-
-
 def isolation_check(record, slice_map, cfg):
     """Per-sensor chi-square tests; flags every sensor over its threshold:
-    the "isolation" policy of ``FdirSupervisor`` on one step."""
+    the "isolation" policy of ``FdirSupervisor`` on one step.
+
+    Because the stacked S carries H Sigma H' + R, the sub-block for a
+    sensor's rows is exactly that sensor's innovation covariance, so the
+    report's ``per_sensor``, {name: (nis, dof)} in layout order, comes from
+    factoring each sensor's diagonal block of the record's S.
+
+    Raises:
+        ValueError: a sensor's block of S is not positive definite.
+    """
     return FdirSupervisor("isolation", cfg, slice_map)._report_on(record)
 
 
@@ -267,18 +258,6 @@ def healthy_rows(healthy, slice_map):
         raise ValueError("healthy set names unknown sensors: %s" % sorted(unknown))
     return np.array([i for name, sl in slice_map.items() if name in keep
                      for i in range(sl.start, sl.stop)], dtype=int)
-
-
-def slice_valid(y, H, R, healthy, slice_map):
-    """(y, H, R) reduced to the ``healthy_rows`` of the sensor names in
-    ``healthy``, or None when no sensor is healthy ("skip the update")."""
-    rows = healthy_rows(healthy, slice_map)
-    if not rows.size:
-        return None
-    y = np.asarray(y, dtype=float)
-    H = np.asarray(H, dtype=float)
-    R = np.asarray(R, dtype=float)
-    return y[rows], H[rows, :], R[np.ix_(rows, rows)]
 
 
 _KEEP = (False, None)  # decide's (skip, healthy) for an all-rows update

@@ -57,7 +57,7 @@ every row, so a non-finite reading resets its weights.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ __all__ = [
     "attitude_measurement",
     "FilterConfig",
     "check_tunables",
-    "augment_gyro_bias",
     "jacobian",
     "ukf_sigma_points",
     "systematic_resample",
@@ -373,36 +372,6 @@ def _update_rows(meas, record, decide):
         rows = np.arange(meas.dim) if rows is None else rows
         rows = rows[np.isfinite(record.nu[rows])]
     return rows
-
-
-def augment_gyro_bias(cfg, q_bias=1e-12, p0_bias=1e-2, b0=None):
-    """Extend a 7-state attitude FilterConfig with three gyro-bias states.
-
-    The bias is constant in the process model (random walk strength
-    ``q_bias`` in Q) and enters the measurement through the gyro rows, so
-    the filter can separate rate from bias using the attitude history.
-    """
-    proc = cfg.process
-    if not isinstance(proc, RigidBodyProcessModel) or proc.bias_states:
-        raise ValueError("augmentation applies to a 7-state rigid-body config")
-    new_proc = RigidBodyProcessModel(
-        proc.inertia, proc.dt, bias_states=True,
-        torque_model=proc.torque_model, elements=proc.elements,
-    )
-    meas = cfg.measurement
-    h = np.zeros((meas.dim, 10))
-    h[:, :7] = meas.H
-    if "gyro" in meas.slices:
-        h[meas.slices["gyro"], 7:10] = np.eye(3)
-    new_meas = StackedMeasurement(h, meas.R, meas.slices, meas.hemisphere_blocks)
-    pad = np.zeros((10, 10))
-    pad[:7, :7] = cfg.Q
-    pad[7:, 7:] = q_bias * np.eye(3)
-    p0 = np.zeros((10, 10))
-    p0[:7, :7] = cfg.P0
-    p0[7:, 7:] = p0_bias * np.eye(3)
-    x0 = np.concatenate([cfg.x0, np.zeros(3) if b0 is None else np.asarray(b0, float)])
-    return replace(cfg, process=new_proc, measurement=new_meas, Q=pad, x0=x0, P0=p0)
 
 
 def jacobian(f, x, eps=1e-6):

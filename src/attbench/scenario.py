@@ -81,7 +81,6 @@ __all__ = [
     "bundled_scenarios",
     "resolve_scenario",
     "with_overrides",
-    "strip_faults",
 ]
 
 class ScenarioError(ValueError):
@@ -555,7 +554,3 @@ def with_overrides(cfg, seed=None, dt=None, t_end=None, filter_kind=None):
         ("filter_kind", filter_kind, str)) if value is not None}
     return _model("", replace, cfg, keys=_CONFIG_KEYS, **changes) if changes else cfg
 
-
-def strip_faults(cfg):
-    """The same scenario with an empty fault list (baseline twin)."""
-    return replace(cfg, faults=())

@@ -165,6 +165,18 @@ def test_compare_rejects_unknown_filter(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_compare_rejects_a_repeated_filter(tmp_path, capsys):
+    """Each kind writes one CSV named after it, so a repeated kind would run
+    twice and overwrite its own file."""
+    out = tmp_path / "cmp"
+    code = main(["compare", "zero_noise", "-o", str(out), "--filters", "ekf,ukf,ekf",
+                 "--t-end", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "ekf" in err and "ukf" not in err
+    assert not out.exists()
+
+
 def test_compare_rejects_bad_job_count(tmp_path, capsys):
     code = main(["compare", "zero_noise", "-o", str(tmp_path / "cmp"),
                  "--jobs", "0"])

@@ -56,7 +56,7 @@ def test_compute_nis_rejects_an_indefinite_covariance():
     rec = InnovationRecord(t=0.0, nu=np.ones(11), S=np.diag(np.r_[np.ones(8), 1.0, -1.0, 1.0]),
                            nis=0.0, source="ekf")
     with pytest.raises(ValueError, match="positive definite"):
-        fdir.per_sensor_nis(rec, SLICES)
+        fdir.isolation_check(rec, SLICES, fdir.DetectorConfig())
 
 
 def test_detector_config_validation():
@@ -152,7 +152,7 @@ def block_diag_record(scales=(1.0, 1.0, 1.0)):
 
 def test_per_sensor_nis_partitions_block_diagonal_total():
     rec = block_diag_record((0.5, 2.0, 1.5))
-    per = fdir.per_sensor_nis(rec, SLICES)
+    per = fdir.isolation_check(rec, SLICES, fdir.DetectorConfig()).per_sensor
     assert list(per) == list(SLICES)  # layout order
     assert [dof for _, dof in per.values()] == [4, 4, 3]
     total = sum(nis for nis, _ in per.values())
@@ -199,23 +199,17 @@ def test_isolation_check_quiet_when_all_below():
     assert rep.isolated == frozenset()
 
 
-def test_slice_valid_keeps_layout_order():
-    y = np.arange(11.0)
-    h = np.arange(77.0).reshape(11, 7)
-    r = np.diag(np.arange(1.0, 12.0))
-    out = fdir.slice_valid(y, h, r, ("gyro", "star_tracker"), SLICES)
-    y2, h2, r2 = out
+def test_healthy_rows_keep_layout_order():
     rows = np.r_[0:4, 8:11]  # star tracker block first regardless of call order
-    npt.assert_array_equal(y2, y[rows])
-    npt.assert_array_equal(h2, h[rows])
-    npt.assert_array_equal(r2, r[np.ix_(rows, rows)])
-
-
-def test_slice_valid_empty_and_unknown():
-    y, h, r = np.zeros(11), np.zeros((11, 7)), np.eye(11)
-    assert fdir.slice_valid(y, h, r, (), SLICES) is None
+    for healthy in (("gyro", "star_tracker"), ("star_tracker", "gyro")):
+        out = fdir.healthy_rows(healthy, SLICES)
+        assert out.dtype == int
+        npt.assert_array_equal(out, rows)
+    empty = fdir.healthy_rows((), SLICES)
+    assert empty.dtype == int and empty.size == 0
+    assert fdir.healthy_rows(None, SLICES) is None
     with pytest.raises(ValueError):
-        fdir.slice_valid(y, h, r, ("lidar",), SLICES)
+        fdir.healthy_rows(("lidar",), SLICES)
 
 
 def test_supervisor_policy_none_never_intervenes():

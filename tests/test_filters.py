@@ -53,10 +53,11 @@ def test_filter_config_validation():
                              Q=cfg.Q, x0=cfg.x0, P0=cfg.P0, **{field: value})
 
 
-def test_attitude_measurement_selection_rows():
+@pytest.mark.parametrize("state_dim", [7, 10])
+def test_attitude_measurement_selection_rows(state_dim):
     layout = make_layout()
-    meas = flt.attitude_measurement(layout, R_BLOCKS, 7)
-    assert meas.H.shape == (11, 7)
+    meas = flt.attitude_measurement(layout, R_BLOCKS, state_dim)
+    assert meas.H.shape == (11, state_dim)
     npt.assert_array_equal(meas.H[0:4, 0:4], np.eye(4))
     npt.assert_array_equal(meas.H[4:8, 0:4], np.eye(4))
     npt.assert_array_equal(meas.H[8:11, 4:7], np.eye(3))
@@ -65,25 +66,10 @@ def test_attitude_measurement_selection_rows():
                            np.r_[np.full(4, 0.001), np.full(4, 0.01),
                                  np.full(3, 2.5e-5)])
     assert meas.hemisphere_blocks == (slice(0, 4), slice(4, 8))
-
-
-def test_augment_gyro_bias_extends_the_model():
-    cfg = rigid_config()
-    out = flt.augment_gyro_bias(cfg, q_bias=1e-12, p0_bias=1e-2)
-    assert out.process.dim == 10
-    assert out.measurement.H.shape == (11, 10)
-    npt.assert_array_equal(out.measurement.H[8:11, 7:10], np.eye(3))
-    npt.assert_array_equal(out.measurement.H[:, :7], cfg.measurement.H)
-    npt.assert_array_equal(out.x0, np.r_[cfg.x0, np.zeros(3)])
-    npt.assert_array_equal(out.Q[7:10, 7:10], 1e-12 * np.eye(3))
-    with pytest.raises(ValueError):
-        flt.augment_gyro_bias(out)  # already augmented
-
-
-def test_augment_rejects_non_rigid_process():
-    cfg, _ = make_linear_problem()
-    with pytest.raises(ValueError):
-        flt.augment_gyro_bias(cfg)
+    if state_dim == 10:
+        # the gyro reads rate plus bias; no other sensor sees the bias
+        npt.assert_array_equal(meas.H[8:11, 7:10], np.eye(3))
+        npt.assert_array_equal(meas.H[:, :7], flt.attitude_measurement(layout, R_BLOCKS, 7).H)
 
 
 def test_jacobian_matches_analytic():
@@ -826,7 +812,8 @@ def test_filter_steps_have_one_set_of_bits_on_every_dispatch_path(tmp_path):
     readings = sample_measurements(cfg, traj, layout)[1]
     readings[100:103, 0:4] += 0.5  # a star-tracker spike for the isolator
     readings[200, 9] = np.nan
-    fcfg = flt.augment_gyro_bias(build_filter_config(cfg, layout))
+    cfg = replace(cfg, bias_states=True, x0=np.r_[cfg.x0, np.zeros(3)])
+    fcfg = build_filter_config(cfg, layout)
     fcfg.pf_particles = 200
     job = tmp_path / "job.pkl"
     with open(job, "wb") as fh:

@@ -1,12 +1,13 @@
 import csv
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attbench import fdir
+from attbench import core, dynamics, fdir, scenario
 from attbench import filters as flt
 from attbench import runner as rn
 from attbench.core import kernels_py
@@ -376,3 +377,21 @@ def test_run_views_index_like_tuples(bundled_run):
     assert result.reports.index(result.reports[k]) == k
     assert result.records[k].t == result.reports.t[k] == result.t[k + 1]
     assert result.records[k].nis == result.nis[k]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches(monkeypatch):
+    """perfbench's tracer wraps attbench functions by name, so a renamed or
+    deleted one makes its install raise AttributeError; installed, it sees
+    one truth step and one filter propagation per run step."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from bench_trace import Tracer
+
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=2.0)
+    tracer = Tracer({"core": core, "dynamics": dynamics, "fdir": fdir, "filters": flt,
+                     "runner": rn, "scenario": scenario})
+    tracer.install()
+    try:
+        rn.run_scenario(cfg, mode="fdir", filter_kind="ekf")
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["core.rk4_calls"] == 2 * cfg.n_steps

@@ -259,11 +259,3 @@ def test_replace_checks_the_rigid_body_and_noise_rules(changes, key):
 def test_filter_noise_errors_keep_their_key_paths(tmp_path, block, key, reason):
     with pytest.raises(ScenarioError, match=re.escape(": %s: %s" % (key, reason)) + "$"):
         load_text(tmp_path, MINIMAL + block + "\n")
-
-
-def test_strip_faults_empties_the_fault_list():
-    cfg = scn.load_bundled("spike_detect")
-    assert cfg.faults
-    bare = scn.strip_faults(cfg)
-    assert bare.faults == ()
-    assert bare.policy == cfg.policy
