@@ -199,12 +199,22 @@ def test_isolation_check_quiet_when_all_below():
     assert rep.isolated == frozenset()
 
 
-def test_healthy_rows_keep_layout_order():
+def test_slice_valid_keeps_layout_order():
+    # the healthy-row slice of y, H and R every filter update takes
+    y = np.arange(11.0)
+    h = np.arange(77.0).reshape(11, 7)
+    r = np.diag(np.arange(1.0, 12.0))
     rows = np.r_[0:4, 8:11]  # star tracker block first regardless of call order
     for healthy in (("gyro", "star_tracker"), ("star_tracker", "gyro")):
         out = fdir.healthy_rows(healthy, SLICES)
         assert out.dtype == int
         npt.assert_array_equal(out, rows)
+        npt.assert_array_equal(y[out], y[rows])
+        npt.assert_array_equal(h[out], h[rows])
+        npt.assert_array_equal(r[np.ix_(out, out)], r[np.ix_(rows, rows)])
+
+
+def test_slice_valid_empty_and_unknown():
     empty = fdir.healthy_rows((), SLICES)
     assert empty.dtype == int and empty.size == 0
     assert fdir.healthy_rows(None, SLICES) is None
