@@ -17,8 +17,9 @@ steps and on the cloud passes of a 1000-particle, 10-state filter with the
 attitude suite's 11 measurement rows, and per call each per-particle pass
 (the RK4 step on 1, 15, 21 and 1000 rows with and without the
 gravity-gradient frames, and each cloud pass on 1000 particles of 7 and 10
-states). The EKF's stencil is timed against
-the numpy code it replaced, the NIS against np.linalg on the record's 11
+states). The EKF's stencil (the mean plus the
+filter's fixed offsets) is timed against the flat-index build it replaced,
+the NIS against np.linalg on the record's 11
 rows and on the 4/4/3-row blocks of the isolation test, and a whole bare
 EKF and UKF step (7 and 10 states, 11 rows) on both backends, and the CSV
 pass per 32-row chunk, whose fallback is the ``'%.9g'`` format string the
@@ -89,7 +90,7 @@ def make_states(m, seed=0):
 def run(states, n_steps, frames=None):
     out = states.copy()
     for _ in range(n_steps):
-        out = rk4_step_batch(out, DT, IXX, IYY, IZZ, 0.0, 0.0, 0.0, frames)
+        out = rk4_step_batch(out, DT, IXX, IYY, IZZ, frames)
     return out
 
 
@@ -160,20 +161,9 @@ def cholesky_layer(s, nu):
     return (l, nis, core.block_nis(s, nu, ISOLATION_BLOCKS), core.cholesky(s))
 
 
-def numpy_ekf_stencil(mu, eps):
-    """The EKF's stencil as numpy built it before: a tiled mean and two
-    diagonal fancy-index updates."""
-    n = len(mu)
-    batch = np.tile(mu, (2 * n + 1, 1))
-    diag = np.arange(n)
-    batch[1 + diag, diag] += eps
-    batch[1 + n + diag, diag] -= eps
-    return batch
-
-
-def ekf_stencil(mu, eps, plus, minus):
-    """The EKF's stencil as ``EkfFilter`` builds it: a filled array and the
-    +-eps entries written through flat indices."""
+def flat_index_stencil(mu, eps, plus, minus):
+    """The EKF's stencil as ``EkfFilter`` built it before its fixed offsets:
+    a filled array and the +-eps entries written through flat indices."""
     n = len(mu)
     batch = np.empty((2 * n + 1, n))
     batch[:] = mu
@@ -207,24 +197,21 @@ def fused_passes(cfg, belief, y):
     on the star tracker and gyro rows, and on none."""
     kernels = core._kernels
     n, m = cfg.process.dim, cfg.measurement.dim
-    q, h, r = kernels_py.checked_gaussian(cfg.Q, cfg.measurement.H, cfg.measurement.R)
+    q, h, r = cfg.Q, cfg.measurement.H, cfg.measurement.R
     blocks = cfg.measurement.hemisphere_bounds
     mu, sigma = belief.mu, belief.sigma
     _, wm, wc = ukf_sigma_points(mu, sigma, 0.1, 2.0, 0.0)
     scale = 0.01 * n  # n + lambda with alpha 0.1 and kappa 0
     points = np.empty((2 * n + 1, n))
     outs = [points, kernels.points_rows(mu, sigma, scale, points)]
-    plus = np.arange(n) * (n + 1) + n
-    prop = rk4_step_batch(ekf_stencil(mu, 1e-6, plus, plus + n * n), DT, IXX, IYY, IZZ,
-                          0.0, 0.0, 0.0)
+    prop = rk4_step_batch(mu + EkfFilter(cfg)._offsets, DT, IXX, IYY, IZZ)
     # L's upper triangle and the cov a given set leaves are not written: zeros
     ekf = [np.empty((n, n)), np.empty((m, m)), np.empty((n, m)), np.empty(m), np.zeros((m, m))]
     outs += ekf + [kernels.ekf_assess_rows(prop, 1e-6, sigma, q, h, r, blocks, y, *ekf)]
     for given in (None, points):
         ukf = [np.empty(n), np.zeros((n, n)), np.empty((m, m)), np.empty((m, m)),
                np.empty((n, m)), np.empty(m)]
-        prop_u = None if given is not None else rk4_step_batch(points, DT, IXX, IYY, IZZ,
-                                                               0.0, 0.0, 0.0)
+        prop_u = None if given is not None else rk4_step_batch(points, DT, IXX, IYY, IZZ)
         if given is not None:
             ukf[0][:] = mu
         outs += ukf + [kernels.ukf_assess_rows(prop_u, wm, wc, q, scale, h, r, 1.0, blocks, y,
@@ -294,7 +281,7 @@ def bench_passes():
             states = make_states(m)
 
             def rk4():
-                rk4_step_batch(states, DT, IXX, IYY, IZZ, 0.0, 0.0, 0.0, frames)
+                rk4_step_batch(states, DT, IXX, IYY, IZZ, frames)
             tc = per_call(rk4, calls=calls)
             with fallback():
                 tp = per_call(rk4, calls=calls // 10, repeats=3)
@@ -334,16 +321,28 @@ def bench_cholesky():
         print("%-38s %7.2f us %7.2f us %7.1f us %7.1fx" % (label, tc, tn, tp, tn / tc))
 
 
-def bench_stencil(n=10):
-    """The EKF's stencil, numpy glue on either backend, against the numpy
-    code it replaced."""
-    mu, eps = np.hstack([make_states(1)[0], np.zeros(n - 7)]), 1e-6
+def stencil_case(n):
+    """(mean, offsets, flat): an n-state belief's mean, the fixed offsets
+    ``EkfFilter`` adds to it to build the stencil, and a call of the
+    flat-index build it replaced on that mean."""
+    cfg, belief, _ = step_case(n)
+    mu = belief.mu
     plus = np.arange(n) * (n + 1) + n
-    tc = per_call(lambda: ekf_stencil(mu, eps, plus, plus + n * n))
-    tn = per_call(lambda: numpy_ekf_stencil(mu, eps))
-    print("%-38s %10s %10s %8s" % ("EKF stencil, per call", "ours", "numpy", "vs np"))
-    print("%-38s %7.2f us %7.2f us %7.1fx" % ("stencil (%d x %d)" % (2 * n + 1, n), tc, tn,
-                                              tn / tc))
+    return mu, EkfFilter(cfg)._offsets, lambda: flat_index_stencil(mu, cfg.fd_eps, plus,
+                                                                  plus + n * n)
+
+
+def bench_stencil():
+    """The EKF's stencil, numpy glue on either backend, against the
+    flat-index build it replaced."""
+    print("%-38s %10s %10s %8s" % ("EKF stencil, per call", "offsets", "flat idx",
+                                   "speedup"))
+    for n in (7, 10):
+        mu, offsets, flat = stencil_case(n)
+        tc = per_call(lambda: mu + offsets)
+        tf = per_call(flat)
+        print("%-38s %7.2f us %7.2f us %7.1fx" % ("stencil (%d x %d)" % (2 * n + 1, n), tc, tf,
+                                                  tf / tc))
 
 
 def bench_steps():
@@ -413,6 +412,9 @@ def main():
     for n in (7, 10):
         check("Cholesky factor and NIS, %2d states" % n,
               on_each_backend(cholesky_layer, *kalman_case(n)))
+    for n in (7, 10):
+        mu, offsets, flat = stencil_case(n)
+        check("EKF stencil = flat-index, %2d states" % n, ([mu + offsets], [flat()]))
     block = csv_case()
     check("CSV pass, 32 x 36", ([COMPILED.csv_rows(block).encode()],
                                 [kernels_py.csv_rows(block).encode()]))

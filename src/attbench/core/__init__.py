@@ -20,7 +20,7 @@ fit each other:
 
 - the Gaussian step's fused passes (``points_rows``, ``ekf_assess_rows``,
   ``ukf_assess_rows`` and ``gauss_update_rows``), whose constant operands
-  the EKF and UKF check once, when built (``kernels_py.checked_gaussian``);
+  the EKF and UKF take as their ``filters.FilterConfig`` checked them;
 - ``factor_rows`` under the isolation policy, with the per-sensor bounds
   and the scratch factor ``fdir.FdirSupervisor`` binds when built;
 - the CSV pass ``csv_rows``, which formats a float block as
@@ -44,7 +44,7 @@ else:
         BACKEND = "python"
 
 
-def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
+def rk4_step_batch(states, dt, ixx, iyy, izz, frames=None):
     """Advance a batch of [q, w, ...] states by one RK4 step.
 
     Args:
@@ -53,13 +53,12 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
             unchanged.
         dt: step, s.
         ixx, iyy, izz: principal moments, kg m^2.
-        tx, ty, tz: constant body-frame torque over the step, N m.
-        frames: None (torque-free apart from the constant torque) or a
-            (3, 4) array of rows [ux, uy, uz, g] at t, t + dt/2 and t + dt:
-            the ECI radial unit vector and g = 3 mu / R^3, s^-2. Each RK4
-            stage then adds the gravity-gradient torque
+        frames: None (torque-free) or a (3, 4) array of rows
+            [ux, uy, uz, g] at t, t + dt/2 and t + dt: the ECI radial unit
+            vector and g = 3 mu / R^3, s^-2. Each RK4 stage then applies the
+            gravity-gradient torque
             g [(Izz-Iyy) c1 c2, (Ixx-Izz) c2 c0, (Iyy-Ixx) c0 c1], with
-            c = DCM(q_stage) u, to the constant torque.
+            c = DCM(q_stage) u.
 
     Returns:
         New (M, n) array; quaternions renormalized once, after the step.
@@ -69,7 +68,7 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, tx, ty, tz, frames=None):
         ValueError: see ``kernels_py.checked_batch``.
     """
     out, frames = kernels_py.checked_batch(states, frames)
-    _kernels.step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)
+    _kernels.step_rows(out, dt, ixx, iyy, izz, frames)
     return out
 
 

@@ -20,8 +20,8 @@
  * calls csv_rows. Each function still checks that its buffers fit each
  * other.
  *
- * step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames) advances a
- *     C-contiguous float64 (M, n) buffer by one rigid-body RK4 step, in place.
+ * step_rows(out, dt, ixx, iyy, izz, frames) advances a C-contiguous float64
+ *     (M, n) buffer by one RK4 step in place, torque-free when frames is None.
  * moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s) is the
  *     particle filter's cloud pass. It adds the jitter root normals[i] to
  *     each row of x in place, then renormalizes columns 0..3 when asked, and
@@ -106,16 +106,18 @@
 #endif
 
 /* Derivative of one [q, w] state, component j at s[j * ds], into k[j * dk],
- * under the constant torque (tx, ty, tz) plus, when frame is not NULL, the
- * gravity-gradient torque of the frame [ux, uy, uz, g]: g [(Izz-Iyy) c1 c2,
- * (Ixx-Izz) c2 c0, (Iyy-Ixx) c0 c1] with c = DCM(q) u, the radial unit
- * vector in body axes. */
+ * torque-free or, when frame is not NULL, under the gravity-gradient torque
+ * of the frame [ux, uy, uz, g]: g [(Izz-Iyy) c1 c2, (Ixx-Izz) c2 c0,
+ * (Iyy-Ixx) c0 c1] with c = DCM(q) u, the radial unit vector in body axes.
+ * The torque starts at 0.0, as in the fallback, and is not folded away:
+ * 0.0 - a is +0.0 where -a is -0.0. */
 INLINE void
 rates(const double *s, Py_ssize_t ds, double ixx, double iyy, double izz,
-      double tx, double ty, double tz, const double *frame, double *k, Py_ssize_t dk)
+      const double *frame, double *k, Py_ssize_t dk)
 {
     double q0 = s[0], q1 = s[ds], q2 = s[2 * ds], q3 = s[3 * ds];
     double wx = s[4 * ds], wy = s[5 * ds], wz = s[6 * ds];
+    double tx = 0.0, ty = 0.0, tz = 0.0;
 
     if (frame) {
         double ux = frame[0], uy = frame[1], uz = frame[2], g = frame[3];
@@ -144,8 +146,8 @@ rates(const double *s, Py_ssize_t ds, double ixx, double iyy, double izz,
 /* One RK4 step of the rows [0, m) of n doubles, one row at a time. */
 static void
 step_rows_one_by_one(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
-                     double ixx, double iyy, double izz, double tx, double ty, double tz,
-                     const double *f0, const double *f1, const double *f2)
+                     double ixx, double iyy, double izz, const double *f0, const double *f1,
+                     const double *f2)
 {
     double c[7], s[7], k1[7], k2[7], k3[7], k4[7];
     Py_ssize_t i;
@@ -157,16 +159,16 @@ step_rows_one_by_one(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
 
         for (j = 0; j < 7; j++)
             c[j] = row[j];
-        rates(c, 1, ixx, iyy, izz, tx, ty, tz, f0, k1, 1);
+        rates(c, 1, ixx, iyy, izz, f0, k1, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + (0.5 * dt) * k1[j];
-        rates(s, 1, ixx, iyy, izz, tx, ty, tz, f1, k2, 1);
+        rates(s, 1, ixx, iyy, izz, f1, k2, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + (0.5 * dt) * k2[j];
-        rates(s, 1, ixx, iyy, izz, tx, ty, tz, f1, k3, 1);
+        rates(s, 1, ixx, iyy, izz, f1, k3, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + dt * k3[j];
-        rates(s, 1, ixx, iyy, izz, tx, ty, tz, f2, k4, 1);
+        rates(s, 1, ixx, iyy, izz, f2, k4, 1);
         for (j = 0; j < 7; j++)
             s[j] = c[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
         norm = sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3]);
@@ -218,16 +220,16 @@ to_rows(const double *restrict t, Py_ssize_t nb, Py_ssize_t n, Py_ssize_t cols,
  * test for a frame stays outside the loops, which branch nowhere. */
 INLINE void
 block_rates(const double *restrict st, Py_ssize_t nb, double ixx, double iyy, double izz,
-            double tx, double ty, double tz, const double *frame, double *restrict k)
+            const double *frame, double *restrict k)
 {
     Py_ssize_t b;
 
     if (frame)
         for (b = 0; b < nb; b++)
-            rates(st + b, BLOCK, ixx, iyy, izz, tx, ty, tz, frame, k + b, BLOCK);
+            rates(st + b, BLOCK, ixx, iyy, izz, frame, k + b, BLOCK);
     else
         for (b = 0; b < nb; b++)
-            rates(st + b, BLOCK, ixx, iyy, izz, tx, ty, tz, NULL, k + b, BLOCK);
+            rates(st + b, BLOCK, ixx, iyy, izz, NULL, k + b, BLOCK);
 }
 
 /* The RK4 step of step_rows_one_by_one on column blocks of the rows. The
@@ -237,8 +239,8 @@ block_rates(const double *restrict st, Py_ssize_t nb, double ixx, double iyy, do
  * that may set errno does not vectorize. */
 static void WIDE
 step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
-             double ixx, double iyy, double izz, double tx, double ty, double tz,
-             const double *f0, const double *f1, const double *f2)
+             double ixx, double iyy, double izz, const double *f0, const double *f1,
+             const double *f2)
 {
     double ct[7 * BLOCK], st[7 * BLOCK], kt[7 * BLOCK], acc[7 * BLOCK], norm[BLOCK];
     double half = 0.5 * dt, sixth = dt / 6.0;
@@ -247,25 +249,25 @@ step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
     for (i0 = 0; i0 < m; i0 += BLOCK) {
         nb = m - i0 < BLOCK ? m - i0 : BLOCK;
         to_columns(x + i0 * n, nb, n, 7, ct);
-        block_rates(ct, nb, ixx, iyy, izz, tx, ty, tz, f0, kt);
+        block_rates(ct, nb, ixx, iyy, izz, f0, kt);
         for (e = 0; e < 7 * BLOCK; e += BLOCK)
             for (b = 0; b < nb; b++) {
                 acc[e + b] = kt[e + b];
                 st[e + b] = ct[e + b] + half * kt[e + b];
             }
-        block_rates(st, nb, ixx, iyy, izz, tx, ty, tz, f1, kt);
+        block_rates(st, nb, ixx, iyy, izz, f1, kt);
         for (e = 0; e < 7 * BLOCK; e += BLOCK)
             for (b = 0; b < nb; b++) {
                 acc[e + b] = acc[e + b] + 2.0 * kt[e + b];
                 st[e + b] = ct[e + b] + half * kt[e + b];
             }
-        block_rates(st, nb, ixx, iyy, izz, tx, ty, tz, f1, kt);
+        block_rates(st, nb, ixx, iyy, izz, f1, kt);
         for (e = 0; e < 7 * BLOCK; e += BLOCK)
             for (b = 0; b < nb; b++) {
                 acc[e + b] = acc[e + b] + 2.0 * kt[e + b];
                 st[e + b] = ct[e + b] + dt * kt[e + b];
             }
-        block_rates(st, nb, ixx, iyy, izz, tx, ty, tz, f2, kt);
+        block_rates(st, nb, ixx, iyy, izz, f2, kt);
         for (e = 0; e < 7 * BLOCK; e += BLOCK)
             for (b = 0; b < nb; b++)
                 st[e + b] = ct[e + b] + sixth * (acc[e + b] + kt[e + b]);
@@ -292,8 +294,7 @@ step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
  * the compiler need not reload them after every store into the rows. */
 static void
 step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
-     double ixx, double iyy, double izz, double tx, double ty, double tz,
-     const double *frames_in)
+     double ixx, double iyy, double izz, const double *frames_in)
 {
     double frames[3][4];
     const double *f0 = NULL, *f1 = NULL, *f2 = NULL;
@@ -305,9 +306,9 @@ step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
         f2 = frames[2];
     }
     if (m < STEP_COLUMNS_MIN)
-        step_rows_one_by_one(x, m, n, dt, ixx, iyy, izz, tx, ty, tz, f0, f1, f2);
+        step_rows_one_by_one(x, m, n, dt, ixx, iyy, izz, f0, f1, f2);
     else
-        step_columns(x, m, n, dt, ixx, iyy, izz, tx, ty, tz, f0, f1, f2);
+        step_columns(x, m, n, dt, ixx, iyy, izz, f0, f1, f2);
 }
 
 /* z = h x for each particle of the block: z[r] is the sum over c of
@@ -914,10 +915,9 @@ step_rows(PyObject *self, PyObject *args)
 {
     PyObject *states, *frames;
     Py_buffer v[MAX_VIEWS] = {{0}};
-    double *x, *f, dt, ixx, iyy, izz, tx, ty, tz;
+    double *x, *f, dt, ixx, iyy, izz;
 
-    if (!PyArg_ParseTuple(args, "OdddddddO:step_rows", &states, &dt,
-                          &ixx, &iyy, &izz, &tx, &ty, &tz, &frames))
+    if (!PyArg_ParseTuple(args, "OddddO:step_rows", &states, &dt, &ixx, &iyy, &izz, &frames))
         return NULL;
     if (get_shaped(states, &v[0], PyBUF_WRITABLE, 2, -1, -1, "states", &x) < 0
         || get_shaped(frames, &v[1], PyBUF_SIMPLE, 2, 3, 4, "frames", &f) < 0)
@@ -927,7 +927,7 @@ step_rows(PyObject *self, PyObject *args)
         goto fail;
     }
     Py_BEGIN_ALLOW_THREADS
-    step(x, v[0].shape[0], v[0].shape[1], dt, ixx, iyy, izz, tx, ty, tz, f);
+    step(x, v[0].shape[0], v[0].shape[1], dt, ixx, iyy, izz, f);
     Py_END_ALLOW_THREADS
     release_all(v);
     Py_RETURN_NONE;
@@ -1487,7 +1487,7 @@ fail:
 
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
-     "step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames)\n--\n\n"
+     "step_rows(out, dt, ixx, iyy, izz, frames)\n--\n\n"
      "Advance the (M, n) float64 rows of out by one RK4 step, in place."},
     {"moments_rows", moments_rows, METH_VARARGS,
      "moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s)\n--\n\n"

@@ -10,8 +10,7 @@ compiled passes run them, and ``csv_rows`` the CSV export's formatting.
 ``_sigma_rows`` is the one weighted-moments body: ``moments_rows`` calls it
 after the jitter, and ``ukf_assess_rows`` for both of its moment steps.
 The ``checked_*`` functions validate arguments for ``attbench.core``'s
-wrappers and the Gaussian filters; the wrappers, not this module, are the
-kernel API.
+wrappers; the wrappers, not this module, are the kernel API.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
@@ -56,7 +55,8 @@ def checked_batch(states, frames=None):
     return out, frames
 
 
-def _rates(q0, q1, q2, q3, wx, wy, wz, ixx, iyy, izz, tx, ty, tz, frame=None):
+def _rates(q0, q1, q2, q3, wx, wy, wz, ixx, iyy, izz, frame=None):
+    tx = ty = tz = 0.0
     if frame is not None:
         # gravity-gradient torque: c = DCM(q) u, the radial unit vector in
         # body axes, entries as in attitude.quat_to_dcm
@@ -84,14 +84,14 @@ def _rates(q0, q1, q2, q3, wx, wy, wz, ixx, iyy, izz, tx, ty, tz, frame=None):
     )
 
 
-def _rk4_renormalized(c, dt, ixx, iyy, izz, tx, ty, tz, frames):
+def _rk4_renormalized(c, dt, ixx, iyy, izz, frames):
     """One RK4 step of the seven columns ``c``, quaternion renormalized.
 
     ``c`` holds Python floats (one row) or numpy columns (a batch); both
     give the same IEEE double results. ``frames`` is None or the three
     stage frames as tuples of Python floats.
     """
-    body = (ixx, iyy, izz, tx, ty, tz)
+    body = (ixx, iyy, izz)
     f0, f1, f2 = (None, None, None) if frames is None else frames
     k1 = _rates(*c, *body, f0)
     m1 = tuple(c[j] + (0.5 * dt) * k1[j] for j in range(7))
@@ -111,9 +111,9 @@ def _rk4_renormalized(c, dt, ixx, iyy, izz, tx, ty, tz, frames):
 ROW_LOOP_MAX = 16
 
 
-def step_rows(out, dt, ixx, iyy, izz, tx, ty, tz, frames):
+def step_rows(out, dt, ixx, iyy, izz, frames):
     """Advance the rows of a ``checked_batch`` array by one step, in place."""
-    args = (dt, ixx, iyy, izz, tx, ty, tz, None if frames is None else frames.tolist())
+    args = (dt, ixx, iyy, izz, None if frames is None else frames.tolist())
     if len(out) < ROW_LOOP_MAX:
         for row in out:
             row[:7] = _rk4_renormalized(row[:7].tolist(), *args)
@@ -458,23 +458,6 @@ def _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
         cross[:] = fixed_sum(_skip_zero(coef, cov.T[:, :, None] * coef), axis=0)
         coef = ht[:, :, None]
         _mirror(fixed_sum(_skip_zero(coef, coef * cross[:, None, :]), axis=0) + r, s)
-
-
-def checked_gaussian(q, h, r):
-    """The constant operands of a filter's passes, checked once, when a
-    filter is built: float64 C-contiguous views of Q (n, n), H (m, n) and
-    R (m, m), which share the memory of arrays that already are. The
-    particle filter passes its jitter root as Q, and a row set's L as R.
-
-    Raises:
-        ValueError: H is not an (m, n) matrix with m, n >= 1, or Q and R are
-            not (n, n) and (m, m).
-    """
-    h = _doubles("H", h, 2)
-    m, n = h.shape
-    if m < 1 or n < 1:
-        raise ValueError("H must be a non-empty (m, n) matrix, got shape %r" % (h.shape,))
-    return _doubles("Q", q, 2, (n, n)), h, _doubles("R", r, 2, (m, m))
 
 
 def aligned(y, mu, blocks):

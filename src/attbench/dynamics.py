@@ -11,18 +11,18 @@ runs in the principal frame. No actuators are modeled, so the control term in
 the rate equations is identically zero; the only external torque available is
 the gravity-gradient model.
 
-The integrator is classical fixed-step RK4. This module is the one owner of
-rigid-body propagation: ``rigid_body_step`` advances a batch of [q, w, ...]
-rows and serves both the truth (``integrate``) and the filters' process model,
-each of which checks dt and the moments once (``rigid_body_params``). Every
-step runs the batched kernel in ``attbench.core``; a gravity-gradient step
-hands it the orbit frames (``gravity_gradient_frames``) at the step start,
-midpoint and end, and the kernel evaluates the torque at each stage. Truth and
-filter each solve the Earth orbit once per run, in one ``kepler_state`` call:
-``integrate`` on its time grid, the filters' process model on the start times
-its steps will ask for. The quaternion is renormalized once per step, after the
-four stages are combined; the stages themselves are left untouched so the
-combination stays a consistent fourth-order scheme.
+The integrator is classical fixed-step RK4. One step serves both the truth
+(``integrate``) and the filters' process model: ``core.rk4_step_batch``, the
+batched kernel of ``attbench.core``, advances a batch of [q, w, ...] rows, and
+each caller checks dt and the moments once (``rigid_body_params``). A
+gravity-gradient step hands it the orbit frames (``gravity_gradient_frames``)
+at the step start, midpoint and end, and the kernel evaluates the torque at
+each stage. Truth and filter each solve the Earth orbit once per run, in one
+``kepler_state`` call: ``integrate`` on its time grid, the filters' process
+model on the start times its steps will ask for. The quaternion is
+renormalized once per step, after the four stages are combined; the stages
+themselves are left untouched so the combination stays a consistent
+fourth-order scheme.
 """
 
 import math
@@ -57,7 +57,6 @@ __all__ = [
     "derivative",
     "rk4_step",
     "renormalize_quaternions",
-    "rigid_body_step",
     "integrate",
     "principal_moments",
     "angular_momentum_eci",
@@ -305,7 +304,7 @@ def check_torque_model(torque_model, elements):
 def rigid_body_params(dt, principal):
     """``(dt, principal)`` as floats, each finite and > 0 or a FieldError: the
     one rule of ``integrate``, the filters' process model and ``ScenarioConfig``
-    (per-step functions such as ``rigid_body_step`` do not check)."""
+    (the per-step ``core.rk4_step_batch`` does not check)."""
     dt, moments = float(dt), tuple(float(v) for v in principal)
     if not 0.0 < dt < np.inf:
         raise FieldError("dt", "must be finite and positive, got %r" % (dt,))
@@ -384,30 +383,11 @@ def renormalize_quaternions(states):
     return x
 
 
-def rigid_body_step(states, dt, inertia, frames=None):
-    """One RK4 step of [q, w, ...] rows on the batched kernel; columns past
-    the body rates (gyro bias states) pass through unchanged.
-
-    Args:
-        states: (M, n) rows, n >= 7.
-        dt: step, s.
-        inertia: principal moments (Ixx, Iyy, Izz) as floats, kg m^2.
-        frames: ``gravity_gradient_frames`` at the step start, midpoint and
-            end, (3, 4), for the gravity-gradient torque; None means
-            torque-free.
-
-    Returns:
-        New (M, n) array, quaternions renormalized once.
-    """
-    ixx, iyy, izz = inertia
-    return core.rk4_step_batch(states, dt, ixx, iyy, izz, 0.0, 0.0, 0.0, frames)
-
-
 def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
               parameterization="quaternion"):
     """Propagate the truth state on a fixed grid t_k = k dt.
 
-    Quaternion mode steps with ``rigid_body_step``, the propagation the
+    Quaternion mode steps with ``core.rk4_step_batch``, the propagation the
     filters use; with gravity gradient the Earth orbit is solved once, for
     the start, midpoint and end of every step. Euler mode (simulate only)
     runs the generic RK4 over ``derivative``. Both first apply ``rigid_body_params``.
@@ -435,7 +415,7 @@ def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
             frames = gravity_gradient_frames(kepler_state(elements, stage_t)[0])
         x = state0[None, :]
         for k in range(n_steps):
-            x = rigid_body_step(x, dt, inertia, frames[k])
+            x = core.rk4_step_batch(x, dt, *inertia, frames[k])
             out[k + 1] = x[0]
         return Trajectory(t=t_grid, states=out, parameterization=parameterization)
 

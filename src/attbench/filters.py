@@ -64,7 +64,7 @@ import numpy as np
 from . import core
 from .core import kernels_py
 from .dynamics import (check_torque_model, gravity_gradient_frames, kepler_state,
-                       renormalize_quaternions, rigid_body_params, rigid_body_step)
+                       renormalize_quaternions, rigid_body_params)
 from .errors import FieldError, check_choice
 from .fdir import compute_nis, healthy_rows
 
@@ -154,8 +154,8 @@ class RigidBodyProcessModel:
     """One fixed RK4 step of rigid-body attitude dynamics, batched.
 
     State is [q, w] (dim 7) or [q, w, b] (dim 10) where the trailing gyro
-    bias states are constant. The step is ``dynamics.rigid_body_step``, the
-    one the truth integrates with; the gravity-gradient variant hands it the
+    bias states are constant. The step is ``core.rk4_step_batch``, the one
+    the truth integrates with; the gravity-gradient variant hands it the
     orbit frames at the start, middle and end of the step. ``plan_orbit``
     solves the orbit once for a whole run's step start times; a step that
     starts at a time outside that plan solves its own three stage times.
@@ -203,7 +203,7 @@ class RigidBodyProcessModel:
         if self.torque_model == "gravity_gradient":
             row = self._plan_rows.get(float(t))
             frames = self._stage_frames(t) if row is None else self._plan_frames[row]
-        return rigid_body_step(x, self.dt, self.inertia, frames)
+        return core.rk4_step_batch(x, self.dt, *self.inertia, frames)
 
     def normalize_rows(self, states):
         return renormalize_quaternions(states)
@@ -240,7 +240,7 @@ class StackedMeasurement:
     """
 
     def __init__(self, H, R, slices, hemisphere_blocks=()):
-        self.H = np.asarray(H, dtype=float)
+        self.H = np.ascontiguousarray(H, dtype=float)
         if self.H.ndim != 2:
             raise ValueError("H must be a matrix")
         self.R = _check_psd("R", R, self.H.shape[0])
@@ -390,10 +390,10 @@ def jacobian(f, x, eps=1e-6):
 class _GaussianFilter:
     """Predict, assess and update: the Kalman cycle of the EKF and UKF.
 
-    The operands that stay fixed from step to step (Q, H, R and the
-    hemisphere blocks, plus each subclass's own constants) are checked once,
-    here, and kept as views of the config's arrays; each step hands them to
-    the passes of the active ``attbench.core`` backend directly. A subclass
+    The operands that stay fixed from step to step (Q, H and R as the
+    config checked them, the hemisphere blocks, plus each subclass's own
+    constants) go to the passes of the active ``attbench.core`` backend
+    directly; each compiled pass checks that its buffers fit. A subclass
     supplies ``_assess(belief, y, t)``: it propagates the belief, runs its
     assess pass and returns the predicted mean and covariance, S and C for
     the update, the innovation, the EKF's factor of S (else None) and the
@@ -405,7 +405,7 @@ class _GaussianFilter:
         self.cfg = cfg
         self.model = cfg.process
         self.meas = cfg.measurement
-        self._q, self._h, self._r = kernels_py.checked_gaussian(cfg.Q, self.meas.H, self.meas.R)
+        self._q, self._h, self._r = cfg.Q, self.meas.H, self.meas.R
         self._blocks = self.meas.hemisphere_bounds
         self._quaternion = bool(self.model.quaternion_rows)
 
@@ -442,10 +442,12 @@ class EkfFilter(_GaussianFilter):
         super().__init__(cfg)
         n = self.model.dim
         self._eps = float(cfg.fd_eps)
-        # flat indices of the stencil's +eps and -eps entries: row 1 + j and
-        # row 1 + n + j, column j
-        self._plus = np.arange(n) * (n + 1) + n
-        self._minus = self._plus + n * n
+        # the stencil is mu + offsets: +-eps at rows 1 + j and 1 + n + j of
+        # column j, else -0.0, which keeps every entry of mu (+0.0 would turn
+        # a -0.0 into +0.0)
+        self._offsets = np.full((2 * n + 1, n), -0.0)
+        self._offsets[1:n + 1][np.diag_indices(n)] = self._eps
+        self._offsets[n + 1:][np.diag_indices(n)] = -self._eps
 
     def _assess(self, belief, y, t):
         """Propagate the mean and the mean with +-eps on each state in turn
@@ -454,17 +456,11 @@ class EkfFilter(_GaussianFilter):
         S = H Sigma H' + R, C = Sigma H', the aligned innovation and the
         factor of S that the record's NIS and a full-row update share."""
         n, m = self.model.dim, self.meas.dim
-        eps = self._eps
-        batch = np.empty((2 * n + 1, n))
-        batch[:] = belief.mu
-        flat = batch.reshape(-1)
-        flat[self._plus] = belief.mu + eps
-        flat[self._minus] = belief.mu - eps
-        prop = self.model.propagate(batch, t - self.model.dt)
+        prop = self.model.propagate(belief.mu + self._offsets, t - self.model.dt)
         sigma, cross, l = np.empty((n, n)), np.empty((n, m)), np.empty((m, m))
         s, nu = np.empty((m, m)), np.empty(m)
-        nis = core._kernels.ekf_assess_rows(prop, eps, belief.sigma, self._q, self._h, self._r,
-                                            self._blocks, y, sigma, s, cross, nu, l)
+        nis = core._kernels.ekf_assess_rows(prop, self._eps, belief.sigma, self._q, self._h,
+                                            self._r, self._blocks, y, sigma, s, cross, nu, l)
         record = InnovationRecord(t=t, nu=nu, S=s, nis=nis, source=self.source)
         return prop[0], sigma, s, cross, nu, l, record
 
@@ -593,9 +589,8 @@ class PfFilter:
     A step is the model's ``propagate`` and two compiled cloud passes
     (``moments_rows`` and ``loglik_rows`` of the active ``attbench.core``
     backend, whose numpy fallbacks give the same bits), called directly with
-    the jitter root, H and R checked once, when the filter is built, and
-    each row set's H and L once, when it is first cached
-    (``kernels_py.checked_gaussian``). The first adds the jitter L e
+    the jitter root, H and R fixed when the filter is built, and each row
+    set's H and L once, when it is first cached. The first adds the jitter L e
     (L L' = Q), then renormalizes the quaternion when the model's rows carry
     one (``quaternion_rows``), and sums the prior mean, the predicted reading
     and S over the cloud; the second gives each particle's log-likelihood
@@ -617,8 +612,9 @@ class PfFilter:
         self.meas = cfg.measurement
         self.rng = rng
         self.n = cfg.pf_particles
-        self._root, self._h, self._r = kernels_py.checked_gaussian(
-            _psd_sqrt(cfg.Q), self.meas.H, self.meas.R)
+        # the clamped-eigh root can come back in Fortran order
+        self._root = np.ascontiguousarray(_psd_sqrt(cfg.Q))
+        self._h, self._r = self.meas.H, self.meas.R
         self._quaternion = bool(self.model.quaternion_rows)
         self._row_models = {}
         self._all_rows = np.arange(self.meas.dim)
@@ -635,14 +631,11 @@ class PfFilter:
         return ParticleSet(states, weights)
 
     def _likelihood_rows(self, rows):
-        """H's rows and L = chol(R) on a row set, checked and cached per set."""
+        """H's rows and L = chol(R) on a row set, cached per set."""
         key = tuple(rows.tolist())
         found = self._row_models.get(key)
         if found is None:
-            # the (n, n) root stands in for Q: H's rows must fit the state
-            # and L those rows
-            found = kernels_py.checked_gaussian(self._root, self._h[rows],
-                                                core.cholesky(self._r[np.ix_(rows, rows)]))[1:]
+            found = self._h[rows], core.cholesky(self._r[np.ix_(rows, rows)])
             self._row_models[key] = found
         return found
 

@@ -177,7 +177,9 @@ class ScenarioConfig:
     variances the filter assumes, which may deliberately differ from the
     true sensor noise. Construction and ``replace`` check the seed, dt and
     ``principal`` (``dynamics.rigid_body_params``), horizon, filter kind,
-    FDIR policy, tunables and assumed noise (q >= 0, p0_scale and r > 0).
+    the filter start ``x0`` (``initial_state``'s length, plus 3 with
+    ``bias_states``), FDIR policy, tunables and assumed noise (q >= 0,
+    p0_scale and r > 0).
     """
 
     name: str
@@ -223,6 +225,10 @@ class ScenarioConfig:
         if self.t_end / self.dt < 1.0:
             raise FieldError("t_end", "must cover at least one step")
         check_filter_kind(self.filter_kind)
+        dim = len(self.initial_state) + (3 if self.bias_states else 0)
+        if np.shape(self.x0) != (dim,):
+            raise FieldError("x0", "must have %d entries with bias_states %s, got %d"
+                             % (dim, str(self.bias_states).lower(), np.size(self.x0)))
         FdirSupervisor.check_policy(self.policy)
         check_tunables(self)
         for name in ("q_attitude", "q_rates", "q_bias"):
@@ -433,7 +439,7 @@ _TOP_KEYS = ("schema_version", "name", "description", "seed", "dt", "t_end",
 
 # key paths of the fields ScenarioConfig's checks name, where they differ
 _CONFIG_KEYS = dict(
-    principal="inertia", kind="filter.kind", policy="detector.policy",
+    principal="inertia", kind="filter.kind", policy="detector.policy", x0="filter.x0",
     fd_eps="filter.fd_eps", q_attitude="filter.q.attitude", q_rates="filter.q.rates",
     q_bias="filter.q.bias", p0_scale="filter.p0", ukf_alpha="filter.ukf.alpha",
     ukf_kappa="filter.ukf.kappa", ukf_detector_r="filter.ukf.detector_r",

@@ -158,17 +158,17 @@ BUILD_PROBE = textwrap.dedent("""
     for rows in %r:
         states = np.random.default_rng(21).standard_normal((rows, 10))
         states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
-        out = core.rk4_step_batch(states, 0.1, 2.0, 3.0, 4.0, 0.5, -0.2, 0.1)
+        out = core.rk4_step_batch(states, 0.1, 2.0, 3.0, 4.0, np.array(%r))
         batches.update(out.tobytes())
     print(batches.hexdigest())
     gg = hashlib.sha256()
     for rows in %r:
         states = np.random.default_rng(21).standard_normal((rows, 10))
         states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
-        out = core.rk4_step_batch(states, 0.1, *%r, 0.5, -0.2, 0.1, np.array(%r))
+        out = core.rk4_step_batch(states, 0.1, *%r, np.array(%r))
         gg.update(out.tobytes())
     print(gg.hexdigest())
-""" % (FILTER_BATCH_ROWS, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES)) + "\n".join([
+""" % (FILTER_BATCH_ROWS, GG_FRAMES, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES)) + "\n".join([
     # the probe runs the suite's own digest functions, so both compute the same
     inspect.getsource(pf_pass_digest), inspect.getsource(filter_run_digest),
     inspect.getsource(cholesky_outputs), inspect.getsource(cholesky_inputs_fixed),
@@ -220,17 +220,16 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
 
 
 def test_python_kernel_matches_active_backend_bitwise():
-    a, b = on_each_backend(core.rk4_step_batch, batch_states(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
+    a, b = on_each_backend(core.rk4_step_batch, batch_states(), 0.1, *INERTIA)
     assert np.array_equal(a, b)
 
 
 def test_python_kernel_row_loop_matches_column_path_bitwise():
     states = batch_states(rows=2 * kernels_py.ROW_LOOP_MAX, cols=9)
     with fallback_backend():
-        for inertia, frames in ((INERTIA, None), (GG_INERTIA, GG_FRAMES)):
-            whole = core.rk4_step_batch(states, 0.1, *inertia, 0.5, -0.2, 0.1, frames)
-            rows = np.vstack([core.rk4_step_batch(states[i:i + 1], 0.1, *inertia, 0.5, -0.2, 0.1,
-                                                  frames)
+        for inertia, frames in ((INERTIA, None), (INERTIA, GG_FRAMES), (GG_INERTIA, GG_FRAMES)):
+            whole = core.rk4_step_batch(states, 0.1, *inertia, frames)
+            rows = np.vstack([core.rk4_step_batch(states[i:i + 1], 0.1, *inertia, frames)
                               for i in range(len(states))])
             assert np.array_equal(whole, rows)
 
@@ -257,8 +256,7 @@ def kernel_inputs(draw):
         frames = np.column_stack([u, rng.uniform(*PHYSICAL_G, size=3)])
     dt = draw(st.floats(1e-3, 1.0))
     inertia = [draw(st.floats(0.1, 1e5)) for _ in range(3)]
-    torque = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
-    return states, dt, inertia, torque, frames
+    return states, dt, inertia, frames
 
 
 @st.composite
@@ -289,8 +287,8 @@ def cholesky_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(kernel_inputs(), cholesky_inputs())
 def check_backend_parity(args, cholesky_args):
-    states, dt, inertia, torque, frames = args
-    active, fallback = on_each_backend(core.rk4_step_batch, states, dt, *inertia, *torque, frames)
+    states, dt, inertia, frames = args
+    active, fallback = on_each_backend(core.rk4_step_batch, states, dt, *inertia, frames)
     assert np.array_equal(active, fallback)
     assert np.array_equal(active[:, 7:], states[:, 7:])
     for a, b in zip(*on_each_backend(cholesky_outputs, *cholesky_args), strict=True):
@@ -432,8 +430,8 @@ def same_bits(a, b):
 @st.composite
 def pass_inputs(draw):
     """One input of each per-particle pass: M rows of 7-12 columns, a unit
-    quaternion first and perhaps a NaN row; the RK4's dt, moments, constant
-    torque (zero or not) and frames (None or random radial vectors); the
+    quaternion first and perhaps a NaN row; the RK4's dt, moments and
+    frames (None or random radial vectors); the
     moments pass's weights with zeros, its jitter (none, diagonal or dense
     lower root), dense H with zero and unit entries or none, R or none, the
     quaternion flag and S's diagonal alone or not; the log-likelihood's H,
@@ -447,13 +445,12 @@ def pass_inputs(draw):
     x[:, 4:7] *= draw(st.floats(1e-3, 1.0))
     if draw(st.booleans()):
         x[rng.integers(rows), rng.integers(n)] = np.nan
-    torque = (0.0, 0.0, 0.0) if draw(st.booleans()) else tuple(rng.uniform(-1.0, 1.0, 3))
     frames = None
     if draw(st.booleans()):
         u = rng.standard_normal((3, 3))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         frames = np.column_stack([u, rng.uniform(0.1, 0.5, 3)])
-    rk4 = (draw(st.floats(1e-3, 1.0)), *rng.uniform(0.5, 5.0, 3), *torque, frames)
+    rk4 = (draw(st.floats(1e-3, 1.0)), *rng.uniform(0.5, 5.0, 3), frames)
 
     w = rng.random(rows) / rows
     w[rng.random(rows) < 0.2] = 0.0
@@ -505,8 +502,8 @@ def check_every_pass(args):
 
 
 def test_per_particle_passes_give_the_fallback_bits():
-    """Property: the RK4 step (torque-free, with a constant torque and with
-    gravity-gradient frames), the moments pass (with and without jitter, H
+    """Property: the RK4 step (torque-free and with gravity-gradient
+    frames), the moments pass (with and without jitter, H
     and R, S whole or its diagonal) and the log-likelihood give the numpy
     fallback's bits on every row count around the compiled passes' vector
     widths and blocks: NaN in the same places and every other value
@@ -763,7 +760,7 @@ def test_compiled_rk4_step_checks_shapes_itself():
     """Called directly, past ``checked_batch``, the C RK4 entry refuses
     states it cannot step in place and frames that are not (3, 4)."""
     from attbench.core import _kernels_c
-    args = (0.1, *GG_INERTIA, 0.0, 0.0, 0.0)
+    args = (0.1, *GG_INERTIA)
     states = batch_states()
     frozen = states.copy()
     frozen.flags.writeable = False
@@ -865,10 +862,10 @@ def test_kernel_rejects_bad_shapes(backend):
     states = batch_states()
     for frames in (np.zeros((3, 3)), np.zeros((4, 4)), np.zeros(12), np.zeros((1, 3, 4))):
         with pytest.raises(ValueError, match="frames"):
-            core.rk4_step_batch(states, 0.1, *INERTIA, 0.0, 0.0, 0.0, frames)
+            core.rk4_step_batch(states, 0.1, *INERTIA, frames)
     for bad in (states[0], states[:, :6], states[None]):
         with pytest.raises(ValueError, match="states"):
-            core.rk4_step_batch(bad, 0.1, *INERTIA, 0.0, 0.0, 0.0)
+            core.rk4_step_batch(bad, 0.1, *INERTIA)
 
 
 def test_cloud_passes_reject_bad_arguments(backend):
@@ -951,27 +948,17 @@ def test_kernel_gravity_gradient_matches_generic_integrator():
     assert np.abs(free - x).max() > 1e-6  # the torque is felt
 
 
-def test_kernel_applies_constant_torque():
-    states = batch_states()
-    free = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
-    pushed = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.5, -0.2, 0.1)
-    assert not np.allclose(free[:, 4:7], pushed[:, 4:7])
-    with fallback_backend():
-        py = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.5, -0.2, 0.1)
-    assert np.array_equal(pushed, py)
-
-
 def test_kernel_renormalizes_quaternions():
     states = batch_states()
     states[:, :4] *= 1.5  # deliberately off the unit sphere
-    out = core.rk4_step_batch(states, 0.1, *INERTIA, 0.0, 0.0, 0.0)
+    out = core.rk4_step_batch(states, 0.1, *INERTIA)
     npt.assert_allclose(np.linalg.norm(out[:, :4], axis=1), 1.0,
                         rtol=0.0, atol=1e-12)
 
 
 def test_kernel_passes_extra_columns_through():
     states = batch_states(cols=10)
-    out = core.rk4_step_batch(states.copy(), 0.1, *INERTIA, 0.0, 0.0, 0.0)
+    out = core.rk4_step_batch(states.copy(), 0.1, *INERTIA)
     npt.assert_array_equal(out[:, 7:10], states[:, 7:10])
 
 
@@ -999,7 +986,7 @@ def trajectory_digest():
 def filter_batch_digest():
     batches = hashlib.sha256()
     for rows in FILTER_BATCH_ROWS:
-        out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *INERTIA, 0.5, -0.2, 0.1)
+        out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *INERTIA, np.array(GG_FRAMES))
         batches.update(out.tobytes())
     return batches.hexdigest()
 
@@ -1007,7 +994,7 @@ def filter_batch_digest():
 def gg_batch_digest():
     batches = hashlib.sha256()
     for rows in GG_BATCH_ROWS:
-        out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *GG_INERTIA, 0.5, -0.2, 0.1,
+        out = core.rk4_step_batch(batch_states(rows, cols=10), 0.1, *GG_INERTIA,
                                   np.array(GG_FRAMES))
         batches.update(out.tobytes())
     return batches.hexdigest()

@@ -250,6 +250,21 @@ def test_replace_checks_the_rigid_body_and_noise_rules(changes, key):
     assert scn._CONFIG_KEYS.get(err.value.field, err.value.field) == key
 
 
+@pytest.mark.parametrize("name,bias_states,want,got", [
+    ("spike_isolation", True, 10, 7),
+    ("bias_estimation", False, 7, 10),
+])
+def test_x0_must_fit_bias_states(name, bias_states, want, got):
+    """A filter start whose length does not fit ``bias_states`` is a config
+    error at ``filter.x0`` that names both lengths, not a failure of the run
+    that builds the filter."""
+    with pytest.raises(FieldError) as err:
+        replace(scn.load_bundled(name), bias_states=bias_states)
+    assert scn._CONFIG_KEYS[err.value.field] == "filter.x0"
+    assert err.value.reason == "must have %d entries with bias_states %s, got %d" % (
+        want, str(bias_states).lower(), got)
+
+
 @pytest.mark.parametrize("block,key,reason", [
     ("filter: {q: {rates: -1.0e-6}}", "filter.q.rates", "must be nonnegative"),
     ("filter: {p0: 0.0}", "filter.p0", "must be positive"),
