@@ -17,13 +17,12 @@ steps and on the cloud passes of a 1000-particle, 10-state filter with the
 attitude suite's 11 measurement rows, and per call each per-particle pass
 (the RK4 step on 1, 15, 21 and 1000 rows with and without the
 gravity-gradient frames, and each cloud pass on 1000 particles of 7 and 10
-states). The EKF's stencil (the mean plus the
-filter's fixed offsets) is timed against the flat-index build it replaced,
-the NIS against np.linalg on the record's 11
-rows and on the 4/4/3-row blocks of the isolation test, and a whole bare
-EKF and UKF step (7 and 10 states, 11 rows) on both backends, and the CSV
-pass per 32-row chunk, whose fallback is the ``'%.9g'`` format string the
-export used before it. The fallback runs through ``attbench.core`` with
+states). The EKF's stencil (the mean plus the filter's fixed offsets) is
+timed against the flat-index build it replaced, the NIS against np.linalg
+on the record's 11 rows and on the 4/4/3-row blocks of the isolation test,
+and a whole bare EKF and UKF step (7 and 10 states, 11 rows) on both
+backends, and the CSV pass per 32-row chunk, whose fallback is the
+``'%.9g'`` format string the export used before it. The fallback runs through ``attbench.core`` with
 ``core._kernels`` set to it, as the test suite runs it.
 
 Run from the repository root, after building the extension in place:
