@@ -10,7 +10,8 @@ the weighted-moments pass that the cloud and the sigma sets share (the
 cloud pass and the UKF's assess pass on the same 15-, 21- and 81-point
 sets, so one set spans two of the compiled pass's blocks), for the
 Cholesky factor and NIS and for the CSV pass (``csv_rows``, a 32-row chunk
-of an EKF run's 36 columns). It then times both on the batch shapes the
+of an EKF run's 36 columns, and the test suite's table of rounding edges,
+``tests/test_kernels.py``'s ``csv_edge_table``). It then times both on the batch shapes the
 filters actually use (EKF finite-difference stencils, UKF sigma sets, PF
 clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
@@ -31,8 +32,10 @@ Run from the repository root, after building the extension in place:
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +44,9 @@ from attbench.core import BACKEND, kernels_py, rk4_step_batch
 from attbench.filters import (EkfFilter, FilterConfig, GaussianBelief, RigidBodyProcessModel,
                                UkfFilter, attitude_measurement, ukf_sigma_points)
 from attbench.sensors import make_layout
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_kernels import csv_edge_table  # noqa: E402  (the suite's CSV rounding edges)
 
 if BACKEND != "compiled":
     raise SystemExit(
@@ -414,9 +420,10 @@ def main():
     for n in (7, 10):
         mu, offsets, flat = stencil_case(n)
         check("EKF stencil = flat-index, %2d states" % n, ([mu + offsets], [flat()]))
-    block = csv_case()
-    check("CSV pass, 32 x 36", ([COMPILED.csv_rows(block).encode()],
-                                [kernels_py.csv_rows(block).encode()]))
+    edges = np.array(csv_edge_table()).reshape(-1, 1)
+    for label, block in (("CSV pass, 32 x 36", csv_case()),
+                         ("CSV pass, %d edge values" % len(edges), edges)):
+        check(label, ([COMPILED.csv_rows(block).encode()], [kernels_py.csv_rows(block).encode()]))
 
     print()
     print("%-38s %12s %12s %8s" % ("case", "compiled", "python", "speedup"))

@@ -67,6 +67,10 @@
  *     block as CSV text: each value as PyOS_double_to_string(v, 'g', 9, 0)
  *     gives it, the routine Python's '%.9g' % v calls (glibc's printf
  *     would differ, printing -nan), comma-separated, each row ended by CRLF.
+ *     A zero and every v with 1e-14 < |v| < 1e9 are printed exactly by
+ *     integer arithmetic (g9) with the same bytes; every other value, and
+ *     every value in a build without unsigned __int128, goes through
+ *     PyOS_double_to_string.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles or points runs from row 0, and a
@@ -1425,6 +1429,115 @@ fail:
  * digits, the point and "e-308". */
 #define CSV_FIELD 24
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define E19 10000000000000000000ULL
+static const u128 POW10[23] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL, 1000000000000ULL,
+    10000000000000ULL, 100000000000000ULL, 1000000000000000ULL, 10000000000000000ULL,
+    100000000000000000ULL, 1000000000000000000ULL, E19, (u128)E19 * 10,
+    (u128)E19 * 100, (u128)E19 * 1000,
+};
+
+/* Write '%.9g' of v to out as PyOS_double_to_string(v, 'g', 9, 0) does and
+ * return its length, for v = +-0 and for 1e-14 < |v| < 1e9; return 0,
+ * writing nothing, for any other v. (The double 1e-14 lies just below
+ * 10^-14, so the range is the real interval [10^-14, 10^9).)
+ *
+ * In that range |v| = m / 2^s exactly, with m < 2^53 and 23 <= s <= 99. The
+ * nine digits are N = m 10^j / 2^s for the j in [0, 22] that puts N in
+ * [1e8, 1e9); m 10^j < 2^53 10^22 < 2^127 fits a u128. N is rounded half to
+ * even by comparing the remainder with 2^(s - 1) exactly, the correct
+ * rounding dtoa gives; a round-up to 1e9 carries into the decimal exponent
+ * X = 8 - j. The text is then %g's: fixed notation for -4 <= X <= 8, else
+ * d.dddde-XX (or 1e+09), trailing zeros stripped. */
+static int
+g9(double v, char *out)
+{
+    uint64_t bits, m, n;
+    u128 p, rem, half;
+    int b, s, x, j, k, last, len = 0;
+    char d[9];
+
+    memcpy(&bits, &v, sizeof bits);
+    if ((bits << 1) && !(fabs(v) > 1e-14 && fabs(v) < 1e9))
+        return 0;
+    if (bits >> 63)
+        out[len++] = '-';
+    if (!(bits << 1)) {
+        out[len++] = '0';
+        return len;
+    }
+    b = (int)((bits >> 52) & 0x7ff) - 1023;
+    m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    s = 52 - b;
+    /* floor(b log10 2), so |v| in [2^b, 2^(b + 1)) has X = x or x + 1 */
+    x = b >= 0 ? (b * 78913) >> 18 : -((-b * 78913 + 262143) >> 18);
+    j = x < 7 ? 7 - x : 0;
+    p = (u128)m * POW10[j];
+    if ((p >> s) < 100000000) {
+        p *= 10;
+        j++;
+    }
+    n = (uint64_t)(p >> s);
+    rem = p & (((u128)1 << s) - 1);
+    half = (u128)1 << (s - 1);
+    if (rem > half || (rem == half && (n & 1)))
+        n++;
+    x = 8 - j;
+    if (n == 1000000000) {
+        n = 100000000;
+        x++;
+    }
+    for (k = 8; k >= 0; k--, n /= 10)
+        d[k] = (char)('0' + n % 10);
+    for (last = 8; d[last] == '0'; last--)
+        ;
+    if (x < -4 || x > 8) {
+        /* here -15 < x < -4 or x == 9: two exponent digits */
+        out[len++] = d[0];
+        if (last > 0) {
+            out[len++] = '.';
+            memcpy(out + len, d + 1, last);
+            len += last;
+        }
+        out[len++] = 'e';
+        out[len++] = x < 0 ? '-' : '+';
+        x = abs(x);
+        out[len++] = (char)('0' + x / 10);
+        out[len++] = (char)('0' + x % 10);
+    }
+    else if (x >= 0) {
+        memcpy(out + len, d, x + 1);
+        len += x + 1;
+        if (last > x) {
+            out[len++] = '.';
+            memcpy(out + len, d + x + 1, last - x);
+            len += last - x;
+        }
+    }
+    else {
+        out[len++] = '0';
+        out[len++] = '.';
+        memset(out + len, '0', -x - 1);
+        len += -x - 1;
+        memcpy(out + len, d, last + 1);
+        len += last + 1;
+    }
+    return len;
+}
+#else
+static int
+g9(double v, char *out)
+{
+    (void)v;
+    (void)out;
+    return 0;
+}
+#endif
+
 static PyObject *
 csv_rows(PyObject *self, PyObject *args)
 {
@@ -1454,22 +1567,24 @@ csv_rows(PyObject *self, PyObject *args)
     }
     p = buf;
     for (i = 0; i < rows * cols; i++) {
-        /* the routine Python's own '%.9g' % value calls */
-        char *s = PyOS_double_to_string(x[i], 'g', 9, 0, NULL);
+        if (!(len = g9(x[i], p))) {
+            /* the routine Python's own '%.9g' % value calls */
+            char *s = PyOS_double_to_string(x[i], 'g', 9, 0, NULL);
 
-        if (!s) {
-            PyMem_Free(buf);
-            goto fail;
-        }
-        len = (Py_ssize_t)strlen(s);
-        if (len > CSV_FIELD) {
+            if (!s) {
+                PyMem_Free(buf);
+                goto fail;
+            }
+            len = (Py_ssize_t)strlen(s);
+            if (len > CSV_FIELD) {
+                PyMem_Free(s);
+                PyMem_Free(buf);
+                PyErr_SetString(PyExc_SystemError, "a formatted value overflows its field");
+                goto fail;
+            }
+            memcpy(p, s, len);
             PyMem_Free(s);
-            PyMem_Free(buf);
-            PyErr_SetString(PyExc_SystemError, "a formatted value overflows its field");
-            goto fail;
         }
-        memcpy(p, s, len);
-        PyMem_Free(s);
         p += len;
         if ((i + 1) % cols)
             *p++ = ',';

@@ -120,10 +120,13 @@ class InnovationRecord:
 
 
 def _check_psd(name, m, dim):
-    """``m`` as a float (dim, dim) array, validated as symmetric and PSD up
-    to rounding and returned exactly symmetric (the identity on a symmetric
-    ``m``): the kernels read only its upper triangle."""
+    """``m`` as a float (dim, dim) array with dim >= 1, validated as
+    symmetric and PSD up to rounding and returned exactly symmetric (the
+    identity on a symmetric ``m``): the kernels read only its upper
+    triangle."""
     m = np.asarray(m, dtype=float)
+    if dim < 1:
+        raise ValueError("%s must cover at least one state, got shape %r" % (name, m.shape))
     if m.shape != (dim, dim):
         raise ValueError("%s must be (%d, %d), got %r" % (name, dim, dim, m.shape))
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * max(1.0, abs(m).max())):
@@ -241,8 +244,9 @@ class StackedMeasurement:
 
     def __init__(self, H, R, slices, hemisphere_blocks=()):
         self.H = np.ascontiguousarray(H, dtype=float)
-        if self.H.ndim != 2:
-            raise ValueError("H must be a matrix")
+        if self.H.ndim != 2 or self.H.shape[0] < 1:
+            raise ValueError("H must be a matrix with at least one row, got shape %r"
+                             % (self.H.shape,))
         self.R = _check_psd("R", R, self.H.shape[0])
         self.slices = dict(slices)
         self.hemisphere_blocks = tuple(hemisphere_blocks)

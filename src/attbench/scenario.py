@@ -73,6 +73,10 @@ from .fdir import DetectorConfig, FdirSupervisor
 from .filters import check_filter_kind, check_tunables
 from .sensors import AttitudeSensorModel, FaultInjector, FaultSpec, GyroModel, make_layout
 
+# libyaml's parser where PyYAML was built with it; both loaders share
+# PyYAML's SafeConstructor and resolver, so they build the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 __all__ = [
     "ScenarioError",
     "ScenarioConfig",
@@ -504,7 +508,7 @@ def load_scenario(path):
     except OSError as exc:
         raise ScenarioError("cannot read %s: %s" % (path, exc))
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError("%s: parse error: %s" % (path, exc))
     if doc is None:
@@ -529,7 +533,7 @@ def load_bundled(name):
         raise ScenarioError(
             "no bundled scenario %r (available: %s)" % (name, ", ".join(bundled_scenarios()))
         )
-    doc = yaml.safe_load(res.read_text(encoding="utf-8"))
+    doc = yaml.load(res.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     try:
         return _from_mapping(doc)
     except ScenarioError as exc:

@@ -53,6 +53,21 @@ def test_filter_config_validation():
                              Q=cfg.Q, x0=cfg.x0, P0=cfg.P0, **{field: value})
 
 
+def test_empty_measurement_and_zero_state_matrices_name_their_rule():
+    """An H without rows, and a Q or P0 without states, fail on a rule that
+    names the matrix, not on numpy's reduction of an empty array."""
+    with pytest.raises(ValueError, match=r"H must be a matrix with at least one row"):
+        flt.StackedMeasurement(np.zeros((0, 7)), np.zeros((0, 0)), {})
+    empty = flt.LinearProcessModel(np.zeros((0, 0)))
+    meas = flt.StackedMeasurement(np.zeros((1, 0)), np.eye(1), {"y": slice(0, 1)})
+    with pytest.raises(ValueError, match=r"Q must cover at least one state"):
+        flt.FilterConfig(process=empty, measurement=meas, Q=np.zeros((0, 0)),
+                         x0=np.zeros(0), P0=np.zeros((0, 0)))
+    # FilterConfig checks Q first, so P0's rule is reached through the check itself
+    with pytest.raises(ValueError, match=r"P0 must cover at least one state"):
+        flt._check_psd("P0", np.zeros((0, 0)), 0)
+
+
 @pytest.mark.parametrize("state_dim", [7, 10])
 def test_attitude_measurement_selection_rows(state_dim):
     layout = make_layout()

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import math
 import os
 import shutil
 import subprocess
@@ -1049,6 +1050,63 @@ def test_csv_rows_gives_the_per_value_format_bytes(block):
     expected = "".join(",".join("%.9g" % v for v in row) + "\r\n" for row in block.tolist())
     for backend in _csv_backends():
         assert backend.csv_rows(block) == expected, backend.__name__
+
+
+def _assert_csv_rows_format_each_value(values):
+    """Each backend writes every value of ``values`` as ``'%.9g' %`` does."""
+    column = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, 1)
+    expected = ["%.9g" % v for v in column[:, 0].tolist()]
+    for backend in _csv_backends():
+        lines = backend.csv_rows(column).split("\r\n")
+        assert len(lines) == len(expected) + 1 and lines[-1] == "", backend.__name__
+        wrong = [(v, got, want) for v, got, want in zip(column[:, 0].tolist(), lines, expected)
+                 if got != want]
+        assert not wrong, (backend.__name__, len(wrong), wrong[:5])
+
+
+def _decimal_ties():
+    """(n + 1/2) / 10^j for j = 0..22 and n near 1e8 and 1e9, whose nine
+    significant digits round at the half: exactly where n + 1/2 or
+    k / 2^(j + 1) (k = 2n + 1 an odd multiple of 5^j, so j <= 13) is a
+    double, else the nearest double."""
+    ties = []
+    for j in range(23):
+        ties += [(n + 0.5) / 10.0 ** j
+                 for n in (99999999, 100000000, 100000001, 999999998, 999999999)]
+    for j in range(1, 14):
+        step = 5 ** j
+        low = -(-(2 * 10 ** 8 + 1) // step) | 1     # the first odd k with k 5^j > 2e8
+        high = ((2 * 10 ** 9 - 1) // step - 1) | 1  # the last odd k with k 5^j < 2e9
+        ties += [k / 2.0 ** (j + 1) for k in {low, low + 2, high - 2, high}
+                 if 2 * 10 ** 8 < k * step < 2 * 10 ** 9]
+    return ties
+
+
+def csv_edge_table():
+    """The values where a nine-digit formatter goes wrong first: ties to
+    even at the ninth digit, the round-up of 999999999.5 into 1e+09,
+    9.9999999995e-5 next to %g's switch to exponent form, both ends of the
+    compiled integer path (1e-14 and 1e9) and the zeros, each with both
+    signs and its two neighbouring doubles. ``bench_kernels.py`` checks its
+    CSV parity on it too."""
+    table = _decimal_ties() + [999999999.5, 9.9999999995e-5, 1e-14, 1e9, 0.0]
+    table += [math.nextafter(v, toward) for v in table for toward in (0.0, math.inf)]
+    return table + [-v for v in table]
+
+
+def test_csv_rows_rounds_the_edges_as_the_format_string():
+    assert "%.9g" % 999999999.5 == "1e+09"
+    _assert_csv_rows_format_each_value(csv_edge_table())
+
+
+def test_csv_rows_match_the_format_string_on_a_seeded_sweep():
+    """10^5 random bit patterns (NaN payloads, subnormals and extremes
+    included) and 10^5 log-uniform magnitudes in [1e-15, 2e9], both signs."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    magnitudes = 10.0 ** rng.uniform(-15.0, math.log10(2e9), 100_000)
+    signs = rng.choice([-1.0, 1.0], magnitudes.size)
+    _assert_csv_rows_format_each_value(np.concatenate([bits, signs * magnitudes]))
 
 
 def test_csv_rows_rejects_a_block_of_the_wrong_shape_or_type():

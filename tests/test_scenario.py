@@ -1,9 +1,11 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
 
 from attbench import scenario as scn
 from attbench.errors import FieldError
@@ -274,3 +276,62 @@ def test_x0_must_fit_bias_states(name, bias_states, want, got):
 def test_filter_noise_errors_keep_their_key_paths(tmp_path, block, key, reason):
     with pytest.raises(ScenarioError, match=re.escape(": %s: %s" % (key, reason)) + "$"):
         load_text(tmp_path, MINIMAL + block + "\n")
+
+
+def same_config(a, b):
+    """Field-by-field equality of two configs, numpy arrays by their bytes."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_config(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, dict):
+        return (type(a) is type(b) and list(a) == list(b)
+                and all(same_config(a[k], b[k]) for k in a))
+    if isinstance(a, (list, tuple)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_config(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+def load_with(loader, monkeypatch, load, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(scn, "_YAML_LOADER", loader)
+        return load(*args)
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_both_yaml_loaders_give_the_same_scenario(tmp_path, monkeypatch, name):
+    """PyYAML's pure-Python SafeLoader and the module's loader build equal
+    documents and equal configs from every bundled file, and from the file
+    edited and re-dumped by ``yaml.safe_dump`` (keys in file order) as
+    generated benchmark inputs are. The module's loader is libyaml's
+    wherever PyYAML was built with it."""
+    assert scn._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    text = (Path(scn.__file__).parent / "scenarios" / (name + ".yaml")).read_text()
+    doc = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=scn._YAML_LOADER) == doc
+    pure = load_with(yaml.SafeLoader, monkeypatch, scn.load_bundled, name)
+    assert same_config(scn.load_bundled(name), pure)
+
+    doc["seed"] = 2 ** 31 - 1
+    doc["t_end"] = 2.0 * doc["t_end"]
+    path = tmp_path / (name + ".yaml")
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
+    dumped = path.read_text()
+    assert yaml.load(dumped, Loader=scn._YAML_LOADER) == yaml.load(dumped, Loader=yaml.SafeLoader)
+    pure = load_with(yaml.SafeLoader, monkeypatch, scn.load_scenario, str(path))
+    assert same_config(scn.load_scenario(str(path)), pure)
+    assert pure.seed == 2 ** 31 - 1
+
+
+@pytest.mark.parametrize("text", ["a: [1, 2\n", "a: b: c\n", "\tname: x\n", "name: 'open\n",
+                                  "a: 1\na: [}\n", "- 1\nname: x\n"])
+def test_a_malformed_file_is_a_parse_error_under_both_loaders(tmp_path, monkeypatch, text):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text)
+    for loader in (yaml.SafeLoader, scn._YAML_LOADER):
+        with pytest.raises(ScenarioError, match="broken.yaml: parse error: "):
+            load_with(loader, monkeypatch, scn.load_scenario, str(path))
