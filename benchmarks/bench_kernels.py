@@ -10,10 +10,10 @@ the weighted-moments pass that the cloud and the sigma sets share (the
 cloud pass and the UKF's assess pass on the same 15-, 21- and 81-point
 sets, so one set spans two of the compiled pass's blocks), for the
 Cholesky factor and NIS and for the CSV pass (``csv_rows``, a 32-row chunk
-of an EKF run's 36 columns, and the test suite's table of rounding edges,
-``tests/test_kernels.py``'s ``csv_edge_table``). It then times both on the batch shapes the
-filters actually use (EKF finite-difference stencils, UKF sigma sets, PF
-clouds), on a long single-trajectory propagation, on gravity-gradient truth
+of an EKF run's 36 columns, and the table of rounding edges
+``csv_edge_table`` of ``tests/test_kernels.py``). It then times both on the
+batch shapes the filters actually use (EKF finite-difference stencils, UKF
+sigma sets, PF clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
 attitude suite's 11 measurement rows, and per call each per-particle pass
 (the RK4 step on 1, 15, 21 and 1000 rows with and without the
@@ -46,7 +46,7 @@ from attbench.filters import (EkfFilter, FilterConfig, GaussianBelief, RigidBody
 from attbench.sensors import make_layout
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_kernels import csv_edge_table  # noqa: E402  (the suite's CSV rounding edges)
+from test_kernels import csv_edge_table  # noqa: E402
 
 if BACKEND != "compiled":
     raise SystemExit(
