@@ -109,8 +109,7 @@ def _run_single(args, mode):
     result = run_scenario(cfg, mode=mode)
     write_csv(result, args.output)
     _say(args, "%s: %s -> %s (%d steps, filter=%s)"
-         % (mode, cfg.name, args.output, cfg.n_steps,
-            result.filter_kind if mode != "simulate" else "none"))
+         % (mode, cfg.name, args.output, cfg.n_steps, result.filter_kind))
     if mode != "simulate":
         metrics = compute_metrics(result)
         _say(args, "rmse: attitude %.4g  rates %.4g  nis mean %.2f"

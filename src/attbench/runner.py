@@ -3,13 +3,13 @@
 A run is fully determined by (ScenarioConfig, mode, filter kind): truth is
 integrated on the fixed grid, sensors are sampled from per-role RNG streams
 derived from the scenario seed, faults are injected, and the chosen filter
-is stepped with the chosen FDIR policy. Nothing here keeps global state, so
-runs with independent configs can execute concurrently (``compare_run``
-does exactly that).
+is stepped with the chosen FDIR policy. Nothing here keeps global state,
+and ``run_filter`` only reads the simulate run it is given, so
+``compare_run`` steps several filters on one such run concurrently.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "RunResult",
     "Metrics",
     "run_scenario",
+    "run_filter",
     "build_filter_config",
     "compute_metrics",
     "write_csv",
@@ -50,7 +51,8 @@ class RunResult:
     ``truth`` has n+1 rows (includes t0); every per-measurement series has
     n rows for steps k = 1..n at times t_k. ``measurements`` is the faulted
     stream the filter consumed; ``measurements_clean`` is the same stream
-    before fault injection. Filter fields are None in simulate mode.
+    before fault injection. Filter fields are None in simulate mode; a
+    simulate run is the trial whose arrays ``run_filter`` shares.
 
     A run keeps columns, not per-step objects. ``reports`` is the
     supervisor's ``fdir.FaultReports``: one row per step whenever a filter
@@ -171,7 +173,7 @@ def build_filter_config(cfg, layout):
 
 
 def run_scenario(cfg, mode="fdir", filter_kind=None):
-    """Execute one scenario.
+    """Execute one scenario: the simulate run, then ``run_filter`` on it.
 
     Args:
         cfg: validated ScenarioConfig.
@@ -186,23 +188,31 @@ def run_scenario(cfg, mode="fdir", filter_kind=None):
     layout = make_layout(cfg.parameterization)
     traj = simulate_truth(cfg)
     clean, faulted = sample_measurements(cfg, traj, layout)
-    kind = filter_kind if filter_kind is not None else cfg.filter_kind
-
+    trial = RunResult(cfg=cfg, mode="simulate", filter_kind="none", t=traj.t,
+                      truth=traj.states, measurements_clean=clean, measurements=faulted,
+                      estimates=None, variances=None, nis=None, records=None, reports=())
     if mode == "simulate":
-        return RunResult(
-            cfg=cfg, mode=mode, filter_kind="none", t=traj.t, truth=traj.states,
-            measurements_clean=clean, measurements=faulted,
-            estimates=None, variances=None, nis=None, records=None, reports=(),
-        )
-    if cfg.parameterization != "quaternion":
-        raise ScenarioError(
-            "parameterization: estimation runs need quaternion mode "
-            "(euler scenarios are simulate-only)"
-        )
+        return trial
+    return run_filter(trial, filter_kind if filter_kind is not None else cfg.filter_kind, mode)
 
+
+def run_filter(trial, kind, mode="fdir"):
+    """Run filter ``kind`` in ``mode`` ("estimate" or "fdir") on ``trial``, a
+    simulate run. The result shares the trial's arrays and only reads them,
+    so several kinds can run on one trial at once."""
+    if trial.mode != "simulate":
+        raise ValueError("run_filter needs a simulate run, not a %r run" % trial.mode)
+    check_choice("mode", mode, MODES[1:])
+    cfg = trial.cfg
+    if cfg.parameterization != "quaternion":
+        raise ScenarioError("parameterization: estimation runs need quaternion mode "
+                            "(euler scenarios are simulate-only)")
+
+    layout = trial.layout
     fcfg = build_filter_config(cfg, layout)
+    t, faulted = trial.t, trial.measurements
     # the start time of step k is the t_k - dt each filter's step computes
-    fcfg.process.plan_orbit(traj.t[1:] - fcfg.process.dt)
+    fcfg.process.plan_orbit(t[1:] - fcfg.process.dt)
     rng = derive_stream(cfg.seed, "pf") if kind == "pf" else None
     filt = make_filter(kind, fcfg, rng=rng)
     policy = cfg.policy if mode == "fdir" else "none"
@@ -216,20 +226,17 @@ def run_scenario(cfg, mode="fdir", filter_kind=None):
     belief = filt.initial_belief()
     for k in range(1, n + 1):
         try:
-            belief, rec = filt.step(belief, faulted[k - 1], traj.t[k],
-                                    decide=supervisor.decide)
+            belief, rec = filt.step(belief, faulted[k - 1], t[k], decide=supervisor.decide)
         except Exception as exc:
-            raise RuntimeError("filter step %d (t=%.3f) failed: %s" % (k, traj.t[k], exc)) from exc
+            raise RuntimeError("filter step %d (t=%.3f) failed: %s" % (k, t[k], exc)) from exc
         mu, var = estimate_stats(belief, fcfg.process)
         estimates[k - 1] = mu
         variances[k - 1] = var
         nis[k - 1] = rec.nis
 
-    return RunResult(
-        cfg=cfg, mode=mode, filter_kind=kind, t=traj.t, truth=traj.states,
-        measurements_clean=clean, measurements=faulted,
-        estimates=estimates, variances=variances, nis=nis,
-        records=RunRecords(traj.t[1:], nis, filt.source), reports=supervisor.reports,
+    return replace(
+        trial, mode=mode, filter_kind=kind, estimates=estimates, variances=variances,
+        nis=nis, records=RunRecords(t[1:], nis, filt.source), reports=supervisor.reports,
     )
 
 
@@ -379,16 +386,18 @@ def write_csv(result, path):
 
 
 def compare_run(cfg, kinds, jobs=1):
-    """Run several filters on one scenario, optionally in parallel.
+    """Run several filters on one trial, optionally in parallel.
 
-    Each job derives its own RNG streams from the scenario seed, so the
-    results are identical whatever the worker count.
+    Every kind runs on the same simulate run, so all see one truth and one
+    faulted stream; the results are identical whatever the worker count.
 
     Returns:
         list of (kind, RunResult, Metrics) in the order of ``kinds``.
     """
+    trial = run_scenario(cfg, mode="simulate")
+
     def one(kind):
-        result = run_scenario(cfg, mode="fdir", filter_kind=kind)
+        result = run_filter(trial, kind)
         return kind, result, compute_metrics(result)
 
     if jobs <= 1 or len(kinds) <= 1:

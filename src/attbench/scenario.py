@@ -62,6 +62,7 @@ The bare form ``1e-8`` parses as a string and is rejected with a hint.
 import importlib.resources
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -496,27 +497,31 @@ def _from_mapping(doc):
     )
 
 
+def _load(source, label):
+    """Read, parse and validate ``source`` (a path or package resource); errors name ``label``."""
+    try:
+        text = source.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError("cannot read %s: %s" % (label, exc))
+    try:
+        doc = yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ScenarioError("%s: parse error: %s" % (label, exc))
+    if doc is None:
+        raise ScenarioError("%s: file is empty" % label)
+    try:
+        return _from_mapping(doc)
+    except ScenarioError as exc:
+        raise ScenarioError("%s: %s" % (label, exc))
+
+
 def load_scenario(path):
     """Load and validate a scenario file.
 
     Raises:
         ScenarioError: unreadable, empty, malformed, or invalid content.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError("cannot read %s: %s" % (path, exc))
-    try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
-        raise ScenarioError("%s: parse error: %s" % (path, exc))
-    if doc is None:
-        raise ScenarioError("%s: file is empty" % path)
-    try:
-        return _from_mapping(doc)
-    except ScenarioError as exc:
-        raise ScenarioError("%s: %s" % (path, exc))
+    return _load(Path(path), path)
 
 
 def bundled_scenarios():
@@ -533,11 +538,7 @@ def load_bundled(name):
         raise ScenarioError(
             "no bundled scenario %r (available: %s)" % (name, ", ".join(bundled_scenarios()))
         )
-    doc = yaml.load(res.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-    try:
-        return _from_mapping(doc)
-    except ScenarioError as exc:
-        raise ScenarioError("bundled scenario %s: %s" % (name, exc))
+    return _load(res, "bundled scenario %s" % name)
 
 
 def resolve_scenario(ref):

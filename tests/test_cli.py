@@ -70,6 +70,21 @@ def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_a_scenario_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"name: \xff\xfe\n")
+    code = main(["estimate", str(path), "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: cannot read %s" % path in err and "utf-8" in err
+
+
+def test_compare_on_euler_scenario_is_a_config_error(tmp_path, capsys):
+    code = main(["compare", "euler_crosscheck", "-o", str(tmp_path / "cmp"), "--jobs", "3"])
+    assert code == 1
+    assert "configuration error: parameterization" in capsys.readouterr().err
+
+
 def test_missing_output_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["estimate", "zero_noise"])

@@ -224,6 +224,60 @@ def test_compare_run_keeps_order_and_determinism():
     assert isinstance(rows[0][2], rn.Metrics)
 
 
+def test_compare_run_simulates_the_trial_once(monkeypatch):
+    """Every kind of a compare runs on one simulate run: the truth is
+    integrated and the sensors are sampled once, not once per kind."""
+    calls = {"integrate": 0, "sample_measurements": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(rn, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(rn, name, counted)
+    cfg = with_overrides(load_bundled("spike_isolation"), t_end=2.0)
+    rows = rn.compare_run(cfg, ("ekf", "ukf", "pf"), jobs=1)
+    assert [kind for kind, _, _ in rows] == ["ekf", "ukf", "pf"]
+    assert calls == {"integrate": 1, "sample_measurements": 1}
+    trial = rows[0][1]
+    assert all(r.truth is trial.truth and r.measurements is trial.measurements
+               for _, r, _ in rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_a_shared_trial_gives_the_solo_run_bytes(tmp_path, jobs):
+    """A filter run on the shared trial writes the CSV of a solo run of that
+    kind, the PF's draws from its own stream included."""
+    cfg = with_overrides(load_bundled("nominal_calibration"), t_end=10.0)
+    kinds = ("ekf", "ukf", "pf")
+    for kind, result, _ in rn.compare_run(cfg, kinds, jobs=jobs):
+        shared, solo = tmp_path / ("shared_" + kind), tmp_path / ("solo_" + kind)
+        rn.write_csv(result, str(shared))
+        rn.write_csv(rn.run_scenario(cfg, "fdir", kind), str(solo))
+        assert shared.read_bytes() == solo.read_bytes(), kind
+
+
+@pytest.mark.parametrize("kind", ["ekf", "ukf", "pf"])
+def test_estimate_and_fdir_agree_under_policy_none(kind):
+    """Relation (v): with no detection policy, fdir mode is estimate mode."""
+    cfg = replace(with_overrides(load_bundled("spike_isolation"), t_end=20.0), policy="none")
+    trial = rn.run_scenario(cfg, mode="simulate")
+    est = rn.run_filter(trial, kind, "estimate")
+    fdir_run = rn.run_filter(trial, kind, "fdir")
+    assert (est.mode, fdir_run.mode) == ("estimate", "fdir")
+    for field in ("estimates", "variances", "nis"):
+        assert getattr(est, field).tobytes() == getattr(fdir_run, field).tobytes(), field
+
+
+def test_run_filter_takes_a_simulate_run_and_a_filter_mode():
+    cfg = with_overrides(load_bundled("zero_noise"), t_end=1.0)
+    trial = rn.run_scenario(cfg, mode="simulate")
+    with pytest.raises(ValueError, match="run_filter needs a simulate run"):
+        rn.run_filter(rn.run_filter(trial, "ekf"), "ekf")
+    with pytest.raises(ValueError, match="mode"):
+        rn.run_filter(trial, "ekf", "simulate")
+    with pytest.raises(ScenarioError, match="parameterization"):
+        rn.run_filter(rn.run_scenario(load_bundled("euler_crosscheck"), "simulate"), "ekf")
+
+
 def test_isolated_bitmask_uses_layout_order(bundled_run):
     result = bundled_run("spike_isolation", mode="fdir")
     flagged = [rep for rep in result.reports if rep.isolated]
