@@ -11,7 +11,11 @@ cloud pass and the UKF's assess pass on the same 15-, 21- and 81-point
 sets, so one set spans two of the compiled pass's blocks), for the
 Cholesky factor and NIS and for the CSV pass (``csv_rows``, a 32-row chunk
 of an EKF run's 36 columns, and the table of rounding edges
-``csv_edge_table`` of ``tests/test_kernels.py``). It then times both on the
+``csv_edge_table`` of ``tests/test_kernels.py``), and for the particle
+filter's random draws and resampling (``normal_rows`` against
+``Generator.standard_normal`` and the generator's state after it, and
+``resample_rows`` against numpy's searchsorted comb on random, degenerate
+and uniform weights). It then times both on the
 batch shapes the filters actually use (EKF finite-difference stencils, UKF
 sigma sets, PF clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
@@ -23,7 +27,10 @@ timed against the flat-index build it replaced, the NIS against np.linalg
 on the record's 11 rows and on the 4/4/3-row blocks of the isolation test,
 and a whole bare EKF and UKF step (7 and 10 states, 11 rows) on both
 backends, and the CSV pass per 32-row chunk, whose fallback is the
-``'%.9g'`` format string the export used before it. The fallback runs through ``attbench.core`` with
+``'%.9g'`` format string the export used before it, and the PF's draws
+and resampling on its shapes: 1000 x 7 and 1000 x 10 normals, whose
+fallback is numpy's own ``standard_normal``, and a 1000-row resample and
+gather. The fallback runs through ``attbench.core`` with
 ``core._kernels`` set to it, as the test suite runs it.
 
 Run from the repository root, after building the extension in place:
@@ -385,6 +392,48 @@ def bench_csv():
                                               % (tc / 32, tp / 32), tc, tp, tp / tc))
 
 
+def draw_case(kind, rows=1000, n=7, seed=0):
+    """A PF cloud of ``rows`` x n particles and post-update weights of one
+    kind: random, degenerate (one particle holds them all) or uniform."""
+    rng = np.random.default_rng(seed)
+    weights = {"random": rng.random(rows), "degenerate": np.eye(rows)[rows // 3],
+               "uniform": np.ones(rows)}[kind]
+    states = np.hstack([make_states(rows, seed), rng.standard_normal((rows, n - 7))])
+    return states, weights / weights.sum()
+
+
+def draws(shape, seed=1000):
+    """``core.normals`` from a fresh generator, the generator's state after
+    it, and its next ``random()``."""
+    rng = np.random.default_rng(seed)
+    return [core.normals(rng, shape), repr(rng.bit_generator.state).encode(), rng.random()]
+
+
+def resample_reference(x, w, u):
+    n = len(w)
+    return x[np.minimum(np.searchsorted(np.cumsum(w), (np.arange(n) + u) / n, side="right"),
+                        n - 1)]
+
+
+def bench_draws():
+    """The PF's random draws and resampling, per call, on its shapes."""
+    print("%-38s %10s %10s %8s" % ("PF draws and resampling, per call", "compiled", "python",
+                                   "speedup"))
+    for n in (7, 10):
+        rng = np.random.default_rng(0)
+        tc = per_call(lambda: core.normals(rng, (1000, n)), calls=2000)
+        with fallback():
+            tp = per_call(lambda: core.normals(rng, (1000, n)), calls=2000)
+        print("%-38s %7.2f us %7.1f us %7.1fx" % ("normals, 1000 x %2d" % n, tc, tp, tp / tc))
+    for n in (7, 10):
+        x, w = draw_case("random", n=n)
+        tc = per_call(lambda: core.resample(x, w, 0.37), calls=2000)
+        with fallback():
+            tp = per_call(lambda: core.resample(x, w, 0.37), calls=2000)
+        print("%-38s %7.2f us %7.1f us %7.1fx" % ("resample and gather, 1000 x %2d" % n, tc, tp,
+                                                  tp / tc))
+
+
 def check(label, outs):
     """Print whether the compiled and fallback outputs ``outs`` agree bit for
     bit; stop when they do not."""
@@ -420,6 +469,18 @@ def main():
     for n in (7, 10):
         mu, offsets, flat = stencil_case(n)
         check("EKF stencil = flat-index, %2d states" % n, ([mu + offsets], [flat()]))
+    for shape in ((1000, 7), (1000, 10), (10 ** 6,)):
+        compiled, python = on_each_backend(draws, shape)
+        rng = np.random.default_rng(1000)
+        reference = [rng.standard_normal(shape), repr(rng.bit_generator.state).encode(),
+                     rng.random()]
+        check("normals %s = standard_normal" % (shape,), (compiled * 2, python + reference))
+    for kind in ("random", "degenerate", "uniform"):
+        for u in (0.0, 0.37, 1.0 - 2.0 ** -53):
+            x, w = draw_case(kind)
+            compiled, python = on_each_backend(core.resample, x, w, u)
+            check("resample 1000 x 7, %s, u=%s" % (kind, "1 - 2^-53" if u > 0.5 else u),
+                  ([compiled] * 2, [python, resample_reference(x, w, u)]))
     edges = np.array(csv_edge_table()).reshape(-1, 1)
     for label, block in (("CSV pass, 32 x 36", csv_case()),
                          ("CSV pass, %d edge values" % len(edges), edges)):
@@ -456,6 +517,8 @@ def main():
     bench_steps()
     print()
     bench_csv()
+    print()
+    bench_draws()
 
 
 if __name__ == "__main__":

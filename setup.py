@@ -17,7 +17,11 @@ import os
 
 from setuptools import Extension, setup
 
-kernel = Extension("attbench.core._kernels_c", ["src/attbench/core/_kernels_c.c"])
+# _ziggurat.h holds numpy's normal ziggurat tables; the numpy bit generator
+# interface the normal draws use is redeclared in the C source, so the build
+# still needs no numpy headers
+kernel = Extension("attbench.core._kernels_c", ["src/attbench/core/_kernels_c.c"],
+                   depends=["src/attbench/core/_ziggurat.h"])
 # fp-contract off keeps the C arithmetic bit-identical to the numpy
 # fallback (no FMA fusing of a*b+c). The per-particle passes are also built
 # for AVX2 (target_clones in the source, where the compiler and libc support

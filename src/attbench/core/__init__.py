@@ -12,7 +12,11 @@ which validates its arguments (``kernels_py.checked_*``) and allocates the
 outputs before the backend sees them: the batched rigid-body RK4 step; the
 particle filter's two cloud passes (jitter plus moments, and the
 log-likelihood); and the Cholesky factor and NIS (of the whole matrix, or
-of several diagonal blocks in one call).
+of several diagonal blocks in one call). Two more allocate their output and
+leave the checks to the entry: ``normals``, numpy's standard normal draws
+(``normal_rows``), which every noise draw of the sensors and the particle
+filter takes, and ``resample``, the particle filter's systematic
+resampling with the gather of the chosen rows (``resample_rows``).
 
 Three more groups have no wrapper, and their callers call the entries on
 ``_kernels`` directly; each compiled entry still checks that its buffers
@@ -28,6 +32,8 @@ fit each other:
 """
 
 import os
+
+import numpy as np
 
 from . import kernels_py
 
@@ -164,5 +170,27 @@ def block_nis(a, nu, bounds):
     return _kernels.factor_rows(*kernels_py.checked_factor(a, nu, bounds))
 
 
+def normals(rng, shape):
+    """``rng.standard_normal(shape)`` as a new float64 array, bit for bit,
+    leaving the numpy Generator ``rng`` where that call leaves it
+    (``kernels_py.normal_rows``)."""
+    out = np.empty(shape)
+    _kernels.normal_rows(rng, out)
+    return out
+
+
+def resample(cloud, weights, u):
+    """The rows of the (N, n) float64 C-contiguous ``cloud`` that systematic
+    resampling by the (N,) float64 ``weights`` and the offset u picks
+    (``kernels_py.systematic_index``), as a new array.
+
+    Raises:
+        ValueError: a weight is negative, or the shapes do not fit.
+    """
+    out = np.empty_like(cloud)
+    _kernels.resample_rows(cloud, weights, u, out)
+    return out
+
+
 __all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "cholesky", "nis", "block_nis",
-           "BACKEND"]
+           "normals", "resample", "BACKEND"]

@@ -12,13 +12,14 @@
  * particle, no sum changes its order and nothing is contracted, so both
  * builds give the same bits.
  *
- * The module exports nine functions. attbench.core validates the caller's
- * arrays, and allocates the outputs, before calling any of the first four;
- * the Gaussian filters check their constant operands once, when built, and
- * call the next four directly, FdirSupervisor calls factor_rows directly
- * with the bounds and scratch it bound when built, and runner.write_csv
- * calls csv_rows. Each function still checks that its buffers fit each
- * other.
+ * The module exports eleven functions. attbench.core validates the
+ * caller's arrays, and allocates the outputs, before calling any of the
+ * first four; the Gaussian filters check their constant operands once, when
+ * built, and call the next four directly, FdirSupervisor calls factor_rows
+ * directly with the bounds and scratch it bound when built, runner.write_csv
+ * calls csv_rows, and attbench.core allocates the output of the last two,
+ * which every noise draw and the particle filter's resampling take. Each
+ * function still checks that its buffers fit each other.
  *
  * step_rows(out, dt, ixx, iyy, izz, frames) advances a C-contiguous float64
  *     (M, n) buffer by one RK4 step in place, torque-free when frames is None.
@@ -71,6 +72,15 @@
  *     integer arithmetic (g9) with the same bytes; every other value, and
  *     every value in a build without unsigned __int128, goes through
  *     PyOS_double_to_string.
+ * normal_rows(rng, out) fills the C-contiguous float64 array out with the
+ *     numpy Generator rng's standard normals: numpy's ziggurat, run over the
+ *     generator's bitgen_t with the tables of _ziggurat.h, holding the bit
+ *     generator's lock and not the GIL, as Generator.standard_normal does,
+ *     so the bits and the generator's state after are that call's.
+ * resample_rows(x, w, u, out) writes into out the rows of x that
+ *     systematic resampling by the weights w (none negative) and the offset
+ *     u picks: the first row whose cumulative weight is above
+ *     (i + u) / n, or the last row, for each i < n, by one merge walk.
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles or points runs from row 0, and a
@@ -85,7 +95,10 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
+
+#include "_ziggurat.h"
 
 /* The three per-particle passes, step_columns, moments and loglik, are
  * WIDE: the compiler builds each of them twice, for AVX2 and for the
@@ -1600,6 +1613,172 @@ fail:
     return text;
 }
 
+/* numpy/random/bitgen.h's bitgen_t, redeclared so that the build needs no
+ * numpy headers: a numpy BitGenerator's state and its draws, which its
+ * capsule named "BitGenerator" points to. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* The rare end of numpy's random_standard_normal, for the draw rabs of
+ * layer idx that fell outside the layer's box, with x its signed value: in
+ * layer 0 the tail beyond r, whose sign is bit 8 of rabs; in any other, the
+ * wedge test of x against the density. Returns 1 with the accepted normal
+ * in *x, 0 when the caller draws again. */
+static int
+ziggurat_edge(bitgen_t *bg, uint64_t rabs, int idx, double *x)
+{
+    double v = *x;
+
+    if (idx == 0)
+        for (;;) {
+            /* 1 - U, so that log never sees 0 */
+            double xx = -ZIGGURAT_NOR_INV_R * log1p(-bg->next_double(bg->state));
+            double yy = -log1p(-bg->next_double(bg->state));
+
+            if (yy + yy > xx * xx) {
+                *x = ((rabs >> 8) & 0x1) ? -(ZIGGURAT_NOR_R + xx) : ZIGGURAT_NOR_R + xx;
+                return 1;
+            }
+        }
+    return (fi_double[idx - 1] - fi_double[idx]) * bg->next_double(bg->state) + fi_double[idx]
+           < exp(-0.5 * v * v);
+}
+
+/* count standard normals into out by numpy's ziggurat (Marsaglia & Tsang,
+ * J. Stat. Softw. 5(8), 2000, as numpy's random_standard_normal runs it):
+ * the same draws through bg, in the same order, with the same tables and
+ * arithmetic, so the same bits and the same generator state after. Bit 8
+ * of the draw is XORed into the sign bit, where numpy branches on it. */
+static void
+ziggurat_fill(bitgen_t *bg, double *out, Py_ssize_t count)
+{
+    uint64_t (*next_uint64)(void *) = bg->next_uint64;
+    void *state = bg->state;
+    Py_ssize_t i;
+
+    for (i = 0; i < count; i++) {
+        union { double d; uint64_t u; } x;
+
+        for (;;) {
+            uint64_t r = next_uint64(state);
+            int idx = (int)(r & 0xff);
+            uint64_t rabs = (r >> 9) & 0x000fffffffffffffULL;
+
+            x.d = (double)rabs * wi_double[idx];
+            x.u ^= (r & 0x100) << 55;
+            if (rabs < ki_double[idx] || ziggurat_edge(bg, rabs, idx, &x.d))
+                break;
+        }
+        out[i] = x.d;
+    }
+}
+
+/* The attribute and method names normal_rows looks up, interned once when
+ * the module loads: a name made afresh on each call would be a new string
+ * each time, which the type attribute cache keeps a reference to. */
+static PyObject *s_bit_generator, *s_capsule, *s_lock, *s_acquire, *s_release;
+
+static PyObject *
+normal_rows(PyObject *self, PyObject *args)
+{
+    PyObject *rng, *outo, *bitgen = NULL, *capsule = NULL, *lock = NULL, *res, *ret = NULL;
+    Py_buffer view = {0};
+    bitgen_t *bg;
+
+    if (!PyArg_ParseTuple(args, "OO:normal_rows", &rng, &outo))
+        return NULL;
+    if (PyObject_GetBuffer(outo, &view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        return NULL;
+    if (view.itemsize != sizeof(double) || strcmp(view.format, "d") != 0) {
+        PyErr_SetString(PyExc_ValueError, "expected a C-contiguous float64 array");
+        goto done;
+    }
+    if (!(bitgen = PyObject_GetAttr(rng, s_bit_generator))
+        || !(capsule = PyObject_GetAttr(bitgen, s_capsule))
+        || !(lock = PyObject_GetAttr(bitgen, s_lock))
+        || !(bg = PyCapsule_GetPointer(capsule, "BitGenerator")))
+        goto done;
+    /* as Generator.standard_normal: the generator's lock held, the GIL not */
+    if (!(res = PyObject_CallMethodObjArgs(lock, s_acquire, NULL)))
+        goto done;
+    Py_DECREF(res);
+    Py_BEGIN_ALLOW_THREADS
+    ziggurat_fill(bg, view.buf, view.len / (Py_ssize_t)sizeof(double));
+    Py_END_ALLOW_THREADS
+    if (!(res = PyObject_CallMethodObjArgs(lock, s_release, NULL)))
+        goto done;
+    Py_DECREF(res);
+    Py_INCREF(Py_None);
+    ret = Py_None;
+done:
+    Py_XDECREF(lock);
+    Py_XDECREF(capsule);
+    Py_XDECREF(bitgen);
+    PyBuffer_Release(&view);
+    return ret;
+}
+
+/* Systematic resampling of the n rows of d doubles at x into out: row i of
+ * out is row j of x, the first j whose cumulative weight w[0] + ... + w[j],
+ * summed in order, is above ((double)i + u) / n in numpy's order (NaN
+ * last), or n - 1 when none is. The positions rise with i and the sums
+ * with j, so one merge walk finds every j. */
+static void
+resample(const double *x, Py_ssize_t n, Py_ssize_t d, const double *w, double u, double *out)
+{
+    Py_ssize_t i, j = 0;
+    double cum = n ? w[0] : 0.0;
+
+    for (i = 0; i < n; i++) {
+        double pos = ((double)i + u) / (double)n;
+
+        while (j < n - 1 && !(pos < cum || (cum != cum && pos == pos)))
+            cum = cum + w[++j];
+        memcpy(out + i * d, x + j * d, d * sizeof(double));
+    }
+}
+
+static PyObject *
+resample_rows(PyObject *self, PyObject *args)
+{
+    PyObject *xo, *wo, *outo;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *x, *w, *out, u;
+    Py_ssize_t n, d, i;
+
+    if (!PyArg_ParseTuple(args, "OOdO:resample_rows", &xo, &wo, &u, &outo))
+        return NULL;
+    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0)
+        goto fail;
+    n = v[0].shape[0];
+    d = v[0].shape[1];
+    if (get_shaped(wo, &v[1], PyBUF_SIMPLE, 1, n, -1, "w", &w) < 0
+        || get_shaped(outo, &v[2], PyBUF_WRITABLE, 2, n, d, "out", &out) < 0)
+        goto fail;
+    if (!x || !w || !out) {
+        PyErr_SetString(PyExc_ValueError, "x, w and out are required");
+        goto fail;
+    }
+    for (i = 0; i < n; i++)
+        if (w[i] < 0.0) {
+            PyErr_SetString(PyExc_ValueError, "weights must not be negative");
+            goto fail;
+        }
+    Py_BEGIN_ALLOW_THREADS
+    resample(x, n, d, w, u, out);
+    Py_END_ALLOW_THREADS
+    release_all(v);
+    Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"step_rows", step_rows, METH_VARARGS,
      "step_rows(out, dt, ixx, iyy, izz, frames)\n--\n\n"
@@ -1635,6 +1814,13 @@ static PyMethodDef methods[] = {
     {"csv_rows", csv_rows, METH_VARARGS,
      "csv_rows(block)\n--\n\n"
      "Format the rows of a float64 block as CSV text, each value as '%.9g' % value."},
+    {"normal_rows", normal_rows, METH_VARARGS,
+     "normal_rows(rng, out)\n--\n\n"
+     "Fill the float64 array out with rng.standard_normal's draws, bit for bit."},
+    {"resample_rows", resample_rows, METH_VARARGS,
+     "resample_rows(x, w, u, out)\n--\n\n"
+     "Write the rows of x that systematic resampling by the weights w and the\n"
+     "offset u picks into out."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1650,5 +1836,11 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernels_c(void)
 {
+    if (!(s_bit_generator = PyUnicode_InternFromString("bit_generator"))
+        || !(s_capsule = PyUnicode_InternFromString("capsule"))
+        || !(s_lock = PyUnicode_InternFromString("lock"))
+        || !(s_acquire = PyUnicode_InternFromString("acquire"))
+        || !(s_release = PyUnicode_InternFromString("release")))
+        return NULL;
     return PyModule_Create(&module);
 }

@@ -6,7 +6,9 @@ passes, ``factor_rows`` the Kalman step's Cholesky factor and NIS, and
 ``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
 ``gauss_update_rows`` the Gaussian step's fused passes, built from the
 private ``_sigma_rows``, ``_ekf_rows`` and ``_update_rows`` in the order the
-compiled passes run them, and ``csv_rows`` the CSV export's formatting.
+compiled passes run them, ``csv_rows`` the CSV export's formatting,
+``normal_rows`` numpy's standard normal draws and ``resample_rows`` the
+particle filter's systematic resampling (``systematic_index``) and gather.
 ``_sigma_rows`` is the one weighted-moments body: ``moments_rows`` calls it
 after the jitter, and ``ukf_assess_rows`` for both of its moment steps.
 The ``checked_*`` functions validate arguments for ``attbench.core``'s
@@ -585,3 +587,39 @@ def csv_rows(block):
                          "with columns >= 1")
     fmt = ",".join(["%.9g"] * block.shape[1]) + "\r\n"
     return "".join([fmt % tuple(row) for row in block.tolist()])
+
+
+def normal_rows(rng, out):
+    """Fill the float64 C-contiguous array ``out`` with the numpy Generator
+    ``rng``'s standard normals: ``rng.standard_normal(out=out)`` itself."""
+    rng.standard_normal(out=out)
+
+
+def systematic_index(w, u):
+    """Systematic resampling's picks: for each position (i + u) / N of the
+    comb, i < N, the first index whose cumulative weight (summed in order)
+    is above it, or N - 1 when none is, which also covers a sum that rounds
+    below 1. With uniform weights every index is picked exactly once; a
+    degenerate weight vector concentrates all picks on its support.
+
+    Args:
+        w: float64 (N,) weights, none negative.
+        u: offset in [0, 1).
+
+    Returns:
+        Index array (N,).
+
+    Raises:
+        ValueError: a weight is negative.
+    """
+    if (w < 0.0).any():
+        raise ValueError("weights must not be negative")
+    n = w.size
+    return np.minimum(np.searchsorted(np.cumsum(w), (np.arange(n) + u) / n, side="right"),
+                      n - 1)
+
+
+def resample_rows(x, w, u, out):
+    """Write the rows of the (N, d) ``x`` that ``systematic_index(w, u)``
+    picks into the (N, d) ``out``."""
+    out[...] = x[systematic_index(w, u)]

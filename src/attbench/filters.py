@@ -44,7 +44,8 @@ per-particle arithmetic (jitter, renormalization, the predicted reading,
 the moments and the log-likelihood) runs in two compiled passes of
 ``attbench.core``, whose every sum over the particles has a fixed order,
 so no BLAS kernel choice reaches its estimates; the numpy fallback gives the
-same bits.
+same bits. Its random draws and its systematic resampling are compiled
+entries of ``attbench.core`` too, with numpy's bits.
 
 The ``decide`` hook on each ``step`` lets a detector inspect the innovation
 record before the measurement update and either skip the update or restrict
@@ -569,18 +570,15 @@ def systematic_resample(weights, u):
     degenerate weight vector concentrates all picks on its support.
 
     Args:
-        weights: normalized weights (N,).
+        weights: normalized weights (N,), none negative.
         u: offset in [0, 1).
 
     Returns:
-        Index array (N,) into the particle set.
+        Index array (N,) into the particle set, by
+        ``core.kernels_py.systematic_index``, whose picks ``core.resample``
+        gathers in one pass.
     """
-    w = np.asarray(weights, dtype=float)
-    n = w.size
-    positions = (np.arange(n) + float(u)) / n
-    cum = np.cumsum(w)
-    cum[-1] = max(cum[-1], 1.0)  # guard against cumulative rounding < 1
-    return np.minimum(np.searchsorted(cum, positions, side="right"), n - 1)
+    return kernels_py.systematic_index(np.asarray(weights, dtype=float), float(u))
 
 
 class PfFilter:
@@ -604,8 +602,11 @@ class PfFilter:
     which BLAS kernels the CPU selects. The record's NIS (``compute_nis``)
     and both L come from the fixed-order Cholesky of ``attbench.core`` too
     (the jitter root falls back to LAPACK's ``eigh`` only for a Q that is
-    not positive definite). The random draws, the weight update (max shift,
-    exp, normalization), ESS and systematic resampling stay in numpy.
+    not positive definite). The jitter normals, and the initial cloud's,
+    are ``core.normals`` (``Generator.standard_normal``'s bits), and
+    systematic resampling with its gather is one pass, ``core.resample``.
+    The weight update (max shift, exp, normalization) and the ESS stay in
+    numpy.
     """
 
     source = "pf"
@@ -629,7 +630,7 @@ class PfFilter:
 
     def initial_belief(self):
         root = _psd_sqrt(self.cfg.P0)
-        states = self.cfg.x0 + self.rng.standard_normal((self.n, self.model.dim)) @ root.T
+        states = self.cfg.x0 + core.normals(self.rng, (self.n, self.model.dim)) @ root.T
         states = self.model.normalize_rows(states)
         weights = np.full(self.n, 1.0 / self.n)
         return ParticleSet(states, weights)
@@ -647,7 +648,7 @@ class PfFilter:
         """One propagate/weigh/resample cycle. ``pset``'s weights must be a
         float64 (N,) array, as ``initial_belief`` and ``step`` make them."""
         x = self.model.propagate(pset.states, t - self.model.dt)
-        normals = self.rng.standard_normal((self.n, self.model.dim))
+        normals = core.normals(self.rng, (self.n, self.model.dim))
         w = pset.weights
         m = self.meas.dim
         mu_prior, y_hat, s = np.empty(self.model.dim), np.empty(m), np.empty((m, m))
@@ -679,8 +680,7 @@ class PfFilter:
 
         ess = 1.0 / float(new_w @ new_w)
         if ess < self.cfg.pf_ess_threshold * self.n:
-            idx = systematic_resample(new_w, self.rng.random())
-            x = x[idx]
+            x = core.resample(x, new_w, self.rng.random())
             new_w = np.full(self.n, 1.0 / self.n)
         return ParticleSet(x, new_w, resets), record
 

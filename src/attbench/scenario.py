@@ -141,7 +141,10 @@ def _num(value, path):
             except ValueError:
                 pass
         _fail(path, "expected a number, got %r%s" % (value, hint))
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         _fail(path, "must be finite")
     return v
@@ -227,8 +230,14 @@ class ScenarioConfig:
         rigid_body_params(self.dt, self.principal)
         if not 0.0 < self.t_end < math.inf:
             raise FieldError("t_end", "must be finite and positive, got %r" % (self.t_end,))
-        if self.t_end / self.dt < 1.0:
+        steps = self.t_end / self.dt
+        if steps < 1.0:
             raise FieldError("t_end", "must cover at least one step")
+        # the truth array holds n_steps + 1 rows of the initial state's width
+        if not (steps < math.inf and (round(steps) + 1) * len(self.initial_state) * 8
+                <= np.iinfo(np.intp).max):
+            raise FieldError("t_end", "t_end / dt = %r steps is more than one array can hold"
+                             % (steps,))
         check_filter_kind(self.filter_kind)
         dim = len(self.initial_state) + (3 if self.bias_states else 0)
         if np.shape(self.x0) != (dim,):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .errors import FieldError, check_choice
 
 __all__ = [
@@ -67,7 +68,7 @@ class GyroModel:
     def sample(self, omega_true, rng):
         """Readings for body rates (..., 3), one per row of a stack."""
         omega = np.asarray(omega_true, dtype=float)
-        return omega + self.bias + self.sigma * rng.standard_normal(omega.shape)
+        return omega + self.bias + self.sigma * core.normals(rng, omega.shape)
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class AttitudeSensorModel:
                 "%s: attitude has shape %r but variances %r"
                 % (self.name, att.shape, self.variances.shape)
             )
-        return att + np.sqrt(self.variances) * rng.standard_normal(att.shape)
+        return att + np.sqrt(self.variances) * core.normals(rng, att.shape)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ def test_infinite_horizon_is_a_config_error(tmp_path, capsys):
     code = main(["estimate", "zero_noise", "-o", str(tmp_path / "x.csv"), "--t-end", "inf"])
     assert code == 1
     assert "configuration error: t_end:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [("t_end: 160.0", "t_end: 1.0e+300"),
+                                     ("dt: 0.1", "dt: 1.0e-300")])
+def test_a_horizon_no_array_can_hold_is_a_config_error(tmp_path, capsys, old, new):
+    """A finite t_end and dt pass their own rules, but a truth array of
+    t_end / dt + 1 rows would not fit in memory addressing: the run stops
+    at the config check, exit 1, not in numpy's allocation, exit 2."""
+    text = (files("attbench") / "scenarios" / "spike_isolation.yaml").read_text()
+    assert old in text
+    path = tmp_path / "huge.yaml"
+    path.write_text(text.replace(old, new))
+    code = main(["simulate", str(path), "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "configuration error: %s: t_end: t_end / dt = " % path in capsys.readouterr().err
 
 
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):

@@ -7,13 +7,14 @@ import subprocess
 import sys
 import sysconfig
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attbench import core, dynamics as dyn, filters as flt
 from attbench.core import kernels_py
@@ -1120,3 +1121,112 @@ def test_csv_rows_rejects_a_block_of_the_wrong_shape_or_type():
         for bad in bad_blocks:
             with pytest.raises(ValueError):
                 backend.csv_rows(bad)
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64)
+ZIGGURAT_R = 3.6541528853610088  # where the normal ziggurat's tail starts
+
+
+def same_state(a, b):
+    """Two ``bit_generator.state`` dicts hold the same values."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("shape", [0, 1, 7, (1000, 7), 10 ** 6])
+def test_normals_are_the_generators_draws_bit_for_bit(backend, bit_generator, shape):
+    """``core.normals`` gives ``Generator.standard_normal``'s bits on every
+    numpy bit generator, and leaves the generator where that call does: the
+    next ``random()`` and the state agree. The 10^6 draw reaches the tail
+    beyond r, so the ziggurat's rare paths run too."""
+    ours, ref = (np.random.Generator(bit_generator(2718)) for _ in range(2))
+    got = core.normals(ours, shape)
+    want = ref.standard_normal(shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    if want.size >= 10 ** 6:
+        assert np.abs(want).max() > ZIGGURAT_R
+    assert same_state(ours.bit_generator.state, ref.bit_generator.state)
+    assert ours.random() == ref.random()
+
+
+def test_normal_rows_fills_any_c_contiguous_float64_array_in_place():
+    """Both backends fill the caller's array in place, in C order, and
+    refuse one that is not C-contiguous float64."""
+    for backend in _csv_backends():
+        out = np.empty((2, 3, 4))
+        backend.normal_rows(np.random.default_rng(5), out)
+        assert out.tobytes() == np.random.default_rng(5).standard_normal((2, 3, 4)).tobytes()
+        for bad in (np.empty(6, dtype=np.float32), np.empty((4, 6))[:, ::2]):
+            with pytest.raises((ValueError, TypeError)):
+                backend.normal_rows(np.random.default_rng(5), bad)
+
+
+def test_normal_rows_holds_no_memory_across_calls():
+    """A fill allocates nothing that outlives it, on either backend: 3000
+    fills of one array leave next to nothing traced behind, so a long run's
+    peak memory does not grow with its steps."""
+    for backend in _csv_backends():
+        rng, out = np.random.default_rng(3), np.empty((10, 7))
+        backend.normal_rows(rng, out)
+        tracemalloc.start()
+        try:
+            for _ in range(3000):
+                backend.normal_rows(rng, out)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4096, (backend.__name__, held)
+
+
+def resample_reference(x, w, u):
+    n = len(w)
+    return x[np.minimum(np.searchsorted(np.cumsum(w), (np.arange(n) + u) / n, side="right"),
+                        n - 1)]
+
+
+def _normalized(w):
+    w = np.asarray(w, dtype=float)
+    total = w.sum()
+    return w / total if total > 0.0 else np.full(w.size, 1.0 / w.size)
+
+
+WEIGHTS = st.integers(1, 64).flatmap(lambda n: st.one_of(
+    st.just(np.full(n, 1.0 / n)),
+    st.integers(0, n - 1).map(lambda k: np.eye(n)[k]),
+    st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(_normalized),
+    st.lists(st.sampled_from([0.0, 1e-300, 1.0, 3.0]), min_size=n, max_size=n).map(_normalized),
+))
+
+# uniform weights whose cumulative sum rounds below 1, and above it
+ROUNDS_BELOW_1, ROUNDS_ABOVE_1 = np.full(10, 0.1), np.full(9, 1.0 / 9.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WEIGHTS, st.sampled_from([0.0, 1.0 - 2.0 ** -53]) | st.floats(0.0, 1.0, exclude_max=True),
+       st.integers(1, 4))
+@example(ROUNDS_BELOW_1, 1.0 - 2.0 ** -53, 1)
+@example(ROUNDS_ABOVE_1, 1.0 - 2.0 ** -53, 2)
+@example(np.ones(1), 0.0, 3)
+def test_resample_is_the_searchsorted_comb_bit_for_bit(weights, u, cols):
+    """``core.resample``'s merge walk picks the rows numpy's searchsorted
+    comb picks, clipped to the last row, on both backends: uniform,
+    degenerate and sparse weights, sums that round below and above 1, one
+    particle, and offsets 0 and 1 - 2^-53."""
+    if weights is ROUNDS_BELOW_1 or weights is ROUNDS_ABOVE_1:
+        assert (np.cumsum(weights)[-1] < 1.0) == (weights is ROUNDS_BELOW_1)
+    x = np.arange(weights.size * cols, dtype=float).reshape(weights.size, cols)
+    want = resample_reference(x, weights, u)
+    active, fallback = on_each_backend(core.resample, x, weights, u)
+    assert active.tobytes() == want.tobytes() == fallback.tobytes()
+    npt.assert_array_equal(flt.systematic_resample(weights, u), want[:, 0] // cols)
+
+
+def test_resample_rejects_a_negative_weight_on_both_backends():
+    x = np.zeros((3, 2))
+    for backend in _csv_backends():
+        with pytest.raises(ValueError, match="negative"):
+            backend.resample_rows(x, np.array([0.5, 0.7, -0.2]), 0.5, np.empty_like(x))

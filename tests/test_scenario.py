@@ -1,4 +1,7 @@
+import math
+import os
 import re
+import tempfile
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -6,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from attbench import scenario as scn
 from attbench.errors import FieldError
@@ -335,3 +339,80 @@ def test_a_malformed_file_is_a_parse_error_under_both_loaders(tmp_path, monkeypa
     for loader in (yaml.SafeLoader, scn._YAML_LOADER):
         with pytest.raises(ScenarioError, match="broken.yaml: parse error: "):
             load_with(loader, monkeypatch, scn.load_scenario, str(path))
+
+
+def bundled_text(name):
+    return (Path(scn.__file__).parent / "scenarios" / (name + ".yaml")).read_text()
+
+
+def load_bytes(raw):
+    """load_scenario on a file holding ``raw``, as (label, config or error)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.yaml")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            return path, scn.load_scenario(path)
+        except ScenarioError as exc:
+            return path, exc
+
+
+def key_paths(node, path=()):
+    """The key path of every node under a YAML document: mapping keys and
+    list indices, the mappings and lists themselves included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from key_paths(value, path + (key,))
+
+
+HOSTILE = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -0.0, 2 ** 63,
+                     -2 ** 63 - 1, 10 ** 400, -10 ** 400, True, None, "", "1e-8", "nan",
+                     [], {}]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=12),
+    st.recursive(st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+                 lambda inner: st.lists(inner, max_size=4), max_leaves=8),
+)
+
+# a dotted key path: a top-level key, then keys and list indices
+KEY_PATH = re.compile(r"(%s)(\[\d+\])*(\.[a-z_0-9]+(\[\d+\])*)*: " % "|".join(scn._TOP_KEYS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BUNDLED), st.data())
+def test_a_bundled_file_with_hostile_values_loads_or_names_the_key(name, data):
+    """Replace the values at up to three key paths of a bundled file (a
+    leaf, a list or a whole section) with inf, nan, 1e308, huge integers,
+    strings or nested lists: the result loads, or raises ScenarioError whose
+    message names a dotted key path."""
+    doc = yaml.safe_load(bundled_text(name))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(key_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(HOSTILE)
+    label, out = load_bytes(yaml.safe_dump(doc, sort_keys=False).encode())
+    if isinstance(out, ScenarioError):
+        message = str(out)
+        assert message.startswith(label + ": ")
+        assert KEY_PATH.match(message[len(label) + 2:]), message
+    else:
+        assert isinstance(out, scn.ScenarioConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda name, at, junk: (lambda b: b[:at % len(b)] + junk + b[at % len(b):])(
+        bundled_text(name).encode()), st.sampled_from(BUNDLED), st.integers(0, 10 ** 6),
+        st.binary(min_size=1, max_size=12))))
+def test_any_bytes_load_or_raise_a_scenario_error(raw):
+    """Arbitrary bytes, alone or spliced into a bundled file, load or raise
+    ScenarioError: never another exception."""
+    _, out = load_bytes(raw)
+    assert isinstance(out, (scn.ScenarioConfig, ScenarioError))
