@@ -53,7 +53,7 @@ from attbench.filters import (EkfFilter, FilterConfig, GaussianBelief, RigidBody
 from attbench.sensors import make_layout
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_kernels import csv_edge_table  # noqa: E402
+from test_kernels import csv_edge_table, resample_reference  # noqa: E402
 
 if BACKEND != "compiled":
     raise SystemExit(
@@ -407,12 +407,6 @@ def draws(shape, seed=1000):
     it, and its next ``random()``."""
     rng = np.random.default_rng(seed)
     return [core.normals(rng, shape), repr(rng.bit_generator.state).encode(), rng.random()]
-
-
-def resample_reference(x, w, u):
-    n = len(w)
-    return x[np.minimum(np.searchsorted(np.cumsum(w), (np.arange(n) + u) / n, side="right"),
-                        n - 1)]
 
 
 def bench_draws():
