@@ -15,7 +15,11 @@ of an EKF run's 36 columns, and the table of rounding edges
 filter's random draws and resampling (``normal_rows`` against
 ``Generator.standard_normal`` and the generator's state after it, and
 ``resample_rows`` against numpy's searchsorted comb on random, degenerate
-and uniform weights). It then times both on the
+and uniform weights), for the particle filter's weight pass (``weigh_rows``
+on a 1000-particle cloud of 7 and 10 states), and for the moments pass on
+the attitude suite's 11 rows against the same rows made distinct by the
+sign of their zeros (``twin_rows`` of ``tests/test_kernels.py``), which the
+pass forms one sum each for. It then times both on the
 batch shapes the filters actually use (EKF finite-difference stencils, UKF
 sigma sets, PF clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
@@ -30,7 +34,11 @@ backends, and the CSV pass per 32-row chunk, whose fallback is the
 ``'%.9g'`` format string the export used before it, and the PF's draws
 and resampling on its shapes: 1000 x 7 and 1000 x 10 normals, whose
 fallback is numpy's own ``standard_normal``, and a 1000-row resample and
-gather. The fallback runs through ``attbench.core`` with
+gather; and the weight pass, with the posterior moments it forms, against
+the numpy sequence it replaced (``np.exp``, a pairwise sum, ``ddot`` and
+``estimate_stats``'s moments pass), and the moments pass on the 11 rows
+against their distinct twin, the work it did before it formed each class of
+equal rows once. The fallback runs through ``attbench.core`` with
 ``core._kernels`` set to it, as the test suite runs it.
 
 Run from the repository root, after building the extension in place:
@@ -53,7 +61,7 @@ from attbench.filters import (EkfFilter, FilterConfig, GaussianBelief, RigidBody
 from attbench.sensors import make_layout
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_kernels import csv_edge_table, resample_reference  # noqa: E402
+from test_kernels import csv_edge_table, resample_reference, twin_rows  # noqa: E402
 
 if BACKEND != "compiled":
     raise SystemExit(
@@ -428,6 +436,65 @@ def bench_draws():
                                                   tp / tc))
 
 
+def weight_case(n, rows=1000, seed=0):
+    """A PF update's weight-pass operands: the jittered cloud of
+    ``cloud_case``, its log-likelihoods of the reading, the prior weights,
+    and a limit of 0, so the pass never resamples and always forms the
+    posterior moments."""
+    states, weights, normals, root, h, r, l, reading = cloud_case(rows, seed, n)
+    x = states.copy()
+    core.cloud_moments(x, weights, normals, root, h, r, True)
+    return core.cloud_loglik(x, h, l, reading), weights, x, 0.0
+
+
+def weigh(loglik, w, x, limit):
+    """The weight pass of the active backend: its flags, the weights, the
+    posterior mean and marginal variance."""
+    out, mean, var = np.empty(len(w)), np.empty(x.shape[1]), np.empty(x.shape[1])
+    return [*core._kernels.weigh_rows(loglik, w, x, limit, out, mean, var), out, mean, var]
+
+
+def numpy_weights(loglik, w, x, limit):
+    """The numpy sequence the weight pass replaced: the update of the
+    particle filter's step, then ``estimate_stats``'s moments of the
+    cloud."""
+    new_w = w * np.exp(loglik - loglik.max())
+    total = new_w.sum()
+    new_w = np.full(len(w), 1.0 / len(w)) if not np.isfinite(total) or total <= 0.0 \
+        else new_w / total
+    if 1.0 / float(new_w @ new_w) < limit:
+        return new_w
+    mean, _, var = core.cloud_moments(x, new_w, diagonal=True)
+    return new_w, mean, var
+
+
+def bench_weights():
+    """The weight pass per call against the numpy sequence it replaced, and
+    the moments pass of a PF step on the attitude suite's 11 rows, whose 8
+    quaternion rows are 4 classes of equal rows, against the same rows made
+    distinct by the sign of their zeros (``twin_rows``), which is the work
+    of the pass before it formed each class once."""
+    print("%-38s %10s %10s %10s" % ("PF weight pass, per call", "compiled", "python", "numpy"))
+    for n in (7, 10):
+        case = weight_case(n)
+        tc = per_call(lambda: weigh(*case), calls=2000)
+        tn = per_call(lambda: numpy_weights(*case), calls=2000)
+        with fallback():
+            tp = per_call(lambda: weigh(*case), calls=200, repeats=3)
+        print("%-38s %7.2f us %7.1f us %7.2f us" % ("weights and moments, 1000 x %2d" % n, tc, tp,
+                                                    tn))
+    print("%-38s %10s %10s" % ("PF moments pass, per call", "compiled", "python"))
+    for n in (7, 10):
+        states, weights, normals, root, h, r = cloud_case(n=n)[:6]
+        for label, rows in (("11 rows, 7 classes", h), ("11 distinct rows", twin_rows(h))):
+            def moments():
+                core.cloud_moments(states, weights, normals, root, rows, r, True)
+            tc = per_call(moments, calls=2000)
+            with fallback():
+                tp = per_call(moments, calls=200, repeats=3)
+            print("%-38s %7.2f us %7.1f us" % ("1000 x %2d, %s" % (n, label), tc, tp))
+
+
 def check(label, outs):
     """Print whether the compiled and fallback outputs ``outs`` agree bit for
     bit; stop when they do not."""
@@ -469,6 +536,16 @@ def main():
         reference = [rng.standard_normal(shape), repr(rng.bit_generator.state).encode(),
                      rng.random()]
         check("normals %s = standard_normal" % (shape,), (compiled * 2, python + reference))
+    for n in (7, 10):
+        check("weight pass, 1000 x %2d" % n, on_each_backend(weigh, *weight_case(n)))
+        states, weights, normals, root, h, r = cloud_case(n=n)[:6]
+
+        def moments_of(rows):
+            return core.cloud_moments(states.copy(), weights, normals, root, rows, r, True)
+        same, same_py = on_each_backend(moments_of, h)
+        twin, twin_py = on_each_backend(moments_of, twin_rows(h))
+        check("moments, 11 rows = 11 distinct, 1000 x %2d" % n,
+              (same * 3, twin + same_py + twin_py))
     for kind in ("random", "degenerate", "uniform"):
         for u in (0.0, 0.37, 1.0 - 2.0 ** -53):
             x, w = draw_case(kind)
@@ -513,6 +590,8 @@ def main():
     bench_csv()
     print()
     bench_draws()
+    print()
+    bench_weights()
 
 
 if __name__ == "__main__":

@@ -18,10 +18,15 @@ leave the checks to the entry: ``normals``, numpy's standard normal draws
 filter takes, and ``resample``, the particle filter's systematic
 resampling with the gather of the chosen rows (``resample_rows``).
 
-Three more groups have no wrapper, and their callers call the entries on
+Four more groups have no wrapper, and their callers call the entries on
 ``_kernels`` directly; each compiled entry still checks that its buffers
 fit each other:
 
+- the particle filter's weight pass ``weigh_rows`` (a fixed exp of the
+  shifted log-likelihoods, the normalization and reset test, the ESS and,
+  unless the step resamples, the posterior mean and marginal variance by
+  the moments pass of ``cloud_moments``), on the arrays
+  ``filters.PfFilter.step`` makes;
 - the Gaussian step's fused passes (``points_rows``, ``ekf_assess_rows``,
   ``ukf_assess_rows`` and ``gauss_update_rows``), whose constant operands
   the EKF and UKF take as their ``filters.FilterConfig`` checked them;

@@ -6,20 +6,23 @@
  *
  * The three per-particle passes (the RK4 step of 8 rows or more, the
  * weighted-moments pass and the log-likelihood) run on column blocks of
- * particles and are built for AVX2 beside the baseline (WIDE, below); the
- * loader picks one build when the module loads. A vector lane runs the
- * correctly rounded IEEE +, -, *, / and sqrt of the scalar code on one
- * particle, no sum changes its order and nothing is contracted, so both
- * builds give the same bits.
+ * particles and are built for AVX2 beside the baseline (WIDE, below), as is
+ * the particle filter's weight pass; the loader picks one build when the
+ * module loads. A vector lane runs the correctly rounded IEEE +, -, *, /
+ * and sqrt of the scalar code on one particle, no sum changes its order and
+ * nothing is contracted, so both builds give the same bits.
  *
- * The module exports eleven functions. attbench.core validates the
- * caller's arrays, and allocates the outputs, before calling any of the
- * first four; the Gaussian filters check their constant operands once, when
- * built, and call the next four directly, FdirSupervisor calls factor_rows
- * directly with the bounds and scratch it bound when built, runner.write_csv
- * calls csv_rows, and attbench.core allocates the output of the last two,
- * which every noise draw and the particle filter's resampling take. Each
- * function still checks that its buffers fit each other.
+ * The module exports twelve functions. attbench.core validates the
+ * caller's arrays, and allocates the outputs, before calling step_rows,
+ * moments_rows, loglik_rows and factor_rows; the particle filter calls
+ * moments_rows, loglik_rows and weigh_rows directly, with operands it
+ * checked when built; the Gaussian filters check their constant operands
+ * once, when built, and call the four entries after factor_rows directly;
+ * FdirSupervisor calls factor_rows directly with the bounds and scratch it
+ * bound when built; runner.write_csv calls csv_rows; and attbench.core
+ * allocates the output of the last two, which every noise draw and the
+ * particle filter's resampling take. Each function still checks that its
+ * buffers fit each other.
  *
  * step_rows(out, dt, ixx, iyy, izz, frames) advances a C-contiguous float64
  *     (M, n) buffer by one RK4 step in place, torque-free when frames is None.
@@ -29,11 +32,21 @@
  *     writes the weighted mean of the rows, the weighted mean y_hat of
  *     z = h x and S = sum w (z - y_hat)(z - y_hat)' + r, exactly symmetric;
  *     a 1-D s gets S's diagonal alone. normals/root, h and r may each be
- *     None: no jitter, z = x, no r. It and ukf_assess_rows share one
- *     weighted-moments pass (moments), so a cloud and a sigma set of the
- *     same rows and weights have the same moments, bit for bit.
+ *     None: no jitter, z = x, no r. It, ukf_assess_rows and weigh_rows
+ *     share one weighted-moments pass (moments), so a cloud and a sigma set
+ *     of the same rows and weights have the same moments, bit for bit. The
+ *     pass forms z once per class of rows of h equal bit for bit, and each
+ *     sum of S once per ordered pair of classes.
  * loglik_rows(x, h, l, y, out) writes -0.5 |l^-1 (y - h x)|^2 for each row
  *     of x, by forward substitution with the lower triangle of l.
+ * weigh_rows(loglik, w, x, limit, out, mean, var) is the particle filter's
+ *     weight pass: out = w exp(loglik - max loglik) by a fixed exp
+ *     (fixed_exp), normalized by its total, or 1/N each when that total is
+ *     not a finite number > 0 (a reset); loglik None keeps w. Unless the
+ *     ESS 1 / sum out^2 is below limit, it writes the weighted mean and
+ *     marginal variance of the cloud x under out into mean and var, by
+ *     moments_rows's pass. It returns (reset, resample), resample being
+ *     ESS < limit.
  * factor_rows(a, bounds, nu, l) Cholesky-factors each diagonal block
  *     [start, stop) that the flat tuple bounds lists into the same block of
  *     l, and returns a tuple of each block's NIS |L^-1 nu|^2 (empty when nu
@@ -329,28 +342,50 @@ step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
 }
 
 /* z = h x for each particle of the block: z[r] is the sum over c of
- * x[c] h[r, c] in column order, skipping the columns where h[r, c] == 0, for
- * the m rows of the (m, n) h. */
+ * x[c] h[p, c] in column order, skipping the columns where h[p, c] == 0, for
+ * the rows p = pick[0], ..., pick[count - 1] of the (., n) h (pick NULL:
+ * rows 0 .. count-1). */
 INLINE void
 measure(const double *restrict xt, Py_ssize_t nb, const double *restrict h,
-        Py_ssize_t m, Py_ssize_t n, double *restrict zt)
+        const Py_ssize_t *pick, Py_ssize_t count, Py_ssize_t n, double *restrict zt)
 {
     Py_ssize_t r, c, b;
 
-    for (r = 0; r < m; r++) {
+    for (r = 0; r < count; r++) {
+        const double *restrict hr = h + (pick ? pick[r] : r) * n;
         double *restrict zr = zt + r * BLOCK;
 
         for (b = 0; b < nb; b++)
             zr[b] = -0.0;
         for (c = 0; c < n; c++) {
             const double *restrict xc = xt + c * BLOCK;
-            double hrc = h[r * n + c];
+            double hrc = hr[c];
 
             if (hrc != 0.0)
                 for (b = 0; b < nb; b++)
                     zr[b] = zr[b] + xc[b] * hrc;
         }
     }
+}
+
+/* The classes of bitwise-equal rows of the (m, n) h: cls[j] is the class of
+ * row j, numbered in order of first appearance, and first[u] the first row
+ * of class u. Rows of one class give every particle the same z, so each
+ * class is measured once. Returns the number of classes. */
+static Py_ssize_t
+row_classes(const double *h, Py_ssize_t m, Py_ssize_t n, Py_ssize_t *cls, Py_ssize_t *first)
+{
+    Py_ssize_t j, u, count = 0;
+
+    for (j = 0; j < m; j++) {
+        for (u = 0; u < count; u++)
+            if (!memcmp(h + first[u] * n, h + j * n, n * sizeof(double)))
+                break;
+        if (u == count)
+            first[count++] = j;
+        cls[j] = u;
+    }
+    return count;
 }
 
 /* One sum over the particles: *acc + u[0] v[0] + u[1] v[1] + ... */
@@ -407,28 +442,38 @@ pad_sums(Sum *sums, Py_ssize_t count, const double *zeros, double *dummy)
     return count;
 }
 
-/* The weighted-moments pass of moments_rows and ukf_assess_rows over the
- * rows of x, with the mean weights wm and the covariance weights wc (the
- * particle filter passes its w as both). It adds the jitter root normals[i]
- * to each row in place and then renormalizes columns 0..3 when asked, and
- * writes mean = sum wm_i x_i and, when cov is not NULL, cov = sum wc_i dx_i
- * dx_i' + q with dx_i = x_i - mean. With m >= 1 readings it also writes
- * y_hat = sum wm_i z_i with z_i = h x_i (x_i itself when h is NULL),
- * s = sum wc_i dz_i dz_i' + r with dz_i = z_i - y_hat (its diagonal alone
- * with diagonal) and, when cross is not NULL, cross = sum wc_i dx_i dz_i'.
- * normals/root, q and r may each be NULL: no jitter, no q, no r. Each
- * covariance sums its upper triangle and mirrors it.
+/* The weighted-moments pass of moments_rows, ukf_assess_rows and
+ * weigh_rows over the rows of x, with the mean weights wm and the
+ * covariance weights wc (the particle filter passes its w as both). It adds
+ * the jitter root normals[i] to each row in place and then renormalizes
+ * columns 0..3 when asked, and writes mean = sum wm_i x_i and, when cov is
+ * not NULL, cov = sum wc_i dx_i dx_i' + q with dx_i = x_i - mean. With
+ * m >= 1 readings it also writes y_hat = sum wm_i z_i with z_i = h x_i (x_i
+ * itself when h is NULL), s = sum wc_i dz_i dz_i' + r with
+ * dz_i = z_i - y_hat (its diagonal alone with diagonal) and, when cross is
+ * not NULL, cross = sum wc_i dx_i dz_i'. normals/root, q and r may each be
+ * NULL: no jitter, no q, no r. Each covariance sums its upper triangle and
+ * mirrors it.
  *
- * scratch holds MOMENTS_SCRATCH(rows, n, m, states) doubles and sums
- * MOMENTS_SUMS(n, m, states) entries, states being whether cov or cross is
- * asked for. The first pass keeps every particle's z for the second, column
- * by column. */
+ * Rows of h that are equal bit for bit (row_classes) give the same z, so
+ * z, y_hat and dz are formed once per class of rows, and each sum of S
+ * (or C) once per ordered pair of classes (u(j), u(c)) with j <= c (per
+ * pair (j, u(c))), then copied to every entry of that pair. The pair is
+ * ordered: the term is (wc_i dz_a) dz_b, which need not round as
+ * (wc_i dz_b) dz_a does. Every entry keeps the bits of its own sum.
+ *
+ * scratch holds MOMENTS_SCRATCH(rows, n, m, states) doubles and tail
+ * MOMENTS_TAIL(n, m, states) bytes: the sums, then the classes, states
+ * being whether cov or cross is asked for. The first pass keeps every
+ * particle's z for the second, class by class. */
 #define MOMENTS_SCRATCH(rows, n, m, states) \
     ((2 * (n) + 3 * ((m) > (n) ? (m) : (n)) + 2 + ((states) ? 2 * (n) : 0)) * BLOCK \
      + (m) * (rows))
 #define MOMENTS_SUMS(n, m, states) \
     ((n) + (m) + (m) * ((m) + 1) / 2 + ((states) ? (n) * ((n) + 1) / 2 + (n) * (m) : 0) \
      + 2 * (LANES - 1))
+#define MOMENTS_TAIL(n, m, states) \
+    (MOMENTS_SUMS(n, m, states) * sizeof(Sum) + (m) * ((m) + 2) * sizeof(Py_ssize_t))
 
 /* Add add (NULL adds nothing) to the upper triangle of the (k, k) out and
  * mirror it, or, with diagonal, add add's diagonal to the k entries of out. */
@@ -467,31 +512,46 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
     double *restrict wdxt = dxt + (states ? n * BLOCK : 0);
     double *restrict zc = wdxt + (states ? n * BLOCK : 0);
     const double *z = h ? zt : xt;
+    Py_ssize_t *cls = (Py_ssize_t *)(sums + MOMENTS_SUMS(n, m, states));
+    Py_ssize_t *first = cls + m, *pair = first + m;
     Sum *prior = sums, *spread;
-    Py_ssize_t n_prior = 0, n_spread = 0, i0, nb, b, j, c;
-    double dummy;
+    Py_ssize_t n_prior = 0, n_spread = 0, classes = m, i0, nb, b, j, c, u, *at;
+    double dummy, *acc;
 
+    if (h)
+        classes = row_classes(h, m, n, cls, first);
+    else
+        for (j = 0; j < m; j++)
+            cls[j] = first[j] = j;
     memset(zeros, 0, BLOCK * sizeof(double));
     for (j = 0; j < n; j++)
         n_prior = add_sum(prior, n_prior, wt, xt + j * BLOCK, mean + j);
-    for (j = 0; h && j < m; j++)
-        n_prior = add_sum(prior, n_prior, wt, zt + j * BLOCK, y_hat + j);
+    for (u = 0; h && u < classes; u++)
+        n_prior = add_sum(prior, n_prior, wt, zt + u * BLOCK, y_hat + first[u]);
     n_prior = pad_sums(prior, n_prior, zeros, &dummy);
     /* the upper triangles, row by row (the lower mirrors them), or S's
-     * diagonal alone, then C */
+     * diagonal alone, then C; a sum of S or C accumulates into the first
+     * entry of its pair, whose offset pair[] keeps (-1: none yet) */
     spread = prior + n_prior;
     for (j = 0; cov && j < n; j++)
         for (c = j; c < n; c++)
             n_spread = add_sum(spread, n_spread, wdxt + j * BLOCK, dxt + c * BLOCK,
                                cov + j * n + c);
+    for (j = 0; j < classes * classes; j++)
+        pair[j] = -1;
     for (j = 0; j < m; j++)
-        for (c = j; c < (diagonal ? j + 1 : m); c++)
-            n_spread = add_sum(spread, n_spread, wdzt + j * BLOCK, dzt + c * BLOCK,
-                               diagonal ? s + j : s + j * m + c);
+        for (c = j; c < (diagonal ? j + 1 : m); c++) {
+            at = pair + cls[j] * classes + cls[c];
+            if (*at < 0) {
+                *at = diagonal ? j : j * m + c;
+                n_spread = add_sum(spread, n_spread, wdzt + cls[j] * BLOCK,
+                                   dzt + cls[c] * BLOCK, s + *at);
+            }
+        }
     for (j = 0; cross && j < n; j++)
-        for (c = 0; c < m; c++)
-            n_spread = add_sum(spread, n_spread, wdxt + j * BLOCK, dzt + c * BLOCK,
-                               cross + j * m + c);
+        for (u = 0; u < classes; u++)
+            n_spread = add_sum(spread, n_spread, wdxt + j * BLOCK, dzt + u * BLOCK,
+                               cross + j * m + first[u]);
     n_spread = pad_sums(spread, n_spread, zeros, &dummy);
 
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
@@ -499,7 +559,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
         to_columns(x + i0 * n, nb, n, n, xt);
         if (normals) {
             to_columns(normals + i0 * n, nb, n, n, et);
-            measure(et, nb, root, n, n, zt);
+            measure(et, nb, root, NULL, n, n, zt);
             for (j = 0; j < n; j++)
                 for (b = 0; b < nb; b++)
                     xt[j * BLOCK + b] = xt[j * BLOCK + b] + zt[j * BLOCK + b];
@@ -519,9 +579,9 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
         if (normals || quaternion)
             to_rows(xt, nb, n, n, x + i0 * n);
         if (h)
-            measure(xt, nb, h, m, n, zt);
-        for (j = 0; j < m; j++)
-            memcpy(zc + j * rows + i0, z + j * BLOCK, nb * sizeof(double));
+            measure(xt, nb, h, first, classes, n, zt);
+        for (u = 0; u < classes; u++)
+            memcpy(zc + u * rows + i0, z + u * BLOCK, nb * sizeof(double));
         memcpy(wt, wm + i0, nb * sizeof(double));
         run_sums(prior, n_prior, nb);
     }
@@ -536,15 +596,26 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
                 dxt[j * BLOCK + b] = xt[j * BLOCK + b] - mean[j];
                 wdxt[j * BLOCK + b] = wc[i0 + b] * dxt[j * BLOCK + b];
             }
-        for (j = 0; j < m; j++) {
-            const double *restrict zj = zc + j * rows + i0;
+        for (u = 0; u < classes; u++) {
+            const double *restrict zu = zc + u * rows + i0;
+            double yu = y_hat[first[u]];
 
             for (b = 0; b < nb; b++) {
-                dzt[j * BLOCK + b] = zj[b] - y_hat[j];
-                wdzt[j * BLOCK + b] = wc[i0 + b] * dzt[j * BLOCK + b];
+                dzt[u * BLOCK + b] = zu[b] - yu;
+                wdzt[u * BLOCK + b] = wc[i0 + b] * dzt[u * BLOCK + b];
             }
         }
         run_sums(spread, n_spread, nb);
+    }
+    /* every entry of a class, or of a pair of classes, takes its sum */
+    for (j = 0; j < m; j++) {
+        y_hat[j] = y_hat[first[cls[j]]];
+        for (c = j; c < (diagonal ? j + 1 : m); c++) {
+            acc = diagonal ? s + j : s + j * m + c;
+            *acc = s[pair[cls[j] * classes + cls[c]]];
+        }
+        for (c = 0; cross && c < n; c++)
+            cross[c * m + j] = cross[c * m + first[cls[j]]];
     }
     if (cov)
         symmetric(cov, n, q, 0);
@@ -553,27 +624,32 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
 }
 
 /* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as
- * measure skips the zeros of h. scratch holds (n + k + 1) BLOCK doubles. */
+ * measure skips the zeros of h, and measuring each class of equal rows of h
+ * once (row_classes). scratch holds (n + 2 k + 1) BLOCK doubles, then 2 k
+ * Py_ssize_t. */
 static void WIDE
 loglik(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *h,
        Py_ssize_t k, const double *l, const double *y, double *out, double *scratch)
 {
     double *restrict xt = scratch;
     double *restrict vt = xt + n * BLOCK;
-    double *restrict ss = vt + k * BLOCK;
-    Py_ssize_t i0, nb, b, j, c;
+    double *restrict zt = vt + k * BLOCK;
+    double *restrict ss = zt + k * BLOCK;
+    Py_ssize_t *cls = (Py_ssize_t *)(ss + BLOCK), *first = cls + k;
+    Py_ssize_t classes = row_classes(h, k, n, cls, first), i0, nb, b, j, c;
 
     for (i0 = 0; i0 < rows; i0 += BLOCK) {
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
         to_columns(x + i0 * n, nb, n, n, xt);
-        measure(xt, nb, h, k, n, vt);
+        measure(xt, nb, h, first, classes, n, zt);
         /* forward substitution, row j after rows 0 .. j-1 */
         for (j = 0; j < k; j++) {
             double *restrict vj = vt + j * BLOCK;
+            const double *restrict zj = zt + cls[j] * BLOCK;
             double ljj = l[j * k + j];
 
             for (b = 0; b < nb; b++)
-                vj[b] = y[j] - vj[b];
+                vj[b] = y[j] - zj[b];
             for (c = 0; c < j; c++) {
                 const double *restrict vc = vt + c * BLOCK;
                 double ljc = l[j * k + c];
@@ -593,6 +669,107 @@ loglik(const double *x, Py_ssize_t rows, Py_ssize_t n, const double *h,
         for (b = 0; b < nb; b++)
             out[i0 + b] = -0.5 * ss[b];
     }
+}
+
+/* exp(x) from +, -, * and selects alone, so every build gives the same
+ * bits (Muller, Elementary Functions, 2016, ch. 11; the reduction and the
+ * thresholds are fdlibm's). Cody-Waite reduction: k = x / ln 2 rounded to
+ * the nearest integer (ties to even) by adding and subtracting 1.5 2^52,
+ * and r = hi - lo with hi = x - k LN2_HI, exact, and lo = k LN2_LO, so
+ * |r| <= ln(2) / 2; e = (hi - r) - lo is the rounding error of r. Then
+ * exp(r) = 1 + (r + (r^2 p(r) + e)), p the Taylor polynomial
+ * 1/2! + r/3! + ... + r^11/13! by Estrin's scheme (pairs a + b r, then
+ * pairs of those times r^2, then r^4), and the result 2^k exp(r) as ldexp
+ * gives it: one multiply by 2^k when that is exact, else by 2^(k + 1022)
+ * and then 2^-1022 (a subnormal result, rounded once), or by 2^(k - 1) and
+ * then 2. 2^j is built from the bits of 1.5 2^52 + j. Below EXP_UNDER
+ * (-inf too) the result is 0, above EXP_OVER it is inf, and a NaN comes
+ * back as it is; these selects replace whatever the arithmetic gave there.
+ * Within 1 ulp of exp on [-745.2, 0]; exactly 1 at +-0. */
+#define EXP_SHIFT 6755399441055744.0 /* 1.5 2^52 */
+#define INV_LN2 1.4426950408889634
+#define LN2_HI 6.93147180369123816490e-01 /* 32 bits: k LN2_HI is exact */
+#define LN2_LO 1.90821492927058770002e-10
+#define EXP_UNDER -7.45133219101941108420e+02
+#define EXP_OVER 7.09782712893383973096e+02
+
+/* a where c is true, else b, by the bits: a select that the AVX2 build
+ * runs as one vector operation (a conditional over doubles is a branch
+ * there, since the comparisons may trap) */
+INLINE double
+pick(int c, double a, double b)
+{
+    uint64_t mask = -(uint64_t)c, ua, ub;
+
+    memcpy(&ua, &a, sizeof(ua));
+    memcpy(&ub, &b, sizeof(ub));
+    ua = (ua & mask) | (ub & ~mask);
+    memcpy(&a, &ua, sizeof(a));
+    return a;
+}
+
+INLINE double
+fixed_exp(double x)
+{
+    static const double p[12] = {
+        1.0 / 2, 1.0 / 6, 1.0 / 24, 1.0 / 120, 1.0 / 720, 1.0 / 5040, 1.0 / 40320,
+        1.0 / 362880, 1.0 / 3628800, 1.0 / 39916800, 1.0 / 479001600, 1.0 / 6227020800};
+    double t = x * INV_LN2 + EXP_SHIFT, k = t - EXP_SHIFT;
+    double hi = x - k * LN2_HI, lo = k * LN2_LO, r = hi - lo, e = (hi - r) - lo;
+    double r2 = r * r, r4 = r2 * r2, poly, y, k2, s1, s2;
+    int below = k < -1021.0, above = k > 1023.0;
+    uint64_t bits;
+
+    poly = ((p[0] + p[1] * r) + (p[2] + p[3] * r) * r2)
+           + r4 * (((p[4] + p[5] * r) + (p[6] + p[7] * r) * r2)
+                   + r4 * ((p[8] + p[9] * r) + (p[10] + p[11] * r) * r2));
+    y = 1.0 + (r + (r2 * poly + e));
+    k2 = pick(below, -1022.0, pick(above, 1.0, 0.0));
+    s2 = pick(below, 0x1p-1022, pick(above, 2.0, 1.0));
+    t = t - k2;
+    memcpy(&bits, &t, sizeof(bits));
+    bits = (bits + 1023) << 52;
+    memcpy(&s1, &bits, sizeof(s1));
+    y = (y * s1) * s2;
+    y = pick(x < EXP_UNDER, 0.0, y);
+    y = pick(x > EXP_OVER, INFINITY, y);
+    return pick(x != x, x, y);
+}
+
+/* The particle filter's weight pass of weigh_rows: out = w exp(loglik -
+ * max loglik) (the max is NaN when any entry is), normalized by its total
+ * summed in row order from -0.0, or 1/rows each when that total is not a
+ * finite number > 0, which it returns as 1; loglik NULL copies w. Then
+ * writes the ESS 1 / (out_0^2 + out_1^2 + ...), summed in row order from
+ * -0.0. Each sum runs in the loop that forms its terms. */
+static int WIDE
+weigh(const double *loglik, const double *w, Py_ssize_t rows, double *out, double *ess)
+{
+    double top, total = -0.0, squares = -0.0;
+    Py_ssize_t i;
+    int reset = 0;
+
+    if (!loglik) {
+        memcpy(out, w, rows * sizeof(double));
+        for (i = 0; i < rows; i++)
+            squares = squares + out[i] * out[i];
+    } else {
+        top = loglik[0];
+        for (i = 1; i < rows && top == top; i++)
+            if (!(loglik[i] <= top))
+                top = loglik[i];
+        for (i = 0; i < rows; i++) {
+            out[i] = w[i] * fixed_exp(loglik[i] - top);
+            total = total + out[i];
+        }
+        reset = !(isfinite(total) && total > 0.0);
+        for (i = 0; i < rows; i++) {
+            out[i] = reset ? 1.0 / (double)rows : out[i] / total;
+            squares = squares + out[i] * out[i];
+        }
+    }
+    *ess = 1.0 / squares;
+    return reset;
 }
 
 /* Cholesky factor of the diagonal block [lo, hi) of the (m, m) a into the
@@ -999,7 +1176,7 @@ moments_rows(PyObject *self, PyObject *args)
         goto fail;
     }
     scratch = PyMem_RawMalloc(MOMENTS_SCRATCH(rows, n, m, 0) * sizeof(double)
-                              + MOMENTS_SUMS(n, m, 0) * sizeof(Sum));
+                              + MOMENTS_TAIL(n, m, 0));
     if (!scratch) {
         PyErr_NoMemory();
         goto fail;
@@ -1045,7 +1222,8 @@ loglik_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "l, y and out are required");
         goto fail;
     }
-    scratch = PyMem_RawMalloc((n + k + 1) * BLOCK * sizeof(double));
+    scratch = PyMem_RawMalloc((n + 2 * k + 1) * BLOCK * sizeof(double)
+                              + 2 * k * sizeof(Py_ssize_t));
     if (!scratch) {
         PyErr_NoMemory();
         goto fail;
@@ -1056,6 +1234,58 @@ loglik_rows(PyObject *self, PyObject *args)
     PyMem_RawFree(scratch);
     release_all(v);
     Py_RETURN_NONE;
+fail:
+    release_all(v);
+    return NULL;
+}
+
+static PyObject *
+weigh_rows(PyObject *self, PyObject *args)
+{
+    PyObject *lo, *wo, *xo, *outo, *meano, *varo;
+    Py_buffer v[MAX_VIEWS] = {{0}};
+    double *loglik, *w, *x, *out, *mean, *var, *scratch, limit, ess;
+    Py_ssize_t rows, n, size;
+    int reset, resample;
+
+    if (!PyArg_ParseTuple(args, "OOOdOOO:weigh_rows", &lo, &wo, &xo, &limit, &outo, &meano,
+                          &varo))
+        return NULL;
+    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0)
+        goto fail;
+    rows = x ? v[0].shape[0] : 0;
+    n = x ? v[0].shape[1] : 0;
+    if (rows < 1 || n < 1) {
+        PyErr_SetString(PyExc_ValueError, "x must be a non-empty (N, n) array");
+        goto fail;
+    }
+    if (get_shaped(lo, &v[1], PyBUF_SIMPLE, 1, rows, -1, "loglik", &loglik) < 0
+        || get_shaped(wo, &v[2], PyBUF_SIMPLE, 1, rows, -1, "w", &w) < 0
+        || get_shaped(outo, &v[3], PyBUF_WRITABLE, 1, rows, -1, "out", &out) < 0
+        || get_shaped(meano, &v[4], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
+        || get_shaped(varo, &v[5], PyBUF_WRITABLE, 1, n, -1, "var", &var) < 0)
+        goto fail;
+    if (!w || !out || !mean || !var) {
+        PyErr_SetString(PyExc_ValueError, "w, out, mean and var are required");
+        goto fail;
+    }
+    /* moments's scratch, then the y_hat it writes, then its tail */
+    size = MOMENTS_SCRATCH(rows, n, n, 0) + n;
+    scratch = PyMem_RawMalloc(size * sizeof(double) + MOMENTS_TAIL(n, n, 0));
+    if (!scratch) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    reset = weigh(loglik, w, rows, out, &ess);
+    resample = ess < limit;
+    if (!resample)
+        moments(x, rows, n, NULL, NULL, 0, out, out, NULL, NULL, n, NULL, mean, NULL,
+                scratch + size - n, var, 1, NULL, scratch, (Sum *)(scratch + size));
+    Py_END_ALLOW_THREADS
+    PyMem_RawFree(scratch);
+    release_all(v);
+    return Py_BuildValue("(NN)", PyBool_FromLong(reset), PyBool_FromLong(resample));
 fail:
     release_all(v);
     return NULL;
@@ -1282,11 +1512,11 @@ ukf_assess_rows(PyObject *self, PyObject *args)
         goto fail;
     }
     /* moments's scratch, then a and l of the sigma set, the set, its mean,
-     * y_hat, the aligned reading, L^-1 nu, the factor of S_det and the sums
+     * y_hat, the aligned reading, L^-1 nu, the factor of S_det and the tail
      * of moments */
     size = MOMENTS_SCRATCH(rows, n, m, 1);
     scratch = PyMem_RawMalloc((size + 2 * n * n + rows * n + n + 3 * m + m * m) * sizeof(double)
-                              + MOMENTS_SUMS(n, m, 1) * sizeof(Sum));
+                              + MOMENTS_TAIL(n, m, 1));
     if (!scratch) {
         PyErr_NoMemory();
         goto fail;
@@ -1790,6 +2020,11 @@ static PyMethodDef methods[] = {
     {"loglik_rows", loglik_rows, METH_VARARGS,
      "loglik_rows(x, h, l, y, out)\n--\n\n"
      "Write each particle's Gaussian log-likelihood of y, up to a constant."},
+    {"weigh_rows", weigh_rows, METH_VARARGS,
+     "weigh_rows(loglik, w, x, limit, out, mean, var)\n--\n\n"
+     "Write the particle weights w exp(loglik - max), normalized; unless their ESS\n"
+     "is below limit, write the cloud's weighted mean and marginal variance.\n"
+     "Return (reset, resample)."},
     {"factor_rows", factor_rows, METH_VARARGS,
      "factor_rows(a, bounds, nu, l)\n--\n\n"
      "Cholesky-factor each diagonal block of a into l; return each block's NIS."},

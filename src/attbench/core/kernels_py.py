@@ -2,15 +2,18 @@
 ``*_rows`` function here is the ``_kernels_c`` entry of the same name and
 parameters. ``step_rows`` is the batched rigid-body RK4 step,
 ``moments_rows`` and ``loglik_rows`` the particle filter's two cloud
-passes, ``factor_rows`` the Kalman step's Cholesky factor and NIS, and
-``points_rows``, ``ekf_assess_rows``, ``ukf_assess_rows`` and
-``gauss_update_rows`` the Gaussian step's fused passes, built from the
-private ``_sigma_rows``, ``_ekf_rows`` and ``_update_rows`` in the order the
-compiled passes run them, ``csv_rows`` the CSV export's formatting,
-``normal_rows`` numpy's standard normal draws and ``resample_rows`` the
-particle filter's systematic resampling (``systematic_index``) and gather.
-``_sigma_rows`` is the one weighted-moments body: ``moments_rows`` calls it
-after the jitter, and ``ukf_assess_rows`` for both of its moment steps.
+passes and ``weigh_rows`` its weight pass (``fixed_exp``, the
+normalization, the ESS and the posterior moments), ``factor_rows`` the
+Kalman step's Cholesky factor and NIS, and ``points_rows``,
+``ekf_assess_rows``, ``ukf_assess_rows`` and ``gauss_update_rows`` the
+Gaussian step's fused passes, built from the private ``_sigma_rows``,
+``_ekf_rows`` and ``_update_rows`` in the order the compiled passes run
+them, ``csv_rows`` the CSV export's formatting, ``normal_rows`` numpy's
+standard normal draws and ``resample_rows`` the particle filter's
+systematic resampling (``systematic_index``) and gather. ``_sigma_rows`` is
+the one weighted-moments body: ``moments_rows`` calls it after the jitter,
+``ukf_assess_rows`` for both of its moment steps and ``weigh_rows`` (through
+``moments_rows``) for the posterior moments.
 The ``checked_*`` functions validate arguments for ``attbench.core``'s
 wrappers; the wrappers, not this module, are the kernel API.
 
@@ -26,7 +29,9 @@ Jacobian) sums over its columns from column 0, starting from -0.0 (which
 leaves the first term unchanged) and skipping the terms whose coefficient
 is exactly zero, so a 0/1 selection row costs one term; where the fallback
 sums whole arrays of terms, a skipped term becomes -0.0, which no sum
-notices. Nothing here uses ``@``, ``np.sum`` (pairwise) or ``einsum``.
+notices. Nothing here uses ``@``, ``np.sum`` (pairwise) or ``einsum``, and
+the weight pass's exp is ``fixed_exp``, not ``np.exp``, whose bits depend on
+the loop numpy dispatches for the CPU.
 
 The Cholesky layer (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2002, ch. 10) works on Python floats, whose +, -, *, / and
@@ -135,12 +140,17 @@ def _product(x, h):
     """h x_i for every row x_i of the (M, n) ``x``, as an (m, M) array z:
     z[r] sums x[:, c] h[r, c] over the columns in order, from -0.0,
     skipping the columns where h[r, c] == 0 (a selection row costs one
-    term)."""
+    term). A row of h equal bit for bit to an earlier one copies its z."""
     cols = np.ascontiguousarray(x.T)
     z = np.empty((len(h), len(x)))
-    for r, row in enumerate(h.tolist()):
+    first = {}
+    for r, row in enumerate(h):
+        done = first.setdefault(row.tobytes(), r)
+        if done < r:
+            z[r] = z[done]
+            continue
         acc = np.full(len(x), -0.0)
-        for c, coef in enumerate(row):
+        for c, coef in enumerate(row.tolist()):
             if coef != 0.0:
                 acc = acc + cols[c] * coef
         z[r] = acc
@@ -255,6 +265,95 @@ def loglik_rows(x, h, l, y, out):
         for vj in v:
             ss = ss + vj * vj
         out[:] = -0.5 * ss
+
+
+# fixed_exp's constants: 1.5 2^52, which rounds a sum to an integer; the
+# Cody-Waite split of ln 2 (LN2_HI has 32 bits, so k LN2_HI is exact);
+# 1/2!, ..., 1/13!; and the arguments below and above which exp rounds to 0
+# and overflows
+_EXP_SHIFT = 6755399441055744.0
+_INV_LN2 = 1.4426950408889634
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_EXP_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(2, 14))
+_EXP_UNDER = -7.45133219101941108420e+02
+_EXP_OVER = 7.09782712893383973096e+02
+
+
+def fixed_exp(x):
+    """exp of each entry of the float64 array ``x``, from +, -, * and
+    selects alone, so every CPU gives the same bits (Muller, *Elementary
+    Functions*, 2016, ch. 11; the reduction and thresholds are fdlibm's).
+
+    Cody-Waite reduction: k = x / ln 2 rounded to the nearest integer (ties
+    to even) by adding and subtracting 1.5 2^52, and r = hi - lo with
+    hi = x - k LN2_HI (exact) and lo = k LN2_LO, so |r| <= ln(2) / 2;
+    e = (hi - r) - lo is the rounding error of r. Then
+    exp(r) = 1 + (r + (r^2 p(r) + e)), p the Taylor polynomial
+    1/2! + r/3! + ... + r^11/13! by Estrin's scheme (pairs a + b r, then
+    pairs of those times r^2, then r^4), and 2^k exp(r) as ``ldexp`` gives
+    it: one multiply by 2^k when that is exact, else by 2^(k + 1022) and
+    then 2^-1022 (a subnormal result, rounded once) or by 2^(k - 1) and then
+    2. 2^j is built from the bits of 1.5 2^52 + j. Below -745.133... (and at
+    -inf) the result is 0, above 709.78... it is inf, and a NaN comes back
+    as it is; these selects replace whatever the arithmetic gave there.
+    Within 1 ulp of exp on [-745.2, 0]; exactly 1 at +-0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    p = _EXP_TAYLOR
+    with np.errstate(all="ignore"):
+        t = x * _INV_LN2 + _EXP_SHIFT
+        k = t - _EXP_SHIFT
+        hi = x - k * _LN2_HI
+        lo = k * _LN2_LO
+        r = hi - lo
+        e = (hi - r) - lo
+        r2 = r * r
+        r4 = r2 * r2
+        poly = (((p[0] + p[1] * r) + (p[2] + p[3] * r) * r2)
+                + r4 * (((p[4] + p[5] * r) + (p[6] + p[7] * r) * r2)
+                        + r4 * ((p[8] + p[9] * r) + (p[10] + p[11] * r) * r2)))
+        y = 1.0 + (r + (r2 * poly + e))
+        below, above = k < -1021.0, k > 1023.0
+        k2 = np.where(below, -1022.0, np.where(above, 1.0, 0.0))
+        s2 = np.where(below, 2.0 ** -1022, np.where(above, 2.0, 1.0))
+        s1 = (((t - k2).view(np.uint64) + np.uint64(1023)) << np.uint64(52)).view(np.float64)
+        y = (y * s1) * s2
+        y = np.where(x < _EXP_UNDER, 0.0, y)
+        y = np.where(x > _EXP_OVER, np.inf, y)
+        return np.where(x != x, x, y)
+
+
+def weigh_rows(loglik, w, x, limit, out, mean, var):
+    """The particle filter's weight pass, over float64 arrays: the (N,)
+    log-likelihoods ``loglik`` (None: keep the weights), the (N,) prior
+    weights ``w`` and the (N, n) cloud ``x``.
+
+    ``out`` = w ``fixed_exp``(loglik - max loglik) (the max is NaN when any
+    entry is), divided by its total, ``fixed_sum``'s; when that total is not
+    a finite number > 0, ``out`` is 1/N each instead (a reset). Then the ESS
+    1 / (out_0^2 + out_1^2 + ...), summed the same way, and resample =
+    ESS < ``limit``. Unless it resamples, ``mean`` and ``var`` get the
+    weighted mean and marginal variance of the cloud under ``out``, as
+    ``moments_rows`` writes them without a jitter, H or R, S's diagonal
+    alone. Returns (reset, resample).
+    """
+    reset = False
+    with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
+        if loglik is None:
+            out[:] = w
+        else:
+            out[:] = w * fixed_exp(loglik - loglik.max())
+            total = fixed_sum(out)
+            reset = not (np.isfinite(total) and total > 0.0)
+            if reset:
+                out[:] = 1.0 / len(out)
+            else:
+                out /= total
+        resample = bool(1.0 / fixed_sum(out * out) < limit)
+    if not resample:
+        moments_rows(x, None, None, None, out, None, False, mean, np.empty(len(mean)), var)
+    return reset, resample
 
 
 def checked_factor(a, nu=None, bounds=None):

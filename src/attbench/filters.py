@@ -39,13 +39,15 @@ share that one factor. No LAPACK or BLAS kernel choice reaches any part of
 the Gaussian step, and each fused pass has the bits of the same chain run
 one kernel at a time (the moments, ``align``, ``nis``, ``cholesky``, the
 Kalman update and ``normalize_rows``). The particle filter reweights
-particles instead. Its
-per-particle arithmetic (jitter, renormalization, the predicted reading,
-the moments and the log-likelihood) runs in two compiled passes of
-``attbench.core``, whose every sum over the particles has a fixed order,
-so no BLAS kernel choice reaches its estimates; the numpy fallback gives the
-same bits. Its random draws and its systematic resampling are compiled
-entries of ``attbench.core`` too, with numpy's bits.
+particles instead. Its per-particle arithmetic (jitter, renormalization,
+the predicted reading, the moments and the log-likelihood) runs in two
+compiled passes of ``attbench.core`` and its weight update (a fixed exp,
+the normalization, the ESS and the posterior moments) in a third. Every
+sum over the particles has a fixed order, so no BLAS kernel choice and no
+numpy loop chosen for the CPU reaches its weights or estimates; the numpy
+fallback gives the same bits. Its random draws and its systematic
+resampling are compiled entries of ``attbench.core`` too, with numpy's
+bits.
 
 The ``decide`` hook on each ``step`` lets a detector inspect the innovation
 record before the measurement update and either skip the update or restrict
@@ -102,11 +104,15 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Weighted particle belief. ``resets`` counts degenerate-weight resets."""
+    """Weighted particle belief. ``resets`` counts degenerate-weight resets;
+    ``mean`` and ``var`` are the weighted mean and marginal variance of the
+    states, when the step that made the set formed them (else None)."""
 
     states: np.ndarray
     weights: np.ndarray
     resets: int = 0
+    mean: np.ndarray = None
+    var: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -347,11 +353,12 @@ class FilterConfig:
                 "measurement expects state dim %d, process has %d"
                 % (self.measurement.state_dim, n)
             )
-        check_tunables(self)
+        check_tunables(self, n)
 
 
-def check_tunables(cfg):
-    """Range rules of FilterConfig's tunables, read off any object that has them."""
+def check_tunables(cfg, dim):
+    """Range rules of FilterConfig's tunables, read off any object that has
+    them, for a filter of ``dim`` states."""
     if not cfg.fd_eps > 0.0:
         raise FieldError("fd_eps", "must be positive")
     if not 0.0 < cfg.ukf_alpha <= 1.0:
@@ -362,6 +369,10 @@ def check_tunables(cfg):
         raise FieldError("ukf_detector_r", "must be >= 0")
     if cfg.pf_particles < 10:
         raise FieldError("pf_particles", "must be >= 10")
+    # the particle cloud is one (pf_particles, dim) float64 array
+    if cfg.pf_particles * dim * 8 > np.iinfo(np.intp).max:
+        raise FieldError("pf_particles", "%d particles of %d states are more than one array "
+                         "can hold" % (cfg.pf_particles, dim))
     if not 0.0 < cfg.pf_ess_threshold <= 1.0:
         raise FieldError("pf_ess_threshold", "must be in (0, 1]")
 
@@ -588,25 +599,30 @@ class PfFilter:
     pre-update weights: predicted measurement mean and covariance (plus R),
     so the same chi-square machinery monitors all three filters.
 
-    A step is the model's ``propagate`` and two compiled cloud passes
-    (``moments_rows`` and ``loglik_rows`` of the active ``attbench.core``
-    backend, whose numpy fallbacks give the same bits), called directly with
-    the jitter root, H and R fixed when the filter is built, and each row
-    set's H and L once, when it is first cached. The first adds the jitter L e
-    (L L' = Q), then renormalizes the quaternion when the model's rows carry
-    one (``quaternion_rows``), and sums the prior mean, the predicted reading
-    and S over the cloud; the second gives each particle's log-likelihood
-    on the healthy rows, through L = chol(R) of those rows. Every sum over
-    the particles runs in row order from row 0, and every product over the
-    state in column order, so the cloud and its weights do not depend on
-    which BLAS kernels the CPU selects. The record's NIS (``compute_nis``)
-    and both L come from the fixed-order Cholesky of ``attbench.core`` too
-    (the jitter root falls back to LAPACK's ``eigh`` only for a Q that is
-    not positive definite). The jitter normals, and the initial cloud's,
-    are ``core.normals`` (``Generator.standard_normal``'s bits), and
-    systematic resampling with its gather is one pass, ``core.resample``.
-    The weight update (max shift, exp, normalization) and the ESS stay in
-    numpy.
+    A step is the model's ``propagate`` and three compiled passes
+    (``moments_rows``, ``loglik_rows`` and ``weigh_rows`` of the active
+    ``attbench.core`` backend, whose numpy fallbacks give the same bits),
+    called directly with the jitter root, H and R fixed when the filter is
+    built, and each row set's H and L once, when it is first cached. The
+    first adds the jitter L e (L L' = Q), then renormalizes the quaternion
+    when the model's rows carry one (``quaternion_rows``), and sums the
+    prior mean, the predicted reading and S over the cloud; the second gives
+    each particle's log-likelihood on the healthy rows, through L = chol(R)
+    of those rows (a skipped update runs no second pass); the third shifts
+    the log-likelihoods by their max, takes a fixed exp
+    (``kernels_py.fixed_exp``), multiplies by the prior weights, normalizes
+    (or resets the weights to uniform when their total is not a finite
+    number > 0), sums the ESS and, unless the step resamples, forms the
+    posterior mean and marginal variance, which the new set carries for
+    ``estimate_stats``. Every sum over the particles runs in row order from
+    row 0, and every product over the state in column order, so the cloud
+    and its weights do not depend on which BLAS kernels or numpy loops the
+    CPU selects. The record's NIS (``compute_nis``) and both L come from the
+    fixed-order Cholesky of ``attbench.core`` too (the jitter root falls
+    back to LAPACK's ``eigh`` only for a Q that is not positive definite).
+    The jitter normals, and the initial cloud's, are ``core.normals``
+    (``Generator.standard_normal``'s bits), and systematic resampling with
+    its gather is one pass, ``core.resample``.
     """
 
     source = "pf"
@@ -621,6 +637,7 @@ class PfFilter:
         self._root = np.ascontiguousarray(_psd_sqrt(cfg.Q))
         self._h, self._r = self.meas.H, self.meas.R
         self._quaternion = bool(self.model.quaternion_rows)
+        self._ess_limit = cfg.pf_ess_threshold * self.n
         self._row_models = {}
         self._all_rows = np.arange(self.meas.dim)
         try:
@@ -661,28 +678,20 @@ class PfFilter:
         # the bare particle filter weighs every row: a non-finite reading
         # reaches the degenerate-weight reset below
         rows = None if decide is None else _update_rows(self.meas, record, decide)
-        resets = pset.resets
-        if rows is not None and not rows.size:
-            new_w = w.copy()
-        else:
+        loglik = None  # a skipped update keeps the weights
+        if rows is None or rows.size:
             rows = self._all_rows if rows is None else rows
-            # non-finite residuals reach the degenerate-weight reset below
+            # non-finite residuals reach the weight pass's degenerate-weight reset
             loglik = np.empty(self.n)
             core._kernels.loglik_rows(x, *self._likelihood_rows(rows), y_al[rows], loglik)
-            scaled = loglik - loglik.max()
-            new_w = w * np.exp(scaled)
-            total = new_w.sum()
-            if not np.isfinite(total) or total <= 0.0:
-                new_w = np.full(self.n, 1.0 / self.n)
-                resets += 1
-            else:
-                new_w = new_w / total
-
-        ess = 1.0 / float(new_w @ new_w)
-        if ess < self.cfg.pf_ess_threshold * self.n:
+        new_w, mean, var = np.empty(self.n), np.empty(self.model.dim), np.empty(self.model.dim)
+        reset, resample = core._kernels.weigh_rows(loglik, w, x, self._ess_limit, new_w, mean,
+                                                   var)
+        resets = pset.resets + reset
+        if resample:
             x = core.resample(x, new_w, self.rng.random())
-            new_w = np.full(self.n, 1.0 / self.n)
-        return ParticleSet(x, new_w, resets), record
+            return ParticleSet(x, np.full(self.n, 1.0 / self.n), resets), record
+        return ParticleSet(x, new_w, resets, mean, var), record
 
 
 FILTER_KINDS = ("ekf", "ukf", "pf")
@@ -707,13 +716,17 @@ def estimate_stats(belief, model):
 
     Gaussian beliefs return (mu, diag Sigma), the diagonal as a read-only
     view of Sigma; particle sets return the weighted mean and weighted
-    marginal variance, from the fixed-order sums of ``core.cloud_moments``.
-    The point estimate goes through the model's ``normalize_rows`` (attitude
-    models renormalize its quaternion part).
+    marginal variance, from the fixed-order sums of ``core.cloud_moments``:
+    the ones the set carries, which the particle filter's weight pass formed
+    by that same pass, else from the cloud. The point estimate goes through
+    the model's ``normalize_rows`` (attitude models renormalize its
+    quaternion part).
     """
     if isinstance(belief, GaussianBelief):
         mu = belief.mu
         var = belief.sigma.diagonal()
+    elif belief.mean is not None:
+        mu, var = belief.mean, belief.var
     else:
         mu, _, var = core.cloud_moments(belief.states, belief.weights, diagonal=True)
     return model.normalize_rows(mu), var

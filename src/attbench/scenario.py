@@ -244,7 +244,7 @@ class ScenarioConfig:
             raise FieldError("x0", "must have %d entries with bias_states %s, got %d"
                              % (dim, str(self.bias_states).lower(), np.size(self.x0)))
         FdirSupervisor.check_policy(self.policy)
-        check_tunables(self)
+        check_tunables(self, dim)
         for name in ("q_attitude", "q_rates", "q_bias"):
             if not getattr(self, name) >= 0.0:
                 raise FieldError(name, "must be nonnegative")

@@ -80,6 +80,20 @@ def test_a_horizon_no_array_can_hold_is_a_config_error(tmp_path, capsys, old, ne
     assert "configuration error: %s: t_end: t_end / dt = " % path in capsys.readouterr().err
 
 
+def test_a_particle_cloud_no_array_can_hold_is_a_config_error(tmp_path, capsys):
+    """A particle count past the >= 10 rule whose (N, 7) float64 cloud would
+    not fit in memory addressing stops at the config check, exit 1, named by
+    its key, not in numpy's allocation, exit 2."""
+    text = (files("attbench") / "scenarios" / "spike_isolation.yaml").read_text()
+    assert "  kind: ekf\n" in text
+    path = tmp_path / "huge.yaml"
+    path.write_text(text.replace("  kind: ekf\n", "  kind: pf\n  pf: {particles: %d}\n" % 10 ** 30))
+    code = main(["fdir", str(path), "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert ("configuration error: %s: filter.pf.particles: %d particles of 7 states"
+            % (path, 10 ** 30)) in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
     code = main(["estimate", "warp_drive", "-o", str(tmp_path / "x.csv")])
     assert code == 1

@@ -453,9 +453,10 @@ def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
     """The particle filter checks its jitter root, H and R when built, and
     each row set's H and L when it first caches the set: whatever the hook
     answers, a step runs neither cloud validator and calls the backend's
-    cloud passes directly, the jitter draw once, the moments once and the
-    log-likelihood once unless the update is skipped, and the resampling
-    gather last, once, exactly when it leaves uniform weights."""
+    cloud passes directly, the jitter draw once, the moments once, the
+    log-likelihood once unless the update is skipped, the weight pass once
+    after it, and the resampling gather last, once, exactly when it leaves
+    uniform weights."""
     cfg = rigid_config(True)
     cfg.pf_particles = 100
     pf = flt.PfFilter(cfg, np.random.default_rng(6))
@@ -478,7 +479,7 @@ def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
         passes = [name for name in counting.calls if name != "factor_rows"]
         resampled = passes[-1] == "resample_rows"
         assert passes == (["step_rows", "normal_rows", "moments_rows"]
-                          + ([] if skipped else ["loglik_rows"])
+                          + ([] if skipped else ["loglik_rows"]) + ["weigh_rows"]
                           + (["resample_rows"] if resampled else []))
         if resampled:
             npt.assert_array_equal(pset.weights, np.full(100, 1.0 / 100))
@@ -818,11 +819,10 @@ def test_filter_steps_have_one_set_of_bits_on_every_dispatch_path(tmp_path):
     or weights, and NIS, under every OpenBLAS core type the host can run and
     with numpy's AVX-512 loops masked. The readings, the principal moments
     and the whole filter config are made once here and handed over by file,
-    so only the filter steps run under each dispatch path.
-
-    The particle filter is left out of the masked-AVX-512 run: its weight
-    update calls ``np.exp``, whose AVX-512 and AVX2 loops differ in the
-    last bit.
+    so only the filter steps run under each dispatch path. The particle
+    filter is in every run: its weights come from the fixed-order exp and
+    sums of the weight pass, not from ``np.exp``, whose AVX-512 and AVX2
+    loops differ in the last bit.
     """
     from attbench.runner import build_filter_config, sample_measurements, simulate_truth
     from attbench.scenario import load_bundled, with_overrides
@@ -857,5 +857,4 @@ def test_filter_steps_have_one_set_of_bits_on_every_dispatch_path(tmp_path):
             paths += 1
     assert paths, "the host runs none of the OpenBLAS core types"
     if AVX512_TARGETS:
-        masked = hashes(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
-        assert {k: masked[k] for k in ("ekf", "ukf")} == {k: default[k] for k in ("ekf", "ukf")}
+        assert hashes(NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS)) == default

@@ -1230,3 +1230,216 @@ def test_resample_rejects_a_negative_weight_on_both_backends():
     for backend in _csv_backends():
         with pytest.raises(ValueError, match="negative"):
             backend.resample_rows(x, np.array([0.5, 0.7, -0.2]), 0.5, np.empty_like(x))
+
+
+def exp_grid():
+    """A dense grid over [-745.2, 0], where a particle's shifted
+    log-likelihood lies, and a finer one over [-745.2, -708], the band
+    whose exp is subnormal."""
+    return np.concatenate([np.linspace(-745.2, 0.0, 1_000_001),
+                           np.linspace(-745.2, -708.0, 200_001)])
+
+
+def test_fixed_exp_is_within_one_ulp_of_math_exp():
+    """The weight pass's exp is within 1 ulp of ``math.exp`` over the grid,
+    subnormal results included, and exact at the edges: 1 at +-0, +0 below
+    the underflow threshold and at -inf, inf above the overflow one, NaN
+    for NaN."""
+    grid = exp_grid()
+    got = kernels_py.fixed_exp(grid)
+    want = np.array([math.exp(v) for v in grid.tolist()])
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+    assert 0.0 < got[grid > -745.1].min() < np.finfo(float).tiny  # the band is covered
+    edges = kernels_py.fixed_exp(np.array([0.0, -0.0, -745.14, -1e300, -np.inf, 709.8, np.inf,
+                                           np.nan]))
+    assert edges[:5].tobytes() == np.array([1.0, 1.0, 0.0, 0.0, 0.0]).tobytes()
+    assert edges[5:7].tolist() == [np.inf, np.inf] and np.isnan(edges[7])
+
+
+def weigh(loglik, w, x, limit):
+    """(reset, resample, weights, mean, var) of the active backend's weight
+    pass; mean and var are NaN where it leaves them unwritten."""
+    out, mean, var = np.empty(len(w)), np.full(x.shape[1], np.nan), np.full(x.shape[1], np.nan)
+    return (*core._kernels.weigh_rows(loglik, w, x, limit, out, mean, var), out, mean, var)
+
+
+def test_the_weight_pass_has_the_fallbacks_exp_on_the_grid():
+    """Over chunks of the exp grid (w = 1, so each weight is exp of its
+    shifted log-likelihood over their total), the weight pass gives the
+    fallback's bits: the compiled exp is the fallback's."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: weight-pass parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    for chunk in np.array_split(exp_grid(), 1200):
+        x = chunk[:, None].copy()
+        active, fallback = on_each_backend(weigh, chunk, np.ones(len(chunk)), x, 0.0)
+        assert all(same_bits(a, b) for a, b in zip(active, fallback, strict=True))
+
+
+@st.composite
+def weight_inputs(draw):
+    """One weight pass's arguments: N particles of n states around the
+    compiled pass's vector widths, log-likelihoods that are random, all
+    equal, or with one particle far above the rest (the others underflow),
+    or None (a skipped update), perhaps with NaN and +-inf entries; prior
+    weights with exact zeros, or all zero; and a limit that never, sometimes
+    or always resamples."""
+    rows = draw(st.sampled_from((1, 2, 3, 5, 64, 65, 1000)))
+    n = draw(st.sampled_from((1, 7, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.standard_normal((rows, n))
+    loglik = -rng.exponential(10.0 ** draw(st.integers(-3, 3)), rows)
+    kind = draw(st.sampled_from(("random", "equal", "dominant", "skipped")))
+    if kind == "equal":
+        loglik[:] = loglik[0]
+    elif kind == "dominant":
+        loglik[rng.integers(rows)] = 800.0
+    bad = draw(st.lists(st.sampled_from((np.nan, np.inf, -np.inf)), max_size=2))
+    loglik[rng.choice(rows, size=min(len(bad), rows), replace=False)] = bad[:rows]
+    w = rng.random(rows)
+    w[rng.random(rows) < draw(st.sampled_from((0.0, 0.3, 1.0)))] = 0.0
+    limit = draw(st.sampled_from((0.0, 0.5, 0.9, 1.0, np.inf))) * rows
+    return None if kind == "skipped" else loglik, w / max(w.sum(), 1.0), x, limit
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weight_inputs())
+def check_weight_pass(args):
+    active, fallback = on_each_backend(weigh, *args)
+    assert all(same_bits(a, b) for a, b in zip(active, fallback, strict=True))
+
+
+def test_weight_pass_backends_agree_bitwise():
+    """Property: the weight pass gives the fallback's bits: the reset and
+    resample flags, the weights, and the moments where it writes them, on
+    NaN and +-inf log-likelihoods, zero prior weights, one dominant
+    particle, equal log-likelihoods, a skipped update and N = 1."""
+    if core.BACKEND != "compiled":
+        warnings.warn("compiled kernel absent: weight-pass parity compares the numpy "
+                      "fallback with itself", stacklevel=1)
+    check_weight_pass()
+
+
+def test_the_weight_pass_resets_and_resamples_as_the_filter_did(backend):
+    """The degenerate-weight reset and the resampling test are those of the
+    numpy update the pass replaced: a NaN log-likelihood, all logs at
+    -inf, or all prior weights zero give 1/N each and reset; uniform weights
+    resample only under a limit above N."""
+    x = np.zeros((4, 2))
+    uniform = np.full(4, 0.25)
+    for loglik, w in ((np.array([0.0, np.nan, 1.0, 2.0]), uniform),
+                      (np.full(4, -np.inf), uniform), (np.zeros(4), np.zeros(4))):
+        reset, resample, out, _, _ = weigh(loglik, w, x, 0.0)
+        assert (reset, resample) == (True, False)
+        assert out.tobytes() == uniform.tobytes()
+    assert weigh(np.zeros(4), uniform, x, 4.0)[:2] == (False, False)
+    assert weigh(None, uniform, x, 4.5)[:2] == (False, True)
+
+
+def test_the_weight_pass_carries_the_cloud_moments(backend):
+    """Unless it resamples, the weight pass writes the weighted mean and
+    marginal variance that ``core.cloud_moments(x, w_new, diagonal=True)``
+    gives, bit for bit; a particle filter step hands them on in its set,
+    and ``estimate_stats`` returns them."""
+    rng = np.random.default_rng(17)
+    for rows, n in ((1, 7), (65, 7), (1000, 10)):
+        x = rng.standard_normal((rows, n))
+        _, resample, out, mean, var = weigh(-rng.exponential(1.0, rows), np.full(rows, 1.0 / rows),
+                                            x, 0.0)
+        want_mean, _, want_var = core.cloud_moments(x, out, diagonal=True)
+        assert not resample
+        assert (mean.tobytes(), var.tobytes()) == (want_mean.tobytes(), want_var.tobytes())
+    cfg = flt.FilterConfig(
+        process=flt.RigidBodyProcessModel(INERTIA, 0.1),
+        measurement=flt.attitude_measurement(make_layout(), {"star_tracker": (1e-3,) * 4,
+                                                             "magnetometer": (1e-2,) * 4,
+                                                             "gyro": (2.5e-5,) * 3}, 7),
+        Q=1e-6 * np.eye(7), x0=np.r_[1.0, 0.0, 0.0, 0.0, 0.01, -0.02, 0.03],
+        P0=1e-4 * np.eye(7), pf_particles=200)
+    pf = flt.PfFilter(cfg, np.random.default_rng(3))
+    pset, carried = pf.initial_belief(), 0
+    for k in range(1, 11):
+        pset, _ = pf.step(pset, cfg.measurement.H @ cfg.x0, 0.1 * k)
+        if pset.mean is None:
+            continue
+        carried += 1
+        want_mean, _, want_var = core.cloud_moments(pset.states, pset.weights, diagonal=True)
+        assert (pset.mean.tobytes(), pset.var.tobytes()) == (want_mean.tobytes(),
+                                                             want_var.tobytes())
+        mu, var = flt.estimate_stats(pset, cfg.process)
+        assert var is pset.var
+        assert mu.tobytes() == cfg.process.normalize_rows(want_mean).tobytes()
+    assert carried
+
+
+def twin_rows(h):
+    """``h`` with each row that repeats an earlier one made distinct bit for
+    bit, but not in value: its zero entries become -0.0."""
+    twin = h.copy()
+    for j in range(len(h)):
+        if any(h[j].tobytes() == h[i].tobytes() for i in range(j)):
+            twin[j][h[j] == 0.0] = -0.0
+    return twin
+
+
+def repeated_row_cases():
+    """(name, H) with rows equal bit for bit: the bundled attitude layout at 7
+    and 10 states (the magnetometer repeats the star tracker's rows, so the
+    pairs (1, 4), (2, 4), (2, 5), (3, 4), (3, 5) and (3, 6) of S take
+    classes in reversed order, and at 10 states each gyro row has two
+    coefficients), a random H with repeated rows, and one whose repeats
+    differ only in the sign of their zeros."""
+    rng = np.random.default_rng(23)
+    cases = [("bundled %d" % n, flt.attitude_measurement(
+        make_layout(), {"star_tracker": (1e-3,) * 4, "magnetometer": (1e-2,) * 4,
+                        "gyro": (2.5e-5,) * 3}, n).H) for n in (7, 10)]
+    h = rng.standard_normal((4, 7))
+    h[rng.random((4, 7)) < 0.4] = 0.0
+    h = h[[0, 1, 0, 2, 3, 1, 0]]
+    cases.append(("repeated", h))
+    cases.append(("signed zeros", np.vstack([h[:4], twin_rows(h)[4:]])))
+    return cases
+
+
+@pytest.mark.parametrize("name,h", repeated_row_cases(), ids=lambda v: v if isinstance(v, str)
+                         else "")
+def test_repeated_rows_of_h_leave_every_bit_where_it_was(name, h):
+    """The moments pass forms z once per class of equal rows of H and each
+    sum of S or C once per ordered pair of classes, and the log-likelihood
+    forms z once per class: on the particle filter's cloud and on a UKF
+    sigma set, every output of the cloud pass, the UKF's assess pass and
+    the log-likelihood has the bits it has with the repeats made distinct
+    (``twin_rows``), and the fallback's bits."""
+    m, n = h.shape
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((m, m))
+    r = a @ a.T + np.eye(m)
+    l, y = np.linalg.cholesky(r), rng.standard_normal(m)
+
+    def outputs(h):
+        """The sigma set's outputs, then the cloud's: y_hat, S and S's
+        diagonal of the moments pass, and the log-likelihood."""
+        rng, outs = np.random.default_rng(31), []
+        for rows in (2 * n + 1, 1000):
+            x = rng.standard_normal((rows, n))
+            w = rng.random(rows)
+            w[rng.random(rows) < 0.2] = 0.0
+            if rows == 2 * n + 1:
+                outs += one_arithmetic_outputs(x, w, np.eye(n), h, r)
+            else:
+                outs += [*core.cloud_moments(x, w, h=h, r=r)[1:],
+                         core.cloud_moments(x, w, h=h, r=r, diagonal=True)[2]]
+            outs.append(core.cloud_loglik(x, h, l, y))
+        return outs
+
+    active, fallback = on_each_backend(outputs, h)
+    twin = outputs(twin_rows(h))
+    for a, b, c in zip(active, fallback, twin, strict=True):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
+    if name.startswith("bundled"):
+        # the reversed pairs need their own sums: most differ from the
+        # mirrored pair's, which a reused sum would give
+        s = active[-3]  # the cloud's S
+        mirrored = [s[j, c] == s[c - 4, j + 4] for j, c in ((1, 4), (2, 4), (2, 5), (3, 4),
+                                                             (3, 5), (3, 6))]
+        assert not all(mirrored)

@@ -197,6 +197,20 @@ def test_filter_section_validation(tmp_path):
         load_text(tmp_path, MINIMAL + "detector: {policy: voting}\n")
 
 
+@pytest.mark.parametrize("bias", [False, True])
+def test_the_particle_cloud_must_fit_one_array(tmp_path, bias):
+    """The largest particle count whose (N, dim) float64 cloud fits in
+    np.intp bytes loads (loading allocates no cloud); one more is a config
+    error at filter.pf.particles, for 7 and 10 states."""
+    dim = 10 if bias else 7
+    most = np.iinfo(np.intp).max // (8 * dim)
+    head = MINIMAL + "filter:\n  kind: pf\n  bias_states: %s\n" % str(bias).lower()
+    assert load_text(tmp_path, head + "  pf: {particles: %d}\n" % most).pf_particles == most
+    with pytest.raises(ScenarioError, match=r"filter\.pf\.particles: %d particles of %d states"
+                       % (most + 1, dim)):
+        load_text(tmp_path, head + "  pf: {particles: %d}\n" % (most + 1))
+
+
 def test_load_scenario_file_errors(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         scn.load_scenario(str(tmp_path / "missing.yaml"))
