@@ -72,8 +72,10 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, frames=None):
             c = DCM(q_stage) u.
 
     Returns:
-        New (M, n) array; quaternions renormalized once, after the step.
-        ``kernels_py.step_rows`` gives the exact arithmetic.
+        A new C-contiguous float64 (M, n) array, whatever the layout and
+        dtype of ``states``; quaternions renormalized once, after the step.
+        ``kernels_py.step_rows`` gives the exact arithmetic, which it runs
+        in place on the copy ``kernels_py.checked_batch`` makes.
 
     Raises:
         ValueError: see ``kernels_py.checked_batch``.

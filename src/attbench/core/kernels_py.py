@@ -46,7 +46,12 @@ import numpy as np
 
 
 def checked_batch(states, frames=None):
-    """Float64 C-contiguous copy of ``states`` and of ``frames``, validated.
+    """A new float64 C-contiguous copy of ``states``, which ``step_rows`` may
+    step in place, and ``frames`` as a float64 C-contiguous array, validated:
+    the one check of an RK4 step's operands, which ``core.rk4_step_batch``'s
+    callers (the truth loop and the filters' process model) do not repeat.
+    On the float64 arrays they pass in, it is one copy and a look at two
+    shapes.
 
     Raises:
         ValueError: ``states`` is not (M, n) with n >= 7, or ``frames`` is

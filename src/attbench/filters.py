@@ -15,8 +15,13 @@ All three filters run against the same two abstractions:
 
 Keeping the interface batched is what makes the finite-difference Jacobian,
 the sigma-point cloud, and the particle population all cheap: each is a
-single kernel call per step. A filter object is a stateless stepper (the
-particle filter owns its RNG); beliefs are passed in and returned.
+single kernel call per step. Beliefs are passed in and returned, and what
+a step returns (the belief and the innovation record, each a frozen
+dataclass) holds only new arrays. A filter object keeps no belief, but it
+owns what it steps with: the particle filter its RNG, the EKF and UKF the
+buffers a step passes between its compiled passes, which each step
+overwrites. So one instance serves one thread at a time; ``compare_run``
+builds one filter per kind.
 
 The EKF and UKF are one Gaussian filter: they share ``step`` and its one
 Kalman update, and differ only in how they propagate the belief and form
@@ -60,7 +65,7 @@ every row, so a non-finite reading resets its weights.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,7 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianBelief:
     """Mean and covariance of a Gaussian state belief."""
 
@@ -102,7 +107,7 @@ class GaussianBelief:
     sigma: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticleSet:
     """Weighted particle belief. ``resets`` counts degenerate-weight resets;
     ``mean`` and ``var`` are the weighted mean and marginal variance of the
@@ -115,7 +120,7 @@ class ParticleSet:
     var: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InnovationRecord:
     """Pre-update innovation nu, its covariance S, and the NIS statistic."""
 
@@ -124,6 +129,53 @@ class InnovationRecord:
     S: np.ndarray
     nis: float
     source: str
+
+
+# A frozen dataclass's __init__ sets each field by object.__setattr__, which
+# costs more than the rest of building the object. A step builds what it
+# returns by setting each slot through its descriptor instead: the same
+# frozen object, at about half the cost.
+_new = object.__new__
+
+
+def _slot_setters(cls):
+    """The ``__set__`` of each field's slot descriptor, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_SET_MU, _SET_SIGMA = _slot_setters(GaussianBelief)
+_SET_STATES, _SET_WEIGHTS, _SET_RESETS, _SET_MEAN, _SET_VAR = _slot_setters(ParticleSet)
+_SET_T, _SET_NU, _SET_S, _SET_NIS, _SET_SOURCE = _slot_setters(InnovationRecord)
+
+
+def _belief(mu, sigma):
+    """``GaussianBelief(mu, sigma)``."""
+    b = _new(GaussianBelief)
+    _SET_MU(b, mu)
+    _SET_SIGMA(b, sigma)
+    return b
+
+
+def _particles(states, weights, resets, mean=None, var=None):
+    """``ParticleSet(states, weights, resets, mean, var)``."""
+    p = _new(ParticleSet)
+    _SET_STATES(p, states)
+    _SET_WEIGHTS(p, weights)
+    _SET_RESETS(p, resets)
+    _SET_MEAN(p, mean)
+    _SET_VAR(p, var)
+    return p
+
+
+def _record(t, nu, s, nis, source):
+    """``InnovationRecord(t, nu, s, nis, source)``."""
+    r = _new(InnovationRecord)
+    _SET_T(r, t)
+    _SET_NU(r, nu)
+    _SET_S(r, s)
+    _SET_NIS(r, nis)
+    _SET_SOURCE(r, source)
+    return r
 
 
 def _check_psd(name, m, dim):
@@ -208,12 +260,13 @@ class RigidBodyProcessModel:
         self._plan_rows = {t: i for i, t in enumerate(start_times.tolist())}
 
     def propagate(self, states, t):
-        x = np.atleast_2d(np.asarray(states, dtype=float))
+        """``core.rk4_step_batch`` of the (M, dim) ``states``, which checks
+        them."""
         frames = None
         if self.torque_model == "gravity_gradient":
             row = self._plan_rows.get(float(t))
             frames = self._stage_frames(t) if row is None else self._plan_frames[row]
-        return core.rk4_step_batch(x, self.dt, *self.inertia, frames)
+        return core.rk4_step_batch(states, self.dt, *self.inertia, frames)
 
     def normalize_rows(self, states):
         return renormalize_quaternions(states)
@@ -415,6 +468,12 @@ class _GaussianFilter:
     the update, the innovation, the EKF's factor of S (else None) and the
     innovation record. The ``decide`` hook and the update pass live here
     once.
+
+    What a step only hands from one pass to the next (the predicted
+    covariance, C, and each subclass's own intermediates) lives in buffers
+    the filter allocates once, so one instance steps one run at a time;
+    everything a step returns (the belief's mu and Sigma, the record's nu
+    and S) is a new array.
     """
 
     def __init__(self, cfg):
@@ -424,6 +483,8 @@ class _GaussianFilter:
         self._q, self._h, self._r = cfg.Q, self.meas.H, self.meas.R
         self._blocks = self.meas.hemisphere_bounds
         self._quaternion = bool(self.model.quaternion_rows)
+        n, m = self.model.dim, self.meas.dim
+        self._sigma, self._cross = np.empty((n, n)), np.empty((n, m))
 
     def initial_belief(self):
         return GaussianBelief(self.cfg.x0.copy(), self.cfg.P0.copy())
@@ -446,7 +507,7 @@ class _GaussianFilter:
         core._kernels.gauss_update_rows(mu, sigma, cross, s, l, nu,
                                         None if rows is None else tuple(rows.tolist()),
                                         self._quaternion, mu_new, sigma_new)
-        return GaussianBelief(mu_new, sigma_new), record
+        return _belief(mu_new, sigma_new), record
 
 
 class EkfFilter(_GaussianFilter):
@@ -464,6 +525,7 @@ class EkfFilter(_GaussianFilter):
         self._offsets = np.full((2 * n + 1, n), -0.0)
         self._offsets[1:n + 1][np.diag_indices(n)] = self._eps
         self._offsets[n + 1:][np.diag_indices(n)] = -self._eps
+        self._l = np.empty((self.meas.dim, self.meas.dim))
 
     def _assess(self, belief, y, t):
         """Propagate the mean and the mean with +-eps on each state in turn
@@ -471,14 +533,14 @@ class EkfFilter(_GaussianFilter):
         the central-difference Jacobian a, a Sigma a' + Q, y_hat = H mu,
         S = H Sigma H' + R, C = Sigma H', the aligned innovation and the
         factor of S that the record's NIS and a full-row update share."""
-        n, m = self.model.dim, self.meas.dim
+        m = self.meas.dim
         prop = self.model.propagate(belief.mu + self._offsets, t - self.model.dt)
-        sigma, cross, l = np.empty((n, n)), np.empty((n, m)), np.empty((m, m))
         s, nu = np.empty((m, m)), np.empty(m)
         nis = core._kernels.ekf_assess_rows(prop, self._eps, belief.sigma, self._q, self._h,
-                                            self._r, self._blocks, y, sigma, s, cross, nu, l)
-        record = InnovationRecord(t=t, nu=nu, S=s, nis=nis, source=self.source)
-        return prop[0], sigma, s, cross, nu, l, record
+                                            self._r, self._blocks, y, self._sigma, s,
+                                            self._cross, nu, self._l)
+        return prop[0], self._sigma, s, self._cross, nu, self._l, _record(t, nu, s, nis,
+                                                                          self.source)
 
 
 def _ukf_weights(n, alpha, beta, kappa):
@@ -544,6 +606,8 @@ class UkfFilter(_GaussianFilter):
         self._scale, self._wm, self._wc = _ukf_weights(self.model.dim, cfg.ukf_alpha,
                                                        cfg.ukf_beta, cfg.ukf_kappa)
         self._r_det = float(cfg.ukf_detector_r)
+        n, m = self.model.dim, self.meas.dim
+        self._points, self._mu, self._s = np.empty((2 * n + 1, n)), np.empty(n), np.empty((m, m))
 
     def _assess(self, belief, y, t):
         """Write the sigma set of the belief (``points_rows``, else the
@@ -556,22 +620,20 @@ class UkfFilter(_GaussianFilter):
         (S_det), the aligned innovation and the NIS. When scale Sigma is not
         positive definite at the regeneration, the pass stops after the
         predicted moments and runs again from the clamped-eigh set."""
-        n, m = self.model.dim, self.meas.dim
-        points = np.empty((2 * n + 1, n))
+        m = self.meas.dim
+        points, mu, sigma = self._points, self._mu, self._sigma
         if not core._kernels.points_rows(belief.mu, belief.sigma, self._scale, points):
             kernels_py.sigma_set(belief.mu, _clamped_root(self._scale * belief.sigma), points)
         prop = self.model.propagate(points, t - self.model.dt)
-        mu, sigma = np.empty(n), np.empty((n, n))
-        s, cross, s_det, nu = np.empty((m, m)), np.empty((n, m)), np.empty((m, m)), np.empty(m)
+        s_det, nu = np.empty((m, m)), np.empty(m)
         args = (self._wm, self._wc, self._q, self._scale, self._h, self._r, self._r_det,
                 self._blocks, y, mu, sigma)
-        outs = (s, s_det, cross, nu)
+        outs = (self._s, s_det, self._cross, nu)
         nis = core._kernels.ukf_assess_rows(prop, *args, None, *outs)
         if nis is None:
             kernels_py.sigma_set(mu, _clamped_root(self._scale * sigma), points)
             nis = core._kernels.ukf_assess_rows(None, *args, points, *outs)
-        record = InnovationRecord(t=t, nu=nu, S=s_det, nis=nis, source=self.source)
-        return mu, sigma, s, cross, nu, None, record
+        return mu, sigma, self._s, self._cross, nu, None, _record(t, nu, s_det, nis, self.source)
 
 
 def systematic_resample(weights, u):
@@ -673,7 +735,7 @@ class PfFilter:
                                    self._quaternion, mu_prior, y_hat, s)
         y_al = self.meas.align(y, mu_prior)
         nu = y_al - y_hat
-        record = InnovationRecord(t=t, nu=nu, S=s, nis=compute_nis(nu, s), source=self.source)
+        record = _record(t, nu, s, compute_nis(nu, s), self.source)
 
         # the bare particle filter weighs every row: a non-finite reading
         # reaches the degenerate-weight reset below
@@ -690,8 +752,8 @@ class PfFilter:
         resets = pset.resets + reset
         if resample:
             x = core.resample(x, new_w, self.rng.random())
-            return ParticleSet(x, np.full(self.n, 1.0 / self.n), resets), record
-        return ParticleSet(x, new_w, resets, mean, var), record
+            return _particles(x, np.full(self.n, 1.0 / self.n), resets), record
+        return _particles(x, new_w, resets, mean, var), record
 
 
 FILTER_KINDS = ("ekf", "ukf", "pf")

@@ -224,14 +224,14 @@ def run_filter(trial, kind, mode="fdir"):
     variances = np.empty((n, state_dim))
     nis = np.empty(n)
     belief = filt.initial_belief()
+    step, decide, model = filt.step, supervisor.decide, fcfg.process
+    times = t.tolist()  # Python floats: the same values, cheaper arithmetic
     for k in range(1, n + 1):
         try:
-            belief, rec = filt.step(belief, faulted[k - 1], t[k], decide=supervisor.decide)
+            belief, rec = step(belief, faulted[k - 1], times[k], decide=decide)
         except Exception as exc:
             raise RuntimeError("filter step %d (t=%.3f) failed: %s" % (k, t[k], exc)) from exc
-        mu, var = estimate_stats(belief, fcfg.process)
-        estimates[k - 1] = mu
-        variances[k - 1] = var
+        estimates[k - 1], variances[k - 1] = estimate_stats(belief, model)
         nis[k - 1] = rec.nis
 
     return replace(
@@ -366,23 +366,31 @@ def write_csv(result, path):
     isolated-sensor bitmask (bit i = layout.sensors[i]), the last two from
     the ``reports`` columns. Each chunk of rows goes to the active backend's
     ``csv_rows`` as one float block, which formats every value as ``'%.9g'
-    %`` does.
+    %`` does; the call fills the one block it allocates, chunk after chunk.
     """
     header = csv_header(result)
     with_filter = result.estimates is not None
     n = result.measurements.shape[0]
-    reports = result.reports
+    cols = [result.t[1:, None], result.truth[1:], result.measurements]
+    if with_filter:
+        reports = result.reports
+        cols += [result.estimates, result.variances, result.nis[:, None],
+                 reports.detected[:, None], reports.isolated_bits[:, None]]
+        # the 3-sigma bounds go through a contiguous buffer: the ufuncs run
+        # slower on a strided column range of the block
+        sig3 = np.empty((min(n, _CSV_CHUNK), result.variances.shape[1]))
+    block = np.empty((min(n, _CSV_CHUNK), sum(c.shape[1] for c in cols)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n, _CSV_CHUNK):
-            rows = slice(start, start + _CSV_CHUNK)
-            cols = [result.t[1:][rows, None], result.truth[1:][rows], result.measurements[rows]]
-            if with_filter:
-                cols += [result.estimates[rows],
-                         3.0 * np.sqrt(np.maximum(result.variances[rows], 0.0)),
-                         result.nis[rows, None], reports.detected[rows, None],
-                         reports.isolated_bits[rows, None]]
-            fh.write(core._kernels.csv_rows(np.hstack(cols, dtype=np.float64)))
+            parts = [c[start:start + _CSV_CHUNK] for c in cols]
+            rows = len(parts[0])  # the last chunk may be short
+            if with_filter:  # parts[4] is the variances
+                sig = sig3[:rows]
+                np.maximum(parts[4], 0.0, out=sig)
+                np.sqrt(sig, out=sig)
+                parts[4] = np.multiply(3.0, sig, out=sig)
+            fh.write(core._kernels.csv_rows(np.concatenate(parts, axis=1, out=block[:rows])))
 
 
 def compare_run(cfg, kinds, jobs=1):

@@ -2,7 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -172,6 +172,61 @@ def test_ekf_skip_keeps_prediction_only(linear_problem):
     npt.assert_allclose(skipped.sigma, f @ cfg.P0 @ f.T + cfg.Q, atol=1e-12)
     assert not np.allclose(skipped.mu, updated.mu)
     assert rec.nis > 0.0  # the record still carries the full-row statistic
+
+
+def arrays_of(*objs):
+    """The array fields of the dataclass objects ``objs``, as the objects
+    hold them (``astuple`` would copy them)."""
+    return [a for obj in objs for a in (getattr(obj, f.name) for f in fields(obj))
+            if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind", flt.FILTER_KINDS)
+def test_a_step_returns_arrays_the_next_step_leaves_alone(kind):
+    """The EKF and UKF pass their intermediates between compiled passes in
+    buffers the filter owns; the belief and the record a step returns hold
+    new arrays, which the filter's next step does not write."""
+    cfg = rigid_config()
+    filt = flt.make_filter(kind, cfg, rng=np.random.default_rng(3))
+    y = cfg.measurement.H @ cfg.x0 + 0.01
+    belief, record = filt.step(filt.initial_belief(), y, 0.1)
+    kept = arrays_of(belief, record)
+    assert len(kept) >= 4  # a particle set carries its moments unless the step resampled
+    before = [a.tobytes() for a in kept]
+    second, later = filt.step(belief, y + 0.02, 0.2)
+    assert [a.tobytes() for a in kept] == before
+    # the second step's values differ, so a shared buffer would have shown
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(arrays_of(record), arrays_of(later)))
+
+
+@pytest.mark.parametrize("kind", flt.FILTER_KINDS)
+def test_beliefs_and_records_stay_frozen_dataclasses(kind):
+    """A step's belief and record are frozen dataclasses: every field
+    refuses assignment and deletion, and ``fields``, ``astuple`` and
+    ``replace`` see the values the step set."""
+    cfg = rigid_config()
+    filt = flt.make_filter(kind, cfg, rng=np.random.default_rng(4))
+    y = cfg.measurement.H @ cfg.x0 + 0.01
+    belief, record = filt.step(filt.initial_belief(), y, 0.1)
+    expect = {flt.GaussianBelief: ["mu", "sigma"],
+              flt.ParticleSet: ["states", "weights", "resets", "mean", "var"],
+              flt.InnovationRecord: ["t", "nu", "S", "nis", "source"]}
+    assert record.source == kind and record.t == 0.1
+    for obj in (belief, record):
+        names = [f.name for f in fields(obj)]
+        assert names == expect[type(obj)]
+        values = [getattr(obj, name) for name in names]
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        for a, b in zip(astuple(obj), values):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert [getattr(obj, name) for name in names] == values  # the same objects
+        for a, b in zip(astuple(replace(obj)), values):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert repr(obj) == repr(type(obj)(*values))
 
 
 @pytest.mark.parametrize("kind", flt.FILTER_KINDS)

@@ -870,6 +870,37 @@ def test_kernel_rejects_bad_shapes(backend):
             core.rk4_step_batch(bad, 0.1, *INERTIA)
 
 
+def test_kernel_steps_any_layout_into_a_new_c_array(backend):
+    """Whatever the layout or dtype of its input, the RK4 step returns a new
+    C-contiguous float64 array that shares no memory with it, with the bits
+    of the same step on a C-contiguous float64 copy; the bad shapes of
+    ``test_kernel_rejects_bad_shapes`` fail in these layouts too."""
+    states = batch_states(cols=10)
+    frames = np.array(GG_FRAMES)
+    loose = np.zeros((3, 8))
+    loose[:, ::2] = frames  # frames with a column stride of two
+    ints = np.round(10 * states).astype(np.int64)
+    for given, frame in ((np.asfortranarray(states), frames), (ints, frames),
+                         (states, loose[:, ::2]), (states[:, :8], None),
+                         (states.copy(), frames), (states.tolist(), GG_FRAMES)):
+        frozen = np.array(given, copy=True)
+        out = core.rk4_step_batch(given, 0.1, *GG_INERTIA, frame)
+        assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in (given, frame)
+                       if isinstance(a, np.ndarray))
+        assert np.array_equal(np.asarray(given), frozen)
+        want = np.ascontiguousarray(frozen, dtype=np.float64)
+        expect = core.rk4_step_batch(want, 0.1, *GG_INERTIA,
+                                     None if frame is None else frames)
+        assert out.tobytes() == expect.tobytes()
+    for bad in (np.asfortranarray(states[:, :6]), ints[0], ints[None], states[:, ::2]):
+        with pytest.raises(ValueError, match="states"):
+            core.rk4_step_batch(bad, 0.1, *INERTIA)
+    for frame in (np.asfortranarray(frames[:, :3]), loose, frames.astype(np.int64)[None]):
+        with pytest.raises(ValueError, match="frames"):
+            core.rk4_step_batch(states, 0.1, *INERTIA, frame)
+
+
 def test_cloud_passes_reject_bad_arguments(backend):
     cloud, w, h = np.ones((5, 7)), np.full(5, 0.2), np.eye(7)
     normals, root = np.zeros((5, 7)), np.eye(7)
