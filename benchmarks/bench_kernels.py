@@ -13,9 +13,11 @@ Cholesky factor and NIS and for the CSV pass (``csv_rows``, a 32-row chunk
 of an EKF run's 36 columns, and the table of rounding edges
 ``csv_edge_table`` of ``tests/test_kernels.py``), and for the particle
 filter's random draws and resampling (``normal_rows`` against
-``Generator.standard_normal`` and the generator's state after it, and
+``Generator.standard_normal`` and the generator's state after it,
 ``resample_rows`` against numpy's searchsorted comb on random, degenerate
-and uniform weights), for the particle filter's weight pass (``weigh_rows``
+and uniform weights, and the overlapped draw, ``draw_rows`` started before
+the RK4 step and handed to the moments pass, against the sequential
+``normal_rows`` after it, on 1000 x 7 and 1000 x 10 clouds), for the particle filter's weight pass (``weigh_rows``
 on a 1000-particle cloud of 7 and 10 states), and for the moments pass on
 the attitude suite's 11 rows against the same rows made distinct by the
 sign of their zeros (``twin_rows`` of ``tests/test_kernels.py``), which the
@@ -34,7 +36,8 @@ backends, and the CSV pass per 32-row chunk, whose fallback is the
 ``'%.9g'`` format string the export used before it, and the PF's draws
 and resampling on its shapes: 1000 x 7 and 1000 x 10 normals, whose
 fallback is numpy's own ``standard_normal``, and a 1000-row resample and
-gather; and the weight pass, with the posterior moments it forms, against
+gather, and the overlapped draw, RK4 step and moments pass against the
+sequential ones; and the weight pass, with the posterior moments it forms, against
 the numpy sequence it replaced (``np.exp``, a pairwise sum, ``ddot`` and
 ``estimate_stats``'s moments pass), and the moments pass on the 11 rows
 against their distinct twin, the work it did before it formed each class of
@@ -417,6 +420,26 @@ def draws(shape, seed=1000):
     return [core.normals(rng, shape), repr(rng.bit_generator.state).encode(), rng.random()]
 
 
+def draw_step(overlapped, rng, states, weights, root, h, r):
+    """The head of a compiled PF step: the jitter draw, the RK4 step and the
+    moments pass. Overlapped, as the filter steps, ``draw_rows`` starts the
+    draw before the RK4 step (on the worker thread when it takes it) and the
+    moments pass takes the draw; sequential, ``normal_rows`` draws after the
+    RK4 step, the order before the worker. Returns the cloud, the normals,
+    the moments and the generator's state after."""
+    normals = np.empty(states.shape)
+    if overlapped:
+        draw = COMPILED.draw_rows(rng, normals)
+        x = rk4_step_batch(states, DT, IXX, IYY, IZZ)
+    else:
+        x = rk4_step_batch(states, DT, IXX, IYY, IZZ)
+        draw = normals
+        COMPILED.normal_rows(rng, normals)
+    mean, y_hat, s = np.empty(x.shape[1]), np.empty(len(h)), np.empty((len(h), len(h)))
+    COMPILED.moments_rows(x, draw, root, h, weights, r, True, mean, y_hat, s)
+    return [x, normals, mean, y_hat, s, repr(rng.bit_generator.state).encode()]
+
+
 def bench_draws():
     """The PF's random draws and resampling, per call, on its shapes."""
     print("%-38s %10s %10s %8s" % ("PF draws and resampling, per call", "compiled", "python",
@@ -434,6 +457,15 @@ def bench_draws():
             tp = per_call(lambda: core.resample(x, w, 0.37), calls=2000)
         print("%-38s %7.2f us %7.1f us %7.1fx" % ("resample and gather, 1000 x %2d" % n, tc, tp,
                                                   tp / tc))
+    print()
+    print("%-38s %10s %10s %8s" % ("draw -> RK4 -> moments, per call", "sequential",
+                                   "overlapped", "ratio"))
+    for n in (7, 10):
+        states, weights, _, root, h, r = cloud_case(n=n)[:6]
+        rng = np.random.default_rng(0)
+        times = [per_call(lambda o=o: draw_step(o, rng, states, weights, root, h, r), calls=2000)
+                 for o in (False, True)]
+        print("%-38s %7.1f us %7.1f us %7.2fx" % ("1000 x %2d" % n, *times, times[1] / times[0]))
 
 
 def weight_case(n, rows=1000, seed=0):
@@ -546,6 +578,11 @@ def main():
         twin, twin_py = on_each_backend(moments_of, twin_rows(h))
         check("moments, 11 rows = 11 distinct, 1000 x %2d" % n,
               (same * 3, twin + same_py + twin_py))
+    for n in (7, 10):
+        states, weights, _, root, h, r = cloud_case(n=n)[:6]
+        sequential, overlapped = (draw_step(o, np.random.default_rng(7), states, weights, root,
+                                            h, r) for o in (False, True))
+        check("draw -> RK4 -> moments overlapped, 1000 x %2d" % n, (overlapped, sequential))
     for kind in ("random", "degenerate", "uniform"):
         for u in (0.0, 0.37, 1.0 - 2.0 ** -53):
             x, w = draw_case(kind)

@@ -28,8 +28,10 @@ kernel = Extension("attbench.core._kernels_c", ["src/attbench/core/_kernels_c.c"
 # it): each vector lane runs the same correctly rounded IEEE operations as
 # the scalar code, in the same order, so both builds keep the fallback's
 # bits, and contraction stays off in each of them.
+# The normal draws' worker thread (draw_rows) needs pthreads.
 if os.name == "posix":
-    kernel.extra_compile_args.extend(["-O3", "-ffp-contract=off"])
+    kernel.extra_compile_args.extend(["-O3", "-ffp-contract=off", "-pthread"])
+    kernel.extra_link_args.append("-pthread")
 kernel.optional = True
 
 setup(ext_modules=[kernel])

@@ -18,10 +18,14 @@ leave the checks to the entry: ``normals``, numpy's standard normal draws
 filter takes, and ``resample``, the particle filter's systematic
 resampling with the gather of the chosen rows (``resample_rows``).
 
-Four more groups have no wrapper, and their callers call the entries on
+Five more groups have no wrapper, and their callers call the entries on
 ``_kernels`` directly; each compiled entry still checks that its buffers
 fit each other:
 
+- the particle filter's jitter draw ``draw_rows``, which the compiled
+  backend may run on its worker thread while ``filters.PfFilter.step`` runs
+  the RK4 step, and which ``moments_rows`` takes in place of its normals
+  (the fallback draws at once; the bits are ``normals``'s either way);
 - the particle filter's weight pass ``weigh_rows`` (a fixed exp of the
   shifted log-likelihoods, the normalization and reset test, the ESS and,
   unless the step resamples, the posterior mean and marginal variance by

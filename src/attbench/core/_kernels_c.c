@@ -12,11 +12,11 @@
  * and sqrt of the scalar code on one particle, no sum changes its order and
  * nothing is contracted, so both builds give the same bits.
  *
- * The module exports twelve functions. attbench.core validates the
+ * The module exports thirteen functions. attbench.core validates the
  * caller's arrays, and allocates the outputs, before calling step_rows,
  * moments_rows, loglik_rows and factor_rows; the particle filter calls
- * moments_rows, loglik_rows and weigh_rows directly, with operands it
- * checked when built; the Gaussian filters check their constant operands
+ * draw_rows, moments_rows, loglik_rows and weigh_rows directly, with
+ * operands it checked when built; the Gaussian filters check their constant operands
  * once, when built, and call the four entries after factor_rows directly;
  * FdirSupervisor calls factor_rows directly with the bounds and scratch it
  * bound when built; runner.write_csv calls csv_rows; and attbench.core
@@ -32,7 +32,9 @@
  *     writes the weighted mean of the rows, the weighted mean y_hat of
  *     z = h x and S = sum w (z - y_hat)(z - y_hat)' + r, exactly symmetric;
  *     a 1-D s gets S's diagonal alone. normals/root, h and r may each be
- *     None: no jitter, z = x, no r. It, ukf_assess_rows and weigh_rows
+ *     None: no jitter, z = x, no r. normals may be a draw of draw_rows,
+ *     which it awaits block by block and then settles, on every path out
+ *     (below). It, ukf_assess_rows and weigh_rows
  *     share one weighted-moments pass (moments), so a cloud and a sigma set
  *     of the same rows and weights have the same moments, bit for bit. The
  *     pass forms z once per class of rows of h equal bit for bit, and each
@@ -90,10 +92,28 @@
  *     generator's bitgen_t with the tables of _ziggurat.h, holding the bit
  *     generator's lock and not the GIL, as Generator.standard_normal does,
  *     so the bits and the generator's state after are that call's.
+ * draw_rows(rng, out) starts normal_rows's draw and returns it as a Draw
+ *     (not exported: moments_rows takes it in place of its normals, and its
+ *     wait() returns out once written, the generator's lock released). The
+ *     lock is held from the start of the draw until it is settled.
  * resample_rows(x, w, u, out) writes into out the rows of x that
  *     systematic resampling by the weights w (none negative) and the offset
  *     u picks: the first row whose cumulative weight is above
  *     (i + u) / n, or the last row, for each i < n, by one merge walk.
+ *
+ * The worker. draw_rows posts its draw to one persistent worker thread,
+ * created at the first draw that may use it, and returns at once; the
+ * particle filter then runs its RK4 step while the worker draws, and its
+ * moments pass awaits each block's normals only as it reaches them. One
+ * draw at a time uses the worker: a draw that finds it busy, every draw of
+ * a process whose affinity mask holds one CPU, and every draw of a build
+ * without pthreads run inline, as normal_rows does. The worker runs the
+ * same ziggurat_fill over the same bitgen_t, chunk after chunk, while the
+ * poster holds the generator's lock, so every bit and the generator's state
+ * after are those of the inline draw. It never touches the Python API; it
+ * spins about a millisecond between draws, then sleeps; a thread that
+ * awaits a stalled worker takes over the rest of the draw; a fork child
+ * starts its own worker (see the worker's section, at draw_rows).
  *
  * Every sum has a fixed order and starts from -0.0, which leaves its first
  * term unchanged: a sum over the particles or points runs from row 0, and a
@@ -110,8 +130,28 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <structmember.h>
 
 #include "_ziggurat.h"
+
+/* The worker thread that draw_rows posts draws to (below) needs pthreads,
+ * the affinity mask and GCC's __atomic builtins; without them every draw
+ * runs inline. */
+#if defined(__linux__) && defined(__GNUC__)
+#define WORKER 1
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <time.h>
+#endif
+#if defined(__x86_64__) || defined(__i386__)
+#define CPU_RELAX() __builtin_ia32_pause()
+#elif defined(__aarch64__)
+#define CPU_RELAX() __asm__ __volatile__("yield")
+#else
+#define CPU_RELAX() ((void)0)
+#endif
 
 /* The three per-particle passes, step_columns, moments and loglik, are
  * WIDE: the compiler builds each of them twice, for AVX2 and for the
@@ -453,7 +493,9 @@ pad_sums(Sum *sums, Py_ssize_t count, const double *zeros, double *dummy)
  * dz_i = z_i - y_hat (its diagonal alone with diagonal) and, when cross is
  * not NULL, cross = sum wc_i dx_i dz_i'. normals/root, q and r may each be
  * NULL: no jitter, no q, no r. Each covariance sums its upper triangle and
- * mirrors it.
+ * mirrors it. When pending is not NULL, normals is its draw, which the
+ * worker may still be writing: the first pass awaits each block's rows
+ * before it reads them.
  *
  * Rows of h that are equal bit for bit (row_classes) give the same z, so
  * z, y_hat and dz are formed once per class of rows, and each sum of S
@@ -493,11 +535,17 @@ symmetric(double *out, Py_ssize_t k, const double *add, int diagonal)
         }
 }
 
+/* A draw of draw_rows (below); await_draw returns once its first upto
+ * normals are written. */
+typedef struct Draw Draw;
+static void await_draw(Draw *d, Py_ssize_t upto);
+
 static void WIDE
-moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const double *root,
-        int quaternion, const double *wm, const double *wc, const double *q, const double *h,
-        Py_ssize_t m, const double *r, double *mean, double *cov, double *y_hat, double *s,
-        int diagonal, double *cross, double *scratch, Sum *sums)
+moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
+        Draw *pending, const double *root, int quaternion, const double *wm,
+        const double *wc, const double *q, const double *h, Py_ssize_t m, const double *r,
+        double *mean, double *cov, double *y_hat, double *s, int diagonal, double *cross,
+        double *scratch, Sum *sums)
 {
     Py_ssize_t width = m > n ? m : n;
     int states = cov || cross;
@@ -558,6 +606,8 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
         nb = rows - i0 < BLOCK ? rows - i0 : BLOCK;
         to_columns(x + i0 * n, nb, n, n, xt);
         if (normals) {
+            if (pending)
+                await_draw(pending, (i0 + nb) * n);
             to_columns(normals + i0 * n, nb, n, n, et);
             measure(et, nb, root, NULL, n, n, zt);
             for (j = 0; j < n; j++)
@@ -622,6 +672,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals, const d
     if (m)
         symmetric(s, m, r, diagonal);
 }
+
 
 /* The rows of loglik_rows, skipping the terms where l[j, c] == 0 as
  * measure skips the zeros of h, and measuring each class of equal rows of h
@@ -1130,19 +1181,25 @@ fail:
     return NULL;
 }
 
+/* The normals moments_rows takes may be a Draw of draw_rows (below). */
+static PyObject *draw_array(PyObject *normals, Draw **pending);
+static int settle_normals(PyObject *normals, int failed);
+
 static PyObject *
 moments_rows(PyObject *self, PyObject *args)
 {
-    PyObject *xo, *eo, *lo, *ho, *wo, *ro, *meano, *yo, *so;
+    PyObject *xo, *drawo, *eo, *lo, *ho, *wo, *ro, *meano, *yo, *so;
     Py_buffer v[MAX_VIEWS] = {{0}};
     double *x, *e, *l, *h, *w, *r, *mean, *y_hat, *s, *scratch;
+    Draw *pending;
     Sum *sums;
     Py_ssize_t rows, n, m;
     int quaternion, diagonal;
 
-    if (!PyArg_ParseTuple(args, "OOOOOOpOOO:moments_rows", &xo, &eo, &lo, &ho, &wo, &ro,
+    if (!PyArg_ParseTuple(args, "OOOOOOpOOO:moments_rows", &xo, &drawo, &lo, &ho, &wo, &ro,
                           &quaternion, &meano, &yo, &so))
         return NULL;
+    eo = draw_array(drawo, &pending);
 
     if (get_shaped(xo, &v[0], eo != Py_None || quaternion ? PyBUF_WRITABLE : PyBUF_SIMPLE,
                    2, -1, -1, "x", &x) < 0)
@@ -1183,14 +1240,17 @@ moments_rows(PyObject *self, PyObject *args)
     }
     sums = (Sum *)(scratch + MOMENTS_SCRATCH(rows, n, m, 0));
     Py_BEGIN_ALLOW_THREADS
-    moments(x, rows, n, e, l, quaternion, w, w, NULL, h, m, r, mean, NULL, y_hat, s, diagonal,
-            NULL, scratch, sums);
+    moments(x, rows, n, e, pending, l, quaternion, w, w, NULL, h, m, r, mean, NULL, y_hat, s,
+            diagonal, NULL, scratch, sums);
     Py_END_ALLOW_THREADS
     PyMem_RawFree(scratch);
     release_all(v);
+    if (settle_normals(drawo, 0) < 0)
+        return NULL;
     Py_RETURN_NONE;
 fail:
     release_all(v);
+    settle_normals(drawo, 1);
     return NULL;
 }
 
@@ -1280,7 +1340,7 @@ weigh_rows(PyObject *self, PyObject *args)
     reset = weigh(loglik, w, rows, out, &ess);
     resample = ess < limit;
     if (!resample)
-        moments(x, rows, n, NULL, NULL, 0, out, out, NULL, NULL, n, NULL, mean, NULL,
+        moments(x, rows, n, NULL, NULL, NULL, 0, out, out, NULL, NULL, n, NULL, mean, NULL,
                 scratch + size - n, var, 1, NULL, scratch, (Sum *)(scratch + size));
     Py_END_ALLOW_THREADS
     PyMem_RawFree(scratch);
@@ -1531,8 +1591,8 @@ ukf_assess_rows(PyObject *self, PyObject *args)
     l_det = vv + m;
     sums = (Sum *)(l_det + m * m);
     if (prop) {
-        moments(prop, rows, n, NULL, NULL, 0, wm, wc, q, NULL, 0, NULL, mean, cov, NULL, NULL, 0,
-                NULL, scratch, sums);
+        moments(prop, rows, n, NULL, NULL, NULL, 0, wm, wc, q, NULL, 0, NULL, mean, cov, NULL,
+                NULL, 0, NULL, scratch, sums);
         if (sigma_points(mean, cov, n, scale, a, l, set) < 0) {
             PyMem_RawFree(scratch);
             PyMem_RawFree(edges);
@@ -1543,8 +1603,8 @@ ukf_assess_rows(PyObject *self, PyObject *args)
     }
     /* C takes the deviations about the set's own mean; its covariance is
      * not needed */
-    moments(points, rows, n, NULL, NULL, 0, wm, wc, NULL, h, m, r, mean_set, NULL, y_hat, s, 0,
-            cross, scratch, sums);
+    moments(points, rows, n, NULL, NULL, NULL, 0, wm, wc, NULL, h, m, r, mean_set, NULL, y_hat, s,
+            0, cross, scratch, sums);
     for (i = 0; i < m * m; i++)
         s_det[i] = s[i] + r_det * r[i];
     innovation(y, y_hat, m, mean, edges, count, y_al, nu);
@@ -1908,49 +1968,474 @@ ziggurat_fill(bitgen_t *bg, double *out, Py_ssize_t count)
     }
 }
 
-/* The attribute and method names normal_rows looks up, interned once when
- * the module loads: a name made afresh on each call would be a new string
- * each time, which the type attribute cache keeps a reference to. */
+/* The attribute and method names a draw looks up, interned once when the
+ * module loads: a name made afresh on each call would be a new string each
+ * time, which the type attribute cache keeps a reference to. */
 static PyObject *s_bit_generator, *s_capsule, *s_lock, *s_acquire, *s_release;
+
+/* A draw of count standard normals into the float64 array out through the
+ * bit generator bg. While lock is not NULL the draw holds the bit
+ * generator's lock, as Generator.standard_normal does, and, when posted to
+ * the worker, may still be being written: done counts the normals written,
+ * raised a chunk (BLOCK rows of out) at a time. settle awaits the rest and
+ * releases the lock; every path out of a draw's life settles it, so no
+ * thread writes into an array or a draw that is gone. */
+struct Draw {
+    PyObject_HEAD
+    Py_buffer view;   /* out */
+    PyObject *owner;  /* the bit generator, which bg lives in */
+    PyObject *lock;
+    bitgen_t *bg;
+    Py_ssize_t count, chunk, done;
+    char worker;      /* posted to the worker */
+};
+
+static PyTypeObject draw_type;
+
+#ifdef WORKER
+/* The worker: one thread, created at the first draw that may use it, which
+ * writes the draws posted to it, one at a time, by the same ziggurat_fill
+ * over the same bitgen_t, chunk by chunk. It never touches the Python API:
+ * the thread that posted a draw holds the bit generator's lock for it and
+ * settles it. job is the posted draw, NULL once the worker has let it go; a
+ * draw that finds the worker busy runs inline, and so does every draw when
+ * the affinity mask of the thread that first draws holds fewer than two
+ * CPUs. Posts come from threads that hold the GIL, so one at a time.
+ *
+ * The worker claims each chunk before it writes it, by raising claim from
+ * the end of the last chunk written. A thread awaiting the draw that sees
+ * no chunk written for STALL_NS claims the rest the same way, when the
+ * worker holds no chunk, and writes it itself: a worker that is asleep,
+ * descheduled or sharing its CPU costs the draw a short wait, not the
+ * worker's absence. The bits are the same, since each chunk is written by
+ * one thread after the one before, in order. Claims are the only thing the
+ * worker reads after a draw is taken from it.
+ *
+ * Between draws the worker spins on pause for SPIN_NS by the monotonic
+ * clock, longer than the particle filter's gap between two draws, then
+ * sleeps on idle_cond until a post wakes it. A worker that finds itself on
+ * the last poster's CPU narrows its own affinity mask to the process's
+ * other CPUs (avoid_poster); the poster's mask is never changed. When the
+ * CPUs are oversubscribed, a spinning worker would take the poster's time:
+ * when the worker loses its CPU for LOST_NS, while it spins or while it
+ * writes a chunk, or a poster was preempted since its last post, draws run
+ * inline for a while (back_off). A fork waits for the worker to let its
+ * draw go (the prepare handler); the child has no worker and starts its own
+ * at its first draw. */
+#define SPIN_NS 1000000
+#define STALL_NS 20000
+#define LOST_NS 1000000
+#define QUIET_MIN_NS 1000000
+#define QUIET_MAX_NS 128000000
+#define WORKER_STACK (64 * 1024)
+
+static Draw *job;
+static Py_ssize_t claim;
+static long long quiet_until, quiet_ns;  /* draws run inline until quiet_until */
+static int posts_since_loss;
+static __thread long poster_preempted;  /* the poster's involuntary switches */
+static int worker_state;  /* 0: not started, 1: running, -1: every draw inline */
+static int poster_cpu = -1;  /* the CPU of the last post */
+static cpu_set_t worker_cpus;  /* the process's CPUs when the worker started */
+static int sleeping, atfork_set;
+static pthread_mutex_t idle_mutex = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t idle_cond = PTHREAD_COND_INITIALIZER;
+
+static long long
+now_ns(void)
+{
+    struct timespec t;
+
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return t.tv_sec * 1000000000LL + t.tv_nsec;
+}
+
+/* Claim the normals [from, to) of the posted draw: 1 when no other thread
+ * has claimed past from. */
+static int
+take(Py_ssize_t from, Py_ssize_t to)
+{
+    return __atomic_compare_exchange_n(&claim, &from, to, 0, __ATOMIC_ACQ_REL,
+                                       __ATOMIC_ACQUIRE);
+}
+
+/* A thread lost its CPU to another, found at time t: run the next draws
+ * inline for a while, twice as long as the last time when it happened again
+ * within 64 posts, as it does while another busy thread shares the CPUs;
+ * an odd loss on a machine that is briefly busy costs a millisecond. */
+static void
+back_off(long long t)
+{
+    long long quiet = __atomic_load_n(&quiet_ns, __ATOMIC_RELAXED);
+
+    quiet = __atomic_load_n(&posts_since_loss, __ATOMIC_RELAXED) < 64 && quiet
+            ? (2 * quiet < QUIET_MAX_NS ? 2 * quiet : QUIET_MAX_NS) : QUIET_MIN_NS;
+    __atomic_store_n(&quiet_ns, quiet, __ATOMIC_RELAXED);
+    __atomic_store_n(&posts_since_loss, 0, __ATOMIC_RELAXED);
+    __atomic_store_n(&quiet_until, t + quiet, __ATOMIC_RELAXED);
+}
+
+static void
+await_draw(Draw *d, Py_ssize_t upto)
+{
+    Py_ssize_t seen = -1, k = 0;
+    long long since = 0, t;
+    int i;
+
+    for (;;) {
+        for (i = 0; i < 64; i++) {
+            if ((k = __atomic_load_n(&d->done, __ATOMIC_ACQUIRE)) >= upto)
+                return;
+            CPU_RELAX();
+        }
+        t = now_ns();
+        if (k != seen) {
+            seen = k;
+            since = t;
+        } else if (t - since >= STALL_NS) {
+            if (take(k, d->count)) {
+                ziggurat_fill(d->bg, (double *)d->view.buf + k, d->count - k);
+                __atomic_store_n(&d->done, d->count, __ATOMIC_RELEASE);
+                return;
+            }
+            sched_yield();  /* the worker holds a chunk: let it run if it is here */
+        }
+    }
+}
+
+/* A worker on the poster's CPU would take the poster's time, and the
+ * scheduler may keep the two there: move to the process's other CPUs. */
+static void
+avoid_poster(void)
+{
+    int cpu = sched_getcpu();
+    cpu_set_t away = worker_cpus;
+
+    if (cpu >= 0 && cpu == __atomic_load_n(&poster_cpu, __ATOMIC_RELAXED)) {
+        CPU_CLR(cpu, &away);
+        sched_setaffinity(0, sizeof away, &away);
+    }
+}
+
+static Draw *
+next_job(void)
+{
+    long long t0 = now_ns(), last = t0, t;
+    Draw *d;
+    int i;
+
+    do {
+        for (i = 0; i < 64; i++) {
+            if ((d = __atomic_load_n(&job, __ATOMIC_ACQUIRE)))
+                return d;
+            CPU_RELAX();
+        }
+        /* a spin that lost its CPU for LOST_NS: the CPUs are oversubscribed,
+         * and a spinning worker would slow the poster, so sleep */
+        if ((t = now_ns()) - last >= LOST_NS) {
+            back_off(t);
+            break;
+        }
+        avoid_poster();
+        last = t;
+    } while (t - t0 < SPIN_NS);
+    pthread_mutex_lock(&idle_mutex);
+    while (!(d = __atomic_load_n(&job, __ATOMIC_ACQUIRE))) {
+        sleeping = 1;
+        pthread_cond_wait(&idle_cond, &idle_mutex);
+    }
+    sleeping = 0;
+    pthread_mutex_unlock(&idle_mutex);
+    return d;
+}
+
+static void *
+work(void *unused)
+{
+    for (;;) {
+        Draw *d = next_job();
+        bitgen_t *bg = d->bg;
+        double *out = d->view.buf;
+        Py_ssize_t count = d->count, chunk = d->chunk, k, next;
+        long long last = now_ns(), t;
+
+        /* once done reaches count, or a claim fails, d may be gone */
+        for (k = 0; k < count && take(k, next = k + chunk < count ? k + chunk : count); k = next) {
+            ziggurat_fill(bg, out + k, next - k);
+            __atomic_store_n(&d->done, next, __ATOMIC_RELEASE);
+            if ((t = now_ns()) - last >= LOST_NS)
+                back_off(t);
+            last = t;
+        }
+        __atomic_store_n(&job, NULL, __ATOMIC_RELEASE);
+    }
+    return unused;
+}
+
+static void
+fork_prepare(void)
+{
+    if (worker_state > 0)
+        while (__atomic_load_n(&job, __ATOMIC_ACQUIRE))
+            CPU_RELAX();
+    pthread_mutex_lock(&idle_mutex);
+}
+
+static void
+fork_parent(void)
+{
+    pthread_mutex_unlock(&idle_mutex);
+}
+
+static void
+fork_child(void)
+{
+    pthread_mutex_init(&idle_mutex, NULL);
+    pthread_cond_init(&idle_cond, NULL);
+    sleeping = 0;
+    worker_state = 0;
+}
+
+static void
+start_worker(void)
+{
+    sigset_t all, old;
+    pthread_attr_t attr;
+    pthread_t thread;
+
+    worker_state = -1;
+    if (sched_getaffinity(0, sizeof worker_cpus, &worker_cpus) != 0
+        || CPU_COUNT(&worker_cpus) < 2)
+        return;
+    if (!atfork_set && pthread_atfork(fork_prepare, fork_parent, fork_child) != 0)
+        return;
+    atfork_set = 1;
+    if (pthread_attr_init(&attr) != 0)
+        return;
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    pthread_attr_setstacksize(&attr, WORKER_STACK);
+    /* signals go to the Python threads, whose handlers run on the main one */
+    sigfillset(&all);
+    pthread_sigmask(SIG_BLOCK, &all, &old);
+    if (pthread_create(&thread, &attr, work, NULL) == 0)
+        worker_state = 1;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+}
+
+/* Post d to the worker: 1, or 0 when it must run inline. */
+static int
+post(Draw *d)
+{
+    struct rusage use;
+    long long quiet;
+
+    if (!worker_state)
+        start_worker();
+    if (worker_state < 0)
+        return 0;
+    /* a poster preempted since its last post shares its CPU */
+    if (getrusage(RUSAGE_THREAD, &use) == 0 && use.ru_nivcsw != poster_preempted) {
+        if (poster_preempted)
+            back_off(now_ns());
+        poster_preempted = use.ru_nivcsw;
+    }
+    quiet = __atomic_load_n(&quiet_until, __ATOMIC_RELAXED);
+    if (__atomic_load_n(&job, __ATOMIC_ACQUIRE) || (quiet && now_ns() < quiet))
+        return 0;
+    __atomic_store_n(&posts_since_loss,
+                     __atomic_load_n(&posts_since_loss, __ATOMIC_RELAXED) + 1, __ATOMIC_RELAXED);
+    /* the worker reads claim only while job is set */
+    claim = 0;
+    __atomic_store_n(&poster_cpu, sched_getcpu(), __ATOMIC_RELAXED);
+    __atomic_store_n(&job, d, __ATOMIC_RELEASE);
+    pthread_mutex_lock(&idle_mutex);
+    if (sleeping)
+        pthread_cond_signal(&idle_cond);
+    pthread_mutex_unlock(&idle_mutex);
+    return 1;
+}
+#else
+static void
+await_draw(Draw *d, Py_ssize_t upto)
+{
+}
+
+static int
+post(Draw *d)
+{
+    return 0;
+}
+#endif
+
+static int
+settle(Draw *d)
+{
+    PyObject *lock = d->lock, *res;
+
+    if (!lock)
+        return 0;
+    if (d->worker) {
+        Py_BEGIN_ALLOW_THREADS
+        await_draw(d, d->count);
+        Py_END_ALLOW_THREADS
+    }
+    d->lock = NULL;
+    res = PyObject_CallMethodObjArgs(lock, s_release, NULL);
+    Py_DECREF(lock);
+    Py_XDECREF(res);
+    return res ? 0 : -1;
+}
+
+/* A new draw of rng's normals into out, posted to the worker when
+ * on_worker and the worker is free, else written before it returns. */
+static PyObject *
+start_draw(PyObject *args, const char *format, int on_worker)
+{
+    PyObject *rng, *outo, *capsule, *res;
+    Draw *d;
+
+    if (!PyArg_ParseTuple(args, format, &rng, &outo) || !(d = PyObject_New(Draw, &draw_type)))
+        return NULL;
+    d->view.obj = NULL;
+    d->owner = d->lock = NULL;
+    d->done = 0;
+    d->worker = 0;
+    if (PyObject_GetBuffer(outo, &d->view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
+        < 0)
+        goto fail;
+    if (d->view.itemsize != sizeof(double) || strcmp(d->view.format, "d") != 0) {
+        PyErr_SetString(PyExc_ValueError, "expected a C-contiguous float64 array");
+        goto fail;
+    }
+    d->count = d->view.len / (Py_ssize_t)sizeof(double);
+    d->chunk = BLOCK * (d->view.ndim && d->view.shape[d->view.ndim - 1]
+                        ? d->view.shape[d->view.ndim - 1] : 1);
+    if (!(d->owner = PyObject_GetAttr(rng, s_bit_generator))
+        || !(capsule = PyObject_GetAttr(d->owner, s_capsule)))
+        goto fail;
+    d->bg = PyCapsule_GetPointer(capsule, "BitGenerator");
+    Py_DECREF(capsule);
+    if (!d->bg || !(d->lock = PyObject_GetAttr(d->owner, s_lock)))
+        goto fail;
+    if (!(res = PyObject_CallMethodObjArgs(d->lock, s_acquire, NULL))) {
+        Py_CLEAR(d->lock);
+        goto fail;
+    }
+    Py_DECREF(res);
+    if (d->count && on_worker && post(d)) {
+        d->worker = 1;
+        return (PyObject *)d;
+    }
+    /* as Generator.standard_normal: the generator's lock held, the GIL not */
+    Py_BEGIN_ALLOW_THREADS
+    ziggurat_fill(d->bg, d->view.buf, d->count);
+    Py_END_ALLOW_THREADS
+    d->done = d->count;
+    if (settle(d) == 0)
+        return (PyObject *)d;
+fail:
+    Py_DECREF(d);
+    return NULL;
+}
+
+static void
+draw_dealloc(Draw *d)
+{
+    PyObject *type, *value, *tb;
+
+    if (d->lock) {
+        PyErr_Fetch(&type, &value, &tb);
+        if (settle(d) < 0)
+            PyErr_WriteUnraisable(NULL);
+        PyErr_Restore(type, value, tb);
+    }
+    PyBuffer_Release(&d->view);
+    Py_XDECREF(d->owner);
+    PyObject_Free(d);
+}
+
+static PyObject *
+draw_wait(Draw *d, PyObject *unused)
+{
+    if (settle(d) < 0)
+        return NULL;
+    Py_INCREF(d->view.obj);
+    return d->view.obj;
+}
+
+static PyMethodDef draw_methods[] = {
+    {"wait", (PyCFunction)draw_wait, METH_NOARGS,
+     "wait()\n--\n\n"
+     "Wait until the draw is written, release the generator's lock, and return\n"
+     "the array."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef draw_members[] = {
+    {"worker", T_BOOL, offsetof(Draw, worker), READONLY,
+     "Whether the draw was posted to the worker thread."},
+    {NULL, 0, 0, 0, NULL},
+};
+
+static PyTypeObject draw_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "attbench.core._kernels_c.Draw",
+    .tp_basicsize = sizeof(Draw),
+    .tp_dealloc = (destructor)draw_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "A draw of normals that draw_rows started; moments_rows takes it as normals.",
+    .tp_methods = draw_methods,
+    .tp_members = draw_members,
+};
+
+/* moments_rows's normals: a Draw gives its array, and *pending the draw
+ * while it may still be being written. */
+static PyObject *
+draw_array(PyObject *normals, Draw **pending)
+{
+    Draw *d = (Draw *)normals;
+
+    *pending = NULL;
+    if (!Py_IS_TYPE(normals, &draw_type))
+        return normals;
+    if (d->lock && d->worker)
+        *pending = d;
+    return d->view.obj;
+}
+
+/* Settle moments_rows's normals when they are a Draw; after a failure
+ * (failed), the exception already set stays set. */
+static int
+settle_normals(PyObject *normals, int failed)
+{
+    PyObject *type, *value, *tb;
+
+    if (!Py_IS_TYPE(normals, &draw_type))
+        return 0;
+    if (!failed)
+        return settle((Draw *)normals);
+    PyErr_Fetch(&type, &value, &tb);
+    settle((Draw *)normals);
+    PyErr_Restore(type, value, tb);
+    return -1;
+}
+
+static PyObject *
+draw_rows(PyObject *self, PyObject *args)
+{
+    return start_draw(args, "OO:draw_rows", 1);
+}
 
 static PyObject *
 normal_rows(PyObject *self, PyObject *args)
 {
-    PyObject *rng, *outo, *bitgen = NULL, *capsule = NULL, *lock = NULL, *res, *ret = NULL;
-    Py_buffer view = {0};
-    bitgen_t *bg;
+    PyObject *d = start_draw(args, "OO:normal_rows", 0);
 
-    if (!PyArg_ParseTuple(args, "OO:normal_rows", &rng, &outo))
+    if (!d)
         return NULL;
-    if (PyObject_GetBuffer(outo, &view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return NULL;
-    if (view.itemsize != sizeof(double) || strcmp(view.format, "d") != 0) {
-        PyErr_SetString(PyExc_ValueError, "expected a C-contiguous float64 array");
-        goto done;
-    }
-    if (!(bitgen = PyObject_GetAttr(rng, s_bit_generator))
-        || !(capsule = PyObject_GetAttr(bitgen, s_capsule))
-        || !(lock = PyObject_GetAttr(bitgen, s_lock))
-        || !(bg = PyCapsule_GetPointer(capsule, "BitGenerator")))
-        goto done;
-    /* as Generator.standard_normal: the generator's lock held, the GIL not */
-    if (!(res = PyObject_CallMethodObjArgs(lock, s_acquire, NULL)))
-        goto done;
-    Py_DECREF(res);
-    Py_BEGIN_ALLOW_THREADS
-    ziggurat_fill(bg, view.buf, view.len / (Py_ssize_t)sizeof(double));
-    Py_END_ALLOW_THREADS
-    if (!(res = PyObject_CallMethodObjArgs(lock, s_release, NULL)))
-        goto done;
-    Py_DECREF(res);
-    Py_INCREF(Py_None);
-    ret = Py_None;
-done:
-    Py_XDECREF(lock);
-    Py_XDECREF(capsule);
-    Py_XDECREF(bitgen);
-    PyBuffer_Release(&view);
-    return ret;
+    Py_DECREF(d);
+    Py_RETURN_NONE;
 }
 
 /* Systematic resampling of the n rows of d doubles at x into out: row i of
@@ -2049,6 +2534,10 @@ static PyMethodDef methods[] = {
     {"csv_rows", csv_rows, METH_VARARGS,
      "csv_rows(block)\n--\n\n"
      "Format the rows of a float64 block as CSV text, each value as '%.9g' % value."},
+    {"draw_rows", draw_rows, METH_VARARGS,
+     "draw_rows(rng, out)\n--\n\n"
+     "Start normal_rows's draw of rng's normals into out on the worker thread, or\n"
+     "draw them inline; return the draw, which moments_rows takes as its normals."},
     {"normal_rows", normal_rows, METH_VARARGS,
      "normal_rows(rng, out)\n--\n\n"
      "Fill the float64 array out with rng.standard_normal's draws, bit for bit."},
@@ -2075,7 +2564,8 @@ PyInit__kernels_c(void)
         || !(s_capsule = PyUnicode_InternFromString("capsule"))
         || !(s_lock = PyUnicode_InternFromString("lock"))
         || !(s_acquire = PyUnicode_InternFromString("acquire"))
-        || !(s_release = PyUnicode_InternFromString("release")))
+        || !(s_release = PyUnicode_InternFromString("release"))
+        || PyType_Ready(&draw_type) < 0)
         return NULL;
     return PyModule_Create(&module);
 }

@@ -9,7 +9,8 @@ Kalman step's Cholesky factor and NIS, and ``points_rows``,
 Gaussian step's fused passes, built from the private ``_sigma_rows``,
 ``_ekf_rows`` and ``_update_rows`` in the order the compiled passes run
 them, ``csv_rows`` the CSV export's formatting, ``normal_rows`` numpy's
-standard normal draws and ``resample_rows`` the particle filter's
+standard normal draws, ``draw_rows`` the same draw handed to
+``moments_rows`` as a ``Draw``, and ``resample_rows`` the particle filter's
 systematic resampling (``systematic_index``) and gather. ``_sigma_rows`` is
 the one weighted-moments body: ``moments_rows`` calls it after the jitter,
 ``ukf_assess_rows`` for both of its moment steps and ``weigh_rows`` (through
@@ -226,7 +227,10 @@ def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
     to each column j, then, with ``quaternion``, columns 0..3 divided by
     their norm; both in place. Then ``_sigma_rows`` with w as both weights,
     and no Q, state covariance or C, writes ``mean``, ``y_hat`` and ``s``.
+    ``normals`` may be a ``draw_rows`` draw.
     """
+    if isinstance(normals, Draw):
+        normals = normals.out
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         if normals is not None:
             x += _product(normals, root).T
@@ -697,6 +701,28 @@ def normal_rows(rng, out):
     """Fill the float64 C-contiguous array ``out`` with the numpy Generator
     ``rng``'s standard normals: ``rng.standard_normal(out=out)`` itself."""
     rng.standard_normal(out=out)
+
+
+class Draw:
+    """A draw ``draw_rows`` made: already written, so ``wait`` returns its
+    array at once, and it never ran on a worker."""
+
+    __slots__ = ("out",)
+    worker = False
+
+    def __init__(self, out):
+        self.out = out
+
+    def wait(self):
+        return self.out
+
+
+def draw_rows(rng, out):
+    """``normal_rows(rng, out)``, returned as a ``Draw`` that
+    ``moments_rows`` takes as its normals. The compiled entry may run the
+    draw on its worker thread; here it is written before this returns."""
+    normal_rows(rng, out)
+    return Draw(out)
 
 
 def systematic_index(w, u):

@@ -418,6 +418,7 @@ def check_tunables(cfg, dim):
         raise FieldError("ukf_alpha", "must be in (0, 1]")
     if not cfg.ukf_kappa >= 0.0:
         raise FieldError("ukf_kappa", "must be >= 0")
+    _check_ukf_weights(cfg, dim)
     if not cfg.ukf_detector_r >= 0.0:
         raise FieldError("ukf_detector_r", "must be >= 0")
     if cfg.pf_particles < 10:
@@ -428,6 +429,26 @@ def check_tunables(cfg, dim):
                          "can hold" % (cfg.pf_particles, dim))
     if not 0.0 < cfg.pf_ess_threshold <= 1.0:
         raise FieldError("pf_ess_threshold", "must be in (0, 1]")
+
+
+def _check_ukf_weights(cfg, n):
+    """The UKF's scale alpha^2 (n + kappa) must be a finite normal number
+    > 0 and its weights finite, and the 2n outer sigma points' total weight
+    must not vanish in rounding beside the central mean weight (else a huge
+    kappa leaves a set that sums as its centre alone) or the central
+    covariance weight (else a huge beta)."""
+    scale = cfg.ukf_alpha * cfg.ukf_alpha * (n + cfg.ukf_kappa)
+    if not np.finfo(float).tiny <= scale < math.inf:
+        raise FieldError("ukf_alpha", "alpha^2 (n + kappa) is %r for n = %d states, not a "
+                         "finite normal number > 0" % (scale, n))
+    _, wm, wc = _ukf_weights(n, cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
+    if not math.isfinite(wm[0]):
+        raise FieldError("ukf_alpha", "gives the central sigma-point weight %r" % wm[0])
+    outer = 2 * n * wm[1]
+    for field, w0 in (("ukf_kappa", wm[0]), ("ukf_beta", wc[0])):
+        if not (math.isfinite(w0) and w0 + outer != w0):
+            raise FieldError(field, "gives the central sigma-point weight %r, beside which "
+                             "the outer points' weight %r is lost in rounding" % (w0, outer))
 
 
 def _update_rows(meas, record, decide):
@@ -661,12 +682,15 @@ class PfFilter:
     pre-update weights: predicted measurement mean and covariance (plus R),
     so the same chi-square machinery monitors all three filters.
 
-    A step is the model's ``propagate`` and three compiled passes
-    (``moments_rows``, ``loglik_rows`` and ``weigh_rows`` of the active
-    ``attbench.core`` backend, whose numpy fallbacks give the same bits),
-    called directly with the jitter root, H and R fixed when the filter is
-    built, and each row set's H and L once, when it is first cached. The
-    first adds the jitter L e (L L' = Q), then renormalizes the quaternion
+    A step starts the jitter draw (``draw_rows`` of the active
+    ``attbench.core`` backend: the compiled one may write it on its worker
+    thread meanwhile), runs the model's ``propagate``, then three compiled
+    passes (``moments_rows``, ``loglik_rows`` and ``weigh_rows``, whose
+    numpy fallbacks give the same bits), called directly with the jitter
+    root, H and R fixed when the filter is built, and each row set's H and L
+    once, when it is first cached. The first takes the draw as its normals,
+    awaiting each block of them as it reaches it, adds the jitter L e
+    (L L' = Q), then renormalizes the quaternion
     when the model's rows carry one (``quaternion_rows``), and sums the
     prior mean, the predicted reading and S over the cloud; the second gives
     each particle's log-likelihood on the healthy rows, through L = chol(R)
@@ -682,9 +706,13 @@ class PfFilter:
     CPU selects. The record's NIS (``compute_nis``) and both L come from the
     fixed-order Cholesky of ``attbench.core`` too (the jitter root falls
     back to LAPACK's ``eigh`` only for a Q that is not positive definite).
-    The jitter normals, and the initial cloud's, are ``core.normals``
-    (``Generator.standard_normal``'s bits), and systematic resampling with
-    its gather is one pass, ``core.resample``.
+    The jitter normals, and the initial cloud's, are
+    ``Generator.standard_normal``'s bits (``draw_rows`` and
+    ``core.normals``), and systematic resampling with its gather is one
+    pass, ``core.resample``. The draw holds the generator's lock until the
+    moments pass has taken it; a step that raises after the draw started
+    (in ``propagate``, say) releases the lock too, and leaves the generator
+    advanced by the draw's N x d normals.
     """
 
     source = "pf"
@@ -726,12 +754,16 @@ class PfFilter:
     def step(self, pset, y, t, decide=None):
         """One propagate/weigh/resample cycle. ``pset``'s weights must be a
         float64 (N,) array, as ``initial_belief`` and ``step`` make them."""
-        x = self.model.propagate(pset.states, t - self.model.dt)
-        normals = core.normals(self.rng, (self.n, self.model.dim))
+        draw = core._kernels.draw_rows(self.rng, np.empty((self.n, self.model.dim)))
+        try:
+            x = self.model.propagate(pset.states, t - self.model.dt)
+        except BaseException:
+            draw.wait()
+            raise
         w = pset.weights
         m = self.meas.dim
         mu_prior, y_hat, s = np.empty(self.model.dim), np.empty(m), np.empty((m, m))
-        core._kernels.moments_rows(x, normals, self._root, self._h, w, self._r,
+        core._kernels.moments_rows(x, draw, self._root, self._h, w, self._r,
                                    self._quaternion, mu_prior, y_hat, s)
         y_al = self.meas.align(y, mu_prior)
         nu = y_al - y_hat

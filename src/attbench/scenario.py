@@ -456,7 +456,8 @@ _CONFIG_KEYS = dict(
     principal="inertia", kind="filter.kind", policy="detector.policy", x0="filter.x0",
     fd_eps="filter.fd_eps", q_attitude="filter.q.attitude", q_rates="filter.q.rates",
     q_bias="filter.q.bias", p0_scale="filter.p0", ukf_alpha="filter.ukf.alpha",
-    ukf_kappa="filter.ukf.kappa", ukf_detector_r="filter.ukf.detector_r",
+    ukf_beta="filter.ukf.beta", ukf_kappa="filter.ukf.kappa",
+    ukf_detector_r="filter.ukf.detector_r",
     pf_particles="filter.pf.particles", pf_ess_threshold="filter.pf.ess_threshold",
     **{"r_blocks." + name: "filter.r." + name for name in _DEFAULT_SENSORS["quaternion"]})
 

@@ -94,6 +94,26 @@ def test_a_particle_cloud_no_array_can_hold_is_a_config_error(tmp_path, capsys):
             % (path, 10 ** 30)) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting,key", [
+    ("kappa: 1.0e+308", "filter.ukf.kappa"),
+    ("alpha: 1.0e-200", "filter.ukf.alpha"),
+    ("beta: 1.0e+308", "filter.ukf.beta"),
+])
+def test_a_ukf_tuning_without_usable_weights_is_a_config_error(tmp_path, capsys, setting, key):
+    """A UKF tuning whose scale alpha^2 (n + kappa) is not a finite normal
+    number > 0, or whose outer sigma points' weight is lost in rounding
+    beside the central weight, stops at the config check, exit 1, named by
+    its key, not in the first filter step, exit 2."""
+    text = (files("attbench") / "scenarios" / "spike_isolation.yaml").read_text()
+    text = text.replace("t_end: 160.0\n", "t_end: 2\n")
+    assert "  kind: ekf\n" in text
+    path = tmp_path / "ukf.yaml"
+    path.write_text(text.replace("  kind: ekf\n", "  kind: ukf\n  ukf: {%s}\n" % setting))
+    code = main(["fdir", str(path), "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "configuration error: %s: %s: " % (path, key) in capsys.readouterr().err
+
+
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
     code = main(["estimate", "warp_drive", "-o", str(tmp_path / "x.csv")])
     assert code == 1

@@ -508,10 +508,10 @@ def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
     """The particle filter checks its jitter root, H and R when built, and
     each row set's H and L when it first caches the set: whatever the hook
     answers, a step runs neither cloud validator and calls the backend's
-    cloud passes directly, the jitter draw once, the moments once, the
-    log-likelihood once unless the update is skipped, the weight pass once
-    after it, and the resampling gather last, once, exactly when it leaves
-    uniform weights."""
+    cloud passes directly: the jitter draw once, started before the RK4
+    step, the moments once, the log-likelihood once unless the update is
+    skipped, the weight pass once after it, and the resampling gather last,
+    once, exactly when it leaves uniform weights."""
     cfg = rigid_config(True)
     cfg.pf_particles = 100
     pf = flt.PfFilter(cfg, np.random.default_rng(6))
@@ -533,7 +533,7 @@ def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
         # factor_rows is the record's NIS and a newly cached set's L
         passes = [name for name in counting.calls if name != "factor_rows"]
         resampled = passes[-1] == "resample_rows"
-        assert passes == (["step_rows", "normal_rows", "moments_rows"]
+        assert passes == (["draw_rows", "step_rows", "moments_rows"]
                           + ([] if skipped else ["loglik_rows"]) + ["weigh_rows"]
                           + (["resample_rows"] if resampled else []))
         if resampled:

@@ -1184,6 +1184,47 @@ def test_normals_are_the_generators_draws_bit_for_bit(backend, bit_generator, sh
     assert ours.random() == ref.random()
 
 
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("shape", [0, 1, 7, (1000, 7), 10 ** 6])
+def test_draw_rows_are_the_generators_draws_bit_for_bit(bit_generator, shape):
+    """``draw_rows`` on each backend, on the compiled one's worker thread
+    when it takes the draw, gives ``Generator.standard_normal``'s bits into
+    the caller's array, and its ``wait`` leaves the generator where that
+    call does."""
+    for backend in _csv_backends():
+        ours, ref = (np.random.Generator(bit_generator(2718)) for _ in range(2))
+        out = np.empty(shape)
+        assert backend.draw_rows(ours, out).wait() is out
+        want = ref.standard_normal(shape)
+        assert out.tobytes() == want.tobytes(), backend.__name__
+        assert same_state(ours.bit_generator.state, ref.bit_generator.state)
+        assert ours.random() == ref.random()
+
+
+def test_moments_rows_takes_a_draw_in_place_of_its_normals():
+    """The cloud pass given a ``draw_rows`` draw (awaited block by block
+    while the compiled worker writes it) writes the bits it writes given
+    the same normals as an array, on each backend."""
+    rng = np.random.default_rng(21)
+    cloud = np.hstack([rng.standard_normal((1000, 4)), 0.1 * rng.standard_normal((1000, 3))])
+    weights = np.full(1000, 1e-3)
+    h, r = np.eye(7)[[0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6]], 1e-3 * np.eye(11)
+    for backend in _csv_backends():
+        outs = []
+        for drawn in (True, False):
+            normals = np.empty((1000, 7))
+            if drawn:
+                normals_arg = backend.draw_rows(np.random.default_rng(8), normals)
+            else:
+                backend.normal_rows(np.random.default_rng(8), normals)
+                normals_arg = normals
+            args = kernels_py.checked_moments(cloud.copy(), weights, normals, 1e-2 * np.eye(7),
+                                              h, r, True)
+            backend.moments_rows(args[0], normals_arg, *args[2:])
+            outs.append(b"".join(a.tobytes() for a in (args[0], *args[-3:])))
+        assert outs[0] == outs[1], backend.__name__
+
+
 def test_normal_rows_fills_any_c_contiguous_float64_array_in_place():
     """Both backends fill the caller's array in place, in C order, and
     refuse one that is not C-contiguous float64."""
