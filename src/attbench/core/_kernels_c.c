@@ -2018,8 +2018,8 @@ static PyTypeObject draw_type;
  * other CPUs (avoid_poster); the poster's mask is never changed. When the
  * CPUs are oversubscribed, a spinning worker would take the poster's time:
  * when the worker loses its CPU for LOST_NS, while it spins or while it
- * writes a chunk, or a poster was preempted since its last post, draws run
- * inline for a while (back_off). A fork waits for the worker to let its
+ * writes a chunk, or a poster was preempted twice within 64 draws, draws
+ * run inline for a while (back_off). A fork waits for the worker to let its
  * draw go (the prepare handler); the child has no worker and starts its own
  * at its first draw. */
 #define SPIN_NS 1000000
@@ -2034,6 +2034,7 @@ static Py_ssize_t claim;
 static long long quiet_until, quiet_ns;  /* draws run inline until quiet_until */
 static int posts_since_loss;
 static __thread long poster_preempted;  /* the poster's involuntary switches */
+static __thread int posts_since_preempted;
 static int worker_state;  /* 0: not started, 1: running, -1: every draw inline */
 static int poster_cpu = -1;  /* the CPU of the last post */
 static cpu_set_t worker_cpus;  /* the process's CPUs when the worker started */
@@ -2234,12 +2235,14 @@ post(Draw *d)
         start_worker();
     if (worker_state < 0)
         return 0;
-    /* a poster preempted since its last post shares its CPU */
+    /* a poster preempted twice within 64 draws shares its CPU */
     if (getrusage(RUSAGE_THREAD, &use) == 0 && use.ru_nivcsw != poster_preempted) {
-        if (poster_preempted)
+        if (poster_preempted && posts_since_preempted < 64)
             back_off(now_ns());
         poster_preempted = use.ru_nivcsw;
+        posts_since_preempted = 0;
     }
+    posts_since_preempted++;
     quiet = __atomic_load_n(&quiet_until, __ATOMIC_RELAXED);
     if (__atomic_load_n(&job, __ATOMIC_ACQUIRE) || (quiet && now_ns() < quiet))
         return 0;

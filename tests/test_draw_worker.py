@@ -199,19 +199,31 @@ def free_for_another_thread(lock):
 
 
 def test_a_step_that_raises_after_the_draw_started_releases_the_generator(monkeypatch):
-    """A propagate that raises once the jitter draw has started (on the
-    worker, the draw holds the generator's lock meanwhile) leaves the lock
-    free for other threads and the generator usable, advanced by the N x d
-    normals of that draw."""
+    """A propagate that raises while the jitter draw runs on the worker (the
+    draw holds the generator's lock meanwhile) leaves the lock free for
+    other threads, even while the exception keeps the step's frame and its
+    draw alive, and the generator usable, advanced by each failed step's
+    N x d normals. The failing step is retried until the worker takes its
+    draw, as a back-off can make draws inline for up to 128 ms."""
     pf, belief, steps = pf_case()
+    lock = pf.rng.bit_generator.lock
+    held = []
 
     def broken(states, t):
+        # a probe thread here would preempt the poster and make draws inline
+        held.append(lock._is_owned())
         raise RuntimeError("propagate failed")
 
     monkeypatch.setattr(pf.model, "propagate", broken)
-    with pytest.raises(RuntimeError, match="propagate failed"):
-        pf.step(belief, *steps[0])
-    assert free_for_another_thread(pf.rng.bit_generator.lock)
+    worker = core.BACKEND == "compiled" and TWO_CPUS
+    deadline = time.monotonic() + 10.0
+    while True:
+        with pytest.raises(RuntimeError, match="propagate failed") as caught:
+            pf.step(belief, *steps[0])
+        if held[-1] or not worker or time.monotonic() > deadline:
+            break
+    assert held[-1] == worker, "the worker took no draw in 10 s"
+    assert caught.traceback and free_for_another_thread(lock)
     ref = np.random.default_rng(9)
-    ref.standard_normal((2, pf.n, pf.model.dim))  # the initial cloud and the jitter
+    ref.standard_normal((1 + len(held), pf.n, pf.model.dim))  # the initial cloud, the jitters
     assert pf.rng.random() == ref.random()
