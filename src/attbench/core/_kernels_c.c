@@ -105,9 +105,10 @@
  * created at the first draw that may use it, and returns at once; the
  * particle filter then runs its RK4 step while the worker draws, and its
  * moments pass awaits each block's normals only as it reaches them. One
- * draw at a time uses the worker: a draw that finds it busy, every draw of
- * a process whose affinity mask holds one CPU, and every draw of a build
- * without pthreads run inline, as normal_rows does. The worker runs the
+ * draw at a time uses the worker, from its post until it is settled: a draw
+ * made meanwhile or while the worker is busy, every draw of a process whose
+ * affinity mask holds one CPU, and every draw of a build without pthreads
+ * run inline, as normal_rows does. The worker runs the
  * same ziggurat_fill over the same bitgen_t, chunk after chunk, while the
  * poster holds the generator's lock, so every bit and the generator's state
  * after are those of the inline draw. It never touches the Python API; it
@@ -130,7 +131,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-#include <structmember.h>
 
 #include "_ziggurat.h"
 
@@ -142,7 +142,6 @@
 #include <pthread.h>
 #include <sched.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <time.h>
 #endif
 #if defined(__x86_64__) || defined(__i386__)
@@ -535,10 +534,10 @@ symmetric(double *out, Py_ssize_t k, const double *add, int diagonal)
         }
 }
 
-/* A draw of draw_rows (below); await_draw returns once its first upto
- * normals are written. */
+/* A draw of draw_rows (below); await_draw returns once the first upto
+ * normals of the posted draw are written. */
 typedef struct Draw Draw;
-static void await_draw(Draw *d, Py_ssize_t upto);
+static void await_draw(Py_ssize_t upto);
 
 static void WIDE
 moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
@@ -607,7 +606,7 @@ moments(double *x, Py_ssize_t rows, Py_ssize_t n, const double *normals,
         to_columns(x + i0 * n, nb, n, n, xt);
         if (normals) {
             if (pending)
-                await_draw(pending, (i0 + nb) * n);
+                await_draw((i0 + nb) * n);
             to_columns(normals + i0 * n, nb, n, n, et);
             measure(et, nb, root, NULL, n, n, zt);
             for (j = 0; j < n; j++)
@@ -1976,65 +1975,68 @@ static PyObject *s_bit_generator, *s_capsule, *s_lock, *s_acquire, *s_release;
 /* A draw of count standard normals into the float64 array out through the
  * bit generator bg. While lock is not NULL the draw holds the bit
  * generator's lock, as Generator.standard_normal does, and, when posted to
- * the worker, may still be being written: done counts the normals written,
- * raised a chunk (BLOCK rows of out) at a time. settle awaits the rest and
+ * the worker, may still be being written. settle awaits the rest and
  * releases the lock; every path out of a draw's life settles it, so no
- * thread writes into an array or a draw that is gone. */
+ * thread writes into an array that is gone. One thread at a time uses a
+ * draw: the one that steps the particle filter that made it. */
 struct Draw {
     PyObject_HEAD
     Py_buffer view;   /* out */
     PyObject *owner;  /* the bit generator, which bg lives in */
     PyObject *lock;
     bitgen_t *bg;
-    Py_ssize_t count, chunk, done;
+    Py_ssize_t count;
     char worker;      /* posted to the worker */
 };
 
 static PyTypeObject draw_type;
+
+/* The posted draw, from its post until it is settled; only threads that
+ * hold the GIL read or write it. */
+static Draw *posted;
 
 #ifdef WORKER
 /* The worker: one thread, created at the first draw that may use it, which
  * writes the draws posted to it, one at a time, by the same ziggurat_fill
  * over the same bitgen_t, chunk by chunk. It never touches the Python API:
  * the thread that posted a draw holds the bit generator's lock for it and
- * settles it. job is the posted draw, NULL once the worker has let it go; a
- * draw that finds the worker busy runs inline, and so does every draw when
- * the affinity mask of the thread that first draws holds fewer than two
- * CPUs. Posts come from threads that hold the GIL, so one at a time.
+ * settles it. A draw that finds a posted draw unsettled or the worker busy
+ * runs inline, and so does every draw when the affinity mask of the thread
+ * that first draws holds fewer than two CPUs.
+ *
+ * A post fills the one slot (the draw's bit generator, array, size and
+ * chunk, with claim and done at 0) and sets busy; the worker clears busy
+ * when it lets the slot go. No post refills the slot before the last draw
+ * is settled and busy is clear, so claim and done count one draw's normals
+ * for as long as any thread reads them. The worker reads only the slot, and
+ * writes into the draw's array only under a claim, which the draw outlives.
  *
  * The worker claims each chunk before it writes it, by raising claim from
  * the end of the last chunk written. A thread awaiting the draw that sees
  * no chunk written for STALL_NS claims the rest the same way, when the
- * worker holds no chunk, and writes it itself: a worker that is asleep,
- * descheduled or sharing its CPU costs the draw a short wait, not the
- * worker's absence. The bits are the same, since each chunk is written by
- * one thread after the one before, in order. Claims are the only thing the
- * worker reads after a draw is taken from it.
+ * worker holds no chunk, and writes it itself: a worker that is asleep or
+ * descheduled costs the draw a short wait, not the worker's absence. The
+ * bits are the same, since each chunk is written by one thread after the
+ * one before, in order.
  *
  * Between draws the worker spins on pause for SPIN_NS by the monotonic
  * clock, longer than the particle filter's gap between two draws, then
  * sleeps on idle_cond until a post wakes it. A worker that finds itself on
  * the last poster's CPU narrows its own affinity mask to the process's
- * other CPUs (avoid_poster); the poster's mask is never changed. When the
- * CPUs are oversubscribed, a spinning worker would take the poster's time:
- * when the worker loses its CPU for LOST_NS, while it spins or while it
- * writes a chunk, or a poster was preempted twice within 64 draws, draws
- * run inline for a while (back_off). A fork waits for the worker to let its
- * draw go (the prepare handler); the child has no worker and starts its own
- * at its first draw. */
+ * other CPUs (avoid_poster); the poster's mask is never changed. A fork
+ * waits for the worker to let the slot go (the prepare handler); the child
+ * has no worker and starts its own at its first draw. */
 #define SPIN_NS 1000000
 #define STALL_NS 20000
-#define LOST_NS 1000000
-#define QUIET_MIN_NS 1000000
-#define QUIET_MAX_NS 128000000
 #define WORKER_STACK (64 * 1024)
 
-static Draw *job;
-static Py_ssize_t claim;
-static long long quiet_until, quiet_ns;  /* draws run inline until quiet_until */
-static int posts_since_loss;
-static __thread long poster_preempted;  /* the poster's involuntary switches */
-static __thread int posts_since_preempted;
+static struct {
+    bitgen_t *bg;
+    double *out;
+    Py_ssize_t count, chunk;
+    Py_ssize_t claim, done;  /* the normals claimed, and written */
+} slot;
+static int busy;
 static int worker_state;  /* 0: not started, 1: running, -1: every draw inline */
 static int poster_cpu = -1;  /* the CPU of the last post */
 static cpu_set_t worker_cpus;  /* the process's CPUs when the worker started */
@@ -2051,41 +2053,25 @@ now_ns(void)
     return t.tv_sec * 1000000000LL + t.tv_nsec;
 }
 
-/* Claim the normals [from, to) of the posted draw: 1 when no other thread
- * has claimed past from. */
+/* Claim the slot's normals [from, to): 1 when no other thread has claimed
+ * past from. */
 static int
 take(Py_ssize_t from, Py_ssize_t to)
 {
-    return __atomic_compare_exchange_n(&claim, &from, to, 0, __ATOMIC_ACQ_REL,
+    return __atomic_compare_exchange_n(&slot.claim, &from, to, 0, __ATOMIC_ACQ_REL,
                                        __ATOMIC_ACQUIRE);
 }
 
-/* A thread lost its CPU to another, found at time t: run the next draws
- * inline for a while, twice as long as the last time when it happened again
- * within 64 posts, as it does while another busy thread shares the CPUs;
- * an odd loss on a machine that is briefly busy costs a millisecond. */
 static void
-back_off(long long t)
+await_draw(Py_ssize_t upto)
 {
-    long long quiet = __atomic_load_n(&quiet_ns, __ATOMIC_RELAXED);
-
-    quiet = __atomic_load_n(&posts_since_loss, __ATOMIC_RELAXED) < 64 && quiet
-            ? (2 * quiet < QUIET_MAX_NS ? 2 * quiet : QUIET_MAX_NS) : QUIET_MIN_NS;
-    __atomic_store_n(&quiet_ns, quiet, __ATOMIC_RELAXED);
-    __atomic_store_n(&posts_since_loss, 0, __ATOMIC_RELAXED);
-    __atomic_store_n(&quiet_until, t + quiet, __ATOMIC_RELAXED);
-}
-
-static void
-await_draw(Draw *d, Py_ssize_t upto)
-{
-    Py_ssize_t seen = -1, k = 0;
+    Py_ssize_t seen = -1, k = 0, count = slot.count;
     long long since = 0, t;
     int i;
 
     for (;;) {
         for (i = 0; i < 64; i++) {
-            if ((k = __atomic_load_n(&d->done, __ATOMIC_ACQUIRE)) >= upto)
+            if ((k = __atomic_load_n(&slot.done, __ATOMIC_ACQUIRE)) >= upto)
                 return;
             CPU_RELAX();
         }
@@ -2094,9 +2080,9 @@ await_draw(Draw *d, Py_ssize_t upto)
             seen = k;
             since = t;
         } else if (t - since >= STALL_NS) {
-            if (take(k, d->count)) {
-                ziggurat_fill(d->bg, (double *)d->view.buf + k, d->count - k);
-                __atomic_store_n(&d->done, d->count, __ATOMIC_RELEASE);
+            if (take(k, count)) {
+                ziggurat_fill(slot.bg, slot.out + k, count - k);
+                __atomic_store_n(&slot.done, count, __ATOMIC_RELEASE);
                 return;
             }
             sched_yield();  /* the worker holds a chunk: let it run if it is here */
@@ -2118,57 +2104,43 @@ avoid_poster(void)
     }
 }
 
-static Draw *
-next_job(void)
+static void
+await_post(void)
 {
-    long long t0 = now_ns(), last = t0, t;
-    Draw *d;
+    long long t0 = now_ns();
     int i;
 
     do {
         for (i = 0; i < 64; i++) {
-            if ((d = __atomic_load_n(&job, __ATOMIC_ACQUIRE)))
-                return d;
+            if (__atomic_load_n(&busy, __ATOMIC_ACQUIRE))
+                return;
             CPU_RELAX();
         }
-        /* a spin that lost its CPU for LOST_NS: the CPUs are oversubscribed,
-         * and a spinning worker would slow the poster, so sleep */
-        if ((t = now_ns()) - last >= LOST_NS) {
-            back_off(t);
-            break;
-        }
         avoid_poster();
-        last = t;
-    } while (t - t0 < SPIN_NS);
+    } while (now_ns() - t0 < SPIN_NS);
     pthread_mutex_lock(&idle_mutex);
-    while (!(d = __atomic_load_n(&job, __ATOMIC_ACQUIRE))) {
+    while (!__atomic_load_n(&busy, __ATOMIC_ACQUIRE)) {
         sleeping = 1;
         pthread_cond_wait(&idle_cond, &idle_mutex);
     }
     sleeping = 0;
     pthread_mutex_unlock(&idle_mutex);
-    return d;
 }
 
 static void *
 work(void *unused)
 {
     for (;;) {
-        Draw *d = next_job();
-        bitgen_t *bg = d->bg;
-        double *out = d->view.buf;
-        Py_ssize_t count = d->count, chunk = d->chunk, k, next;
-        long long last = now_ns(), t;
+        Py_ssize_t count, chunk, k, next;
 
-        /* once done reaches count, or a claim fails, d may be gone */
+        await_post();
+        count = slot.count;
+        chunk = slot.chunk;
         for (k = 0; k < count && take(k, next = k + chunk < count ? k + chunk : count); k = next) {
-            ziggurat_fill(bg, out + k, next - k);
-            __atomic_store_n(&d->done, next, __ATOMIC_RELEASE);
-            if ((t = now_ns()) - last >= LOST_NS)
-                back_off(t);
-            last = t;
+            ziggurat_fill(slot.bg, slot.out + k, next - k);
+            __atomic_store_n(&slot.done, next, __ATOMIC_RELEASE);
         }
-        __atomic_store_n(&job, NULL, __ATOMIC_RELEASE);
+        __atomic_store_n(&busy, 0, __ATOMIC_RELEASE);
     }
     return unused;
 }
@@ -2177,7 +2149,7 @@ static void
 fork_prepare(void)
 {
     if (worker_state > 0)
-        while (__atomic_load_n(&job, __ATOMIC_ACQUIRE))
+        while (__atomic_load_n(&busy, __ATOMIC_ACQUIRE))
             CPU_RELAX();
     pthread_mutex_lock(&idle_mutex);
 }
@@ -2228,30 +2200,22 @@ start_worker(void)
 static int
 post(Draw *d)
 {
-    struct rusage use;
-    long long quiet;
-
+    if (posted)
+        return 0;
     if (!worker_state)
         start_worker();
-    if (worker_state < 0)
+    if (worker_state < 0 || __atomic_load_n(&busy, __ATOMIC_ACQUIRE))
         return 0;
-    /* a poster preempted twice within 64 draws shares its CPU */
-    if (getrusage(RUSAGE_THREAD, &use) == 0 && use.ru_nivcsw != poster_preempted) {
-        if (poster_preempted && posts_since_preempted < 64)
-            back_off(now_ns());
-        poster_preempted = use.ru_nivcsw;
-        posts_since_preempted = 0;
-    }
-    posts_since_preempted++;
-    quiet = __atomic_load_n(&quiet_until, __ATOMIC_RELAXED);
-    if (__atomic_load_n(&job, __ATOMIC_ACQUIRE) || (quiet && now_ns() < quiet))
-        return 0;
-    __atomic_store_n(&posts_since_loss,
-                     __atomic_load_n(&posts_since_loss, __ATOMIC_RELAXED) + 1, __ATOMIC_RELAXED);
-    /* the worker reads claim only while job is set */
-    claim = 0;
+    slot.bg = d->bg;
+    slot.out = d->view.buf;
+    slot.count = d->count;
+    slot.chunk = BLOCK * (d->view.ndim && d->view.shape[d->view.ndim - 1]
+                          ? d->view.shape[d->view.ndim - 1] : 1);
+    __atomic_store_n(&slot.claim, 0, __ATOMIC_RELAXED);
+    __atomic_store_n(&slot.done, 0, __ATOMIC_RELAXED);
+    posted = d;
     __atomic_store_n(&poster_cpu, sched_getcpu(), __ATOMIC_RELAXED);
-    __atomic_store_n(&job, d, __ATOMIC_RELEASE);
+    __atomic_store_n(&busy, 1, __ATOMIC_RELEASE);
     pthread_mutex_lock(&idle_mutex);
     if (sleeping)
         pthread_cond_signal(&idle_cond);
@@ -2260,7 +2224,7 @@ post(Draw *d)
 }
 #else
 static void
-await_draw(Draw *d, Py_ssize_t upto)
+await_draw(Py_ssize_t upto)
 {
 }
 
@@ -2280,8 +2244,9 @@ settle(Draw *d)
         return 0;
     if (d->worker) {
         Py_BEGIN_ALLOW_THREADS
-        await_draw(d, d->count);
+        await_draw(d->count);
         Py_END_ALLOW_THREADS
+        posted = NULL;
     }
     d->lock = NULL;
     res = PyObject_CallMethodObjArgs(lock, s_release, NULL);
@@ -2302,7 +2267,6 @@ start_draw(PyObject *args, const char *format, int on_worker)
         return NULL;
     d->view.obj = NULL;
     d->owner = d->lock = NULL;
-    d->done = 0;
     d->worker = 0;
     if (PyObject_GetBuffer(outo, &d->view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
         < 0)
@@ -2312,8 +2276,6 @@ start_draw(PyObject *args, const char *format, int on_worker)
         goto fail;
     }
     d->count = d->view.len / (Py_ssize_t)sizeof(double);
-    d->chunk = BLOCK * (d->view.ndim && d->view.shape[d->view.ndim - 1]
-                        ? d->view.shape[d->view.ndim - 1] : 1);
     if (!(d->owner = PyObject_GetAttr(rng, s_bit_generator))
         || !(capsule = PyObject_GetAttr(d->owner, s_capsule)))
         goto fail;
@@ -2334,7 +2296,6 @@ start_draw(PyObject *args, const char *format, int on_worker)
     Py_BEGIN_ALLOW_THREADS
     ziggurat_fill(d->bg, d->view.buf, d->count);
     Py_END_ALLOW_THREADS
-    d->done = d->count;
     if (settle(d) == 0)
         return (PyObject *)d;
 fail:
@@ -2375,12 +2336,6 @@ static PyMethodDef draw_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
-static PyMemberDef draw_members[] = {
-    {"worker", T_BOOL, offsetof(Draw, worker), READONLY,
-     "Whether the draw was posted to the worker thread."},
-    {NULL, 0, 0, 0, NULL},
-};
-
 static PyTypeObject draw_type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "attbench.core._kernels_c.Draw",
@@ -2389,7 +2344,6 @@ static PyTypeObject draw_type = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "A draw of normals that draw_rows started; moments_rows takes it as normals.",
     .tp_methods = draw_methods,
-    .tp_members = draw_members,
 };
 
 /* moments_rows's normals: a Draw gives its array, and *pending the draw

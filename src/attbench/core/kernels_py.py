@@ -705,10 +705,9 @@ def normal_rows(rng, out):
 
 class Draw:
     """A draw ``draw_rows`` made: already written, so ``wait`` returns its
-    array at once, and it never ran on a worker."""
+    array at once."""
 
     __slots__ = ("out",)
-    worker = False
 
     def __init__(self, out):
         self.out = out

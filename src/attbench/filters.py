@@ -432,15 +432,16 @@ def check_tunables(cfg, dim):
 
 
 def _check_ukf_weights(cfg, n):
-    """The UKF's scale alpha^2 (n + kappa) must be a finite normal number
-    > 0 and its weights finite, and the 2n outer sigma points' total weight
-    must not vanish in rounding beside the central mean weight (else a huge
-    kappa leaves a set that sums as its centre alone) or the central
-    covariance weight (else a huge beta)."""
-    scale = cfg.ukf_alpha * cfg.ukf_alpha * (n + cfg.ukf_kappa)
+    """The UKF's scale n + lambda = n + (alpha^2 (n + kappa) - n), as
+    ``_ukf_weights`` rounds it, must be a finite normal number > 0 and its
+    weights finite, and the 2n outer sigma points' total weight must not
+    vanish in rounding beside the central mean weight (else a huge kappa
+    leaves a set that sums as its centre alone) or the central covariance
+    weight (else a huge beta)."""
+    scale = n + _ukf_lambda(n, cfg.ukf_alpha, cfg.ukf_kappa)
     if not np.finfo(float).tiny <= scale < math.inf:
-        raise FieldError("ukf_alpha", "alpha^2 (n + kappa) is %r for n = %d states, not a "
-                         "finite normal number > 0" % (scale, n))
+        raise FieldError("ukf_alpha", "n + lambda = n + (alpha^2 (n + kappa) - n) is %r for "
+                         "n = %d states, not a finite normal number > 0" % (scale, n))
     _, wm, wc = _ukf_weights(n, cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
     if not math.isfinite(wm[0]):
         raise FieldError("ukf_alpha", "gives the central sigma-point weight %r" % wm[0])
@@ -564,11 +565,16 @@ class EkfFilter(_GaussianFilter):
                                                                           self.source)
 
 
+def _ukf_lambda(n, alpha, kappa):
+    """lambda = alpha^2 (n + kappa) - n of the scaled unscented transform."""
+    return alpha * alpha * (n + kappa) - n
+
+
 def _ukf_weights(n, alpha, beta, kappa):
     """(scale, wm, wc) of the scaled unscented transform of n states:
     lambda = alpha^2 (n + kappa) - n, scale = n + lambda, and the (2n + 1,)
     mean and covariance weights."""
-    lam = alpha * alpha * (n + kappa) - n
+    lam = _ukf_lambda(n, alpha, kappa)
     scale = n + lam
     wm = np.full(2 * n + 1, 0.5 / scale)
     wc = np.full(2 * n + 1, 0.5 / scale)

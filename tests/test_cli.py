@@ -97,6 +97,7 @@ def test_a_particle_cloud_no_array_can_hold_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("setting,key", [
     ("kappa: 1.0e+308", "filter.ukf.kappa"),
     ("alpha: 1.0e-200", "filter.ukf.alpha"),
+    ("alpha: 1.0e-9", "filter.ukf.alpha"),
     ("beta: 1.0e+308", "filter.ukf.beta"),
 ])
 def test_a_ukf_tuning_without_usable_weights_is_a_config_error(tmp_path, capsys, setting, key):

@@ -114,26 +114,85 @@ def test_the_idle_worker_spin_is_bounded():
 def test_a_draw_that_finds_the_worker_busy_runs_inline():
     """One worker, one draw at a time: while a long draw runs on it, a
     second draw is written inline, before ``draw_rows`` returns. Both give
-    the generators' own draws and states. (After the CPUs were found
-    oversubscribed, draws run inline for up to 128 ms: the first draw is
-    retried until the worker takes it.)"""
+    the generators' own draws and states. A draw on the worker still holds
+    its generator's lock when ``draw_rows`` returns; an inline one has
+    released it. (The first draw is retried until the worker takes it, as
+    the worker lets the last draw go just after that draw is written.)"""
     big, small = np.empty(4_000_000), np.empty((1000, 7))
     worker = core.BACKEND == "compiled" and TWO_CPUS
     deadline = time.monotonic() + 10.0
     while True:
         rngs = [np.random.default_rng(s) for s in (3, 4)]
         first = core._kernels.draw_rows(rngs[0], big)
-        if first.worker or not worker or time.monotonic() > deadline:
+        on_worker = rngs[0].bit_generator.lock._is_owned()
+        if on_worker or not worker or time.monotonic() > deadline:
             break
         first.wait()
     second = core._kernels.draw_rows(rngs[1], small)
-    assert not second.worker
-    assert first.worker == worker, "the worker took no draw in 10 s"
+    assert not rngs[1].bit_generator.lock._is_owned()
+    assert on_worker == worker, "the worker took no draw in 10 s"
     assert first.wait() is big and second.wait() is small
+    assert not rngs[0].bit_generator.lock._is_owned()
     for rng, seed, out in zip(rngs, (3, 4), (big, small)):
         ref = np.random.default_rng(seed)
         assert out.tobytes() == ref.standard_normal(out.shape).tobytes()
         assert rng.random() == ref.random()
+
+
+def test_a_draw_posted_while_another_is_unsettled_runs_inline():
+    """The worker's slot stays a posted draw's until that draw is settled,
+    not only until the worker has written it: a second draw made after the
+    worker finished the first, but before the first was settled, is written
+    inline. A thread awaiting the first draw therefore never counts another
+    draw's normals as its own."""
+    first_out, second_out = np.empty((1000, 7)), np.empty((1000, 7))
+    worker = core.BACKEND == "compiled" and TWO_CPUS
+    deadline = time.monotonic() + 10.0
+    while True:
+        rngs = [np.random.default_rng(s) for s in (5, 6)]
+        first = core._kernels.draw_rows(rngs[0], first_out)
+        on_worker = rngs[0].bit_generator.lock._is_owned()
+        if on_worker or not worker or time.monotonic() > deadline:
+            break
+        first.wait()
+    assert on_worker == worker, "the worker took no draw in 10 s"
+    time.sleep(0.05)  # the worker writes 7000 normals in well under 1 ms
+    second = core._kernels.draw_rows(rngs[1], second_out)
+    assert not rngs[1].bit_generator.lock._is_owned()
+    assert first.wait() is first_out and second.wait() is second_out
+    for rng, seed, out in zip(rngs, (5, 6), (first_out, second_out)):
+        ref = np.random.default_rng(seed)
+        assert out.tobytes() == ref.standard_normal(out.shape).tobytes()
+        assert rng.random() == ref.random()
+
+
+def test_two_threads_drawing_at_once_give_their_generators_bits():
+    """Two threads that each draw and settle 300 clouds of normals on their
+    own generator, at once, so that one awaits its draw while the other
+    posts or draws inline, each get their generator's own draws."""
+    shape, rounds = (1000, 7), 300
+    barrier = threading.Barrier(2)
+    got = [None, None]
+
+    def run(i):
+        rng, out, h = np.random.default_rng(20 + i), np.empty(shape), hashlib.sha256()
+        barrier.wait()
+        for _ in range(rounds):
+            h.update(core._kernels.draw_rows(rng, out).wait().tobytes())
+        got[i] = h.hexdigest()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(120)
+    want = []
+    for i in range(2):
+        rng, h = np.random.default_rng(20 + i), hashlib.sha256()
+        for _ in range(rounds):
+            h.update(rng.standard_normal(shape).tobytes())
+        want.append(h.hexdigest())
+    assert got == want
 
 
 def test_two_threads_stepping_their_own_filters_give_their_solo_bytes():
@@ -204,13 +263,12 @@ def test_a_step_that_raises_after_the_draw_started_releases_the_generator(monkey
     other threads, even while the exception keeps the step's frame and its
     draw alive, and the generator usable, advanced by each failed step's
     N x d normals. The failing step is retried until the worker takes its
-    draw, as a back-off can make draws inline for up to 128 ms."""
+    draw."""
     pf, belief, steps = pf_case()
     lock = pf.rng.bit_generator.lock
     held = []
 
     def broken(states, t):
-        # a probe thread here would preempt the poster and make draws inline
         held.append(lock._is_owned())
         raise RuntimeError("propagate failed")
 
