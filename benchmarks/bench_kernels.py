@@ -1,8 +1,9 @@
 """Compare the compiled kernels against the pure-Python fallback.
 
-The two backends must produce bit-identical results; this script checks
-that first for the rigid-body RK4 step, torque-free and with the
-gravity-gradient frames, for the particle filter's two cloud passes, for
+The two backends must produce bit-identical results; ``check_parity``,
+which the test suite runs too, checks that first for the rigid-body RK4
+step, torque-free and with the gravity-gradient frames, for the particle
+filter's two cloud passes, for
 the four fused entries of the Gaussian step (the UKF's sigma set, the EKF's
 and UKF's assess passes and the update pass; 7 and 10 states, so 15- and
 21-point stencils and sigma sets, with the attitude suite's 11 rows), for
@@ -21,7 +22,7 @@ the RK4 step and handed to the moments pass, against the sequential
 on a 1000-particle cloud of 7 and 10 states), and for the moments pass on
 the attitude suite's 11 rows against the same rows made distinct by the
 sign of their zeros (``twin_rows`` of ``tests/test_kernels.py``), which the
-pass forms one sum each for. It then times both on the
+pass forms one sum each for. ``time_kernels`` then times both on the
 batch shapes the filters actually use (EKF finite-difference stencils, UKF
 sigma sets, PF clouds), on a long single-trajectory propagation, on gravity-gradient truth
 steps and on the cloud passes of a 1000-particle, 10-state filter with the
@@ -64,7 +65,8 @@ from attbench.filters import (EkfFilter, FilterConfig, GaussianBelief, RigidBody
 from attbench.sensors import make_layout
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_kernels import csv_edge_table, resample_reference, twin_rows  # noqa: E402
+from test_kernels import (csv_edge_table, log_likelihoods, resample_reference,  # noqa: E402
+                          twin_rows)
 
 if BACKEND != "compiled":
     raise SystemExit(
@@ -146,7 +148,7 @@ def cloud_passes(states, weights, normals, root, h, r, l, reading):
     """One PF step's cloud passes plus the estimate's moments."""
     x = states.copy()
     moments = core.cloud_moments(x, weights, normals, root, h, r, True)
-    loglik = core.cloud_loglik(x, h, l, reading)
+    loglik = log_likelihoods(x, h, l, reading)
     stats = core.cloud_moments(x, weights, diagonal=True)
     return (x, *moments, loglik, *stats)
 
@@ -178,10 +180,17 @@ def kalman_case(n=10, seed=0):
     return s, 0.1 * rng.standard_normal(len(s))
 
 
+def block_nis(s, nu):
+    """The NIS of the isolation test's blocks of ``s``: ``factor_rows`` of
+    the active backend, into a new zeroed factor."""
+    return core._kernels.factor_rows(s, ISOLATION_BLOCKS, nu, np.zeros(s.shape))
+
+
 def cholesky_layer(s, nu):
-    """Every Cholesky entry of ``attbench.core`` on one Kalman step's arrays."""
+    """Every Cholesky entry on one Kalman step's arrays: ``attbench.core``'s
+    and the isolation test's block NIS."""
     nis, l = core.nis(s, nu)
-    return (l, nis, core.block_nis(s, nu, ISOLATION_BLOCKS), core.cholesky(s))
+    return (l, nis, block_nis(s, nu), core.cholesky(s))
 
 
 def flat_index_stencil(mu, eps, plus, minus):
@@ -315,7 +324,7 @@ def bench_passes():
         states, weights, normals, root, h, r, l, reading = cloud_case(n=n)
         passes = [
             ("moments", lambda: core.cloud_moments(states, weights, normals, root, h, r, True)),
-            ("log-likelihood", lambda: core.cloud_loglik(states, h, l, reading)),
+            ("log-likelihood", lambda: log_likelihoods(states, h, l, reading)),
         ]
         for label, fn in passes:
             tc = per_call(fn, calls=2000)
@@ -331,7 +340,7 @@ def bench_cholesky():
     cases = [
         ("record NIS (11 rows)", lambda: core.nis(s, nu),
          lambda: float(nu @ np.linalg.solve(s, nu))),
-        ("isolation NIS (4/4/3 blocks)", lambda: core.block_nis(s, nu, ISOLATION_BLOCKS),
+        ("isolation NIS (4/4/3 blocks)", lambda: block_nis(s, nu),
          lambda: [float(nu[a:b] @ np.linalg.solve(s[a:b, a:b], nu[a:b])) for a, b in blocks]),
     ]
     print("%-38s %10s %10s %10s %8s" % ("Cholesky layer, per call", "compiled", "np.linalg",
@@ -476,7 +485,7 @@ def weight_case(n, rows=1000, seed=0):
     states, weights, normals, root, h, r, l, reading = cloud_case(rows, seed, n)
     x = states.copy()
     core.cloud_moments(x, weights, normals, root, h, r, True)
-    return core.cloud_loglik(x, h, l, reading), weights, x, 0.0
+    return log_likelihoods(x, h, l, reading), weights, x, 0.0
 
 
 def weigh(loglik, w, x, limit):
@@ -537,7 +546,9 @@ def check(label, outs):
         raise SystemExit("backend mismatch; parity is a hard requirement")
 
 
-def main():
+def check_parity():
+    """Check every case above on both backends, bit for bit; stop at the
+    first that differs."""
     print("backend check: BACKEND=%s" % BACKEND)
     for m in (1, 15, 21, 1000):
         for frames in (None, FRAMES):
@@ -594,7 +605,10 @@ def main():
                          ("CSV pass, %d edge values" % len(edges), edges)):
         check(label, ([COMPILED.csv_rows(block).encode()], [kernels_py.csv_rows(block).encode()]))
 
-    print()
+
+def time_kernels():
+    """Time both backends on the filters' batch shapes, then each group of
+    passes per call."""
     print("%-38s %12s %12s %8s" % ("case", "compiled", "python", "speedup"))
     cases = [
         ("EKF jacobian stencil (15 x 2000)", 15, 2000, None),
@@ -629,6 +643,12 @@ def main():
     bench_draws()
     print()
     bench_weights()
+
+
+def main():
+    check_parity()
+    print()
+    time_kernels()
 
 
 if __name__ == "__main__":

@@ -10,18 +10,20 @@ regardless. ``_kernels`` is the active backend; both export the same
 This module is the kernel API. Three groups of kernels have a wrapper here,
 which validates its arguments (``kernels_py.checked_*``) and allocates the
 outputs before the backend sees them: the batched rigid-body RK4 step; the
-particle filter's two cloud passes (jitter plus moments, and the
-log-likelihood); and the Cholesky factor and NIS (of the whole matrix, or
-of several diagonal blocks in one call). Two more allocate their output and
-leave the checks to the entry: ``normals``, numpy's standard normal draws
-(``normal_rows``), which every noise draw of the sensors and the particle
-filter takes, and ``resample``, the particle filter's systematic
-resampling with the gather of the chosen rows (``resample_rows``).
+weighted-moments pass of a particle cloud (with or without its jitter); and
+the Cholesky factor and NIS of a whole matrix. Two more allocate their
+output and leave the checks to the entry: ``normals``, numpy's standard
+normal draws (``normal_rows``), which every noise draw of the sensors and
+the particle filter takes, and ``resample``, the particle filter's
+systematic resampling with the gather of the chosen rows
+(``resample_rows``).
 
-Five more groups have no wrapper, and their callers call the entries on
+Six more groups have no wrapper, and their callers call the entries on
 ``_kernels`` directly; each compiled entry still checks that its buffers
 fit each other:
 
+- the particle filter's log-likelihood pass ``loglik_rows``, with the H and
+  L of each row set that ``filters.PfFilter`` caches;
 - the particle filter's jitter draw ``draw_rows``, which the compiled
   backend may run on its worker thread while ``filters.PfFilter.step`` runs
   the RK4 step, and which ``moments_rows`` takes in place of its normals
@@ -124,28 +126,6 @@ def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
     return args[-3:]
 
 
-def cloud_loglik(cloud, h, l, y):
-    """Gaussian log-likelihood of a reading for each particle, up to a constant.
-
-    Args:
-        cloud: (M, n) particles.
-        h: (k, n) measurement rows.
-        l: (k, k) lower-triangular Cholesky factor of those rows' noise
-            covariance; only its lower triangle is read.
-        y: (k,) reading; non-finite entries give non-finite results.
-
-    Returns:
-        (M,) array of -0.5 |l^-1 (y - h x_i)|^2; ``kernels_py.loglik_rows``
-        gives the exact arithmetic.
-
-    Raises:
-        ValueError: see ``kernels_py.checked_loglik``.
-    """
-    args = kernels_py.checked_loglik(cloud, h, l, y)
-    _kernels.loglik_rows(*args)
-    return args[-1]
-
-
 def cholesky(a):
     """Lower-triangular L with L L' = a, by ``kernels_py.factor_rows``'s
     arithmetic.
@@ -170,17 +150,6 @@ def nis(a, nu):
     return _kernels.factor_rows(a, bounds, nu, l)[0], l
 
 
-def block_nis(a, nu, bounds):
-    """The NIS of each diagonal block [start, stop) of ``a`` that the flat
-    ``bounds`` lists, over the same rows of ``nu``, as a tuple of floats;
-    the blocks may overlap, and need not cover every row.
-
-    Raises:
-        ValueError: see ``kernels_py.checked_factor`` and ``factor_rows``.
-    """
-    return _kernels.factor_rows(*kernels_py.checked_factor(a, nu, bounds))
-
-
 def normals(rng, shape):
     """``rng.standard_normal(shape)`` as a new float64 array, bit for bit,
     leaving the numpy Generator ``rng`` where that call leaves it
@@ -203,5 +172,5 @@ def resample(cloud, weights, u):
     return out
 
 
-__all__ = ["rk4_step_batch", "cloud_moments", "cloud_loglik", "cholesky", "nis", "block_nis",
-           "normals", "resample", "BACKEND"]
+__all__ = ["rk4_step_batch", "cloud_moments", "cholesky", "nis", "normals", "resample",
+           "BACKEND"]

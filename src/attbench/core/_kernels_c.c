@@ -4,19 +4,19 @@
  * so the two backends agree bit for bit; setup.py builds this file with FP
  * contraction off, so no a*b+c is fused into one rounding.
  *
- * The three per-particle passes (the RK4 step of 8 rows or more, the
- * weighted-moments pass and the log-likelihood) run on column blocks of
- * particles and are built for AVX2 beside the baseline (WIDE, below), as is
- * the particle filter's weight pass; the loader picks one build when the
- * module loads. A vector lane runs the correctly rounded IEEE +, -, *, /
- * and sqrt of the scalar code on one particle, no sum changes its order and
- * nothing is contracted, so both builds give the same bits.
+ * The three per-particle passes (the RK4 step, the weighted-moments pass
+ * and the log-likelihood) run on column blocks of particles and are built
+ * for AVX2 beside the baseline (WIDE, below), as is the particle filter's
+ * weight pass; the loader picks one build when the module loads. A vector
+ * lane runs the correctly rounded IEEE +, -, *, / and sqrt of the scalar
+ * code on one particle, no sum changes its order and nothing is
+ * contracted, so both builds give the same bits.
  *
  * The module exports thirteen functions. attbench.core validates the
  * caller's arrays, and allocates the outputs, before calling step_rows,
- * moments_rows, loglik_rows and factor_rows; the particle filter calls
- * draw_rows, moments_rows, loglik_rows and weigh_rows directly, with
- * operands it checked when built; the Gaussian filters check their constant operands
+ * moments_rows and factor_rows; the particle filter calls draw_rows,
+ * moments_rows, loglik_rows and weigh_rows directly, with operands it
+ * checked when built; the Gaussian filters check their constant operands
  * once, when built, and call the four entries after factor_rows directly;
  * FdirSupervisor calls factor_rows directly with the bounds and scratch it
  * bound when built; runner.write_csv calls csv_rows; and attbench.core
@@ -212,42 +212,6 @@ rates(const double *s, Py_ssize_t ds, double ixx, double iyy, double izz,
     k[6 * dk] = (tz - (iyy - ixx) * wx * wy) / izz;
 }
 
-/* One RK4 step of the rows [0, m) of n doubles, one row at a time. */
-static void
-step_rows_one_by_one(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
-                     double ixx, double iyy, double izz, const double *f0, const double *f1,
-                     const double *f2)
-{
-    double c[7], s[7], k1[7], k2[7], k3[7], k4[7];
-    Py_ssize_t i;
-    int j;
-
-    for (i = 0; i < m; i++) {
-        double *row = x + i * n;
-        double norm;
-
-        for (j = 0; j < 7; j++)
-            c[j] = row[j];
-        rates(c, 1, ixx, iyy, izz, f0, k1, 1);
-        for (j = 0; j < 7; j++)
-            s[j] = c[j] + (0.5 * dt) * k1[j];
-        rates(s, 1, ixx, iyy, izz, f1, k2, 1);
-        for (j = 0; j < 7; j++)
-            s[j] = c[j] + (0.5 * dt) * k2[j];
-        rates(s, 1, ixx, iyy, izz, f1, k3, 1);
-        for (j = 0; j < 7; j++)
-            s[j] = c[j] + dt * k3[j];
-        rates(s, 1, ixx, iyy, izz, f2, k4, 1);
-        for (j = 0; j < 7; j++)
-            s[j] = c[j] + (dt / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        norm = sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3]);
-        for (j = 0; j < 4; j++)
-            row[j] = s[j] / norm;
-        for (j = 4; j < 7; j++)
-            row[j] = s[j];
-    }
-}
-
 /* The per-particle passes work on blocks of BLOCK particles held
  * column-wise, t[c * BLOCK + b] for column c of the block's particle b, so
  * that their inner loops run over independent particles, which a vector
@@ -301,11 +265,13 @@ block_rates(const double *restrict st, Py_ssize_t nb, double ixx, double iyy, do
             rates(st + b, BLOCK, ixx, iyy, izz, NULL, k + b, BLOCK);
 }
 
-/* The RK4 step of step_rows_one_by_one on column blocks of the rows. The
- * weighted sum k1 + 2 k2 + 2 k3 + k4 builds up in acc stage after stage, in
- * the order the row code adds it, and the quaternion's sum of squares in
- * the norm's own loop before its square roots, which stay scalar: a sqrt
- * that may set errno does not vectorize. */
+/* One RK4 step of the rows [0, m) of n doubles, on column blocks of the
+ * rows: the stages c + (dt/2) k1, c + (dt/2) k2 and c + dt k3, then
+ * c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), quaternion divided by its norm. The
+ * weighted sum builds up in acc stage after stage, in the order the
+ * fallback adds it, and the quaternion's sum of squares in the norm's own
+ * loop before its square roots, which stay scalar: a sqrt that may set
+ * errno does not vectorize. */
 static void WIDE
 step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
              double ixx, double iyy, double izz, const double *f0, const double *f1,
@@ -353,11 +319,6 @@ step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
     }
 }
 
-/* Below this many rows the step runs row by row: the transposes into and
- * out of the column block then cost more than the vector lanes save (the
- * truth's single row, above all). */
-#define STEP_COLUMNS_MIN 8
-
 /* One RK4 step of m rows of n doubles, quaternion renormalized once after
  * the step; columns 7.. pass through. The frames arrive as a local copy, so
  * the compiler need not reload them after every store into the rows. */
@@ -374,10 +335,7 @@ step(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
         f1 = frames[1];
         f2 = frames[2];
     }
-    if (m < STEP_COLUMNS_MIN)
-        step_rows_one_by_one(x, m, n, dt, ixx, iyy, izz, f0, f1, f2);
-    else
-        step_columns(x, m, n, dt, ixx, iyy, izz, f0, f1, f2);
+    step_columns(x, m, n, dt, ixx, iyy, izz, f0, f1, f2);
 }
 
 /* z = h x for each particle of the block: z[r] is the sum over c of

@@ -15,8 +15,10 @@ systematic resampling (``systematic_index``) and gather. ``_sigma_rows`` is
 the one weighted-moments body: ``moments_rows`` calls it after the jitter,
 ``ukf_assess_rows`` for both of its moment steps and ``weigh_rows`` (through
 ``moments_rows``) for the posterior moments.
-The ``checked_*`` functions validate arguments for ``attbench.core``'s
-wrappers; the wrappers, not this module, are the kernel API.
+``checked_batch``, ``checked_moments`` and ``checked_factor`` validate the
+arguments of ``attbench.core``'s ``rk4_step_batch``, ``cloud_moments`` and
+``cholesky`` / ``nis``; ``attbench.core``, not this module, is the kernel
+API.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
@@ -239,23 +241,6 @@ def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
     _sigma_rows(x, w, w, None, h, r, mean, None, y_hat, s, None)
 
 
-def checked_loglik(cloud, h, l, y):
-    """The arguments of ``loglik_rows``, validated, and its output.
-
-    Raises:
-        ValueError: ``cloud`` is not (M, n) with n >= 1, ``h`` is not (k, n)
-            with k >= 1, or ``l`` / ``y`` are not (k, k) / (k,).
-    """
-    cloud = _doubles("cloud", cloud, 2)
-    h = _doubles("H", h, 2)
-    if cloud.shape[1] < 1 or h.shape[0] < 1 or h.shape[1] != cloud.shape[1]:
-        raise ValueError("cloud and H must be (M, n) and (k, n), got %r and %r"
-                         % (cloud.shape, h.shape))
-    k = h.shape[0]
-    return (cloud, h, _doubles("L", l, 2, (k, k)), _doubles("y", y, 1, (k,)),
-            np.empty(len(cloud)))
-
-
 def loglik_rows(x, h, l, y, out):
     """``out[i]`` = -0.5 |v|^2, v the forward substitution of l v = y - h x_i:
     v_j = (y_j - z_j - l[j, 0] v_0 - ... - l[j, j-1] v_{j-1}) / l[j, j],
@@ -365,15 +350,14 @@ def weigh_rows(loglik, w, x, limit, out, mean, var):
     return reset, resample
 
 
-def checked_factor(a, nu=None, bounds=None):
-    """The arguments of ``factor_rows``, validated: ``a`` as a float64
-    C-contiguous (m, m) array, ``nu`` None or (m,), ``bounds`` a flat tuple
-    of (start, stop) pairs (None: the whole matrix, ``(0, m)``) and a
-    zeroed (m, m) ``l``.
+def checked_factor(a, nu=None):
+    """The arguments of ``factor_rows`` on the whole of ``a``, validated:
+    ``a`` as a float64 C-contiguous (m, m) array, the bounds ``(0, m)``,
+    ``nu`` None or (m,) and a zeroed (m, m) ``l``.
 
     Raises:
-        ValueError: ``a`` is not a non-empty square matrix, ``nu`` does not
-            fit it, or a block is not 0 <= start < stop <= m.
+        ValueError: ``a`` is not a non-empty square matrix, or ``nu`` does
+            not fit it.
     """
     a = _doubles("S", a, 2)
     m = len(a)
@@ -381,15 +365,7 @@ def checked_factor(a, nu=None, bounds=None):
         raise ValueError("S must be a non-empty square matrix, got shape %r" % (a.shape,))
     if nu is not None:
         nu = _doubles("nu", nu, 1, (m,))
-    if bounds is None:
-        bounds = (0, m)
-    else:
-        bounds = tuple(map(int, bounds))
-        if (not bounds or len(bounds) % 2
-                or not all(0 <= lo < hi <= m for lo, hi in zip(bounds[::2], bounds[1::2]))):
-            raise ValueError("bounds must hold (start, stop) pairs with 0 <= start < stop <= "
-                             "%d, got %r" % (m, bounds))
-    return a, bounds, nu, np.zeros((m, m))
+    return a, (0, m), nu, np.zeros((m, m))
 
 
 def _forward(l, lo, hi, b, v):

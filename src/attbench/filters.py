@@ -86,7 +86,6 @@ __all__ = [
     "attitude_measurement",
     "FilterConfig",
     "check_tunables",
-    "jacobian",
     "ukf_sigma_points",
     "systematic_resample",
     "EkfFilter",
@@ -463,19 +462,6 @@ def _update_rows(meas, record, decide):
         rows = np.arange(meas.dim) if rows is None else rows
         rows = rows[np.isfinite(record.nu[rows])]
     return rows
-
-
-def jacobian(f, x, eps=1e-6):
-    """Central-difference Jacobian of f at x: J[:, j] = (f(x+e_j eps) - f(x-e_j eps)) / (2 eps)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    f0 = np.asarray(f(x), dtype=float)
-    out = np.empty((f0.size, n))
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = eps
-        out[:, j] = (np.asarray(f(x + dx), dtype=float) - np.asarray(f(x - dx), dtype=float)) / (2.0 * eps)
-    return out
 
 
 class _GaussianFilter:

@@ -62,6 +62,9 @@ class GyroModel:
         object.__setattr__(self, "bias", np.asarray(self.bias, dtype=float))
         if not self.sigma >= 0.0:
             raise FieldError("sigma", "must be nonnegative, got %r" % (self.sigma,))
+        if self.sigma * self.sigma == float("inf"):
+            raise FieldError("sigma", "must have a finite variance sigma**2, got %r"
+                             % (self.sigma,))
         if self.bias.shape != (3,):
             raise FieldError("bias", "must have shape (3,)")
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import inspect
 import math
 import os
@@ -60,6 +61,14 @@ GG_FRAMES = [[0.36, -0.48, 0.8, 0.5], [0.48, 0.6, -0.64, 0.45], [-0.6, 0.64, 0.4
 GG_INERTIA = (2.3, 3.1, 4.7)
 
 
+def log_likelihoods(x, h, l, y):
+    """The log-likelihood of each row of ``x``: ``loglik_rows`` of the
+    active backend into a new (M,) array."""
+    out = np.empty(len(x))
+    core._kernels.loglik_rows(x, h, l, y, out)
+    return out
+
+
 def pf_pass_digest():
     """Digest of both particle-filter cloud passes of the active backend on
     1000-, 21- and 15-row clouds of 10, 7 and 2 states: dense H and root
@@ -83,9 +92,9 @@ def pf_pass_digest():
         used = np.flatnonzero(np.arange(m) % 3 != 1)
         l = np.linalg.cholesky(r[np.ix_(used, used)])
         y = rng.standard_normal(len(used))
-        finite = core.cloud_loglik(cloud, h[used], l, y)
+        finite = log_likelihoods(cloud, h[used], l, y)
         y[-1] = np.inf
-        for out in (cloud, *moments, *diagonal, finite, core.cloud_loglik(cloud, h[used], l, y)):
+        for out in (cloud, *moments, *diagonal, finite, log_likelihoods(cloud, h[used], l, y)):
             digest.update(out.tobytes())
     return digest.hexdigest()
 
@@ -111,8 +120,8 @@ def cholesky_outputs(s, nu, bounds, rows, mu, sigma, cross):
     all rows with the record's factor, and on the row subset, which it
     factors itself."""
     nis, l = core.nis(s, nu)
-    outs = [l, nis, core.block_nis(s, nu, bounds), core.cholesky(s),
-            core.cholesky(s[np.ix_(rows, rows)])]
+    block = core._kernels.factor_rows(s, bounds, nu, np.zeros(s.shape))
+    outs = [l, nis, block, core.cholesky(s), core.cholesky(s[np.ix_(rows, rows)])]
     for factor, used in ((l, None), (None, tuple(rows.tolist()))):
         new = [np.empty(len(mu)), np.empty((len(mu), len(mu)))]
         core._kernels.gauss_update_rows(mu, sigma, cross, s, factor, nu, used, False, *new)
@@ -172,7 +181,8 @@ BUILD_PROBE = textwrap.dedent("""
     print(gg.hexdigest())
 """ % (FILTER_BATCH_ROWS, GG_FRAMES, GG_BATCH_ROWS, GG_INERTIA, GG_FRAMES)) + "\n".join([
     # the probe runs the suite's own digest functions, so both compute the same
-    inspect.getsource(pf_pass_digest), inspect.getsource(filter_run_digest),
+    inspect.getsource(log_likelihoods), inspect.getsource(pf_pass_digest),
+    inspect.getsource(filter_run_digest),
     inspect.getsource(cholesky_outputs), inspect.getsource(cholesky_inputs_fixed),
     inspect.getsource(cholesky_digest),
     "print(pf_pass_digest())", "print(filter_run_digest())", "print(cholesky_digest())"])
@@ -378,7 +388,7 @@ def check_cloud_passes(args):
         x = cloud.copy()
         moments = core.cloud_moments(x, weights, normals, root, h, r, quaternion)
         spread = core.cloud_moments(x, weights, h=h, r=r, diagonal=True)[2]
-        loglik = core.cloud_loglik(x, h[used], l, y[used])
+        loglik = log_likelihoods(x, h[used], l, y[used])
         return (x, *moments, spread, loglik)
     outs = on_each_backend(passes)
     for a, b in zip(*outs, strict=True):
@@ -493,7 +503,7 @@ def every_pass(x, rk4, moments, loglik):
     cloud = x.copy()
     return (core.rk4_step_batch(x, *rk4),
             *core.cloud_moments(cloud, w, normals, root, h, r, quaternion, diagonal), cloud,
-            core.cloud_loglik(x, *loglik))
+            log_likelihoods(x, *loglik))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -834,15 +844,13 @@ def test_cholesky_kernels_reject_indefinite_and_bad_arguments(backend):
         with pytest.raises(ValueError, match="positive definite"):
             core.cholesky(bad)
     with pytest.raises(ValueError, match="positive definite"):
-        core.block_nis(np.diag([1.0, 2.0, -1.0]), np.ones(3), (0, 2, 2, 3))
+        core._kernels.factor_rows(np.diag([1.0, 2.0, -1.0]), (0, 2, 2, 3), np.ones(3),
+                                  np.zeros((3, 3)))
     for bad in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
         with pytest.raises(ValueError, match="S"):
             core.cholesky(bad)
     with pytest.raises(ValueError, match="nu"):
         core.nis(np.eye(3), np.ones(2))
-    for bounds in ((0, 4), (1, 1), (0,), (), (2, 1)):
-        with pytest.raises(ValueError, match="bounds"):
-            core.block_nis(np.eye(3), np.ones(3), bounds)
 
 
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
@@ -858,6 +866,9 @@ def test_compiled_cholesky_kernels_check_shapes_themselves():
                  (np.ones((2, 3)), (0, 2), None, np.zeros((2, 2)))):
         with pytest.raises(ValueError):
             _kernels_c.factor_rows(*args)
+    for bounds in ((0, 4), (1, 1), (0,), (), (2, 1)):
+        with pytest.raises(ValueError, match="bounds"):
+            _kernels_c.factor_rows(np.eye(3), bounds, np.ones(3), np.zeros((3, 3)))
 
 
 def test_kernel_rejects_bad_shapes(backend):
@@ -923,10 +934,6 @@ def test_cloud_passes_reject_bad_arguments(backend):
         core.cloud_moments(np.ones((5, 3)), w, quaternion=True)
     with pytest.raises(ValueError, match="cloud"):
         core.cloud_moments(np.ones((0, 7)), w[:0])
-    for args, name in (((h[:, 1:], np.eye(7), np.zeros(7)), "H"),
-                       ((h, np.eye(6), np.zeros(7)), "L"), ((h, np.eye(7), np.zeros(6)), "y")):
-        with pytest.raises(ValueError, match=name):
-            core.cloud_loglik(cloud, *args)
 
 
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
@@ -940,10 +947,24 @@ def test_compiled_passes_check_shapes_themselves():
                    (5, np.eye(6)), (7, np.empty(6)), (8, np.empty(6)), (9, np.empty((7, 6)))):
         with pytest.raises(ValueError):
             _kernels_c.moments_rows(*good[:i], bad, *good[i + 1:])
-    good = kernels_py.checked_loglik(x, np.eye(7), np.eye(7), np.zeros(7))
+    good = (x, np.eye(7), np.eye(7), np.zeros(7), np.empty(5))
     for i, bad in ((1, np.eye(7)[:, 1:]), (2, np.eye(6)), (3, np.zeros(6)), (4, np.empty(4))):
         with pytest.raises(ValueError):
             _kernels_c.loglik_rows(*good[:i], bad, *good[i + 1:])
+
+
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_kernel_bench_parity_half_runs_to_the_end(capsys):
+    """``check_parity`` of ``benchmarks/bench_kernels.py`` runs to the end:
+    every case it compares has the same bits on both backends, and the
+    script calls no name the package has lost."""
+    path = CHECKOUT / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.check_parity()
+    out = capsys.readouterr().out
+    assert "bit-identical=True" in out and "bit-identical=False" not in out
 
 
 def test_backends_export_the_same_entries():
@@ -1501,7 +1522,7 @@ def test_repeated_rows_of_h_leave_every_bit_where_it_was(name, h):
             else:
                 outs += [*core.cloud_moments(x, w, h=h, r=r)[1:],
                          core.cloud_moments(x, w, h=h, r=r, diagonal=True)[2]]
-            outs.append(core.cloud_loglik(x, h, l, y))
+            outs.append(log_likelihoods(x, h, l, y))
         return outs
 
     active, fallback = on_each_backend(outputs, h)

@@ -145,6 +145,13 @@ def test_model_rule_errors_name_the_key(tmp_path, key):
         load_text(tmp_path, RULE_BREAKS[key])
 
 
+def test_a_gyro_sigma_with_no_finite_variance_names_its_key(tmp_path):
+    """The filter's default gyro variance is sigma**2: a finite sigma whose
+    square overflows is an error at its key, not an OverflowError."""
+    with pytest.raises(ScenarioError, match=re.escape(": sensors.gyro.sigma: ")):
+        load_text(tmp_path, MINIMAL + "sensors: {gyro: {sigma: 1.3407807929942597e+154}}\n")
+
+
 def test_exactly_one_attitude_form(tmp_path):
     text = edited(MINIMAL, "attitude_quat: [1.0, 0.0, 0.0, 0.0]",
                   "attitude_quat: [1.0, 0.0, 0.0, 0.0]\n  attitude_euler_deg: [1.0, 2.0, 3.0]")
