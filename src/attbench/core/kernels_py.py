@@ -392,9 +392,14 @@ def factor_rows(a, bounds, nu, l):
     ``_forward``'s v from -0.0, in row order.
 
     Raises:
-        ValueError: a pivot is not a finite number > 0 (``a`` is not
-            positive definite, or not finite).
+        ValueError: ``bounds`` is not a non-empty flat tuple of (start, stop)
+            pairs with 0 <= start < stop <= m, or a pivot is not a finite
+            number > 0 (``a`` is not positive definite, or not finite).
     """
+    if not bounds or len(bounds) % 2:
+        raise ValueError("bounds must hold (start, stop) pairs")
+    if not all(0 <= lo < hi <= len(a) for lo, hi in zip(bounds[::2], bounds[1::2])):
+        raise ValueError("bounds must be 0 <= start < stop <= m")
     rows, lrows = a.tolist(), l.tolist()
     b = None if nu is None else nu.tolist()
     v = [0.0] * len(rows)

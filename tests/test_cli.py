@@ -1,10 +1,15 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import attbench
 from attbench import runner
 from attbench.cli import build_parser, main
 from attbench.scenario import bundled_scenarios
@@ -13,6 +18,35 @@ from attbench.scenario import bundled_scenarios
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+NO_SCIPY_PROBE = """
+import sys
+from dataclasses import replace
+
+import attbench.cli
+from attbench.runner import compute_metrics, run_scenario, write_csv
+from attbench.scenario import load_bundled
+
+result = run_scenario(replace(load_bundled("spike_isolation"), t_end=2.0))
+compute_metrics(result)
+write_csv(result, sys.argv[1])
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    """The CLI's modules and a whole fdir run, metrics and CSV included,
+    leave scipy unimported: a fresh interpreter pays no scipy start-up."""
+    src = str(Path(attbench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "run.csv"
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[]"
+    assert len(read_rows(out)) > 1
 
 
 def test_scenarios_subcommand_lists_bundled(capsys):

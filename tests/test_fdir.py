@@ -1,10 +1,11 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from math import isfinite, lgamma
+from math import inf, isfinite, lgamma, nan
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincinv
 
 from attbench import fdir
 from attbench.filters import InnovationRecord
@@ -37,6 +38,37 @@ def test_chi2_quantile_validation():
         fdir.chi2_quantile(3, 0.0)
     with pytest.raises(ValueError):
         fdir.chi2_quantile(3, 1.0)
+
+
+def test_chi2_quantile_matches_scipy_gammaincinv():
+    for dof in range(1, 65):
+        for alpha in (1e-12, 1e-6, 0.01, 0.05, 0.3, 0.5, 0.6827, 0.9, 0.95, 0.99, 0.9973, 0.999,
+                      1.0 - 1e-9, 1.0 - 1e-12):
+            npt.assert_allclose(fdir.chi2_quantile(dof, alpha),
+                                2.0 * gammaincinv(0.5 * dof, alpha), rtol=1e-13, atol=0.0,
+                                err_msg="dof=%d alpha=%r" % (dof, alpha))
+
+
+ALPHAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64), ALPHAS, ALPHAS)
+@example(1, 5e-324, 1.0 - 2.0**-53)
+@example(64, 5e-324, 1.0 - 2.0**-53)
+@example(3, 0.5, 0.5)
+def test_chi2_quantile_is_finite_and_nondecreasing_in_alpha(dof, a, b):
+    lo, hi = sorted((a, b))
+    q_lo, q_hi = fdir.chi2_quantile(dof, lo), fdir.chi2_quantile(dof, hi)
+    assert isfinite(q_lo) and isfinite(q_hi)
+    assert 0.0 <= q_lo <= q_hi
+
+
+def test_chi2_quantile_takes_an_integer_dof_only():
+    for dof in (2.5, 0.5, 0, -3, inf, nan):
+        with pytest.raises(ValueError, match="dof"):
+            fdir.chi2_quantile(dof, 0.95)
+    assert fdir.chi2_quantile(3.0, 0.95) == fdir.chi2_quantile(3, 0.95)
 
 
 def test_compute_nis_hand_case():

@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -866,9 +867,18 @@ def test_compiled_cholesky_kernels_check_shapes_themselves():
                  (np.ones((2, 3)), (0, 2), None, np.zeros((2, 2)))):
         with pytest.raises(ValueError):
             _kernels_c.factor_rows(*args)
-    for bounds in ((0, 4), (1, 1), (0,), (), (2, 1)):
-        with pytest.raises(ValueError, match="bounds"):
-            _kernels_c.factor_rows(np.eye(3), bounds, np.ones(3), np.zeros((3, 3)))
+
+
+def test_factor_rows_checks_its_block_bounds(backend):
+    """Called directly, each backend's ``factor_rows`` refuses bounds that
+    are not (start, stop) pairs inside S, with the same messages."""
+    for bounds, message in (((0, 4), "bounds must be 0 <= start < stop <= m"),
+                            ((1, 1), "bounds must be 0 <= start < stop <= m"),
+                            ((0,), "bounds must hold (start, stop) pairs"),
+                            ((), "bounds must hold (start, stop) pairs"),
+                            ((2, 1), "bounds must be 0 <= start < stop <= m")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            core._kernels.factor_rows(np.eye(3), bounds, np.ones(3), np.zeros((3, 3)))
 
 
 def test_kernel_rejects_bad_shapes(backend):
