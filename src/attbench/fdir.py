@@ -86,7 +86,7 @@ def chi2_quantile(dof, alpha):
     lo, hi = (0.0 if upper else -math.inf), math.inf
     v = a if upper else (math.log(alpha) + math.lgamma(a + 1.0)) / a
     for _ in range(100):
-        if upper:  # v = y; Q = t(a - 1) * total (+ erfc), summed from t(a - 1) down
+        if upper:  # v = y; Q = t(a - 1) * total (+ erfc), an empty sum at dof 1
             term, total, c = 1.0, float(a >= 1.0), a - 1.0
             while c >= 1.0 and term > 1e-17 * total:
                 term *= c / v
