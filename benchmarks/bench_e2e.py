@@ -12,6 +12,8 @@ repository's root. An entry holds:
 - provenance: git SHA, whether the built sources differ from that commit, the
   source digest perfbench built, backend, Python, numpy and scipy
   versions, and the CPU model;
+- ``src_lines``: the line count of the ``*.py``, ``*.c`` and ``*.h`` files
+  under the checkout's ``src/``, so two entries give a change's net size;
 - per workload, each end-to-end metric's median, quartiles and n over the
   seeds, with the correctness counts;
 - per workload, the per-layer self times and counts: each figure is the
@@ -66,6 +68,13 @@ def src_is_dirty(checkout):
                            "pyproject.toml"], cwd=checkout,
                           capture_output=True, text=True, timeout=60)
     return proc.returncode != 0 or bool(proc.stdout.strip())
+
+
+def src_lines(checkout):
+    """Lines (newlines, as ``wc -l`` counts them) of the ``*.py``, ``*.c`` and
+    ``*.h`` files under the checkout's ``src/``."""
+    return sum(path.read_bytes().count(b"\n") for pattern in ("*.py", "*.c", "*.h")
+               for path in (checkout / "src").rglob(pattern))
 
 
 def run_perfbench(checkout, workload, seed, seconds, trace):
@@ -159,6 +168,7 @@ def main(argv):
             "machine": prov["machine"],
         },
         "settings": {"seconds": seconds, "seeds": seeds, "trace_seeds": list(TRACE_SEEDS)},
+        "src_lines": src_lines(checkout),
         "workloads": results,
     }
     doc = {"entries": []}

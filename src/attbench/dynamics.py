@@ -1,6 +1,6 @@
 """Rigid-body attitude dynamics, orbit propagation, and fixed-step integration.
 
-State conventions:
+State conventions, told apart by the state's width:
     quaternion mode: [q0, q1, q2, q3, wx, wy, wz]
     euler mode:      [phi, theta, psi, wx, wy, wz]   (3-1-3 sequence)
 
@@ -8,8 +8,8 @@ Body rates are rad/s about principal axes; the inertia is the principal-moment
 triple (Ixx, Iyy, Izz) in kg m^2. A fully populated inertia matrix is reduced
 to principal moments up front (``principal_moments``) and everything downstream
 runs in the principal frame. No actuators are modeled, so the control term in
-the rate equations is identically zero; the only external torque available is
-the gravity-gradient model.
+the rate equations is identically zero; the only external torque is the
+gravity-gradient one of the ``KeplerianElements`` a call is given, if any.
 
 The integrator is classical fixed-step RK4. One step serves both the truth
 (``integrate``) and the filters' process model: ``core.rk4_step_batch``, the
@@ -33,13 +33,14 @@ import numpy as np
 
 from . import core
 from .attitude import euler313_sin_theta, euler313_to_quat, quat_to_dcm
-from .errors import FieldError, check_choice
+from .errors import FieldError
 
 MU_EARTH = 398600.4418
 """Earth gravitational parameter, km^3/s^2; every orbit here is an Earth orbit."""
 KEPLER_TOL, KEPLER_MAX_ITER = 1e-12, 50  # solve_kepler's Newton step bound (rad), iteration cap
 
 _KM_TO_M = 1.0e3
+_ZERO_RADIUS_KM = 1e-9  # gravity_gradient_frames' bound, which every perigee clears
 
 __all__ = [
     "MU_EARTH",
@@ -52,7 +53,6 @@ __all__ = [
     "euler313_rates",
     "gravity_gradient_frames",
     "gravity_gradient_torque",
-    "check_torque_model",
     "rigid_body_params",
     "derivative",
     "rk4_step",
@@ -69,7 +69,9 @@ class KeplerianElements:
     """Classical orbital elements. Angles in radians, lengths in km.
 
     ``argp`` is the argument of perigee and ``nu0`` the true anomaly at
-    epoch (t = 0).
+    epoch (t = 0). Whatever the torque switches say, ``a`` must give a
+    perigee a (1 - e) clear of ``gravity_gradient_frames``' zero-radius
+    bound, with room for rounding, and a mean motion sqrt(mu / a^3) > 0.
     """
 
     a: float
@@ -84,6 +86,15 @@ class KeplerianElements:
             raise FieldError("a", "must be positive, got %r" % (self.a,))
         if not 0.0 <= self.e < 1.0:
             raise FieldError("e", "must satisfy 0 <= e < 1, got %r" % (self.e,))
+        if not self.a * (1.0 - self.e) > (1.0 + 1e-9) * _ZERO_RADIUS_KM:
+            raise FieldError("a", "puts the perigee a (1 - e) within %r km of the "
+                                  "Earth's centre, got %r" % (_ZERO_RADIUS_KM, self.a))
+        try:
+            moving = MU_EARTH / self.a**3 > 0.0
+        except OverflowError:  # a^3 is past the float range
+            moving = False
+        if not moving:
+            raise FieldError("a", "gives no mean motion sqrt(mu / a^3) > 0, got %r" % (self.a,))
 
     @classmethod
     def from_degrees(cls, a, e, i, raan, argp, nu0):
@@ -121,7 +132,6 @@ class Trajectory:
 
     t: np.ndarray
     states: np.ndarray
-    parameterization: str
 
 
 def solve_kepler(mean_anomaly, e):
@@ -257,7 +267,7 @@ def gravity_gradient_frames(r_eci):
     """
     r = np.asarray(r_eci, dtype=float)
     r_mag = np.linalg.norm(r, axis=-1, keepdims=True)
-    if (r_mag < 1e-9).any():
+    if (r_mag < _ZERO_RADIUS_KM).any():
         raise ValueError("gravity gradient undefined at zero radius")
     # a product, not ``** 3``: numpy's vectorised pow rounds by CPU
     r_si = r_mag * _KM_TO_M
@@ -294,13 +304,6 @@ def gravity_gradient_torque(q, r_eci, inertia):
     ).T
 
 
-def check_torque_model(torque_model, elements):
-    """Reject an unknown torque model, or gravity gradient without an orbit."""
-    check_choice("torque_model", torque_model, ("none", "gravity_gradient"))
-    if torque_model == "gravity_gradient" and elements is None:
-        raise ValueError("gravity gradient requires orbital elements")
-
-
 def rigid_body_params(dt, principal):
     """``(dt, principal)`` as floats, each finite and > 0 or a FieldError: the
     one rule of ``integrate``, the filters' process model and ``ScenarioConfig``
@@ -326,27 +329,23 @@ def _rigid_body_rates(x, inertia, r_eci=None):
     )
 
 
-def derivative(state, t, inertia, torque_model="none", elements=None,
-               parameterization="quaternion"):
+def derivative(state, t, inertia, elements=None):
     """Full state derivative for truth propagation.
 
     Args:
-        state: quaternion-mode [q, w, ...] rows, (n,) or (M, n), or the
-            (6,) euler-mode state.
+        state: the (6,) euler-mode state, or quaternion-mode [q, w, ...]
+            rows, (n,) or (M, n) with n >= 7.
         t: time, s (enters only through the orbit when gravity gradient is on).
         inertia: principal moments.
-        torque_model: "none" or "gravity_gradient".
-        elements: KeplerianElements, required for gravity gradient.
-        parameterization: "quaternion" or "euler".
+        elements: KeplerianElements of the orbit whose gravity-gradient
+            torque acts; None means torque-free.
 
     Returns:
         State derivative of the same shape.
     """
     state = np.asarray(state, dtype=float)
-    check_choice("parameterization", parameterization, ("quaternion", "euler"))
-    check_torque_model(torque_model, elements)
-    r = None if torque_model == "none" else kepler_state(elements, t)[0]
-    if parameterization == "quaternion":
+    r = None if elements is None else kepler_state(elements, t)[0]
+    if state.shape != (6,):
         return _rigid_body_rates(state, inertia, r)
     att, omega = state[:3], state[3:6]
     torque = None if r is None else gravity_gradient_torque(euler313_to_quat(att), r, inertia)
@@ -383,50 +382,44 @@ def renormalize_quaternions(states):
     return x
 
 
-def integrate(state0, dt, n_steps, inertia, torque_model="none", elements=None,
-              parameterization="quaternion"):
+def integrate(state0, dt, n_steps, inertia, elements=None):
     """Propagate the truth state on a fixed grid t_k = k dt.
 
-    Quaternion mode steps with ``core.rk4_step_batch``, the propagation the
-    filters use; with gravity gradient the Earth orbit is solved once, for
-    the start, midpoint and end of every step. Euler mode (simulate only)
-    runs the generic RK4 over ``derivative``. Both first apply ``rigid_body_params``.
+    A (7,) ``state0`` steps with ``core.rk4_step_batch``, the filters' propagation,
+    on the orbit frames of ``elements`` (None: torque-free), solved once for every
+    step's start, midpoint and end; a (6,) euler-mode one (simulate only) runs
+    the generic RK4 over ``derivative``. Both first apply ``rigid_body_params``.
 
     Returns:
         Trajectory with n_steps + 1 rows (the initial state included).
     """
     state0 = np.asarray(state0, dtype=float)
-    dim = 7 if parameterization == "quaternion" else 6
-    if state0.shape != (dim,):
-        raise ValueError(
-            "expected state of shape (%d,) for %s mode, got %r"
-            % (dim, parameterization, state0.shape)
-        )
-    check_torque_model(torque_model, elements)
+    if state0.shape not in ((7,), (6,)):
+        raise ValueError("expected a (7,) or (6,) state, got shape %r" % (state0.shape,))
     dt, inertia = rigid_body_params(dt, inertia)
-    out = np.empty((n_steps + 1, dim))
+    out = np.empty((n_steps + 1, len(state0)))
     out[0] = state0
     t_grid = dt * np.arange(n_steps + 1)
 
-    if parameterization == "quaternion":
+    if len(state0) == 7:
         frames = [None] * n_steps
-        if torque_model == "gravity_gradient":
+        if elements is not None:
             stage_t = t_grid[:-1, None] + np.array([0.0, 0.5 * dt, dt])
             frames = gravity_gradient_frames(kepler_state(elements, stage_t)[0])
         x = state0[None, :]
         for k in range(n_steps):
             x = core.rk4_step_batch(x, dt, *inertia, frames[k])
             out[k + 1] = x[0]
-        return Trajectory(t=t_grid, states=out, parameterization=parameterization)
+        return Trajectory(t=t_grid, states=out)
 
     def rhs(x, t):
-        return derivative(x, t, inertia, torque_model, elements, parameterization)
+        return derivative(x, t, inertia, elements)
 
     x = state0
     for k in range(n_steps):
         x = rk4_step(x, t_grid[k], dt, rhs)
         out[k + 1] = x
-    return Trajectory(t=t_grid, states=out, parameterization=parameterization)
+    return Trajectory(t=t_grid, states=out)
 
 
 def principal_moments(inertia_matrix):

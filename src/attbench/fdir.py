@@ -14,11 +14,11 @@ The per-sensor test is the sensitive one: a fault concentrated in a
 low-dimensional block can hide below the full-dimension threshold while
 standing far above its own block's threshold.
 
-``FdirSupervisor`` runs one detector per step and writes each decision
-into preallocated columns, which ``FaultReports`` views as a sequence of
-``FaultReport``; ``innovation_filter_check``, ``sequence_monitor_update``
-and ``isolation_check`` are the same rules on one record. An isolation
-report's ``per_sensor`` holds each sensor's NIS and dof.
+``FdirSupervisor`` is the one way to run a detector: it decides one record
+per step and writes each decision into preallocated columns, which
+``FaultReports`` views as a sequence of ``FaultReport``; a single record's
+report is ``decide`` on a fresh supervisor, read back as ``reports[-1]``.
+An isolation report's ``per_sensor`` holds each sensor's NIS and dof.
 
 Recovery is the caller's move: skip the update (prediction-only step),
 or update with the rows ``healthy_rows`` maps the healthy sensors to. Every
@@ -28,6 +28,7 @@ healthy set means a prediction-only step in each of them.
 
 import math
 import operator
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,10 +45,6 @@ __all__ = [
     "FaultReport",
     "RowView",
     "FaultReports",
-    "innovation_filter_check",
-    "NisWindow",
-    "sequence_monitor_update",
-    "isolation_check",
     "healthy_rows",
     "FdirSupervisor",
 ]
@@ -215,77 +212,6 @@ class FaultReports(RowView):
         )
 
 
-def innovation_filter_check(record, cfg):
-    """Single-step chi-square test on one innovation record: the
-    "innovation" policy of ``FdirSupervisor`` on one step.
-
-    A non-finite statistic (a NaN measurement, say) counts as a detection,
-    so it never reaches the update; every detector here tests
-    ``not stat <= gamma`` for that reason.
-    """
-    return FdirSupervisor("innovation", cfg, {})._report_on(record)
-
-
-class NisWindow:
-    """Ring buffer of recent NIS values for the moving-average monitor."""
-
-    def __init__(self, length):
-        if length < 1:
-            raise ValueError("window length must be >= 1")
-        self.length = length
-        self._values = []
-
-    def push(self, value):
-        self._values.append(float(value))
-        if len(self._values) > self.length:
-            del self._values[0]
-
-    def __len__(self):
-        return len(self._values)
-
-    def mean(self):
-        if not self._values:
-            raise ValueError("empty window has no mean")
-        return sum(self._values) / len(self._values)
-
-    def reset(self):
-        self._values.clear()
-
-
-def sequence_monitor_update(window, record, cfg):
-    """Push one NIS sample and test the window mean against the threshold:
-    the "sequence" policy of ``FdirSupervisor`` on one step, with
-    ``window`` as its window.
-
-    Stays quiet (detected False) until the window holds ``cfg.min_samples``
-    values, so a run never alarms off a single warm-up sample. The window
-    mean is compared against the same chi-square quantile as the single-step
-    test; the mean of N such variables concentrates, which makes this
-    threshold conservative for the mean but keeps one calibration constant
-    across the detectors. A non-finite sample is detected at its own step,
-    warm-up or not, and is reported as the statistic; it never enters the
-    window, so it cannot hold the mean non-finite for the next steps.
-    """
-    supervisor = FdirSupervisor("sequence", cfg, {})
-    supervisor.window = window
-    return supervisor._report_on(record)
-
-
-def isolation_check(record, slice_map, cfg):
-    """Per-sensor chi-square tests; flags every sensor over its threshold:
-    the "isolation" policy of ``FdirSupervisor`` on one step.
-
-    Because the stacked S carries H Sigma H' + R, the sub-block for a
-    sensor's rows is exactly that sensor's innovation covariance, so the
-    report's ``per_sensor``, {name: (nis, dof)} in layout order, comes from
-    factoring each sensor's diagonal block of the record's S.
-
-    Raises:
-        ValueError: a sensor's block of S is not positive definite.
-    """
-    return FdirSupervisor("isolation", cfg, slice_map)._report_on(record)
-
-
 def healthy_rows(healthy, slice_map):
     """Rows of the healthy sensors, the one map every filter's update uses.
 
@@ -321,16 +247,27 @@ class FdirSupervisor:
         isolation:  per-sensor tests; update with the healthy rows only
                     (skip entirely if every sensor is flagged).
 
+    Every test is ``not stat <= gamma``, so a non-finite statistic (a NaN
+    measurement, say) counts as a detection and never reaches the update.
+    The sequence policy's ``window`` holds the last ``cfg.window`` finite
+    samples: a non-finite one is flagged at its own step, warm-up or not,
+    and never enters it. The window stays quiet until it holds
+    ``cfg.min_samples``, and its mean is held to the single-step quantile,
+    which is conservative for a mean of N samples but keeps one calibration
+    constant across the detectors.
+
     One supervisor owns one run's window state and decision columns; create
     a fresh one per run. Each ``decide`` fills one row of the columns that
     ``reports`` views (see ``FaultReports``). They start with ``capacity``
     rows, a run's step count, and double when full.
 
-    The isolation policy works out each sensor's block bounds and threshold,
-    the healthy sensor names of every isolated bitmask and a scratch factor
-    once, when the supervisor is built, and hands each record's S and nu to
-    the active backend's ``factor_rows`` as they are: float64 and
-    C-contiguous, as the filters make them, with the slice map's rows.
+    The stacked S carries H Sigma H' + R, so each sensor's diagonal block of
+    it is exactly that sensor's innovation covariance. The isolation policy
+    works out each block's bounds and threshold, the healthy sensor names of
+    every isolated bitmask and a scratch factor once, when the supervisor is
+    built, and hands each record's S and nu to the active backend's
+    ``factor_rows`` as they are: float64 and C-contiguous, as the filters
+    make them, with the slice map's rows.
     """
 
     POLICIES = ("none", "innovation", "sequence", "isolation")
@@ -341,8 +278,7 @@ class FdirSupervisor:
         self.check_policy(policy)
         self.policy = policy
         self.cfg = cfg
-        self.slice_map = slice_map
-        self.window = NisWindow(cfg.window)
+        self.window = deque(maxlen=cfg.window)
         self._rule = getattr(self, "_" + policy)
         self._sensors = tuple(slice_map)
         self._dofs = tuple(sl.stop - sl.start for sl in slice_map.values())
@@ -398,6 +334,9 @@ class FdirSupervisor:
         Returns:
             (skip, healthy): skip means prediction-only step; healthy is
             None for all-rows updates or a tuple of sensor names to keep.
+
+        Raises:
+            ValueError: under isolation, a sensor's block of S is not positive definite.
         """
         k = self._k
         if k == len(self._t):
@@ -407,11 +346,6 @@ class FdirSupervisor:
         decision = self._rule(record, k, dof)
         self._k = k + 1
         return decision
-
-    def _report_on(self, record):
-        """The FaultReport of ``decide`` on one record."""
-        self.decide(record)
-        return self.reports[-1]
 
     def _none(self, record, k, dof):
         self._statistic[k] = record.nis
@@ -431,8 +365,8 @@ class FdirSupervisor:
 
     def _sequence(self, record, k, dof):
         if math.isfinite(record.nis):
-            self.window.push(record.nis)
-            statistic = self.window.mean()
+            self.window.append(float(record.nis))
+            statistic = sum(self.window) / len(self.window)
         else:
             statistic = record.nis
         gamma = chi2_quantile(dof, self.cfg.alpha)

@@ -71,8 +71,8 @@ import numpy as np
 
 from . import core
 from .core import kernels_py
-from .dynamics import (check_torque_model, gravity_gradient_frames, kepler_state,
-                       renormalize_quaternions, rigid_body_params)
+from .dynamics import (gravity_gradient_frames, kepler_state, renormalize_quaternions,
+                       rigid_body_params)
 from .errors import FieldError, check_choice
 from .fdir import compute_nis, healthy_rows
 
@@ -87,7 +87,6 @@ __all__ = [
     "FilterConfig",
     "check_tunables",
     "ukf_sigma_points",
-    "systematic_resample",
     "EkfFilter",
     "UkfFilter",
     "PfFilter",
@@ -216,8 +215,9 @@ class RigidBodyProcessModel:
 
     State is [q, w] (dim 7) or [q, w, b] (dim 10) where the trailing gyro
     bias states are constant. The step is ``core.rk4_step_batch``, the one
-    the truth integrates with; the gravity-gradient variant hands it the
-    orbit frames at the start, middle and end of the step. ``plan_orbit``
+    the truth integrates with. Given ``elements``, the gravity-gradient
+    torque of that orbit acts: the step hands the kernel the orbit frames at
+    its start, middle and end; None means torque-free. ``plan_orbit``
     solves the orbit once for a whole run's step start times; a step that
     starts at a time outside that plan solves its own three stage times.
     Both go through ``_stage_frames``, so a planned step gets the bits of an
@@ -226,13 +226,10 @@ class RigidBodyProcessModel:
 
     quaternion_rows = True
 
-    def __init__(self, inertia, dt, bias_states=False, torque_model="none", elements=None):
+    def __init__(self, inertia, dt, bias_states=False, elements=None):
         self.dt, self.inertia = rigid_body_params(dt, inertia)
-        check_torque_model(torque_model, elements)
-        self.torque_model = torque_model
         self.elements = elements
         self.dim = 10 if bias_states else 7
-        self.bias_states = bias_states
         self._stage_offsets = np.array([0.0, 0.5 * self.dt, self.dt])
         self._plan_rows = {}
         self._plan_frames = None
@@ -252,7 +249,7 @@ class RigidBodyProcessModel:
         frame array and a map from each start time to its row. A torque-free
         model keeps no plan. A new call replaces the previous plan.
         """
-        if self.torque_model != "gravity_gradient":
+        if self.elements is None:
             return
         start_times = np.asarray(start_times, dtype=float).ravel()
         self._plan_frames = self._stage_frames(start_times)
@@ -262,7 +259,7 @@ class RigidBodyProcessModel:
         """``core.rk4_step_batch`` of the (M, dim) ``states``, which checks
         them."""
         frames = None
-        if self.torque_model == "gravity_gradient":
+        if self.elements is not None:
             row = self._plan_rows.get(float(t))
             frames = self._stage_frames(t) if row is None else self._plan_frames[row]
         return core.rk4_step_batch(states, self.dt, *self.inertia, frames)
@@ -647,24 +644,6 @@ class UkfFilter(_GaussianFilter):
             kernels_py.sigma_set(mu, _clamped_root(self._scale * sigma), points)
             nis = core._kernels.ukf_assess_rows(None, *args, points, *outs)
         return mu, sigma, self._s, self._cross, nu, None, _record(t, nu, s_det, nis, self.source)
-
-
-def systematic_resample(weights, u):
-    """Systematic resampling: one uniform offset, a comb of N positions.
-
-    With uniform weights every particle is selected exactly once; a
-    degenerate weight vector concentrates all picks on its support.
-
-    Args:
-        weights: normalized weights (N,), none negative.
-        u: offset in [0, 1).
-
-    Returns:
-        Index array (N,) into the particle set, by
-        ``core.kernels_py.systematic_index``, whose picks ``core.resample``
-        gathers in one pass.
-    """
-    return kernels_py.systematic_index(np.asarray(weights, dtype=float), float(u))
 
 
 class PfFilter:

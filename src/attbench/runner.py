@@ -124,12 +124,8 @@ class Metrics:
 
 def simulate_truth(cfg):
     """Integrate the truth trajectory described by the scenario."""
-    torque = "gravity_gradient" if cfg.gravity_gradient else "none"
-    return integrate(
-        cfg.initial_state, cfg.dt, cfg.n_steps, cfg.principal,
-        torque_model=torque, elements=cfg.elements,
-        parameterization=cfg.parameterization,
-    )
+    return integrate(cfg.initial_state, cfg.dt, cfg.n_steps, cfg.principal,
+                     cfg.elements if cfg.gravity_gradient else None)
 
 
 def sample_measurements(cfg, traj, layout):
@@ -154,11 +150,8 @@ def build_filter_config(cfg, layout):
     """Assemble the FilterConfig a scenario describes."""
     state_dim = 10 if cfg.bias_states else 7
     meas = attitude_measurement(layout, cfg.r_blocks, state_dim)
-    proc = RigidBodyProcessModel(
-        cfg.principal, cfg.dt, bias_states=cfg.bias_states,
-        torque_model="gravity_gradient" if cfg.filter_gravity_gradient else "none",
-        elements=cfg.elements,
-    )
+    proc = RigidBodyProcessModel(cfg.principal, cfg.dt, cfg.bias_states,
+                                 cfg.elements if cfg.filter_gravity_gradient else None)
     q_diag = [cfg.q_attitude] * 4 + [cfg.q_rates] * 3
     if cfg.bias_states:
         q_diag += [cfg.q_bias] * 3

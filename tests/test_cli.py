@@ -149,6 +149,43 @@ def test_a_ukf_tuning_without_usable_weights_is_a_config_error(tmp_path, capsys,
     assert "configuration error: %s: %s: " % (path, key) in capsys.readouterr().err
 
 
+def orbit_scenario(tmp_path, a_km, e=None, gravity_gradient=True):
+    """tumble_baseline over 1 s with ``elements.a_km`` (and ``e``) replaced."""
+    text = (files("attbench") / "scenarios" / "tumble_baseline.yaml").read_text()
+    edits = [("t_end: 300.0\n", "t_end: 1.0\n"), ("a_km: 7080.6\n", "a_km: %s\n" % a_km),
+             ("gravity_gradient: false\n", "gravity_gradient: %s\n" % str(gravity_gradient).lower())]
+    if e is not None:
+        edits.append(("e: 0.0000979\n", "e: %s\n" % e))
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "orbit.yaml"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("gravity_gradient", [True, False])
+@pytest.mark.parametrize("a_km,e", [("1.0e+103", None), ("1.0e+300", None), ("1.0e-200", None),
+                                    ("1.0e-12", None), ("1.0e-9", "0.0")])
+def test_an_orbit_no_float_can_solve_is_a_config_error(tmp_path, capsys, a_km, e,
+                                                       gravity_gradient):
+    """A semi-major axis whose mean motion is not a finite number > 0, or
+    whose perigee does not clear the gravity-gradient zero-radius bound,
+    stops at the config check, exit 1, named by its key, not in the first
+    orbit solve, exit 2; with the torque off too, since a config can turn it
+    on after load."""
+    path = orbit_scenario(tmp_path, a_km, e, gravity_gradient)
+    code = main(["fdir", str(path), "-o", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "configuration error: %s: elements.a_km: " % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a_km", ["1.0e+102", "2.0e-9"])
+def test_an_extreme_orbit_a_float_can_solve_runs(tmp_path, a_km):
+    path = orbit_scenario(tmp_path, a_km)
+    assert main(["fdir", str(path), "-o", str(tmp_path / "x.csv"), "--quiet"]) == 0
+
+
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):
     code = main(["estimate", "warp_drive", "-o", str(tmp_path / "x.csv")])
     assert code == 1

@@ -169,12 +169,6 @@ def test_gravity_gradient_rejects_zero_radius():
         dyn.gravity_gradient_torque([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], (1.0, 2.0, 3.0))
 
 
-def test_derivative_gravity_gradient_needs_elements():
-    state = np.array([1.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        dyn.derivative(state, 0.0, (1.0, 2.0, 3.0), torque_model="gravity_gradient")
-
-
 def test_rk4_step_matches_exponential_series():
     lam, dt = -0.7, 0.2
     out = dyn.rk4_step(np.array([2.0]), 0.0, dt, lambda x, t: lam * x)
@@ -241,7 +235,7 @@ def test_integrate_checks_dt_and_moments_in_both_modes(mode, dt, inertia, field)
     state0 = {"quaternion": np.r_[1.0, 0.0, 0.0, 0.0, 0.1, -0.2, 0.05],
               "euler": np.array([0.1, 0.5, 0.2, 0.1, -0.2, 0.05])}[mode]
     with pytest.raises(FieldError) as err:
-        dyn.integrate(state0, dt, 10, inertia, parameterization=mode)
+        dyn.integrate(state0, dt, 10, inertia)
     assert err.value.field == field
 
 
@@ -259,8 +253,7 @@ def test_rigid_body_params_returns_floats():
 def test_dual_parameterization_trajectories_agree():
     """Euler and quaternion runs describe one rotation for 30 s."""
     cfg = load_bundled("euler_crosscheck")
-    traj_e = dyn.integrate(cfg.initial_state, cfg.dt, cfg.n_steps, cfg.principal,
-                           parameterization="euler")
+    traj_e = dyn.integrate(cfg.initial_state, cfg.dt, cfg.n_steps, cfg.principal)
     q0 = euler313_to_quat(cfg.initial_state[:3])
     traj_q = dyn.integrate(np.r_[q0, cfg.initial_state[3:]], cfg.dt, cfg.n_steps,
                            cfg.principal)
@@ -270,6 +263,23 @@ def test_dual_parameterization_trajectories_agree():
                       - quat_to_dcm(traj_q.states[k, :4])).max()
         worst = max(worst, diff)
     assert worst < 1e-4, "parameterizations diverged: %.3e" % worst
+
+
+def test_euler_truth_under_gravity_gradient_matches_quaternion_truth():
+    """Given the scenario's orbit, the Euler and quaternion truths describe
+    one rotation over all 300 steps, and the torque is felt: it moves the
+    quaternion run's final DCM far more than the two modes differ."""
+    cfg = load_bundled("euler_crosscheck")
+    state_q = np.r_[euler313_to_quat(cfg.initial_state[:3]), cfg.initial_state[3:]]
+    traj_e = dyn.integrate(cfg.initial_state, cfg.dt, cfg.n_steps, cfg.principal, cfg.elements)
+    traj_q = dyn.integrate(state_q, cfg.dt, cfg.n_steps, cfg.principal, cfg.elements)
+    free_q = dyn.integrate(state_q, cfg.dt, cfg.n_steps, cfg.principal)
+    assert cfg.n_steps == 300
+    worst = max(np.abs(euler313_to_dcm(e[:3]) - quat_to_dcm(q[:4])).max()
+                for e, q in zip(traj_e.states, traj_q.states))
+    assert worst < 1e-8, "parameterizations diverged: %.3e" % worst
+    felt = np.abs(quat_to_dcm(traj_q.states[-1, :4]) - quat_to_dcm(free_q.states[-1, :4])).max()
+    assert felt > 1e-5, "torque moved the final DCM by only %.3e" % felt
 
 
 def test_principal_moments_keeps_axis_labels():

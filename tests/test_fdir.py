@@ -11,6 +11,17 @@ from attbench import fdir
 from attbench.filters import InnovationRecord
 
 
+def decided(sup, record):
+    """The report of ``sup`` deciding ``record``."""
+    sup.decide(record)
+    return sup.reports[-1]
+
+
+def one_record(policy, record, cfg, slices=None):
+    """The report of a fresh supervisor deciding ``record`` alone."""
+    return decided(fdir.FdirSupervisor(policy, cfg, slices or {}), record)
+
+
 def chi2_pdf(x, k):
     # quadrature oracle built from the density, independent of gammainc
     return np.exp((0.5 * k - 1.0) * np.log(x) - 0.5 * x
@@ -88,7 +99,7 @@ def test_compute_nis_rejects_an_indefinite_covariance():
     rec = InnovationRecord(t=0.0, nu=np.ones(11), S=np.diag(np.r_[np.ones(8), 1.0, -1.0, 1.0]),
                            nis=0.0, source="ekf")
     with pytest.raises(ValueError, match="positive definite"):
-        fdir.isolation_check(rec, SLICES, fdir.DetectorConfig())
+        one_record("isolation", rec, fdir.DetectorConfig(), SLICES)
 
 
 def test_detector_config_validation():
@@ -109,8 +120,8 @@ def record_with(nis, dim=11, t=1.0):
 def test_innovation_check_threshold_edges():
     cfg = fdir.DetectorConfig(alpha=0.95)
     gamma = fdir.chi2_quantile(11, 0.95)
-    quiet = fdir.innovation_filter_check(record_with(gamma - 0.01), cfg)
-    hot = fdir.innovation_filter_check(record_with(gamma + 0.01), cfg)
+    quiet = one_record("innovation", record_with(gamma - 0.01), cfg)
+    hot = one_record("innovation", record_with(gamma + 0.01), cfg)
     assert not quiet.detected
     assert hot.detected
     assert hot.mode == "single"
@@ -119,29 +130,25 @@ def test_innovation_check_threshold_edges():
 
 
 def test_nis_window_ring_buffer():
-    win = fdir.NisWindow(3)
-    with pytest.raises(ValueError):
-        win.mean()
+    sup = fdir.FdirSupervisor("sequence", fdir.DetectorConfig(window=3, min_samples=1), {})
     for v in (1.0, 2.0, 3.0):
-        win.push(v)
-    assert win.mean() == 2.0
-    win.push(10.0)  # evicts the 1.0
-    assert len(win) == 3
-    assert win.mean() == 5.0
-    win.reset()
-    assert len(win) == 0
+        rep = decided(sup, record_with(v))
+    assert rep.statistic == 2.0
+    rep = decided(sup, record_with(10.0))  # evicts the 1.0
+    assert len(sup.window) == 3
+    assert rep.statistic == 5.0
     with pytest.raises(ValueError):
-        fdir.NisWindow(0)
+        fdir.DetectorConfig(window=0)
 
 
 def test_sequence_monitor_warms_up_before_firing():
     cfg = fdir.DetectorConfig(alpha=0.95, window=5, min_samples=3)
-    win = fdir.NisWindow(cfg.window)
+    sup = fdir.FdirSupervisor("sequence", cfg, {})
     huge = 1e4
-    first = fdir.sequence_monitor_update(win, record_with(huge), cfg)
-    second = fdir.sequence_monitor_update(win, record_with(huge), cfg)
+    first = decided(sup, record_with(huge))
+    second = decided(sup, record_with(huge))
     assert not first.detected and not second.detected  # below min_samples
-    third = fdir.sequence_monitor_update(win, record_with(huge), cfg)
+    third = decided(sup, record_with(huge))
     assert third.detected
     assert third.mode == "window"
     npt.assert_allclose(third.statistic, huge, rtol=1e-12)
@@ -149,9 +156,9 @@ def test_sequence_monitor_warms_up_before_firing():
 
 def test_sequence_monitor_mean_stays_quiet_on_calm_data():
     cfg = fdir.DetectorConfig(alpha=0.95, window=5, min_samples=3)
-    win = fdir.NisWindow(cfg.window)
+    sup = fdir.FdirSupervisor("sequence", cfg, {})
     for _ in range(10):
-        rep = fdir.sequence_monitor_update(win, record_with(11.0), cfg)
+        rep = decided(sup, record_with(11.0))
     assert not rep.detected
 
 
@@ -160,14 +167,13 @@ def test_sequence_monitor_keeps_a_nan_sample_out_of_the_window(nan_at):
     """One NaN sample is detected at its own step only; it never enters the
     window, so the steps after it are judged on finite samples."""
     cfg = fdir.DetectorConfig(alpha=0.95, window=20, min_samples=5)
-    win = fdir.NisWindow(cfg.window)
-    reports = [fdir.sequence_monitor_update(
-                   win, record_with(np.nan if k == nan_at else 11.0), cfg)
+    sup = fdir.FdirSupervisor("sequence", cfg, {})
+    reports = [decided(sup, record_with(np.nan if k == nan_at else 11.0))
                for k in range(40)]
     assert [k for k, rep in enumerate(reports) if rep.detected] == [nan_at]
     assert np.isnan(reports[nan_at].statistic)
     assert all(rep.statistic == 11.0 for k, rep in enumerate(reports) if k != nan_at)
-    assert len(win) == cfg.window
+    assert len(sup.window) == cfg.window
 
 
 SLICES = {"star_tracker": slice(0, 4), "magnetometer": slice(4, 8),
@@ -184,7 +190,7 @@ def block_diag_record(scales=(1.0, 1.0, 1.0)):
 
 def test_per_sensor_nis_partitions_block_diagonal_total():
     rec = block_diag_record((0.5, 2.0, 1.5))
-    per = fdir.isolation_check(rec, SLICES, fdir.DetectorConfig()).per_sensor
+    per = one_record("isolation", rec, fdir.DetectorConfig(), SLICES).per_sensor
     assert list(per) == list(SLICES)  # layout order
     assert [dof for _, dof in per.values()] == [4, 4, 3]
     total = sum(nis for nis, _ in per.values())
@@ -197,7 +203,7 @@ def test_isolation_check_flags_the_offending_sensor():
     s = np.eye(11)
     rec = InnovationRecord(t=3.0, nu=nu, S=s, nis=fdir.compute_nis(nu, s),
                            source="ekf")
-    rep = fdir.isolation_check(rec, SLICES, fdir.DetectorConfig())
+    rep = one_record("isolation", rec, fdir.DetectorConfig(), SLICES)
     assert rep.detected
     assert rep.isolated == frozenset({"gyro"})
     assert rep.mode == "isolation"
@@ -214,7 +220,7 @@ def test_isolation_report_statistic_exceeds_threshold_when_isolating(nu):
     whether the sensor is over its threshold or non-finite."""
     nu = np.array(nu)
     rec = InnovationRecord(t=4.0, nu=nu, S=np.eye(11), nis=float(nu @ nu), source="ekf")
-    rep = fdir.isolation_check(rec, SLICES, fdir.DetectorConfig())
+    rep = one_record("isolation", rec, fdir.DetectorConfig(), SLICES)
     assert rep.detected == bool(rep.isolated)
     if rep.isolated:
         assert not rep.statistic <= rep.threshold
@@ -226,7 +232,7 @@ def test_isolation_report_statistic_exceeds_threshold_when_isolating(nu):
 
 def test_isolation_check_quiet_when_all_below():
     rec = block_diag_record()
-    rep = fdir.isolation_check(rec, SLICES, fdir.DetectorConfig())
+    rep = one_record("isolation", rec, fdir.DetectorConfig(), SLICES)
     assert not rep.detected
     assert rep.isolated == frozenset()
 

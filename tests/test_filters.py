@@ -534,15 +534,15 @@ def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
 
 
 def test_systematic_resample_hand_positions():
-    idx = flt.systematic_resample(np.array([0.5, 0.5]), 0.1)
+    idx = kernels_py.systematic_index(np.array([0.5, 0.5]), 0.1)
     npt.assert_array_equal(idx, [0, 1])
-    idx = flt.systematic_resample(np.array([1.0, 0.0, 0.0, 0.0]), 0.9)
+    idx = kernels_py.systematic_index(np.array([1.0, 0.0, 0.0, 0.0]), 0.9)
     npt.assert_array_equal(idx, [0, 0, 0, 0])
 
 
 def test_systematic_resample_counts_track_weights():
     w = np.array([0.1, 0.2, 0.3, 0.4])
-    idx = flt.systematic_resample(np.repeat(w, 25) / 25.0, 0.37)
+    idx = kernels_py.systematic_index(np.repeat(w, 25) / 25.0, 0.37)
     counts = np.bincount(idx, minlength=100).reshape(4, 25).sum(axis=1)
     npt.assert_allclose(counts / 100.0, w, atol=0.01)
 
@@ -648,15 +648,13 @@ def test_gravity_gradient_propagation_is_the_truth_step(rows):
     states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
     states[:, 4:7] *= 0.1
     truth = np.array([
-        dyn.integrate(row[:7], dt, 1, inertia, torque_model="gravity_gradient",
-                      elements=elements).states[1]
+        dyn.integrate(row[:7], dt, 1, inertia, elements).states[1]
         for row in states
     ])
     free = flt.RigidBodyProcessModel(inertia, dt).propagate(states[:, :7], 0.0)
     assert not np.array_equal(free, truth)  # the torque is felt
     for bias in (False, True):
-        proc = flt.RigidBodyProcessModel(inertia, dt, bias_states=bias,
-                                         torque_model="gravity_gradient", elements=elements)
+        proc = flt.RigidBodyProcessModel(inertia, dt, bias_states=bias, elements=elements)
         out = proc.propagate(states[:, :proc.dim], 0.0)
         assert np.array_equal(out[:, :7], truth)
         assert np.array_equal(out[:, 7:], states[:, 7:proc.dim])
@@ -715,7 +713,6 @@ def test_planned_orbit_frames_are_the_per_step_solve(monkeypatch):
     states[:, :4] /= np.linalg.norm(states[:, :4], axis=1, keepdims=True)
     states[:, 4:7] *= 0.1
     solo, planned = (flt.RigidBodyProcessModel(inertia, dt, bias_states=True,
-                                               torque_model="gravity_gradient",
                                                elements=elements) for _ in range(2))
     calls = counted_kepler_state(monkeypatch)
     planned.plan_orbit(starts)

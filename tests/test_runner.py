@@ -343,14 +343,17 @@ def test_nan_measurement_under_policy_none_is_not_applied(monkeypatch, kind):
 
 
 def _one_record_reports(records, cfg, slices):
-    """Each record's report by the one-record form of the scenario's policy."""
-    det = cfg.detector
-    if cfg.policy == "isolation":
-        return [fdir.isolation_check(rec, slices, det) for rec in records]
-    if cfg.policy == "sequence":
-        window = fdir.NisWindow(det.window)
-        return [fdir.sequence_monitor_update(window, rec, det) for rec in records]
-    return [fdir.innovation_filter_check(rec, det) for rec in records]
+    """Each record's report, decided on a fresh supervisor of the scenario's
+    policy, or on one shared supervisor under "sequence", whose window spans
+    the records."""
+    shared = fdir.FdirSupervisor(cfg.policy, cfg.detector, slices)
+    reports = []
+    for rec in records:
+        sup = shared if cfg.policy == "sequence" else fdir.FdirSupervisor(
+            cfg.policy, cfg.detector, slices)
+        sup.decide(rec)
+        reports.append(sup.reports[-1])
+    return reports
 
 
 def _same(a, b):
@@ -362,8 +365,8 @@ def _same(a, b):
                                          ("fusion_recovery", 1400)])
 def test_report_columns_match_the_one_record_checks(monkeypatch, backend, name, nan_at):
     """Step for step, the run's report columns read back as the report that
-    ``innovation_filter_check``, ``sequence_monitor_update`` or
-    ``isolation_check`` gives for that step's innovation record; the
+    a supervisor deciding that step's innovation record on its own (one
+    window across the records under "sequence") gives; the
     NaN-row variant puts one non-finite star-tracker reading inside the
     gyro fault, so it is isolated with the gyro for one step."""
     records = []
