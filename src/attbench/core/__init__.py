@@ -20,7 +20,9 @@ systematic resampling with the gather of the chosen rows
 
 Six more groups have no wrapper, and their callers call the entries on
 ``_kernels`` directly; each compiled entry still checks that its buffers
-fit each other:
+are given and fit each other, a buffer that is None being a ``ValueError``
+that names it unless the entry documents it as optional (the header of
+``_kernels_c.c`` lists those):
 
 - the particle filter's log-likelihood pass ``loglik_rows``, with the H and
   L of each row set that ``filters.PfFilter`` caches;
@@ -165,7 +167,8 @@ def resample(cloud, weights, u):
     (``kernels_py.systematic_index``), as a new array.
 
     Raises:
-        ValueError: a weight is negative, or the shapes do not fit.
+        ValueError: ``cloud`` is None, a weight is negative, or the shapes
+            do not fit.
     """
     out = np.empty_like(cloud)
     _kernels.resample_rows(cloud, weights, u, out)

@@ -22,7 +22,12 @@
  * bound when built; runner.write_csv calls csv_rows; and attbench.core
  * allocates the output of the last two, which every noise draw and the
  * particle filter's resampling take. Each function still checks that its
- * buffers fit each other.
+ * buffers are given and fit each other: a buffer argument that is None is
+ * a ValueError naming it, except where an entry below says it may be None
+ * (step_rows's frames; moments_rows's normals, h and r, its root being
+ * read only with normals; weigh_rows's loglik; factor_rows's nu;
+ * ukf_assess_rows's prop and points; gauss_update_rows's l). The draws
+ * take arrays of any rank and check them themselves.
  *
  * step_rows(out, dt, ixx, iyy, izz, frames) advances a C-contiguous float64
  *     (M, n) buffer by one RK4 step in place, torque-free when frames is None.
@@ -1042,23 +1047,38 @@ release_all(Py_buffer *views)
         PyBuffer_Release(&views[i]);
 }
 
-/* get_doubles for an argument that may be None (data stays NULL), with the
- * expected shape; a dimension of -1 takes any size. */
+/* An expected dimension: d >= 0 fits a size of d alone, AT_LEAST(k) every
+ * size >= k (so -1 any size). */
+#define AT_LEAST(k) (-1 - (k))
+#define FITS(size, d) ((d) >= 0 ? (size) == (d) : (size) >= -1 - (d))
+
+/* get_doubles for a required argument, with the expected shape (d1 binds a
+ * 2-D view alone); ValueError naming it when it is None or does not fit. */
 static int
 get_shaped(PyObject *obj, Py_buffer *view, int flags, int ndim,
            Py_ssize_t d0, Py_ssize_t d1, const char *name, double **data)
 {
-    *data = NULL;
-    if (obj == Py_None)
-        return 0;
+    if (obj == Py_None) {
+        PyErr_Format(PyExc_ValueError, "%s is required", name);
+        return -1;
+    }
     if (get_doubles(obj, view, flags, ndim) < 0)
         return -1;
-    if ((d0 >= 0 && view->shape[0] != d0) || (ndim == 2 && d1 >= 0 && view->shape[1] != d1)) {
+    if (!FITS(view->shape[0], d0) || (view->ndim == 2 && !FITS(view->shape[1], d1))) {
         PyErr_Format(PyExc_ValueError, "%s has the wrong shape", name);
         return -1;
     }
     *data = view->buf;
     return 0;
+}
+
+/* get_shaped for an argument that may be None, which leaves *data NULL. */
+static int
+get_optional(PyObject *obj, Py_buffer *view, int flags, int ndim,
+             Py_ssize_t d0, Py_ssize_t d1, const char *name, double **data)
+{
+    *data = NULL;
+    return obj == Py_None ? 0 : get_shaped(obj, view, flags, ndim, d0, d1, name, data);
 }
 
 /* The *count edges of the flat tuple bounds of (start, stop) pairs, each
@@ -1121,13 +1141,9 @@ step_rows(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "OddddO:step_rows", &states, &dt, &ixx, &iyy, &izz, &frames))
         return NULL;
-    if (get_shaped(states, &v[0], PyBUF_WRITABLE, 2, -1, -1, "states", &x) < 0
-        || get_shaped(frames, &v[1], PyBUF_SIMPLE, 2, 3, 4, "frames", &f) < 0)
+    if (get_shaped(states, &v[0], PyBUF_WRITABLE, 2, -1, AT_LEAST(7), "states", &x) < 0
+        || get_optional(frames, &v[1], PyBUF_SIMPLE, 2, 3, 4, "frames", &f) < 0)
         goto fail;
-    if (!x || v[0].shape[1] < 7) {
-        PyErr_SetString(PyExc_ValueError, "states must be (M, n) with n >= 7");
-        goto fail;
-    }
     Py_BEGIN_ALLOW_THREADS
     step(x, v[0].shape[0], v[0].shape[1], dt, ixx, iyy, izz, f);
     Py_END_ALLOW_THREADS
@@ -1147,7 +1163,7 @@ moments_rows(PyObject *self, PyObject *args)
 {
     PyObject *xo, *drawo, *eo, *lo, *ho, *wo, *ro, *meano, *yo, *so;
     Py_buffer v[MAX_VIEWS] = {{0}};
-    double *x, *e, *l, *h, *w, *r, *mean, *y_hat, *s, *scratch;
+    double *x, *e, *l = NULL, *h, *w, *r, *mean, *y_hat, *s, *scratch;
     Draw *pending;
     Sum *sums;
     Py_ssize_t rows, n, m;
@@ -1159,36 +1175,23 @@ moments_rows(PyObject *self, PyObject *args)
     eo = draw_array(drawo, &pending);
 
     if (get_shaped(xo, &v[0], eo != Py_None || quaternion ? PyBUF_WRITABLE : PyBUF_SIMPLE,
-                   2, -1, -1, "x", &x) < 0)
+                   2, AT_LEAST(1), AT_LEAST(quaternion ? 4 : 1), "x", &x) < 0)
         goto fail;
-    rows = x ? v[0].shape[0] : 0;
-    n = x ? v[0].shape[1] : 0;
-    if (rows < 1 || n < (quaternion ? 4 : 1)) {
-        PyErr_SetString(PyExc_ValueError, "x has the wrong shape");
-        goto fail;
-    }
-    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+    rows = v[0].shape[0];
+    n = v[0].shape[1];
+    if (get_optional(ho, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), n, "h", &h) < 0)
         goto fail;
     m = h ? v[1].shape[0] : n;
-    if (get_shaped(eo, &v[2], PyBUF_SIMPLE, 2, rows, n, "normals", &e) < 0
-        || get_shaped(e ? lo : Py_None, &v[3], PyBUF_SIMPLE, 2, n, n, "root", &l) < 0
+    if (get_optional(eo, &v[2], PyBUF_SIMPLE, 2, rows, n, "normals", &e) < 0
+        || (e && get_shaped(lo, &v[3], PyBUF_SIMPLE, 2, n, n, "root", &l) < 0)
         || get_shaped(wo, &v[4], PyBUF_SIMPLE, 1, rows, -1, "w", &w) < 0
-        || get_shaped(ro, &v[5], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_optional(ro, &v[5], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
         || get_shaped(meano, &v[6], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
         || get_shaped(yo, &v[7], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
-        || get_doubles(so, &v[8], PyBUF_WRITABLE, 0) < 0)
+        || get_shaped(so, &v[8], PyBUF_WRITABLE, 0, m, m, "s", &s) < 0)
         goto fail;
     /* a 1-D s asks for the diagonal of S alone */
-    s = v[8].buf;
     diagonal = v[8].ndim == 1;
-    if (v[8].shape[0] != m || (!diagonal && v[8].shape[1] != m)) {
-        PyErr_SetString(PyExc_ValueError, "s has the wrong shape");
-        goto fail;
-    }
-    if (!w || !mean || !y_hat || (e && !l) || m < 1) {
-        PyErr_SetString(PyExc_ValueError, "w, mean, y_hat and a root for normals are required");
-        goto fail;
-    }
     scratch = PyMem_RawMalloc(MOMENTS_SCRATCH(rows, n, m, 0) * sizeof(double)
                               + MOMENTS_TAIL(n, m, 0));
     if (!scratch) {
@@ -1221,24 +1224,17 @@ loglik_rows(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "OOOOO:loglik_rows", &xo, &ho, &lo, &yo, &outo))
         return NULL;
-    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0
-        || get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, x ? v[0].shape[1] : -1, "h", &h) < 0)
+    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, AT_LEAST(1), "x", &x) < 0)
         goto fail;
-    if (!x || !h || v[0].shape[1] < 1 || v[1].shape[0] < 1) {
-        PyErr_SetString(PyExc_ValueError, "x and h must be non-empty (M, n) and (k, n)");
-        goto fail;
-    }
     rows = v[0].shape[0];
     n = v[0].shape[1];
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), n, "h", &h) < 0)
+        goto fail;
     k = v[1].shape[0];
     if (get_shaped(lo, &v[2], PyBUF_SIMPLE, 2, k, k, "l", &l) < 0
         || get_shaped(yo, &v[3], PyBUF_SIMPLE, 1, k, -1, "y", &y) < 0
         || get_shaped(outo, &v[4], PyBUF_WRITABLE, 1, rows, -1, "out", &out) < 0)
         goto fail;
-    if (!l || !y || !out) {
-        PyErr_SetString(PyExc_ValueError, "l, y and out are required");
-        goto fail;
-    }
     scratch = PyMem_RawMalloc((n + 2 * k + 1) * BLOCK * sizeof(double)
                               + 2 * k * sizeof(Py_ssize_t));
     if (!scratch) {
@@ -1268,24 +1264,16 @@ weigh_rows(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOdOOO:weigh_rows", &lo, &wo, &xo, &limit, &outo, &meano,
                           &varo))
         return NULL;
-    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "x", &x) < 0)
+    if (get_shaped(xo, &v[0], PyBUF_SIMPLE, 2, AT_LEAST(1), AT_LEAST(1), "x", &x) < 0)
         goto fail;
-    rows = x ? v[0].shape[0] : 0;
-    n = x ? v[0].shape[1] : 0;
-    if (rows < 1 || n < 1) {
-        PyErr_SetString(PyExc_ValueError, "x must be a non-empty (N, n) array");
-        goto fail;
-    }
-    if (get_shaped(lo, &v[1], PyBUF_SIMPLE, 1, rows, -1, "loglik", &loglik) < 0
+    rows = v[0].shape[0];
+    n = v[0].shape[1];
+    if (get_optional(lo, &v[1], PyBUF_SIMPLE, 1, rows, -1, "loglik", &loglik) < 0
         || get_shaped(wo, &v[2], PyBUF_SIMPLE, 1, rows, -1, "w", &w) < 0
         || get_shaped(outo, &v[3], PyBUF_WRITABLE, 1, rows, -1, "out", &out) < 0
         || get_shaped(meano, &v[4], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
         || get_shaped(varo, &v[5], PyBUF_WRITABLE, 1, n, -1, "var", &var) < 0)
         goto fail;
-    if (!w || !out || !mean || !var) {
-        PyErr_SetString(PyExc_ValueError, "w, out, mean and var are required");
-        goto fail;
-    }
     /* moments's scratch, then the y_hat it writes, then its tail */
     size = MOMENTS_SCRATCH(rows, n, n, 0) + n;
     scratch = PyMem_RawMalloc(size * sizeof(double) + MOMENTS_TAIL(n, n, 0));
@@ -1318,20 +1306,16 @@ factor_rows(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "OO!OO:factor_rows", &ao, &PyTuple_Type, &bounds, &nuo, &lo_))
         return NULL;
-    if (get_shaped(ao, &v[0], PyBUF_SIMPLE, 2, -1, -1, "a", &a) < 0)
+    if (get_shaped(ao, &v[0], PyBUF_SIMPLE, 2, AT_LEAST(1), -1, "a", &a) < 0)
         goto fail;
-    m = a ? v[0].shape[0] : 0;
-    if (m < 1 || v[0].shape[1] != m) {
-        PyErr_SetString(PyExc_ValueError, "a must be a non-empty square matrix");
+    m = v[0].shape[0];
+    if (v[0].shape[1] != m) {
+        PyErr_SetString(PyExc_ValueError, "a must be a square matrix");
         goto fail;
     }
-    if (get_shaped(nuo, &v[1], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
+    if (get_optional(nuo, &v[1], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
         || get_shaped(lo_, &v[2], PyBUF_WRITABLE, 2, m, m, "l", &l) < 0)
         goto fail;
-    if (!l) {
-        PyErr_SetString(PyExc_ValueError, "l is required");
-        goto fail;
-    }
     if (get_bounds(bounds, m, 0, "bounds", &edges, &count) < 0)
         goto fail;
     if (!count) {
@@ -1385,20 +1369,12 @@ points_rows(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "OOdO:points_rows", &muo, &sigmao, &scale, &pointso))
         return NULL;
-    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, -1, -1, "mu", &mu) < 0)
+    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, AT_LEAST(1), -1, "mu", &mu) < 0)
         goto fail;
-    n = mu ? v[0].shape[0] : 0;
-    if (n < 1) {
-        PyErr_SetString(PyExc_ValueError, "mu must be a non-empty (n,) array");
-        goto fail;
-    }
+    n = v[0].shape[0];
     if (get_shaped(sigmao, &v[1], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
         || get_shaped(pointso, &v[2], PyBUF_WRITABLE, 2, 2 * n + 1, n, "points", &points) < 0)
         goto fail;
-    if (!sigma || !points) {
-        PyErr_SetString(PyExc_ValueError, "sigma and points are required");
-        goto fail;
-    }
     if (!(scratch = PyMem_RawMalloc(2 * n * n * sizeof(double)))) {
         PyErr_NoMemory();
         goto fail;
@@ -1423,16 +1399,16 @@ ekf_assess_rows(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OdOOOOO!OOOOOO:ekf_assess_rows", &propo, &eps, &sigmao, &qo,
                           &ho, &ro, &PyTuple_Type, &blocks, &yo, &covo, &so, &crosso, &nuo, &lo))
         return NULL;
-    if (get_shaped(propo, &v[0], PyBUF_SIMPLE, 2, -1, -1, "prop", &prop) < 0)
+    if (get_shaped(propo, &v[0], PyBUF_SIMPLE, 2, -1, AT_LEAST(1), "prop", &prop) < 0)
         goto fail;
-    n = prop ? v[0].shape[1] : 0;
-    if (n < 1 || v[0].shape[0] != 2 * n + 1) {
-        PyErr_SetString(PyExc_ValueError, "prop must be (2n + 1, n) with n >= 1");
+    n = v[0].shape[1];
+    if (v[0].shape[0] != 2 * n + 1) {
+        PyErr_SetString(PyExc_ValueError, "prop must be (2n + 1, n)");
         goto fail;
     }
-    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), n, "h", &h) < 0)
         goto fail;
-    m = h ? v[1].shape[0] : 0;
+    m = v[1].shape[0];
     if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
         || get_shaped(qo, &v[3], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
         || get_shaped(ro, &v[4], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
@@ -1443,11 +1419,6 @@ ekf_assess_rows(PyObject *self, PyObject *args)
         || get_shaped(nuo, &v[9], PyBUF_WRITABLE, 1, m, -1, "nu", &nu) < 0
         || get_shaped(lo, &v[10], PyBUF_WRITABLE, 2, m, m, "l", &l) < 0)
         goto fail;
-    if (m < 1 || !sigma || !q || !r || !y || !cov || !s || !cross || !nu || !l) {
-        PyErr_SetString(PyExc_ValueError, "h with m >= 1 rows, sigma, q, r, y, cov, s, cross, nu "
-                        "and l are required");
-        goto fail;
-    }
     if (get_bounds(blocks, m, 4, "blocks", &edges, &count) < 0)
         goto fail;
     if (count && n < 4) {
@@ -1489,19 +1460,15 @@ ukf_assess_rows(PyObject *self, PyObject *args)
                           &scale, &ho, &ro, &r_det, &PyTuple_Type, &blocks, &yo, &meano, &covo,
                           &pointso, &so, &sdeto, &crosso, &nuo))
         return NULL;
-    if (get_shaped(meano, &v[0], PyBUF_WRITABLE, 1, -1, -1, "mean", &mean) < 0)
+    if (get_shaped(meano, &v[0], PyBUF_WRITABLE, 1, AT_LEAST(1), -1, "mean", &mean) < 0)
         goto fail;
-    n = mean ? v[0].shape[0] : 0;
+    n = v[0].shape[0];
     rows = 2 * n + 1;
-    if (n < 1) {
-        PyErr_SetString(PyExc_ValueError, "mean must be a non-empty (n,) array");
+    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), n, "h", &h) < 0)
         goto fail;
-    }
-    if (get_shaped(ho, &v[1], PyBUF_SIMPLE, 2, -1, n, "h", &h) < 0)
-        goto fail;
-    m = h ? v[1].shape[0] : 0;
-    if (get_shaped(propo, &v[2], PyBUF_SIMPLE, 2, rows, n, "prop", &prop) < 0
-        || get_shaped(pointso, &v[3], PyBUF_SIMPLE, 2, rows, n, "points", &points) < 0
+    m = v[1].shape[0];
+    if (get_optional(propo, &v[2], PyBUF_SIMPLE, 2, rows, n, "prop", &prop) < 0
+        || get_optional(pointso, &v[3], PyBUF_SIMPLE, 2, rows, n, "points", &points) < 0
         || get_shaped(wmo, &v[4], PyBUF_SIMPLE, 1, rows, -1, "wm", &wm) < 0
         || get_shaped(wco, &v[5], PyBUF_SIMPLE, 1, rows, -1, "wc", &wc) < 0
         || get_shaped(qo, &v[6], PyBUF_SIMPLE, 2, n, n, "q", &q) < 0
@@ -1515,11 +1482,6 @@ ukf_assess_rows(PyObject *self, PyObject *args)
         goto fail;
     if (!prop == !points) {
         PyErr_SetString(PyExc_ValueError, "exactly one of prop and points is required");
-        goto fail;
-    }
-    if (m < 1 || !wm || !wc || !q || !r || !y || !cov || !s || !s_det || !cross || !nu) {
-        PyErr_SetString(PyExc_ValueError, "h with m >= 1 rows, wm, wc, q, r, y, cov, s, s_det, "
-                        "cross and nu are required");
         goto fail;
     }
     if (get_bounds(blocks, m, 4, "blocks", &edges, &count) < 0)
@@ -1590,26 +1552,22 @@ gauss_update_rows(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOOOOOpOO:gauss_update_rows", &muo, &sigmao, &crosso, &so, &lo,
                           &nuo, &rowso, &quaternion, &muouto, &sigmaouto))
         return NULL;
-    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, -1, -1, "mu", &mu) < 0
-        || get_shaped(so, &v[1], PyBUF_SIMPLE, 2, -1, -1, "s", &s) < 0)
+    if (get_shaped(muo, &v[0], PyBUF_SIMPLE, 1, AT_LEAST(1), -1, "mu", &mu) < 0
+        || get_shaped(so, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), -1, "s", &s) < 0)
         goto fail;
-    if (!mu || !s || v[0].shape[0] < 1 || v[1].shape[0] < 1 || v[1].shape[1] != v[1].shape[0]) {
-        PyErr_SetString(PyExc_ValueError, "mu and s must be non-empty (n,) and (m, m)");
+    if (v[1].shape[1] != v[1].shape[0]) {
+        PyErr_SetString(PyExc_ValueError, "s must be a square matrix");
         goto fail;
     }
     n = v[0].shape[0];
     m = v[1].shape[0];
     if (get_shaped(sigmao, &v[2], PyBUF_SIMPLE, 2, n, n, "sigma", &sigma) < 0
         || get_shaped(crosso, &v[3], PyBUF_SIMPLE, 2, n, m, "cross", &cross) < 0
-        || get_shaped(lo, &v[4], PyBUF_SIMPLE, 2, m, m, "l", &l) < 0
+        || get_optional(lo, &v[4], PyBUF_SIMPLE, 2, m, m, "l", &l) < 0
         || get_shaped(nuo, &v[5], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
         || get_shaped(muouto, &v[6], PyBUF_WRITABLE, 1, n, -1, "mu_out", &mu_out) < 0
         || get_shaped(sigmaouto, &v[7], PyBUF_WRITABLE, 2, n, n, "sigma_out", &sigma_out) < 0)
         goto fail;
-    if (!sigma || !cross || !nu || !mu_out || !sigma_out) {
-        PyErr_SetString(PyExc_ValueError, "sigma, cross, nu, mu_out and sigma_out are required");
-        goto fail;
-    }
     if (quaternion && n < 4) {
         PyErr_SetString(PyExc_ValueError, "a quaternion needs n >= 4 states");
         goto fail;
@@ -1813,14 +1771,10 @@ csv_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "block must be a C-contiguous float64 array");
         return NULL;
     }
-    if (get_shaped(blocko, &v[0], PyBUF_SIMPLE, 2, -1, -1, "block", &x) < 0)
+    if (get_shaped(blocko, &v[0], PyBUF_SIMPLE, 2, -1, AT_LEAST(1), "block", &x) < 0)
         goto fail;
     rows = v[0].shape[0];
     cols = v[0].shape[1];
-    if (cols < 1) {
-        PyErr_SetString(PyExc_ValueError, "block must have at least one column");
-        goto fail;
-    }
     if (!(buf = PyMem_Malloc(rows * cols * (CSV_FIELD + 1) + rows + 1))) {
         PyErr_NoMemory();
         goto fail;
@@ -2390,10 +2344,6 @@ resample_rows(PyObject *self, PyObject *args)
     if (get_shaped(wo, &v[1], PyBUF_SIMPLE, 1, n, -1, "w", &w) < 0
         || get_shaped(outo, &v[2], PyBUF_WRITABLE, 2, n, d, "out", &out) < 0)
         goto fail;
-    if (!x || !w || !out) {
-        PyErr_SetString(PyExc_ValueError, "x, w and out are required");
-        goto fail;
-    }
     for (i = 0; i < n; i++)
         if (w[i] < 0.0) {
             PyErr_SetString(PyExc_ValueError, "weights must not be negative");

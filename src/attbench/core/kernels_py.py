@@ -731,5 +731,8 @@ def systematic_index(w, u):
 
 def resample_rows(x, w, u, out):
     """Write the rows of the (N, d) ``x`` that ``systematic_index(w, u)``
-    picks into the (N, d) ``out``."""
+    picks into the (N, d) ``out``; ValueError without ``x``, as the compiled
+    entry raises."""
+    if x is None:
+        raise ValueError("x is required")
     out[...] = x[systematic_index(w, u)]

@@ -269,9 +269,11 @@ def gravity_gradient_frames(r_eci):
     r_mag = np.linalg.norm(r, axis=-1, keepdims=True)
     if (r_mag < _ZERO_RADIUS_KM).any():
         raise ValueError("gravity gradient undefined at zero radius")
-    # a product, not ``** 3``: numpy's vectorised pow rounds by CPU
+    # a product, not ``** 3``: numpy's vectorised pow rounds by CPU. Near
+    # the float limit R^3 overflows and g reads 0 (true value ~1e-300).
     r_si = r_mag * _KM_TO_M
-    g = 3.0 * (MU_EARTH * _KM_TO_M**3) / (r_si * r_si * r_si)
+    with np.errstate(over="ignore"):
+        g = 3.0 * (MU_EARTH * _KM_TO_M**3) / (r_si * r_si * r_si)
     return np.concatenate([r / r_mag, g], axis=-1)
 
 

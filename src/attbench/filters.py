@@ -335,8 +335,8 @@ def attitude_measurement(layout, r_blocks, state_dim):
 
     Args:
         layout: MeasurementLayout in quaternion mode.
-        r_blocks: dict sensor name -> per-component noise variances the
-            filter should assume (vector, or full block matrix).
+        r_blocks: dict sensor name -> the vector of per-component noise
+            variances the filter should assume; R is diagonal.
         state_dim: 7 or 10.
 
     Returns:
@@ -362,14 +362,9 @@ def attitude_measurement(layout, r_blocks, state_dim):
         if name not in r_blocks:
             raise ValueError("missing measurement noise block for %r" % name)
         block = np.asarray(r_blocks[name], dtype=float)
-        if block.ndim == 1:
-            if block.shape != (width,):
-                raise ValueError("noise vector for %r must have %d entries" % (name, width))
-            r[sl, sl] = np.diag(block)
-        else:
-            if block.shape != (width, width):
-                raise ValueError("noise block for %r must be (%d, %d)" % (name, width, width))
-            r[sl, sl] = block
+        if block.shape != (width,):
+            raise ValueError("noise vector for %r must have %d entries" % (name, width))
+        r[sl, sl] = np.diag(block)
     return StackedMeasurement(h, r, layout.slices, hemis)
 
 

@@ -179,9 +179,9 @@ class ScenarioConfig:
     """A fully validated experiment description.
 
     ``initial_state`` is the truth start in the run's parameterization
-    (length 7 quaternion mode, 6 euler mode). ``inertia`` is the full
-    matrix; ``principal`` holds its body-frame principal moments, which is
-    what the integrator consumes. ``r_blocks`` are the measurement noise
+    (length 7 quaternion mode, 6 euler mode). ``principal`` holds the
+    body-frame principal moments of the file's inertia, which is what the
+    integrator consumes. ``r_blocks`` are the measurement noise
     variances the filter assumes, which may deliberately differ from the
     true sensor noise. Construction and ``replace`` check the seed, dt and
     ``principal`` (``dynamics.rigid_body_params``), horizon, filter kind,
@@ -198,7 +198,6 @@ class ScenarioConfig:
     parameterization: str
     gravity_gradient: bool
     initial_state: np.ndarray
-    inertia: np.ndarray
     principal: tuple
     elements: KeplerianElements
     gyro: GyroModel
@@ -303,7 +302,7 @@ def _parse_inertia(value, path):
     else:
         m = np.diag(_num_list(value, 3, path))
     moments, _ = _model("", principal_moments, m, keys={"inertia_matrix": path})
-    return m, moments
+    return moments
 
 
 def _parse_elements(mapping, path):
@@ -483,7 +482,7 @@ def _from_mapping(doc):
     rates = _parse_rates(init, "initial")
     initial_state = np.concatenate([attitude, rates])
 
-    inertia, principal = _parse_inertia(_required(doc, "inertia"), "inertia")
+    principal = _parse_inertia(_required(doc, "inertia"), "inertia")
     elements = _parse_elements(_required(doc, "elements"), "elements")
     sensors = _parse_sensors(doc.get("sensors"), "sensors", layout)
     faults = _parse_faults(doc.get("faults"), "faults")
@@ -500,7 +499,7 @@ def _from_mapping(doc):
         "", ScenarioConfig,
         name=name, description=description, seed=seed, dt=dt, t_end=t_end,
         parameterization=mode, gravity_gradient=gg,
-        initial_state=initial_state, inertia=inertia, principal=tuple(principal),
+        initial_state=initial_state, principal=tuple(principal),
         elements=elements, gyro=sensors["gyro"],
         star_tracker=sensors["star_tracker"], magnetometer=sensors["magnetometer"],
         faults=faults, policy=policy, detector=detector, x0=x0, keys=_CONFIG_KEYS, **fconf,

@@ -3,6 +3,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -183,7 +184,10 @@ def test_an_orbit_no_float_can_solve_is_a_config_error(tmp_path, capsys, a_km, e
 @pytest.mark.parametrize("a_km", ["1.0e+102", "2.0e-9"])
 def test_an_extreme_orbit_a_float_can_solve_runs(tmp_path, a_km):
     path = orbit_scenario(tmp_path, a_km)
-    assert main(["fdir", str(path), "-o", str(tmp_path / "x.csv"), "--quiet"]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fdir", str(path), "-o", str(tmp_path / "x.csv"), "--quiet"]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unknown_scenario_is_a_config_error(tmp_path, capsys):

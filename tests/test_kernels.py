@@ -963,6 +963,73 @@ def test_compiled_passes_check_shapes_themselves():
             _kernels_c.loglik_rows(*good[:i], bad, *good[i + 1:])
 
 
+# Calls one compiled entry (argv[1]) on a valid argument tuple, then with None
+# in each position in turn. Only the positions listed with the tuple may take
+# None without raising: the buffers the entry documents as optional, the
+# quaternion flags (any object is a truth value) and gauss_update_rows's rows.
+NONE_PROBE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from attbench.core import _kernels_c, kernels_py
+
+    e = np.empty
+    x, w, w9 = np.ones((5, 7)), np.full(5, 0.2), np.full(9, 1.0 / 9.0)
+    rng = np.random.default_rng(0)
+    CASES = {
+        "step_rows": ((np.tile([1.0, 0, 0, 0, 0.1, 0.2, 0.3], (3, 1)), 0.1, 2.0, 3.0, 4.0,
+                       np.tile([0.6, 0.8, 0.0, 1e-6], (3, 1))), {5}),
+        "moments_rows": (kernels_py.checked_moments(x.copy(), w, np.zeros((5, 7)), np.eye(7),
+                                                    np.eye(7), np.eye(7), True), {1, 3, 5, 6}),
+        "loglik_rows": ((x, np.eye(7), np.eye(7), np.zeros(7), e(5)), set()),
+        "weigh_rows": ((np.zeros(5), w, x, 0.0, e(5), e(7), e(7)), {0}),
+        "factor_rows": ((np.eye(3), (0, 3), np.ones(3), np.zeros((3, 3))), {2}),
+        "points_rows": ((np.zeros(4), np.eye(4), 1.0, e((9, 4))), set()),
+        "ekf_assess_rows": ((np.ones((9, 4)), 1e-6, np.eye(4), np.eye(4), np.ones((5, 4)),
+                             np.eye(5), (0, 4), np.zeros(5), e((4, 4)), e((5, 5)), e((4, 5)),
+                             e(5), e((5, 5))), set()),
+        "ukf_assess_rows": ((np.ones((9, 4)), w9, w9, np.eye(4), 1.0, np.ones((5, 4)),
+                             np.eye(5), 1.0, (0, 4), np.zeros(5), e(4), e((4, 4)), None,
+                             e((5, 5)), e((5, 5)), e((4, 5)), e(5)), {0, 12}),
+        "gauss_update_rows": ((np.array([1.0, 0, 0, 0]), np.eye(4), np.ones((4, 5)), np.eye(5),
+                               np.eye(5), np.ones(5), (0, 2), True, e(4), e((4, 4))),
+                              {4, 6, 7}),
+        "csv_rows": ((np.ones((2, 3)),), set()),
+        "draw_rows": ((rng, e((5, 7))), set()),
+        "normal_rows": ((rng, e(3)), set()),
+        "resample_rows": ((x, w, 0.3, e((5, 7))), set()),
+    }
+    name = sys.argv[1]
+    entry, (args, may_be_none) = getattr(_kernels_c, name), CASES[name]
+    entry(*args)
+    for i in range(len(args)):
+        print(name, i, flush=True)
+        try:
+            entry(*args[:i], None, *args[i + 1:])
+        except Exception:
+            continue
+        assert i in may_be_none, f"{name} took None as argument {i}"
+    print("probed", flush=True)
+""")
+
+
+@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
+def test_no_compiled_entry_crashes_on_none():
+    """Each of the thirteen compiled entries, given None in each position in
+    turn, raises a Python exception or, where None is documented, returns;
+    no call ends the process by a signal. resample_rows read the shape of
+    a None x and died of SIGSEGV."""
+    from attbench.core import _kernels_c
+    names = [name for name in dir(_kernels_c) if name.endswith("_rows")]
+    assert len(names) == 13
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parents[2]))
+    for name in names:
+        run = subprocess.run([sys.executable, "-c", NONE_PROBE, name], env=env,
+                             capture_output=True, text=True, timeout=120)
+        last = run.stdout.splitlines()[-1:] or [""]
+        assert run.returncode == 0 and last == ["probed"], (name, run.returncode, last,
+                                                           run.stderr[-2000:])
+
+
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
 def test_kernel_bench_parity_half_runs_to_the_end(capsys):
     """``check_parity`` of ``benchmarks/bench_kernels.py`` runs to the end:
@@ -1332,6 +1399,13 @@ def test_resample_rejects_a_negative_weight_on_both_backends():
     for backend in _csv_backends():
         with pytest.raises(ValueError, match="negative"):
             backend.resample_rows(x, np.array([0.5, 0.7, -0.2]), 0.5, np.empty_like(x))
+
+
+def test_resample_without_a_cloud_is_a_value_error(backend):
+    """A missing cloud is the same ValueError on both backends; the compiled
+    entry read its shape before any check and died of SIGSEGV."""
+    with pytest.raises(ValueError, match="x is required"):
+        core.resample(None, np.full(3, 1.0 / 3.0), 0.3)
 
 
 def exp_grid():
