@@ -7,22 +7,17 @@ identical numerics. Set ``ATTBENCH_PURE_PYTHON=1`` to force the fallback
 regardless. ``_kernels`` is the active backend; both export the same
 ``*_rows`` entries.
 
-This module is the kernel API. Three groups of kernels have a wrapper here,
-which validates its arguments (``kernels_py.checked_*``) and allocates the
-outputs before the backend sees them: the batched rigid-body RK4 step; the
-weighted-moments pass of a particle cloud (with or without its jitter); and
-the Cholesky factor and NIS of a whole matrix. Two more allocate their
-output and leave the checks to the entry: ``normals``, numpy's standard
-normal draws (``normal_rows``), which every noise draw of the sensors and
-the particle filter takes, and ``resample``, the particle filter's
-systematic resampling with the gather of the chosen rows
-(``resample_rows``).
-
-Six more groups have no wrapper, and their callers call the entries on
-``_kernels`` directly; each compiled entry still checks that its buffers
-are given and fit each other, a buffer that is None being a ``ValueError``
-that names it unless the entry documents it as optional (the header of
-``_kernels_c.c`` lists those):
+This module is the kernel API. Each entry, on either backend, is the one
+place its buffers are checked: a buffer that is None (unless the entry
+documents it as optional; the header of ``_kernels_c.c`` lists those), not a
+C-contiguous float64 array, a read-only output or a shape that does not fit
+is a ``ValueError`` naming it, with the same message on both backends. The
+wrappers here allocate the outputs and pass the operands on as they are:
+the batched rigid-body RK4 step (on a new copy of the states), the
+weighted-moments pass of a particle cloud, the Cholesky factor and NIS of a
+whole matrix, ``normals`` (numpy's standard normal draws, ``normal_rows``)
+and ``resample`` (systematic resampling and its gather, ``resample_rows``).
+The callers of six more groups call the entries on ``_kernels`` directly:
 
 - the particle filter's log-likelihood pass ``loglik_rows``, with the H and
   L of each row set that ``filters.PfFilter`` caches;
@@ -81,14 +76,17 @@ def rk4_step_batch(states, dt, ixx, iyy, izz, frames=None):
 
     Returns:
         A new C-contiguous float64 (M, n) array, whatever the layout and
-        dtype of ``states``; quaternions renormalized once, after the step.
-        ``kernels_py.step_rows`` gives the exact arithmetic, which it runs
-        in place on the copy ``kernels_py.checked_batch`` makes.
+        dtype of ``states`` or ``frames``; quaternions renormalized once,
+        after the step. ``kernels_py.step_rows`` gives the exact
+        arithmetic, which it runs in place on that copy.
 
     Raises:
-        ValueError: see ``kernels_py.checked_batch``.
+        ValueError: naming ``states`` or ``frames``, whose shape is not as
+            above.
     """
-    out, frames = kernels_py.checked_batch(states, frames)
+    out = np.array(states, dtype=np.float64, order="C")
+    if frames is not None:
+        frames = np.ascontiguousarray(frames, dtype=np.float64)
     _kernels.step_rows(out, dt, ixx, iyy, izz, frames)
     return out
 
@@ -98,9 +96,10 @@ def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
     """Jitter a particle cloud in place and return its weighted moments.
 
     Args:
-        cloud: (M, n) particles, M >= 1; jittered and renormalized in
-            place, so then a writable float64 C-contiguous array.
-        weights: (M,) particle weights, used as given (zeros allowed).
+        cloud: (M, n) float64 C-contiguous particles, M >= 1, as every
+            array here; jittered and renormalized in place, so then
+            writable.
+        weights: (M,) particle weights (zeros allowed).
         normals: None, or the (M, n) standard normals of the jitter.
         root: (n, n) jitter root L; row i gets L @ normals[i] added. Read
             only with ``normals``.
@@ -120,36 +119,37 @@ def cloud_moments(cloud, weights, normals=None, root=None, h=None, r=None,
         arithmetic.
 
     Raises:
-        ValueError: see ``kernels_py.checked_moments``.
+        ValueError: naming the first array that is not as above.
     """
-    args = kernels_py.checked_moments(cloud, weights, normals, root, h, r, quaternion,
-                                      diagonal)
-    _kernels.moments_rows(*args)
-    return args[-3:]
+    n = np.shape(cloud)[-1:]  # (n,) and (m,), as shape tuples
+    m = n if h is None else np.shape(h)[:1]
+    out = np.empty(n), np.empty(m), np.empty(m if diagonal else m + m)
+    _kernels.moments_rows(cloud, normals, root, h, weights, r, quaternion, *out)
+    return out
 
 
 def cholesky(a):
-    """Lower-triangular L with L L' = a, by ``kernels_py.factor_rows``'s
-    arithmetic.
+    """Lower-triangular L with L L' = a, a float64 C-contiguous matrix, by
+    ``kernels_py.factor_rows``'s arithmetic.
 
     Raises:
-        ValueError: see ``kernels_py.checked_factor`` and ``factor_rows``.
+        ValueError: see ``factor_rows``; its ``a`` is named ``S``.
     """
-    a, bounds, _, l = kernels_py.checked_factor(a)
-    _kernels.factor_rows(a, bounds, None, l)
+    l = np.zeros(np.shape(a))
+    _kernels.factor_rows(a, (0, *l.shape[:1]), None, l)
     return l
 
 
 def nis(a, nu):
     """(NIS, L): the normalized innovation squared nu' a^-1 nu = |L^-1 nu|^2
     and the Cholesky factor L of ``a`` it came from
-    (``kernels_py.factor_rows``).
+    (``kernels_py.factor_rows``), both float64 C-contiguous arrays.
 
     Raises:
-        ValueError: see ``kernels_py.checked_factor`` and ``factor_rows``.
+        ValueError: see ``cholesky``.
     """
-    a, bounds, nu, l = kernels_py.checked_factor(a, nu)
-    return _kernels.factor_rows(a, bounds, nu, l)[0], l
+    l = np.zeros(np.shape(a))
+    return _kernels.factor_rows(a, (0, *l.shape[:1]), nu, l)[0], l
 
 
 def normals(rng, shape):
@@ -167,8 +167,8 @@ def resample(cloud, weights, u):
     (``kernels_py.systematic_index``), as a new array.
 
     Raises:
-        ValueError: ``cloud`` is None, a weight is negative, or the shapes
-            do not fit.
+        ValueError: ``cloud`` (named ``x``) is None, a weight is negative,
+            or an array is not as above.
     """
     out = np.empty_like(cloud)
     _kernels.resample_rows(cloud, weights, u, out)

@@ -12,78 +12,37 @@
  * code on one particle, no sum changes its order and nothing is
  * contracted, so both builds give the same bits.
  *
- * The module exports thirteen functions. attbench.core validates the
- * caller's arrays, and allocates the outputs, before calling step_rows,
- * moments_rows and factor_rows; the particle filter calls draw_rows,
- * moments_rows, loglik_rows and weigh_rows directly, with operands it
- * checked when built; the Gaussian filters check their constant operands
- * once, when built, and call the four entries after factor_rows directly;
- * FdirSupervisor calls factor_rows directly with the bounds and scratch it
- * bound when built; runner.write_csv calls csv_rows; and attbench.core
- * allocates the output of the last two, which every noise draw and the
- * particle filter's resampling take. Each function still checks that its
- * buffers are given and fit each other: a buffer argument that is None is
- * a ValueError naming it, except where an entry below says it may be None
- * (step_rows's frames; moments_rows's normals, h and r, its root being
- * read only with normals; weigh_rows's loglik; factor_rows's nu;
- * ukf_assess_rows's prop and points; gauss_update_rows's l). The draws
- * take arrays of any rank and check them themselves.
+ * The module exports thirteen functions, and each is the one place its
+ * buffers are checked (get_shaped, get_bounds): attbench.core only allocates
+ * outputs, and the filters, FdirSupervisor and runner.write_csv call the
+ * entries directly. A buffer that is None (except step_rows's frames,
+ * moments_rows's normals, h and r, its root being read only with normals,
+ * weigh_rows's loglik, factor_rows's nu, ukf_assess_rows's prop and points
+ * and gauss_update_rows's l), not a C-contiguous float64 array, a read-only
+ * output or a shape that does not fit is a ValueError naming it, with the
+ * message of the fallback entry; the draws take arrays of any rank.
  *
- * step_rows(out, dt, ixx, iyy, izz, frames) advances a C-contiguous float64
- *     (M, n) buffer by one RK4 step in place, torque-free when frames is None.
- * moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s) is the
- *     particle filter's cloud pass. It adds the jitter root normals[i] to
- *     each row of x in place, then renormalizes columns 0..3 when asked, and
- *     writes the weighted mean of the rows, the weighted mean y_hat of
- *     z = h x and S = sum w (z - y_hat)(z - y_hat)' + r, exactly symmetric;
- *     a 1-D s gets S's diagonal alone. normals/root, h and r may each be
- *     None: no jitter, z = x, no r. normals may be a draw of draw_rows,
+ * The entries, each with the contract of the fallback entry of its name:
+ * step_rows(out, dt, ixx, iyy, izz, frames), the batched RK4 step in place.
+ * moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s), the
+ *     particle filter's cloud pass. normals may be a draw of draw_rows,
  *     which it awaits block by block and then settles, on every path out
- *     (below). It, ukf_assess_rows and weigh_rows
- *     share one weighted-moments pass (moments), so a cloud and a sigma set
- *     of the same rows and weights have the same moments, bit for bit. The
- *     pass forms z once per class of rows of h equal bit for bit, and each
- *     sum of S once per ordered pair of classes.
- * loglik_rows(x, h, l, y, out) writes -0.5 |l^-1 (y - h x)|^2 for each row
- *     of x, by forward substitution with the lower triangle of l.
- * weigh_rows(loglik, w, x, limit, out, mean, var) is the particle filter's
- *     weight pass: out = w exp(loglik - max loglik) by a fixed exp
- *     (fixed_exp), normalized by its total, or 1/N each when that total is
- *     not a finite number > 0 (a reset); loglik None keeps w. Unless the
- *     ESS 1 / sum out^2 is below limit, it writes the weighted mean and
- *     marginal variance of the cloud x under out into mean and var, by
- *     moments_rows's pass. It returns (reset, resample), resample being
- *     ESS < limit.
- * factor_rows(a, bounds, nu, l) Cholesky-factors each diagonal block
- *     [start, stop) that the flat tuple bounds lists into the same block of
- *     l, and returns a tuple of each block's NIS |L^-1 nu|^2 (empty when nu
- *     is None); ValueError when a pivot is not a finite number > 0.
- * points_rows(mu, sigma, scale, points) writes the (2n + 1, n) sigma set
- *     mu, mu + the columns of L, mu - the columns of L, with L the Cholesky
- *     factor of scale sigma; returns False, writing nothing, when scale
- *     sigma is not positive definite.
- * ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l)
- *     forms the central-difference Jacobian a from the propagated
- *     (2n + 1, n) stencil and writes cov = a sigma a' + q, S = h cov h' + r
- *     and C = cov h' (ekf_pass), then the innovation nu = y - h prop[0] with
- *     each hemisphere block of y aligned to prop[0], then the Cholesky
- *     factor l of S; it returns the NIS |l^-1 nu|^2.
- * ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov,
- *     points, s, s_det, cross, nu) writes the weighted mean (weights wm) and
- *     covariance (weights wc) plus q of the propagated set prop into mean and
- *     cov, the sigma set of (mean, scale cov) as points_rows forms it, the
- *     measurement moments of that set with h and r into s and cross (both
- *     moment steps by moments_rows's pass), S_det = s + r_det r, and the
- *     innovation aligned to mean; it returns the NIS of S_det. It returns
- *     None, having written mean and cov alone, when scale cov is not
- *     positive definite; called again with prop None and that set's points
- *     given, it starts at the set's moments.
- * gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out,
- *     sigma_out) writes the Kalman update on the rows that the tuple rows
- *     lists (None: every row, through the factor l when it is not None),
- *     factoring that block of s: W = C L^-T, mu + W (L^-1 nu) and
- *     sigma - W W', exactly symmetric (update). It then renormalizes
- *     mu_out's columns 0..3 when asked; no rows copies mu and sigma.
+ *     (below). It, ukf_assess_rows and weigh_rows share one weighted-moments
+ *     pass (moments), so a cloud and a sigma set of the same rows and
+ *     weights have the same moments, bit for bit. The pass forms z = h x
+ *     once per class of rows of h equal bit for bit, and each sum of S once
+ *     per ordered pair of classes.
+ * loglik_rows(x, h, l, y, out) and weigh_rows(loglik, w, x, limit, out,
+ *     mean, var), the particle filter's log-likelihood and weight passes;
+ *     the weight pass's exp is fixed_exp.
+ * factor_rows(a, bounds, nu, l), the Cholesky factor and NIS of each
+ *     diagonal block [start, stop) of a that bounds lists.
+ * points_rows(mu, sigma, scale, points), ekf_assess_rows(prop, eps, sigma,
+ *     q, h, r, blocks, y, cov, s, cross, nu, l), ukf_assess_rows(prop, wm,
+ *     wc, q, scale, h, r, r_det, blocks, y, mean, cov, points, s, s_det,
+ *     cross, nu) and gauss_update_rows(mu, sigma, cross, s, l, nu, rows,
+ *     quaternion, mu_out, sigma_out), the Gaussian step's fused passes
+ *     (sigma_points, ekf_pass, moments, innovation, factor and update).
  * csv_rows(block) returns the rows of a C-contiguous float64 (rows, cols)
  *     block as CSV text: each value as PyOS_double_to_string(v, 'g', 9, 0)
  *     gives it, the routine Python's '%.9g' % v calls (glibc's printf
@@ -101,10 +60,8 @@
  *     (not exported: moments_rows takes it in place of its normals, and its
  *     wait() returns out once written, the generator's lock released). The
  *     lock is held from the start of the draw until it is settled.
- * resample_rows(x, w, u, out) writes into out the rows of x that
- *     systematic resampling by the weights w (none negative) and the offset
- *     u picks: the first row whose cumulative weight is above
- *     (i + u) / n, or the last row, for each i < n, by one merge walk.
+ * resample_rows(x, w, u, out), systematic resampling and its gather, by one
+ *     merge walk.
  *
  * The worker. draw_rows posts its draw to one persistent worker thread,
  * created at the first draw that may use it, and returns at once; the
@@ -1017,23 +974,6 @@ innovation(const double *y, const double *y_hat, Py_ssize_t m, const double *q,
         nu[i] = y_al[i] - y_hat[i];
 }
 
-/* A C-contiguous float64 buffer of the given rank (0: rank 1 or 2); raises
- * ValueError and releases it otherwise. */
-static int
-get_doubles(PyObject *obj, Py_buffer *view, int flags, int ndim)
-{
-    if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
-        return -1;
-    if ((ndim ? view->ndim != ndim : view->ndim != 1 && view->ndim != 2)
-        || view->itemsize != sizeof(double)
-        || strcmp(view->format, "d") != 0) {
-        PyBuffer_Release(view);
-        PyErr_SetString(PyExc_ValueError, "expected a C-contiguous float64 array");
-        return -1;
-    }
-    return 0;
-}
-
 /* The buffers of one call: every view starts empty, so release_all may run
  * after any failure. */
 #define MAX_VIEWS 16
@@ -1051,25 +991,43 @@ release_all(Py_buffer *views)
  * size >= k (so -1 any size). */
 #define AT_LEAST(k) (-1 - (k))
 #define FITS(size, d) ((d) >= 0 ? (size) == (d) : (size) >= -1 - (d))
+/* The ranks get_shaped takes in place of one exact rank. */
+#define RANK_1_OR_2 0
+#define ANY_RANK -1
 
-/* get_doubles for a required argument, with the expected shape (d1 binds a
- * 2-D view alone); ValueError naming it when it is None or does not fit. */
+/* The buffer of a required argument, kernels_py._buffer's rules in its
+ * order, each refusal a ValueError naming the argument: it is given; it is a
+ * C-contiguous float64 buffer; it is writable when flags has PyBUF_WRITABLE;
+ * and its rank is ndim, its first dimension fits d0 and a second fits d1. */
 static int
 get_shaped(PyObject *obj, Py_buffer *view, int flags, int ndim,
            Py_ssize_t d0, Py_ssize_t d1, const char *name, double **data)
 {
+    const char *wrong = "%s must be a C-contiguous float64 array";
+
     if (obj == Py_None) {
         PyErr_Format(PyExc_ValueError, "%s is required", name);
         return -1;
     }
-    if (get_doubles(obj, view, flags, ndim) < 0)
-        return -1;
-    if (!FITS(view->shape[0], d0) || (view->ndim == 2 && !FITS(view->shape[1], d1))) {
-        PyErr_Format(PyExc_ValueError, "%s has the wrong shape", name);
-        return -1;
+    /* writability is checked below, so that its refusal names the buffer */
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+        PyErr_Clear();
+    else if (view->itemsize != sizeof(double) || strcmp(view->format, "d") != 0)
+        ;
+    else if ((flags & PyBUF_WRITABLE) && view->readonly)
+        wrong = "%s must be writable";
+    else if ((ndim > 0 ? view->ndim != ndim : ndim == RANK_1_OR_2 && view->ndim != 1
+              && view->ndim != 2)
+             || (view->ndim >= 1 && !FITS(view->shape[0], d0))
+             || (view->ndim >= 2 && !FITS(view->shape[1], d1)))
+        wrong = "%s has the wrong shape";
+    else {
+        *data = view->buf;
+        return 0;
     }
-    *data = view->buf;
-    return 0;
+    PyBuffer_Release(view);
+    PyErr_Format(PyExc_ValueError, wrong, name);
+    return -1;
 }
 
 /* get_shaped for an argument that may be None, which leaves *data NULL. */
@@ -1081,10 +1039,15 @@ get_optional(PyObject *obj, Py_buffer *view, int flags, int ndim,
     return obj == Py_None ? 0 : get_shaped(obj, view, flags, ndim, d0, d1, name, data);
 }
 
-/* The *count edges of the flat tuple bounds of (start, stop) pairs, each
- * 0 <= start < stop <= m and, when width > 0, stop = start + width, in a new
- * array to PyMem_RawFree (NULL for an empty tuple). Returns -1 with
- * ValueError (or the error of an edge that is not an int) otherwise. */
+/* A width that asks get_bounds for row indices in place of pairs. */
+#define INDICES -1
+
+/* The *count edges of the tuple bounds, in a new array to PyMem_RawFree
+ * (NULL for an empty tuple): flat (start, stop) pairs, each
+ * 0 <= start < stop <= m and, when width > 0, stop = start + width; or,
+ * with width INDICES, row indices 0 <= i < m. kernels_py._bounds has the
+ * same rules. Returns -1 with ValueError naming it otherwise, or TypeError
+ * when it is not a tuple or an edge is not an int. */
 static int
 get_bounds(PyObject *bounds, Py_ssize_t m, Py_ssize_t width, const char *name,
            Py_ssize_t **edges, Py_ssize_t *count)
@@ -1092,8 +1055,12 @@ get_bounds(PyObject *bounds, Py_ssize_t m, Py_ssize_t width, const char *name,
     Py_ssize_t i, *e;
 
     *edges = NULL;
+    if (!PyTuple_Check(bounds)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a tuple", name);
+        return -1;
+    }
     *count = PyTuple_GET_SIZE(bounds);
-    if (*count % 2) {
+    if (width != INDICES && *count % 2) {
         PyErr_Format(PyExc_ValueError, "%s must hold (start, stop) pairs", name);
         return -1;
     }
@@ -1107,9 +1074,12 @@ get_bounds(PyObject *bounds, Py_ssize_t m, Py_ssize_t width, const char *name,
         e[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(bounds, i));
         if (e[i] == -1 && PyErr_Occurred())
             goto fail;
-        if (e[i] < 0 || e[i] > m || (i % 2 && (e[i] <= e[i - 1]
-                                                || (width > 0 && e[i] - e[i - 1] != width)))) {
-            if (width > 0)
+        if (width == INDICES ? e[i] < 0 || e[i] >= m
+            : e[i] < 0 || e[i] > m || (i % 2 && (e[i] <= e[i - 1]
+                                                 || (width > 0 && e[i] - e[i - 1] != width)))) {
+            if (width == INDICES)
+                PyErr_Format(PyExc_ValueError, "%s must be indices in [0, m)", name);
+            else if (width > 0)
                 PyErr_Format(PyExc_ValueError, "%s must be blocks of %zd rows inside the %zd",
                              name, width, m);
             else
@@ -1175,20 +1145,20 @@ moments_rows(PyObject *self, PyObject *args)
     eo = draw_array(drawo, &pending);
 
     if (get_shaped(xo, &v[0], eo != Py_None || quaternion ? PyBUF_WRITABLE : PyBUF_SIMPLE,
-                   2, AT_LEAST(1), AT_LEAST(quaternion ? 4 : 1), "x", &x) < 0)
+                   2, AT_LEAST(1), AT_LEAST(quaternion ? 4 : 1), "cloud", &x) < 0)
         goto fail;
     rows = v[0].shape[0];
     n = v[0].shape[1];
-    if (get_optional(ho, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), n, "h", &h) < 0)
+    if (get_optional(ho, &v[1], PyBUF_SIMPLE, 2, AT_LEAST(1), n, "H", &h) < 0)
         goto fail;
     m = h ? v[1].shape[0] : n;
     if (get_optional(eo, &v[2], PyBUF_SIMPLE, 2, rows, n, "normals", &e) < 0
         || (e && get_shaped(lo, &v[3], PyBUF_SIMPLE, 2, n, n, "root", &l) < 0)
-        || get_shaped(wo, &v[4], PyBUF_SIMPLE, 1, rows, -1, "w", &w) < 0
-        || get_optional(ro, &v[5], PyBUF_SIMPLE, 2, m, m, "r", &r) < 0
+        || get_shaped(wo, &v[4], PyBUF_SIMPLE, 1, rows, -1, "weights", &w) < 0
+        || get_optional(ro, &v[5], PyBUF_SIMPLE, 2, m, m, "R", &r) < 0
         || get_shaped(meano, &v[6], PyBUF_WRITABLE, 1, n, -1, "mean", &mean) < 0
         || get_shaped(yo, &v[7], PyBUF_WRITABLE, 1, m, -1, "y_hat", &y_hat) < 0
-        || get_shaped(so, &v[8], PyBUF_WRITABLE, 0, m, m, "s", &s) < 0)
+        || get_shaped(so, &v[8], PyBUF_WRITABLE, RANK_1_OR_2, m, m, "s", &s) < 0)
         goto fail;
     /* a 1-D s asks for the diagonal of S alone */
     diagonal = v[8].ndim == 1;
@@ -1304,13 +1274,13 @@ factor_rows(PyObject *self, PyObject *args)
     double *a, *nu, *l, *scratch = NULL;
     Py_ssize_t m, count, b, bad = -1, *edges = NULL;
 
-    if (!PyArg_ParseTuple(args, "OO!OO:factor_rows", &ao, &PyTuple_Type, &bounds, &nuo, &lo_))
+    if (!PyArg_ParseTuple(args, "OOOO:factor_rows", &ao, &bounds, &nuo, &lo_))
         return NULL;
-    if (get_shaped(ao, &v[0], PyBUF_SIMPLE, 2, AT_LEAST(1), -1, "a", &a) < 0)
+    if (get_shaped(ao, &v[0], PyBUF_SIMPLE, 2, AT_LEAST(1), -1, "S", &a) < 0)
         goto fail;
     m = v[0].shape[0];
     if (v[0].shape[1] != m) {
-        PyErr_SetString(PyExc_ValueError, "a must be a square matrix");
+        PyErr_SetString(PyExc_ValueError, "S must be a square matrix");
         goto fail;
     }
     if (get_optional(nuo, &v[1], PyBUF_SIMPLE, 1, m, -1, "nu", &nu) < 0
@@ -1396,8 +1366,8 @@ ekf_assess_rows(PyObject *self, PyObject *args)
     double *prop, *sigma, *q, *h, *r, *y, *cov, *s, *cross, *nu, *l, *scratch, eps, nis;
     Py_ssize_t n, m, count, bad, *edges = NULL;
 
-    if (!PyArg_ParseTuple(args, "OdOOOOO!OOOOOO:ekf_assess_rows", &propo, &eps, &sigmao, &qo,
-                          &ho, &ro, &PyTuple_Type, &blocks, &yo, &covo, &so, &crosso, &nuo, &lo))
+    if (!PyArg_ParseTuple(args, "OdOOOOOOOOOOO:ekf_assess_rows", &propo, &eps, &sigmao, &qo,
+                          &ho, &ro, &blocks, &yo, &covo, &so, &crosso, &nuo, &lo))
         return NULL;
     if (get_shaped(propo, &v[0], PyBUF_SIMPLE, 2, -1, AT_LEAST(1), "prop", &prop) < 0)
         goto fail;
@@ -1456,8 +1426,8 @@ ukf_assess_rows(PyObject *self, PyObject *args)
     Sum *sums;
     Py_ssize_t n, m, rows, count, bad, i, size, *edges = NULL;
 
-    if (!PyArg_ParseTuple(args, "OOOOdOOdO!OOOOOOOO:ukf_assess_rows", &propo, &wmo, &wco, &qo,
-                          &scale, &ho, &ro, &r_det, &PyTuple_Type, &blocks, &yo, &meano, &covo,
+    if (!PyArg_ParseTuple(args, "OOOOdOOdOOOOOOOOO:ukf_assess_rows", &propo, &wmo, &wco, &qo,
+                          &scale, &ho, &ro, &r_det, &blocks, &yo, &meano, &covo,
                           &pointso, &so, &sdeto, &crosso, &nuo))
         return NULL;
     if (get_shaped(meano, &v[0], PyBUF_WRITABLE, 1, AT_LEAST(1), -1, "mean", &mean) < 0)
@@ -1572,16 +1542,12 @@ gauss_update_rows(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "a quaternion needs n >= 4 states");
         goto fail;
     }
-    if (rowso != Py_None && !PyTuple_Check(rowso)) {
-        PyErr_SetString(PyExc_TypeError, "rows must be None or a tuple of row indices");
+    k = m;
+    if (rowso != Py_None && get_bounds(rowso, m, INDICES, "rows", &idx, &k) < 0)
         goto fail;
-    }
-    k = rowso == Py_None ? m : PyTuple_GET_SIZE(rowso);
-    /* S, L, C and nu on the rows, update's W and v, then the rows (one
-     * double more, so that no rows still allocates) */
-    scratch = PyMem_RawMalloc((2 * k * k + 2 * n * k + 2 * k + 1) * sizeof(double)
-                              + k * sizeof(Py_ssize_t));
-    if (!scratch) {
+    /* S, L, C and nu on the rows, then update's W and v (one double more,
+     * so that no rows still allocates) */
+    if (!(scratch = PyMem_RawMalloc((2 * k * k + 2 * n * k + 2 * k + 1) * sizeof(double)))) {
         PyErr_NoMemory();
         goto fail;
     }
@@ -1590,17 +1556,7 @@ gauss_update_rows(PyObject *self, PyObject *args)
     cross_k = l_k + k * k;
     nu_k = cross_k + n * k;
     work = nu_k + k;
-    idx = (Py_ssize_t *)(work + n * k + k + 1);
     if (rowso != Py_None) {
-        for (i = 0; i < k; i++) {
-            idx[i] = PyLong_AsSsize_t(PyTuple_GET_ITEM(rowso, i));
-            if (idx[i] == -1 && PyErr_Occurred())
-                goto fail;
-            if (idx[i] < 0 || idx[i] >= m) {
-                PyErr_SetString(PyExc_ValueError, "rows must be indices in [0, m)");
-                goto fail;
-            }
-        }
         for (i = 0; i < k; i++) {
             for (j = 0; j < k; j++)
                 s_k[i * k + j] = s[idx[i] * m + idx[j]];
@@ -1633,12 +1589,14 @@ gauss_update_rows(PyObject *self, PyObject *args)
             mu_out[j] = mu_out[j] / norm;
     }
     PyMem_RawFree(scratch);
+    PyMem_RawFree(idx);
     release_all(v);
     if (bad >= 0)
         return not_positive_definite(bad);
     Py_RETURN_NONE;
 fail:
     PyMem_RawFree(scratch);
+    PyMem_RawFree(idx);
     release_all(v);
     return NULL;
 }
@@ -1767,10 +1725,6 @@ csv_rows(PyObject *self, PyObject *args)
 
     if (!PyArg_ParseTuple(args, "O:csv_rows", &blocko))
         return NULL;
-    if (!PyObject_CheckBuffer(blocko)) {
-        PyErr_SetString(PyExc_ValueError, "block must be a C-contiguous float64 array");
-        return NULL;
-    }
     if (get_shaped(blocko, &v[0], PyBUF_SIMPLE, 2, -1, AT_LEAST(1), "block", &x) < 0)
         goto fail;
     rows = v[0].shape[0];
@@ -2174,19 +2128,15 @@ start_draw(PyObject *args, const char *format, int on_worker)
 {
     PyObject *rng, *outo, *capsule, *res;
     Draw *d;
+    double *out;
 
     if (!PyArg_ParseTuple(args, format, &rng, &outo) || !(d = PyObject_New(Draw, &draw_type)))
         return NULL;
     d->view.obj = NULL;
     d->owner = d->lock = NULL;
     d->worker = 0;
-    if (PyObject_GetBuffer(outo, &d->view, PyBUF_WRITABLE | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT)
-        < 0)
+    if (get_shaped(outo, &d->view, PyBUF_WRITABLE, ANY_RANK, -1, -1, "out", &out) < 0)
         goto fail;
-    if (d->view.itemsize != sizeof(double) || strcmp(d->view.format, "d") != 0) {
-        PyErr_SetString(PyExc_ValueError, "expected a C-contiguous float64 array");
-        goto fail;
-    }
     d->count = d->view.len / (Py_ssize_t)sizeof(double);
     if (!(d->owner = PyObject_GetAttr(rng, s_bit_generator))
         || !(capsule = PyObject_GetAttr(d->owner, s_capsule)))
@@ -2206,7 +2156,7 @@ start_draw(PyObject *args, const char *format, int on_worker)
     }
     /* as Generator.standard_normal: the generator's lock held, the GIL not */
     Py_BEGIN_ALLOW_THREADS
-    ziggurat_fill(d->bg, d->view.buf, d->count);
+    ziggurat_fill(d->bg, out, d->count);
     Py_END_ALLOW_THREADS
     if (settle(d) == 0)
         return (PyObject *)d;

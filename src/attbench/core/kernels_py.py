@@ -14,11 +14,11 @@ standard normal draws, ``draw_rows`` the same draw handed to
 systematic resampling (``systematic_index``) and gather. ``_sigma_rows`` is
 the one weighted-moments body: ``moments_rows`` calls it after the jitter,
 ``ukf_assess_rows`` for both of its moment steps and ``weigh_rows`` (through
-``moments_rows``) for the posterior moments.
-``checked_batch``, ``checked_moments`` and ``checked_factor`` validate the
-arguments of ``attbench.core``'s ``rk4_step_batch``, ``cloud_moments`` and
-``cholesky`` / ``nis``; ``attbench.core``, not this module, is the kernel
-API.
+``moments_rows``) for the posterior moments. ``attbench.core``, not this
+module, is the kernel API. Each entry takes its buffers through ``_buffer``
+and its tuples of bounds or rows through ``_bounds``, in the compiled
+entry's order, so both backends refuse the same argument with the same
+message.
 
 Operation order mirrors the compiled kernel expression for expression so
 both backends produce bit-identical results (the extension is built with FP
@@ -48,26 +48,67 @@ import math
 import numpy as np
 
 
-def checked_batch(states, frames=None):
-    """A new float64 C-contiguous copy of ``states``, which ``step_rows`` may
-    step in place, and ``frames`` as a float64 C-contiguous array, validated:
-    the one check of an RK4 step's operands, which ``core.rk4_step_batch``'s
-    callers (the truth loop and the filters' process model) do not repeat.
-    On the float64 arrays they pass in, it is one copy and a look at two
-    shapes.
+# The ranks and dimensions of the compiled get_shaped: a dimension d >= 0
+# fits a size of d alone, _at_least(k) every size >= k (so -1 any size).
+RANK_1_OR_2, ANY_RANK = 0, -1
 
-    Raises:
-        ValueError: ``states`` is not (M, n) with n >= 7, or ``frames`` is
-            neither None nor (3, 4).
-    """
-    out = np.array(states, dtype=np.float64, order="C")
-    if out.ndim != 2 or out.shape[1] < 7:
-        raise ValueError("states must be (M, n) with n >= 7, got shape %r" % (out.shape,))
-    if frames is not None:
-        frames = np.ascontiguousarray(frames, dtype=np.float64)
-        if frames.shape != (3, 4):
-            raise ValueError("frames must be (3, 4), got shape %r" % (frames.shape,))
-    return out, frames
+
+def _at_least(k):
+    return -1 - k
+
+
+def _fits(size, d):
+    return size == d if d >= 0 else size >= -1 - d
+
+
+def _buffer(a, name, ndim, d0=-1, d1=-1, writable=False, optional=False):
+    """The buffer ``name`` by the compiled ``get_shaped``'s rules, in its
+    order, else a ValueError naming it: given (or None when ``optional``),
+    a C-contiguous float64 ndarray or other buffer, ``writable``, of rank
+    ``ndim``, and first and second dimensions that fit d0 and d1."""
+    if a is None:
+        if optional:
+            return None
+        raise ValueError("%s is required" % name)
+    try:
+        a = a if isinstance(a, np.ndarray) else np.asarray(memoryview(a))
+        fits = a.dtype == np.float64 and a.flags.c_contiguous
+    except Exception:  # as in C, any failure to view the buffer refuses it
+        fits = False
+    if not fits:
+        raise ValueError("%s must be a C-contiguous float64 array" % name)
+    if writable and not a.flags.writeable:
+        raise ValueError("%s must be writable" % name)
+    if ((a.ndim != ndim if ndim > 0 else ndim == RANK_1_OR_2 and a.ndim not in (1, 2))
+            or (a.ndim >= 1 and not _fits(a.shape[0], d0))
+            or (a.ndim >= 2 and not _fits(a.shape[1], d1))):
+        raise ValueError("%s has the wrong shape" % name)
+    return a
+
+
+INDICES = -1  # the width that asks _bounds for row indices, not pairs
+
+
+def _bounds(bounds, m, width, name):
+    """The tuple ``bounds`` by the compiled ``get_bounds``'s rules: flat
+    (start, stop) pairs, 0 <= start < stop <= m, of ``width`` rows when it
+    is > 0, or ``INDICES`` 0 <= i < m. Else a ValueError naming it, or a
+    TypeError for a non-tuple or an edge that is not an int."""
+    if not isinstance(bounds, tuple):
+        raise TypeError("%s must be a tuple" % name)
+    if width != INDICES and len(bounds) % 2:
+        raise ValueError("%s must hold (start, stop) pairs" % name)
+    for i, e in enumerate(bounds):
+        if not isinstance(e, int):
+            raise TypeError("an integer is required")
+        if width == INDICES:
+            if not 0 <= e < m:
+                raise ValueError("%s must be indices in [0, m)" % name)
+        elif not 0 <= e <= m or i % 2 and (e <= bounds[i - 1]
+                                           or 0 < width != e - bounds[i - 1]):
+            raise ValueError("%s must be blocks of %d rows inside the %d" % (name, width, m)
+                             if width else "%s must be 0 <= start < stop <= m" % name)
+    return bounds
 
 
 def _rates(q0, q1, q2, q3, wx, wy, wz, ixx, iyy, izz, frame=None):
@@ -127,7 +168,9 @@ ROW_LOOP_MAX = 16
 
 
 def step_rows(out, dt, ixx, iyy, izz, frames):
-    """Advance the rows of a ``checked_batch`` array by one step, in place."""
+    """``attbench.core.rk4_step_batch`` on its copy ``out``, in place."""
+    out = _buffer(out, "states", 2, -1, _at_least(7), writable=True)
+    frames = _buffer(frames, "frames", 2, 3, 4, optional=True)
     args = (dt, ixx, iyy, izz, None if frames is None else frames.tolist())
     if len(out) < ROW_LOOP_MAX:
         for row in out:
@@ -165,56 +208,6 @@ def _product(x, h):
     return z
 
 
-def _doubles(name, a, ndim, shape=None):
-    """``a`` as a float64 C-contiguous array of rank ``ndim`` (and
-    ``shape``), without a copy when it already is one."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != ndim or (shape is not None and a.shape != shape):
-        raise ValueError("%s must have shape %r, got %r"
-                         % (name, shape or ("?",) * ndim, a.shape))
-    return a
-
-
-def checked_moments(cloud, weights, normals=None, root=None, h=None, r=None,
-                    quaternion=False, diagonal=False):
-    """The arguments of ``moments_rows``, validated, and its outputs.
-
-    A ``cloud`` the pass writes to (with ``normals`` or ``quaternion``) is
-    used as given, never copied; every other array is a float64 C-contiguous
-    view or copy.
-
-    Raises:
-        ValueError: ``cloud`` is not a non-empty (M, n) array, or is written
-            to and is not a writable float64 C-contiguous ndarray; n < 4 with
-            ``quaternion``; or another argument's shape does not fit it.
-    """
-    quaternion = bool(quaternion)
-    if normals is None and not quaternion:
-        cloud = _doubles("cloud", cloud, 2)
-    elif (not isinstance(cloud, np.ndarray) or cloud.dtype != np.float64 or cloud.ndim != 2
-            or not cloud.flags.c_contiguous or not cloud.flags.writeable):
-        raise ValueError("a jittered cloud must be a writable C-contiguous float64 (M, n) array")
-    rows, n = cloud.shape
-    if rows < 1 or n < (4 if quaternion else 1):
-        raise ValueError("cloud has shape %r" % (cloud.shape,))
-    if normals is not None:
-        normals = _doubles("normals", normals, 2, (rows, n))
-        root = _doubles("root", root, 2, (n, n))
-    else:
-        root = None
-    m = n
-    if h is not None:
-        h = _doubles("H", h, 2)
-        m = h.shape[0]
-        if m < 1 or h.shape[1] != n:
-            raise ValueError("H must be (m, %d) with m >= 1, got %r" % (n, h.shape))
-    w = _doubles("weights", weights, 1, (rows,))
-    if r is not None:
-        r = _doubles("R", r, 2, (m, m))
-    return (cloud, normals, root, h, w, r, quaternion,
-            np.empty(n), np.empty(m), np.empty(m if diagonal else (m, m)))
-
-
 def _unit_quaternions(x):
     """Columns 0..3 of each row of the 2-D ``x`` divided by their norm, in
     place; the squares are summed in column order."""
@@ -223,7 +216,8 @@ def _unit_quaternions(x):
 
 
 def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
-    """The particle filter's cloud pass over ``checked_moments`` arguments.
+    """The particle filter's cloud pass on ``attbench.core.cloud_moments``'s
+    arguments (x the cloud, w the weights) and its outputs.
 
     Row i of x gets the jitter sum over k of normals[i, k] root[j, k] added
     to each column j, then, with ``quaternion``, columns 0..3 divided by
@@ -233,6 +227,19 @@ def moments_rows(x, normals, root, h, w, r, quaternion, mean, y_hat, s):
     """
     if isinstance(normals, Draw):
         normals = normals.out
+    x = _buffer(x, "cloud", 2, _at_least(1), _at_least(4 if quaternion else 1),
+                writable=normals is not None or bool(quaternion))
+    rows, n = x.shape
+    h = _buffer(h, "H", 2, _at_least(1), n, optional=True)
+    m = n if h is None else len(h)
+    normals = _buffer(normals, "normals", 2, rows, n, optional=True)
+    if normals is not None:
+        root = _buffer(root, "root", 2, n, n)
+    w = _buffer(w, "weights", 1, rows)
+    r = _buffer(r, "R", 2, m, m, optional=True)
+    mean = _buffer(mean, "mean", 1, n, writable=True)
+    y_hat = _buffer(y_hat, "y_hat", 1, m, writable=True)
+    s = _buffer(s, "s", RANK_1_OR_2, m, m, writable=True)
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         if normals is not None:
             x += _product(normals, root).T
@@ -246,6 +253,13 @@ def loglik_rows(x, h, l, y, out):
     v_j = (y_j - z_j - l[j, 0] v_0 - ... - l[j, j-1] v_{j-1}) / l[j, j],
     subtracted in that order, skipping the terms where l[j, c] == 0, and
     |v|^2 summed from -0.0. z = h x_i is ``_product``'s."""
+    x = _buffer(x, "x", 2, -1, _at_least(1))
+    rows, n = x.shape
+    h = _buffer(h, "h", 2, _at_least(1), n)
+    k = len(h)
+    l = _buffer(l, "l", 2, k, k)
+    y = _buffer(y, "y", 1, k)
+    out = _buffer(out, "out", 1, rows, writable=True)
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         z = _product(x, h)
         v = []
@@ -332,6 +346,13 @@ def weigh_rows(loglik, w, x, limit, out, mean, var):
     ``moments_rows`` writes them without a jitter, H or R, S's diagonal
     alone. Returns (reset, resample).
     """
+    x = _buffer(x, "x", 2, _at_least(1), _at_least(1))
+    rows, n = x.shape
+    loglik = _buffer(loglik, "loglik", 1, rows, optional=True)
+    w = _buffer(w, "w", 1, rows)
+    out = _buffer(out, "out", 1, rows, writable=True)
+    mean = _buffer(mean, "mean", 1, n, writable=True)
+    var = _buffer(var, "var", 1, n, writable=True)
     reset = False
     with np.errstate(all="ignore"):  # as in C, non-finite values pass silently
         if loglik is None:
@@ -348,24 +369,6 @@ def weigh_rows(loglik, w, x, limit, out, mean, var):
     if not resample:
         moments_rows(x, None, None, None, out, None, False, mean, np.empty(len(mean)), var)
     return reset, resample
-
-
-def checked_factor(a, nu=None):
-    """The arguments of ``factor_rows`` on the whole of ``a``, validated:
-    ``a`` as a float64 C-contiguous (m, m) array, the bounds ``(0, m)``,
-    ``nu`` None or (m,) and a zeroed (m, m) ``l``.
-
-    Raises:
-        ValueError: ``a`` is not a non-empty square matrix, or ``nu`` does
-            not fit it.
-    """
-    a = _doubles("S", a, 2)
-    m = len(a)
-    if m < 1 or a.shape != (m, m):
-        raise ValueError("S must be a non-empty square matrix, got shape %r" % (a.shape,))
-    if nu is not None:
-        nu = _doubles("nu", nu, 1, (m,))
-    return a, (0, m), nu, np.zeros((m, m))
 
 
 def _forward(l, lo, hi, b, v):
@@ -396,10 +399,13 @@ def factor_rows(a, bounds, nu, l):
             pairs with 0 <= start < stop <= m, or a pivot is not a finite
             number > 0 (``a`` is not positive definite, or not finite).
     """
-    if not bounds or len(bounds) % 2:
+    a = _buffer(a, "S", 2, _at_least(1))
+    if a.shape[1] != len(a):
+        raise ValueError("S must be a square matrix")
+    nu = _buffer(nu, "nu", 1, len(a), optional=True)
+    l = _buffer(l, "l", 2, len(a), len(a), writable=True)
+    if not _bounds(bounds, len(a), 0, "bounds"):
         raise ValueError("bounds must hold (start, stop) pairs")
-    if not all(0 <= lo < hi <= len(a) for lo, hi in zip(bounds[::2], bounds[1::2])):
-        raise ValueError("bounds must be 0 <= start < stop <= m")
     rows, lrows = a.tolist(), l.tolist()
     b = None if nu is None else nu.tolist()
     v = [0.0] * len(rows)
@@ -551,6 +557,13 @@ def _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross):
         _mirror(fixed_sum(_skip_zero(coef, coef * cross[:, None, :]), axis=0) + r, s)
 
 
+def _hemispheres(blocks, m, n):
+    """The assess passes' hemisphere ``blocks``: four-row blocks inside the
+    m-row reading, which need a quaternion among the n states."""
+    if _bounds(blocks, m, 4, "blocks") and n < 4:
+        raise ValueError("hemisphere blocks need n >= 4 states")
+
+
 def aligned(y, mu, blocks):
     """Copy of the reading ``y`` with each hemisphere block [start, stop) of
     the flat tuple ``blocks`` negated, block after block, where its dot
@@ -582,7 +595,10 @@ def points_rows(mu, sigma, scale, points):
     """``sigma_set`` with the ``factor_rows`` factor of scale sigma (zero
     above its diagonal) as the root. Returns False, writing nothing, when
     scale sigma is not positive definite, else True."""
+    mu = _buffer(mu, "mu", 1, _at_least(1))
     n = len(mu)
+    sigma = _buffer(sigma, "sigma", 2, n, n)
+    points = _buffer(points, "points", 2, 2 * n + 1, n, writable=True)
     l = np.zeros((n, n))
     try:
         factor_rows(scale * sigma, (0, n), None, l)
@@ -601,7 +617,23 @@ def ekf_assess_rows(prop, eps, sigma, q, h, r, blocks, y, cov, s, cross, nu, l):
     Raises:
         ValueError: S is not positive definite.
     """
-    y_hat = np.empty(len(h))
+    prop = _buffer(prop, "prop", 2, -1, _at_least(1))
+    n = prop.shape[1]
+    if len(prop) != 2 * n + 1:
+        raise ValueError("prop must be (2n + 1, n)")
+    h = _buffer(h, "h", 2, _at_least(1), n)
+    m = len(h)
+    sigma = _buffer(sigma, "sigma", 2, n, n)
+    q = _buffer(q, "q", 2, n, n)
+    r = _buffer(r, "r", 2, m, m)
+    y = _buffer(y, "y", 1, m)
+    cov = _buffer(cov, "cov", 2, n, n, writable=True)
+    s = _buffer(s, "s", 2, m, m, writable=True)
+    cross = _buffer(cross, "cross", 2, n, m, writable=True)
+    nu = _buffer(nu, "nu", 1, m, writable=True)
+    l = _buffer(l, "l", 2, m, m, writable=True)
+    _hemispheres(blocks, m, n)
+    y_hat = np.empty(m)
     _ekf_rows(prop, eps, sigma, q, h, r, cov, y_hat, s, cross)
     nu[:] = aligned(y, prop[0], blocks) - y_hat
     return factor_rows(s, (0, len(s)), nu, l)[0]
@@ -623,8 +655,25 @@ def ukf_assess_rows(prop, wm, wc, q, scale, h, r, r_det, blocks, y, mean, cov, p
         ValueError: not exactly one of ``prop`` and ``points`` is given, or
             S_det is not positive definite.
     """
+    mean = _buffer(mean, "mean", 1, _at_least(1), writable=True)
+    n = len(mean)
+    h = _buffer(h, "h", 2, _at_least(1), n)
+    m = len(h)
+    prop = _buffer(prop, "prop", 2, 2 * n + 1, n, optional=True)
+    points = _buffer(points, "points", 2, 2 * n + 1, n, optional=True)
+    wm = _buffer(wm, "wm", 1, 2 * n + 1)
+    wc = _buffer(wc, "wc", 1, 2 * n + 1)
+    q = _buffer(q, "q", 2, n, n)
+    r = _buffer(r, "r", 2, m, m)
+    y = _buffer(y, "y", 1, m)
+    cov = _buffer(cov, "cov", 2, n, n, writable=True)
+    s = _buffer(s, "s", 2, m, m, writable=True)
+    s_det = _buffer(s_det, "s_det", 2, m, m, writable=True)
+    cross = _buffer(cross, "cross", 2, n, m, writable=True)
+    nu = _buffer(nu, "nu", 1, m, writable=True)
     if (prop is None) == (points is None):
         raise ValueError("exactly one of prop and points is required")
+    _hemispheres(blocks, m, n)
     if prop is not None:
         _sigma_rows(prop, wm, wc, q, None, None, mean, cov, None, None, None)
         points = np.empty(prop.shape)
@@ -647,12 +696,25 @@ def gauss_update_rows(mu, sigma, cross, s, l, nu, rows, quaternion, mu_out, sigm
     Raises:
         ValueError: the S on those rows is not positive definite.
     """
-    if rows is not None and not rows:
+    mu = _buffer(mu, "mu", 1, _at_least(1))
+    s = _buffer(s, "s", 2, _at_least(1))
+    if s.shape[1] != len(s):
+        raise ValueError("s must be a square matrix")
+    n, m = len(mu), len(s)
+    sigma = _buffer(sigma, "sigma", 2, n, n)
+    cross = _buffer(cross, "cross", 2, n, m)
+    l = _buffer(l, "l", 2, m, m, optional=True)
+    nu = _buffer(nu, "nu", 1, m)
+    mu_out = _buffer(mu_out, "mu_out", 1, n, writable=True)
+    sigma_out = _buffer(sigma_out, "sigma_out", 2, n, n, writable=True)
+    if quaternion and n < 4:
+        raise ValueError("a quaternion needs n >= 4 states")
+    if rows is not None and not _bounds(rows, m, INDICES, "rows"):
         mu_out[:] = mu
         sigma_out[:] = sigma
     else:
         if rows is not None:
-            rows = list(rows)
+            rows = [int(i) for i in rows]  # a bool is an index, as in C
             s, cross, nu, l = s[np.ix_(rows, rows)], cross[:, rows], nu[rows], None
         if l is None:
             l = np.zeros(s.shape)
@@ -670,10 +732,7 @@ def csv_rows(block):
     Raises:
         ValueError: ``block`` is not such an array with at least one column.
     """
-    if (not isinstance(block, np.ndarray) or block.dtype != np.float64 or block.ndim != 2
-            or not block.flags.c_contiguous or block.shape[1] < 1):
-        raise ValueError("block must be a C-contiguous float64 (rows, columns) array "
-                         "with columns >= 1")
+    block = _buffer(block, "block", 2, -1, _at_least(1))
     fmt = ",".join(["%.9g"] * block.shape[1]) + "\r\n"
     return "".join([fmt % tuple(row) for row in block.tolist()])
 
@@ -681,7 +740,7 @@ def csv_rows(block):
 def normal_rows(rng, out):
     """Fill the float64 C-contiguous array ``out`` with the numpy Generator
     ``rng``'s standard normals: ``rng.standard_normal(out=out)`` itself."""
-    rng.standard_normal(out=out)
+    rng.standard_normal(out=_buffer(out, "out", ANY_RANK, writable=True))
 
 
 class Draw:
@@ -731,8 +790,8 @@ def systematic_index(w, u):
 
 def resample_rows(x, w, u, out):
     """Write the rows of the (N, d) ``x`` that ``systematic_index(w, u)``
-    picks into the (N, d) ``out``; ValueError without ``x``, as the compiled
-    entry raises."""
-    if x is None:
-        raise ValueError("x is required")
+    picks into the (N, d) ``out``."""
+    x = _buffer(x, "x", 2)
+    w = _buffer(w, "w", 1, len(x))
+    out = _buffer(out, "out", 2, *x.shape, writable=True)
     out[...] = x[systematic_index(w, u)]

@@ -256,8 +256,8 @@ class RigidBodyProcessModel:
         self._plan_rows = {t: i for i, t in enumerate(start_times.tolist())}
 
     def propagate(self, states, t):
-        """``core.rk4_step_batch`` of the (M, dim) ``states``, which checks
-        them."""
+        """``core.rk4_step_batch`` of the (M, dim) ``states``, whose
+        ``step_rows`` entry checks them."""
         frames = None
         if self.elements is not None:
             row = self._plan_rows.get(float(t))
@@ -462,7 +462,7 @@ class _GaussianFilter:
     The operands that stay fixed from step to step (Q, H and R as the
     config checked them, the hemisphere blocks, plus each subclass's own
     constants) go to the passes of the active ``attbench.core`` backend
-    directly; each compiled pass checks that its buffers fit. A subclass
+    directly; each pass, on either backend, checks its buffers. A subclass
     supplies ``_assess(belief, y, t)``: it propagates the belief, runs its
     assess pass and returns the predicted mean and covariance, S and C for
     the update, the innovation, the EKF's factor of S (else None) and the

@@ -338,16 +338,6 @@ def csv_header(result):
     return names
 
 
-def _isolated_bits(report, layout):
-    if report is None or not report.isolated:
-        return 0
-    bits = 0
-    for i, name in enumerate(layout.sensors):
-        if name in report.isolated:
-            bits |= 1 << i
-    return bits
-
-
 _CSV_CHUNK = 32  # rows formatted per batch; bounds the temporary arrays
 
 

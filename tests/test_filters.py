@@ -508,12 +508,12 @@ def test_a_pf_step_validates_no_cloud_operand(monkeypatch):
     pf = flt.PfFilter(cfg, np.random.default_rng(6))
     pset = pf.initial_belief()
     checked = []
-    check = kernels_py.checked_moments
+    check = core.cloud_moments
 
     def counted(*args, **kwargs):
-        checked.append("checked_moments")
+        checked.append("cloud_moments")
         return check(*args, **kwargs)
-    monkeypatch.setattr(kernels_py, "checked_moments", counted)
+    monkeypatch.setattr(core, "cloud_moments", counted)
     counting = CountingKernels(core._kernels)
     monkeypatch.setattr(core, "_kernels", counting)
     y = cfg.measurement.H @ cfg.x0 + 0.01

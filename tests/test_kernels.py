@@ -768,11 +768,11 @@ def test_ukf_assess_pass_takes_exactly_one_set(backend):
                                           e((5, 5)), e((5, 5)), e((4, 5)), e(5))
 
 
-@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
-def test_compiled_rk4_step_checks_shapes_itself():
-    """Called directly, past ``checked_batch``, the C RK4 entry refuses
-    states it cannot step in place and frames that are not (3, 4)."""
-    from attbench.core import _kernels_c
+def test_rk4_entry_checks_shapes_itself(backend):
+    """Called directly, past ``core.rk4_step_batch``'s copy, each backend's
+    RK4 entry refuses states it cannot step in place and frames that are not
+    (3, 4)."""
+    kernels = core._kernels
     args = (0.1, *GG_INERTIA)
     states = batch_states()
     frozen = states.copy()
@@ -780,39 +780,38 @@ def test_compiled_rk4_step_checks_shapes_itself():
     for bad, frames in ((states[:, :6].copy(), None), (frozen, None),
                         (states.copy(), np.zeros((3, 3))), (states.copy(), np.zeros((4, 4)))):
         with pytest.raises(ValueError):
-            _kernels_c.step_rows(bad, *args, frames)
+            kernels.step_rows(bad, *args, frames)
     assert np.array_equal(frozen, states)
     out = states.copy()
-    _kernels_c.step_rows(out, *args, np.array(GG_FRAMES))
+    kernels.step_rows(out, *args, np.array(GG_FRAMES))
     assert np.array_equal(out, core.rk4_step_batch(states, *args, GG_FRAMES))
 
 
-@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
-def test_compiled_gaussian_step_passes_check_shapes_themselves():
-    """Called directly, with no check in Python before them, the C entries
-    of the fused Gaussian step refuse buffers that do not fit each other,
-    hemisphere blocks that are not four rows inside the reading (or that
-    meet fewer than four states), and update rows outside S."""
-    from attbench.core import _kernels_c
+def test_gaussian_step_passes_check_shapes_themselves(backend):
+    """Called directly, with no check in Python before them, each backend's
+    entries of the fused Gaussian step refuse buffers that do not fit each
+    other, hemisphere blocks that are not four rows inside the reading (or
+    that meet fewer than four states), and update rows outside S."""
+    kernels = core._kernels
     e = np.empty
     w = np.full(9, 1.0 / 9.0)
     cases = [
-        (_kernels_c.points_rows, (np.zeros(4), np.eye(4), 1.0, e((9, 4))),
+        (kernels.points_rows, (np.zeros(4), np.eye(4), 1.0, e((9, 4))),
          [(0, np.zeros(0)), (1, np.eye(3)), (1, np.ones(4)), (3, e((8, 4))), (3, e((9, 3)))]),
-        (_kernels_c.ekf_assess_rows,
+        (kernels.ekf_assess_rows,
          (np.ones((9, 4)), 1e-6, np.eye(4), np.eye(4), np.ones((5, 4)), np.eye(5), (0, 4),
           np.zeros(5), e((4, 4)), e((5, 5)), e((4, 5)), e(5), e((5, 5))),
          [(0, np.ones((8, 4))), (2, np.eye(3)), (3, np.eye(3)), (4, np.ones((5, 3))),
           (5, np.eye(4)), (6, (0, 3)), (6, (2, 6)), (6, (0,)), (7, np.zeros(4)), (8, e((3, 3))),
           (9, e((4, 4))), (10, e((5, 4))), (11, e(4)), (12, e((4, 4)))]),
-        (_kernels_c.ukf_assess_rows,
+        (kernels.ukf_assess_rows,
          (np.ones((9, 4)), w, w, np.eye(4), 1.0, np.ones((5, 4)), np.eye(5), 1.0, (0, 4),
           np.zeros(5), e(4), e((4, 4)), None, e((5, 5)), e((5, 5)), e((4, 5)), e(5)),
          [(0, np.ones((8, 4))), (0, None), (1, w[1:]), (2, w[1:]), (3, np.eye(3)),
           (5, np.ones((5, 3))), (6, np.eye(4)), (8, (1, 4)), (8, (4, 8)), (9, np.zeros(4)),
           (10, e(3)), (11, e((3, 3))), (12, e((9, 4))), (13, e((4, 4))), (14, e((4, 4))),
           (15, e((5, 4))), (16, e(4))]),
-        (_kernels_c.gauss_update_rows,
+        (kernels.gauss_update_rows,
          (np.zeros(4), np.eye(4), np.ones((4, 5)), np.eye(5), None, np.ones(5), None, True,
           e(4), e((4, 4))),
          [(0, np.zeros(0)), (1, np.eye(3)), (2, np.ones((4, 4))), (3, np.ones((5, 4))),
@@ -826,15 +825,15 @@ def test_compiled_gaussian_step_passes_check_shapes_themselves():
                 entry(*good[:i], bad, *good[i + 1:])
     # hemisphere blocks and a quaternion need four states
     with pytest.raises(ValueError):
-        _kernels_c.ekf_assess_rows(np.ones((7, 3)), 1e-6, np.eye(3), np.eye(3), np.ones((5, 3)),
-                                   np.eye(5), (0, 4), np.zeros(5), e((3, 3)), e((5, 5)),
-                                   e((3, 5)), e(5), e((5, 5)))
+        kernels.ekf_assess_rows(np.ones((7, 3)), 1e-6, np.eye(3), np.eye(3), np.ones((5, 3)),
+                                np.eye(5), (0, 4), np.zeros(5), e((3, 3)), e((5, 5)),
+                                e((3, 5)), e(5), e((5, 5)))
     with pytest.raises(ValueError):
-        _kernels_c.gauss_update_rows(np.zeros(3), np.eye(3), np.ones((3, 5)), np.eye(5), None,
-                                     np.ones(5), None, True, e(3), e((3, 3)))
+        kernels.gauss_update_rows(np.zeros(3), np.eye(3), np.ones((3, 5)), np.eye(5), None,
+                                  np.ones(5), None, True, e(3), e((3, 3)))
     with pytest.raises(TypeError):
-        _kernels_c.gauss_update_rows(np.zeros(4), np.eye(4), np.ones((4, 5)), np.eye(5), None,
-                                     np.ones(5), [0, 1], True, e(4), e((4, 4)))
+        kernels.gauss_update_rows(np.zeros(4), np.eye(4), np.ones((4, 5)), np.eye(5), None,
+                                  np.ones(5), [0, 1], True, e(4), e((4, 4)))
 
 
 def test_cholesky_kernels_reject_indefinite_and_bad_arguments(backend):
@@ -854,11 +853,11 @@ def test_cholesky_kernels_reject_indefinite_and_bad_arguments(backend):
         core.nis(np.eye(3), np.ones(2))
 
 
-@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
-def test_compiled_cholesky_kernels_check_shapes_themselves():
-    """Called directly, past attbench.core's checks, the C entries refuse
-    buffers that do not fit each other, and block bounds outside S."""
-    from attbench.core import _kernels_c
+def test_cholesky_entry_checks_shapes_itself(backend):
+    """Called directly, past attbench.core's allocation, each backend's
+    factor entry refuses buffers that do not fit each other, and block
+    bounds outside S."""
+    kernels = core._kernels
     for args in ((np.eye(3), (0, 4), None, np.zeros((3, 3))),
                  (np.eye(3), (2, 2), None, np.zeros((3, 3))),
                  (np.eye(3), (0, 3, 1), None, np.zeros((3, 3))),
@@ -866,7 +865,7 @@ def test_compiled_cholesky_kernels_check_shapes_themselves():
                  (np.eye(3), (0, 3), None, np.zeros((2, 2))),
                  (np.ones((2, 3)), (0, 2), None, np.zeros((2, 2)))):
         with pytest.raises(ValueError):
-            _kernels_c.factor_rows(*args)
+            kernels.factor_rows(*args)
 
 
 def test_factor_rows_checks_its_block_bounds(backend):
@@ -946,21 +945,22 @@ def test_cloud_passes_reject_bad_arguments(backend):
         core.cloud_moments(np.ones((0, 7)), w[:0])
 
 
-@pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
-def test_compiled_passes_check_shapes_themselves():
-    """Called directly, past attbench.core's checks, the C entries still
-    refuse buffers that do not fit each other instead of reading past them."""
-    from attbench.core import _kernels_c
+def test_cloud_passes_check_shapes_themselves(backend):
+    """Called directly, past attbench.core's allocation, each backend's
+    cloud entries refuse buffers that do not fit each other instead of
+    reading past them."""
+    kernels = core._kernels
     x, w = np.ones((5, 7)), np.full(5, 0.2)
-    good = kernels_py.checked_moments(x, w, np.zeros((5, 7)), np.eye(7), np.eye(7), np.eye(7), True)
+    good = (x, np.zeros((5, 7)), np.eye(7), np.eye(7), w, np.eye(7), True, np.empty(7),
+            np.empty(7), np.empty((7, 7)))
     for i, bad in ((1, np.zeros((4, 7))), (2, np.eye(6)), (3, np.eye(7)[:, 1:]), (4, w[1:]),
                    (5, np.eye(6)), (7, np.empty(6)), (8, np.empty(6)), (9, np.empty((7, 6)))):
         with pytest.raises(ValueError):
-            _kernels_c.moments_rows(*good[:i], bad, *good[i + 1:])
+            kernels.moments_rows(*good[:i], bad, *good[i + 1:])
     good = (x, np.eye(7), np.eye(7), np.zeros(7), np.empty(5))
     for i, bad in ((1, np.eye(7)[:, 1:]), (2, np.eye(6)), (3, np.zeros(6)), (4, np.empty(4))):
         with pytest.raises(ValueError):
-            _kernels_c.loglik_rows(*good[:i], bad, *good[i + 1:])
+            kernels.loglik_rows(*good[:i], bad, *good[i + 1:])
 
 
 # Calls one compiled entry (argv[1]) on a valid argument tuple, then with None
@@ -978,8 +978,8 @@ NONE_PROBE = textwrap.dedent("""
     CASES = {
         "step_rows": ((np.tile([1.0, 0, 0, 0, 0.1, 0.2, 0.3], (3, 1)), 0.1, 2.0, 3.0, 4.0,
                        np.tile([0.6, 0.8, 0.0, 1e-6], (3, 1))), {5}),
-        "moments_rows": (kernels_py.checked_moments(x.copy(), w, np.zeros((5, 7)), np.eye(7),
-                                                    np.eye(7), np.eye(7), True), {1, 3, 5, 6}),
+        "moments_rows": ((x.copy(), np.zeros((5, 7)), np.eye(7), np.eye(7), w, np.eye(7), True,
+                          e(7), e(7), e((7, 7))), {1, 3, 5, 6}),
         "loglik_rows": ((x, np.eye(7), np.eye(7), np.zeros(7), e(5)), set()),
         "weigh_rows": ((np.zeros(5), w, x, 0.0, e(5), e(7), e(7)), {0}),
         "factor_rows": ((np.eye(3), (0, 3), np.ones(3), np.zeros((3, 3))), {2}),
@@ -1028,6 +1028,134 @@ def test_no_compiled_entry_crashes_on_none():
         last = run.stdout.splitlines()[-1:] or [""]
         assert run.returncode == 0 and last == ["probed"], (name, run.returncode, last,
                                                            run.stderr[-2000:])
+
+
+def entry_cases():
+    """Each entry's valid arguments, built anew, with the positions of its
+    buffers, of the buffers it writes and of those it documents as optional.
+    Every output starts as -7.0 and every generator from seed 0, so two
+    builds are equal byte for byte."""
+    def f(*shape):
+        return np.full(shape, -7.0)
+    x, w, w9 = np.ones((5, 7)), np.full(5, 0.2), np.full(9, 1.0 / 9.0)
+    rng = np.random.default_rng(0)
+    return {
+        "step_rows": ((np.tile([1.0, 0, 0, 0, 0.1, 0.2, 0.3], (3, 1)), 0.1, 2.0, 3.0, 4.0,
+                       np.tile([0.6, 0.8, 0.0, 1e-6], (3, 1))), (0, 5), (0,), (5,)),
+        "moments_rows": ((x.copy(), np.zeros((5, 7)), np.eye(7), np.eye(7), w, np.eye(7), True,
+                          f(7), f(7), f(7, 7)), (0, 1, 2, 3, 4, 5, 7, 8, 9), (0, 7, 8, 9),
+                         (1, 3, 5)),
+        "loglik_rows": ((x, np.eye(7), np.eye(7), np.zeros(7), f(5)), (0, 1, 2, 3, 4), (4,), ()),
+        "weigh_rows": ((np.zeros(5), w, x, 0.0, f(5), f(7), f(7)), (0, 1, 2, 4, 5, 6),
+                       (4, 5, 6), (0,)),
+        "factor_rows": ((np.eye(3), (0, 3), np.ones(3), np.zeros((3, 3))), (0, 2, 3), (3,), (2,)),
+        "points_rows": ((np.zeros(4), np.eye(4), 1.0, f(9, 4)), (0, 1, 3), (3,), ()),
+        "ekf_assess_rows": ((np.ones((9, 4)), 1e-6, np.eye(4), np.eye(4), np.ones((5, 4)),
+                             np.eye(5), (0, 4), np.zeros(5), f(4, 4), f(5, 5), f(4, 5), f(5),
+                             f(5, 5)), (0, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12),
+                            (8, 9, 10, 11, 12), ()),
+        "ukf_assess_rows": ((np.ones((9, 4)), w9, w9, np.eye(4), 1.0, np.ones((5, 4)),
+                             np.eye(5), 1.0, (0, 4), np.zeros(5), f(4), f(4, 4), None,
+                             f(5, 5), f(5, 5), f(4, 5), f(5)),
+                            (0, 1, 2, 3, 5, 6, 9, 10, 11, 12, 13, 14, 15, 16),
+                            (10, 11, 13, 14, 15, 16), (0, 12)),
+        "gauss_update_rows": ((np.array([1.0, 0, 0, 0]), np.eye(4), np.ones((4, 5)), np.eye(5),
+                               np.eye(5), np.ones(5), (0, 2), True, f(4), f(4, 4)),
+                              (0, 1, 2, 3, 4, 5, 8, 9), (8, 9), (4,)),
+        "csv_rows": ((np.ones((2, 3)),), (0,), (), ()),
+        "draw_rows": ((rng, f(5, 7)), (1,), (1,), ()),
+        "normal_rows": ((rng, f(3)), (1,), (1,), ()),
+        "resample_rows": ((x, w, 0.3, f(5, 7)), (0, 1, 3), (3,), ()),
+    }
+
+
+def test_both_backends_refuse_none_for_each_required_buffer():
+    """Given None in each buffer position an entry does not document as
+    optional, each backend raises the same ValueError, which names the
+    buffer. The fallback's weigh_rows took a None var, and its loglik_rows,
+    points_rows and resample_rows raised TypeError or AttributeError."""
+    for name, (_, buffers, _, optional) in entry_cases().items():
+        for i in sorted(set(buffers) - set(optional)):
+            messages = set()
+            for backend in _csv_backends():
+                args = list(entry_cases()[name][0])
+                args[i] = None
+                with pytest.raises(ValueError) as caught:
+                    getattr(backend, name)(*args)
+                messages.add(str(caught.value))
+            assert len(messages) == 1 and messages.pop().endswith(" is required"), (name, i)
+
+
+def mutated(a, how, axis):
+    """The buffer ``a`` changed one way: None, another dtype, Fortran order,
+    a stride of two, one rank more or less, one row or column more or less
+    (along ``axis`` modulo its rank), or read-only."""
+    if how == "none":
+        return None
+    if how in ("float32", "int64"):
+        return a.astype(how)
+    if how == "fortran":
+        return np.asfortranarray(a)
+    if how == "stride 2":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    if how == "rank + 1":
+        return a[None]
+    if how == "rank - 1":
+        return a[0]
+    if how == "size + 1":
+        return np.concatenate([a, a.take([-1], axis % a.ndim)], axis % a.ndim)
+    if how == "size - 1":
+        return np.delete(a, -1, axis % a.ndim)
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.skipif(importlib.util.find_spec("attbench.core._kernels_c") is None,
+                    reason="compiled kernel absent")
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_both_backends_take_and_refuse_the_same_buffers(data):
+    """Each entry, its valid arguments with one buffer mutated, takes or
+    refuses it alike on both backends: the same exception type and message,
+    or the same return value, and either way the same bytes left in every
+    array argument (McKeeman, "Differential testing for software", 1998)."""
+    from attbench.core import _kernels_c
+    cases = entry_cases()
+    name = data.draw(st.sampled_from(sorted(cases)))
+    args, buffers = cases[name][:2]
+    i = data.draw(st.sampled_from([j for j in buffers if args[j] is not None]))
+    how = data.draw(st.sampled_from(["none", "float32", "int64", "fortran", "stride 2",
+                                     "rank + 1", "rank - 1", "size + 1", "size - 1",
+                                     "read-only"]))
+    axis = data.draw(st.integers(0, 1))
+    outcomes = []
+    for backend in (_kernels_c, kernels_py):
+        args = list(entry_cases()[name][0])
+        args[i] = mutated(args[i], how, axis)
+        try:
+            value = getattr(backend, name)(*args)
+            value = "a draw" if name == "draw_rows" and value.wait() is args[1] else repr(value)
+        except Exception as exc:
+            value = (type(exc), str(exc))
+        outcomes.append((value, [a.tobytes() for a in args if isinstance(a, np.ndarray)]))
+    assert outcomes[0] == outcomes[1], (name, i, how, axis)
+
+
+def test_update_rows_read_a_bool_as_an_index_on_both_backends():
+    """``gauss_update_rows`` takes True and False in its rows as the indices
+    1 and 0, as CPython's ints, on every built backend; the fallback read
+    them as a numpy mask and raised IndexError."""
+    args = (np.array([1.0, 0, 0, 0]), np.eye(4), np.ones((4, 5)), 2.0 * np.eye(5), None,
+            np.arange(5.0))
+    want = np.empty(4), np.empty((4, 4))
+    kernels_py.gauss_update_rows(*args, (1, 0), True, *want)
+    for backend in _csv_backends():
+        out = np.full(4, -7.0), np.full((4, 4), -7.0)
+        backend.gauss_update_rows(*args, (True, False), True, *out)
+        assert [a.tobytes() for a in out] == [a.tobytes() for a in want], backend.__name__
 
 
 @pytest.mark.skipif(core.BACKEND != "compiled", reason="compiled kernel absent")
@@ -1315,8 +1443,8 @@ def test_moments_rows_takes_a_draw_in_place_of_its_normals():
             else:
                 backend.normal_rows(np.random.default_rng(8), normals)
                 normals_arg = normals
-            args = kernels_py.checked_moments(cloud.copy(), weights, normals, 1e-2 * np.eye(7),
-                                              h, r, True)
+            args = (cloud.copy(), normals, 1e-2 * np.eye(7), h, weights, r, True,
+                    np.empty(7), np.empty(11), np.empty((11, 11)))
             backend.moments_rows(args[0], normals_arg, *args[2:])
             outs.append(b"".join(a.tobytes() for a in (args[0], *args[-3:])))
         assert outs[0] == outs[1], backend.__name__

@@ -10,7 +10,6 @@ import pytest
 from attbench import core, dynamics, fdir, scenario
 from attbench import filters as flt
 from attbench import runner as rn
-from attbench.core import kernels_py
 from attbench.fdir import chi2_quantile
 from attbench.scenario import ScenarioError, load_bundled, with_overrides
 
@@ -208,7 +207,7 @@ def test_write_csv_gives_the_csv_module_bytes(bundled_run, tmp_path, name, mode)
             rep = result.reports[k]
             row += [*result.estimates[k],
                     *(3.0 * np.sqrt(np.maximum(result.variances[k], 0.0))),
-                    result.nis[k], int(rep.detected), rn._isolated_bits(rep, result.layout)]
+                    result.nis[k], int(rep.detected), result.reports.isolated_bits[k]]
         writer.writerow(["%.9g" % v for v in row])
     path = tmp_path / "run.csv"
     rn.write_csv(result, str(path))
@@ -285,7 +284,7 @@ def test_isolated_bitmask_uses_layout_order(bundled_run):
     assert all(rep.isolated == frozenset({"gyro"}) for rep in flagged)
     # gyro is layout sensor index 2 -> bit 4 in the export
     k = result.reports.index(flagged[0])
-    assert rn._isolated_bits(flagged[0], result.layout) == 4
+    assert result.reports.isolated_bits[k] == 4
     assert result.records[k].t == flagged[0].t
 
 
@@ -404,16 +403,16 @@ def test_report_columns_match_the_one_record_checks(monkeypatch, backend, name, 
 @pytest.mark.parametrize("kind", ["ekf", "ukf"])
 def test_an_isolation_run_never_validates_a_factor(monkeypatch, kind):
     """The isolation test hands each record to the factor entry with the
-    bounds and scratch it bound when built: ``checked_factor`` stays off
-    the run's steps."""
+    bounds and scratch it bound when built: ``core.nis`` and
+    ``core.cholesky``, which allocate a factor per call, stay off the run's
+    steps."""
     calls = []
-    checked = kernels_py.checked_factor
+    for name in ("nis", "cholesky"):
+        def counted(*args, wrapped=getattr(core, name), **kwargs):
+            calls.append(1)
+            return wrapped(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return checked(*args, **kwargs)
-
-    monkeypatch.setattr(kernels_py, "checked_factor", counted)
+        monkeypatch.setattr(core, name, counted)
     cfg = with_overrides(load_bundled("spike_isolation"), t_end=5.0)
     result = rn.run_scenario(cfg, mode="fdir", filter_kind=kind)
     assert result.reports.mode == "isolation"
