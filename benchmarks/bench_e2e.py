@@ -15,7 +15,7 @@ repository's root. An entry holds:
 - ``src_lines``: the line count of the ``*.py``, ``*.c`` and ``*.h`` files
   under the checkout's ``src/``, so two entries give a change's net size;
 - per workload, each end-to-end metric's median, quartiles and n over the
-  seeds, with the correctness counts;
+  seeds, and its values in seed order, with the correctness counts;
 - per workload, the per-layer self times and counts: each figure is the
   median over the traced runs, since one traced run drifts with the machine
   more than a small change moves it.
@@ -25,6 +25,16 @@ clone of another commit can be measured into this repository's file:
 
     python3 benchmarks/bench_e2e.py --seeds 5
     python3 benchmarks/bench_e2e.py --checkout ../parent-clone --seeds 5
+
+With ``--parent``, it measures that tree too, interleaved: for each
+(workload, seed), timed or traced, one run on each tree, the two taking
+turns at going first. So both trees see the same drift of the machine, and
+both entries are written in one session. Each entry then names the other
+(``paired_with``), and the script prints, per workload and end-to-end
+metric, the parent's median and quartiles, the change's median and the
+number of seeds on which the change read better:
+
+    python3 benchmarks/bench_e2e.py --parent ../parent-clone --seeds 10
 
 A tree whose ``src/``, ``setup.py`` or ``pyproject.toml`` differs from its
 HEAD is keyed ``<sha>-dirty-<digest>``, where the digest is the first 12 hex
@@ -95,13 +105,14 @@ def run_perfbench(checkout, workload, seed, seconds, trace):
 
 
 def spread(values):
-    """Median, quartiles and n of a list of floats."""
-    values = sorted(values)
+    """Median, quartiles, n and the values themselves of a list of floats."""
+    ordered = sorted(values)
     if len(values) == 1:
         q1 = q3 = values[0]
     else:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
+        q1, _, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
+    return {"median": statistics.median(ordered), "q1": q1, "q3": q3, "n": len(values),
+            "values": list(values)}
 
 
 def correctness(results):
@@ -110,49 +121,41 @@ def correctness(results):
             "failed": sum(r["failed"] for r in results)}
 
 
-def measure(checkout, workloads, seeds, seconds):
-    """Run every workload and return the entry's per-workload part and the
-    first result's provenance."""
-    out, prov = {}, None
+def measure(checkouts, workloads, seeds, seconds):
+    """Run every workload on each checkout, interleaved: for each (workload,
+    seed) one run per checkout, the order rotating from one seed to the
+    next, so each checkout goes first as often. Returns, per checkout, the
+    entry's per-workload part and the first result's provenance."""
+    outs, provs, turn = [{} for _ in checkouts], [None] * len(checkouts), 0
     for workload in workloads:
-        timed = [run_perfbench(checkout, workload, s, seconds, 0) for s in seeds]
-        traces = [run_perfbench(checkout, workload, s, seconds, 1) for s in TRACE_SEEDS]
-        prov = prov or timed[0]["provenance"]
-        units = {k: m["unit"] for k, m in timed[0]["metrics"].items()}
-        out[workload] = {
-            "end_to_end": {k: dict(spread([r["metrics"][k]["value"] for r in timed]), unit=u)
-                           for k, u in units.items()},
-            "timed": correctness(timed),
-            "per_layer": {k: statistics.median(t["metrics"][k]["value"] for t in traces)
-                          for k in traces[0]["metrics"]},
-            "traced": correctness(traces),
-        }
-    return out, prov
+        timed, traces = [[] for _ in checkouts], [[] for _ in checkouts]
+        for trace, trace_seeds, into in ((0, seeds, timed), (1, TRACE_SEEDS, traces)):
+            for seed in trace_seeds:
+                order = list(range(len(checkouts)))
+                turn += 1
+                for i in order[turn % len(order):] + order[:turn % len(order)]:
+                    into[i].append(run_perfbench(checkouts[i], workload, seed, seconds, trace))
+        for i, out in enumerate(outs):
+            provs[i] = provs[i] or timed[i][0]["provenance"]
+            units = {k: m["unit"] for k, m in timed[i][0]["metrics"].items()}
+            out[workload] = {
+                "end_to_end": {k: dict(spread([r["metrics"][k]["value"] for r in timed[i]]),
+                                       unit=u) for k, u in units.items()},
+                "timed": correctness(timed[i]),
+                "per_layer": {k: statistics.median(t["metrics"][k]["value"] for t in traces[i])
+                              for k in traces[i][0]["metrics"]},
+                "traced": correctness(traces[i]),
+            }
+    return outs, provs
 
 
-def parse_args(argv):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--checkout", type=Path, default=ROOT,
-                   help="repository tree to measure (default: this one)")
-    p.add_argument("--seeds", type=int, default=5, help="timed runs per workload")
-    return p.parse_args(argv)
-
-
-def main(argv):
-    args = parse_args(argv)
-    checkout = args.checkout.resolve()
-    with open(checkout / "BENCHMARK.json", encoding="utf-8") as fh:
-        bench = json.load(fh)
-    workloads = [w["name"] for w in bench["workloads"]]
-    seconds = bench["run_seconds"]
-    seeds = list(range(FIRST_SEED, FIRST_SEED + args.seeds))
-    results, prov = measure(checkout, workloads, seeds, seconds)
-
+def make_entry(checkout, prov, results, seconds, seeds):
+    """One entry of BENCH_e2e.json for the measured checkout."""
     dirty = src_is_dirty(checkout)
     key = prov["git_sha"] or "unknown"
     if dirty:
         key += "-dirty-" + prov["source_sha256"][:12]
-    entry = {
+    return {
         "key": key,
         "git_sha": prov["git_sha"],
         "src_dirty": dirty,
@@ -171,21 +174,70 @@ def main(argv):
         "src_lines": src_lines(checkout),
         "workloads": results,
     }
+
+
+def print_pairs(parent, change, better):
+    """Per workload and end-to-end metric: the parent's median [q1, q3], the
+    change's median and its relative move, and the seeds on which the change
+    read better (``better`` maps each metric to "lower" or "higher")."""
+    for workload, res in change["workloads"].items():
+        for name, c in res["end_to_end"].items():
+            p = parent["workloads"][workload]["end_to_end"][name]
+            sign = 1 if better.get(name) == "higher" else -1
+            wins = sum(sign * (b - a) > 0 for a, b in zip(p["values"], c["values"]))
+            print("%-17s %-12s %.5g [%.5g, %.5g] -> %.5g (%+.1f%%), better on %d/%d"
+                  % (workload, name, p["median"], p["q1"], p["q3"], c["median"],
+                     100.0 * (c["median"] / p["median"] - 1.0) if p["median"] else 0.0,
+                     wins, len(c["values"])))
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--checkout", type=Path, default=ROOT,
+                   help="repository tree to measure (default: this one)")
+    p.add_argument("--parent", type=Path, default=None,
+                   help="a second tree, measured interleaved with --checkout")
+    p.add_argument("--seeds", type=int, default=5, help="timed runs per workload")
+    return p.parse_args(argv)
+
+
+def main(argv):
+    args = parse_args(argv)
+    checkouts = [args.checkout.resolve()]
+    if args.parent is not None:
+        checkouts.insert(0, args.parent.resolve())
+    with open(checkouts[-1] / "BENCHMARK.json", encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    seeds = list(range(FIRST_SEED, FIRST_SEED + args.seeds))
+    measured, provs = measure(checkouts, workloads, seeds, seconds)
+
+    entries = [make_entry(c, p, r, seconds, seeds)
+               for c, p, r in zip(checkouts, provs, measured)]
+    if len(entries) == 2:
+        entries[0]["paired_with"] = entries[1]["key"]
+        entries[1]["paired_with"] = entries[0]["key"]
     doc = {"entries": []}
     if OUT.is_file():
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    doc["entries"] = [e for e in doc["entries"] if e["key"] != key] + [entry]
+    keys = {e["key"] for e in entries}
+    doc["entries"] = [e for e in doc["entries"] if e["key"] not in keys] + entries
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    for workload, res in results.items():
-        e2e = res["end_to_end"]
-        print("%-17s " % workload + "  ".join(
-            "%s=%.5g [%.5g, %.5g]" % (k, v["median"], v["q1"], v["q3"]) for k, v in e2e.items()))
-    print("entry %s -> %s" % (key, OUT))
+    for entry in entries:
+        for workload, res in entry["workloads"].items():
+            e2e = res["end_to_end"]
+            print("%-17s " % workload + "  ".join(
+                "%s=%.5g [%.5g, %.5g]" % (k, v["median"], v["q1"], v["q3"])
+                for k, v in e2e.items()))
+        print("entry %s -> %s" % (entry["key"], OUT))
+    if len(entries) == 2:
+        print_pairs(*entries, {m["name"]: m["better"] for m in bench["end_to_end"]})
     return 0 if all(r["timed"]["correct"] and r["traced"]["correct"]
-                    for r in results.values()) else 1
+                    for entry in entries for r in entry["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 The two backends must produce bit-identical results; ``check_parity``,
 which the test suite runs too, checks that first for the rigid-body RK4
-step, torque-free and with the gravity-gradient frames, for the particle
-filter's two cloud passes, for
-the four fused entries of the Gaussian step (the UKF's sigma set, the EKF's
-and UKF's assess passes and the update pass; 7 and 10 states, so 15- and
-21-point stencils and sigma sets, with the attitude suite's 11 rows), for
+step, torque-free and with the gravity-gradient frames (1, 15, 21, 65 and
+1000 rows), for the particle filter's two cloud passes (1, 21, 1000 and
+1001 rows), for the four fused entries of the Gaussian step (the UKF's
+sigma set, the EKF's and UKF's assess passes and the update pass; 7 and 10
+states, so 15- and 21-point stencils and sigma sets, with the attitude
+suite's 11 rows), for
 the weighted-moments pass that the cloud and the sigma sets share (the
 cloud pass and the UKF's assess pass on the same 15-, 21- and 81-point
 sets, so one set spans two of the compiled pass's blocks), for the
@@ -550,13 +551,14 @@ def check_parity():
     """Check every case above on both backends, bit for bit; stop at the
     first that differs."""
     print("backend check: BACKEND=%s" % BACKEND)
-    for m in (1, 15, 21, 1000):
+    # 65 and 1001 rows end in a short column block and in a lane tail
+    for m in (1, 15, 21, 65, 1000):
         for frames in (None, FRAMES):
             compiled, python = on_each_backend(run, make_states(m), 50, frames)
             check("batch %5d x 50 steps, %s" % (m, "torque-free" if frames is None
                                                  else "gravity gradient"),
                   ([compiled], [python]))
-    for m in (1, 21, 1000):
+    for m in (1, 21, 1000, 1001):
         check("cloud %5d rows, both passes" % m, on_each_backend(cloud_passes, *cloud_case(m)))
     for n in (7, 10):
         check("fused step passes, %2d states, 11 rows" % n,

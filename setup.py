@@ -28,9 +28,13 @@ kernel = Extension("attbench.core._kernels_c", ["src/attbench/core/_kernels_c.c"
 # it): each vector lane runs the same correctly rounded IEEE operations as
 # the scalar code, in the same order, so both builds keep the fallback's
 # bits, and contraction stays off in each of them.
+# -fno-math-errno lets sqrt skip setting errno for a negative argument, so
+# the quaternion renormalizations' sqrt loops vectorize; sqrtpd and vsqrtpd
+# round each lane correctly, as sqrtsd and numpy's sqrt do, so no bit moves.
+# The source calls no other libm function whose result the flag could move.
 # The normal draws' worker thread (draw_rows) needs pthreads.
 if os.name == "posix":
-    kernel.extra_compile_args.extend(["-O3", "-ffp-contract=off", "-pthread"])
+    kernel.extra_compile_args.extend(["-O3", "-ffp-contract=off", "-fno-math-errno", "-pthread"])
     kernel.extra_link_args.append("-pthread")
 kernel.optional = True
 

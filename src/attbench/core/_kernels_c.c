@@ -114,15 +114,19 @@
 #define CPU_RELAX() ((void)0)
 #endif
 
-/* The three per-particle passes, step_columns, moments and loglik, are
+/* The per-particle passes, step_columns, moments, loglik and weigh, are
  * WIDE: the compiler builds each of them twice, for AVX2 and for the
  * baseline x86-64, and the loader's ifunc resolver binds one of the two for
  * this CPU when the module loads. Only where GCC >= 6 or clang >= 14
  * targets x86-64 with glibc's ifunc; elsewhere WIDE is empty and each pass
  * is built once, for the baseline. The helpers they call are INLINE, so
- * that each clone carries its own copy. An AVX-512F build sped the 1000-row
- * passes up per call but no workload end to end, and slowed the Gaussian
- * filters' short passes and the code around them. */
+ * that each clone carries its own copy: the compiler vectorizes the loops
+ * over a block's particles, square roots included, in each clone's width,
+ * and the moments pass's sums (run_sums) are written as GNU C vectors of
+ * four doubles, which each clone runs in its own registers. An AVX-512F
+ * build sped the 1000-row passes up per call but no workload end to end,
+ * and slowed the Gaussian filters' short passes and the code around
+ * them. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__ELF__) \
     && ((defined(__clang__) && __clang_major__ >= 14) \
         || (!defined(__clang__) && defined(__GNUC__) && __GNUC__ >= 6))
@@ -232,8 +236,9 @@ block_rates(const double *restrict st, Py_ssize_t nb, double ixx, double iyy, do
  * c + (dt/6) (k1 + 2 k2 + 2 k3 + k4), quaternion divided by its norm. The
  * weighted sum builds up in acc stage after stage, in the order the
  * fallback adds it, and the quaternion's sum of squares in the norm's own
- * loop before its square roots, which stay scalar: a sqrt that may set
- * errno does not vectorize. */
+ * loop before its square roots, which are vector square roots (setup.py
+ * builds with -fno-math-errno, so sqrt need not set errno); a vector lane's
+ * square root is correctly rounded, as the scalar one is. */
 static void WIDE
 step_columns(double *x, Py_ssize_t m, Py_ssize_t n, double dt,
              double ixx, double iyy, double izz, const double *f0, const double *f1,
@@ -353,31 +358,65 @@ typedef struct {
     double *acc;
 } Sum;
 
-/* Add a block's nb terms to each of count sums, in particle order. LANES
- * sums run side by side, enough to hide the latency of an add, so count
- * must be a multiple of LANES. */
+/* Add a block's nb terms to each of count sums, in particle order, LANES
+ * sums at a time in the lanes of one vector accumulator a, so count must be
+ * a multiple of LANES. For each LANES particles, p[k] holds sum k's terms of
+ * those particles, formed as vectors along the particles; the 4 x 4 block
+ * p is transposed (two rounds of shuffles) into one vector per particle,
+ * holding that particle's terms of the LANES sums, and these are added into
+ * a one particle after the other. The last nb % LANES terms are added lane
+ * by lane. So each lane is its own sum in particle order, and has the bits
+ * of the scalar sum. Lanes is a GNU C vector: one AVX2 register in the avx2
+ * clone of the passes (WIDE) and two SSE2 registers in the baseline clone;
+ * no function takes or returns one, so neither clone has an ABI to match. */
 #define LANES 4
+typedef double Lanes __attribute__((vector_size(LANES * sizeof(double))));
+#if defined(__clang__) || __GNUC__ >= 12
+#define SHUFFLE(x, y, i, j, k, l) __builtin_shufflevector(x, y, i, j, k, l)
+#else
+typedef long long LaneIndex __attribute__((vector_size(LANES * sizeof(long long))));
+#define SHUFFLE(x, y, i, j, k, l) __builtin_shuffle(x, y, (LaneIndex){i, j, k, l})
+#endif
 
 INLINE void
 run_sums(const Sum *sums, Py_ssize_t count, Py_ssize_t nb)
 {
-    Py_ssize_t e, b;
+    Py_ssize_t e, b, c;
     int k;
 
     for (e = 0; e < count; e += LANES) {
         const double *u[LANES], *v[LANES];
-        double a[LANES];
+        double start[LANES];
+        Lanes a, p[LANES], lo01, hi01, lo23, hi23, uk, vk;
 
         for (k = 0; k < LANES; k++) {
             u[k] = sums[e + k].u;
             v[k] = sums[e + k].v;
-            a[k] = *sums[e + k].acc;
+            start[k] = *sums[e + k].acc;
         }
-        for (b = 0; b < nb; b++)
-            for (k = 0; k < LANES; k++)
-                a[k] = a[k] + u[k][b] * v[k][b];
-        for (k = 0; k < LANES; k++)
-            *sums[e + k].acc = a[k];
+        memcpy(&a, start, sizeof a);
+        for (b = 0; b + LANES <= nb; b += LANES) {
+            for (k = 0; k < LANES; k++) {
+                memcpy(&uk, u[k] + b, sizeof uk);
+                memcpy(&vk, v[k] + b, sizeof vk);
+                p[k] = uk * vk;
+            }
+            lo01 = SHUFFLE(p[0], p[1], 0, 4, 2, 6);
+            hi01 = SHUFFLE(p[0], p[1], 1, 5, 3, 7);
+            lo23 = SHUFFLE(p[2], p[3], 0, 4, 2, 6);
+            hi23 = SHUFFLE(p[2], p[3], 1, 5, 3, 7);
+            a = a + SHUFFLE(lo01, lo23, 0, 1, 4, 5);
+            a = a + SHUFFLE(hi01, hi23, 0, 1, 4, 5);
+            a = a + SHUFFLE(lo01, lo23, 2, 3, 6, 7);
+            a = a + SHUFFLE(hi01, hi23, 2, 3, 6, 7);
+        }
+        for (k = 0; k < LANES; k++) {
+            double ak = a[k];
+
+            for (c = b; c < nb; c++)
+                ak = ak + u[k][c] * v[k][c];
+            *sums[e + k].acc = ak;
+        }
     }
 }
 

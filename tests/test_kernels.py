@@ -196,8 +196,9 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
 
     The suite's own process may run on a source tree with no extension built
     in place, so the claim is checked on a fresh build made with the
-    checkout's setup.py, imported in subprocesses from that build alone.
-    Both backends of that build must give the suite's own bits for a long
+    checkout's setup.py, imported in subprocesses from that build alone. The
+    build's output holds no compiler warning. Both backends of that build
+    must give the suite's own bits for a long
     trajectory, the 15-, 21- and 1000-row RK4 batches, both particle-filter
     cloud passes, the Cholesky layer and a short run of each filter.
     """
@@ -213,6 +214,9 @@ def test_backend_is_compiled_unless_opted_out(tmp_path):
         cwd=CHECKOUT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the compiler warns of nothing, -Wpsabi's notes on vector arguments included
+    warned = [line for line in (proc.stdout + proc.stderr).splitlines() if "warning:" in line]
+    assert not warned, "\n".join(warned)
 
     digests = set()
     for value in (None, "0", "1"):
@@ -526,6 +530,114 @@ def test_per_particle_passes_give_the_fallback_bits():
         warnings.warn("compiled kernel absent: pass parity compares the numpy "
                       "fallback with itself", stacklevel=1)
     check_every_pass()
+
+
+# row counts that run every tail of the compiled moments pass's sums: each
+# remainder of its 4-lane groups (1-11) and a last 64-row block that is full
+# (64) or short (63, 65, 127, 129, 1001); 1000 = 15 * 64 + 40 runs no lane tail
+RAGGED_ROWS = (*range(1, 12), 63, 64, 65, 127, 129, 1001)
+# states of the UKF's sigma sets, 2n + 1 points: 3, 5, 7, 9, 11, 15, 21, 63, 65
+RAGGED_SET_STATES = (1, 2, 3, 4, 5, 7, 10, 31, 32)
+
+
+def ragged_h(rng, m, n):
+    """An (m, n) H with zero and unit entries whose row 1 repeats row 0 bit
+    for bit and whose row 2 is row 0 with -0.0 for its zeros, a class of its
+    own; so the number of sums, padded to the 4 lanes, varies with m."""
+    h = rng.standard_normal((m, n))
+    h[rng.random((m, n)) < 0.4] = 0.0
+    h[rng.random((m, n)) < 0.2] = 1.0
+    h[0, -1] = 0.0
+    if m > 1:
+        h[1] = h[0]
+    if m > 2:
+        h[2] = np.where(h[0] == 0.0, -0.0, h[0])
+    return h
+
+
+def spd(rng, k):
+    a = rng.standard_normal((k, k))
+    return a @ a.T / k + np.eye(k)
+
+
+def ragged_cases():
+    """(label, entry, args) of the moments pass's three entries on ragged
+    shapes: ``moments_rows`` on each of RAGGED_ROWS x {4, 7, 10} states with
+    and without the jitter and the quaternion, S whole and its diagonal,
+    and no H or an H of 3 or 11 rows (``ragged_h``), on a cloud with signed
+    zeros and zero weights; ``weigh_rows`` on the same clouds, with its
+    moments (limit 0) and without (every ESS under the limit), and without
+    the log-likelihoods; ``ukf_assess_rows`` from a propagated set and from
+    a given one, on the sigma sets of RAGGED_SET_STATES. Every output starts
+    as -7.0."""
+    def f(*shape):
+        return np.full(shape, -7.0)
+    for rows in RAGGED_ROWS:
+        for n in (4, 7, 10):
+            rng = np.random.default_rng(1000 * rows + n)
+            x = rng.standard_normal((rows, n))
+            x[:, :4] /= np.linalg.norm(x[:, :4], axis=1, keepdims=True)
+            x[:, 4:][rng.random((rows, n - 4)) < 0.2] = -0.0
+            w = rng.random(rows) + 0.5
+            w[1:][rng.random(rows - 1) < 0.2] = 0.0
+            w /= w.sum()
+            normals = rng.standard_normal((rows, n))
+            root = np.tril(rng.uniform(-1e-2, 1e-2, (n, n)))
+            root[rng.random((n, n)) < 0.3] = 0.0
+            for h in (None, ragged_h(rng, 3, n), ragged_h(rng, 11, n)):
+                m = n if h is None else len(h)
+                r = None if h is None else spd(rng, m)
+                for jitter in (False, True):
+                    for quaternion in (False, True):
+                        for diagonal in (False, True):
+                            label = "moments_rows %d x %d, m=%d, jitter=%s, quaternion=%s, " \
+                                    "diagonal=%s" % (rows, n, m, jitter, quaternion, diagonal)
+                            yield label, "moments_rows", (
+                                x.copy(), normals if jitter else None, root if jitter else None,
+                                h, w, r, quaternion, f(n), f(m), f(m) if diagonal else f(m, m))
+            loglik = 3.0 * rng.standard_normal(rows)
+            for lik, limit in ((loglik, 0.0), (loglik, rows + 1.0), (None, 0.0)):
+                yield ("weigh_rows %d x %d, loglik=%s, limit=%s"
+                       % (rows, n, lik is not None, limit), "weigh_rows",
+                       (lik, w, x, limit, f(rows), f(n), f(n)))
+    for n in RAGGED_SET_STATES:
+        rng = np.random.default_rng(n)
+        mu = rng.standard_normal(n)
+        points, wm, wc = flt.ukf_sigma_points(mu, spd(rng, n), 1.0, 2.0, 0.0)
+        prop = points + 0.01 * rng.standard_normal(points.shape)
+        for m in (3, 11):
+            h, r = ragged_h(rng, m, n), spd(rng, m)
+            common = (wm, wc, 1e-3 * np.eye(n), float(n), h, r, 1.0, (), rng.standard_normal(m))
+            outs = (f(m, m), f(m, m), f(n, m), f(m))
+            yield ("ukf_assess_rows %d points, m=%d, propagated" % (2 * n + 1, m),
+                   "ukf_assess_rows", (prop, *common, f(n), f(n, n), None, *outs))
+            yield ("ukf_assess_rows %d points, m=%d, given" % (2 * n + 1, m),
+                   "ukf_assess_rows", (None, *common, mu.copy(), f(n, n), points, *outs))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("attbench.core._kernels_c") is None,
+                    reason="compiled kernel absent")
+def test_moments_pass_has_the_fallback_bits_on_ragged_shapes():
+    """The compiled ``moments_rows``, ``weigh_rows`` and ``ukf_assess_rows``
+    return the fallback's value and leave its bytes in every array argument
+    on every case of ``ragged_cases``: row counts that end in each remainder
+    of the compiled sums' 4-lane groups and in full and short 64-row blocks,
+    and numbers of sums that the lanes pad."""
+    from attbench.core import _kernels_c
+    mismatches, count = [], 0
+    for label, name, args in ragged_cases():
+        outcomes = []
+        for backend in (_kernels_c, kernels_py):
+            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            try:
+                value = repr(getattr(backend, name)(*copies))
+            except Exception as exc:
+                value = (type(exc), str(exc))
+            outcomes.append((value, [a.tobytes() for a in copies if isinstance(a, np.ndarray)]))
+        count += 1
+        if outcomes[0] != outcomes[1]:
+            mismatches.append(label)
+    assert count > 1000 and not mismatches, (len(mismatches), mismatches[:10])
 
 
 def assert_relative(got, want, scale):
